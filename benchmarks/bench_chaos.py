@@ -21,7 +21,7 @@ duplicated sightings in **every** scenario, consistent epochs,
 
 Emits the machine-readable ``BENCH_PR6.json`` artifact (see
 ``benchreport.write_bench_json``); ``scripts/bench_smoke.py --skip-pr1
---skip-pr2 --skip-pr3 --skip-pr4 --skip-pr5`` regenerates it without
+--skip-pr2 --skip-pr4 --skip-pr5`` regenerates it without
 pytest.
 """
 

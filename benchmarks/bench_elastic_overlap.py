@@ -9,9 +9,9 @@ and the cutover is pointer surgery plus a topology-epoch bump and a
 §6.5 invalidation broadcast.  This bench runs the festival-surge
 scenario — a crowd stampeding between stages, so splits and merges
 never stop being needed while every crowd member reports every tick —
-over both modes (plus the per-report protocol lane) and asserts:
+over both modes and asserts:
 
-* ``stall_ticks == 0`` on the overlapped lanes — no rebalance round
+* ``stall_ticks == 0`` on the overlapped lane — no rebalance round
   ever drained the loop (the quiesced baseline stalls once per round);
 * ``migration_throughput_ratio >= 0.8`` — reports/s through ticks with
   a migration in flight stays within 20% of steady state;
@@ -19,7 +19,7 @@ over both modes (plus the per-report protocol lane) and asserts:
 
 Emits the machine-readable ``BENCH_PR4.json`` artifact (see
 ``benchreport.write_bench_json``); ``scripts/bench_smoke.py --skip-pr1
---skip-pr2 --skip-pr3`` regenerates it without pytest.
+--skip-pr2`` regenerates it without pytest.
 """
 
 import pytest

@@ -21,7 +21,7 @@ both planner generations and asserts:
 
 Emits the machine-readable ``BENCH_PR5.json`` artifact (see
 ``benchreport.write_bench_json``); ``scripts/bench_smoke.py --skip-pr1
---skip-pr2 --skip-pr3 --skip-pr4`` regenerates it without pytest.
+--skip-pr2 --skip-pr4`` regenerates it without pytest.
 """
 
 import pytest

@@ -14,11 +14,8 @@ minutes.  This script is the middle ground:
   per-server sustained load, split/merge counts and query latency →
   ``BENCH_PR2.json``.  The acceptance number is
   ``scenarios.flash_crowd.load_drop_factor`` (must be ≥ 2).
-* **PR3** — the batched protocol lane: the commuter-rush scenario run
-  over the per-report and batched lanes, comparing protocol-lane
-  messages per tick and tick wall-clock → ``BENCH_PR3.json``.  The
-  acceptance numbers are ``message_reduction_factor`` (must be ≥ 2) and
-  ``tick_speedup`` (must be > 1).
+* (``BENCH_PR3.json`` is a frozen record of the PR-3 lane comparison;
+  its baseline lane was deleted in PR 14, so it is not regenerated.)
 * **PR4** — zero-stall elasticity: the festival-surge scenario run with
   phased overlapped migrations vs. the quiesced baseline →
   ``BENCH_PR4.json``.  The acceptance numbers are zero
@@ -175,37 +172,6 @@ def run_pr2(args) -> None:
             f"{elastic['invariants']['lost_sightings']:>5d}"
         )
     path = write_bench_json(args.out_pr2, payload)
-    print(f"\nwrote {path} ({elapsed:.1f}s)")
-
-
-def run_pr3(args) -> None:
-    """The batched-protocol-lane measurement (envelopes vs. per-report)."""
-    from repro.sim.elastic import protocol_batch_benchmark_payload
-
-    start = time.perf_counter()
-    payload = protocol_batch_benchmark_payload(seed=args.seed)
-    payload["generated_by"] = "scripts/bench_smoke.py"
-    elapsed = time.perf_counter() - start
-
-    header = f"{'lane':12s} {'proto msgs/tick':>16s} {'tick wall':>10s} {'splits':>7s} {'merges':>7s} {'lost':>5s}"
-    print(header)
-    print("-" * len(header))
-    for lane, result in payload["lanes"].items():
-        print(
-            f"{lane:12s} {result['protocol_messages_per_tick']:>16,.1f} "
-            f"{result['tick_wall_clock_s'] * 1e3:>7,.0f} ms "
-            f"{result['splits']:>7d} {result['merges']:>7d} "
-            f"{result['invariants']['lost_sightings']:>5d}"
-        )
-    reduction = payload["message_reduction_factor"]
-    speedup = payload["tick_speedup"]
-    print(
-        "message reduction: "
-        + (f"{reduction:.1f}x" if reduction is not None else "n/a")
-        + ", tick speedup: "
-        + (f"{speedup:.2f}x" if speedup is not None else "n/a")
-    )
-    path = write_bench_json(args.out_pr3, payload)
     print(f"\nwrote {path} ({elapsed:.1f}s)")
 
 
@@ -440,7 +406,6 @@ def run_pr10(args) -> None:
 ACCEPTANCE_KEYS: dict[str, tuple[str, ...]] = {
     "out": ("indexes",),
     "out_pr2": ("scenarios.flash_crowd.load_drop_factor",),
-    "out_pr3": ("message_reduction_factor", "tick_speedup"),
     "out_pr4": (
         "stall_ticks_overlapped",
         "migration_throughput_ratio",
@@ -528,7 +493,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--out", default="BENCH_PR1.json")
     parser.add_argument("--out-pr2", default="BENCH_PR2.json")
-    parser.add_argument("--out-pr3", default="BENCH_PR3.json")
     parser.add_argument("--out-pr4", default="BENCH_PR4.json")
     parser.add_argument("--out-pr5", default="BENCH_PR5.json")
     parser.add_argument("--out-pr6", default="BENCH_PR6.json")
@@ -540,9 +504,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--skip-pr2", action="store_true", help="skip the rebalance bench"
-    )
-    parser.add_argument(
-        "--skip-pr3", action="store_true", help="skip the protocol-lane bench"
     )
     parser.add_argument(
         "--skip-pr4", action="store_true", help="skip the zero-stall bench"
@@ -569,7 +530,6 @@ def main(argv: list[str] | None = None) -> int:
     for skip, runner, out_attr in (
         (args.skip_pr1, run_pr1, "out"),
         (args.skip_pr2, run_pr2, "out_pr2"),
-        (args.skip_pr3, run_pr3, "out_pr3"),
         (args.skip_pr4, run_pr4, "out_pr4"),
         (args.skip_pr5, run_pr5, "out_pr5"),
         (args.skip_pr6, run_pr6, "out_pr6"),

@@ -72,12 +72,6 @@ TRACKED_METRICS: dict[str, tuple[str, str, str]] = {
         "scenarios.flash_crowd.load_drop_factor",
         "higher",
     ),
-    "pr3.message_reduction_factor": (
-        "BENCH_PR3.json",
-        "message_reduction_factor",
-        "higher",
-    ),
-    "pr3.tick_speedup": ("BENCH_PR3.json", "tick_speedup", "higher"),
     "pr4.migration_throughput_ratio": (
         "BENCH_PR4.json",
         "migration_throughput_ratio",

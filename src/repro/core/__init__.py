@@ -14,24 +14,24 @@ Position reports travel one of two lanes:
   (:meth:`LocationService.update_many`) applies a whole tick of such
   reports through one spatial-index pass per leaf, no messages at all.
 * **Protocol lane** — reports that cross a service-area boundary run the
-  Section-6 update/handover/deregister protocol.  The per-object wire
-  messages (``UpdateReq``, ``HandoverReq`` …, Algorithms 6-2/6-3) remain
-  the semantic ground truth, but by default a tick's protocol traffic is
-  *enveloped*: coalesced per destination server into
-  ``UpdateBatchReq`` / ``HandoverBatchReq`` / ``DeregisterBatchReq``
-  messages that carry many per-object items each.  Envelope handlers
-  apply everything locally applicable through the storage layer's batch
-  paths and re-envelope the still-unresolved remainder per next hop —
-  an envelope only ever splits *along the tree* (per child, or upward),
-  never back into per-object messages; retirement aliases forward
-  envelopes whole.  Envelope-level timeout/retry re-routes through the
-  hierarchy root when a destination has left the network (a garbage-
-  collected retirement alias), and with ``envelope_sub_timeout`` set the
-  servers bound their internal sub-envelope fan-outs and answer items
-  stuck behind a crashed subtree as *unacknowledged*, so only those
-  items are resent (per-item retry bookkeeping).  The per-report lane is
-  kept selectable (``protocol_lane="per-report"``) as the baseline the
-  protocol-batch bench measures against.
+  Section-6 update/handover/deregister protocol (Algorithms 6-2/6-3).
+  There is one implementation of it: a tick's protocol traffic is
+  *enveloped*, coalesced per destination server into
+  ``UpdateBatchReq`` / ``HandoverBatchReq`` / ``DeregisterBatchReq`` /
+  ``PathTeardownBatch`` messages that carry many per-object items each.
+  Envelope handlers apply everything locally applicable through the
+  storage layer's batch paths and re-envelope the still-unresolved
+  remainder per next hop — an envelope only ever splits *along the
+  tree* (per child, or upward); retirement aliases forward envelopes
+  whole.  A single device's ``UpdateReq`` / ``DeregisterReq`` is served
+  at the edge as an envelope of one and answered with the unchanged
+  ``UpdateRes`` / ``DeregisterRes``.  Envelope-level timeout/retry
+  re-routes through the hierarchy root when a destination has left the
+  network (a garbage-collected retirement alias), and with
+  ``envelope_sub_timeout`` set the servers bound their internal
+  sub-envelope fan-outs and answer items stuck behind a crashed subtree
+  as *unacknowledged*, so only those items are resent (per-item retry
+  bookkeeping).
 
 Elasticity and topology epochs
 ------------------------------

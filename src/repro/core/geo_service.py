@@ -98,7 +98,6 @@ class GeoLocationService:
     def update_many(
         self,
         reports,
-        protocol_lane: str = "batched",
         envelope_sub_timeout: float | None = None,
     ) -> dict[str, int]:
         """Batched position reports in WGS84; one tick of a geo fleet.
@@ -106,16 +105,13 @@ class GeoLocationService:
         ``reports`` yields ``(tracked_object, coordinate)`` pairs; they
         are projected into the local frame and applied through
         :meth:`LocationService.update_many` (direct batched store update
-        for in-area moves, the batched protocol lane — one envelope per
-        destination server — for leaf crossings; pass
-        ``protocol_lane="per-report"`` for the unbatched lane, and
-        ``envelope_sub_timeout`` for per-item retry against partially
-        crashed subtrees).
+        for in-area moves, one envelope per destination server for leaf
+        crossings; pass ``envelope_sub_timeout`` for per-item retry
+        against partially crashed subtrees).
         """
         to_local = self.to_local
         return self.service.update_many(
             ((obj, to_local(coord)) for obj, coord in reports),
-            protocol_lane=protocol_lane,
             envelope_sub_timeout=envelope_sub_timeout,
         )
 

@@ -101,30 +101,6 @@ class UpdateRes(Response):
     error: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class HandoverReq(Message):
-    """``handoverReq(s, regInfo)`` — server-to-server, answered hop by hop."""
-
-    request_id: str
-    reply_to: str  # the server awaiting this hop's HandoverRes
-    sender: str  # ``lsf`` in Algorithm 6-3
-    sighting: SightingRecord
-    reg_info: RegistrationInfo
-    previous_offered: float | None = None  # lets the new agent notify only on change
-    direct: bool = False  # §6.5 cached handover: new agent must repair the path
-
-
-@dataclass(frozen=True, slots=True)
-class HandoverRes(Response):
-    """``handoverRes(lsnew, acc)``; ``new_agent=None`` means the object
-    left the root service area and was deregistered."""
-
-    request_id: str
-    new_agent: str | None
-    offered_acc: float | None
-    origin_area: Rect | None = None  # new agent's service area (area cache)
-
-
 # ---------------------------------------------------------------------------
 # Batched protocol lane (derived; the Section-6 per-object protocol,
 # enveloped per destination server)
@@ -132,10 +108,11 @@ class HandoverRes(Response):
 #
 # A server tick produces many protocol-lane operations at once — position
 # reports that crossed a service-area boundary, deregistrations, the
-# handovers those reports trigger.  The per-object messages above pay one
-# message (and one scheduling turn) per operation; the envelopes below
-# carry a whole tick's worth of items for a *single* destination server.
-# Envelope handlers apply everything locally applicable through the
+# handovers those reports trigger.  The envelopes below carry a whole
+# tick's worth of items for a *single* destination server and are the
+# only server-to-server form of the write lane; the single-object
+# ``UpdateReq``/``DeregisterReq`` are the device-facing edge, served as
+# an envelope of one.  Envelope handlers apply everything locally applicable through the
 # storage layer's batch paths and re-envelope the still-unresolved
 # remainder per next hop, so an envelope travelling through the hierarchy
 # only ever splits along the tree, never back into per-object messages.
@@ -220,9 +197,9 @@ class HandoverBatchReq(Message):
 
 @dataclass(frozen=True, slots=True)
 class HandoverOutcome(Message):
-    """Per-object result inside a :class:`HandoverBatchRes` — the
-    payload of a :class:`HandoverRes` (``new_agent=None`` means the
-    object left the root service area and was deregistered).
+    """Per-object result inside a :class:`HandoverBatchRes` — Alg. 6-3's
+    ``handoverRes(lsnew, acc)`` (``new_agent=None`` means the object
+    left the root service area and was deregistered).
 
     ``unacknowledged=True`` marks an item whose sub-envelope went
     unanswered within the envelope's ``sub_timeout`` (a crashed
@@ -282,8 +259,8 @@ class DeregisterBatchRes(Response):
 @dataclass(frozen=True, slots=True)
 class PathTeardownBatch(Message):
     """*Derived.*  One-way upward removal of many forwarding paths at
-    once (the batched counterpart of :class:`PathTeardown`); a server
-    only acts on the ids whose forwarding reference still points at
+    once, used for explicit deregistration and soft-state expiry; a
+    server only acts on the ids whose forwarding reference still points at
     ``sender`` and forwards the surviving subset as one message.  Ids
     whose reference points elsewhere (or is gone) are answered with a
     :class:`PathTeardownNack` so the sender can tell a raced redirect
@@ -326,18 +303,6 @@ class DeregisterReq(Message):
 class DeregisterRes(Response):
     request_id: str
     ok: bool
-
-
-@dataclass(frozen=True, slots=True)
-class PathTeardown(Message):
-    """*Derived.*  One-way upward removal of a forwarding path, used for
-    explicit deregistration and soft-state expiry.  A server only acts if
-    its forwarding reference still points at ``sender`` (guards against
-    racing with a concurrent handover that already redirected the path).
-    """
-
-    object_id: str
-    sender: str
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ Handlers map one-to-one onto the paper's algorithms:
 
 =====================  =======================================
 Algorithm 6-1          ``_on_register`` / ``_on_create_path``
-Algorithm 6-2          ``_on_update``
-Algorithm 6-3          ``_on_handover``
+Algorithm 6-2          ``_on_update`` (edge) / ``_on_update_batch``
+                       → ``_apply_updates``
+Algorithm 6-3          ``_handover_batch`` / ``_on_handover_batch``
 Algorithm 6-4          ``_on_pos_query`` / ``_on_pos_query_fwd``
 Algorithm 6-5          ``_on_range_query`` / ``_on_range_fwd``
 Section 3.2 (derived)  ``_on_neighbor_query`` / ``_on_nn_fwd``
@@ -338,11 +339,9 @@ class LocationServer(Endpoint):
         self.on(m.CreatePath, self._on_create_path)
         self.on(m.UpdateReq, self._on_update)
         self.on(m.UpdateBatchReq, self._on_update_batch)
-        self.on(m.HandoverReq, self._on_handover)
         self.on(m.HandoverBatchReq, self._on_handover_batch)
         self.on(m.DeregisterReq, self._on_deregister)
         self.on(m.DeregisterBatchReq, self._on_deregister_batch)
-        self.on(m.PathTeardown, self._on_path_teardown)
         self.on(m.PathTeardownBatch, self._on_path_teardown_batch)
         self.on(m.PosQueryReq, self._on_pos_query)
         self.on(m.PosQueryFwd, self._on_pos_query_fwd)
@@ -489,7 +488,7 @@ class LocationServer(Endpoint):
         messages carry their own reply/entry-server addresses, so
         answers flow to the right place.  In particular a protocol-lane
         *envelope* (update / handover / deregister batch) is forwarded
-        whole: retirement never splits it back into per-object messages.
+        whole: retirement never splits it.
 
         Before any of that, the PR-9 quarantine runs: a message with
         mutated fields or an epoch beyond the stale horizon is rejected
@@ -644,111 +643,13 @@ class LocationServer(Endpoint):
     # ======================================================================
     # Algorithm 6-2: position updates
     # ======================================================================
-
-    async def _on_update(self, msg: m.UpdateReq) -> None:
-        self.stats.note(msg)
-        sighting = msg.sighting
-        record = self.visitors.leaf_record(sighting.object_id) if self.is_leaf else None
-        if record is None:
-            # Elastic reconfiguration: after a split this server became
-            # interior while clients still address it as the agent.  Route
-            # the report down the forwarding path; the real agent answers
-            # with its own address, re-pointing the client.  No sighting
-            # is lost.
-            next_hop = self.visitors.forward_ref(sighting.object_id)
-            if next_hop is not None:
-                self.send(next_hop, msg)
-                return
-            self.send(
-                msg.reply_to,
-                m.UpdateRes(
-                    request_id=msg.request_id,
-                    ok=False,
-                    error=f"{self.address} is not the agent of {sighting.object_id}",
-                ),
-            )
-            return
-        if self._contains(sighting.pos):
-            self.store.update(sighting, now=self.ctx.now())
-            self.stats.updates += 1
-            if self.update_listener is not None:
-                self.update_listener((sighting.object_id,))
-            self.send(
-                msg.reply_to,
-                m.UpdateRes(
-                    request_id=msg.request_id,
-                    ok=True,
-                    agent=self.address,
-                    offered_acc=record.offered_acc,
-                ),
-            )
-            return
-        # The object moved out of this service area: initiate a handover.
-        await self._initiate_handover(msg, record)
-
-    async def _initiate_handover(self, msg: m.UpdateReq, record) -> None:
-        self.stats.handovers_initiated += 1
-        sighting = msg.sighting
-        request_id = self.next_request_id()
-        target = self.caches.leaf_for_point(sighting.pos.x, sighting.pos.y)
-        handover = m.HandoverReq(
-            request_id=request_id,
-            reply_to=self.address,
-            sender=self.address,
-            sighting=sighting,
-            reg_info=record.reg_info,
-            previous_offered=record.offered_acc,
-            direct=target is not None,
-        )
-        if target is None:
-            if self._parent is None:
-                # Single-server LS: the object left the root service area.
-                self._drop_object(sighting.object_id)
-                self.send(
-                    msg.reply_to,
-                    m.UpdateRes(request_id=msg.request_id, ok=True, deregistered=True),
-                )
-                return
-            res = await self.request(self._parent, handover)
-        else:
-            # §6.5 leaf-area cache: contact the new agent directly; it
-            # repairs the forwarding path via PathUpdate.
-            res = await self.request(target, handover)
-        assert isinstance(res, m.HandoverRes)
-        self.caches.note_leaf_area(res.new_agent, res.origin_area)
-        self._drop_object(sighting.object_id)
-        if res.new_agent is None:
-            self.send(
-                msg.reply_to,
-                m.UpdateRes(request_id=msg.request_id, ok=True, deregistered=True),
-            )
-        else:
-            self.send(
-                msg.reply_to,
-                m.UpdateRes(
-                    request_id=msg.request_id,
-                    ok=True,
-                    agent=res.new_agent,
-                    offered_acc=res.offered_acc,
-                ),
-            )
-
-    def _drop_object(self, object_id: str) -> None:
-        """Remove the visitor and sighting records (Alg. 6-2 lines 5-6)."""
-        if self.is_leaf:
-            self.store.deregister(object_id)
-        else:
-            self.visitors.remove(object_id)
-
-    # ======================================================================
-    # Batched protocol lane: envelope handlers
-    # ======================================================================
     #
-    # Per-object semantics are exactly those of the Algorithm 6-2/6-3
-    # handlers above; an envelope only changes the *transport*: one
-    # message per destination, one batched store pass for everything
-    # locally applicable, and per-next-hop sub-envelopes for the rest —
-    # an envelope never degrades into per-object messages.
+    # One write lane.  Servers exchange only per-destination *envelopes*
+    # (update / handover / deregister / teardown batches): one message
+    # per destination, one batched store pass for everything locally
+    # applicable, per-next-hop sub-envelopes for the rest.  A device's
+    # single ``UpdateReq`` / ``DeregisterReq`` is served at the edge as
+    # an envelope of one and never travels between servers.
 
     async def _gather(self, coros: list):
         """Drive sub-envelope requests concurrently; results in order."""
@@ -771,16 +672,56 @@ class LocationServer(Endpoint):
         if msg.epoch < self.topology_epoch:
             self.stats.stale_epoch_messages += 1
 
+    async def _on_update(self, msg: m.UpdateReq) -> None:
+        """Device-facing edge: one report, served as an envelope of one."""
+        self.stats.note(msg)
+        outcomes = await self._apply_updates((msg.sighting,))
+        outcome = outcomes[msg.sighting.object_id]
+        self.send(
+            msg.reply_to,
+            m.UpdateRes(
+                request_id=msg.request_id,
+                ok=outcome.ok,
+                agent=outcome.agent,
+                offered_acc=outcome.offered_acc,
+                deregistered=outcome.deregistered,
+                error=outcome.error,
+            ),
+        )
+
     async def _on_update_batch(self, msg: m.UpdateBatchReq) -> None:
         self.stats.note(msg)
         self._note_epoch(msg)
+        outcomes = await self._apply_updates(msg.sightings, msg.sub_timeout)
+        self.send(
+            msg.reply_to,
+            m.UpdateBatchRes(
+                request_id=msg.request_id,
+                outcomes=tuple(
+                    outcomes[oid]
+                    for oid in dict.fromkeys(s.object_id for s in msg.sightings)
+                ),
+            ),
+        )
+
+    async def _apply_updates(
+        self, sightings, sub_timeout: float | None = None
+    ) -> dict[str, m.UpdateOutcome]:
+        """Algorithm 6-2 for a set of reports; per-object outcomes.
+
+        In-area items this server is the agent of go through one batched
+        store pass, items that left the area through the handover lane,
+        and items known only by a forwarding reference (a post-split
+        interior server devices still address as their agent) one step
+        down the path — the real agent's outcome re-points the sender.
+        """
         outcomes: dict[str, m.UpdateOutcome] = {}
         fast: list = []  # agent here, still in-area → one store batch
         fast_records: list = []
         crossing: list = []  # agent here, left the area → handover lane
         forward: dict[str, list] = {}  # known only by forwarding reference
         is_leaf = self.is_leaf
-        for sighting in msg.sightings:
+        for sighting in sightings:
             oid = sighting.object_id
             record = self.visitors.leaf_record(oid) if is_leaf else None
             if record is None:
@@ -811,24 +752,15 @@ class LocationServer(Endpoint):
                     offered_acc=record.offered_acc,
                 )
         subtasks = [
-            self._forward_update_batch(next_hop, batch, msg.sub_timeout)
+            self._forward_update_batch(next_hop, batch, sub_timeout)
             for next_hop, batch in forward.items()
         ]
         if crossing:
-            subtasks.append(self._handover_batch(crossing, msg.sub_timeout))
+            subtasks.append(self._handover_batch(crossing, sub_timeout))
         if subtasks:
             for merged in await self._gather(subtasks):
                 outcomes.update(merged)
-        self.send(
-            msg.reply_to,
-            m.UpdateBatchRes(
-                request_id=msg.request_id,
-                outcomes=tuple(
-                    outcomes[oid]
-                    for oid in dict.fromkeys(s.object_id for s in msg.sightings)
-                ),
-            ),
-        )
+        return outcomes
 
     async def _forward_update_batch(
         self, next_hop: str, sightings: list, sub_timeout: float | None = None
@@ -862,14 +794,24 @@ class LocationServer(Endpoint):
         assert isinstance(res, m.UpdateBatchRes)
         return {outcome.object_id: outcome for outcome in res.outcomes}
 
+    def _drop_object(self, object_id: str) -> None:
+        """Remove the visitor and sighting records (Alg. 6-2 lines 5-6)."""
+        if self.is_leaf:
+            self.store.deregister(object_id)
+        else:
+            self.visitors.remove(object_id)
+
+    # ======================================================================
+    # Algorithm 6-3: handover
+    # ======================================================================
+
     async def _handover_batch(
         self, crossing: list, sub_timeout: float | None = None
     ) -> dict[str, m.UpdateOutcome]:
-        """Initiate handovers for a batch of out-of-area reports.
+        """Initiate handovers for the out-of-area reports of one pass.
 
-        The batched counterpart of :meth:`_initiate_handover`: items are
-        grouped per destination — a §6.5-cached leaf (direct dispatch)
-        or the parent — and each group travels as one
+        Items are grouped per destination — a §6.5-cached leaf (direct
+        dispatch) or the parent — and each group travels as one
         :class:`~repro.core.messages.HandoverBatchReq`.
         """
         self.stats.handovers_initiated += len(crossing)
@@ -917,17 +859,14 @@ class LocationServer(Endpoint):
                         continue
                     self.caches.note_leaf_area(hres.new_agent, hres.origin_area)
                     self._drop_object(oid)
-                    if hres.new_agent is None:
-                        outcomes[oid] = m.UpdateOutcome(
-                            object_id=oid, ok=True, deregistered=True
-                        )
-                    else:
-                        outcomes[oid] = m.UpdateOutcome(
-                            object_id=oid,
-                            ok=True,
-                            agent=hres.new_agent,
-                            offered_acc=hres.offered_acc,
-                        )
+                    # No new agent: the object left the root service area.
+                    outcomes[oid] = m.UpdateOutcome(
+                        object_id=oid,
+                        ok=True,
+                        agent=hres.new_agent,
+                        offered_acc=hres.offered_acc,
+                        deregistered=hres.new_agent is None,
+                    )
         return outcomes
 
     async def _request_handover_batch(
@@ -1078,15 +1017,51 @@ class LocationServer(Endpoint):
                 self.visitors.remove(outcome.object_id)
         return sub_outcomes
 
+    # ======================================================================
+    # Deregistration and soft-state teardown
+    # ======================================================================
+
+    async def _on_deregister(self, msg: m.DeregisterReq) -> None:
+        """Device-facing edge: one deregistration, an envelope of one."""
+        self.stats.note(msg)
+        results, _ = await self._apply_deregisters((msg.object_id,))
+        self.send(
+            msg.reply_to,
+            m.DeregisterRes(request_id=msg.request_id, ok=results[msg.object_id]),
+        )
+
     async def _on_deregister_batch(self, msg: m.DeregisterBatchReq) -> None:
         self.stats.note(msg)
         self._note_epoch(msg)
+        results, nacks = await self._apply_deregisters(
+            msg.object_ids, msg.sub_timeout
+        )
+        self.send(
+            msg.reply_to,
+            m.DeregisterBatchRes(
+                request_id=msg.request_id,
+                results=tuple(
+                    (oid, results[oid]) for oid in dict.fromkeys(msg.object_ids)
+                ),
+                nacks=tuple(sorted(nacks.items())),
+            ),
+        )
+
+    async def _apply_deregisters(
+        self, object_ids, sub_timeout: float | None = None
+    ) -> tuple[dict[str, bool], dict[str, str]]:
+        """Deregister a set of objects; per-object ``ok`` and NACK reason.
+
+        Ids this leaf is the agent of are dropped and their paths torn
+        down with one upward ``PathTeardownBatch``; ids known only by a
+        forwarding reference travel one step down the path.
+        """
         results: dict[str, bool] = {}
         nacks: dict[str, str] = {}
         local: list[str] = []
         forward: dict[str, list[str]] = {}
         is_leaf = self.is_leaf
-        for oid in msg.object_ids:
+        for oid in object_ids:
             if is_leaf and self.visitors.leaf_record(oid) is not None:
                 local.append(oid)
             else:
@@ -1119,23 +1094,14 @@ class LocationServer(Endpoint):
         if forward:
             merged = await self._gather(
                 [
-                    self._forward_deregister_batch(next_hop, oids, msg.sub_timeout)
+                    self._forward_deregister_batch(next_hop, oids, sub_timeout)
                     for next_hop, oids in forward.items()
                 ]
             )
             for sub_results, sub_nacks in merged:
                 results.update(sub_results)
                 nacks.update(sub_nacks)
-        self.send(
-            msg.reply_to,
-            m.DeregisterBatchRes(
-                request_id=msg.request_id,
-                results=tuple(
-                    (oid, results[oid]) for oid in dict.fromkeys(msg.object_ids)
-                ),
-                nacks=tuple(sorted(nacks.items())),
-            ),
-        )
+        return results, nacks
 
     async def _forward_deregister_batch(
         self, next_hop: str, object_ids: list[str], sub_timeout: float | None = None
@@ -1163,9 +1129,9 @@ class LocationServer(Endpoint):
     async def _on_path_teardown_batch(self, msg: m.PathTeardownBatch) -> None:
         self.stats.note(msg)
         self._note_epoch(msg)
-        # Per-object guard as in _on_path_teardown: only ids whose
-        # reference still points at the sender survive into the upward
-        # envelope (the rest raced a handover that redirected the path).
+        # Per-object guard: only ids whose reference still points at the
+        # sender survive into the upward envelope (the rest raced a
+        # handover that redirected the path).
         live: list[str] = []
         nacks: list[tuple[str, str]] = []
         for oid in msg.object_ids:
@@ -1204,112 +1170,6 @@ class LocationServer(Endpoint):
         *never-existed* path needs no further teardown)."""
         self.stats.note(msg)
         self.stats.teardown_nacks += len(msg.object_ids)
-
-    # ======================================================================
-    # Algorithm 6-3: handover
-    # ======================================================================
-
-    async def _on_handover(self, msg: m.HandoverReq) -> None:
-        self.stats.note(msg)
-        pos = msg.sighting.pos
-        if self._contains(pos):
-            if self.is_leaf:
-                await self._admit_handover(msg)
-            else:
-                await self._forward_handover_down(msg)
-        else:
-            await self._forward_handover_up(msg)
-
-    async def _admit_handover(self, msg: m.HandoverReq) -> None:
-        offered = self.store.admit_handover(msg.sighting, msg.reg_info, now=self.ctx.now())
-        self.stats.handovers_admitted += 1
-        if self.update_listener is not None:
-            self.update_listener((msg.sighting.object_id,))
-        if msg.direct:
-            # Cached (direct) handover: the hierarchy was bypassed, so the
-            # forwarding path must be repaired explicitly.
-            if self._parent is not None:
-                self._spawn_repair(
-                    self._parent,
-                    m.PathUpdate(object_id=msg.sighting.object_id, sender=self.address),
-                )
-        if msg.previous_offered is not None and offered != msg.previous_offered:
-            self.send(
-                msg.reg_info.registrar,
-                m.NotifyAvailAcc(object_id=msg.sighting.object_id, offered_acc=offered),
-            )
-        self.send(
-            msg.reply_to,
-            m.HandoverRes(
-                request_id=msg.request_id,
-                new_agent=self.address,
-                offered_acc=offered,
-                origin_area=self.config.area,
-            ),
-        )
-
-    async def _forward_handover_down(self, msg: m.HandoverReq) -> None:
-        child = self._child_for(msg.sighting.pos)
-        sub_id = self.next_request_id()
-        res = await self.request(
-            child.server_id,
-            m.HandoverReq(
-                request_id=sub_id,
-                reply_to=self.address,
-                sender=self.address,
-                sighting=msg.sighting,
-                reg_info=msg.reg_info,
-                previous_offered=msg.previous_offered,
-            ),
-        )
-        assert isinstance(res, m.HandoverRes)
-        # Create or reset the forwarding pointer (Alg. 6-3 lines 12-13).
-        self.visitors.insert_forward(msg.sighting.object_id, child.server_id)
-        self.send(
-            msg.reply_to,
-            m.HandoverRes(
-                request_id=msg.request_id,
-                new_agent=res.new_agent,
-                offered_acc=res.offered_acc,
-                origin_area=res.origin_area,
-            ),
-        )
-
-    async def _forward_handover_up(self, msg: m.HandoverReq) -> None:
-        object_id = msg.sighting.object_id
-        if self._parent is None:
-            # The object left the root service area: deregister it
-            # hierarchy-wide (Section 4: "automatically deregistered").
-            self.visitors.remove(object_id)
-            self.send(
-                msg.reply_to,
-                m.HandoverRes(request_id=msg.request_id, new_agent=None, offered_acc=None),
-            )
-            return
-        sub_id = self.next_request_id()
-        res = await self.request(
-            self._parent,
-            m.HandoverReq(
-                request_id=sub_id,
-                reply_to=self.address,
-                sender=self.address,
-                sighting=msg.sighting,
-                reg_info=msg.reg_info,
-                previous_offered=msg.previous_offered,
-            ),
-        )
-        assert isinstance(res, m.HandoverRes)
-        # This server is no longer on the path (Alg. 6-3 line 19).
-        self.visitors.remove(object_id)
-        self.send(
-            msg.reply_to,
-            m.HandoverRes(
-                request_id=msg.request_id,
-                new_agent=res.new_agent,
-                offered_acc=res.offered_acc,
-                origin_area=res.origin_area,
-            ),
-        )
 
     # -- cached-handover path repair (§6.5, derived) -----------------------------
 
@@ -1413,36 +1273,6 @@ class LocationServer(Endpoint):
             msg.reply_to,
             m.PingRes(request_id=msg.request_id, epoch=self.topology_epoch),
         )
-
-    # ======================================================================
-    # Deregistration and soft-state teardown
-    # ======================================================================
-
-    async def _on_deregister(self, msg: m.DeregisterReq) -> None:
-        self.stats.note(msg)
-        record = self.visitors.leaf_record(msg.object_id) if self.is_leaf else None
-        if record is None:
-            # Post-split forwarding, as in _on_update.
-            next_hop = self.visitors.forward_ref(msg.object_id)
-            if next_hop is not None:
-                self.send(next_hop, msg)
-                return
-            self.send(msg.reply_to, m.DeregisterRes(request_id=msg.request_id, ok=False))
-            return
-        self.store.deregister(msg.object_id)
-        if self._parent is not None:
-            self.send(self._parent, m.PathTeardown(object_id=msg.object_id, sender=self.address))
-        self.send(msg.reply_to, m.DeregisterRes(request_id=msg.request_id, ok=True))
-
-    async def _on_path_teardown(self, msg: m.PathTeardown) -> None:
-        self.stats.note(msg)
-        # Only act if our reference still points at the sender — a racing
-        # handover may already have redirected the path.
-        if self.visitors.forward_ref(msg.object_id) != msg.sender:
-            return
-        self.visitors.remove(msg.object_id)
-        if self._parent is not None:
-            self.send(self._parent, m.PathTeardown(object_id=msg.object_id, sender=self.address))
 
     # ======================================================================
     # Algorithm 6-4: position queries

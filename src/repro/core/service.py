@@ -70,12 +70,13 @@ class RetryPolicy:
         return delay
 
 
-class _BatchReporter(Endpoint):
-    """Service-side sender of protocol-lane envelopes.
+class Reporter(Endpoint):
+    """Sender of protocol-lane envelopes on behalf of many objects.
 
-    The batched tick coalesces many objects' protocol traffic into one
-    envelope per destination server; those envelopes need a single
-    network endpoint to carry their ``reply_to`` — this is it.
+    A tick coalesces many objects' protocol traffic into one envelope
+    per destination server; those envelopes need a single network
+    endpoint to carry their ``reply_to`` — this is it, for the service
+    tick, the elastic harness and the socket-scenario driver alike.
     """
 
     def __init__(self, address: str = "svc-batch-reporter") -> None:
@@ -253,7 +254,7 @@ class LocationService:
             self.servers[server_id] = self._spawn(hierarchy.config(server_id))
         self._client_counter = 0
         self._default_client: LocationClient | None = None
-        self._batch_reporter: _BatchReporter | None = None
+        self._batch_reporter: Reporter | None = None
 
     def _spawn(self, config, data_store=None) -> LocationServer:
         server = LocationServer(config, data_store=data_store, **self._server_kwargs)
@@ -548,7 +549,6 @@ class LocationService:
     def update_many(
         self,
         reports: Iterable[tuple[TrackedObject, Point]],
-        protocol_lane: str = "batched",
         envelope_timeout: float | None = None,
         envelope_retries: int | RetryPolicy = 3,
         envelope_sub_timeout: float | None = None,
@@ -562,12 +562,9 @@ class LocationService:
         the agent leaf's store, one batched spatial-index update per
         leaf (the local half of Algorithm 6-2; the paper's updates are
         "always local").  Reports that leave the agent area run the full
-        update protocol (handover, deregistration) — over the **batched
-        protocol lane** by default: one
+        update protocol (handover, deregistration): one
         :class:`~repro.core.messages.UpdateBatchReq` envelope per
-        destination server instead of one request task per report.
-        ``protocol_lane="per-report"`` keeps the one-message-per-report
-        behaviour (the lane benchmarks compare against it).
+        destination server.
 
         Envelope-level recovery: a destination that left the network
         entirely (a garbage-collected retirement alias) is re-routed
@@ -623,43 +620,32 @@ class LocationService:
                 obj.last_reported = sighting.pos
             fast += len(entries)
         if slow:
-            if protocol_lane == "per-report":
-                self.run(
-                    drive_all(
-                        self.loop,
+            by_dest: dict[str, list[tuple[TrackedObject, Point]]] = {}
+            for obj, pos in slow:
+                by_dest.setdefault(obj.agent, []).append((obj, pos))
+            self.run(
+                drive_all(
+                    self.loop,
+                    (
                         (
-                            (f"update-{obj.object_id}", obj.report(pos))
-                            for obj, pos in slow
-                        ),
-                    )
+                            f"envelope-{dest}",
+                            self._drive_update_envelope(
+                                dest,
+                                pairs,
+                                envelope_timeout,
+                                envelope_retries,
+                                envelope_sub_timeout,
+                            ),
+                        )
+                        for dest, pairs in by_dest.items()
+                    ),
                 )
-            else:
-                by_dest: dict[str, list[tuple[TrackedObject, Point]]] = {}
-                for obj, pos in slow:
-                    by_dest.setdefault(obj.agent, []).append((obj, pos))
-                self.run(
-                    drive_all(
-                        self.loop,
-                        (
-                            (
-                                f"envelope-{dest}",
-                                self._drive_update_envelope(
-                                    dest,
-                                    pairs,
-                                    envelope_timeout,
-                                    envelope_retries,
-                                    envelope_sub_timeout,
-                                ),
-                            )
-                            for dest, pairs in by_dest.items()
-                        ),
-                    )
-                )
+            )
         return {"fast": fast, "protocol": len(slow)}
 
-    def _reporter(self) -> _BatchReporter:
+    def _reporter(self) -> Reporter:
         if self._batch_reporter is None:
-            self._batch_reporter = _BatchReporter()
+            self._batch_reporter = Reporter()
             self.network.join(self._batch_reporter)
         return self._batch_reporter
 

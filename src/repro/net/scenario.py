@@ -27,11 +27,11 @@ import time
 
 from repro.core import messages as m
 from repro.core.hierarchy import Hierarchy, build_table2_hierarchy
+from repro.core.service import Reporter
 from repro.errors import TransportError
 from repro.model import SightingRecord
 from repro.net.bootstrap import ClusterLauncher
 from repro.runtime.base import Endpoint
-from repro.runtime.validation import find_defect
 
 __all__ = [
     "drive_workload",
@@ -39,16 +39,6 @@ __all__ = [
     "run_workload_inprocess",
     "socket_benchmark_payload",
 ]
-
-
-class _WorkloadReporter(Endpoint):
-    """Driver-side endpoint carrying the workload's protocol traffic."""
-
-    def __init__(self, address: str = "wl-reporter") -> None:
-        super().__init__(address)
-        # Same defense as LocationClient: a mutated ack is quarantined,
-        # and the retrying request lane re-sends it (PR 9).
-        self.validator = find_defect
 
 
 async def _request_retrying(
@@ -93,7 +83,7 @@ async def drive_workload(
     root) instead of each object's home leaf, forcing every query to
     prove the *forwarding path*, not just leaf-local state.
     """
-    reporter = join(_WorkloadReporter())
+    reporter = join(Reporter("wl-reporter"))
     homes: dict[str, str] = {}
 
     # -- registration (RegisterReq to each object's entry leaf) ------------

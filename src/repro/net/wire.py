@@ -18,10 +18,10 @@ Wire format, one frame (version 2)::
 
 The CRC32 covers the payload bytes; a mismatch marks the frame corrupt
 and the decoder resynchronises on the next magic marker instead of
-trusting a damaged length prefix.  Version-1 frames (the pre-checksum
-layout, no ``crc32`` word) are still decoded for legacy peers, and a
-version byte *newer* than ours parses with the v2 layout — schema
-evolution is tolerated in both directions (see :class:`FrameDecoder`).
+trusting a damaged length prefix.  A version byte *newer* than ours
+parses with the v2 layout (see :class:`FrameDecoder`); an older one
+(the pre-checksum v1 layout) is rejected as damage, so every accepted
+frame is CRC-checked.
 
 The payload is compact JSON: ``{"s": src, "d": dst, "m": [message...]}``
 where every typed object is ``{"t": "<ClassName>", "f": [fields...]}``.
@@ -59,7 +59,6 @@ __all__ = [
     "WIRE_VERSION",
     "MAGIC",
     "HEADER_SIZE",
-    "HEADER_SIZE_V1",
     "MAX_FRAME_SIZE",
     "encode",
     "decode",
@@ -76,8 +75,6 @@ WIRE_VERSION = 2
 MAGIC = b"RW"
 #: v2 header: magic + version byte + length prefix + payload CRC32.
 HEADER_SIZE = len(MAGIC) + 1 + 4 + 4
-#: v1 header (pre-checksum layout); still accepted on decode.
-HEADER_SIZE_V1 = len(MAGIC) + 1 + 4
 #: Hard per-frame ceiling — a length prefix beyond this is treated as
 #: stream corruption, not an allocation request.
 MAX_FRAME_SIZE = 64 * 1024 * 1024
@@ -352,8 +349,8 @@ class FrameDecoder:
     Feed it arbitrarily chunked bytes; it returns every completed frame
     as ``(src, dst, [messages])`` and buffers the remainder.  The
     decoder is **self-healing**: corrupt bytes — bad magic, a zero
-    version byte, an absurd length prefix, a CRC mismatch, an
-    undecodable legacy payload — never raise.  Each damage episode
+    or pre-checksum (v1) version byte, an absurd length prefix, a CRC
+    mismatch — never raise.  Each damage episode
     bumps ``corrupted_frames`` and the decoder scans forward to the
     next magic marker, so one flipped bit costs at most the frame it
     actually hit, never the connection.
@@ -363,9 +360,6 @@ class FrameDecoder:
     fields on a known type are dropped (see :func:`register_type`), and
     a message of an unknown type is skipped — counted in
     ``skipped_messages`` — while the rest of its frame is delivered.
-    Version-1 frames (pre-checksum) remain decodable; since their
-    boundaries are unauthenticated, an undecodable v1 payload distrusts
-    the framing itself and resynchronises.
     """
 
     __slots__ = ("_buffer", "corrupted_frames", "skipped_messages")
@@ -392,32 +386,24 @@ class FrameDecoder:
             if bytes(buf[: len(MAGIC)]) != MAGIC:
                 self._resync()
                 continue
-            version = buf[len(MAGIC)]
-            if version == 0:
+            if buf[len(MAGIC)] < 2:
                 self._resync()
                 continue
-            header_size = HEADER_SIZE_V1 if version == 1 else HEADER_SIZE
-            if len(buf) < header_size:
+            if len(buf) < HEADER_SIZE:
                 return frames
             length = int.from_bytes(buf[len(MAGIC) + 1 : len(MAGIC) + 5], "big")
             if length > MAX_FRAME_SIZE:
                 self._resync()
                 continue
-            if len(buf) < header_size + length:
+            if len(buf) < HEADER_SIZE + length:
                 return frames
-            body = bytes(buf[header_size : header_size + length])
-            if version >= 2:
-                crc = int.from_bytes(buf[len(MAGIC) + 5 : HEADER_SIZE], "big")
-                if zlib.crc32(body) != crc:
-                    self._resync()
-                    continue
-            frame = self._parse_body(body)
-            if frame is None and version == 1:
-                # No checksum vouches for a v1 boundary: an undecodable
-                # payload means the length prefix itself is suspect.
+            body = bytes(buf[HEADER_SIZE : HEADER_SIZE + length])
+            crc = int.from_bytes(buf[len(MAGIC) + 5 : HEADER_SIZE], "big")
+            if zlib.crc32(body) != crc:
                 self._resync()
                 continue
-            del buf[: header_size + length]
+            frame = self._parse_body(body)
+            del buf[: HEADER_SIZE + length]
             if frame is None:
                 # Checksummed boundary, rotten payload (a peer re-framed
                 # damaged bytes verbatim): consume the frame whole.

@@ -62,7 +62,6 @@ _ELASTIC_EXPORTS = {
     "festival_surge_scenario",
     "festival_surge_workload",
     "flash_crowd_scenario",
-    "protocol_batch_benchmark_payload",
 }
 
 #: The chaos scenarios sit on the elastic harness plus repro.chaos, so
@@ -152,7 +151,6 @@ __all__ = [
     "migration_crash_scenario",
     "partition_scenario",
     "percentile",
-    "protocol_batch_benchmark_payload",
     "scatter_objects",
     "table1_store",
     "table2_service",

@@ -11,7 +11,7 @@ The measured costs map onto message types:
 ``UpdateReq``          one sighting-DB update
 ``PosQueryReq/Fwd``    one hash lookup (+ response construction)
 ``RangeQueryReq/Fwd``  one spatial-index search over a medium area
-``HandoverReq``        insert + visitor-DB write
+``HandoverBatchReq``   insert + visitor-DB write
 other                  a small fixed routing cost
 =====================  ==========================================
 """
@@ -50,7 +50,7 @@ class CalibrationResult:
                 "RangeQueryFwd": self.range_query_cost,
                 "NNCandidatesFwd": self.range_query_cost,
                 "NeighborQueryReq": self.range_query_cost,
-                "HandoverReq": self.insert_cost,
+                "HandoverBatchReq": self.insert_cost,
                 "RegisterReq": self.insert_cost,
             },
             per_entry=2e-7,

@@ -49,35 +49,12 @@ from repro.cluster import (
     SplitPlan,
 )
 from repro.core import CacheConfig, LocationService, build_table2_hierarchy
-from repro.core import messages as m
-from repro.core.service import drive_all, drive_update_envelope
+from repro.core.service import Reporter, drive_all, drive_update_envelope
 from repro.geo import Point, Rect
 from repro.model import SightingRecord
-from repro.runtime.base import Endpoint
 from repro.runtime.latency import LatencyModel
 from repro.sim.metrics import LatencyRecorder, MessageLedger
 from repro.sim.workload import HotspotSpec, hotspot_positions, wavefront_area
-
-
-class _Reporter(Endpoint):
-    """A stand-in for the device fleet: sends ``UpdateReq`` on behalf of
-    any tracked object and awaits the acknowledgement."""
-
-    def __init__(self, address: str = "elastic-reporter") -> None:
-        super().__init__(address)
-
-    async def send_report(self, agent: str, sighting: SightingRecord) -> m.UpdateRes:
-        res = await self.request(
-            agent,
-            m.UpdateReq(
-                request_id=self.next_request_id(),
-                reply_to=self.address,
-                sighting=sighting,
-            ),
-        )
-        assert isinstance(res, m.UpdateRes)
-        return res
-
 
 
 @dataclass
@@ -132,7 +109,7 @@ class ElasticHarness:
         # (v2); the protocol lane's server-side admissions report through
         # the leaf update listeners, the fast path in apply_reports().
         service.set_update_listener(self.monitor.record_object_updates)
-        self._reporter = _Reporter()
+        self._reporter = Reporter("elastic-reporter")
         service.network.join(self._reporter)
         self._clients: dict[str, object] = {}
 
@@ -141,7 +118,6 @@ class ElasticHarness:
     def apply_reports(
         self,
         reports: list[tuple[str, Point]],
-        protocol_lane: str = "batched",
         envelope_timeout: float | None = None,
         envelope_retries: int = 3,
         envelope_sub_timeout: float | None = None,
@@ -152,12 +128,9 @@ class ElasticHarness:
         the batched fast path (one ``update_many`` per leaf); the rest —
         area crossings, or objects whose believed agent was split or
         merged away since the last tick — go through the full update
-        protocol, whose acknowledgement re-points the home map.  By
-        default the protocol traffic travels the **batched lane**: one
+        protocol, whose acknowledgement re-points the home map: one
         :class:`~repro.core.messages.UpdateBatchReq` envelope per
-        believed-agent destination; ``protocol_lane="per-report"`` keeps
-        one request task per report (the lane benches compare the two).
-        Envelope recovery matches
+        believed-agent destination.  Envelope recovery matches
         :meth:`~repro.core.service.LocationService.update_many` (shared
         :func:`~repro.core.service.drive_update_envelope` core): a
         believed agent that left the network (a garbage-collected
@@ -192,64 +165,42 @@ class ElasticHarness:
         if slow:
             reporter = self._reporter
             homes = self.homes
+            by_dest: dict[str, list[tuple[str, Point]]] = {}
+            for oid, pos in slow:
+                agent = homes.get(oid)
+                if agent is not None:
+                    by_dest.setdefault(agent, []).append((oid, pos))
 
-            if protocol_lane == "per-report":
-
-                async def report_one(oid: str, pos: Point) -> None:
-                    agent = homes.get(oid)
-                    if agent is None:
-                        return
-                    res = await reporter.send_report(
-                        agent, SightingRecord(oid, svc.loop.now, pos, 10.0)
-                    )
-                    if res.deregistered:
-                        homes.pop(oid, None)
-                    elif res.ok and res.agent is not None:
-                        homes[oid] = res.agent
-
-                svc.run(
-                    drive_all(
-                        svc.loop,
-                        ((f"report-{oid}", report_one(oid, pos)) for oid, pos in slow),
-                    )
+            async def drive(dest: str, pairs: list[tuple[str, Point]]) -> None:
+                outcomes = await drive_update_envelope(
+                    reporter,
+                    svc,
+                    dest,
+                    lambda: tuple(
+                        SightingRecord(oid, svc.loop.now, pos, 10.0)
+                        for oid, pos in pairs
+                    ),
+                    envelope_timeout,
+                    envelope_retries,
+                    sub_timeout=envelope_sub_timeout,
                 )
-            else:
-                by_dest: dict[str, list[tuple[str, Point]]] = {}
-                for oid, pos in slow:
-                    agent = homes.get(oid)
-                    if agent is not None:
-                        by_dest.setdefault(agent, []).append((oid, pos))
+                for outcome in outcomes:
+                    if not outcome.ok:
+                        continue
+                    if outcome.deregistered:
+                        homes.pop(outcome.object_id, None)
+                    elif outcome.agent is not None:
+                        homes[outcome.object_id] = outcome.agent
 
-                async def drive(dest: str, pairs: list[tuple[str, Point]]) -> None:
-                    outcomes = await drive_update_envelope(
-                        reporter,
-                        svc,
-                        dest,
-                        lambda: tuple(
-                            SightingRecord(oid, svc.loop.now, pos, 10.0)
-                            for oid, pos in pairs
-                        ),
-                        envelope_timeout,
-                        envelope_retries,
-                        sub_timeout=envelope_sub_timeout,
-                    )
-                    for outcome in outcomes:
-                        if not outcome.ok:
-                            continue
-                        if outcome.deregistered:
-                            homes.pop(outcome.object_id, None)
-                        elif outcome.agent is not None:
-                            homes[outcome.object_id] = outcome.agent
-
-                svc.run(
-                    drive_all(
-                        svc.loop,
-                        (
-                            (f"envelope-{dest}", drive(dest, pairs))
-                            for dest, pairs in by_dest.items()
-                        ),
-                    )
+            svc.run(
+                drive_all(
+                    svc.loop,
+                    (
+                        (f"envelope-{dest}", drive(dest, pairs))
+                        for dest, pairs in by_dest.items()
+                    ),
                 )
+            )
         return {"fast": sum(len(v) for v in per_leaf.values()), "protocol": len(slow)}
 
     # -- probes --------------------------------------------------------------
@@ -500,7 +451,6 @@ def _run_scenario(
     placements,
     positions_at,
     probe_area_at,
-    protocol_lane: str = "batched",
     migration_mode: str = "quiesced",
     cache_config=None,
     planner: RebalancePlanner | None = None,
@@ -540,7 +490,7 @@ def _run_scenario(
         in_flight_during_tick = bool(harness.executor.in_flight)
         ledger.rebase()  # count only the tick's own protocol traffic
         wall_start = time.perf_counter()
-        counts = harness.apply_reports(reports, protocol_lane=protocol_lane)
+        counts = harness.apply_reports(reports)
         if in_flight_during_tick and migration_mode == "overlapped":
             harness.advance_migrations()
         apply_wall = time.perf_counter() - wall_start
@@ -613,7 +563,6 @@ def _run_scenario(
         "objects": objects,
         "ticks": ticks,
         "dt_s": dt,
-        "protocol_lane": protocol_lane,
         "migration_mode": migration_mode if elastic else None,
         "fast_reports": fast,
         "protocol_reports": protocol,
@@ -679,7 +628,6 @@ def flash_crowd_scenario(
     rebalance_every: int = 2,
     measure_ticks: int = 8,
     seed: int = 0,
-    protocol_lane: str = "batched",
     migration_mode: str = "quiesced",
 ) -> dict[str, object]:
     """A flash crowd inside one leaf of the Fig.-8 testbed.
@@ -722,7 +670,6 @@ def flash_crowd_scenario(
         placements=placements,
         positions_at=positions_at,
         probe_area_at=lambda progress: hotspot,
-        protocol_lane=protocol_lane,
         migration_mode=migration_mode,
     )
 
@@ -812,7 +759,6 @@ def commuter_rush_scenario(
     rebalance_every: int = 2,
     measure_ticks: int = 10,
     seed: int = 0,
-    protocol_lane: str = "batched",
     migration_mode: str = "quiesced",
 ) -> dict[str, object]:
     """A commuter-rush wavefront sweeping west→east across the area.
@@ -841,7 +787,6 @@ def commuter_rush_scenario(
         placements=workload.placements,
         positions_at=workload.positions_at,
         probe_area_at=workload.probe_area_at,
-        protocol_lane=protocol_lane,
         migration_mode=migration_mode,
     )
 
@@ -856,7 +801,6 @@ def festival_surge_scenario(
     rebalance_every: int = 2,
     measure_ticks: int = 10,
     seed: int = 0,
-    protocol_lane: str = "batched",
     migration_mode: str = "overlapped",
 ) -> dict[str, object]:
     """Sustained churn: a festival crowd surging between stages.
@@ -891,7 +835,6 @@ def festival_surge_scenario(
         placements=workload.placements,
         positions_at=workload.positions_at,
         probe_area_at=workload.probe_area_at,
-        protocol_lane=protocol_lane,
         migration_mode=migration_mode,
         cache_config=workload.cache_config,
     )
@@ -989,7 +932,6 @@ def hot_object_skew_scenario(
     rebalance_every: int = 2,
     measure_ticks: int = 8,
     seed: int = 0,
-    protocol_lane: str = "batched",
     migration_mode: str = "overlapped",
     planner: RebalancePlanner | None = None,
 ) -> dict[str, object]:
@@ -1056,7 +998,6 @@ def hot_object_skew_scenario(
         placements=placements,
         positions_at=positions_at,
         probe_area_at=lambda progress: hot_block,
-        protocol_lane=protocol_lane,
         migration_mode=migration_mode,
         planner=planner,
     )
@@ -1186,49 +1127,6 @@ def elastic_benchmark_payload(
     }
 
 
-def protocol_batch_benchmark_payload(
-    objects: int = 1000,
-    ticks: int | None = None,
-    seed: int = 0,
-) -> dict[str, object]:
-    """Batched vs. per-report protocol lane head to head — the
-    ``BENCH_PR3.json`` body.
-
-    Both lanes run the identical crossing-heavy commuter-rush workload
-    (elastic, so splits/merges churn the believed-agent map too); the
-    acceptance numbers are ``message_reduction_factor`` (protocol-lane
-    messages per tick, per-report over batched, required ≥ 2) and
-    ``tick_speedup`` (wall-clock of the tick application, per-report
-    over batched, required > 1), with zero lost sightings on both lanes.
-    """
-    kwargs: dict[str, object] = {"objects": objects}
-    if ticks is not None:
-        kwargs["ticks"] = ticks
-    lanes: dict[str, dict[str, object]] = {}
-    for lane in ("per-report", "batched"):
-        lanes[lane] = commuter_rush_scenario(
-            elastic=True, seed=seed, protocol_lane=lane, **kwargs
-        )
-    per_report, batched = lanes["per-report"], lanes["batched"]
-    batched_rate = batched["protocol_messages_per_tick"]
-    batched_wall = batched["tick_wall_clock_s"]
-    return {
-        "bench": "batched protocol lane: per-destination envelopes vs. per-report messages",
-        "scenario": "commuter_rush",
-        "lanes": lanes,
-        "message_reduction_factor": (
-            round(per_report["protocol_messages_per_tick"] / batched_rate, 3)
-            if batched_rate > 0
-            else None
-        ),
-        "tick_speedup": (
-            round(per_report["tick_wall_clock_s"] / batched_wall, 3)
-            if batched_wall > 0
-            else None
-        ),
-    }
-
-
 def zero_stall_benchmark_payload(
     objects: int = 1200,
     ticks: int | None = None,
@@ -1259,19 +1157,12 @@ def zero_stall_benchmark_payload(
     # lanes instead of mid-measurement (standard bench hygiene).
     gc_was_enabled = gc.isenabled()
     try:
-        for lane, lane_kwargs in (
-            ("quiesced", {"migration_mode": "quiesced"}),
-            ("overlapped", {"migration_mode": "overlapped"}),
-            (
-                "overlapped_per_report",
-                {"migration_mode": "overlapped", "protocol_lane": "per-report"},
-            ),
-        ):
+        for lane in ("quiesced", "overlapped"):
             gc.enable()
             gc.collect()
             gc.disable()
             lanes[lane] = festival_surge_scenario(
-                elastic=True, seed=seed, **lane_kwargs, **kwargs
+                elastic=True, seed=seed, migration_mode=lane, **kwargs
             )
     finally:
         if gc_was_enabled:

@@ -104,9 +104,9 @@ class ThroughputMeter:
 
 
 #: Message type names that make up the *protocol lane* — the Section-6
-#: update/handover/deregister traffic (per-object and enveloped forms)
-#: whose per-message overhead the batched lane amortizes.  Query fan-out
-#: messages are deliberately excluded: they are the query lane.
+#: update/handover/deregister traffic (device-edge singles and
+#: server-to-server envelopes).  Query fan-out messages are deliberately
+#: excluded: they are the query lane.
 PROTOCOL_LANE_MESSAGE_TYPES = frozenset(
     {
         "CreatePath",
@@ -114,15 +114,12 @@ PROTOCOL_LANE_MESSAGE_TYPES = frozenset(
         "UpdateRes",
         "UpdateBatchReq",
         "UpdateBatchRes",
-        "HandoverReq",
-        "HandoverRes",
         "HandoverBatchReq",
         "HandoverBatchRes",
         "DeregisterReq",
         "DeregisterRes",
         "DeregisterBatchReq",
         "DeregisterBatchRes",
-        "PathTeardown",
         "PathTeardownBatch",
         "PathTeardownNack",
         "PathUpdate",
@@ -144,8 +141,8 @@ class MessageLedger:
 
     Snapshot ``stats.by_type`` at construction (or :meth:`rebase`), read
     the traffic since then with :meth:`delta` /
-    :meth:`protocol_messages`.  The elastic scenarios and the protocol-
-    batch bench use this to compare the batched and per-report lanes.
+    :meth:`protocol_messages`.  The elastic scenarios use this to count
+    protocol-lane messages per tick.
 
     Dropped and duplicated deliveries are tracked **distinctly** from
     sent traffic: an injected duplicate never increments ``by_type`` or

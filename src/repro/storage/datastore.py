@@ -141,8 +141,7 @@ class LocalDataStore:
         self, sighting: SightingRecord, reg_info: RegistrationInfo
     ) -> float:
         """Negotiate and install one arriving visitor record (Alg. 6-3);
-        the shared per-item core of :meth:`admit_handover` and
-        :meth:`admit_handover_many`."""
+        the per-item core of :meth:`admit_handover_many`."""
         offered = self.accuracy.negotiate(reg_info.des_acc, reg_info.min_acc)
         if offered is None:
             # Paper's protocol assumes the requested range stays satisfiable
@@ -153,25 +152,13 @@ class LocalDataStore:
         self.visitors.insert_leaf(sighting.object_id, offered, reg_info)
         return offered
 
-    def admit_handover(
-        self, sighting: SightingRecord, reg_info: RegistrationInfo, now: float = 0.0
-    ) -> float:
-        """Become the agent for an object arriving by handover (Alg. 6-3)."""
-        offered = self._admit_visitor(sighting, reg_info)
-        self.sightings.upsert(sighting, now=now)
-        if self._mirror is not None:
-            self._mirror.record_upsert(sighting, offered, reg_info)
-        return offered
-
     def admit_handover_many(
         self,
         arrivals: list[tuple[SightingRecord, RegistrationInfo]],
         now: float = 0.0,
     ) -> list[float]:
-        """Become the agent for a whole handover envelope in one pass.
-
-        The batched counterpart of :meth:`admit_handover` (identical
-        per-item negotiation semantics via :meth:`_admit_visitor`), then
+        """Become the agent for a whole handover envelope in one pass
+        (Alg. 6-3): per-item negotiation via :meth:`_admit_visitor`, then
         every sighting lands through one
         :meth:`~repro.storage.sighting_db.SightingDB.upsert_many` —
         a single batched spatial-index pass for the whole envelope.
@@ -342,7 +329,7 @@ class LocalDataStore:
     ) -> None:
         """Become the agent for a migrated batch in one bulk-load pass.
 
-        The counterpart of :meth:`admit_handover` for object migration:
+        The counterpart of :meth:`admit_handover_many` for object migration:
         visitor records keep their already-negotiated accuracy, sightings
         land through the sighting DB's bulk insert (one spatial-index
         ``bulk_load``), and the index is compacted afterwards so R-tree

@@ -35,9 +35,9 @@ class TestFig6Handover:
         svc.update(obj, Point(100, 700))
         svc.settle()
         assert obj.agent == "s5"
-        assert handled(svc, "s2", "HandoverReq") == 1
-        assert handled(svc, "s1", "HandoverReq") == 0
-        assert handled(svc, "s5", "HandoverReq") == 1
+        assert handled(svc, "s2", "HandoverBatchReq") == 1
+        assert handled(svc, "s1", "HandoverBatchReq") == 0
+        assert handled(svc, "s5", "HandoverBatchReq") == 1
         svc.check_consistency()
 
     def test_handover_across_root(self, svc):
@@ -46,9 +46,9 @@ class TestFig6Handover:
         svc.update(obj, Point(700, 100))
         svc.settle()
         assert obj.agent == "s6"
-        assert handled(svc, "s2", "HandoverReq") == 1
-        assert handled(svc, "s1", "HandoverReq") == 1
-        assert handled(svc, "s3", "HandoverReq") == 1
+        assert handled(svc, "s2", "HandoverBatchReq") == 1
+        assert handled(svc, "s1", "HandoverBatchReq") == 1
+        assert handled(svc, "s3", "HandoverBatchReq") == 1
         svc.check_consistency()
 
     def test_forwarding_path_after_handover(self, svc):

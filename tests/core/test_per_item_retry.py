@@ -35,7 +35,6 @@ class TestPerItemUpdateRetry:
         svc.network.crash("s6")
         stats = svc.update_many(
             [(a, Point(140.0, 130.0)), (b, Point(800.0, 100.0))],
-            protocol_lane="batched",
             envelope_timeout=10.0,
             envelope_retries=1,
             envelope_sub_timeout=1.0,
@@ -50,7 +49,6 @@ class TestPerItemUpdateRetry:
         svc.network.restore("s6")
         svc.update_many(
             [(b, Point(800.0, 100.0))],
-            protocol_lane="batched",
             envelope_sub_timeout=1.0,
         )
         assert b.agent == "s6"
@@ -65,7 +63,6 @@ class TestPerItemUpdateRetry:
         svc.loop.call_later(1.5, lambda: svc.network.restore("s6"))
         svc.update_many(
             [(b, Point(800.0, 100.0))],
-            protocol_lane="batched",
             envelope_timeout=20.0,
             envelope_retries=2,
             envelope_sub_timeout=1.0,
@@ -79,7 +76,6 @@ class TestPerItemUpdateRetry:
         svc.network.crash("s6")
         svc.update_many(
             [(b, Point(800.0, 100.0))],
-            protocol_lane="batched",
             envelope_sub_timeout=1.0,
         )
         # s3 must not point at s6 for b: the handover never landed.

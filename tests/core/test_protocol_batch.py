@@ -1,12 +1,13 @@
-"""Tests for the batched protocol lane (PR 3).
+"""Tests for the enveloped write lane (PR 3; the only lane since PR 14).
 
 ``LocationService.update_many``'s protocol traffic travels as one
 envelope per destination server (``UpdateBatchReq`` / ``HandoverBatchReq``
-/ ``DeregisterBatchReq``); the lane must be observationally equivalent to
-the per-report protocol — identical store state, agents and forwarding
-paths over arbitrary crossing workloads — while sending far fewer
-messages, and an envelope must survive a crashed or vanished destination
-through envelope-level retry and re-routing.
+/ ``DeregisterBatchReq``); over arbitrary crossing workloads the lane must
+end in exactly the state a flat, single-store reference ends in — same
+positions, every agent the leaf containing the last position, nothing
+lost — while sending one message per destination, and an envelope must
+survive a crashed or vanished destination through envelope-level retry
+and re-routing.
 """
 
 import random
@@ -16,7 +17,9 @@ import pytest
 from repro.core import LocationService, build_table2_hierarchy
 from repro.errors import TransportError
 from repro.geo import Point, Rect
+from repro.model import SightingRecord
 from repro.sim.metrics import MessageLedger
+from repro.storage import LocalDataStore
 
 AREA = Rect(0, 0, 1500, 1500)
 
@@ -26,15 +29,18 @@ def svc():
     return LocationService(build_table2_hierarchy(1500.0), sighting_ttl=1e9)
 
 
-def random_walk_state(svc, lane, seed, objects=14, ticks=6, step=450.0):
-    """Drive a seeded crossing-heavy random walk over one lane; returns
-    the observable end state (positions + agents)."""
+def random_walk(svc, seed, objects=14, ticks=6, step=450.0):
+    """Drive a seeded crossing-heavy random walk through the service and,
+    report for report, through a flat ``LocalDataStore`` oracle; returns
+    ``(tracked objects, oracle)``."""
     rng = random.Random(seed)
+    oracle = LocalDataStore(ttl=1e9)
     objs = {}
     positions = {}
     for i in range(objects):
         pos = Point(rng.uniform(0, 1500), rng.uniform(0, 1500))
         objs[f"o{i}"] = svc.register(f"o{i}", pos)
+        oracle.register(SightingRecord(f"o{i}", 0.0, pos, 10.0), 25.0, 100.0, "oracle")
         positions[f"o{i}"] = pos
     for _ in range(ticks):
         moves = []
@@ -46,42 +52,41 @@ def random_walk_state(svc, lane, seed, objects=14, ticks=6, step=450.0):
             )
             positions[oid] = pos
             moves.append((obj, pos))
-        svc.update_many(moves, protocol_lane=lane)
-    svc.check_consistency()
-    return {
-        oid: (svc.pos_query(oid).pos, obj.agent, obj.offered_acc)
-        for oid, obj in objs.items()
-    }
+        svc.update_many(moves)
+        oracle.update_many(
+            [SightingRecord(obj.object_id, 0.0, pos, 10.0) for obj, pos in moves]
+        )
+    return objs, oracle
 
 
 class TestLaneEquivalence:
     @pytest.mark.parametrize("seed", [1, 7, 23, 91])
-    def test_batched_lane_matches_per_report_lane(self, seed):
-        """Property: both lanes produce identical store state, agents and
-        offered accuracies across random crossing workloads."""
-        states = {
-            lane: random_walk_state(
-                LocationService(build_table2_hierarchy(1500.0), sighting_ttl=1e9),
-                lane,
-                seed,
-            )
-            for lane in ("batched", "per-report")
-        }
-        assert states["batched"] == states["per-report"]
+    def test_write_lane_matches_flat_store_oracle(self, seed):
+        """Property: across random crossing workloads the hierarchy ends
+        where a single flat store ends — positions, offered accuracies,
+        population — with every agent the leaf containing the object's
+        last position and the forwarding paths consistent."""
+        svc = LocationService(build_table2_hierarchy(1500.0), sighting_ttl=1e9)
+        objs, oracle = random_walk(svc, seed)
+        svc.check_consistency()
+        assert svc.total_tracked() == oracle.sighting_count
+        for oid, obj in objs.items():
+            expected = oracle.position_query(oid)
+            assert svc.pos_query(oid).pos == expected.pos
+            assert obj.agent == svc.hierarchy.leaf_for_point(expected.pos)
+            assert obj.offered_acc == oracle.visitors.leaf_record(oid).offered_acc
 
     def test_no_sighting_lost_across_lanes(self):
-        for lane in ("batched", "per-report"):
-            svc = LocationService(build_table2_hierarchy(1500.0), sighting_ttl=1e9)
-            random_walk_state(svc, lane, seed=5, objects=20, ticks=5)
-            assert svc.total_tracked() == 20
+        """Fast lane (in-area) and protocol lane (crossings) together."""
+        svc = LocationService(build_table2_hierarchy(1500.0), sighting_ttl=1e9)
+        _, oracle = random_walk(svc, seed=5, objects=20, ticks=5)
+        assert svc.total_tracked() == oracle.sighting_count == 20
+        svc.check_consistency()
 
     def test_leaving_root_area_deregisters_on_batched_lane(self, svc):
         a = svc.register("a", Point(100, 100))
         b = svc.register("b", Point(120, 100))
-        stats = svc.update_many(
-            [(a, Point(5000, 5000)), (b, Point(130, 110))],
-            protocol_lane="batched",
-        )
+        stats = svc.update_many([(a, Point(5000, 5000)), (b, Point(130, 110))])
         assert stats == {"fast": 1, "protocol": 1}
         assert a.deregistered and a.agent is None
         assert svc.pos_query("a") is None
@@ -96,31 +101,35 @@ class TestEnvelopeTraffic:
         objs = [svc.register(f"o{i}", Point(100.0 + i, 100.0)) for i in range(10)]
         ledger = MessageLedger(svc.network.stats)
         svc.update_many(
-            [(obj, Point(1200.0 + i, 1200.0)) for i, obj in enumerate(objs)],
-            protocol_lane="batched",
+            [(obj, Point(1200.0 + i, 1200.0)) for i, obj in enumerate(objs)]
         )
         delta = ledger.protocol_delta()
         assert delta.get("UpdateBatchReq") == 1
         assert "UpdateReq" not in delta
-        assert "HandoverReq" not in delta  # handovers travelled enveloped too
         assert delta.get("HandoverBatchReq", 0) >= 1
         for obj in objs:
             assert obj.agent == "root.3"
 
-    def test_batched_lane_sends_fewer_protocol_messages(self):
-        def messages(lane):
-            svc = LocationService(build_table2_hierarchy(1500.0), sighting_ttl=1e9)
-            objs = [
-                svc.register(f"o{i}", Point(50.0 + 20 * i, 700.0)) for i in range(12)
-            ]
-            ledger = MessageLedger(svc.network.stats)
-            svc.update_many(
-                [(obj, Point(1000.0 + 10 * i, 700.0)) for i, obj in enumerate(objs)],
-                protocol_lane=lane,
-            )
-            return ledger.protocol_messages()
-
-        assert messages("per-report") >= 2 * messages("batched")
+    def test_twelve_crossings_cost_one_envelope_per_hop(self, svc):
+        """Absolute pin: 12 objects crossing root.0 → root.1 cost one
+        UpdateBatchReq and at most one HandoverBatchReq per hop of the
+        leaf → root → leaf path, and no single-object message at all."""
+        objs = [svc.register(f"o{i}", Point(50.0 + 20 * i, 700.0)) for i in range(12)]
+        assert {obj.agent for obj in objs} == {"root.0"}
+        ledger = MessageLedger(svc.network.stats)
+        svc.update_many(
+            [(obj, Point(1000.0 + 10 * i, 700.0)) for i, obj in enumerate(objs)]
+        )
+        delta = ledger.delta()  # every type sent, not just the lane's
+        assert {obj.agent for obj in objs} == {"root.1"}
+        assert delta.get("UpdateBatchReq") == 1
+        hops = len(svc.hierarchy.path_to_root("root.0")) + len(
+            svc.hierarchy.path_to_root("root.1")
+        ) - 2
+        assert 1 <= delta.get("HandoverBatchReq", 0) <= hops
+        assert set(delta) == {
+            "UpdateBatchReq", "UpdateBatchRes", "HandoverBatchReq", "HandoverBatchRes",
+        }
 
 
 class TestDeregisterBatch:
@@ -162,7 +171,6 @@ class TestDeregisterBatch:
         svc.deregister_many(objs)
         delta = ledger.protocol_delta()
         assert delta.get("DeregisterBatchReq") == 1
-        assert "PathTeardown" not in delta
         assert delta.get("PathTeardownBatch", 0) >= 1
         assert svc.servers["root"].visitors.forward_ref("o0") is None
 
@@ -180,7 +188,6 @@ class TestSoftStateTeardownBatch:
         assert svc.total_tracked() == 0
         assert svc.servers["root"].visitors.forward_ref("o0") is None
         assert delta.get("PathTeardownBatch", 0) >= 1
-        assert "PathTeardown" not in delta
 
 
 class TestEnvelopeRetry:
@@ -190,16 +197,11 @@ class TestEnvelopeRetry:
         with pytest.raises(TransportError):
             svc.update_many(
                 [(obj, Point(1200, 1200))],
-                protocol_lane="batched",
                 envelope_timeout=0.5,
                 envelope_retries=1,
             )
         svc.network.restore("root.0")
-        stats = svc.update_many(
-            [(obj, Point(1200, 1200))],
-            protocol_lane="batched",
-            envelope_timeout=0.5,
-        )
+        stats = svc.update_many([(obj, Point(1200, 1200))], envelope_timeout=0.5)
         assert stats == {"fast": 0, "protocol": 1}
         assert obj.agent == "root.3"
         assert svc.pos_query("a").pos == Point(1200, 1200)
@@ -212,7 +214,7 @@ class TestEnvelopeRetry:
         resolve every object."""
         obj = svc.register("a", Point(100, 100))
         obj.agent = "gc-ed-alias"  # believed agent no longer exists
-        stats = svc.update_many([(obj, Point(110, 120))], protocol_lane="batched")
+        stats = svc.update_many([(obj, Point(110, 120))])
         assert stats == {"fast": 0, "protocol": 1}
         assert obj.agent == "root.0"
         assert svc.pos_query("a").pos == Point(110, 120)

@@ -73,31 +73,50 @@ class TestClientFacingGuards:
         assert not res.ok
 
 
+def record_teardown_nacks(svc, server_id):
+    """Capture the ``(object_id, reason)`` pairs NACKed back to a server."""
+    nacks = []
+
+    async def record(msg):
+        nacks.extend(msg.object_ids)
+
+    svc.servers[server_id].on(m.PathTeardownNack, record)
+    return nacks
+
+
 class TestPathTeardownRaceGuard:
     def test_stale_teardown_does_not_break_new_path(self, svc):
-        """A PathTeardown from a server that is no longer on the object's
-        path must be ignored (the guard in _on_path_teardown)."""
+        """A teardown from a server that is no longer on the object's
+        path must be ignored (the per-id guard in _on_path_teardown_batch)
+        and NACKed as *redirected*."""
         obj = svc.register("truck", Point(700, 100))  # agent root.0
         svc.update(obj, Point(800, 100))  # handover to root.1
         svc.settle()
         assert svc.servers["root"].visitors.forward_ref("truck") == "root.1"
+        nacks = record_teardown_nacks(svc, "root.0")
         # The *old* agent fabricates a late teardown (as if its soft state
         # had expired just before the handover completed).
         svc.servers["root.0"].send(
-            "root", m.PathTeardown(object_id="truck", sender="root.0")
+            "root", m.PathTeardownBatch(object_ids=("truck",), sender="root.0")
         )
         svc.settle()
         # The path still points at the new agent; queries still work.
         assert svc.servers["root"].visitors.forward_ref("truck") == "root.1"
         assert svc.pos_query("truck", entry_server="root.2").pos == Point(800, 100)
+        assert nacks == [("truck", m.NACK_REDIRECTED)]
 
     def test_matching_teardown_removes_path(self, svc):
         svc.register("truck", Point(100, 100))
-        svc.servers["root.0"].send(
-            "root", m.PathTeardown(object_id="truck", sender="root.0")
-        )
+        nacks = record_teardown_nacks(svc, "root.0")
+        teardown = m.PathTeardownBatch(object_ids=("truck",), sender="root.0")
+        svc.servers["root.0"].send("root", teardown)
         svc.settle()
         assert "truck" not in svc.servers["root"].visitors
+        assert nacks == []
+        # A repeat of the same teardown finds the tombstone.
+        svc.servers["root.0"].send("root", teardown)
+        svc.settle()
+        assert nacks == [("truck", m.NACK_ALREADY_GONE)]
 
 
 class TestRemovePathIdempotency:

@@ -273,16 +273,20 @@ class TestFraming:
         assert frames[0][:2] == ("a", "b")
         assert decoder.corrupted_frames >= 1
 
-    def test_v1_legacy_frame_still_decodes(self):
-        body = bytes(
-            encode_frame("a", "b", [m.PingReq(request_id="p", reply_to="c")])
-        )[wire.HEADER_SIZE :]
+    def test_v1_frame_is_rejected_and_stream_resyncs(self):
+        # A pre-checksum (version 1) frame is one more damage episode:
+        # nothing un-CRC'd is ever delivered, and a valid v2 frame placed
+        # right behind the v1 bytes still comes out.
+        v2 = bytes(encode_frame("a", "b", [m.PingReq(request_id="p", reply_to="c")]))
+        body = v2[wire.HEADER_SIZE :]
         v1 = wire.MAGIC + bytes([1]) + len(body).to_bytes(4, "big") + body
         decoder = FrameDecoder()
-        frames = decoder.feed(v1)
-        assert len(frames) == 1
-        assert frames[0][:2] == ("a", "b")
-        assert decoder.corrupted_frames == 0
+        assert decoder.feed(v1) == []
+        assert decoder.corrupted_frames == 1
+        frames = decoder.feed(v2)
+        assert [frame[:2] for frame in frames] == [("a", "b")]
+        assert frames[0][2] == [m.PingReq(request_id="p", reply_to="c")]
+        assert decoder.pending_bytes == 0
 
     def test_unknown_message_type_skipped_not_fatal(self):
         # An unknown type from a newer peer drops that message only; the

@@ -97,6 +97,19 @@ class TestTrendGate:
         )
         assert trend.trend_failures(data) == []
 
+    def test_retired_metric_keys_in_old_entries_are_ignored(self, trend, capsys):
+        # PR 14 stopped tracking pr3.*; nights recorded before that still
+        # carry the keys (here even collapsing 4 nights running) and must
+        # neither trip the gate nor break the report.
+        assert not any(name.startswith("pr3.") for name in trend.TRACKED_METRICS)
+        data = series_of(trend, {"pr10.tick_speedup": [50.0, 50.0, 50.0, 50.0]})
+        for entry, dying in zip(data["series"], [24.0, 12.0, 6.0, 3.0]):
+            entry["metrics"]["pr3.message_reduction_factor"] = dying
+            entry["metrics"]["pr3.tick_speedup"] = dying / 10
+        assert trend.trend_failures(data) == []
+        trend.print_report(data)
+        assert "pr3." not in capsys.readouterr().out
+
     def test_append_prunes_to_max_entries(self, trend):
         data = {"schema": trend.SCHEMA_VERSION, "series": []}
         for i in range(trend.MAX_ENTRIES + 10):

@@ -63,8 +63,8 @@ class TestRegistration:
     def test_admit_handover_uses_reg_info(self):
         store = make_store()
         reg = RegistrationInfo("client", des_acc=25.0, min_acc=80.0)
-        offered = store.admit_handover(sighting("a", 1, 1), reg)
-        assert offered == 25.0
+        offers = store.admit_handover_many([(sighting("a", 1, 1), reg)])
+        assert offers == [25.0]
         assert store.visitors.leaf_record("a").reg_info == reg
 
 

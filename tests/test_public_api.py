@@ -63,6 +63,24 @@ class TestQuickstartContract:
             for name in module.__all__:
                 assert getattr(module, name) is not None, f"{module.__name__}.{name}"
 
+    def test_update_many_has_no_lane_selector(self):
+        # PR 14 removed the lane knob and the names that existed only for
+        # the second lane; what is left of the signature is recovery.
+        import inspect
+
+        import repro.net
+        import repro.sim
+
+        assert list(inspect.signature(LocationService.update_many).parameters) == [
+            "self",
+            "reports",
+            "envelope_timeout",
+            "envelope_retries",
+            "envelope_sub_timeout",
+        ]
+        assert not [n for n in repro.sim.__all__ if "protocol_batch" in n]
+        assert not [n for n in repro.net.wire.__all__ if n.endswith("_V1")]
+
     def test_cache_and_accuracy_configuration(self):
         svc = LocationService(
             build_table2_hierarchy(),
