@@ -35,6 +35,10 @@ one:
   cost by ≥ 5x (``tick_speedup``), returns ``answers_identical`` to
   the object backend on every probed query, and keeps the sketch-mode
   ``LoadMonitor`` footprint bounded (``load_monitor_bounded``).
+* ``BENCH_PR16.json`` — a 100-sighting ``UpdateBatchReq`` costs at most
+  48 wire bytes per sighting (110 with the v2 text body).  The artifact's
+  microsecond figures explain the BENCH_E2E layer table and are not
+  gated: only the byte count repeats exactly.
 
 Usage::
 
@@ -308,6 +312,15 @@ CHECKS: dict[str, list[Check]] = {
             "sketch-mode LoadMonitor footprint bounded",
             lambda p: _threshold(
                 p["load_monitor"], bool(p["load_monitor_bounded"])
+            ),
+        ),
+    ],
+    "BENCH_PR16.json": [
+        Check(
+            "wire bytes per sighting <= 48 (100-sighting UpdateBatchReq)",
+            lambda p: _threshold(
+                f"{p['bytes_per_sighting']} ({p['request']['frame_bytes']} B frame)",
+                p["sightings"] == 100 and p["bytes_per_sighting"] <= 48,
             ),
         ),
     ],

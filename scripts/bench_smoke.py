@@ -58,6 +58,13 @@ minutes.  This script is the middle ground:
   The acceptance numbers are ``objects`` ≥ 10^6, ``tick_speedup`` ≥ 5
   (per-object-normalized), ``answers_identical`` and
   ``load_monitor_bounded`` (both true).
+* **PR16** — wire v3 under the microscope: one 100-sighting
+  ``UpdateBatchReq`` and its ``UpdateBatchRes`` through ``encode_frame``
+  / ``FrameDecoder.feed`` / ``find_defect`` → ``BENCH_PR16.json``.  The
+  microsecond figures *explain* the BENCH_E2E layer table and are not
+  gated (they move with the machine); the acceptance number is the one
+  that repeats exactly: ``bytes_per_sighting`` ≤ 48 (110 with the v2
+  text body).
 
 After every runner the freshly written artifact is re-loaded and its
 acceptance keys are validated: a missing key or a NaN/Inf value makes
@@ -398,6 +405,64 @@ def run_pr10(args) -> None:
     print(f"\nwrote {path} ({elapsed:.1f}s)")
 
 
+def run_pr16(args) -> None:
+    """The wire-v3 envelope microbench (an explanation, gated on bytes)."""
+    from repro.core import messages as m
+    from repro.geo import Point
+    from repro.model import SightingRecord
+    from repro.net.wire import FrameDecoder, encode_frame
+    from repro.runtime.validation import find_defect
+
+    def best_us(fn, repeats: int = 5, loops: int = 300) -> float:
+        best = float("inf")
+        for _ in range(repeats):
+            begin = time.perf_counter()
+            for _ in range(loops):
+                fn()
+            best = min(best, (time.perf_counter() - begin) / loops)
+        return round(best * 1e6, 1)
+
+    start = time.perf_counter()
+    count = 100
+    sightings = tuple(
+        SightingRecord(f"o{7000 + i}", 12.5 + i, Point(31.25 * i, 1400.0 - 7.5 * i), 10.0)
+        for i in range(count)
+    )
+    req = m.UpdateBatchReq("driver-0:17", "driver-0", sightings, epoch=3, sub_timeout=2.0)
+    res = m.UpdateBatchRes(
+        req.request_id,
+        tuple(m.UpdateOutcome(s.object_id, True, "root.2", 25.0) for s in sightings),
+    )
+    payload = {
+        "bench": "wire v3: one 100-sighting update envelope, request and response",
+        "generated_by": "scripts/bench_smoke.py",
+        "sightings": count,
+    }
+    for name, message in (("request", req), ("response", res)):
+        frame = encode_frame("driver-0", "root.2", [message])
+        ((_, _, (decoded,)),) = FrameDecoder().feed(frame)
+        assert decoded == message
+        payload[name] = {
+            "frame_bytes": len(frame),
+            "encode_us": best_us(lambda: encode_frame("driver-0", "root.2", [message])),
+            "decode_us": best_us(lambda: FrameDecoder().feed(frame)),
+            "find_defect_us": best_us(lambda: find_defect(message)),
+        }
+    payload["bytes_per_sighting"] = round(payload["request"]["frame_bytes"] / count, 2)
+    elapsed = time.perf_counter() - start
+
+    print(f"{'message':10s} {'bytes':>7s} {'encode':>10s} {'decode':>10s} {'find_defect':>12s}")
+    for name in ("request", "response"):
+        row = payload[name]
+        print(
+            f"{name:10s} {row['frame_bytes']:>7d} {row['encode_us']:>7.1f} us "
+            f"{row['decode_us']:>7.1f} us {row['find_defect_us']:>9.1f} us"
+        )
+    print(f"bytes per sighting: {payload['bytes_per_sighting']}")
+    path = write_bench_json(args.out_pr16, payload)
+    print(f"\nwrote {path} ({elapsed:.1f}s)")
+
+
 #: Per-runner acceptance keys (dotted paths into the written payload).
 #: These are the numbers scripts/bench_check.py gates on; a runner that
 #: writes an artifact where any of them is missing or NaN/Inf has
@@ -436,6 +501,7 @@ ACCEPTANCE_KEYS: dict[str, tuple[str, ...]] = {
         "answers_identical",
         "load_monitor_bounded",
     ),
+    "out_pr16": ("bytes_per_sighting", "request.frame_bytes"),
 }
 
 
@@ -499,6 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out-pr7", default="BENCH_PR7.json")
     parser.add_argument("--out-pr9", default="BENCH_PR9.json")
     parser.add_argument("--out-pr10", default="BENCH_PR10.json")
+    parser.add_argument("--out-pr16", default="BENCH_PR16.json")
     parser.add_argument(
         "--skip-pr1", action="store_true", help="skip the fast-path bench"
     )
@@ -523,6 +590,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--skip-pr10", action="store_true", help="skip the columnar hot-path bench"
     )
+    parser.add_argument(
+        "--skip-pr16", action="store_true", help="skip the wire-v3 envelope microbench"
+    )
     args = parser.parse_args(argv)
 
     ran = False
@@ -536,6 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         (args.skip_pr7, run_pr7, "out_pr7"),
         (args.skip_pr9, run_pr9, "out_pr9"),
         (args.skip_pr10, run_pr10, "out_pr10"),
+        (args.skip_pr16, run_pr16, "out_pr16"),
     ):
         if skip:
             continue

@@ -29,10 +29,12 @@ scenario can report exactly how much chaos it applied.
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable
+
+from repro.errors import LocationServiceError, WireError
+from repro.runtime.schema import schema_of
 
 __all__ = ["LinkFaults", "FaultInjector", "inject_crash"]
 
@@ -249,28 +251,30 @@ class FaultInjector:
         the damage *never being accepted*, not by it being subtle.
         Returns ``None`` when the message has no mutable field.
         """
-        if not dataclasses.is_dataclass(message):
+        try:
+            fields = schema_of(type(message))
+        except WireError:
             return None
-        from repro.runtime.validation import is_epoch_field, is_id_field
-
+        # One candidate per field the validator has a rule for — read
+        # off the same schema table the validator is compiled from.
         candidates: list[tuple[str, object]] = []
-        for fld in dataclasses.fields(message):
-            value = getattr(message, fld.name)
-            if isinstance(value, bool):
+        for field in fields:
+            value, rule = field.get(message), field.kind.scalar.rule
+            if value is None:
                 continue
-            if isinstance(value, float) and not math.isnan(value):
-                candidates.append((fld.name, float("nan")))
-            elif isinstance(value, int) and is_epoch_field(fld.name):
-                candidates.append((fld.name, -1 - abs(value)))
-            elif isinstance(value, str) and value and is_id_field(fld.name):
-                candidates.append((fld.name, ""))
+            if rule == "nan" and value == value:
+                candidates.append((field.name, float("nan")))
+            elif rule == "epoch":
+                candidates.append((field.name, -1 - abs(value)))
+            elif rule == "id" and value:
+                candidates.append((field.name, ""))
         if not candidates:
             return None
         name, bad = candidates[self._rng.randrange(len(candidates))]
         try:
             return dataclasses.replace(message, **{name: bad})
-        except (TypeError, ValueError):
-            return None
+        except (TypeError, ValueError, LocationServiceError):
+            return None  # the constructor refuses the damage itself
 
     def make_stale(self, message):
         """A replayed copy stamped with an ancient topology epoch, or

@@ -111,7 +111,7 @@ class EventNotification(Message):
     subscription_id: str
     fired: bool  # True: became true; False: became false (notify_on_clear)
     detail: str = ""
-    matched: tuple = ()
+    matched: tuple[str, ...] = ()  # ids of the objects that made it fire
 
 
 # ---------------------------------------------------------------------------

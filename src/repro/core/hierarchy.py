@@ -364,6 +364,51 @@ def split_rects(area: Rect, axis: str, cuts) -> list[Rect]:
 
 
 # ---------------------------------------------------------------------------
+# Plain-data form (the launcher's process-bootstrap file)
+# ---------------------------------------------------------------------------
+
+
+def _rect_list(rect: Rect) -> list[float]:
+    return [rect.min_x, rect.min_y, rect.max_x, rect.max_y]
+
+
+def encode_hierarchy(hierarchy: Hierarchy) -> dict:
+    """A :class:`Hierarchy` as plain dicts and lists (JSON-able).
+
+    This is what ``ClusterSpec.to_json`` writes for a node process to
+    boot from; between running nodes the configs travel as typed
+    message fields (``AdoptHierarchyReq.configs``) instead."""
+    return {
+        "epoch": hierarchy.epoch,
+        "configs": [
+            {
+                "server_id": config.server_id,
+                "area": _rect_list(config.area),
+                "parent": config.parent,
+                "children": [[c.server_id, _rect_list(c.area)] for c in config.children],
+                "root_area": _rect_list(config.root_area),
+            }
+            for config in hierarchy.configs.values()
+        ],
+    }
+
+
+def decode_hierarchy(payload: dict) -> Hierarchy:
+    """Inverse of :func:`encode_hierarchy`."""
+    configs = [
+        ServerConfig(
+            entry["server_id"],
+            Rect(*entry["area"]),
+            entry["parent"],
+            tuple(ChildRef(sid, Rect(*area)) for sid, area in entry["children"]),
+            Rect(*entry["root_area"]),
+        )
+        for entry in payload["configs"]
+    ]
+    return Hierarchy({c.server_id: c for c in configs}, epoch=int(payload["epoch"]))
+
+
+# ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
 

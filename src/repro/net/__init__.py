@@ -6,9 +6,10 @@ UDP datagrams; this package takes the reproduction there:
 * :mod:`repro.net.address` — logical-address validation, ``host:port``
   parsing, and the :class:`~repro.net.address.AddressBook` resolution
   table (the one helper every launcher/transport/alias path uses).
-* :mod:`repro.net.wire` — versioned, length-prefixed JSON codec for
-  every protocol message (auto-registered by class name), with exact
-  round-trips for nested batch envelopes and epoch stamps.
+* :mod:`repro.net.wire` — versioned, length-prefixed, CRC-checked
+  binary codec for every protocol message (auto-registered by class
+  name, typed from :mod:`repro.runtime.schema`), batch envelopes packed
+  as columns.
 * :mod:`repro.net.transport` / :mod:`~repro.net.udp` /
   :mod:`~repro.net.tcp` — the :class:`~repro.runtime.base.Context`
   contract over real sockets, ``send_many`` coalescing, ``NetworkStats``

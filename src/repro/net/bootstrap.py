@@ -33,13 +33,12 @@ import multiprocessing
 import socket
 from dataclasses import dataclass, field
 
-from repro.core.hierarchy import Hierarchy
+from repro.core.hierarchy import Hierarchy, decode_hierarchy, encode_hierarchy
 from repro.errors import TransportError
 from repro.net import control as ctl
 from repro.net.address import AddressBook, validate_address
 from repro.net.tcp import TcpTransport
 from repro.net.udp import UdpTransport
-from repro.net.wire import decode_hierarchy, encode_hierarchy
 from repro.runtime.base import Endpoint
 
 __all__ = ["ClusterSpec", "ClusterLauncher", "make_transport", "run_node"]
@@ -149,7 +148,10 @@ def _install_control_plane(server, transport, stop_event: asyncio.Event) -> None
         )
 
     async def on_adopt(msg: ctl.AdoptHierarchyReq) -> None:
-        hierarchy = decode_hierarchy(json.loads(msg.hierarchy_json))
+        hierarchy = Hierarchy(
+            {config.server_id: config for config in msg.configs},
+            epoch=msg.hierarchy_epoch,
+        )
         if hierarchy.epoch > getattr(server, "topology_epoch", 0):
             server.topology_epoch = hierarchy.epoch
             if server.address in hierarchy.configs:
@@ -417,7 +419,7 @@ class ClusterLauncher:
             raise TransportError(
                 f"cannot adopt epoch {hierarchy.epoch} over {self.hierarchy.epoch}"
             )
-        payload = json.dumps(encode_hierarchy(hierarchy))
+        configs = tuple(hierarchy.configs.values())
         epochs: dict[str, int] = {}
         for server_id in self.order:
             res = await self.request(
@@ -425,7 +427,8 @@ class ClusterLauncher:
                 lambda rid: ctl.AdoptHierarchyReq(
                     request_id=rid,
                     reply_to=self.DRIVER_ADDRESS,
-                    hierarchy_json=payload,
+                    configs=configs,
+                    hierarchy_epoch=hierarchy.epoch,
                 ),
                 timeout=1.0,
                 retries=10,

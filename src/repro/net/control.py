@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.hierarchy import ServerConfig
 from repro.runtime.base import Message, Response
 
 __all__ = [
@@ -60,15 +61,14 @@ class NodeStatsRes(Response):
 
 @dataclass(frozen=True, slots=True)
 class AdoptHierarchyReq(Message):
-    """Push an epoch-bumped hierarchy to a node.
-
-    ``hierarchy`` is the :func:`repro.net.wire.encode_hierarchy` wire
-    form serialized to JSON text (frames only carry registered types;
-    :class:`~repro.core.hierarchy.Hierarchy` is not a dataclass)."""
+    """Push an epoch-bumped hierarchy to a node: the new
+    :class:`~repro.core.hierarchy.Hierarchy`'s configs and epoch as typed
+    fields, so they are decoded and validated like any other message."""
 
     request_id: str
     reply_to: str
-    hierarchy_json: str
+    configs: tuple[ServerConfig, ...]
+    hierarchy_epoch: int
 
 
 @dataclass(frozen=True, slots=True)

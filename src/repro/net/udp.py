@@ -16,8 +16,6 @@ real drops are rare.
 from __future__ import annotations
 
 import asyncio
-import base64
-import binascii
 import itertools
 from dataclasses import dataclass
 
@@ -31,10 +29,11 @@ __all__ = ["UdpTransport", "Fragment", "MAX_DATAGRAM_PAYLOAD"]
 #: headroom for the fragment envelope's own framing overhead.
 MAX_DATAGRAM_PAYLOAD = 60_000
 
-#: Raw bytes per fragment: base64 inflates by 4/3, and the fragment
-#: rides inside its own JSON frame, so the chunk must leave the
-#: *encoded* fragment datagram under :data:`MAX_DATAGRAM_PAYLOAD`.
-FRAGMENT_CHUNK = 42_000
+#: Raw bytes per fragment.  The chunk rides as a ``bytes`` field in its
+#: own frame: header, addresses, record and ``frag_id`` take ~100 bytes
+#: (more for a long host name), so 1 000 bytes of headroom keep the
+#: encoded fragment datagram under :data:`MAX_DATAGRAM_PAYLOAD`.
+FRAGMENT_CHUNK = MAX_DATAGRAM_PAYLOAD - 1_000
 
 #: Wire address fragments travel under (never a real endpoint).
 FRAGMENT_DST = "__fragment__"
@@ -42,12 +41,12 @@ FRAGMENT_DST = "__fragment__"
 
 @dataclass(frozen=True, slots=True)
 class Fragment(Message):
-    """One slice of an oversized frame (``data`` is base64 text)."""
+    """One slice of an oversized frame."""
 
     frag_id: str
     index: int
     count: int
-    data: str
+    data: bytes
 
 
 class _UdpProtocol(asyncio.DatagramProtocol):
@@ -71,12 +70,13 @@ class UdpTransport(SocketTransport):
         self._sock = None
         self._protocol = None
         self._frag_counter = itertools.count()
-        #: frag_id → (count, {index: bytes}, born); reassembly is bounded
+        #: frag_id → (count, {index: bytes}, born), count ``None`` for the
+        #: tombstone of a killed reassembly; reassembly is bounded
         #: two ways: a partial older than :data:`PARTIAL_TTL` seconds is
         #: expired (its missing fragment is never coming), and any
         #: partial beyond ``_MAX_PARTIAL`` others is evicted.  Either
         #: way the discarded reassembly counts as a corrupted frame.
-        self._partials: dict[str, tuple[int, dict[int, bytes], float]] = {}
+        self._partials: dict[str, tuple[int | None, dict[int, bytes], float]] = {}
 
     _MAX_PARTIAL = 256
     #: seconds a partial reassembly may wait for its missing fragments.
@@ -113,7 +113,7 @@ class UdpTransport(SocketTransport):
                 frag_id=frag_id,
                 index=index,
                 count=len(chunks),
-                data=base64.b64encode(chunk).decode("ascii"),
+                data=chunk,
             )
             self._sock.sendto(
                 encode_frame("", FRAGMENT_DST, [fragment]), location
@@ -142,28 +142,26 @@ class UdpTransport(SocketTransport):
         for fragment in messages:
             if not isinstance(fragment, Fragment):
                 continue
-            if fragment.count <= 0 or not 0 <= fragment.index < fragment.count:
-                # A mutated header can't address a reassembly slot; the
-                # frame it belonged to is unrecoverable.
-                self._partials.pop(fragment.frag_id, None)
-                self.stats.frames_corrupted += 1
-                continue
-            count, chunks, _born = self._partials.setdefault(
+            count, chunks, born = self._partials.setdefault(
                 fragment.frag_id,
                 (fragment.count, {}, asyncio.get_event_loop().time()),
             )
-            try:
-                chunks[fragment.index] = base64.b64decode(
-                    fragment.data, validate=True
-                )
-            except (ValueError, binascii.Error):
-                del self._partials[fragment.frag_id]
+            if count is None:
+                continue  # a sibling of a reassembly killed (and counted) below
+            if fragment.count != count or not 0 <= fragment.index < count:
+                # A header that cannot address a slot of *this* reassembly
+                # (or disagrees about its size) is lying: the frame is
+                # unrecoverable.  Count it once and leave a tombstone, so
+                # siblings still in flight neither complete a frame with
+                # holes nor open a partial that expires as a second count.
+                self._partials[fragment.frag_id] = (None, {}, born)
                 self.stats.frames_corrupted += 1
                 continue
+            chunks[fragment.index] = fragment.data
             if len(chunks) < count:
                 continue
             del self._partials[fragment.frag_id]
-            whole = b"".join(chunks.get(i, b"") for i in range(count))
+            whole = b"".join(chunks[i] for i in range(count))
             decoder = FrameDecoder()
             frames = decoder.feed(whole)
             frames.extend(decoder.flush())
@@ -171,8 +169,13 @@ class UdpTransport(SocketTransport):
             self._on_frames(frames)
         # Bound partial-state growth: UDP loss can strand reassemblies.
         while len(self._partials) > self._MAX_PARTIAL:
-            self._partials.pop(next(iter(self._partials)))
-            self.stats.frames_corrupted += 1
+            self._discard_partial(next(iter(self._partials)))
+
+    def _discard_partial(self, frag_id: str) -> None:
+        """Give up on a reassembly: one corrupt frame, unless it is the
+        tombstone of one that was counted when it was killed."""
+        count, _chunks, _born = self._partials.pop(frag_id)
+        self.stats.frames_corrupted += count is not None
 
     def _expire_partials(self) -> None:
         """Discard partial reassemblies whose fragments stopped arriving.
@@ -191,5 +194,4 @@ class UdpTransport(SocketTransport):
             if now - born > self.PARTIAL_TTL
         ]
         for frag_id in expired:
-            del self._partials[frag_id]
-            self.stats.frames_corrupted += 1
+            self._discard_partial(frag_id)

@@ -1,153 +1,346 @@
-"""Versioned, length-prefixed wire codec for the protocol messages.
+"""Wire format version 3: schema-compiled, typed binary frames.
 
-Every :class:`~repro.runtime.base.Message` dataclass in
-:mod:`repro.core.messages` (and any module that defines further
-subclasses, e.g. the launcher's control plane) is encodable without
-per-type code: types are **auto-registered by class name** from
-``Message.__subclasses__`` the first time an unknown type is seen, and
-their fields are walked in declaration order.  The geometry and
-service-model value types the messages embed (``Point``, ``Rect``,
-``SightingRecord``, ``RegistrationInfo``, …) are registered explicitly
-below.  Round-trips are exact: tuples stay tuples (the protocol uses no
-lists), floats round-trip by ``repr`` (including ``inf``), nested batch
-items and epoch stamps come back field-for-field equal.
+Every :class:`~repro.runtime.base.Message` dataclass (protocol catalogue,
+launcher control plane, UDP fragments) is encodable without per-type
+code: types are auto-registered by class name from
+``Message.__subclasses__``, and each class's encoder and decoder are
+closures compiled once from its :mod:`repro.runtime.schema` entry.
 
-Wire format, one frame (version 2)::
+Frame (integers big-endian, as in every version since 1)::
 
-    b"RW"  version:1  length:4 (big-endian)  crc32:4 (big-endian)  payload:length
+    b"RW"  version:1 (=3)  length:4  crc32:4  body:length
 
-The CRC32 covers the payload bytes; a mismatch marks the frame corrupt
-and the decoder resynchronises on the next magic marker instead of
-trusting a damaged length prefix.  A version byte *newer* than ours
-parses with the v2 layout (see :class:`FrameDecoder`); an older one
-(the pre-checksum v1 layout) is rejected as damage, so every accepted
-frame is CRC-checked.
+The CRC32 covers the body.  A mismatch, a bad magic, a version below 3
+(the retired text bodies) or a length above :data:`MAX_FRAME_SIZE` is one
+damage episode: ``corrupted_frames += 1`` and the decoder resynchronises
+on the next magic instead of trusting the length.  A version *above* 3
+parses with this layout.  Body (little-endian from here on)::
 
-The payload is compact JSON: ``{"s": src, "d": dst, "m": [message...]}``
-where every typed object is ``{"t": "<ClassName>", "f": [fields...]}``.
-JSON rather than pickle is a deliberate choice — the frames are
-inspectable on the wire, and a peer cannot make the decoder instantiate
-arbitrary code paths: only registered types construct.
+    column(str, n=1) src  column(str, n=1) dst  count:u32  record*count
+    record = name_len:u8  name  column(struct, n=1)
 
-A frame carries *many* messages so the ``send_many`` coalescing the
-envelope lane relies on survives serialization: one batch, one frame,
-one datagram (or one stream write).  :class:`FrameDecoder` incrementally
-splits a byte stream (TCP) or a multi-frame datagram (UDP) back into
-frames.
+Every value travels as a **column** of ``n`` values of one kind; a single
+message is the case ``n = 1``, a batch's item list the case ``n = len``:
+
+``float`` ``int``  ``n`` packed ``f64`` / ``i64`` (an int in a float field widens).
+``bool``           ``n`` bytes, 0 or 1 (any other value reads as true).
+``str`` ``bytes``  ``n`` ``u32`` byte lengths, then the bytes back to back (UTF-8).
+``opt``            ``n`` presence bytes (0 / 1), then a column of the present values
+                   (nothing when none is present).
+``seq``            ``n`` ``u32`` item counts, then ONE column of all the items: the
+                   100 sightings of an update envelope are five packed columns.
+``tuple``          one column per position.
+``union``          ``n`` tag bytes (index into the annotation), then per variant a
+                   column of the values carrying that tag.
+``struct``         nothing when ``n = 0``; else ``field_count:u8  byte_length:u32``
+                   once, then one column per field in declaration order.
+
+Evolution: ``byte_length`` lets a receiver jump over a type it does not
+know (``skipped_messages += 1``, the rest of the frame is delivered) and
+over trailing fields a newer peer appended, at any depth; a peer sending
+*fewer* fields gets the dataclass defaults for the missing trailing ones
+and is refused if one of them has no default.
+
+Refused before anything is allocated: a column whose ``n`` values cannot
+fit in the bytes left in the enclosing struct (a count of 2**31 dies on a
+comparison), a struct running past its parent or leaving bytes no field
+accounts for, a presence byte other than 0 / 1, an unknown union tag, bad
+UTF-8.  Field types come from the schema, never from the bytes, so "a
+string where a float belongs" and "nesting too deep" cannot be expressed.
+A record that trips one of these, or whose constructor raises, is skipped
+like an unknown type; a frame whose *record headers* do not add up is
+counted corrupt and nothing of it is delivered.
+:func:`~repro.runtime.validation.find_defect` owns the semantic rules
+(NaN, negative epoch, empty id).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import sys
 import zlib
-from typing import Callable, Iterable
+from itertools import chain, islice
+from struct import Struct, pack, unpack_from
+from struct import error as StructError
+from typing import Iterable
 
-from repro.core.hierarchy import ChildRef, Hierarchy, ServerConfig
-from repro.errors import WireError
-from repro.geo import Circle, Point, Polygon, Rect
-from repro.geo.point import Vector
-from repro.model import (
-    LocationDescriptor,
-    NearestNeighborResult,
-    RegistrationInfo,
-    SightingRecord,
-)
+from repro.core.hierarchy import decode_hierarchy, encode_hierarchy  # noqa: F401 (re-export)
+from repro.errors import LocationServiceError, WireError
 from repro.runtime.base import Message
+from repro.runtime.schema import Kind, schema_of
 
 __all__ = [
-    "WIRE_VERSION",
-    "MAGIC",
-    "HEADER_SIZE",
-    "MAX_FRAME_SIZE",
-    "encode",
-    "decode",
-    "encode_frame",
-    "decode_frame",
-    "FrameDecoder",
-    "register_type",
-    "registered_types",
-    "encode_hierarchy",
-    "decode_hierarchy",
-]
+    "WIRE_VERSION", "MAGIC", "HEADER_SIZE", "MAX_FRAME_SIZE", "encode", "decode",
+    "encode_frame", "decode_frame", "FrameDecoder", "register_type", "registered_types",
+    "encode_hierarchy", "decode_hierarchy",
+]  # fmt: skip
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 MAGIC = b"RW"
-#: v2 header: magic + version byte + length prefix + payload CRC32.
-HEADER_SIZE = len(MAGIC) + 1 + 4 + 4
+_HEADER = Struct(">2sBII")  # magic, version, body length, body CRC32
+HEADER_SIZE = _HEADER.size
 #: Hard per-frame ceiling — a length prefix beyond this is treated as
 #: stream corruption, not an allocation request.
 MAX_FRAME_SIZE = 64 * 1024 * 1024
 
-_TYPE_KEY = "t"
-_FIELDS_KEY = "f"
+#: what a value that does not fit its annotation raises in a writer.
+_UNENCODABLE = (StructError, AttributeError, TypeError, ValueError, LookupError)
+#: what hostile bytes (or a constructor refusing them) raise in a reader.
+_UNDECODABLE = (LocationServiceError, StructError, ValueError, TypeError, IndexError)
+
+# -- the column codec, compiled from the schema --------------------------------
+#
+# A codec is a pair ``write(out: bytearray, values: list)`` and
+# ``read(buf: bytes, pos, end, n) -> (values, new pos)``; ``end`` is where
+# the enclosing struct stops.  The leaf codecs special-case ``n == 1`` (same
+# bytes, no format string to build): most messages are columns of one.
+
+_U32 = Struct("<I")
+_STRUCT_HEAD = Struct("<BI")  # field count, byte length of the field columns
 
 
-class _TypeEntry:
-    __slots__ = ("cls", "to_fields", "from_fields")
+def _fixed(code: str) -> tuple:
+    one = Struct("<" + code)
 
-    def __init__(
-        self,
-        cls: type,
-        to_fields: Callable[[object], list],
-        from_fields: Callable[[list], object],
-    ) -> None:
-        self.cls = cls
-        self.to_fields = to_fields
-        self.from_fields = from_fields
+    def write(out, values):
+        if len(values) == 1:
+            out += one.pack(values[0])
+        else:
+            out += pack(f"<{len(values)}{code}", *values)
+
+    def read(buf, pos, end, n):
+        stop = pos + n * one.size
+        if stop > end:
+            raise WireError(f"{n} x '{code}' overruns its struct")
+        if n == 1:
+            return list(one.unpack_from(buf, pos)), stop
+        return list(unpack_from(f"<{n}{code}", buf, pos)), stop
+
+    return write, read
 
 
-_BY_NAME: dict[str, _TypeEntry] = {}
-_BY_CLS: dict[type, _TypeEntry] = {}
+_WRITE_U32, _READ_U32 = _fixed("I")
 
 
-def register_type(
-    cls: type,
-    to_fields: Callable[[object], list] | None = None,
-    from_fields: Callable[[list], object] | None = None,
-) -> type:
-    """Register ``cls`` under its class name.
+def _blob(to_bytes, from_bytes) -> tuple:
+    def write(out, values):
+        if len(values) == 1:
+            blob = to_bytes(values[0])
+            out += _U32.pack(len(blob))
+            out += blob
+        else:
+            blobs = [to_bytes(v) for v in values]
+            _WRITE_U32(out, [len(b) for b in blobs])
+            out += b"".join(blobs)
 
-    Without explicit converters the class must be a dataclass: its
-    fields are encoded in declaration order and the constructor is
-    called positionally on decode.  Registering the same class twice is
-    a no-op; a *different* class under an already-taken name is an
-    error (wire names must be unambiguous).
+    def read(buf, pos, end, n):
+        if n == 1 and pos + 4 <= end:
+            stop = pos + 4 + _U32.unpack_from(buf, pos)[0]
+            if stop > end:
+                raise WireError("string bytes overrun their struct")
+            return [from_bytes(buf[pos + 4 : stop])], stop
+        lengths, pos = _READ_U32(buf, pos, end, n)
+        if pos + sum(lengths) > end:
+            raise WireError("string bytes overrun their struct")
+        values = []
+        for length in lengths:
+            values.append(from_bytes(buf[pos : pos + length]))
+            pos += length
+        return values, pos
+
+    return write, read
+
+
+def _read_tags(buf, pos, end, n, known=b"\0\1"):
+    """``n`` one-byte tags drawn from ``known`` (presence flags: 0 / 1)."""
+    stop = pos + n
+    tags = buf[pos:stop]
+    if stop > end or tags.translate(None, known):
+        raise WireError("tag column overruns its struct or holds an unknown tag")
+    return tags, stop
+
+
+_SCALARS = {
+    "float": _fixed("d"),
+    "int": _fixed("q"),
+    "bool": _fixed("?"),
+    "str": _blob(str.encode, lambda raw: str(raw, "utf-8")),
+    "bytes": _blob(bytes, bytes),
+}
+_WRITE_STR, _READ_STR = _SCALARS["str"]
+
+
+def _opt(kind: Kind) -> tuple:
+    write_inner, read_inner = _column(kind.arg)
+
+    def write(out, values):
+        present = [v for v in values if v is not None]
+        if len(present) == len(values):
+            out += b"\1" * len(values)
+        else:
+            out += bytes([v is not None for v in values])
+        if present:
+            write_inner(out, present)
+
+    def read(buf, pos, end, n):
+        flags, pos = _read_tags(buf, pos, end, n)
+        count = sum(flags)
+        if not count:
+            return [None] * n, pos
+        present, pos = read_inner(buf, pos, end, count)
+        if count == n:
+            return present, pos
+        it = iter(present)
+        return [next(it) if flag else None for flag in flags], pos
+
+    return write, read
+
+
+def _seq(kind: Kind) -> tuple:
+    write_inner, read_inner = _column(kind.arg)
+
+    def write(out, values):
+        _WRITE_U32(out, [len(v) for v in values])
+        write_inner(out, list(chain.from_iterable(values)))
+
+    def read(buf, pos, end, n):
+        counts, pos = _READ_U32(buf, pos, end, n)
+        items, pos = read_inner(buf, pos, end, sum(counts))
+        it = iter(items)
+        return [tuple(islice(it, count)) for count in counts], pos
+
+    return write, read
+
+
+def _tuple(kind: Kind) -> tuple:
+    codecs = [_column(k) for k in kind.arg]
+
+    def write(out, values):
+        for index, (write_item, _) in enumerate(codecs):
+            write_item(out, [v[index] for v in values])
+
+    def read(buf, pos, end, n):
+        columns = []
+        for _, read_item in codecs:
+            column, pos = read_item(buf, pos, end, n)
+            columns.append(column)
+        return list(zip(*columns)), pos
+
+    return write, read
+
+
+def _union(kind: Kind) -> tuple:
+    codecs = [_column(variant) for variant in kind.arg]
+    tag_of = {variant.arg: tag for tag, variant in enumerate(kind.arg)}
+    known = bytes(range(len(codecs)))
+
+    def write(out, values):
+        tags = bytes([tag_of[type(v)] for v in values])
+        out += tags
+        for tag, (write_variant, _) in enumerate(codecs):
+            write_variant(out, [v for v, t in zip(values, tags) if t == tag])
+
+    def read(buf, pos, end, n):
+        tags, pos = _read_tags(buf, pos, end, n, known)
+        variants = []
+        for tag, (_, read_variant) in enumerate(codecs):
+            column, pos = read_variant(buf, pos, end, tags.count(tag))
+            variants.append(iter(column))
+        return [next(variants[tag]) for tag in tags], pos
+
+    return write, read
+
+
+_STRUCTS: dict[type, tuple] = {}
+
+
+def _struct(cls: type) -> tuple:
+    """The column codec of one dataclass (compiled once, then cached)."""
+    if cls in _STRUCTS:
+        return _STRUCTS[cls]
+    fields = schema_of(cls)
+    codecs = [_column(field.kind) for field in fields]
+    writers = [(field.get, w) for field, (w, _) in zip(fields, codecs)]
+    readers = [r for _, r in codecs]
+    required = sum(field.required for field in fields)
+
+    def write(out, values):
+        if not values:
+            return
+        mark = len(out)
+        out += b"\0\0\0\0\0"
+        for getter, write_field in writers:
+            write_field(out, list(map(getter, values)))
+        _STRUCT_HEAD.pack_into(out, mark, len(writers), len(out) - mark - 5)
+
+    def read(buf, pos, end, n):
+        if not n:
+            return [], pos
+        count, size = _STRUCT_HEAD.unpack_from(buf, pos)
+        stop = pos + 5 + size
+        # Every item costs a byte, so ``n`` is bounded by ``size`` (one
+        # item may be empty: a record of a class without fields).
+        if stop > end or n > max(size, 1) or count < required:
+            raise WireError(
+                f"{cls.__name__}: {n} item(s) of {count} field(s) in {size} "
+                f"byte(s) do not fit ({end - pos} left, {required} required)"
+            )
+        pos += 5
+        columns = []
+        for read_field in readers if count >= len(readers) else readers[:count]:
+            column, pos = read_field(buf, pos, stop, n)
+            columns.append(column)
+        if pos != stop and count <= len(readers):
+            raise WireError(f"{cls.__name__}: {stop - pos} byte(s) no field accounts for")
+        return (list(map(cls, *columns)) if columns else [cls() for _ in range(n)]), stop
+
+    _STRUCTS[cls] = write, read
+    return write, read
+
+
+def _column(kind: Kind) -> tuple:
+    if kind.tag in _SCALARS:
+        return _SCALARS[kind.tag]
+    if kind.tag == "struct":
+        return _struct(kind.arg)
+    return {"opt": _opt, "seq": _seq, "tuple": _tuple, "union": _union}[kind.tag](kind)
+
+
+# -- wire names and records -------------------------------------------------------
+
+_BY_NAME: dict[str, type] = {}
+#: class → its record prefix (``name_len`` + name), ready to append.
+_PREFIX: dict[type, bytes] = {}
+
+
+def register_type(cls: type) -> type:
+    """Register ``cls`` (a dataclass) under its class name.
+
+    Registering the same class twice is a no-op; a *different* class
+    under an already-taken name is an error (wire names must be
+    unambiguous).  The codec itself is compiled on first use.
     """
     name = cls.__name__
     existing = _BY_NAME.get(name)
+    if existing is cls:
+        return cls
     if existing is not None:
-        if existing.cls is cls:
-            return cls
         raise WireError(
-            f"wire name {name!r} already registered for {existing.cls!r}, "
+            f"wire name {name!r} already registered for {existing!r}, "
             f"cannot also mean {cls!r}"
         )
-    if to_fields is None or from_fields is None:
-        if not dataclasses.is_dataclass(cls):
-            raise WireError(f"{cls!r} is not a dataclass; pass explicit converters")
-        field_names = tuple(f.name for f in dataclasses.fields(cls))
-
-        def to_fields(obj, _names=field_names):  # type: ignore[misc]
-            return [_encode_value(getattr(obj, n)) for n in _names]
-
-        def from_fields(fields, _cls=cls, _arity=len(field_names)):  # type: ignore[misc]
-            # Schema evolution: a newer peer may append fields we do not
-            # know — trailing extras are ignored, trailing *absences*
-            # fall back to the constructor's defaults (or fail into the
-            # caller's per-message skip path if there are none).
-            return _cls(*[_decode_value(v) for v in fields[:_arity]])
-
-    entry = _TypeEntry(cls, to_fields, from_fields)
-    _BY_NAME[name] = entry
-    _BY_CLS[cls] = entry
+    if not dataclasses.is_dataclass(cls):
+        raise WireError(f"{cls!r} is not a dataclass; it cannot ride the wire")
+    raw = name.encode("utf-8")
+    _BY_NAME[name] = cls
+    _PREFIX[cls] = bytes([len(raw)]) + raw
     return cls
 
 
 def registered_types() -> dict[str, type]:
     """Snapshot of the wire-name → class registry (after a refresh)."""
     _refresh_message_types()
-    return {name: entry.cls for name, entry in _BY_NAME.items()}
+    return dict(_BY_NAME)
 
 
 def _walk_subclasses(cls: type) -> Iterable[type]:
@@ -164,12 +357,10 @@ def _refresh_message_types() -> None:
     module; later-defined subclasses (control plane, tests) are picked
     up on the next unknown-type miss.
     """
-    import sys
-
     import repro.core.messages  # noqa: F401  (side effect: defines the catalog)
 
     for sub in _walk_subclasses(Message):
-        if sub in _BY_CLS or not dataclasses.is_dataclass(sub):
+        if sub in _PREFIX or not dataclasses.is_dataclass(sub):
             continue
         # ``@dataclass(slots=True)`` replaces the class object, leaving
         # the pre-slots original behind in ``__subclasses__``; only the
@@ -179,117 +370,45 @@ def _refresh_message_types() -> None:
             continue
         existing = _BY_NAME.get(sub.__name__)
         if existing is not None:
-            # The sweep is opportunistic, so it must not turn a name
-            # collision between unrelated *out-of-tree* subclasses
-            # (two test modules both defining ``Pong``) into a hard
-            # failure: the ambiguous latecomer is simply not wire
-            # encodable.  Catalog types (``repro.*``) always win the
-            # name — and colliding *inside* the catalog stays an error.
+            # The sweep is opportunistic: a name collision between
+            # unrelated *out-of-tree* subclasses (two test modules both
+            # defining ``Pong``) must not be a hard failure — the
+            # latecomer is simply not wire encodable.  Catalog types
+            # (``repro.*``) always win the name, and colliding *inside*
+            # the catalog stays an error.
             if not sub.__module__.startswith("repro."):
                 continue
-            if not existing.cls.__module__.startswith("repro."):
-                del _BY_NAME[sub.__name__]
-                del _BY_CLS[existing.cls]
+            if not existing.__module__.startswith("repro."):
+                del _BY_NAME[sub.__name__], _PREFIX[existing]
         register_type(sub)
 
 
-def _encode_value(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_encode_value(v) for v in value]
-    entry = _BY_CLS.get(type(value))
-    if entry is None:
+def _lookup(table: dict, key):
+    if key not in table:
         _refresh_message_types()
-        entry = _BY_CLS.get(type(value))
-    if entry is None:
-        raise WireError(f"no wire encoding registered for {type(value)!r}")
-    return {_TYPE_KEY: type(value).__name__, _FIELDS_KEY: entry.to_fields(value)}
+    return table.get(key)
 
 
-def _decode_value(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return tuple(_decode_value(v) for v in value)
-    if isinstance(value, dict):
-        try:
-            name = value[_TYPE_KEY]
-            fields = value[_FIELDS_KEY]
-        except KeyError:
-            raise WireError(f"malformed wire object (keys {sorted(value)})") from None
-        entry = _BY_NAME.get(name)
-        if entry is None:
-            _refresh_message_types()
-            entry = _BY_NAME.get(name)
-        if entry is None:
-            raise WireError(f"unknown wire type {name!r}")
-        try:
-            return entry.from_fields(fields)
-        except WireError:
-            raise
-        except Exception as exc:
-            raise WireError(f"cannot decode {name}: {exc}") from exc
-    raise WireError(f"unsupported wire value {value!r}")
+def _write_record(out: bytearray, value) -> None:
+    cls = type(value)
+    prefix = _lookup(_PREFIX, cls)
+    if prefix is None:
+        raise WireError(f"no wire encoding registered for {cls!r}")
+    out += prefix
+    try:
+        _struct(cls)[0](out, [value])
+    except _UNENCODABLE as exc:
+        raise WireError(f"cannot encode {cls.__name__}: {exc!r}") from exc
 
 
-def encode(value) -> object:
-    """Encode one value (message, record, tuple, scalar) to JSON-ables."""
-    return _encode_value(value)
+def encode(value) -> bytes:
+    """One message as a self-contained frame (no addresses)."""
+    return encode_frame("", "", [value])
 
 
-def decode(payload) -> object:
-    """Inverse of :func:`encode`."""
-    return _decode_value(payload)
-
-
-# -- value types the messages embed -----------------------------------------
-#
-# Everything here is a frozen dataclass except Polygon, which hides its
-# vertex tuple behind a property and validates in ``__init__``.
-
-register_type(Point)
-register_type(Vector)
-register_type(Rect)
-register_type(Circle)
-register_type(
-    Polygon,
-    to_fields=lambda poly: [[_encode_value(p) for p in poly.points]],
-    from_fields=lambda fields: Polygon([_decode_value(p) for p in fields[0]]),
-)
-register_type(SightingRecord)
-register_type(LocationDescriptor)
-register_type(RegistrationInfo)
-register_type(NearestNeighborResult)
-register_type(ChildRef)
-register_type(ServerConfig)
-
-# The query/event value types riding inside RangeQueryReq/SubscribeReq.
-from repro.core.events import AreaOccupancy, Proximity  # noqa: E402
-from repro.model import RangeQuery  # noqa: E402
-
-register_type(RangeQuery)
-register_type(AreaOccupancy)
-register_type(Proximity)
-
-
-# -- hierarchy (not a dataclass: explicit converters) ------------------------
-
-
-def encode_hierarchy(hierarchy: Hierarchy) -> dict:
-    """The wire form of a :class:`Hierarchy` (configs + epoch)."""
-    return {
-        "epoch": hierarchy.epoch,
-        "configs": [_encode_value(c) for c in hierarchy.configs.values()],
-    }
-
-
-def decode_hierarchy(payload: dict) -> Hierarchy:
-    configs = [_decode_value(c) for c in payload["configs"]]
-    return Hierarchy(
-        {config.server_id: config for config in configs},
-        epoch=int(payload["epoch"]),
-    )
+def decode(data: bytes):
+    """Inverse of :func:`encode`; raises :class:`WireError` on anything less."""
+    return decode_frame(data)[2][0]
 
 
 # -- framing -----------------------------------------------------------------
@@ -297,48 +416,35 @@ def decode_hierarchy(payload: dict) -> Hierarchy:
 
 def encode_frame(src: str, dst: str, messages: "list[Message]") -> bytes:
     """One length-prefixed frame carrying a batch of messages."""
-    body = json.dumps(
-        {
-            "s": src,
-            "d": dst,
-            "m": [_encode_value(message) for message in messages],
-        },
-        separators=(",", ":"),
-        allow_nan=True,  # req_acc may legitimately be float('inf')
-    ).encode("utf-8")
-    if len(body) > MAX_FRAME_SIZE:
-        raise WireError(f"frame of {len(body)} bytes exceeds MAX_FRAME_SIZE")
-    return (
-        MAGIC
-        + bytes([WIRE_VERSION])
-        + len(body).to_bytes(4, "big")
-        + zlib.crc32(body).to_bytes(4, "big")
-        + body
-    )
+    out = bytearray(HEADER_SIZE)
+    _WRITE_STR(out, [src])
+    _WRITE_STR(out, [dst])
+    _WRITE_U32(out, [len(messages)])
+    for message in messages:
+        _write_record(out, message)
+    length = len(out) - HEADER_SIZE
+    if length > MAX_FRAME_SIZE:
+        raise WireError(f"frame of {length} bytes exceeds MAX_FRAME_SIZE")
+    crc = zlib.crc32(memoryview(out)[HEADER_SIZE:])
+    _HEADER.pack_into(out, 0, MAGIC, WIRE_VERSION, length, crc)
+    return bytes(out)
 
 
 def decode_frame(data: bytes) -> tuple[str, str, list]:
     """Decode exactly one *intact* frame (raises on anything less).
 
     Unlike :class:`FrameDecoder` — which self-heals past damage — this
-    strict single-frame API raises :class:`WireError` on any corruption,
-    skipped message or trailing bytes; callers holding one complete
-    frame in hand (tests, the fragment reassembler) want loud failure,
-    not silent repair.
+    strict API raises :class:`WireError` on any corruption, skipped
+    message or trailing bytes; callers holding one complete frame want
+    loud failure, not silent repair.
     """
     decoder = FrameDecoder()
     frames = decoder.feed(data)
-    if (
-        len(frames) != 1
-        or decoder.pending_bytes
-        or decoder.corrupted_frames
-        or decoder.skipped_messages
-    ):
+    damage = (decoder.pending_bytes, decoder.corrupted_frames, decoder.skipped_messages)
+    if len(frames) != 1 or any(damage):
         raise WireError(
             f"expected exactly one intact frame, got {len(frames)} "
-            f"({decoder.corrupted_frames} corrupt, "
-            f"{decoder.skipped_messages} skipped messages, "
-            f"{decoder.pending_bytes} bytes left over)"
+            f"(bytes left over, corrupt frames, skipped messages: {damage})"
         )
     return frames[0]
 
@@ -348,18 +454,12 @@ class FrameDecoder:
 
     Feed it arbitrarily chunked bytes; it returns every completed frame
     as ``(src, dst, [messages])`` and buffers the remainder.  The
-    decoder is **self-healing**: corrupt bytes — bad magic, a zero
-    or pre-checksum (v1) version byte, an absurd length prefix, a CRC
-    mismatch — never raise.  Each damage episode
-    bumps ``corrupted_frames`` and the decoder scans forward to the
-    next magic marker, so one flipped bit costs at most the frame it
-    actually hit, never the connection.
-
-    Schema evolution: frames from *newer* peers stay useful.  A version
-    byte ≥ 2 parses with the v2 (checksummed) layout, unknown trailing
-    fields on a known type are dropped (see :func:`register_type`), and
-    a message of an unknown type is skipped — counted in
-    ``skipped_messages`` — while the rest of its frame is delivered.
+    decoder is **self-healing**: corrupt bytes — bad magic, a retired
+    (< 3) version byte, an absurd length prefix, a CRC mismatch — never
+    raise.  Each damage episode bumps ``corrupted_frames`` and the
+    decoder scans forward to the next magic marker, so one flipped bit
+    costs at most the frame it actually hit, never the connection.
+    Frames from *newer* peers stay useful (see the module docstring).
     """
 
     __slots__ = ("_buffer", "corrupted_frames", "skipped_messages")
@@ -369,7 +469,8 @@ class FrameDecoder:
         #: corruption episodes survived (resyncs + consumed rotten frames).
         self.corrupted_frames = 0
         #: individual messages dropped from otherwise-intact frames
-        #: (unknown type from a newer peer, mangled nested object).
+        #: (unknown type from a newer peer, bytes that do not decode
+        #: into the named type, a constructor that refuses them).
         self.skipped_messages = 0
 
     @property
@@ -380,36 +481,31 @@ class FrameDecoder:
         self._buffer.extend(data)
         buf = self._buffer
         frames: list[tuple[str, str, list]] = []
-        while True:
-            if len(buf) < len(MAGIC) + 1:
-                return frames
-            if bytes(buf[: len(MAGIC)]) != MAGIC:
-                self._resync()
-                continue
-            if buf[len(MAGIC)] < 2:
+        while len(buf) > len(MAGIC):
+            if buf[: len(MAGIC)] != MAGIC or buf[len(MAGIC)] < WIRE_VERSION:
                 self._resync()
                 continue
             if len(buf) < HEADER_SIZE:
-                return frames
-            length = int.from_bytes(buf[len(MAGIC) + 1 : len(MAGIC) + 5], "big")
+                break
+            _magic, _version, length, crc = _HEADER.unpack_from(buf)
             if length > MAX_FRAME_SIZE:
                 self._resync()
                 continue
             if len(buf) < HEADER_SIZE + length:
-                return frames
+                break
             body = bytes(buf[HEADER_SIZE : HEADER_SIZE + length])
-            crc = int.from_bytes(buf[len(MAGIC) + 5 : HEADER_SIZE], "big")
             if zlib.crc32(body) != crc:
                 self._resync()
                 continue
-            frame = self._parse_body(body)
             del buf[: HEADER_SIZE + length]
+            frame = self._parse_body(body)
             if frame is None:
                 # Checksummed boundary, rotten payload (a peer re-framed
                 # damaged bytes verbatim): consume the frame whole.
                 self.corrupted_frames += 1
-                continue
-            frames.append(frame)
+            else:
+                frames.append(frame)
+        return frames
 
     def flush(self) -> list[tuple[str, str, list]]:
         """Force out the pending buffer (datagram boundary, stream EOF).
@@ -430,25 +526,28 @@ class FrameDecoder:
         return frames
 
     def _parse_body(self, body: bytes) -> tuple[str, str, list] | None:
-        """Decode one frame payload; ``None`` marks it unusable."""
-        try:
-            payload = json.loads(body.decode("utf-8"))
-            src, dst = payload["s"], payload["d"]
-            raw_messages = payload["m"]
-        except (ValueError, KeyError, TypeError):
-            return None
-        if not (
-            isinstance(src, str)
-            and isinstance(dst, str)
-            and isinstance(raw_messages, list)
-        ):
-            return None
+        """Decode one frame body; ``None`` marks it unusable."""
+        end = len(body)
         messages: list = []
-        for raw in raw_messages:
-            try:
-                messages.append(_decode_value(raw))
-            except WireError:
-                self.skipped_messages += 1
+        try:
+            (src,), pos = _READ_STR(body, 0, end, 1)
+            (dst,), pos = _READ_STR(body, pos, end, 1)
+            (count,), pos = _READ_U32(body, pos, end, 1)
+            for _ in range(count):
+                start = pos + 1 + body[pos]
+                cls = _lookup(_BY_NAME, str(body[pos + 1 : start], "utf-8"))
+                _fields, size = _STRUCT_HEAD.unpack_from(body, start)
+                pos = start + 5 + size
+                if pos > end:
+                    return None
+                try:
+                    if cls is None:
+                        raise WireError("unknown wire type")
+                    messages.append(_struct(cls)[1](body, start, pos, 1)[0][0])
+                except _UNDECODABLE:
+                    self.skipped_messages += 1
+        except _UNDECODABLE:
+            return None
         return src, dst, messages
 
     def _resync(self) -> None:

@@ -9,20 +9,30 @@ code under ``src/`` ever constructs, is a lane kept alive only by its
 own tests.  The tables that *name* message types by string
 (``PROTOCOL_LANE_MESSAGE_TYPES``, the calibrated cost model) must name
 only types that exist.
+
+Schema hygiene rides along: every field annotation of every wire type
+must resolve to a kind :mod:`repro.runtime.schema` supports, so a future
+``dict`` / ``Any`` field fails here and not on the first frame.
 """
 
+import dataclasses
 import inspect
 import pathlib
 import re
 import typing
+
+import pytest
 
 import repro
 from repro.baselines.central import CentralLocationServer
 from repro.baselines.home import HomeServer, HomeServerClient
 from repro.core import LocationService, build_table2_hierarchy
 from repro.core import messages as m
+from repro.errors import WireError
 from repro.geo import Rect
+from repro.net.wire import registered_types
 from repro.runtime.base import Message, Response
+from repro.runtime.schema import Kind, schema_of
 from repro.sim.calibration import CalibrationResult
 from repro.sim.metrics import PROTOCOL_LANE_MESSAGE_TYPES
 
@@ -113,3 +123,43 @@ def test_string_tables_name_only_existing_types():
     costs = CalibrationResult(1e-5, 1e-5, 1e-6, 1e-4).cost_model().service
     assert set(costs) <= set(MESSAGE_TYPES)
     assert "HandoverBatchReq" in costs
+
+
+def _classes_under(kind: Kind):
+    """Every struct class a kind can hold (schema_of raises on a bad one)."""
+    if kind.tag == "struct":
+        yield kind.arg
+    elif kind.tag in ("opt", "seq"):
+        yield from _classes_under(kind.arg)
+    elif kind.tag in ("tuple", "union"):
+        for inner in kind.arg:
+            yield from _classes_under(inner)
+    else:
+        assert kind.tag in ("str", "float", "int", "bool", "bytes"), kind
+
+
+def test_every_wire_type_annotation_has_a_schema_kind():
+    import repro.net.control  # noqa: F401  (control plane and fragments join the sweep)
+    import repro.net.udp  # noqa: F401
+
+    todo = [cls for cls in registered_types().values() if cls.__module__.startswith("repro.")]
+    assert set(MESSAGE_TYPES.values()) <= set(todo)
+    assert {"AdoptHierarchyReq", "Fragment", "SubscribeReq"} <= {cls.__name__ for cls in todo}
+    seen = set()
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        for field in schema_of(cls):  # WireError names the class and field
+            todo.extend(_classes_under(field.kind))
+    # The value types the messages embed were all reached through them.
+    assert {"Point", "Rect", "Polygon", "SightingRecord", "ServerConfig", "ChildRef",
+            "AreaOccupancy", "Proximity"} <= {cls.__name__ for cls in seen}
+
+
+@pytest.mark.parametrize("annotation", [dict, typing.Any, list[int], tuple, int | str])
+def test_unsupported_annotation_is_refused_by_name(annotation):
+    cls = dataclasses.make_dataclass("Bad", [("ok", int), ("payload", annotation)])
+    with pytest.raises(WireError, match="payload"):
+        schema_of(cls)

@@ -12,7 +12,8 @@ from repro.core import messages as m
 from repro.errors import TransportError
 from repro.net.address import AddressBook
 from repro.net.tcp import TcpTransport
-from repro.net.udp import MAX_DATAGRAM_PAYLOAD, UdpTransport
+from repro.net.udp import FRAGMENT_CHUNK, MAX_DATAGRAM_PAYLOAD, Fragment, UdpTransport
+from repro.net.wire import encode_frame
 from repro.runtime.base import Endpoint, Message, Response
 
 TRANSPORTS = [UdpTransport, TcpTransport]
@@ -308,5 +309,70 @@ class TestUdpFragmentation:
                 assert len(sink.received) == 1
             finally:
                 await stop_all(left, right)
+
+        asyncio.run(scenario())
+
+    def test_fragments_carry_raw_bytes_under_the_datagram_ceiling(self):
+        async def scenario():
+            left, right = await start_pair(UdpTransport)
+            sent = []
+            try:
+                sink = right.join(Collector())
+                caller = left.join(Endpoint("caller"))
+                real_sendto = left._sock.sendto
+                left._sock.sendto = lambda data, addr: (
+                    sent.append(len(data)),
+                    real_sendto(data, addr),
+                )
+                batch = [XportEchoReq(f"r{i}", "caller", "x" * 600) for i in range(200)]
+                whole = len(encode_frame("caller", "sink", batch))
+                caller.send_many("sink", batch)
+                await settle(0.4)
+                assert len(sink.received) == 200
+                # No text inflation: the chunks add up to the frame, each
+                # datagram pays only the fragment header on top.
+                assert len(sent) == -(-whole // FRAGMENT_CHUNK)
+                assert max(sent) <= MAX_DATAGRAM_PAYLOAD
+                assert sum(sent) < whole + 200 * len(sent)
+            finally:
+                await stop_all(left, right)
+
+        asyncio.run(scenario())
+
+    def test_lying_fragment_kills_its_reassembly_exactly_once(self):
+        async def scenario():
+            transport = UdpTransport()
+            sink = transport.join(Collector())
+            frame = encode_frame("caller", "sink", [XportEchoReq("r", "caller", "p" * 90)])
+            third = -(-len(frame) // 3)
+            chunks = [frame[i : i + third] for i in range(0, len(frame), third)]
+
+            def fragment(index, count=3, frag_id="f"):
+                return Fragment(frag_id, index, count, chunks[index])
+
+            # A fragment that disagrees about ``count`` (slot 4 of 5 in a
+            # reassembly opened for 3) kills the partial, counted once ...
+            transport._on_fragment([fragment(0), Fragment("f", 4, 5, b"junk")])
+            assert transport.stats.frames_corrupted == 1
+            # ... so its late siblings neither complete a frame with a
+            # hole where slot 2 belongs, nor open a partial that expires
+            # into a second count ...
+            transport._on_fragment([fragment(1)])
+            assert transport.stats.frames_corrupted == 1 and sink.received == []
+            transport._on_fragment([fragment(2)])
+            loop = asyncio.get_event_loop()
+            real_time = loop.time
+            loop.time = lambda: real_time() + UdpTransport.PARTIAL_TTL + 1
+            try:
+                transport._expire_partials()
+            finally:
+                loop.time = real_time
+            assert transport.stats.frames_corrupted == 1
+            assert not transport._partials and sink.received == []
+            # ... and an honest reassembly right after still goes through.
+            transport._on_fragment([fragment(i, frag_id="g") for i in range(3)])
+            await settle(0.05)
+            assert [msg.request_id for msg in sink.received] == ["r"]
+            assert transport.stats.frames_corrupted == 1
 
         asyncio.run(scenario())

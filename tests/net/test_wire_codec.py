@@ -14,6 +14,7 @@ import random
 import sys
 import types
 import typing
+import zlib
 
 import pytest
 
@@ -38,6 +39,8 @@ from repro.net.wire import (
 )
 from repro.runtime.base import Message
 
+from tests.net.frame_surgery import Record, f64s, frame, strs, struct_of
+
 # ---------------------------------------------------------------------------
 # Instance synthesis from type hints
 # ---------------------------------------------------------------------------
@@ -48,6 +51,7 @@ _SAMPLES = {
     int: lambda rng: rng.randrange(-5, 50),
     float: lambda rng: rng.choice([0.0, 1.5, -2.25, 1e9, float("inf")]),
     bool: lambda rng: rng.random() < 0.5,
+    bytes: lambda rng: rng.randbytes(rng.randrange(40)),
     Point: lambda rng: Point(rng.uniform(-10, 10), rng.uniform(-10, 10)),
     Vector: lambda rng: Vector(rng.uniform(-1, 1), rng.uniform(-1, 1)),
     Rect: lambda rng: Rect(0.0, 0.0, 10.0 + rng.random(), 20.0),
@@ -72,10 +76,10 @@ def _register_validated_samples():
     from repro.model import RangeQuery
 
     _SAMPLES[RangeQuery] = lambda rng: RangeQuery(
-        Rect(0, 0, 100, 100), rng.choice([50.0, float("inf")]), 0.5
+        Rect(0.0, 0.0, 100.0, 100.0), rng.choice([50.0, float("inf")]), 0.5
     )
     _SAMPLES[AreaOccupancy] = lambda rng: AreaOccupancy(
-        Rect(0, 0, 40, 40), threshold=1 + rng.randrange(3), req_overlap=0.25
+        Rect(0.0, 0.0, 40.0, 40.0), threshold=1 + rng.randrange(3), req_overlap=0.25
     )
     _SAMPLES[Proximity] = lambda rng: Proximity(
         "obj-a", f"obj-b{rng.randrange(10)}", rng.uniform(0, 30)
@@ -243,7 +247,7 @@ class TestFraming:
             decode_frame(b"XX\x01\x00\x00\x00\x02{}")
 
     def test_newer_version_byte_still_decodes(self):
-        # Forward compatibility: a peer one version ahead keeps the v2
+        # Forward compatibility: a peer one version ahead keeps the v3
         # layout; its frames must decode, not poison the stream.
         frame = bytearray(
             encode_frame("a", "b", [m.PingReq(request_id="p", reply_to="c")])
@@ -275,58 +279,89 @@ class TestFraming:
 
     def test_v1_frame_is_rejected_and_stream_resyncs(self):
         # A pre-checksum (version 1) frame is one more damage episode:
-        # nothing un-CRC'd is ever delivered, and a valid v2 frame placed
+        # nothing un-CRC'd is ever delivered, and a valid v3 frame placed
         # right behind the v1 bytes still comes out.
-        v2 = bytes(encode_frame("a", "b", [m.PingReq(request_id="p", reply_to="c")]))
-        body = v2[wire.HEADER_SIZE :]
+        v3 = bytes(encode_frame("a", "b", [m.PingReq(request_id="p", reply_to="c")]))
+        body = v3[wire.HEADER_SIZE :]
         v1 = wire.MAGIC + bytes([1]) + len(body).to_bytes(4, "big") + body
         decoder = FrameDecoder()
         assert decoder.feed(v1) == []
         assert decoder.corrupted_frames == 1
-        frames = decoder.feed(v2)
+        frames = decoder.feed(v3)
         assert [frame[:2] for frame in frames] == [("a", "b")]
         assert frames[0][2] == [m.PingReq(request_id="p", reply_to="c")]
         assert decoder.pending_bytes == 0
 
+    def test_v2_json_frame_is_rejected_and_stream_resyncs(self):
+        # The retired version-2 layout (same header, a JSON text body) is
+        # damage like version 1: counted, never parsed, and the v3 frame
+        # right behind it still comes out.
+        body = b'{"s":"a","d":"b","m":[{"t":"PingReq","f":["p","c"]}]}'
+        v2 = (
+            wire.MAGIC + bytes([2]) + len(body).to_bytes(4, "big")
+            + zlib.crc32(body).to_bytes(4, "big") + body
+        )
+        v3 = encode_frame("a", "b", [m.PingReq(request_id="p", reply_to="c")])
+        decoder = FrameDecoder()
+        assert decoder.feed(v2) == []
+        assert decoder.corrupted_frames == 1
+        frames = decoder.feed(v3)
+        assert frames == [("a", "b", [m.PingReq(request_id="p", reply_to="c")])]
+        assert decoder.pending_bytes == 0 and decoder.skipped_messages == 0
+
     def test_unknown_message_type_skipped_not_fatal(self):
         # An unknown type from a newer peer drops that message only; the
         # rest of the frame is delivered and counted as skipped.
-        import json as _json
-        import zlib as _zlib
-
-        body = _json.dumps(
-            {
-                "s": "a",
-                "d": "b",
-                "m": [
-                    {"t": "NoSuchFutureMessage", "f": [1, 2, 3]},
-                    wire.encode(m.PingReq(request_id="p", reply_to="c")),
-                ],
-            },
-            separators=(",", ":"),
-        ).encode()
-        frame = (
-            wire.MAGIC
-            + bytes([wire.WIRE_VERSION])
-            + len(body).to_bytes(4, "big")
-            + _zlib.crc32(body).to_bytes(4, "big")
-            + body
-        )
+        ping = m.PingReq(request_id="p", reply_to="c")
+        future = Record.of(m.PosQueryFwd("q", "o", "e"))
+        future.name = "NoSuchFutureMessage"
         decoder = FrameDecoder()
-        frames = decoder.feed(frame)
-        assert len(frames) == 1
-        src, dst, messages = frames[0]
-        assert messages == [m.PingReq(request_id="p", reply_to="c")]
+        frames = decoder.feed(frame("a", "b", future, Record.of(ping)))
+        assert frames == [("a", "b", [ping])]
         assert decoder.skipped_messages == 1
         assert decoder.corrupted_frames == 0
 
     def test_unknown_trailing_fields_ignored(self):
         # Schema evolution: a newer peer appending fields to a known
-        # type must still round-trip into our (shorter) constructor.
-        payload = wire.encode(m.PingReq(request_id="p", reply_to="c"))
-        payload["f"].append("future-field")
-        decoded = wire.decode(payload)
-        assert decoded == m.PingReq(request_id="p", reply_to="c")
+        # type must still round-trip into our (shorter) constructor —
+        # at the top level and inside a nested value.
+        ping = m.PingReq(request_id="p", reply_to="c")
+        newer = Record.of(ping)
+        newer.field_count += 1
+        newer.columns += strs("future-field")
+        assert wire.decode(frame("", "", newer)) == ping
+
+        query = m.NeighborQueryReq("r", "c", Point(1.0, 2.0), 50.0, 0.0)
+        newer = Record.of(query)
+        point = struct_of(2, f64s(1.0), f64s(2.0))
+        assert newer.columns.count(point) == 1
+        newer.columns = newer.columns.replace(point, struct_of(3, f64s(1.0), f64s(2.0), f64s(9.0)))
+        assert wire.decode(frame("", "", newer)) == query
+
+    def test_missing_trailing_fields_take_defaults_or_are_refused(self):
+        # The other direction: an older peer omits trailing fields.
+        older = Record.of(m.PingRes(request_id="q", epoch=4))
+        older.field_count, older.columns = 1, strs("q")
+        assert wire.decode(frame("", "", older)) == m.PingRes(request_id="q")
+        # ... but a field without a default cannot be made up.
+        short = Record.of(m.PingReq(request_id="p", reply_to="c"))
+        short.field_count, short.columns = 1, strs("p")
+        decoder = FrameDecoder()
+        assert decoder.feed(frame("a", "b", short)) == [("a", "b", [])]
+        assert decoder.skipped_messages == 1
+
+    def test_int_in_a_float_field_widens(self):
+        # The wire is typed from the annotations: ``Rect(0, 0, 100, 100)``
+        # arrives as floats (equal, not identical, to what was sent).
+        req = m.RangeQueryReq("r", "c", Rect(0, 0, 100, 100), 50, 0.5)
+        _, _, (decoded,) = decode_frame(encode_frame("a", "b", [req]))
+        assert decoded == req
+        assert type(decoded.area.max_x) is float and type(decoded.req_acc) is float
+
+    def test_unencodable_field_value_raises_wire_error(self):
+        bad = m.PingRes(request_id="q", epoch="three")
+        with pytest.raises(WireError, match="cannot encode PingRes"):
+            encode_frame("a", "b", [bad])
 
     def test_flush_rescues_frames_behind_corrupt_length(self):
         # A mutated length prefix can swallow a healthy trailing frame;
@@ -343,8 +378,19 @@ class TestFraming:
         assert decoder.pending_bytes == 0
 
     def test_unknown_type_raises(self):
-        with pytest.raises(WireError, match="unknown wire type"):
-            wire.decode({"t": "NoSuchMessage", "f": []})
+        # The strict single-value API does not skip: it raises.
+        unknown = Record.of(m.PingReq(request_id="p", reply_to="c"))
+        unknown.name = "NoSuchMessage"
+        with pytest.raises(WireError, match="skipped"):
+            wire.decode(frame("", "", unknown))
+
+    def test_unregistered_class_raises_on_encode(self):
+        @dataclasses.dataclass(frozen=True)
+        class NeverRegistered:  # not a Message: the sweep never sees it
+            x: int
+
+        with pytest.raises(WireError, match="no wire encoding registered"):
+            wire.encode(NeverRegistered(1))
 
     def test_register_name_collision_raises(self):
         class PingReq:  # same wire name as the real one, different class

@@ -10,13 +10,23 @@ multi-frame TCP streams and multi-frame UDP datagrams:
 * at most one frame is lost per flipped byte;
 * the decoder ends clean (empty buffer after flush), so the stream
   stays usable for everything that follows.
+
+``TestTypeConfusion`` covers what the checksum cannot: a CRC-valid frame
+from a lying peer whose bytes do not fit the types the schema declares.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import messages as m
+from repro.geo import Point
+from repro.model import SightingRecord
+from repro.net.udp import UdpTransport
 from repro.net.wire import FrameDecoder, encode_frame
+from repro.runtime.base import Endpoint
+
+from tests.net.frame_surgery import Record, f64s, frame, strs, struct_of, u32s
 
 
 def _frame(index: int) -> tuple[bytes, str]:
@@ -80,7 +90,7 @@ class TestStreamResync:
         got = _decoded_ids(decoded)
         survivors = [oid for i, oid in enumerate(oids) if i != hit]
         # Every untouched frame decodes; the hit frame may survive too
-        # (e.g. a version-byte bump still parses as the v2 layout).
+        # (e.g. a version-byte bump still parses as the v3 layout).
         assert [oid for oid in got if oid != oids[hit]] == survivors
         assert len(got) >= len(oids) - 1
         # The decoder ends clean: nothing buffered, ready for more.
@@ -161,3 +171,87 @@ class TestDatagramResync:
         assert set(got) <= expected
         assert len(expected - set(got)) <= 1
         assert got == [oid for oid in oids if oid in set(got)]
+
+
+# ---------------------------------------------------------------------------
+# CRC-valid frames whose bytes do not fit the declared field types
+# ---------------------------------------------------------------------------
+
+
+def _update_req(timestamp: bytes = f64s(4.0), x: bytes = f64s(1.0)) -> Record:
+    """``UpdateReq("r", "dev", SightingRecord("o1", 4.0, Point(1, 2), 10.0))``
+    column by column, with the timestamp / ``Point.x`` bytes replaceable."""
+    point = struct_of(2, x, f64s(2.0))
+    sighting = struct_of(4, strs("o1"), timestamp, point, f64s(10.0))
+    return Record("UpdateReq", 3, strs("r") + strs("dev") + sighting)
+
+
+_HOSTILE = {
+    # 19 bytes of length-prefixed text where 8 bytes of f64 belong
+    "string-for-float-timestamp": _update_req(timestamp=strs("not-a-timestamp")),
+    # a nested list [[1.0]] (count, count, item) where ``Point.x`` belongs
+    "nested-list-for-point-x": _update_req(x=u32s(1) + u32s(1) + f64s(1.0)),
+    # ``sightings`` announces 2**31 items; 40 bytes follow
+    "count-of-2**31-in-40-bytes": Record(
+        "UpdateBatchReq", 3, strs("r") + strs("dev") + u32s(2**31) + bytes(40)
+    ),
+    # ``req_acc: float | None`` with a presence byte that is neither 0 nor 1
+    "presence-byte-7": Record(
+        "PosQueryReq", 4, strs("r") + strs("dev") + strs("o1") + b"\x07" + f64s(1.0)
+    ),
+}
+
+
+class _Sink(Endpoint):
+    def __init__(self) -> None:
+        super().__init__("leaf")
+        self.got: list = []
+
+    def deliver(self, message) -> None:
+        self.got.append(message)
+
+
+class TestTypeConfusion:
+    def test_the_hand_built_record_is_the_real_layout(self):
+        # Guards the cases below: undamaged, the same bytes decode.
+        frames = FrameDecoder().feed(frame("a", "leaf", _update_req()))
+        sighting = SightingRecord("o1", 4.0, Point(1.0, 2.0), 10.0)
+        assert frames == [("a", "leaf", [m.UpdateReq("r", "dev", sighting)])]
+
+    @pytest.mark.parametrize("case", sorted(_HOSTILE))
+    def test_ill_typed_record_is_skipped_and_the_next_frame_delivered(self, case):
+        healthy = m.PingReq(request_id="p", reply_to="c")
+        data = frame("a", "leaf", _HOSTILE[case]) + encode_frame("a", "leaf", [healthy])
+        decoder = FrameDecoder()
+        frames = decoder.feed(data) + decoder.flush()
+        assert [msg for _, _, batch in frames for msg in batch] == [healthy]
+        assert decoder.skipped_messages + decoder.corrupted_frames == 1
+        assert decoder.pending_bytes == 0
+
+        # The same bytes as one datagram: the endpoint sees only the ping.
+        transport, sink = UdpTransport(), _Sink()
+        transport.join(sink)
+        transport._on_datagram(data)
+        assert sink.got == [healthy]
+        assert transport.stats.messages_quarantined + transport.stats.frames_corrupted == 1
+
+    def test_ill_typed_record_spares_its_frame_mates(self):
+        healthy = m.PingReq(request_id="p", reply_to="c")
+        decoder = FrameDecoder()
+        frames = decoder.feed(
+            frame("a", "b", Record.of(healthy), _HOSTILE["presence-byte-7"], Record.of(healthy))
+        )
+        assert frames == [("a", "b", [healthy, healthy])]
+        assert (decoder.skipped_messages, decoder.corrupted_frames) == (1, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(junk=st.binary(max_size=120), name=st.sampled_from(["UpdateBatchReq", "RangeQueryRes"]))
+    def test_arbitrary_record_bytes_never_raise(self, junk, name):
+        # Any bytes at all behind a valid CRC: skipped or delivered,
+        # never an exception, never a frame lost behind them.
+        healthy = m.PingReq(request_id="p", reply_to="c")
+        decoder = FrameDecoder()
+        data = frame("a", "b", Record(name, 3, junk)) + encode_frame("a", "b", [healthy])
+        frames = decoder.feed(data) + decoder.flush()
+        assert frames[-1] == ("a", "b", [healthy])
+        assert decoder.pending_bytes == 0

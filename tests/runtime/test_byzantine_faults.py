@@ -27,6 +27,7 @@ from repro.runtime.validation import find_defect
 from repro.sim.scenario import table2_service
 
 from tests.cluster.test_migration import Reporter
+from tests.net.frame_surgery import Record, frame, strs
 
 
 class _StubNetwork:
@@ -199,9 +200,9 @@ class TestPathRepairLane:
     def test_legacy_frame_decodes_with_defaults_and_is_not_acked(self):
         # A pre-PR-9 peer's PathUpdate has no request_id/reply_to on the
         # wire; the codec's trailing-default evolution fills them in.
-        encoded = wire.encode(m.PathUpdate(object_id="o", sender="s"))
-        encoded["f"] = encoded["f"][:2]  # strip the PR-9 trailing fields
-        decoded = wire.decode(encoded)
+        legacy = Record.of(m.PathUpdate(object_id="o", sender="s"))
+        legacy.field_count, legacy.columns = 2, strs("o") + strs("s")  # no PR-9 fields
+        decoded = wire.decode(frame("", "", legacy))
         assert decoded == m.PathUpdate(object_id="o", sender="s")
         assert decoded.request_id == "legacy" and decoded.reply_to == ""
 

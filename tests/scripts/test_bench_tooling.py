@@ -252,3 +252,33 @@ class TestBenchCheckPr10:
             ok, observed = c.run({})
             assert not ok
             assert "missing field" in observed
+
+
+class TestBenchCheckPr16:
+    @pytest.mark.parametrize(
+        "payload, ok",
+        [
+            ({"sightings": 100, "bytes_per_sighting": 42.15, "request": {"frame_bytes": 4215}}, True),
+            ({"sightings": 100, "bytes_per_sighting": 48.01, "request": {"frame_bytes": 4801}}, False),
+            # the v2 text body's figure, and a bench shrunk to look good
+            ({"sightings": 100, "bytes_per_sighting": 110.0, "request": {"frame_bytes": 11000}}, False),
+            ({"sightings": 10, "bytes_per_sighting": 40.0, "request": {"frame_bytes": 400}}, False),
+            ({}, False),
+        ],
+    )
+    def test_only_the_byte_count_is_gated(self, check, payload, ok):
+        (gate,) = check.CHECKS["BENCH_PR16.json"]
+        assert gate.run(payload)[0] is ok
+
+    def test_runner_writes_what_the_gate_reads(self, smoke, check, tmp_path, monkeypatch):
+        written = {}
+        monkeypatch.setattr(
+            smoke, "write_bench_json", lambda name, payload: written.update(payload) or tmp_path / name
+        )
+        smoke.run_pr16(type("Args", (), {"out_pr16": "BENCH_PR16.json"}))
+        (gate,) = check.CHECKS["BENCH_PR16.json"]
+        assert gate.run(written)[0], written
+        for dotted in smoke.ACCEPTANCE_KEYS["out_pr16"]:
+            value = written
+            for part in dotted.split("."):
+                value = value[part]
