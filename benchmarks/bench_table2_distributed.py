@@ -184,10 +184,13 @@ def test_table2_structure(measurements, benchmark):
     # storage CPU, where updates cost more than hash lookups.)
     assert throughput["local position query"] > throughput["remote position query"]
     assert throughput["local range query"] > throughput["remote range query (1 server)"]
-    # More servers per range query => lower throughput (paper rows 5-7).
+    # More servers per range query => lower throughput (paper rows 5-7):
+    # every involved leaf pays its own index scan.  The margin keeps a
+    # cost table that prices the fan-out forward at nothing (flat rows,
+    # 1.005x) from passing again; priced, the ratio is ~1.8.
     assert (
         throughput["remote range query (1 server)"]
-        > throughput["remote range query (4 servers)"]
+        >= 1.3 * throughput["remote range query (4 servers)"]
     )
     benchmark(lambda: None)  # structural test; timing carried by the campaign
 

@@ -55,8 +55,8 @@ class HomeServer(Endpoint):
         self.on(m.RegisterReq, self._on_register)
         self.on(m.UpdateReq, self._on_update)
         self.on(m.PosQueryReq, self._on_pos_query)
-        self.on(m.RangeQueryFwd, self._on_range_fwd)
-        self.on(m.NNCandidatesFwd, self._on_nn_fwd)
+        self.on(m.RangeQueryBatchFwd, self._on_range_fwd)
+        self.on(m.NNCandidatesBatchFwd, self._on_nn_fwd)
 
     async def _on_register(self, msg: m.RegisterReq) -> None:
         offered = self.accuracy.negotiate(msg.des_acc, msg.min_acc)
@@ -117,28 +117,28 @@ class HomeServer(Endpoint):
             ),
         )
 
-    async def _on_range_fwd(self, msg: m.RangeQueryFwd) -> None:
-        query = RangeQuery(msg.area, req_acc=msg.req_acc, req_overlap=msg.req_overlap)
-        entries = tuple(self.store.range_query(query))
+    async def _on_range_fwd(self, msg: m.RangeQueryBatchFwd) -> None:
+        (item,) = msg.items  # the client scatters one query per message
+        query = RangeQuery(item.area, req_acc=item.req_acc, req_overlap=item.req_overlap)
         self.send(
             msg.entry_server,
-            m.RangeQuerySubRes(
+            m.RangeQueryBatchSubRes(
                 query_id=msg.query_id,
-                entries=entries,
-                covered_area=1.0,  # interpreted as a response count by the client
+                # covered area 1.0: the client counts responses instead
+                results=((item.index, tuple(self.store.range_query(query)), 1.0),),
                 origin=self.address,
                 origin_area=self.area,
             ),
         )
 
-    async def _on_nn_fwd(self, msg: m.NNCandidatesFwd) -> None:
-        entries = tuple(self.store.nn_candidates(msg.dispatch, msg.req_acc))
+    async def _on_nn_fwd(self, msg: m.NNCandidatesBatchFwd) -> None:
+        (item,) = msg.items
+        entries = tuple(self.store.nn_candidates(item.dispatch, item.req_acc))
         self.send(
             msg.entry_server,
-            m.NNCandidatesSubRes(
+            m.NNCandidatesBatchSubRes(
                 query_id=msg.query_id,
-                entries=entries,
-                covered_area=1.0,
+                results=((item.index, entries, 1.0),),
                 origin=self.address,
                 origin_area=self.area,
             ),
@@ -157,8 +157,8 @@ class HomeServerClient(Endpoint):
         self.n_servers = n_servers
         self.area = area
         self._collect: dict[str, dict] = {}
-        self.on(m.RangeQuerySubRes, self._on_sub_res)
-        self.on(m.NNCandidatesSubRes, self._on_nn_sub_res)
+        self.on(m.RangeQueryBatchSubRes, self._on_sub_res)
+        self.on(m.NNCandidatesBatchSubRes, self._on_sub_res)
 
     def home_of(self, object_id: str) -> str:
         return home_of(object_id, self.n_servers)
@@ -218,12 +218,17 @@ class HomeServerClient(Endpoint):
         for i in range(self.n_servers):
             self.send(
                 f"home-{i}",
-                m.RangeQueryFwd(
+                m.RangeQueryBatchFwd(
                     query_id=query_id,
-                    area=area,
-                    req_acc=req_acc,
-                    req_overlap=req_overlap,
-                    dispatch=dispatch,
+                    items=(
+                        m.RangeBatchItem(
+                            index=0,
+                            area=area,
+                            req_acc=req_acc,
+                            req_overlap=req_overlap,
+                            dispatch=dispatch,
+                        ),
+                    ),
                     entry_server=self.address,
                     sender=self.address,
                     direct=True,
@@ -243,10 +248,9 @@ class HomeServerClient(Endpoint):
         for i in range(self.n_servers):
             self.send(
                 f"home-{i}",
-                m.NNCandidatesFwd(
+                m.NNCandidatesBatchFwd(
                     query_id=query_id,
-                    dispatch=self.area,
-                    req_acc=req_acc,
+                    items=(m.NNBatchItem(index=0, dispatch=self.area, req_acc=req_acc),),
                     entry_server=self.address,
                     sender=self.address,
                     direct=True,
@@ -259,18 +263,13 @@ class HomeServerClient(Endpoint):
             NearestNeighborQuery(pos, req_acc=req_acc, near_qual=near_qual),
         )
 
-    async def _on_sub_res(self, msg: m.RangeQuerySubRes) -> None:
-        self._merge(msg.query_id, msg.entries)
-
-    async def _on_nn_sub_res(self, msg: m.NNCandidatesSubRes) -> None:
-        self._merge(msg.query_id, msg.entries)
-
-    def _merge(self, query_id: str, entries) -> None:
-        state = self._collect.get(query_id)
+    async def _on_sub_res(self, msg) -> None:
+        """One server's answer to the one item of a scatter (either kind)."""
+        state = self._collect.get(msg.query_id)
         if state is None:
             return
-        for oid, descriptor in entries:
-            state["entries"][oid] = descriptor
+        for _, entries, _ in msg.results:
+            state["entries"].update(entries)
         state["pending"] -= 1
         if state["pending"] == 0 and not state["future"].done():
             state["future"].set_result(None)

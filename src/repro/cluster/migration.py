@@ -34,9 +34,9 @@ In-flight traffic survives every phase through the existing mechanisms:
   (its ancestors' forwarding references already point at it), and the
   retired children turn into forwarding aliases for the parent;
 * a fan-out **collector** racing a cutover detects the epoch bump on
-  its sub-results and re-issues under the new topology
-  (:class:`~repro.core.server._Collector`), which is what lifted the
-  old drained-loop requirement.
+  its sub-results and re-issues the part still in doubt under the new
+  topology (:class:`~repro.core.server._BatchCollector`), which is what
+  lifted the old drained-loop requirement.
 
 :meth:`MigrationExecutor.execute` keeps the PR-2 contract — one
 synchronous copy → cutover with a zero-length dual-write window — for

@@ -33,6 +33,27 @@ Position reports travel one of two lanes:
   as *unacknowledged*, so only those items are resent (per-item retry
   bookkeeping).
 
+Query lane
+----------
+
+Range queries (Algorithm 6-5) and the nearest-neighbor ring rounds
+derived from them share **one** fan-out implementation.  A fan-out
+carries *items* — a dispatch rect feeding one result bucket — in one
+``RangeQueryBatchFwd`` / ``NNCandidatesBatchFwd`` per next hop; interior
+servers re-partition the items per child, and every involved leaf
+answers all of its items through one batched index pass and one
+``…BatchSubRes`` sent straight to the entry server, whose collector
+resolves once the answers tile every dispatch rect.  A client's single
+``RangeQueryReq`` / ``NeighborQueryReq`` is served at the edge as a
+batch of one (``evaluate_range_many`` / ``evaluate_neighbors_many`` are
+the many-query entry points).  With the §6.5 area cache on, an item
+whose dispatch rect the cached leaves fully tile skips the hierarchy:
+the still-open items are grouped by next hop, one ``direct`` forward per
+cached leaf, one ordinary forward to the parent for the rest.  There is
+one retry rule: when a rebalance races a collection, only each item's
+rect *minus the service areas that answered under the current epoch* is
+asked again.
+
 Elasticity and topology epochs
 ------------------------------
 

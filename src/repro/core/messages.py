@@ -393,45 +393,17 @@ class RangeQueryRes(Response):
 
 
 @dataclass(frozen=True, slots=True)
-class RangeQueryFwd(Message):
-    """``rangeQueryFwd(area, reqAcc, reqOverlap, lse)``.
+class RangeBatchItem(Message):
+    """One sub-query of a range fan-out (see :class:`RangeQueryBatchFwd`).
 
     ``dispatch`` is the pre-computed ``Enlarge(bounds(area), reqAcc)``
-    rect used both for routing and for the covered-area bookkeeping
+    rect — or, on a coverage-aware retry, the part of it still in doubt —
+    used both for routing and for the covered-area bookkeeping
     (DESIGN.md §4 documents this deviation from the paper's pseudocode,
-    which enlarges per hop and tracks the raw area).
+    which enlarges per hop and tracks the raw area).  ``index``
+    identifies the item within its fan-out so sub-results can be
+    attributed.
     """
-
-    query_id: str
-    area: Region
-    req_acc: float
-    req_overlap: float
-    dispatch: Rect
-    entry_server: str
-    sender: str  # ``lsf``: do not bounce the query straight back
-    direct: bool = False  # §6.5 area-cache dispatch: answer locally only
-
-
-@dataclass(frozen=True, slots=True)
-class RangeQuerySubRes(Message):
-    """``rangeQuerySubRes(objs, a)`` from a leaf directly to the entry
-    server.  Not a :class:`Response`: several arrive per query, so the
-    entry server aggregates them in a collector, not a one-shot future.
-    """
-
-    query_id: str
-    entries: tuple[ObjectEntry, ...]
-    covered_area: float  # SIZE(dispatch ∩ leaf service area)
-    origin: str
-    origin_area: Rect
-    epoch: int = 0  # answering leaf's topology epoch (stale-race detection)
-
-
-@dataclass(frozen=True, slots=True)
-class RangeBatchItem(Message):
-    """One sub-query of a batched range fan-out (see
-    :class:`RangeQueryBatchFwd`).  ``index`` identifies the sub-query
-    within its batch so sub-results can be attributed."""
 
     index: int
     area: Region
@@ -442,19 +414,20 @@ class RangeBatchItem(Message):
 
 @dataclass(frozen=True, slots=True)
 class RangeQueryBatchFwd(Message):
-    """*Derived.*  Many range queries fanned out as one message.
+    """``rangeQueryFwd(area, reqAcc, reqOverlap, lse)`` for one or many
+    range queries — the only range forward there is; a client's single
+    query travels as a batch of one.
 
-    Routed like :class:`RangeQueryFwd`, but carrying a whole batch of
-    sub-queries: interior servers re-partition the batch per child in one
-    hop, and a leaf answers all of its sub-queries through a single
-    batched spatial-index traversal (``query_rect_many``) and one
-    :class:`RangeQueryBatchSubRes` — the per-leaf candidate collection
-    the sim/bench tick already used, now inside the query protocol.
-    Batches always travel through the hierarchy (no §6.5 direct-dispatch
-    variant: one cached-leaf dispatch per sub-query would fragment the
-    batch).  ``epoch`` is the entry server's topology epoch at dispatch;
-    leaves answer with their own epoch so the collector can detect a
-    rebalance racing the collection and re-issue under the new topology.
+    Interior servers re-partition the items per child in one hop
+    (``sender`` is the paper's ``lsf``: never bounce straight back), and
+    a leaf answers all of its items through a single batched
+    spatial-index traversal (``query_rect_many``) and one
+    :class:`RangeQueryBatchSubRes`.  ``epoch`` is the entry server's
+    topology epoch at dispatch; leaves answer with their own epoch so the
+    collector can detect a rebalance racing the collection and re-issue
+    under the new topology.  ``direct`` marks a §6.5 area-cache dispatch
+    sent straight to a cached leaf: answer locally, never re-propagate
+    upward (the entry server already addressed every covering leaf).
     """
 
     query_id: str
@@ -462,15 +435,18 @@ class RangeQueryBatchFwd(Message):
     entry_server: str
     sender: str
     epoch: int = 0
+    direct: bool = False
 
 
 @dataclass(frozen=True, slots=True)
 class RangeQueryBatchSubRes(Message):
-    """One leaf's answers for every sub-query of a batch it covers.
+    """``rangeQuerySubRes(objs, a)`` from a leaf directly to the entry
+    server, for every item of a fan-out the leaf covers.
 
-    ``results`` holds ``(item_index, entries, covered_area)`` triples;
-    like :class:`RangeQuerySubRes` this is not a :class:`Response` —
-    several arrive per batch and the entry server aggregates them.
+    ``results`` holds ``(item_index, entries, covered_area)`` triples,
+    ``covered_area`` being ``SIZE(dispatch ∩ leaf service area)``.  Not
+    a :class:`Response`: several arrive per fan-out, so the entry server
+    aggregates them in a collector, not a one-shot future.
     """
 
     query_id: str
@@ -505,33 +481,9 @@ class NeighborQueryRes(Response):
 
 
 @dataclass(frozen=True, slots=True)
-class NNCandidatesFwd(Message):
-    """*Derived.*  One expanding-ring round: collect all entries whose
-    position lies in ``dispatch`` and whose accuracy satisfies
-    ``req_acc``.  Routed exactly like :class:`RangeQueryFwd`."""
-
-    query_id: str
-    dispatch: Rect
-    req_acc: float
-    entry_server: str
-    sender: str
-    direct: bool = False  # §6.5 area-cache dispatch: answer locally only
-
-
-@dataclass(frozen=True, slots=True)
-class NNCandidatesSubRes(Message):
-    query_id: str
-    entries: tuple[ObjectEntry, ...]
-    covered_area: float
-    origin: str
-    origin_area: Rect
-    epoch: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class NNBatchItem(Message):
-    """One expanding-ring probe of a batched NN fan-out; ``index``
-    identifies the probe within its batch."""
+    """One expanding-ring probe of an NN fan-out; ``index`` identifies
+    the probe within its fan-out."""
 
     index: int
     dispatch: Rect
@@ -540,10 +492,11 @@ class NNBatchItem(Message):
 
 @dataclass(frozen=True, slots=True)
 class NNCandidatesBatchFwd(Message):
-    """*Derived.*  Many NN candidate probes fanned out as one message,
-    mirroring :class:`RangeQueryBatchFwd`: interior servers re-partition
-    the batch per child in one hop and a leaf answers all of its probes
-    through a single batched spatial-index pass
+    """*Derived.*  One expanding-ring round for one or many NN queries:
+    collect all entries whose position lies in an item's ``dispatch``
+    and whose accuracy satisfies its ``req_acc``.  Routed exactly like
+    :class:`RangeQueryBatchFwd` (``direct`` included); a leaf answers
+    all of its probes through a single batched spatial-index pass
     (``nn_candidates_many`` → ``query_rect_many``)."""
 
     query_id: str
@@ -551,11 +504,12 @@ class NNCandidatesBatchFwd(Message):
     entry_server: str
     sender: str
     epoch: int = 0
+    direct: bool = False
 
 
 @dataclass(frozen=True, slots=True)
 class NNCandidatesBatchSubRes(Message):
-    """One leaf's candidates for every probe of a batch it covers;
+    """One leaf's candidates for every probe of a fan-out it covers;
     ``results`` holds ``(item_index, entries, covered_area)`` triples."""
 
     query_id: str

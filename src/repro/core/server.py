@@ -19,8 +19,10 @@ Algorithm 6-2          ``_on_update`` (edge) / ``_on_update_batch``
                        → ``_apply_updates``
 Algorithm 6-3          ``_handover_batch`` / ``_on_handover_batch``
 Algorithm 6-4          ``_on_pos_query`` / ``_on_pos_query_fwd``
-Algorithm 6-5          ``_on_range_query`` / ``_on_range_fwd``
-Section 3.2 (derived)  ``_on_neighbor_query`` / ``_on_nn_fwd``
+Algorithm 6-5          ``_on_range_query`` (edge) → ``_collect`` /
+                       ``_on_fanout_fwd`` / ``_on_fanout_sub_res``
+Section 3.2 (derived)  ``_on_neighbor_query`` (edge) → the ring loop
+                       of ``_execute_neighbors_many`` → ``_collect``
 Section 6.5 caches     ``_on_pos_query_direct``, ``_on_path_update``,
                        ``_on_remove_path`` + :mod:`repro.core.caching`
 =====================  =======================================
@@ -28,6 +30,7 @@ Section 6.5 caches     ``_on_pos_query_direct``, ``_on_path_update``,
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.core import messages as m
@@ -71,8 +74,8 @@ _EPOCH_RETRIES = 2
 #: rebalance plus one in flight.
 _EPOCH_REJECT_HORIZON = 2
 
-#: Cap on the uncovered-remainder decomposition for coverage-aware epoch
-#: retries; past it the retry re-queries the original rect whole.
+#: Cap on one query's uncovered-remainder decomposition for coverage-aware
+#: epoch retries; past it the retry re-queries the rect at hand whole.
 _MAX_REMAINDER_RECTS = 32
 
 #: Re-sends of an unacked §6.5 path-repair delivery (PathUpdate /
@@ -125,129 +128,129 @@ class ServerStats:
         self.messages_handled[name] = self.messages_handled.get(name, 0) + 1
 
 
-class _Collector:
-    """Aggregates the multi-message answers of a fan-out query.
+def _tiled(covered: float, target: float) -> bool:
+    """Whether ``covered`` area accounts for ``target``, float residue aside."""
+    return covered + _COVER_EPS * max(target, 1.0) >= target
+
+
+class _BatchCollector:
+    """Coverage accounting for one attempt of a fan-out collection.
+
+    An *item* is ``(bucket, dispatch rect)``: entries found for it merge
+    into result bucket ``bucket`` (shared with the other attempts of the
+    collection, as is ``origins``), and it is complete once the answering
+    leaves' ``dispatch ∩ service area`` contributions tile the rect.
+    Several items may feed one bucket — a coverage-aware retry re-issues
+    a query as the rects still in doubt.
 
     ``epoch`` is the entry server's topology epoch when the fan-out was
     dispatched; a sub-result stamped with a newer epoch marks the
     collection ``stale`` — a rebalance cut over mid-flight, so the
     coverage bookkeeping may mix pre- and post-migration service areas
     (e.g. an absorbing parent overlapping an already-counted retired
-    child) and the entry server re-issues the query under the current
-    topology rather than trusting an early resolve.
+    child) and the entry server re-issues the doubtful part under the
+    current topology rather than trusting an early resolve.
     """
 
     __slots__ = (
-        "future", "target", "covered", "entries", "origins", "epoch", "stale",
-        "area_reports",
+        "future", "epoch", "stale", "items", "buckets", "origins",
+        "covered", "answered", "open",
     )
 
-    def __init__(self, future, target: float, epoch: int = 0) -> None:
+    def __init__(self, future, epoch: int, items, buckets, origins) -> None:
         self.future = future
-        self.target = target
-        self.covered = 0.0
-        self.entries: dict[str, object] = {}
-        self.origins: set[str] = set()
         self.epoch = epoch
         self.stale = False
-        #: origin -> (service area, epoch the answer was stamped with).
-        #: Coverage-aware retries subtract the areas whose epoch matches
-        #: the *current* topology from the re-queried rect — answers
-        #: from leaves that did not move are not collected twice.
-        self.area_reports: dict[str, tuple[Rect, int]] = {}
+        self.items: list[tuple[int, Rect]] = items
+        self.buckets: list[dict[str, object]] = buckets
+        self.origins: set[str] = origins
+        self.covered = [0.0] * len(items)
+        #: per item: origin -> (service area, epoch its answer carried).
+        self.answered: list[dict[str, tuple[Rect, int]]] = [{} for _ in items]
+        #: indexes of the items whose rect is not tiled yet.
+        self.open = {
+            index for index, (_, rect) in enumerate(items) if not _tiled(0.0, rect.area)
+        }
 
-    def note_epoch(self, epoch: int) -> None:
+    def add(self, results, origin: str, origin_area: Rect, epoch: int) -> None:
+        """Merge one leaf's ``(item index, entries, covered)`` triples."""
         if epoch > self.epoch:
             self.stale = True
+        self.origins.add(origin)
+        for index, entries, covered in results:
+            bucket, rect = self.items[index]
+            self.buckets[bucket].update(entries)
+            # A leaf's coverage contribution is a constant of the item
+            # (dispatch ∩ its area), so count each origin once per item:
+            # duplicate answers — e.g. two retired aliases forwarding a
+            # §6.5-cached direct dispatch to the same successor — must
+            # not inflate the covered total past leaves that have not
+            # answered yet.
+            answered = self.answered[index]
+            if origin not in answered:
+                answered[origin] = (origin_area, epoch)
+                self.covered[index] += covered
+                if _tiled(self.covered[index], rect.area):
+                    self.open.discard(index)
+        if not self.open:
+            self.resolve()
 
-    def note_area(self, origin: str, area: Rect, epoch: int) -> None:
-        self.area_reports[origin] = (area, epoch)
-
-    def add(self, entries, covered: float, origin: str) -> None:
-        for oid, descriptor in entries:
-            self.entries[oid] = descriptor
-        # A leaf's coverage contribution is a constant of the query
-        # (dispatch ∩ its area), so count each origin once: duplicate
-        # answers — e.g. two retired aliases forwarding a §6.5-cached
-        # direct dispatch to the same successor — must not inflate the
-        # covered total past leaves that have not answered yet.
-        if origin not in self.origins:
-            self.covered += covered
-            self.origins.add(origin)
-
-    @property
-    def complete(self) -> bool:
-        return self.covered + _COVER_EPS * max(self.target, 1.0) >= self.target
-
-    def resolve_if_complete(self) -> None:
-        if self.complete and not self.future.done():
+    def resolve(self) -> None:
+        if not self.future.done():
             self.future.set_result(None)
 
-    def sorted_entries(self) -> tuple[ObjectEntry, ...]:
-        return tuple(sorted(self.entries.items()))
+    def remainders(self, current_epoch: int) -> dict[int, list[Rect]]:
+        """Per bucket, the rects a re-issue under ``current_epoch`` must
+        still cover: each item's rect minus the service areas that
+        answered it *under that epoch* — answers from leaves that did
+        not move are not collected twice, and a bucket they tile drops
+        out.  An item whose decomposition would shatter the bucket past
+        :data:`_MAX_REMAINDER_RECTS` pieces is re-queried whole.
+        """
+        doubt: dict[int, list[Rect]] = {}
+        for (bucket, rect), answered in zip(self.items, self.answered):
+            if _tiled(0.0, rect.area):
+                continue  # degenerate: never open, so never in doubt
+            valid = [area for area, epoch in answered.values() if epoch == current_epoch]
+            rects = doubt.setdefault(bucket, [])
+            pieces = subtract_rects(rect, valid, cap=_MAX_REMAINDER_RECTS - len(rects))
+            rects.extend([rect] if pieces is None else pieces)
+        return {bucket: rects for bucket, rects in doubt.items() if rects}
 
 
-class _BatchCollector:
-    """Per-item coverage accounting for one batched range fan-out.
+@dataclass(frozen=True, slots=True)
+class _FanOutKind:
+    """What distinguishes the two query kinds riding the one fan-out."""
 
-    ``epoch``/``stale`` follow :class:`_Collector`'s stale-race
-    detection, batch-wide.
-    """
+    item: type
+    fwd: type
+    sub_res: type
+    #: ``answer(store, items) -> per-item entry lists``: one batched
+    #: store pass at the answering leaf.
+    answer: Callable[[LocalDataStore, list], list[list[ObjectEntry]]]
 
-    __slots__ = (
-        "future", "targets", "covered", "entries", "origins", "_seen",
-        "epoch", "stale", "slot_epochs",
-    )
 
-    def __init__(self, future, targets: list[float], epoch: int = 0) -> None:
-        self.future = future
-        self.targets = targets
-        self.covered = [0.0] * len(targets)
-        self.entries: list[dict[str, object]] = [{} for _ in targets]
-        self.origins: set[str] = set()
-        self._seen: set[tuple[int, str]] = set()
-        self.epoch = epoch
-        self.stale = False
-        #: epochs that contributed coverage to each slot.  A slot whose
-        #: every contribution carries the current topology epoch is
-        #: *clean* — a coverage-aware retry pre-credits it instead of
-        #: re-fanning it out.
-        self.slot_epochs: list[set[int]] = [set() for _ in targets]
-
-    def note_epoch(self, epoch: int) -> None:
-        if epoch > self.epoch:
-            self.stale = True
-
-    def add(self, index: int, entries, covered: float, origin: str, epoch: int | None = None) -> None:
-        bucket = self.entries[index]
-        for oid, descriptor in entries:
-            bucket[oid] = descriptor
-        # Same per-origin dedupe as _Collector, per sub-query.
-        if (index, origin) not in self._seen:
-            self._seen.add((index, origin))
-            self.covered[index] += covered
-            self.origins.add(origin)
-            self.slot_epochs[index].add(self.epoch if epoch is None else epoch)
-
-    def mark_satisfied(self, index: int) -> None:
-        """Pre-credit a slot answered cleanly by an earlier attempt."""
-        self.covered[index] = self.targets[index]
-        self.slot_epochs[index] = {self.epoch}
-
-    def item_complete(self, index: int) -> bool:
-        target = self.targets[index]
-        return self.covered[index] + _COVER_EPS * max(target, 1.0) >= target
-
-    @property
-    def complete(self) -> bool:
-        return all(self.item_complete(i) for i in range(len(self.targets)))
-
-    def resolve_if_complete(self) -> None:
-        if self.complete and not self.future.done():
-            self.future.set_result(None)
-
-    def sorted_entries(self, index: int) -> tuple[ObjectEntry, ...]:
-        return tuple(sorted(self.entries[index].items()))
+_RANGE = _FanOutKind(
+    m.RangeBatchItem,
+    m.RangeQueryBatchFwd,
+    m.RangeQueryBatchSubRes,
+    lambda store, items: store.range_query_many(
+        [
+            RangeQuery(item.area, req_acc=item.req_acc, req_overlap=item.req_overlap)
+            for item in items
+        ]
+    ),
+)
+_NN = _FanOutKind(
+    m.NNBatchItem,
+    m.NNCandidatesBatchFwd,
+    m.NNCandidatesBatchSubRes,
+    lambda store, items: store.nn_candidates_many(
+        [item.dispatch for item in items], [item.req_acc for item in items]
+    ),
+)
+_KIND_OF_FWD = {kind.fwd: kind for kind in (_RANGE, _NN)}
+_SUB_RESULTS = (_RANGE.sub_res, _NN.sub_res)
 
 
 class LocationServer(Endpoint):
@@ -320,7 +323,6 @@ class LocationServer(Endpoint):
             self.store = None
             self.visitors = VisitorDB(store=store)
             self.caches = LeafCaches(CacheConfig.disabled())
-        self._collectors: dict[str, _Collector] = {}
         self._batch_collectors: dict[str, _BatchCollector] = {}
         self._nn_initial_radius = (
             nn_initial_radius
@@ -347,15 +349,10 @@ class LocationServer(Endpoint):
         self.on(m.PosQueryFwd, self._on_pos_query_fwd)
         self.on(m.PosQueryDirect, self._on_pos_query_direct)
         self.on(m.RangeQueryReq, self._on_range_query)
-        self.on(m.RangeQueryFwd, self._on_range_fwd)
-        self.on(m.RangeQuerySubRes, self._on_range_sub_res)
-        self.on(m.RangeQueryBatchFwd, self._on_range_batch_fwd)
-        self.on(m.RangeQueryBatchSubRes, self._on_range_batch_sub_res)
         self.on(m.NeighborQueryReq, self._on_neighbor_query)
-        self.on(m.NNCandidatesFwd, self._on_nn_fwd)
-        self.on(m.NNCandidatesSubRes, self._on_nn_sub_res)
-        self.on(m.NNCandidatesBatchFwd, self._on_nn_batch_fwd)
-        self.on(m.NNCandidatesBatchSubRes, self._on_nn_batch_sub_res)
+        for kind in _KIND_OF_FWD.values():
+            self.on(kind.fwd, self._on_fanout_fwd)
+            self.on(kind.sub_res, self._on_fanout_sub_res)
         self.on(m.ChangeAccReq, self._on_change_acc)
         self.on(m.PathUpdate, self._on_path_update)
         self.on(m.RemovePath, self._on_remove_path)
@@ -498,10 +495,7 @@ class LocationServer(Endpoint):
             return
         if self._retired_to is not None and not isinstance(message, m.Response):
             if (
-                isinstance(message, (m.RangeQuerySubRes, m.NNCandidatesSubRes))
-                and message.query_id in self._collectors
-            ) or (
-                isinstance(message, (m.RangeQueryBatchSubRes, m.NNCandidatesBatchSubRes))
+                isinstance(message, _SUB_RESULTS)
                 and message.query_id in self._batch_collectors
             ):
                 super().deliver(message)
@@ -547,15 +541,12 @@ class LocationServer(Endpoint):
         so the issuing retry loop re-fans it out instead of waiting for
         coverage that can no longer arrive.  When the damage hit the
         ``query_id`` itself the victim is unidentifiable — abort every
-        live collector of that family (rare at realistic corruption
-        rates, and strictly a latency cost).
+        live collector (rare at realistic corruption rates, and strictly
+        a latency cost).
         """
-        if isinstance(message, (m.RangeQuerySubRes, m.NNCandidatesSubRes)):
-            collectors = self._collectors
-        elif isinstance(message, (m.RangeQueryBatchSubRes, m.NNCandidatesBatchSubRes)):
-            collectors = self._batch_collectors
-        else:
+        if not isinstance(message, _SUB_RESULTS):
             return
+        collectors = self._batch_collectors
         query_id = getattr(message, "query_id", "")
         if query_id in collectors:
             victims = [collectors[query_id]]
@@ -563,8 +554,7 @@ class LocationServer(Endpoint):
             victims = list(collectors.values())
         for collector in victims:
             collector.stale = True
-            if not collector.future.done():
-                collector.future.set_result(None)
+            collector.resolve()
 
     # -- routing helpers -----------------------------------------------------------
 
@@ -1415,10 +1405,18 @@ class LocationServer(Endpoint):
         )
 
     # ======================================================================
-    # Algorithm 6-5: range queries
+    # Algorithm 6-5: range queries — and the one fan-out they share with
+    # the nearest-neighbor ring rounds
     # ======================================================================
+    #
+    # One query lane.  A fan-out carries *items* — (result bucket,
+    # dispatch rect) — of one kind (:data:`_RANGE` / :data:`_NN`), one
+    # forward per next hop and one sub-result per answering leaf.  A
+    # client's single ``RangeQueryReq`` / ``NeighborQueryReq`` is served
+    # at the edge as a batch of one.
 
     async def _on_range_query(self, msg: m.RangeQueryReq) -> None:
+        """Client-facing edge: one query, served as a batch of one."""
         self.stats.note(msg)
         if not self.is_leaf:
             self.send(
@@ -1426,9 +1424,8 @@ class LocationServer(Endpoint):
                 m.RangeQueryRes(request_id=msg.request_id, entries=(), servers_involved=0),
             )
             return
-        self.stats.range_queries_served += 1
         query = RangeQuery(msg.area, req_acc=msg.req_acc, req_overlap=msg.req_overlap)
-        entries, origins = await self._execute_range(query)
+        (entries,), origins = await self._execute_range_many([query])
         self.send(
             msg.reply_to,
             m.RangeQueryRes(
@@ -1438,114 +1435,11 @@ class LocationServer(Endpoint):
             ),
         )
 
-    async def _execute_range(
-        self, query: RangeQuery
-    ) -> tuple[tuple[ObjectEntry, ...], set[str]]:
-        """Entry-server half of Algorithm 6-5 (also used by the event
-        engine): collect the distributed answer for one range query.
-
-        A topology epoch newer than the collection's — observed on a
-        sub-result, or on this server itself when it resolves — means a
-        rebalance cut over mid-flight; the coverage bookkeeping may then
-        mix pre- and post-migration service areas (an absorbing parent's
-        answer overlaps an already-counted retired child's), so the
-        collection is re-issued under the current topology.  Entries
-        accumulate across attempts (deduplicated by object id).
-
-        Retries are **coverage-aware** (PR 9): each answering leaf
-        reports its service area and epoch, and the re-issue subtracts
-        the areas already answered *under the current epoch* from the
-        dispatch rect — only the space whose coverage is actually in
-        doubt travels again.  When the remainder decomposition would
-        shatter past :data:`_MAX_REMAINDER_RECTS`, the retry falls back
-        to the whole rect.
-        """
-        # Clamp the dispatch rect to the root service area: no tracked
-        # object exists outside it, and a clamped rect lets the covered
-        # accounting and the §6.5 area cache work with exact tilings.
-        dispatch = region_bounds(query.area).enlarged(effective_margin(query)).intersection(
-            self.config.root_area
-        )
-        if dispatch is None:
-            return (), set()
-        entries: dict[str, object] = {}
-        origins: set[str] = set()
-        remainders: list[Rect] = [dispatch]
-        for attempt in range(_EPOCH_RETRIES + 1):
-            stale = False
-            reports: dict[str, tuple[Rect, int]] = {}
-            # One collector per remainder rect: the per-origin coverage
-            # dedupe is a per-collection invariant, and on a retry the
-            # same leaf may legitimately answer two disjoint remainders.
-            for rect in remainders:
-                collector = await self._collect_range_rect(query, rect)
-                entries.update(collector.entries)
-                origins |= collector.origins
-                reports.update(collector.area_reports)
-                if collector.stale or self.topology_epoch != collector.epoch:
-                    stale = True
-            if not stale or attempt == _EPOCH_RETRIES:
-                break
-            current = self.topology_epoch
-            valid = [area for area, epoch in reports.values() if epoch == current]
-            shrunk: list[Rect] | None = []
-            for rect in remainders:
-                pieces = subtract_rects(
-                    rect, valid, cap=_MAX_REMAINDER_RECTS - len(shrunk)
-                )
-                if pieces is None:
-                    shrunk = None  # confetti: re-query the current rects whole
-                    break
-                shrunk.extend(pieces)
-            if shrunk is not None:
-                if not shrunk:
-                    break  # every gap was answered under the current epoch
-                remainders = shrunk
-            self.stats.epoch_retries += 1  # a re-issue will actually run
-        return tuple(sorted(entries.items())), origins
-
-    async def _collect_range_rect(self, query: RangeQuery, rect: Rect) -> _Collector:
-        """Run one fan-out collection of ``query`` over dispatch ``rect``."""
-        query_id = self.next_request_id()
-        collector = _Collector(
-            self.ctx.create_future(), rect.area, epoch=self.topology_epoch
-        )
-        self._collectors[query_id] = collector
-        try:
-            # Local portion (Alg. 6-5 entry, lines 3-7).  The store
-            # check covers a leaf that became interior mid-use.
-            if self.store is not None and rect.intersects(self.config.area):
-                local = self.store.range_query(query)
-                collector.add(
-                    local, rect.intersection_area(self.config.area), self.address
-                )
-                collector.note_area(self.address, self.config.area, self.topology_epoch)
-            collector.resolve_if_complete()
-            if not collector.complete:
-                self._fan_out(
-                    query_id,
-                    rect,
-                    lambda sender, direct: m.RangeQueryFwd(
-                        query_id=query_id,
-                        area=query.area,
-                        req_acc=query.req_acc,
-                        req_overlap=query.req_overlap,
-                        dispatch=rect,
-                        entry_server=self.address,
-                        sender=sender,
-                        direct=direct,
-                    ),
-                )
-                await collector.future
-        finally:
-            self._collectors.pop(query_id, None)
-        return collector
-
     # -- internal query API (event engine, embedding applications) ------------
 
     async def evaluate_range(self, query: RangeQuery) -> tuple[ObjectEntry, ...]:
         """Run a distributed range query from this (leaf) entry server."""
-        entries, _ = await self._execute_range(query)
+        (entries,), _ = await self._execute_range_many([query])
         return entries
 
     async def evaluate_position(self, object_id: str):
@@ -1561,16 +1455,14 @@ class LocationServer(Endpoint):
     async def evaluate_range_many(
         self, queries: list[RangeQuery]
     ) -> list[tuple[ObjectEntry, ...]]:
-        """Run many distributed range queries as *one* batched fan-out.
+        """Run many distributed range queries as *one* fan-out.
 
-        The batched counterpart of :meth:`evaluate_range`: all local
-        portions hit the spatial index in one ``query_rect_many``
-        traversal, and the remote portions travel as a single
-        :class:`~repro.core.messages.RangeQueryBatchFwd` that interior
-        servers re-partition per child — so a tick's worth of range
-        queries costs one message per involved server instead of one per
-        query per server.  Answers per query match
-        :meth:`evaluate_range` entry-for-entry.
+        All local portions hit the spatial index in one
+        ``query_rect_many`` traversal, and the remote portions travel as
+        one :class:`~repro.core.messages.RangeQueryBatchFwd` per next hop
+        that interior servers re-partition per child — so a tick's worth
+        of range queries costs one message per involved server instead
+        of one per query per server.
         """
         entries, _ = await self._execute_range_many(queries)
         return entries
@@ -1578,288 +1470,208 @@ class LocationServer(Endpoint):
     async def _execute_range_many(
         self, queries: list[RangeQuery]
     ) -> tuple[list[tuple[ObjectEntry, ...]], set[str]]:
-        root_area = self.config.root_area
-        dispatches: list[Rect | None] = [
-            region_bounds(q.area).enlarged(effective_margin(q)).intersection(root_area)
-            for q in queries
-        ]
-        # Sub-queries with a live dispatch rect, indexed within the batch.
-        active = [i for i, d in enumerate(dispatches) if d is not None]
-        results: list[tuple[ObjectEntry, ...]] = [() for _ in queries]
+        """Per-query sorted entries, and the servers that answered."""
         self.stats.range_queries_served += len(queries)
-        if not active:
-            return results, set()
-        merged: list[dict[str, object]] = [{} for _ in active]
+        # Clamp each dispatch rect to the root service area: no tracked
+        # object exists outside it, and a clamped rect lets the covered
+        # accounting and the §6.5 area cache work with exact tilings.
+        root_area = self.config.root_area
+        buckets, origins = await self._collect(
+            _RANGE,
+            [
+                (
+                    region_bounds(q.area).enlarged(effective_margin(q)).intersection(root_area),
+                    {"area": q.area, "req_acc": q.req_acc, "req_overlap": q.req_overlap},
+                )
+                for q in queries
+            ],
+        )
+        return [tuple(sorted(bucket.items())) for bucket in buckets], origins
+
+    async def _collect(
+        self, kind: _FanOutKind, specs: list[tuple[Rect | None, dict]]
+    ) -> tuple[list[dict[str, object]], set[str]]:
+        """Entry-server half of Algorithm 6-5, for every query kind:
+        collect the distributed answers of one fan-out.
+
+        ``specs[b]`` is result bucket ``b``'s dispatch rect (``None``:
+        nothing to ask) and the kind-specific fields of its wire items;
+        returns the buckets' entries by object id and the answering
+        servers.
+
+        A topology epoch newer than an attempt's — observed on a
+        sub-result, or on this server itself when the attempt resolves —
+        means a rebalance cut over mid-flight; the coverage bookkeeping
+        may then mix pre- and post-migration service areas (an absorbing
+        parent's answer overlaps an already-counted retired child's), so
+        the collection is re-issued under the current topology.  Entries
+        accumulate across attempts (deduplicated by object id).
+
+        Retries are **coverage-aware**: each answering leaf reports its
+        service area and epoch, and the re-issue asks only for
+        :meth:`_BatchCollector.remainders` — the space whose coverage is
+        actually in doubt.  Past :data:`_EPOCH_RETRIES` the accumulated
+        (at-least-once) entries are returned as best effort.
+        """
+        buckets: list[dict[str, object]] = [{} for _ in specs]
         origins: set[str] = set()
-        #: slots answered entirely under the current epoch by an earlier
-        #: attempt — pre-credited on the retry so only the items whose
-        #: coverage is actually in doubt fan out again (PR 9).
-        done: set[int] = set()
+        doubt = {b: [rect] for b, (rect, _) in enumerate(specs) if rect is not None}
         for attempt in range(_EPOCH_RETRIES + 1):
+            if not doubt:
+                break  # every gap was answered under the current epoch
+            if attempt:
+                self.stats.epoch_retries += 1  # a re-issue actually runs
+            targets = [(b, rect) for b, rects in doubt.items() for rect in rects]
+            items = [
+                kind.item(index=index, dispatch=rect, **specs[b][1])
+                for index, (b, rect) in enumerate(targets)
+            ]
             query_id = self.next_request_id()
             collector = _BatchCollector(
-                self.ctx.create_future(),
-                [dispatches[i].area for i in active],
-                epoch=self.topology_epoch,
+                self.ctx.create_future(), self.topology_epoch, targets, buckets, origins
             )
             self._batch_collectors[query_id] = collector
             try:
-                for slot in done:
-                    collector.mark_satisfied(slot)
+                # Local portion (Alg. 6-5 entry, lines 3-7).  The store
+                # check covers a leaf that became interior mid-use.
                 area = self.config.area
-                local = (
-                    [
-                        (slot, i)
-                        for slot, i in enumerate(active)
-                        if slot not in done and dispatches[i].intersects(area)
-                    ]
-                    if self.store is not None
-                    else []
-                )
+                local = self._answer(kind, items, area) if self.store is not None else ()
                 if local:
-                    answers = self.store.range_query_many([queries[i] for _, i in local])
-                    for (slot, i), found in zip(local, answers):
-                        collector.add(
-                            slot,
-                            found,
-                            dispatches[i].intersection_area(area),
-                            self.address,
-                            epoch=self.topology_epoch,
-                        )
-                collector.resolve_if_complete()
-                if not collector.complete:
-                    items = tuple(
-                        m.RangeBatchItem(
-                            index=slot,
-                            area=queries[i].area,
-                            req_acc=queries[i].req_acc,
-                            req_overlap=queries[i].req_overlap,
-                            dispatch=dispatches[i],
-                        )
-                        for slot, i in enumerate(active)
-                        if not collector.item_complete(slot)
-                    )
-                    # An interior entry (split mid-use) routes through its own
-                    # fwd handler so its children get the batch — see _fan_out.
-                    dest = self.address if self.store is None else self._parent
-                    if dest is not None:
-                        self.send(
-                            dest,
-                            m.RangeQueryBatchFwd(
-                                query_id=query_id,
-                                items=items,
-                                entry_server=self.address,
-                                sender=self.address,
-                                epoch=self.topology_epoch,
-                            ),
-                        )
-                        await collector.future
+                    collector.add(local, self.address, area, collector.epoch)
+                if collector.open and self._dispatch(
+                    kind, query_id, [item for item in items if item.index in collector.open]
+                ):
+                    await collector.future
             finally:
                 self._batch_collectors.pop(query_id, None)
-            for slot in range(len(active)):
-                merged[slot].update(collector.entries[slot])
-            origins |= collector.origins
             if not collector.stale and self.topology_epoch == collector.epoch:
                 break
-            # A slot is settled when it is covered and every contribution
-            # carries the current epoch — only the rest fans out again.
-            current = self.topology_epoch
-            done = {
-                slot
-                for slot in range(len(active))
-                if collector.item_complete(slot)
-                and collector.slot_epochs[slot] <= {current}
-            }
-            if len(done) == len(active):
-                break  # the race only grazed already-settled slots
-            if attempt < _EPOCH_RETRIES:  # a re-issue will actually run
-                self.stats.epoch_retries += 1
-        for slot, i in enumerate(active):
-            results[i] = tuple(sorted(merged[slot].items()))
-        return results, origins
+            doubt = collector.remainders(self.topology_epoch)
+        return buckets, origins
 
-    def _route_batch_fanout(self, msg, answer_fn, make_fwd, make_sub_res) -> None:
-        """The shared routing skeleton of a batched fan-out message.
-
-        Deduplicates :meth:`_on_range_batch_fwd` and
-        :meth:`_on_nn_batch_fwd` (their double-count guards must stay in
-        lockstep): a **leaf** answers every live item through one batched
-        store pass (``answer_fn(live_items)``) and sends a single
-        sub-result straight to the entry server; an **interior** server
-        re-partitions the live items per child — skipping the sender, so
-        a batch never bounces straight back — and escalates the items
-        whose dispatch escapes this area upward, unless the parent is
-        the sender (upward-only-once guard).
-
-        ``answer_fn(items) -> list`` runs the leaf-side batched query;
-        ``make_fwd(items, sender)`` builds the re-partitioned forward;
-        ``make_sub_res(items, answers, area)`` builds the leaf's
-        sub-result (stamped with this server's topology epoch so the
-        collector can detect a rebalance racing the collection).
-        """
-        area = self.config.area
-        live = [item for item in msg.items if item.dispatch.intersects(area)]
-        if live:
-            if self.is_leaf:
-                answers = answer_fn(live)
-                self.send(msg.entry_server, make_sub_res(live, answers, area))
-            else:
-                for child in self.config.children:
-                    if child.server_id == msg.sender:
-                        continue
-                    sub = tuple(
-                        item for item in live if item.dispatch.intersects(child.area)
-                    )
-                    if sub:
-                        self.send(child.server_id, make_fwd(sub, self.address))
-        if self._parent is not None and self._parent != msg.sender:
-            up = tuple(
-                item for item in msg.items if not area.contains_rect(item.dispatch)
-            )
-            if up:
-                self.send(self._parent, make_fwd(up, self.address))
-
-    async def _on_range_batch_fwd(self, msg: m.RangeQueryBatchFwd) -> None:
-        self.stats.note(msg)
-        self._note_epoch(msg)
-        self._route_batch_fanout(
-            msg,
-            answer_fn=lambda live: self.store.range_query_many(
-                [
-                    RangeQuery(
-                        item.area, req_acc=item.req_acc, req_overlap=item.req_overlap
-                    )
-                    for item in live
-                ]
-            ),
-            make_fwd=lambda items, sender: m.RangeQueryBatchFwd(
-                query_id=msg.query_id,
-                items=items,
-                entry_server=msg.entry_server,
-                sender=sender,
-                epoch=msg.epoch,
-            ),
-            make_sub_res=lambda live, answers, area: m.RangeQueryBatchSubRes(
-                query_id=msg.query_id,
-                results=tuple(
-                    (item.index, tuple(found), item.dispatch.intersection_area(area))
-                    for item, found in zip(live, answers)
-                ),
-                origin=self.address,
-                origin_area=area,
-                epoch=self.topology_epoch,
-            ),
+    def _answer(self, kind: _FanOutKind, items, area: Rect) -> tuple:
+        """This leaf's ``(item index, entries, covered area)`` triple for
+        every item whose dispatch touches ``area`` — one batched store
+        pass, locally at the entry server and at every remote leaf."""
+        live = [item for item in items if item.dispatch.intersects(area)]
+        if not live:
+            return ()
+        return tuple(
+            (item.index, tuple(found), item.dispatch.intersection_area(area))
+            for item, found in zip(live, kind.answer(self.store, live))
         )
 
-    async def _on_range_batch_sub_res(self, msg: m.RangeQueryBatchSubRes) -> None:
-        self.stats.note(msg)
-        self.caches.note_leaf_area(msg.origin, msg.origin_area)
-        collector = self._batch_collectors.get(msg.query_id)
-        if collector is None:
-            return  # late answer for an already-completed batch
-        collector.note_epoch(msg.epoch)
-        for index, entries, covered in msg.results:
-            collector.add(index, entries, covered, msg.origin, epoch=msg.epoch)
-        collector.resolve_if_complete()
+    def _dispatch(self, kind: _FanOutKind, query_id: str, items: list) -> bool:
+        """Send the still-open ``items`` on, grouped by next hop; whether
+        anything was sent (a one-server hierarchy has nowhere to ask).
 
-    def _fan_out(self, query_id: str, dispatch: Rect, make_fwd) -> None:
-        """Dispatch a fan-out query: straight to cached leaves when the
-        §6.5 area cache covers the dispatch rect, else up the hierarchy.
-
-        ``make_fwd(sender, direct)`` builds the forwarded message; direct
-        dispatches suppress upward re-propagation at the receiving leaf
-        (otherwise coverage would be double-counted through the tree).
+        An item whose dispatch rect the §6.5 area cache fully tiles goes
+        straight to each of those leaves in a ``direct`` forward, which
+        suppresses upward re-propagation at the receiving leaf (coverage
+        would otherwise be double-counted through the tree); everything
+        else goes up the hierarchy — one forward per destination.
         """
+        hops: dict[tuple[str, bool], list] = {}
         if self.store is None:
             # Entry server that was split to interior mid-query (e.g. an
             # event subscription registered while it was a leaf): route
-            # the dispatch through our own fwd handler.  With
-            # ``sender=self.address`` (neither a child nor the parent)
-            # the handler fans into our own children — who now hold the
-            # data — and still propagates upward when the dispatch
-            # escapes our area.
-            self.send(self.address, make_fwd(self.address, False))
-            return
-        covering = self.caches.leaves_covering(dispatch)
-        if covering is not None:
-            sent_any = False
-            for leaf_id, _ in covering:
-                if leaf_id != self.address:
-                    self.send(leaf_id, make_fwd(self.address, True))
-                    sent_any = True
-            if sent_any or dispatch.intersects(self.config.area):
-                return
-        if self._parent is not None:
-            self.send(self._parent, make_fwd(self.address, False))
+            # through our own fwd handler.  With ``sender=self.address``
+            # (neither a child nor the parent) it fans into our own
+            # children — who now hold the data — and still propagates
+            # upward when a dispatch escapes our area.
+            hops[self.address, False] = items
+        else:
+            for item in items:
+                covering = self.caches.leaves_covering(item.dispatch) or ()
+                leaves = [leaf for leaf, _ in covering if leaf != self.address]
+                for leaf in leaves:
+                    hops.setdefault((leaf, True), []).append(item)
+                if not leaves and self._parent is not None:
+                    hops.setdefault((self._parent, False), []).append(item)
+        for (dest, direct), batch in hops.items():
+            self.send(
+                dest,
+                kind.fwd(
+                    query_id=query_id,
+                    items=tuple(batch),
+                    entry_server=self.address,
+                    sender=self.address,
+                    epoch=self.topology_epoch,
+                    direct=direct,
+                ),
+            )
+        return bool(hops)
 
-    async def _on_range_fwd(self, msg: m.RangeQueryFwd) -> None:
+    async def _on_fanout_fwd(self, msg) -> None:
+        """Route one fan-out forward of either kind.
+
+        A **leaf** answers every item touching its area through one
+        batched store pass and sends a single sub-result (stamped with
+        its topology epoch, so the collector can detect a rebalance
+        racing the collection) straight to the entry server; an
+        **interior** server re-partitions those items per child —
+        skipping the sender, so a forward never bounces straight back.
+        Unless the forward is ``direct``, the items whose dispatch
+        escapes this area escalate upward — unless the parent is the
+        sender (upward-only-once guard).
+        """
         self.stats.note(msg)
-        dispatch = msg.dispatch
-        if dispatch.intersects(self.config.area):
-            if self.is_leaf:
-                query = RangeQuery(msg.area, req_acc=msg.req_acc, req_overlap=msg.req_overlap)
-                entries = tuple(self.store.range_query(query))
+        self._note_epoch(msg)
+        kind = _KIND_OF_FWD[type(msg)]
+        area = self.config.area
+        hops: list[tuple[str, tuple]] = []
+        if self.is_leaf:
+            results = self._answer(kind, msg.items, area)
+            if results:
                 self.send(
                     msg.entry_server,
-                    m.RangeQuerySubRes(
+                    kind.sub_res(
                         query_id=msg.query_id,
-                        entries=entries,
-                        covered_area=dispatch.intersection_area(self.config.area),
+                        results=results,
                         origin=self.address,
-                        origin_area=self.config.area,
+                        origin_area=area,
                         epoch=self.topology_epoch,
                     ),
                 )
-            else:
-                for child in self.config.children:
-                    if child.server_id != msg.sender and dispatch.intersects(child.area):
-                        self.send(
-                            child.server_id,
-                            m.RangeQueryFwd(
-                                query_id=msg.query_id,
-                                area=msg.area,
-                                req_acc=msg.req_acc,
-                                req_overlap=msg.req_overlap,
-                                dispatch=dispatch,
-                                entry_server=msg.entry_server,
-                                sender=self.address,
-                            ),
-                        )
-        if (
-            not msg.direct
-            and not self.config.area.contains_rect(dispatch)
-            and self._parent is not None
-            and self._parent != msg.sender
-        ):
-            self.send(
-                self._parent,
-                m.RangeQueryFwd(
-                    query_id=msg.query_id,
-                    area=msg.area,
-                    req_acc=msg.req_acc,
-                    req_overlap=msg.req_overlap,
-                    dispatch=dispatch,
-                    entry_server=msg.entry_server,
-                    sender=self.address,
-                ),
+        else:
+            hops = [
+                (
+                    child.server_id,
+                    tuple(i for i in msg.items if i.dispatch.intersects(child.area)),
+                )
+                for child in self.config.children
+                if child.server_id != msg.sender
+            ]
+        if not msg.direct and self._parent is not None and self._parent != msg.sender:
+            hops.append(
+                (self._parent, tuple(i for i in msg.items if not area.contains_rect(i.dispatch)))
             )
+        for dest, items in hops:
+            if items:
+                self.send(
+                    dest,
+                    kind.fwd(
+                        query_id=msg.query_id,
+                        items=items,
+                        entry_server=msg.entry_server,
+                        sender=self.address,
+                        epoch=msg.epoch,
+                    ),
+                )
 
-    async def _on_range_sub_res(self, msg: m.RangeQuerySubRes) -> None:
+    async def _on_fanout_sub_res(self, msg) -> None:
         self.stats.note(msg)
         self.caches.note_leaf_area(msg.origin, msg.origin_area)
-        collector = self._collectors.get(msg.query_id)
-        if collector is None:
-            return  # late answer for an already-completed query
-        collector.note_epoch(msg.epoch)
-        collector.add(msg.entries, msg.covered_area, msg.origin)
-        collector.note_area(msg.origin, msg.origin_area, msg.epoch)
-        collector.resolve_if_complete()
+        collector = self._batch_collectors.get(msg.query_id)
+        if collector is not None:  # else a late answer for a finished fan-out
+            collector.add(msg.results, msg.origin, msg.origin_area, msg.epoch)
 
     # ======================================================================
     # Nearest-neighbor queries (derived; Section 3.2 semantics)
     # ======================================================================
 
     async def _on_neighbor_query(self, msg: m.NeighborQueryReq) -> None:
+        """Client-facing edge: one query, served as a batch of one."""
         self.stats.note(msg)
         if not self.is_leaf:
             self.send(
@@ -1870,317 +1682,72 @@ class LocationServer(Endpoint):
             )
             return
         query = NearestNeighborQuery(msg.pos, req_acc=msg.req_acc, near_qual=msg.near_qual)
-        radius = self._nn_initial_radius
-        rounds = 0
-        servers: set[str] = set()
-        result = NearestNeighborResult(nearest=None)
-        root_area = self.config.root_area
-        while True:
-            rounds += 1
-            self.stats.nn_rounds_served += 1
-            probe = Rect.from_center(msg.pos, 2 * radius, 2 * radius)
-            covers_root = probe.contains_rect(root_area)
-            dispatch = probe.intersection(root_area)
-            if dispatch is not None:
-                entries, origins = await self._collect_nn_candidates(dispatch, msg.req_acc)
-                servers.update(origins)
-                result = nearest_neighbor(entries, query)
-            if covers_root:
-                break
-            if result.nearest is not None:
-                selected_distance = result.nearest[1].pos.distance_to(msg.pos)
-                if selected_distance + msg.near_qual <= radius:
-                    break
-            radius *= 2.0
+        (result,), (rounds,), origins = await self._execute_neighbors_many([query])
         self.send(
             msg.reply_to,
             m.NeighborQueryRes(
                 request_id=msg.request_id,
                 result=result,
                 rounds=rounds,
-                servers_involved=len(servers),
+                servers_involved=len(origins),
             ),
         )
-
-    async def _collect_nn_candidates(
-        self, dispatch: Rect, req_acc: float
-    ) -> tuple[list[ObjectEntry], set[str]]:
-        """One expanding-ring round, reusing the range fan-out machinery.
-
-        ``dispatch`` must already be clamped to the root service area.
-        """
-        target = dispatch.area
-        entries: dict[str, object] = {}
-        origins: set[str] = set()
-        for attempt in range(_EPOCH_RETRIES + 1):
-            query_id = self.next_request_id()
-            collector = _Collector(
-                self.ctx.create_future(), target, epoch=self.topology_epoch
-            )
-            self._collectors[query_id] = collector
-            try:
-                if self.store is not None and dispatch.intersects(self.config.area):
-                    local = self.store.nn_candidates(dispatch, req_acc)
-                    collector.add(
-                        local, dispatch.intersection_area(self.config.area), self.address
-                    )
-                collector.resolve_if_complete()
-                if not collector.complete:
-                    self._fan_out(
-                        query_id,
-                        dispatch,
-                        lambda sender, direct: m.NNCandidatesFwd(
-                            query_id=query_id,
-                            dispatch=dispatch,
-                            req_acc=req_acc,
-                            entry_server=self.address,
-                            sender=sender,
-                            direct=direct,
-                        ),
-                    )
-                    await collector.future
-            finally:
-                self._collectors.pop(query_id, None)
-            entries.update(collector.entries)
-            origins |= collector.origins
-            if not collector.stale and self.topology_epoch == collector.epoch:
-                break
-            if attempt < _EPOCH_RETRIES:  # a re-issue will actually run
-                self.stats.epoch_retries += 1
-        return list(entries.items()), origins
 
     async def evaluate_neighbors_many(
         self, queries: list[NearestNeighborQuery]
     ) -> list[NearestNeighborResult]:
-        """Run many NN queries with one batched fan-out per ring round.
+        """Run many NN queries with one fan-out per ring round.
 
-        The NN counterpart of :meth:`evaluate_range_many`: every round,
-        the still-unresolved queries' probe rects travel as a single
-        :class:`~repro.core.messages.NNCandidatesBatchFwd` (re-partitioned
-        per child by interior servers), and each involved leaf collects
-        candidates for all of its probes through one ``query_rect_many``
-        pass.  Per-query results match :meth:`_on_neighbor_query`'s
-        expanding-ring semantics candidate-for-candidate.
+        Every round, the still-unresolved queries' probe rects travel as
+        one :class:`~repro.core.messages.NNCandidatesBatchFwd` per next
+        hop (re-partitioned per child by interior servers), and each
+        involved leaf collects candidates for all of its probes through
+        one ``query_rect_many`` pass.
         """
+        results, _, _ = await self._execute_neighbors_many(queries)
+        return results
+
+    async def _execute_neighbors_many(
+        self, queries: list[NearestNeighborQuery]
+    ) -> tuple[list[NearestNeighborResult], list[int], set[str]]:
+        """The expanding-ring loop: per-query results and round counts,
+        and the servers that answered any round."""
         root_area = self.config.root_area
         radii = [self._nn_initial_radius] * len(queries)
-        results: list[NearestNeighborResult] = [
-            NearestNeighborResult(nearest=None) for _ in queries
-        ]
+        results = [NearestNeighborResult(nearest=None) for _ in queries]
+        rounds = [0] * len(queries)
+        origins: set[str] = set()
         active = list(range(len(queries)))
         while active:
             self.stats.nn_rounds_served += len(active)
-            probes: list[tuple[int, Rect | None, bool]] = []
-            for i in active:
-                probe = Rect.from_center(queries[i].pos, 2 * radii[i], 2 * radii[i])
-                covers_root = probe.contains_rect(root_area)
-                probes.append((i, probe.intersection(root_area), covers_root))
-            live = [(i, dispatch) for i, dispatch, _ in probes if dispatch is not None]
-            if live:
-                candidate_sets = await self._collect_nn_candidates_many(
-                    [dispatch for _, dispatch in live],
-                    [queries[i].req_acc for i, _ in live],
-                )
-                for (i, _), entries in zip(live, candidate_sets):
-                    results[i] = nearest_neighbor(entries, queries[i])
+            probes = [
+                Rect.from_center(queries[i].pos, 2 * radii[i], 2 * radii[i]) for i in active
+            ]
+            buckets, answered = await self._collect(
+                _NN,
+                [
+                    (probe.intersection(root_area), {"req_acc": queries[i].req_acc})
+                    for i, probe in zip(active, probes)
+                ],
+            )
+            origins |= answered
             still_active = []
-            for i, _, covers_root in probes:
-                if covers_root:
+            for i, probe, bucket in zip(active, probes, buckets):
+                rounds[i] += 1
+                query = queries[i]
+                results[i] = nearest_neighbor(bucket, query)
+                if probe.contains_rect(root_area):
                     continue
-                result = results[i]
-                if result.nearest is not None:
-                    selected_distance = result.nearest[1].pos.distance_to(
-                        queries[i].pos
-                    )
-                    if selected_distance + queries[i].near_qual <= radii[i]:
-                        continue
+                nearest = results[i].nearest
+                if (
+                    nearest is not None
+                    and nearest[1].pos.distance_to(query.pos) + query.near_qual <= radii[i]
+                ):
+                    continue
                 radii[i] *= 2.0
                 still_active.append(i)
             active = still_active
-        return results
-
-    async def _collect_nn_candidates_many(
-        self, dispatches: list[Rect], req_accs: list[float]
-    ) -> list[list[ObjectEntry]]:
-        """One ring round for many probes as a single batched fan-out.
-
-        Retries follow :meth:`_execute_range_many`'s coverage-aware
-        scheme: probe slots answered entirely under the current epoch
-        are pre-credited, so a rebalance race re-fans only the probes
-        it actually grazed.
-        """
-        merged: list[dict[str, object]] = [{} for _ in dispatches]
-        done: set[int] = set()
-        for attempt in range(_EPOCH_RETRIES + 1):
-            query_id = self.next_request_id()
-            collector = _BatchCollector(
-                self.ctx.create_future(),
-                [d.area for d in dispatches],
-                epoch=self.topology_epoch,
-            )
-            self._batch_collectors[query_id] = collector
-            try:
-                for slot in done:
-                    collector.mark_satisfied(slot)
-                area = self.config.area
-                if self.store is not None:
-                    local = [
-                        slot
-                        for slot, dispatch in enumerate(dispatches)
-                        if slot not in done and dispatch.intersects(area)
-                    ]
-                    if local:
-                        answers = self.store.nn_candidates_many(
-                            [dispatches[slot] for slot in local],
-                            [req_accs[slot] for slot in local],
-                        )
-                        for slot, found in zip(local, answers):
-                            collector.add(
-                                slot,
-                                found,
-                                dispatches[slot].intersection_area(area),
-                                self.address,
-                                epoch=self.topology_epoch,
-                            )
-                collector.resolve_if_complete()
-                if not collector.complete:
-                    items = tuple(
-                        m.NNBatchItem(
-                            index=slot, dispatch=dispatches[slot], req_acc=req_accs[slot]
-                        )
-                        for slot in range(len(dispatches))
-                        if not collector.item_complete(slot)
-                    )
-                    # An interior entry (split mid-use) routes through its own
-                    # fwd handler, as _execute_range_many does.
-                    dest = self.address if self.store is None else self._parent
-                    if dest is not None:
-                        self.send(
-                            dest,
-                            m.NNCandidatesBatchFwd(
-                                query_id=query_id,
-                                items=items,
-                                entry_server=self.address,
-                                sender=self.address,
-                                epoch=self.topology_epoch,
-                            ),
-                        )
-                        await collector.future
-            finally:
-                self._batch_collectors.pop(query_id, None)
-            for slot in range(len(dispatches)):
-                merged[slot].update(collector.entries[slot])
-            if not collector.stale and self.topology_epoch == collector.epoch:
-                break
-            current = self.topology_epoch
-            done = {
-                slot
-                for slot in range(len(dispatches))
-                if collector.item_complete(slot)
-                and collector.slot_epochs[slot] <= {current}
-            }
-            if len(done) == len(dispatches):
-                break  # the race only grazed already-settled slots
-            if attempt < _EPOCH_RETRIES:  # a re-issue will actually run
-                self.stats.epoch_retries += 1
-        return [list(bucket.items()) for bucket in merged]
-
-    async def _on_nn_batch_fwd(self, msg: m.NNCandidatesBatchFwd) -> None:
-        self.stats.note(msg)
-        self._note_epoch(msg)
-        self._route_batch_fanout(
-            msg,
-            answer_fn=lambda live: self.store.nn_candidates_many(
-                [item.dispatch for item in live],
-                [item.req_acc for item in live],
-            ),
-            make_fwd=lambda items, sender: m.NNCandidatesBatchFwd(
-                query_id=msg.query_id,
-                items=items,
-                entry_server=msg.entry_server,
-                sender=sender,
-                epoch=msg.epoch,
-            ),
-            make_sub_res=lambda live, answers, area: m.NNCandidatesBatchSubRes(
-                query_id=msg.query_id,
-                results=tuple(
-                    (item.index, tuple(found), item.dispatch.intersection_area(area))
-                    for item, found in zip(live, answers)
-                ),
-                origin=self.address,
-                origin_area=area,
-                epoch=self.topology_epoch,
-            ),
-        )
-
-    async def _on_nn_batch_sub_res(self, msg: m.NNCandidatesBatchSubRes) -> None:
-        self.stats.note(msg)
-        self.caches.note_leaf_area(msg.origin, msg.origin_area)
-        collector = self._batch_collectors.get(msg.query_id)
-        if collector is None:
-            return  # late answer for an already-completed batch
-        collector.note_epoch(msg.epoch)
-        for index, entries, covered in msg.results:
-            collector.add(index, entries, covered, msg.origin, epoch=msg.epoch)
-        collector.resolve_if_complete()
-
-    async def _on_nn_fwd(self, msg: m.NNCandidatesFwd) -> None:
-        self.stats.note(msg)
-        dispatch = msg.dispatch
-        if dispatch.intersects(self.config.area):
-            if self.is_leaf:
-                entries = tuple(self.store.nn_candidates(dispatch, msg.req_acc))
-                self.send(
-                    msg.entry_server,
-                    m.NNCandidatesSubRes(
-                        query_id=msg.query_id,
-                        entries=entries,
-                        covered_area=dispatch.intersection_area(self.config.area),
-                        origin=self.address,
-                        origin_area=self.config.area,
-                        epoch=self.topology_epoch,
-                    ),
-                )
-            else:
-                for child in self.config.children:
-                    if child.server_id != msg.sender and dispatch.intersects(child.area):
-                        self.send(
-                            child.server_id,
-                            m.NNCandidatesFwd(
-                                query_id=msg.query_id,
-                                dispatch=dispatch,
-                                req_acc=msg.req_acc,
-                                entry_server=msg.entry_server,
-                                sender=self.address,
-                            ),
-                        )
-        if (
-            not msg.direct
-            and not self.config.area.contains_rect(dispatch)
-            and self._parent is not None
-            and self._parent != msg.sender
-        ):
-            self.send(
-                self._parent,
-                m.NNCandidatesFwd(
-                    query_id=msg.query_id,
-                    dispatch=dispatch,
-                    req_acc=msg.req_acc,
-                    entry_server=msg.entry_server,
-                    sender=self.address,
-                ),
-            )
-
-    async def _on_nn_sub_res(self, msg: m.NNCandidatesSubRes) -> None:
-        self.stats.note(msg)
-        self.caches.note_leaf_area(msg.origin, msg.origin_area)
-        collector = self._collectors.get(msg.query_id)
-        if collector is None:
-            return
-        collector.note_epoch(msg.epoch)
-        collector.add(msg.entries, msg.covered_area, msg.origin)
-        collector.note_area(msg.origin, msg.origin_area, msg.epoch)
-        collector.resolve_if_complete()
+        return results, rounds, origins
 
     # ======================================================================
     # Accuracy renegotiation

@@ -63,7 +63,9 @@ class CostModel:
 
     ``service`` maps message type name to seconds of CPU; ``per_entry``
     adds result-size dependent cost (building / merging answer sets).
-    Types missing from the map cost ``default``.
+    Types missing from the map cost ``default``.  A fan-out forward
+    (:data:`FAN_OUT_FORWARDS`) pays its cost once per item it carries —
+    the receiving leaf runs one index scan for each.
 
     Non-leaf servers only *route* most messages — they never scan a
     spatial index — so addresses listed in ``routers`` are charged
@@ -79,7 +81,10 @@ class CostModel:
     def service_time(self, message: Message, dst: str | None = None) -> float:
         if dst is not None and dst in self.routers:
             return self.router_service + self.per_entry * _entry_count(message)
-        base = self.service.get(type(message).__name__, self.default)
+        name = type(message).__name__
+        base = self.service.get(name, self.default)
+        if name in FAN_OUT_FORWARDS:
+            base *= len(message.items)
         return base + self.per_entry * _entry_count(message)
 
     @classmethod
@@ -88,11 +93,17 @@ class CostModel:
         return cls(service={}, per_entry=0.0, default=0.0)
 
 
+#: The query fan-out pair, by type name (this layer sits below
+#: ``repro.core.messages``): a forward carries ``items``, a sub-result
+#: per-item ``(index, entries, covered)`` triples in ``results``.
+FAN_OUT_FORWARDS = frozenset({"RangeQueryBatchFwd", "NNCandidatesBatchFwd"})
+FAN_OUT_SUB_RESULTS = frozenset({"RangeQueryBatchSubRes", "NNCandidatesBatchSubRes"})
+
+
 def _entry_count(message: Message) -> int:
+    """Result entries a message carries: a query answer's ``entries``,
+    or those inside a fan-out sub-result's ``results``."""
+    if type(message).__name__ in FAN_OUT_SUB_RESULTS:
+        return sum(len(entries) for _, entries, _ in message.results)
     entries = getattr(message, "entries", None)
-    if entries is None:
-        return 0
-    try:
-        return len(entries)
-    except TypeError:  # pragma: no cover - defensive
-        return 0
+    return len(entries) if entries is not None else 0

@@ -10,7 +10,8 @@ The measured costs map onto message types:
 =====================  ==========================================
 ``UpdateReq``          one sighting-DB update
 ``PosQueryReq/Fwd``    one hash lookup (+ response construction)
-``RangeQueryReq/Fwd``  one spatial-index search over a medium area
+``RangeQueryReq``      one spatial-index search over a medium area
+``…BatchFwd``          the same, once per item the forward carries
 ``HandoverBatchReq``   insert + visitor-DB write
 other                  a small fixed routing cost
 =====================  ==========================================
@@ -47,8 +48,8 @@ class CalibrationResult:
                 "PosQueryFwd": self.pos_query_cost,
                 "PosQueryDirect": self.pos_query_cost,
                 "RangeQueryReq": self.range_query_cost,
-                "RangeQueryFwd": self.range_query_cost,
-                "NNCandidatesFwd": self.range_query_cost,
+                "RangeQueryBatchFwd": self.range_query_cost,
+                "NNCandidatesBatchFwd": self.range_query_cost,
                 "NeighborQueryReq": self.range_query_cost,
                 "HandoverBatchReq": self.insert_cost,
                 "RegisterReq": self.insert_cost,

@@ -307,14 +307,16 @@ class DistributedHarness:
         WorkloadGenerator`) is split by :func:`~repro.sim.workload.
         coalesce_updates`: the position updates land as one batched store
         update per leaf (the paper's always-local updates — the server
-        tick), the batch's range queries run as one batched distributed
-        fan-out per entry leaf (:meth:`~repro.core.server.LocationServer.
+        tick), the batch's range queries run as one distributed fan-out
+        per entry leaf (:meth:`~repro.core.server.LocationServer.
         evaluate_range_many` — one ``query_rect_many`` candidate pass per
-        involved leaf), the nearest-neighbor queries likewise batch per
-        entry leaf (:meth:`~repro.core.server.LocationServer.
-        evaluate_neighbors_many` — one ``NNCandidatesBatchFwd`` fan-out
-        per ring round), and the remaining queries run through the normal
-        request protocol.  Returns operation counters.
+        involved leaf), the nearest-neighbor queries likewise share one
+        fan-out per entry leaf and ring round (:meth:`~repro.core.server.
+        LocationServer.evaluate_neighbors_many`), and the remaining
+        queries run through the normal request protocol.  It is the same
+        query lane a client's single ``RangeQueryReq`` /
+        ``NeighborQueryReq`` takes as a batch of one.  Returns operation
+        counters.
         """
         from repro.model import NearestNeighborQuery, RangeQuery
 

@@ -215,38 +215,17 @@ class PointQuadtree(SpatialIndex):
     # -- queries ------------------------------------------------------------
 
     def query_rect(self, rect: Rect) -> Iterator[tuple[str, Point]]:
-        if self._root is None:
-            return
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            p = node.point
-            if rect.contains_point(p):
-                yield node.object_id, p
-            # A quadrant can only hold matches if the rect reaches past the
-            # node's split lines in that direction.
-            west = rect.min_x < node.split_x
-            east = rect.max_x >= node.split_x
-            south = rect.min_y < node.split_y
-            north = rect.max_y >= node.split_y
-            children = node.children
-            if south:
-                if west and children[_SW] is not None:
-                    stack.append(children[_SW])
-                if east and children[_SE] is not None:
-                    stack.append(children[_SE])
-            if north:
-                if west and children[_NW] is not None:
-                    stack.append(children[_NW])
-                if east and children[_NE] is not None:
-                    stack.append(children[_NE])
+        return _scan(self._root, rect) if self._root is not None else iter(())
 
     def query_rect_many(self, rects) -> list[list[tuple[str, Point]]]:
         """Answer many rect queries in one traversal.
 
         The stack carries, per node, the indices of the rects whose
         search can still reach that subtree; shared tree prefixes are
-        visited once for the whole batch instead of once per rect.
+        visited once for the whole batch instead of once per rect, and a
+        subtree only one rect still reaches gets the plain
+        :meth:`query_rect` walk — the per-node bookkeeping below is for
+        telling rects apart.
         """
         rect_list = list(rects)
         results: list[list[tuple[str, Point]]] = [[] for _ in rect_list]
@@ -257,6 +236,9 @@ class PointQuadtree(SpatialIndex):
         ]
         while stack:
             node, active = stack.pop()
+            if len(active) == 1:
+                results[active[0]].extend(_scan(node, rect_list[active[0]]))
+                continue
             p = node.point
             px, py = node.split_x, node.split_y
             children = node.children
@@ -368,6 +350,33 @@ class PointQuadtree(SpatialIndex):
                 if child is not None:
                     stack.append(child)
         return nodes
+
+
+def _scan(root: _Node, rect: Rect) -> Iterator[tuple[str, Point]]:
+    """Every ``(object id, point)`` inside ``rect`` in the subtree at ``root``."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        p = node.point
+        if rect.contains_point(p):
+            yield node.object_id, p
+        # A quadrant can only hold matches if the rect reaches past the
+        # node's split lines in that direction.
+        west = rect.min_x < node.split_x
+        east = rect.max_x >= node.split_x
+        south = rect.min_y < node.split_y
+        north = rect.max_y >= node.split_y
+        children = node.children
+        if south:
+            if west and children[_SW] is not None:
+                stack.append(children[_SW])
+            if east and children[_SE] is not None:
+                stack.append(children[_SE])
+        if north:
+            if west and children[_NW] is not None:
+                stack.append(children[_NW])
+            if east and children[_NE] is not None:
+                stack.append(children[_NE])
 
 
 def _region_distance(point: Point, region: tuple[float, float, float, float]) -> float:

@@ -150,7 +150,7 @@ class TestHomeServerBaseline:
 
         entries = net.run_coro(scenario())
         # Every home server received the query: no spatial locality.
-        assert net.stats.by_type.get("RangeQueryFwd") == 8
+        assert net.stats.by_type.get("RangeQueryBatchFwd") == 8
         ids = {oid for oid, _ in entries}
         assert ids and all(oid.startswith("o") for oid in ids)
 

@@ -200,31 +200,34 @@ class TestMergedLeafSoftState:
 
 class TestCoverageDedupe:
     def test_duplicate_origin_coverage_counted_once(self):
-        from repro.core.server import _BatchCollector, _Collector
+        from repro.core.server import _BatchCollector
 
         class _FakeFuture:
+            resolved = False
+
             def done(self):
-                return False
+                return self.resolved
 
             def set_result(self, value):
-                pass
+                self.resolved = True
 
-        collector = _Collector(_FakeFuture(), target=100.0)
-        collector.add([("a", None)], 60.0, origin="leaf-1")
-        collector.add([("b", None)], 60.0, origin="leaf-1")  # forwarded dup
-        assert collector.covered == 60.0
-        assert not collector.complete
-        assert set(collector.entries) == {"a", "b"}  # entries still merge
-        collector.add([], 40.0, origin="leaf-2")
-        assert collector.complete
-
-        batch = _BatchCollector(_FakeFuture(), targets=[100.0, 50.0])
-        batch.add(0, [], 80.0, origin="leaf-1")
-        batch.add(0, [], 80.0, origin="leaf-1")
-        batch.add(1, [], 80.0, origin="leaf-1")  # same origin, other item
-        assert batch.covered == [80.0, 80.0]
-        assert not batch.item_complete(0)
-        assert batch.item_complete(1)
+        future = _FakeFuture()
+        buckets = [{}, {}]
+        west, east = Rect(0, 0, 6, 10), Rect(6, 0, 10, 10)
+        collector = _BatchCollector(
+            future, 0, [(0, Rect(0, 0, 10, 10)), (1, Rect(0, 0, 10, 5))], buckets, set()
+        )
+        collector.add([(0, [("a", None)], 60.0)], "leaf-1", west, 0)
+        collector.add([(0, [("b", None)], 60.0)], "leaf-1", west, 0)  # forwarded dup
+        assert collector.covered[0] == 60.0
+        assert collector.open == {0, 1}
+        assert set(buckets[0]) == {"a", "b"}  # entries still merge
+        collector.add([(1, [], 50.0)], "leaf-1", west, 0)  # same origin, other item
+        assert collector.covered == [60.0, 50.0]
+        assert collector.open == {0} and not future.resolved
+        collector.add([(0, [], 40.0)], "leaf-2", east, 0)
+        assert not collector.open and future.resolved
+        assert collector.origins == {"leaf-1", "leaf-2"}
 
 
 class TestRecursiveSplit:

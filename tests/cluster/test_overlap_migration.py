@@ -20,8 +20,8 @@ from repro.cluster import (
 from repro.core import messages as m
 from repro.core.caching import CacheConfig
 from repro.errors import LocationServiceError
-from repro.geo import Point
-from repro.model import SightingRecord
+from repro.geo import Point, Rect
+from repro.model import NearestNeighborQuery, RangeQuery, SightingRecord
 from repro.sim.scenario import table2_service
 
 from tests.cluster.test_migration import Reporter
@@ -229,6 +229,81 @@ class TestEpochRaces:
         assert entry.stats.epoch_retries >= 1
         svc.settle()
         svc.check_consistency()
+
+    def race_merge_into_fanout(self, ask, cutover_after):
+        """Split root.0, stage merging it back, and cut over while
+        ``ask(svc, entry)``'s fan-out from root.3 is in flight: after
+        root.1 and root.2 answered under the old epoch, before the
+        forward reaches root.0's children (one hop deeper) — so only
+        the merged root.0 answers under the new epoch.  Returns the
+        fan-out forwards root.3 sent and root.0's service area."""
+        svc, homes = table2_service(object_count=240, seed=45)
+        executor = MigrationExecutor(svc)
+        split_report = executor.execute(plan_split(svc))
+        migration = executor.begin(
+            MergePlan(parent_id="root.0", children=split_report.spawned)
+        )
+        executor.step(migration)
+        entry = svc.servers["root.3"]
+        forwards = []
+        send = entry.send
+
+        def recording_send(dest, message):
+            if isinstance(message, (m.RangeQueryBatchFwd, m.NNCandidatesBatchFwd)):
+                forwards.append(message)
+            send(dest, message)
+
+        entry.send = recording_send
+        svc.loop.call_later(cutover_after, lambda: executor.cutover(migration))
+        ask(svc, entry)
+        assert entry.stats.epoch_retries == 1
+        svc.settle()
+        svc.check_consistency()
+        return forwards, svc.servers["root.0"].config.area
+
+    def assert_reissue_skips_current_epoch_answers(self, forwards, answered_area):
+        """The one retry rule: the re-issue asks only for the space
+        whose coverage is in doubt — never again for a leaf that
+        answered under the current epoch."""
+        first, reissue = forwards
+        assert any(item.dispatch.intersects(answered_area) for item in first.items)
+        assert reissue.items
+        for item in reissue.items:
+            assert item.dispatch.intersection_area(answered_area) == 0.0
+
+    def test_reissued_range_query_excludes_current_epoch_answers(self):
+        def ask(svc, entry):
+            answer = svc.range_query(
+                svc.hierarchy.root_area(), req_acc=100.0, entry_server="root.3"
+            )
+            assert len(answer.entries) == 240
+
+        # + one client → entry hop before the fan-out leaves root.3
+        self.assert_reissue_skips_current_epoch_answers(
+            *self.race_merge_into_fanout(ask, cutover_after=1200e-6)
+        )
+
+    def test_reissued_range_batch_excludes_current_epoch_answers(self):
+        def ask(svc, entry):
+            query = RangeQuery(svc.hierarchy.root_area(), req_acc=100.0, req_overlap=0.5)
+            local = RangeQuery(Rect(900, 900, 1400, 1400), req_acc=1.0, req_overlap=0.5)
+            whole, again, _ = svc.run(entry.evaluate_range_many([query, query, local]))
+            assert len(whole) == len(again) == 240
+
+        forwards, answered_area = self.race_merge_into_fanout(ask, cutover_after=850e-6)
+        self.assert_reissue_skips_current_epoch_answers(forwards, answered_area)
+        # Both spanning queries ride the one re-issue; the local one never left.
+        assert len(forwards[0].items) == 2 and len(forwards[1].items) == 4
+
+    def test_reissued_nn_round_excludes_current_epoch_answers(self):
+        def ask(svc, entry):
+            query = NearestNeighborQuery(Point(750, 750), req_acc=100.0)
+            (result,) = svc.run(entry.evaluate_neighbors_many([query]))
+            assert result.nearest is not None
+
+        self.assert_reissue_skips_current_epoch_answers(
+            *self.race_merge_into_fanout(ask, cutover_after=850e-6)
+        )
 
     def test_adopt_hierarchy_requires_increasing_epoch(self):
         svc, _ = table2_service(object_count=10, seed=46)

@@ -10,7 +10,7 @@ from repro.core import (
 )
 from repro.core.caching import LeafCaches
 from repro.geo import Point, Rect
-from repro.model import LocationDescriptor
+from repro.model import LocationDescriptor, RangeQuery
 
 
 def make_service(**cache_kwargs):
@@ -165,7 +165,7 @@ class TestAreaCacheIntegration:
             svc.register(f"o{i}", Point(x, y))
         self.warm_area_cache(svc)
         assert svc.servers["root.0"].caches.known_leaf_count() >= 3
-        root_fwds_before = svc.servers["root"].stats.messages_handled.get("RangeQueryFwd", 0)
+        root_fwds_before = svc.servers["root"].stats.messages_handled.get("RangeQueryBatchFwd", 0)
         svc.network.stats.reset()
         answer = svc.range_query(
             Rect(1300, 1300, 1500, 1500), req_acc=60.0, req_overlap=0.3, entry_server="root.0"
@@ -173,9 +173,31 @@ class TestAreaCacheIntegration:
         assert {oid for oid, _ in answer.entries} == {"o3"}
         by_type = svc.network.stats.by_type
         # The root never sees the query: the fwd went straight to root.3.
-        root_fwds_after = svc.servers["root"].stats.messages_handled.get("RangeQueryFwd", 0)
+        root_fwds_after = svc.servers["root"].stats.messages_handled.get("RangeQueryBatchFwd", 0)
         assert root_fwds_after == root_fwds_before
-        assert by_type.get("RangeQueryFwd", 0) == 1
+        assert by_type.get("RangeQueryBatchFwd", 0) == 1
+        assert by_type.get("RangeQueryBatchSubRes", 0) == 1
+
+    def test_batch_groups_direct_dispatch_per_cached_leaf(self):
+        """Three queries clear of the entry leaf, two destination leaves:
+        one direct forward per leaf, none through the root."""
+        svc = make_service(area_cache=True)
+        for i, (x, y) in enumerate([(100, 100), (1400, 100), (100, 1400), (1400, 1400)]):
+            svc.register(f"o{i}", Point(x, y))
+        self.warm_area_cache(svc)
+        svc.network.stats.reset()
+        queries = [
+            RangeQuery(Rect(1300, 1300, 1500, 1500), req_acc=60.0, req_overlap=0.3),
+            RangeQuery(Rect(900, 900, 1200, 1200), req_acc=60.0, req_overlap=0.3),
+            RangeQuery(Rect(900, 50, 1450, 1450), req_acc=60.0, req_overlap=0.3),
+        ]
+        results = svc.run(svc.servers["root.0"].evaluate_range_many(queries))
+        assert [{oid for oid, _ in found} for found in results] == [{"o3"}, set(), {"o1", "o3"}]
+        # root.3 got its three items in one message, root.1 its one.
+        assert svc.network.stats.by_type == {
+            "RangeQueryBatchFwd": 2,
+            "RangeQueryBatchSubRes": 2,
+        }
 
     def test_direct_handover_repairs_path(self):
         svc = make_service(area_cache=True)

@@ -104,10 +104,10 @@ class TestFig6RangeQuery:
         assert ids == {"a", "b"}
         # The query propagates up to s1 (the first server covering the
         # area), down through s3 to s6 and s7, which answer s4 directly.
-        assert handled(svc, "s3", "RangeQueryFwd") == 1
-        assert handled(svc, "s6", "RangeQueryFwd") == 1
-        assert handled(svc, "s7", "RangeQueryFwd") == 1
-        assert handled(svc, "s4", "RangeQuerySubRes") == 2
+        assert handled(svc, "s3", "RangeQueryBatchFwd") == 1
+        assert handled(svc, "s6", "RangeQueryBatchFwd") == 1
+        assert handled(svc, "s7", "RangeQueryBatchFwd") == 1
+        assert handled(svc, "s4", "RangeQueryBatchSubRes") == 2
 
     def test_local_range_stays_in_leaf(self, svc):
         svc.register("a", Point(100, 100))
@@ -117,4 +117,4 @@ class TestFig6RangeQuery:
         )
         assert {oid for oid, _ in answer.entries} == {"a"}
         # Entirely inside s4: no forwarding at all.
-        assert svc.network.stats.by_type.get("RangeQueryFwd", 0) == 0
+        assert svc.network.stats.by_type.get("RangeQueryBatchFwd", 0) == 0

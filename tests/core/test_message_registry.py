@@ -7,8 +7,8 @@ one role of the system — the hierarchy server or the client side —
 registers a handler for it.  A type that is none of these, or that no
 code under ``src/`` ever constructs, is a lane kept alive only by its
 own tests.  The tables that *name* message types by string
-(``PROTOCOL_LANE_MESSAGE_TYPES``, the calibrated cost model) must name
-only types that exist.
+(``PROTOCOL_LANE_MESSAGE_TYPES``, the calibrated cost model, the latency
+model's fan-out pair) must name only types that exist.
 
 Schema hygiene rides along: every field annotation of every wire type
 must resolve to a kind :mod:`repro.runtime.schema` supports, so a future
@@ -32,6 +32,7 @@ from repro.errors import WireError
 from repro.geo import Rect
 from repro.net.wire import registered_types
 from repro.runtime.base import Message, Response
+from repro.runtime.latency import FAN_OUT_FORWARDS, FAN_OUT_SUB_RESULTS
 from repro.runtime.schema import Kind, schema_of
 from repro.sim.calibration import CalibrationResult
 from repro.sim.metrics import PROTOCOL_LANE_MESSAGE_TYPES
@@ -118,11 +119,31 @@ def test_write_lane_binds_only_the_edge_pair_and_the_envelopes():
     }
 
 
+def test_read_lane_binds_only_the_edge_pair_and_the_fanout():
+    svc = LocationService(build_table2_hierarchy(1500.0))
+    leaf = svc.servers["root.0"]
+    read_lane = {
+        name
+        for name in handled_types(leaf)
+        if name.startswith(("RangeQuery", "NeighborQuery", "NNCandidates"))
+    }
+    assert read_lane == {
+        "RangeQueryReq",
+        "RangeQueryBatchFwd",
+        "RangeQueryBatchSubRes",
+        "NeighborQueryReq",
+        "NNCandidatesBatchFwd",
+        "NNCandidatesBatchSubRes",
+    }
+    assert [name for name in vars(leaf) if "collector" in name] == ["_batch_collectors"]
+
+
 def test_string_tables_name_only_existing_types():
     assert PROTOCOL_LANE_MESSAGE_TYPES <= set(MESSAGE_TYPES)
+    assert FAN_OUT_FORWARDS | FAN_OUT_SUB_RESULTS <= set(MESSAGE_TYPES)
     costs = CalibrationResult(1e-5, 1e-5, 1e-6, 1e-4).cost_model().service
     assert set(costs) <= set(MESSAGE_TYPES)
-    assert "HandoverBatchReq" in costs
+    assert {"HandoverBatchReq"} | FAN_OUT_FORWARDS <= set(costs)
 
 
 def _classes_under(kind: Kind):

@@ -1,11 +1,28 @@
-"""Batched distributed range fan-out vs. the per-query protocol."""
+"""The range fan-out — many queries at once (``evaluate_range_many``)
+and a client's single ``RangeQueryReq`` — against a flat-store oracle."""
 
 import random
 
 from repro.cluster import MigrationExecutor, PlannerConfig, RebalancePlanner
+from repro.core import CacheConfig
 from repro.geo import Point, Rect
 from repro.model import RangeQuery
 from repro.sim.scenario import table2_service
+from repro.storage import LocalDataStore
+
+
+def flat_oracle(svc) -> LocalDataStore:
+    """One flat store holding every object any leaf of ``svc`` tracks."""
+    oracle = LocalDataStore(ttl=1e9)
+    for leaf_id in svc.hierarchy.leaf_ids():
+        oracle.bulk_admit(svc.servers[leaf_id].store.export_leaf_entries())
+    return oracle
+
+
+def warm_area_cache(svc, entry_id: str) -> None:
+    """One spanning query teaches ``entry_id`` every leaf's service area."""
+    svc.range_query(svc.hierarchy.root_area(), req_acc=100.0, entry_server=entry_id)
+    assert svc.servers[entry_id].caches.known_leaf_count() >= 3
 
 
 def random_queries(rng, root: Rect, count: int) -> list[RangeQuery]:
@@ -20,18 +37,37 @@ def random_queries(rng, root: Rect, count: int) -> list[RangeQuery]:
 
 
 class TestEvaluateRangeMany:
-    def assert_batch_matches_singles(self, svc, entry_id, queries):
-        server = svc.servers[entry_id]
-        batched = svc.run(server.evaluate_range_many(queries))
-        for query, batch_answer in zip(queries, batched):
-            single = svc.run(server.evaluate_range(query))
-            assert batch_answer == single
+    def assert_matches_flat_oracle(self, svc, entry_id, queries):
+        """Three ways to one answer: the batch entry point, the client's
+        single-query message, and a flat store that knows no hierarchy."""
+        expected = [tuple(found) for found in flat_oracle(svc).range_query_many(queries)]
+        assert svc.run(svc.servers[entry_id].evaluate_range_many(queries)) == expected
+        client = svc.new_client(entry_server=entry_id)
+        singles = [
+            svc.run(client.range_query(q.area, req_acc=q.req_acc, req_overlap=q.req_overlap))
+            for q in queries
+        ]
+        assert [answer.entries for answer in singles] == expected
 
     def test_matches_per_query_protocol(self):
         svc, _ = table2_service(object_count=400, seed=1)
         rng = random.Random(1)
         queries = random_queries(rng, svc.hierarchy.root_area(), 8)
-        self.assert_batch_matches_singles(svc, "root.0", queries)
+        self.assert_matches_flat_oracle(svc, "root.0", queries)
+
+    def test_matches_with_warm_area_cache(self):
+        svc, _ = table2_service(
+            object_count=400, seed=1, cache_config=CacheConfig(area_cache=True)
+        )
+        warm_area_cache(svc, "root.0")
+        rng = random.Random(1)
+        queries = random_queries(rng, svc.hierarchy.root_area(), 6) + [
+            # clear of root.0, so the cached leaves tile the whole dispatch
+            RangeQuery(Rect(900, 900, 1400, 1400), req_acc=100.0, req_overlap=0.5),
+            RangeQuery(Rect(900, 100, 1400, 1400), req_acc=100.0, req_overlap=0.5),
+        ]
+        self.assert_matches_flat_oracle(svc, "root.0", queries)
+        assert svc.servers["root.0"].caches.stats.area_hits >= 4  # batch + singles
 
     def test_cross_leaf_and_local_mix(self):
         svc, _ = table2_service(object_count=400, seed=2)
@@ -41,7 +77,7 @@ class TestEvaluateRangeMany:
             RangeQuery(Rect(0, 0, 1500, 1500), req_acc=100.0, req_overlap=0.5),
             RangeQuery(Rect(1400, 1400, 1500, 1500), req_acc=100.0, req_overlap=0.5),
         ]
-        self.assert_batch_matches_singles(svc, "root.3", queries)
+        self.assert_matches_flat_oracle(svc, "root.3", queries)
 
     def test_empty_batch(self):
         svc, _ = table2_service(object_count=10)
@@ -64,7 +100,7 @@ class TestEvaluateRangeMany:
         rng = random.Random(5)
         queries = random_queries(rng, svc.hierarchy.root_area(), 6)
         entry = svc.hierarchy.leaf_ids()[0]
-        self.assert_batch_matches_singles(svc, entry, queries)
+        self.assert_matches_flat_oracle(svc, entry, queries)
 
     def test_single_server_hierarchy(self):
         from repro.core import LocationService, build_grid_hierarchy
@@ -84,6 +120,4 @@ class TestEvaluateRangeMany:
             RangeQuery(Rect(0, 0, 50, 50), req_acc=100.0, req_overlap=0.5),
             RangeQuery(Rect(60, 60, 100, 100), req_acc=100.0, req_overlap=0.5),
         ]
-        results = svc.run(server.evaluate_range_many(queries))
-        singles = [svc.run(server.evaluate_range(q)) for q in queries]
-        assert results == singles
+        self.assert_matches_flat_oracle(svc, "root", queries)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
-from repro.geo import Point, Rect
+from repro.geo import Point, Rect, subtract_rects
 
 coord = st.floats(min_value=-1e5, max_value=1e5, allow_nan=False, allow_infinity=False)
 
@@ -149,3 +149,66 @@ class TestRectProperties:
     def test_union_contains_both(self, a, b):
         u = a.union_bounds(b)
         assert u.contains_rect(a) and u.contains_rect(b)
+
+
+# Small integer coordinates: every area below is exact in floating point.
+grid = st.integers(min_value=0, max_value=12)
+
+
+@st.composite
+def grid_rects(draw):
+    x1, x2 = sorted((draw(grid), draw(grid)))
+    y1, y2 = sorted((draw(grid), draw(grid)))
+    return Rect(float(x1), float(y1), float(x2), float(y2))
+
+
+def covered_area(base, covers) -> float:
+    """SIZE(base ∩ ∪covers) by coordinate compression — no subtraction."""
+    xs = sorted({base.min_x, base.max_x, *(v for c in covers for v in (c.min_x, c.max_x))})
+    ys = sorted({base.min_y, base.max_y, *(v for c in covers for v in (c.min_y, c.max_y))})
+    total = 0.0
+    for x1, x2 in zip(xs, xs[1:]):
+        for y1, y2 in zip(ys, ys[1:]):
+            cell = Rect(x1, y1, x2, y2)
+            if base.contains_rect(cell) and any(c.contains_rect(cell) for c in covers):
+                total += cell.area
+    return total
+
+
+#: A rect still in doubt has positive area (a degenerate base that no
+#: cover touches comes back as it went in).
+bases = grid_rects().filter(lambda r: r.area > 0.0)
+
+
+class TestSubtractProperties:
+    """The geometry under the fan-out's coverage-aware retry rule."""
+
+    @given(bases, st.lists(grid_rects(), max_size=5))
+    def test_remainder_is_base_minus_the_covers(self, base, covers):
+        pieces = subtract_rects(base, covers, cap=10_000)
+        for i, piece in enumerate(pieces):
+            assert piece.area > 0.0
+            assert base.contains_rect(piece)
+            assert all(piece.intersection_area(cover) == 0.0 for cover in covers)
+            assert all(piece.intersection_area(other) == 0.0 for other in pieces[i + 1 :])
+        assert sum(piece.area for piece in pieces) == base.area - covered_area(base, covers)
+
+    @given(bases, grid_rects())
+    def test_single_subtract_is_the_one_cover_case(self, base, cover):
+        assert base.subtract(cover) == subtract_rects(base, [cover], cap=4)
+
+    @given(bases, st.lists(grid_rects(), min_size=1, max_size=5), st.integers(0, 8))
+    def test_cap_overflow_returns_none_never_a_partial_answer(self, base, covers, cap):
+        uncapped = subtract_rects(base, covers, cap=10_000)
+        capped = subtract_rects(base, covers, cap=cap)
+        if len(uncapped) > cap:
+            assert capped is None
+        else:
+            assert capped is None or capped == uncapped
+
+    def test_cap_overflow_example(self):
+        base = Rect(0, 0, 10, 10)
+        holes = [Rect(1, 1, 2, 2), Rect(4, 4, 5, 5), Rect(7, 7, 8, 8)]
+        assert subtract_rects(base, holes, cap=4) is None
+        assert len(subtract_rects(base, holes, cap=32)) > 4
+        assert subtract_rects(base, [base], cap=0) == []  # fully covered: nothing to re-query
