@@ -102,6 +102,53 @@ def _circle_polygon_area(center: Point, radius: float, vertices: tuple[Point, ..
     return abs(total)
 
 
+def circle_polygon_areas(np, cx, cy, radius, vertices: tuple[Point, ...]):
+    """Array form of :func:`_circle_polygon_area`: the areas of ``n`` disks
+    (arrays ``cx``, ``cy``, ``radius``) intersected with one polygon.
+
+    Same decomposition, one row per directed edge (a ``k × n`` array): the
+    two circle-crossing parameters clipped to ``[0, 1]`` cut the edge into
+    an outer, an inner and an outer piece; the outer pieces contribute
+    their sector angle, the inner piece its triangle.  Agrees with the
+    scalar form up to rounding, not bit for bit — callers that compare
+    against a threshold keep a guard band.  ``np`` is the numpy module.
+    """
+    vx = [v.x for v in vertices]
+    vy = [v.y for v in vertices]
+    ax = np.array(vx)[:, None] - cx
+    ay = np.array(vy)[:, None] - cy
+    bx = np.array(vx[1:] + vx[:1])[:, None] - cx
+    by = np.array(vy[1:] + vy[:1])[:, None] - cy
+    dx = bx - ax
+    dy = by - ay
+    a_coef = dx * dx + dy * dy
+    b_coef = 2.0 * (ax * dx + ay * dy)
+    r_sq = radius * radius
+    disc = b_coef * b_coef - 4.0 * a_coef * (ax * ax + ay * ay - r_sq)
+    crossing = (disc > 0.0) & (a_coef >= _EPS)
+    sqrt_disc = np.sqrt(np.where(crossing, disc, 0.0))
+    two_a = np.where(crossing, 2.0 * a_coef, 1.0)
+    # An edge the circle does not cross is one piece, classified like the
+    # scalar form's by its midpoint: inner (t1, t2 = 0, 1) or outer (0, 0).
+    mid_sq = 0.25 * ((ax + bx) ** 2 + (ay + by) ** 2)
+    t1 = np.where(crossing, np.clip((-b_coef - sqrt_disc) / two_a, 0.0, 1.0), 0.0)
+    t2 = np.where(
+        crossing,
+        np.clip((-b_coef + sqrt_disc) / two_a, 0.0, 1.0),
+        mid_sq < r_sq * (1.0 - 1e-12),
+    )
+    px = ax + t1 * dx
+    py = ay + t1 * dy
+    # B itself where the inner piece runs to the end: A + 1·(B − A) is only
+    # B up to rounding, and the angle between two near-centre vectors is noise.
+    qx = np.where(t2 < 1.0, ax + t2 * dx, bx)
+    qy = np.where(t2 < 1.0, ay + t2 * dy, by)
+    angles = np.arctan2(ax * py - ay * px, ax * px + ay * py)
+    angles += np.arctan2(qx * by - qy * bx, qx * bx + qy * by)
+    pieces = 0.5 * r_sq * angles + 0.5 * (px * qy - qx * py)
+    return np.abs(pieces.sum(axis=0))
+
+
 def _edge_contribution(ax: float, ay: float, bx: float, by: float, r: float) -> float:
     """Signed area contribution of one directed edge (circle at origin)."""
     # Split the segment at its intersections with the circle, then sum a

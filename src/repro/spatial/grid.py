@@ -78,6 +78,10 @@ class GridIndex(SpatialIndex):
             del self._cells[(record[_COL], record[_ROW])]
         return record[_POS]
 
+    def clear(self) -> None:
+        self._cells.clear()
+        self._entries.clear()
+
     def update(self, object_id: str, point: Point) -> None:
         """O(1) dict move; a same-cell move rewrites the record in place."""
         record = self._entries.get(object_id)

@@ -30,6 +30,9 @@ class LinearScanIndex(SpatialIndex):
     def remove(self, object_id: str) -> Point:
         return self._entries.pop(object_id)
 
+    def clear(self) -> None:
+        self._entries.clear()
+
     def get(self, object_id: str) -> Point | None:
         return self._entries.get(object_id)
 

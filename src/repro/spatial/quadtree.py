@@ -202,6 +202,10 @@ class PointQuadtree(SpatialIndex):
             current = current.children[current.quadrant_of(point)]
         raise KeyError(object_id)  # pragma: no cover - guarded by _points
 
+    def clear(self) -> None:
+        self._root = None
+        self._points.clear()
+
     def get(self, object_id: str) -> Point | None:
         return self._points.get(object_id)
 

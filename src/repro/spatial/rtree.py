@@ -298,6 +298,11 @@ class RTree(SpatialIndex):
                 stack.extend(current.children)
         return found
 
+    def clear(self) -> None:
+        self._root = _Node(leaf=True)
+        self._points.clear()
+        self._leaf_of.clear()
+
     def get(self, object_id: str) -> Point | None:
         return self._points.get(object_id)
 

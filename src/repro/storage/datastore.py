@@ -392,11 +392,15 @@ class LocalDataStore:
 
     def range_query(self, query: RangeQuery) -> list[ObjectEntry]:
         """``rangeQuery`` against the local spatial index."""
-        return self.sightings.objects_in_area(query, self.offered_acc)
+        return self.sightings.objects_in_area(
+            query, self.offered_acc, self.visitors.max_offered_acc
+        )
 
     def range_query_many(self, queries: list[RangeQuery]) -> list[list[ObjectEntry]]:
         """Many range queries in one shared spatial-index traversal."""
-        return self.sightings.objects_in_areas(queries, self.offered_acc)
+        return self.sightings.objects_in_areas(
+            queries, self.offered_acc, self.visitors.max_offered_acc
+        )
 
     def nearest_neighbor_query(self, query: NearestNeighborQuery) -> NearestNeighborResult:
         """``neighborQuery`` against the local spatial index."""

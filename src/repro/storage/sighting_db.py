@@ -15,6 +15,7 @@ records lapsed so the server can deregister them hierarchy-wide.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Iterator
 
 from repro.geo import Point, Rect
@@ -27,7 +28,7 @@ from repro.model import (
     SightingRecord,
     candidate_bounds,
     nearest_neighbor,
-    qualifies_for_range,
+    qualifying_indexes,
 )
 from repro.spatial import SpatialIndex, make_index
 from repro.storage.soft_state import ExpiryTimer
@@ -172,8 +173,7 @@ class SightingDB:
         """Wipe all volatile state (used to simulate a crash)."""
         self._records.clear()
         self._timer = ExpiryTimer()
-        index_type = type(self._index)
-        self._index = index_type()
+        self._index.clear()
 
     # -- lookup ------------------------------------------------------------------
 
@@ -199,53 +199,46 @@ class SightingDB:
         self,
         query: RangeQuery,
         acc_of: Callable[[str], float],
+        max_acc: float = math.inf,
     ) -> list[ObjectEntry]:
         """The paper's ``spatialIndex.objectsInArea(area, reqAcc, reqOverlap)``.
 
-        The spatial index narrows candidates to the ``Enlarge(area,
-        reqAcc)`` rect; the exact overlap/accuracy semantics then run per
-        candidate.  ``acc_of`` maps an object id to its *offered* accuracy
-        (stored in the visitor DB, not here — Algorithm 6-5 line 5 builds
-        ``ld(s.pos, visitorDB(s.oId).offeredAcc)``).
+        The spatial index narrows candidates to the query's
+        :func:`~repro.model.queries.candidate_bounds` (Algorithm 6-5's
+        ``Enlarge(area, reqAcc)``, tightened); the exact overlap/accuracy
+        semantics then run once over the candidate arrays
+        (:func:`~repro.model.queries.qualifying_indexes`), and a
+        descriptor is built only for members.  ``acc_of`` maps an object
+        id to its *offered* accuracy (stored in the visitor DB, not here —
+        Algorithm 6-5 line 5 builds ``ld(s.pos,
+        visitorDB(s.oId).offeredAcc)``); ``max_acc`` is the caller's
+        promise that ``acc_of`` never exceeds it, which bounds the scan.
+        The result is sorted by object id.
         """
-        bounds = candidate_bounds(query)
-        candidates = self._index.query_rect(bounds)
-        result = []
-        for oid, pos in candidates:
-            descriptor = LocationDescriptor(pos, acc_of(oid))
-            if qualifies_for_range(query.area, descriptor, query.req_acc, query.req_overlap):
-                result.append((oid, descriptor))
-        result.sort(key=lambda entry: entry[0])
-        return result
+        candidates = self._index.query_rect(candidate_bounds(query, max_acc))
+        return _members(query, list(candidates), acc_of)
 
     def objects_in_areas(
         self,
         queries: Iterable[RangeQuery],
         acc_of: Callable[[str], float],
+        max_acc: float = math.inf,
     ) -> list[list[ObjectEntry]]:
         """Answer many range queries with one shared index traversal.
 
         The batched counterpart of :meth:`objects_in_area`: all candidate
         rects go through one :meth:`~repro.spatial.SpatialIndex.
-        query_rect_many` call, then the exact overlap/accuracy semantics
-        run per candidate as usual.  Result ``i`` matches ``queries[i]``.
+        query_rect_many` call, then each query's candidates are filtered
+        exactly as there.  Result ``i`` matches ``queries[i]``.
         """
         query_list = list(queries)
         candidate_lists = self._index.query_rect_many(
-            [candidate_bounds(q) for q in query_list]
+            [candidate_bounds(q, max_acc) for q in query_list]
         )
-        results: list[list[ObjectEntry]] = []
-        for query, candidates in zip(query_list, candidate_lists):
-            matched = []
-            for oid, pos in candidates:
-                descriptor = LocationDescriptor(pos, acc_of(oid))
-                if qualifies_for_range(
-                    query.area, descriptor, query.req_acc, query.req_overlap
-                ):
-                    matched.append((oid, descriptor))
-            matched.sort(key=lambda entry: entry[0])
-            results.append(matched)
-        return results
+        return [
+            _members(query, candidates, acc_of)
+            for query, candidates in zip(query_list, candidate_lists)
+        ]
 
     def positions_in_rect(self, rect: Rect) -> Iterator[tuple[str, Point]]:
         """Raw spatial-index scan: (object id, position) pairs in a rect."""
@@ -329,3 +322,25 @@ class SightingDB:
 
     def expiry_deadline(self, object_id: str) -> float | None:
         return self._timer.deadline_of(object_id)
+
+
+def _members(
+    query: RangeQuery,
+    candidates: list[tuple[str, Point]],
+    acc_of: Callable[[str], float],
+) -> list[ObjectEntry]:
+    """The candidates of one index scan that satisfy ``query``, by id."""
+    accs = [acc_of(oid) for oid, _ in candidates]
+    members = qualifying_indexes(
+        query.area,
+        [pos.x for _, pos in candidates],
+        [pos.y for _, pos in candidates],
+        accs,
+        query.req_acc,
+        query.req_overlap,
+    )
+    matched = [
+        (candidates[i][0], LocationDescriptor(candidates[i][1], accs[i])) for i in members
+    ]
+    matched.sort(key=lambda entry: entry[0])
+    return matched

@@ -55,13 +55,18 @@ TOMBSTONE_CAPACITY = 4096
 class VisitorDB:
     """Persistent map of object id to visitor record."""
 
-    __slots__ = ("_records", "_store", "_tombstones")
+    __slots__ = ("_records", "_store", "_tombstones", "max_offered_acc")
 
     def __init__(self, store: PersistentStore | None = None) -> None:
         self._records: dict[str, VisitorRecord] = {}
         self._store = store if store is not None else MemoryStore()
         #: insertion-ordered set of recently removed ids (dict-as-set).
         self._tombstones: dict[str, None] = {}
+        #: high-water mark of the leaf records' offered accuracies: no
+        #: record is coarser, so a range scan need not reach further.
+        #: Raised on write, never lowered by :meth:`remove` (a stale mark
+        #: is loose, never wrong); :meth:`compact` re-tightens it.
+        self.max_offered_acc = 0.0
 
     # -- mutation (each op is one durable log record) -----------------------
 
@@ -76,6 +81,7 @@ class VisitorDB:
         """Create (or replace) a leaf visitor record — this server becomes
         the object's agent."""
         self._records[object_id] = LeafVisitorRecord(object_id, offered_acc, reg_info)
+        self.max_offered_acc = max(self.max_offered_acc, offered_acc)
         self._store.append(
             "leaf",
             {
@@ -95,6 +101,7 @@ class VisitorDB:
         self._records[object_id] = LeafVisitorRecord(
             object_id, offered_acc, record.reg_info
         )
+        self.max_offered_acc = max(self.max_offered_acc, offered_acc)
         self._store.append("acc", {"oid": object_id, "acc": offered_acc})
 
     def insert_forward_many(self, refs: Iterable[tuple[str, str]]) -> None:
@@ -168,8 +175,14 @@ class VisitorDB:
 
     # -- durability -----------------------------------------------------------
 
+    def _tighten_max_offered_acc(self) -> None:
+        self.max_offered_acc = max(
+            (record.offered_acc for record in self.leaf_records()), default=0.0
+        )
+
     def compact(self) -> None:
         """Snapshot current state and truncate the log."""
+        self._tighten_max_offered_acc()
         records = []
         for record in self._records.values():
             if isinstance(record, NonLeafVisitorRecord):
@@ -218,4 +231,5 @@ class VisitorDB:
                 db._records.pop(oid, None)
             else:
                 raise StorageError(f"unknown log operation {operation!r}")
+        db._tighten_max_offered_acc()
         return db

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geo import Circle, Point, Polygon, Rect, circle_circle_intersection_area
+from repro.geo.circle import circle_polygon_areas
 
 
 class TestBasics:
@@ -103,6 +104,58 @@ class TestCirclePolygonArea:
         assert c.intersection_area(Rect(-1, -1, 1, 1)) == pytest.approx(
             c.intersection_area(Polygon.from_rect(Rect(-1, -1, 1, 1)))
         )
+
+
+class TestArrayForm:
+    """`circle_polygon_areas` is `intersection_area` for many disks at
+    once; the scalar form is the reference."""
+
+    L_SHAPE = Polygon(
+        [Point(0, 0), Point(60, 0), Point(60, 20), Point(20, 20), Point(20, 60), Point(0, 60)]
+    )
+
+    @staticmethod
+    def both(region, disks):
+        np = pytest.importorskip("numpy")
+        cx, cy, r = (np.array(column, dtype=float) for column in zip(*disks))
+        vertices = region.corners if isinstance(region, Rect) else region.points
+        array = circle_polygon_areas(np, cx, cy, r, vertices)
+        scalar = [Circle(Point(x, y), radius).intersection_area(region) for x, y, radius in disks]
+        return array.tolist(), scalar
+
+    @pytest.mark.parametrize("region", [Rect(0, 0, 100, 50), L_SHAPE])
+    def test_matches_scalar_on_a_grid_of_disks(self, region):
+        disks = [
+            (x, y, radius)
+            for x in range(-30, 131, 10)
+            for y in range(-30, 91, 10)
+            for radius in (3.0, 25.0, 80.0, 400.0)
+        ]
+        array, scalar = self.both(region, disks)
+        for got, want, (_, _, radius) in zip(array, scalar, disks):
+            assert got == pytest.approx(want, abs=1e-9 * radius * radius)
+
+    def test_centre_on_a_vertex_an_edge_and_a_hair_beside_them(self):
+        # Vectors from the centre to a vertex are (near) zero here; a sector
+        # angle taken between two of them would be noise.
+        square = Rect(0, 0, 1, 1)
+        disks = [
+            (0.0, 0.0, 2.0),
+            (7.661573393067506e-209, -1.7606284972114472e-74, 2.0),
+            (1.0, 1.0, 0.5),
+            (0.5, 0.0, 0.25),
+            (0.5, 1e-300, 0.25),
+            (1.0 + 1e-17, 0.5, 3.0),
+        ]
+        array, scalar = self.both(square, disks)
+        assert array == pytest.approx(scalar, abs=1e-12)
+        assert array[0] == pytest.approx(1.0) and array[2] == pytest.approx(math.pi / 16)
+
+    def test_degenerate_regions_have_no_area(self):
+        disks = [(0.0, 0.0, 1.0), (5.0, 0.5, 2.0)]
+        for region in (Rect(0, 0, 10, 0), Rect(3, 3, 3, 3)):
+            array, scalar = self.both(region, disks)
+            assert array == scalar == [0.0, 0.0]
 
 
 class TestCircleCircle:

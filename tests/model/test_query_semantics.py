@@ -5,11 +5,15 @@ examples (its Figures 3 and 4) as concrete geometric scenarios and assert
 the inclusion/exclusion outcomes the figures depict.
 """
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.geo import Point, Polygon, Rect
+from repro.errors import GeometryError
+from repro.geo import Point, Polygon, Rect, region_bounds
+from repro.geo.circle import circle_polygon_areas
 from repro.model import (
     InvalidQueryError,
     LocationDescriptor,
@@ -17,11 +21,15 @@ from repro.model import (
     PositionQuery,
     RangeQuery,
     candidate_bounds,
+    effective_margin,
     nearest_neighbor,
     overlap,
+    overlap_reach,
     qualifies_for_range,
+    qualifying_indexes,
     range_query,
 )
+from repro.model import queries as queries_module
 
 AREA = Rect(0, 0, 100, 100)
 
@@ -194,16 +202,34 @@ class TestRangeQueryFunction:
         assert [oid for oid, _ in result] == ["a", "m", "z"]
 
     def test_candidate_bounds_enlarges_by_req_acc(self):
-        query = RangeQuery(Rect(0, 0, 100, 100), req_acc=25.0, req_overlap=0.5)
-        assert candidate_bounds(query) == Rect(-25, -25, 125, 125)
+        # Enlarge(area, reqAcc), scaled by how far outside a half-plane a
+        # disk's centre can sit at this threshold (plus a rounding hair).
+        query = RangeQuery(Rect(0, 0, 100, 100), req_acc=25.0, req_overlap=0.1)
+        reach = overlap_reach(0.1)
+        assert 0.5 < reach < 1.0
+        bounds = candidate_bounds(query)
+        assert bounds.min_x == bounds.min_y == pytest.approx(-25 * reach, abs=1e-3)
+        assert bounds.max_x == bounds.max_y == pytest.approx(100 + 25 * reach, abs=1e-3)
+        assert bounds.contains_rect(Rect(0, 0, 100, 100).enlarged(25 * reach))
+        # The Enlarge margin itself (the entry server's dispatch rect) is
+        # untouched; a store whose coarsest object offers 10 m scans less.
+        assert effective_margin(query) == 25.0
+        tight = candidate_bounds(query, max_acc=10.0)
+        assert tight.min_x == pytest.approx(-10 * reach, abs=1e-3)
+        # From one half upward only disks centred inside the area qualify.
+        half = candidate_bounds(RangeQuery(Rect(0, 0, 100, 100), req_acc=25.0, req_overlap=0.5))
+        assert half.min_x == pytest.approx(0.0, abs=1e-3) and half.min_x < 0.0
 
     def test_candidate_bounds_unbounded_acc_still_finite(self):
         # With unbounded reqAcc, the overlap threshold itself caps the
         # qualifying radius at sqrt(SIZE(A) / (pi * reqOverlap)).
-        bounds = candidate_bounds(RangeQuery(AREA, req_overlap=0.5))
-        expected_margin = (AREA.area / (0.5 * 3.141592653589793)) ** 0.5
-        assert bounds.min_x == pytest.approx(-expected_margin)
-        assert bounds.max_x == pytest.approx(100 + expected_margin)
+        query = RangeQuery(AREA, req_overlap=0.25)
+        radius_cap = (AREA.area / (0.25 * math.pi)) ** 0.5
+        assert effective_margin(query) == pytest.approx(radius_cap)
+        expected_margin = radius_cap * overlap_reach(0.25)
+        bounds = candidate_bounds(query)
+        assert bounds.min_x == pytest.approx(-expected_margin, abs=1e-3)
+        assert bounds.max_x == pytest.approx(100 + expected_margin, abs=1e-3)
 
     @settings(max_examples=60)
     @given(
@@ -243,6 +269,189 @@ class TestRangeQueryFunction:
         loose = {oid for oid, _ in range_query(entries, RangeQuery(AREA, req_overlap=lo))}
         strict = {oid for oid, _ in range_query(entries, RangeQuery(AREA, req_overlap=hi))}
         assert strict <= loose
+
+
+# A queried area anywhere within +-1e6 m (the magnitude drawn by decade):
+# a rect, or a star-shaped (generally non-convex) polygon inscribed in it.
+@st.composite
+def areas(draw):
+    far = 10.0 ** draw(st.integers(min_value=0, max_value=6))
+    x = far * draw(st.floats(min_value=-1.0, max_value=1.0))
+    y = far * draw(st.floats(min_value=-1.0, max_value=1.0))
+    w = draw(st.floats(min_value=1e-2, max_value=1e4))
+    h = draw(st.floats(min_value=1e-2, max_value=1e4))
+    spokes = draw(st.lists(st.floats(min_value=0.2, max_value=1.0), min_size=0, max_size=8))
+    if len(spokes) < 3:
+        return Rect(x, y, x + w, y + h)
+    step = 2 * math.pi / len(spokes)
+    try:
+        return Polygon(
+            [
+                Point(x + w / 2 * (1 + f * math.cos(i * step)), y + h / 2 * (1 + f * math.sin(i * step)))
+                for i, f in enumerate(spokes)
+            ]
+        )
+    except GeometryError:  # a sliver the constructor refuses
+        return Rect(x, y, x + w, y + h)
+
+
+# A disk placed relative to the area's bounding box: ``along`` one of its
+# four sides, its centre ``out`` radii outside it (negative: inside).
+disks = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=-0.2, max_value=1.2),
+    st.floats(min_value=-2.0, max_value=1.1),
+    st.floats(min_value=-6, max_value=4).map(lambda e: 10.0**e),
+)
+req_overlaps = st.one_of(
+    st.floats(min_value=1e-9, max_value=1.0),
+    st.floats(min_value=-9, max_value=0).map(lambda e: 10.0**e),
+    st.sampled_from([1e-9, 0.3, 0.5, 1.0]),
+)
+
+
+def place(area, disk):
+    side, along, out, radius = disk
+    box = region_bounds(area)
+    if side < 2:
+        x = box.min_x - out * radius if side == 0 else box.max_x + out * radius
+        return ld(x, box.min_y + along * box.height, radius)
+    y = box.min_y - out * radius if side == 2 else box.max_y + out * radius
+    return ld(box.min_x + along * box.width, y, radius)
+
+
+def scalar_members(area, descriptors, req_acc, req_overlap):
+    return [
+        i
+        for i, d in enumerate(descriptors)
+        if qualifies_for_range(area, d, req_acc, req_overlap)
+    ]
+
+
+def batch_members(area, descriptors, req_acc, req_overlap):
+    return qualifying_indexes(
+        area,
+        [d.pos.x for d in descriptors],
+        [d.pos.y for d in descriptors],
+        [d.acc for d in descriptors],
+        req_acc,
+        req_overlap,
+    )
+
+
+class TestScanBoundsAndBatchFilter:
+    """The two things that make the tight scan and the array filter safe:
+    no member lies outside ``candidate_bounds``, and the batch filter's
+    verdicts are the scalar predicate's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        areas(),
+        disks,
+        req_overlaps,
+        st.floats(min_value=0.9, max_value=1.0),
+        st.sampled_from([1.0, 1.0000001, 3.0, math.inf]),
+    )
+    def test_members_always_within_candidate_bounds(self, area, disk, req_overlap, edge, slack):
+        # the drawn disk, and the same disk moved onto the edge of the reach
+        on_edge = (disk[0], disk[1], overlap_reach(req_overlap) * edge, disk[3])
+        for descriptor in (place(area, disk), place(area, on_edge)):
+            for req_acc in (descriptor.acc, math.inf):
+                if qualifies_for_range(area, descriptor, req_acc, req_overlap):
+                    query = RangeQuery(area, req_acc=req_acc, req_overlap=req_overlap)
+                    bounds = candidate_bounds(query, max_acc=descriptor.acc * slack)
+                    assert bounds.contains_point(descriptor.pos)
+
+    @pytest.mark.parametrize(
+        "area, pos, acc, req_overlap",
+        [
+            (Rect(53.9, 132.4, 76.4, 281.4), Point(76.40000055596528, 270.35142595367597), 5.9e-07, 0.7),
+            (Rect(129.1, -141.9, 145.79999999999998, 18.299999999999983),
+             Point(145.80000064471562, -1.5483779627174954), 6.9e-07, 0.5),
+            (Rect(-451.9, 1432.1, -450.5, 3106.5), Point(-450.4999923319103, 3038.7947949795625), 8.2e-06, 0.3),
+        ],
+    )
+    def test_bounds_keep_what_scalar_rounding_lets_in(self, area, pos, acc, req_overlap):
+        # A micrometre disk beside a kilometre edge: ``overlap`` loses its
+        # digits and admits a disk whose centre is 0.6-0.94 radii outside,
+        # where geometry allows none (0.7, 0.5) or 0.32 (0.3).  The scan's
+        # hair exists so that what the predicate admits is still fetched.
+        descriptor = LocationDescriptor(pos, acc)
+        assert qualifies_for_range(area, descriptor, acc, req_overlap)
+        assert (pos.x - area.max_x) / acc > overlap_reach(req_overlap) + 0.25
+        query = RangeQuery(area, req_acc=acc, req_overlap=req_overlap)
+        assert candidate_bounds(query, max_acc=acc).contains_point(pos)
+
+    def test_overlap_reach_endpoints(self):
+        assert overlap_reach(1e-15) == pytest.approx(1.0, abs=1e-6)
+        assert overlap_reach(0.5) == overlap_reach(0.75) == overlap_reach(1.0) == 0.0
+        assert 0.0 < overlap_reach(0.4999) < 0.01
+
+    @given(st.floats(min_value=1e-12, max_value=0.5), st.floats(min_value=1e-12, max_value=0.5))
+    def test_overlap_reach_monotone_and_on_the_safe_side(self, a, b):
+        lo, hi = sorted((a, b))
+        assert 1.0 >= overlap_reach(lo) >= overlap_reach(hi) >= 0.0
+        # the segment beyond the returned distance is no more than asked
+        t = overlap_reach(lo)
+        assert (math.acos(t) - t * math.sqrt(1 - t * t)) / math.pi <= lo
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        areas(),
+        st.lists(st.tuples(disks, st.floats(min_value=1e-3, max_value=10.0)), min_size=1, max_size=12),
+    )
+    def test_array_overlap_agrees_with_scalar_inside_the_guard(self, area, raw):
+        np = pytest.importorskip("numpy")
+        # the flat guard's regime: disks not tiny against the area's extent
+        box = region_bounds(area)
+        descriptors = [
+            place(area, (*disk[:3], (box.width + box.height) * size)) for disk, size in raw
+        ]
+        radius = np.array([d.acc for d in descriptors])
+        estimates = circle_polygon_areas(
+            np,
+            np.array([d.pos.x for d in descriptors]),
+            np.array([d.pos.y for d in descriptors]),
+            radius,
+            area.corners if isinstance(area, Rect) else area.points,
+        ) / (math.pi * radius * radius)
+        for descriptor, estimate in zip(descriptors, estimates):
+            assert min(estimate, 1.0) == pytest.approx(
+                overlap(area, descriptor), abs=queries_module._OVERLAP_GUARD
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        areas(),
+        st.lists(disks, min_size=1, max_size=12),
+        st.integers(min_value=-2, max_value=2),
+        st.sampled_from([0.0, 1e-3, 1.0, 50.0, math.inf]),
+    )
+    def test_candidate_on_the_threshold_gets_the_scalar_verdict(self, area, raw, ulps, req_acc):
+        descriptors = [place(area, disk) for disk in raw] + [ld(*region_bounds(area).center, 0.0)]
+        # put the threshold on (or a few ulps beside) the first disk's overlap
+        req_overlap = overlap(area, descriptors[0])
+        for _ in range(abs(ulps)):
+            req_overlap = math.nextafter(req_overlap, math.inf if ulps > 0 else 0.0)
+        assume(0.0 < req_overlap <= 1.0)
+        assert batch_members(area, descriptors, req_acc, req_overlap) == scalar_members(
+            area, descriptors, req_acc, req_overlap
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(areas(), st.lists(disks, max_size=30), req_overlaps)
+    def test_batch_filter_equals_scalar_filter(self, area, raw, req_overlap):
+        descriptors = [place(area, disk) for disk in raw]
+        for req_acc in (math.inf, 1.0):
+            assert batch_members(area, descriptors, req_acc, req_overlap) == scalar_members(
+                area, descriptors, req_acc, req_overlap
+            )
+
+    def test_batch_filter_without_numpy_is_the_scalar_loop(self, monkeypatch):
+        descriptors = [ld(50, 50, 10), ld(-5, 50, 20), ld(-19, 50, 20), ld(500, 500, 5), ld(1, 1, 0)]
+        with_numpy = batch_members(AREA, descriptors, 20.0, 0.3)
+        monkeypatch.setattr(queries_module, "_np", None)
+        assert batch_members(AREA, descriptors, 20.0, 0.3) == with_numpy == [0, 1, 4]
 
 
 class TestNearestNeighborProperties:

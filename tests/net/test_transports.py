@@ -288,6 +288,20 @@ class TestUdpFragmentation:
 
         asyncio.run(scenario())
 
+    def test_receive_buffer_is_sized_for_a_datagram(self):
+        # asyncio's default asks for 256 KiB per datagram, which malloc
+        # serves with a system call and two page faults per receive
+        # whenever the heap has no free chunk that large.
+        async def scenario():
+            left, right = await start_pair(UdpTransport)
+            try:
+                for transport in (left, right):
+                    assert MAX_DATAGRAM_PAYLOAD < transport._sock.max_size <= 65_536
+            finally:
+                await stop_all(left, right)
+
+        asyncio.run(scenario())
+
     def test_single_datagram_stays_unfragmented(self):
         async def scenario():
             left, right = await start_pair(UdpTransport)

@@ -11,6 +11,7 @@ from repro.model import (
     RegistrationInfo,
     SightingRecord,
 )
+from repro.spatial import GridIndex, PointQuadtree, RTree
 from repro.storage import LocalDataStore
 
 
@@ -165,6 +166,41 @@ class TestSoftStateAndRecovery:
             RangeQuery(Rect(0, 0, 95, 40), req_acc=50.0, req_overlap=0.4)
         )
         assert len(result) == 8
+
+
+class TestCrashKeepsIndexConfiguration:
+    """`crash()` empties the spatial index in place: the index the caller
+    configured keeps serving, with its parameters, not a default-built
+    replacement of the same type."""
+
+    @staticmethod
+    def crash_and_reregister(store, index, xs):
+        for i, x in enumerate(xs):
+            store.register(sighting(f"o{i}", x, 0.0), 15.0, 100.0, "client")
+        store.crash()
+        assert len(index) == 0
+        for i, x in enumerate(xs):
+            assert store.restore_sighting(sighting(f"o{i}", x, 1.0, t=5.0), now=5.0)
+        assert len(index) == len(xs)  # the configured index, not a stand-in
+        assert index.get("o1") == Point(xs[1], 1.0)
+        hits = store.range_query(RangeQuery(Rect(-1, -20, xs[-1] + 1, 20), req_overlap=0.4))
+        assert [oid for oid, _ in hits] == sorted(f"o{i}" for i in range(len(xs)))
+
+    def test_grid_cell_size_survives(self):
+        index = GridIndex(cell_size=25.0)
+        self.crash_and_reregister(make_store(index=index), index, [0.0, 30.0, 60.0, 90.0])
+        assert index.cell_count() == 4  # one 100 m default cell would hold all four
+
+    def test_rtree_node_capacity_survives(self):
+        index = RTree(max_entries=16)
+        self.crash_and_reregister(make_store(index=index), index, [i * 10.0 for i in range(16)])
+        assert index.depth() == 1  # the default capacity of 8 would have split the root
+
+    def test_quadtree_shuffle_stream_survives(self):
+        index = PointQuadtree(shuffle_seed=None)
+        rng = index._rng
+        self.crash_and_reregister(make_store(index=index), index, [0.0, 30.0, 60.0, 90.0])
+        assert index._rng is rng  # still the caller's stream, not Random(0)
 
 
 class TestBatchUpdates:

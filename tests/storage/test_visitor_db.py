@@ -137,3 +137,75 @@ class TestRecovery:
                 db.set_offered_acc(oid, float(rng.randint(5, 100)))
         recovered = VisitorDB.recover(store)
         assert dict(recovered.items()) == dict(db.items())
+
+
+class TestMaxOfferedAcc:
+    """The high-water mark range scans are bounded by: never below the
+    coarsest live leaf record, exact again after recover() / compact()."""
+
+    def test_raised_by_leaf_inserts_only(self):
+        db = VisitorDB()
+        assert db.max_offered_acc == 0.0
+        db.insert_forward("fwd", "child-1")
+        assert db.max_offered_acc == 0.0
+        db.insert_leaf("a", 25.0, REG)
+        db.insert_leaf("b", 60.0, REG)
+        db.insert_leaf("c", 40.0, REG)
+        assert db.max_offered_acc == 60.0
+
+    def test_set_offered_acc_up_and_down(self):
+        db = VisitorDB()
+        db.insert_leaf("a", 25.0, REG)
+        db.set_offered_acc("a", 90.0)
+        assert db.max_offered_acc == 90.0
+        db.set_offered_acc("a", 10.0)
+        assert db.max_offered_acc == 90.0  # loose, never wrong
+
+    def test_remove_keeps_the_mark_and_compact_retightens_it(self):
+        db = VisitorDB()
+        db.insert_leaf("small", 25.0, REG)
+        db.insert_leaf("whale", 500.0, REG)
+        db.remove("whale")
+        assert db.max_offered_acc == 500.0
+        db.compact()
+        assert db.max_offered_acc == 25.0
+        db.remove("small")
+        db.compact()
+        assert db.max_offered_acc == 0.0
+
+    def test_recover_rebuilds_it_from_the_log(self):
+        store = MemoryStore()
+        db = VisitorDB(store=store)
+        db.insert_leaf("a", 25.0, REG)
+        db.insert_leaf("whale", 500.0, REG)
+        db.insert_leaf("b", 30.0, REG)
+        db.set_offered_acc("b", 70.0)
+        db.remove("whale")
+        db.insert_forward("fwd", "child-1")
+        assert VisitorDB.recover(store).max_offered_acc == 70.0
+        db.compact()
+        assert VisitorDB.recover(store).max_offered_acc == 70.0
+
+    def test_never_below_a_live_record_under_random_ops(self):
+        import random
+
+        rng = random.Random(11)
+        store = MemoryStore()
+        db = VisitorDB(store=store)
+        for step in range(400):
+            oid = f"o{rng.randint(0, 20)}"
+            action = rng.random()
+            if action < 0.5:
+                db.insert_leaf(oid, float(rng.randint(5, 100)), REG)
+            elif action < 0.8:
+                db.remove(oid)
+            elif action < 0.95:
+                if db.leaf_record(oid) is not None:
+                    db.set_offered_acc(oid, float(rng.randint(5, 100)))
+            else:
+                db.compact()
+            coarsest = max((r.offered_acc for r in db.leaf_records()), default=0.0)
+            assert db.max_offered_acc >= coarsest
+        assert VisitorDB.recover(store).max_offered_acc == max(
+            (r.offered_acc for r in db.leaf_records()), default=0.0
+        )

@@ -81,6 +81,31 @@ class TestQuickstartContract:
         assert not [n for n in repro.sim.__all__ if "protocol_batch" in n]
         assert not [n for n in repro.net.wire.__all__ if n.endswith("_V1")]
 
+    def test_range_read_path_has_one_filter_and_no_knob(self):
+        # PR 21: both backends share SightingDB's range path, the batch
+        # filter lives beside the scalar predicate it defers to, and the
+        # tight scan is not switchable.
+        import inspect
+
+        import repro.model
+        import repro.storage
+        from repro.storage.columnar_db import ColumnarSightingDB
+
+        assert not {"objects_in_area", "objects_in_areas"} & set(vars(ColumnarSightingDB))
+        assert {"overlap_reach", "qualifying_indexes"} <= set(repro.model.__all__)
+        assert list(inspect.signature(repro.storage.LocalDataStore.__init__).parameters) == [
+            "self",
+            "accuracy",
+            "index",
+            "store",
+            "ttl",
+            "backend",
+        ]
+        assert list(inspect.signature(repro.storage.VisitorDB.__init__).parameters) == [
+            "self",
+            "store",
+        ]
+
     def test_cache_and_accuracy_configuration(self):
         svc = LocationService(
             build_table2_hierarchy(),
