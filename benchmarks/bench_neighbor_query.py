@@ -2,9 +2,11 @@
 
 The paper defines nearest-neighbor semantics but its evaluation never
 measures them; this bench fills that gap on the Table-2 topology.  The
-derived algorithm (DESIGN.md §4) is an expanding-ring search from the
-entry server, so the interesting knobs are object density and probe
-placement:
+derived algorithm (``LocationServer._execute_neighbors_many``) is an
+expanding-ring search from the entry server, in which every involved
+leaf answers a round with its share — its own nearest qualifying object
+and that object's ``nearQual`` ring — so the interesting knobs are
+object density and probe placement:
 
 * dense populations resolve in one local round;
 * sparse populations force ring doublings (more rounds, more servers);

@@ -14,7 +14,8 @@ the four leaves.  Paper numbers:
     remote range query (2 srv) 14.6 ms           364 1/s
     remote range query (4 srv) 13.8 ms           284 1/s
 
-Our testbed is a virtual-time simulation (DESIGN.md §2): per-message CPU
+Our testbed is a virtual-time simulation (:mod:`repro.runtime.simnet`
+on :mod:`repro.sim.engine`): per-message CPU
 service times are *calibrated* from this machine's Table-1 micro-bench
 and one-way LAN latency is 350 µs.  Absolute numbers differ from the
 2001 hardware; the claim under test is the *structure*:

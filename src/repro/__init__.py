@@ -13,7 +13,7 @@ Quickstart::
     print(svc.range_query(Rect(0, 0, 500, 500), req_acc=50.0, req_overlap=0.3))
     print(svc.neighbor_query(Point(120.0, 220.0), req_acc=50.0))
 
-Package map (see DESIGN.md for the full inventory):
+Package map:
 
 ==================  ====================================================
 ``repro.core``      the paper's contribution: hierarchical LS, caches

@@ -9,8 +9,8 @@ servers by a *hash of their identity*, not by *where they are*.
 That scheme answers position queries in one hop (hash the id, ask the
 home server) but has no spatial locality at all: a range query must ask
 **every** home server, because objects in any geographic area are
-scattered across all of them.  The ablation bench (DESIGN.md, Ablation
-D) quantifies exactly this trade-off against the hierarchy.
+scattered across all of them.  Ablation D (``bench_baselines.py``)
+quantifies exactly this trade-off against the hierarchy.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ class HomeServer(Endpoint):
 
     async def _on_nn_fwd(self, msg: m.NNCandidatesBatchFwd) -> None:
         (item,) = msg.items
-        entries = tuple(self.store.nn_candidates(item.dispatch, item.req_acc))
+        query = NearestNeighborQuery(item.pos, req_acc=item.req_acc, near_qual=item.near_qual)
+        entries = tuple(self.store.nn_candidates(query, item.dispatch))
         self.send(
             msg.entry_server,
             m.NNCandidatesBatchSubRes(
@@ -250,7 +251,7 @@ class HomeServerClient(Endpoint):
                 f"home-{i}",
                 m.NNCandidatesBatchFwd(
                     query_id=query_id,
-                    items=(m.NNBatchItem(index=0, dispatch=self.area, req_acc=req_acc),),
+                    items=(m.NNBatchItem(0, self.area, req_acc, pos, near_qual),),
                     entry_server=self.address,
                     sender=self.address,
                     direct=True,

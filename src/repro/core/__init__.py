@@ -41,9 +41,12 @@ derived from them share **one** fan-out implementation.  A fan-out
 carries *items* — a dispatch rect feeding one result bucket — in one
 ``RangeQueryBatchFwd`` / ``NNCandidatesBatchFwd`` per next hop; interior
 servers re-partition the items per child, and every involved leaf
-answers all of its items through one batched index pass and one
+answers all of its items in one batched store call and one
 ``…BatchSubRes`` sent straight to the entry server, whose collector
-resolves once the answers tile every dispatch rect.  A client's single
+resolves once the answers tile every dispatch rect.  An NN item's answer
+is the leaf's *share* — its nearest qualifying object in the dispatch
+and that object's ``nearQual`` ring — which is all the entry server
+needs (``LocalDataStore.nn_candidates``).  A client's single
 ``RangeQueryReq`` / ``NeighborQueryReq`` is served at the edge as a
 batch of one (``evaluate_range_many`` / ``evaluate_neighbors_many`` are
 the many-query entry points).  With the §6.5 area cache on, an item

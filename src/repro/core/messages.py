@@ -399,8 +399,8 @@ class RangeBatchItem(Message):
     ``dispatch`` is the pre-computed ``Enlarge(bounds(area), reqAcc)``
     rect — or, on a coverage-aware retry, the part of it still in doubt —
     used both for routing and for the covered-area bookkeeping
-    (DESIGN.md §4 documents this deviation from the paper's pseudocode,
-    which enlarges per hop and tracks the raw area).  ``index``
+    (a deviation from the paper's pseudocode, which enlarges per hop
+    and tracks the raw area).  ``index``
     identifies the item within its fan-out so sub-results can be
     attributed.
     """
@@ -482,22 +482,25 @@ class NeighborQueryRes(Response):
 
 @dataclass(frozen=True, slots=True)
 class NNBatchItem(Message):
-    """One expanding-ring probe of an NN fan-out; ``index`` identifies
-    the probe within its fan-out."""
+    """One expanding-ring probe of an NN fan-out: ``neighborQuery(pos,
+    reqAcc, nearQual)`` over the ring round's ``dispatch`` rect; ``index``
+    identifies the probe within its fan-out."""
 
     index: int
     dispatch: Rect
     req_acc: float
+    pos: Point
+    near_qual: float
 
 
 @dataclass(frozen=True, slots=True)
 class NNCandidatesBatchFwd(Message):
-    """*Derived.*  One expanding-ring round for one or many NN queries:
-    collect all entries whose position lies in an item's ``dispatch``
-    and whose accuracy satisfies its ``req_acc``.  Routed exactly like
-    :class:`RangeQueryBatchFwd` (``direct`` included); a leaf answers
-    all of its probes through a single batched spatial-index pass
-    (``nn_candidates_many`` → ``query_rect_many``)."""
+    """*Derived.*  One expanding-ring round for one or many NN queries.
+    Routed exactly like :class:`RangeQueryBatchFwd` (``direct``
+    included); a leaf answers each item with its *share* — its nearest
+    qualifying object in ``dispatch`` and that object's ``nearQual``
+    ring, not every candidate (``LocalDataStore.nn_candidates``, which
+    says why the entry server's answer stays exact)."""
 
     query_id: str
     items: tuple[NNBatchItem, ...]
@@ -509,8 +512,8 @@ class NNCandidatesBatchFwd(Message):
 
 @dataclass(frozen=True, slots=True)
 class NNCandidatesBatchSubRes(Message):
-    """One leaf's candidates for every probe of a fan-out it covers;
-    ``results`` holds ``(item_index, entries, covered_area)`` triples."""
+    """One leaf's shares for every probe of a fan-out it covers;
+    ``results`` holds ``(item_index, share entries, covered_area)`` triples."""
 
     query_id: str
     results: tuple[tuple[int, tuple[ObjectEntry, ...], float], ...]

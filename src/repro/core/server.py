@@ -246,7 +246,8 @@ _NN = _FanOutKind(
     m.NNCandidatesBatchFwd,
     m.NNCandidatesBatchSubRes,
     lambda store, items: store.nn_candidates_many(
-        [item.dispatch for item in items], [item.req_acc for item in items]
+        [NearestNeighborQuery(i.pos, req_acc=i.req_acc, near_qual=i.near_qual) for i in items],
+        [item.dispatch for item in items],
     ),
 )
 _KIND_OF_FWD = {kind.fwd: kind for kind in (_RANGE, _NN)}
@@ -1701,8 +1702,9 @@ class LocationServer(Endpoint):
         Every round, the still-unresolved queries' probe rects travel as
         one :class:`~repro.core.messages.NNCandidatesBatchFwd` per next
         hop (re-partitioned per child by interior servers), and each
-        involved leaf collects candidates for all of its probes through
-        one ``query_rect_many`` pass.
+        involved leaf answers all of its probes with their shares (its
+        nearest qualifying object and ``nearQual`` ring) in one call to
+        ``LocalDataStore.nn_candidates_many``.
         """
         results, _, _ = await self._execute_neighbors_many(queries)
         return results
@@ -1726,8 +1728,11 @@ class LocationServer(Endpoint):
             buckets, answered = await self._collect(
                 _NN,
                 [
-                    (probe.intersection(root_area), {"req_acc": queries[i].req_acc})
-                    for i, probe in zip(active, probes)
+                    (
+                        probe.intersection(root_area),
+                        {"pos": q.pos, "req_acc": q.req_acc, "near_qual": q.near_qual},
+                    )
+                    for q, probe in zip([queries[i] for i in active], probes)
                 ],
             )
             origins |= answered

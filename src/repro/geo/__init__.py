@@ -1,7 +1,7 @@
 """Geometry substrate for the location service.
 
 Planar points (local metric frame), rectangles, simple polygons, circles
-with exact intersection areas, and WGS84 conversion.  See DESIGN.md §2.
+with exact intersection areas, and WGS84 conversion.
 """
 
 from repro.geo.circle import Circle, circle_circle_intersection_area

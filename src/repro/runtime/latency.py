@@ -12,7 +12,7 @@ server CPU each operation consumes — with the two models here:
 
 Defaults are calibrated in :mod:`repro.sim.calibration` from our own
 Table-1 micro-benchmarks rather than copied from the paper, so Table 2's
-relative structure *emerges* from the model (DESIGN.md §4).
+relative structure *emerges* from the model.
 """
 
 from __future__ import annotations

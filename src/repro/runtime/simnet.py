@@ -1,6 +1,6 @@
 """Deterministic simulated network runtime.
 
-Replaces the paper's five-machine UDP testbed (DESIGN.md §2).  Message
+Replaces the paper's five-machine UDP testbed.  Message
 sends become events on the shared :class:`~repro.sim.engine.SimLoop`:
 
 1. a one-way **latency** (from the :class:`LatencyModel`) delays arrival,

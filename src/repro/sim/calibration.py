@@ -1,6 +1,6 @@
 """Calibration: derive the simulator's CPU cost model from micro-benches.
 
-DESIGN.md §4: the per-operation service times used by the Table-2
+The per-operation service times used by the Table-2
 simulation are *measured* on our own data-storage component (the Table-1
 micro-benchmark) instead of copied from the paper's SUN Ultra numbers.
 Table 2's relative structure then emerges from the model.

@@ -1,7 +1,7 @@
 """Deterministic discrete-event engine with async/await support.
 
 The paper's distributed evaluation ran on five physical machines.  We
-replace the testbed with a virtual-time simulation (DESIGN.md §2): this
+replace the testbed with a virtual-time simulation: this
 module is the event loop.  It drives ordinary ``async def`` coroutines —
 the same server code that runs under asyncio — against a *virtual* clock,
 so distributed experiments are deterministic and independent of host

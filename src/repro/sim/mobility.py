@@ -1,4 +1,4 @@
-"""Mobility models for tracked objects (DESIGN.md substitution table).
+"""Mobility models for tracked objects.
 
 The paper's evaluation registers objects at random positions; its
 future-work section asks how *moving patterns* influence performance.

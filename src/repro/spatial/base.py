@@ -55,6 +55,8 @@ this for all four implementations).
 
 from __future__ import annotations
 
+import bisect
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -69,6 +71,20 @@ class NeighborHit:
     object_id: str
     point: Point
     distance: float
+
+
+_hit_order = operator.attrgetter("distance", "object_id")
+
+
+def keep_nearest(best: list[NeighborHit], hit: NeighborHit, k: int) -> None:
+    """Offer ``hit`` to ``best``, the ``k`` nearest hits so far in
+    (distance, id) order, with one binary insertion rather than a
+    re-sort, so a large ``k`` costs O(log k) key calls per hit."""
+    if len(best) == k:
+        if _hit_order(hit) >= _hit_order(best[-1]):
+            return
+        best.pop()
+    bisect.insort(best, hit, key=_hit_order)
 
 
 class SpatialIndex(ABC):

@@ -2,8 +2,8 @@
 
 A simple fixed-cell-size hash grid: the classic competitor to trees for
 uniformly distributed moving objects (updates are O(1) dictionary moves).
-Included as the third point in the spatial-index ablation (Ablation C in
-DESIGN.md); the paper itself only discusses quadtrees and R-trees.
+Included as the third point in the spatial-index ablation (Ablation C,
+``bench_spatial_index.py``); the paper itself discusses only quadtrees and R-trees.
 
 The store is organised for the paper's update-dominant workload: each
 object owns one mutable record ``[point, col, row, cell_dict]`` that both
@@ -20,7 +20,7 @@ import math
 from typing import Iterator
 
 from repro.geo import Point, Rect
-from repro.spatial.base import NeighborHit, SpatialIndex
+from repro.spatial.base import NeighborHit, SpatialIndex, keep_nearest
 
 _INF = float("inf")
 
@@ -220,13 +220,7 @@ class GridIndex(SpatialIndex):
                     d = point.distance_to(p)
                     if d > max_distance:
                         continue
-                    hit = NeighborHit(object_id, p, d)
-                    if len(best) < k:
-                        best.append(hit)
-                        best.sort(key=lambda h: (h.distance, h.object_id))
-                    elif (d, object_id) < (best[-1].distance, best[-1].object_id):
-                        best[-1] = hit
-                        best.sort(key=lambda h: (h.distance, h.object_id))
+                    keep_nearest(best, NeighborHit(object_id, p, d), k)
             ring += 1
         return best
 

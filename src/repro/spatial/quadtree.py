@@ -34,7 +34,7 @@ import random
 from typing import Iterator
 
 from repro.geo import Point, Rect
-from repro.spatial.base import NeighborHit, SpatialIndex
+from repro.spatial.base import NeighborHit, SpatialIndex, keep_nearest
 
 _INF = float("inf")
 
@@ -296,13 +296,7 @@ class PointQuadtree(SpatialIndex):
                 break
             d = point.distance_to(node.point)
             if d <= max_distance:
-                hit = NeighborHit(node.object_id, node.point, d)
-                if len(best) < k:
-                    best.append(hit)
-                    best.sort(key=lambda h: (h.distance, h.object_id))
-                elif (d, node.object_id) < (best[-1].distance, best[-1].object_id):
-                    best[-1] = hit
-                    best.sort(key=lambda h: (h.distance, h.object_id))
+                keep_nearest(best, NeighborHit(node.object_id, node.point, d), k)
             min_x, min_y, max_x, max_y = region
             px, py = node.split_x, node.split_y
             subregions = (

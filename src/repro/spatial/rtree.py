@@ -21,7 +21,7 @@ import itertools
 from typing import Iterator
 
 from repro.geo import Point, Rect
-from repro.spatial.base import NeighborHit, SpatialIndex
+from repro.spatial.base import NeighborHit, SpatialIndex, keep_nearest
 
 _INF = float("inf")
 
@@ -391,13 +391,7 @@ class RTree(SpatialIndex):
                     d = point.distance_to(p)
                     if d > max_distance:
                         continue
-                    hit = NeighborHit(object_id, p, d)
-                    if len(best) < k:
-                        best.append(hit)
-                        best.sort(key=lambda h: (h.distance, h.object_id))
-                    elif (d, object_id) < (best[-1].distance, best[-1].object_id):
-                        best[-1] = hit
-                        best.sort(key=lambda h: (h.distance, h.object_id))
+                    keep_nearest(best, NeighborHit(object_id, p, d), k)
             else:
                 for child in node.children:
                     if child.mbr is None:

@@ -13,7 +13,7 @@ store a **leaf** location server operates on.  It is also:
 from __future__ import annotations
 
 from repro.errors import AccuracyUnavailableError, StorageError, UnknownObjectError
-from repro.geo import Point
+from repro.geo import Point, Rect
 from repro.model import (
     AccuracyModel,
     LocationDescriptor,
@@ -406,37 +406,22 @@ class LocalDataStore:
         """``neighborQuery`` against the local spatial index."""
         return self.sightings.nearest_neighbors(query, self.offered_acc)
 
-    def _nn_matches(self, hits, req_acc: float) -> list[ObjectEntry]:
-        """Filter raw index hits by offered accuracy and order them; the
-        shared matching core of :meth:`nn_candidates` and
-        :meth:`nn_candidates_many`."""
-        matched = []
-        for oid, pos in hits:
-            acc = self.offered_acc(oid)
-            if acc <= req_acc:
-                matched.append((oid, LocationDescriptor(pos, acc)))
-        matched.sort(key=lambda entry: entry[0])
-        return matched
+    def nn_candidates(self, query: NearestNeighborQuery, dispatch: Rect) -> list[ObjectEntry]:
+        """This store's share of one distributed NN round: ``query``'s own
+        answer over the visitors in ``dispatch`` — the nearest qualifying
+        one and its inclusive ``nearQual`` ring, ties included.  The entry
+        server's answer over all shares is its answer over all candidates:
+        the overall nearest distance ``d`` is at most this store's ``d_L``,
+        so an answer entry held here (within ``d + nearQual``) is within
+        ``d_L + nearQual``: both ends measure with ``Point.distance_to``
+        and rounding is monotone."""
+        return _share(self.sightings.nearest_neighbors(query, self.offered_acc, within=dispatch))
 
-    def nn_candidates(self, rect, req_acc: float) -> list[ObjectEntry]:
-        """Candidates for one distributed nearest-neighbor round: every
-        visitor whose position lies in ``rect`` and whose offered accuracy
-        satisfies ``req_acc``."""
-        return self._nn_matches(self.sightings.positions_in_rect(rect), req_acc)
-
-    def nn_candidates_many(
-        self, rects: list, req_accs: list[float]
-    ) -> list[list[ObjectEntry]]:
-        """Candidates for many NN probes through one batched index pass
-        (the NN counterpart of :meth:`range_query_many`, matching
-        :meth:`nn_candidates` candidate-for-candidate via
-        :meth:`_nn_matches`); result ``i`` matches
-        ``rects[i]``/``req_accs[i]``."""
+    def nn_candidates_many(self, queries: list, dispatches: list[Rect]) -> list[list[ObjectEntry]]:
+        """:meth:`nn_candidates` for each ``(queries[i], dispatches[i])``."""
+        nearest = self.sightings.nearest_neighbors
         return [
-            self._nn_matches(hits, req_acc)
-            for hits, req_acc in zip(
-                self.sightings.positions_in_rects(rects), req_accs
-            )
+            _share(nearest(q, self.offered_acc, within=d)) for q, d in zip(queries, dispatches)
         ]
 
     # -- soft state & recovery ---------------------------------------------------
@@ -482,3 +467,8 @@ class LocalDataStore:
     @property
     def sighting_count(self) -> int:
         return len(self.sightings)
+
+
+def _share(result: NearestNeighborResult) -> list[ObjectEntry]:
+    """A nearest-neighbor answer as the entries it names."""
+    return [] if result.nearest is None else [result.nearest, *result.near_set]

@@ -3,7 +3,7 @@
 The paper keeps the visitor DB "in persistent storage, which is updated
 only when an object is registered, deregisters or a handover occurs", so
 forwarding paths survive server failures.  Its prototype used a DB2
-database via JDBC; the substitution here (DESIGN.md §2) is a classic
+database via JDBC; the substitution here is a classic
 write-ahead pattern: an append-only JSON-lines log plus an optional
 snapshot, compacted on demand.  An in-memory backend with identical
 semantics keeps large simulations off the filesystem while still

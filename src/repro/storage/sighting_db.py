@@ -269,36 +269,46 @@ class SightingDB:
         query: NearestNeighborQuery,
         acc_of: Callable[[str], float],
         probe_k: int = 16,
+        within: Rect | None = None,
     ) -> NearestNeighborResult:
         """Nearest-neighbor semantics over the local records.
 
-        Uses the spatial index for candidate generation: fetch the
-        ``probe_k`` nearest positions, expand until the candidate set
-        provably contains the selected object plus the full ``nearQual``
-        ring (accuracy filtering can disqualify near candidates, so the
-        probe widens geometrically).
+        One probe of the spatial index settles the common case: when its
+        ``probe_k`` nearest positions hold a qualifying object and the
+        whole ``nearQual`` ring around it, no farther object can change
+        the answer.  Otherwise (few objects satisfy ``reqAcc``, or the
+        ring is wide) one scan of the candidates answers it: a best-first
+        search costs several times a scan per object it returns, so a
+        growing ``k`` would cost more than the scan it avoids.  ``within``
+        restricts the candidates to a closed rect: the probe asks no
+        farther than its farthest corner and the scan covers just it.
         """
-        total = len(self)
-        if total == 0:
-            return NearestNeighborResult(nearest=None)
-        k = min(probe_k, total)
-        while True:
-            hits = self._index.nearest(query.pos, k=k)
-            entries = [
-                (hit.object_id, LocationDescriptor(hit.point, acc_of(hit.object_id)))
-                for hit in hits
-            ]
-            result = nearest_neighbor(entries, query)
-            if k >= total:
+        reach = math.inf if within is None else within.max_distance_to_point(query.pos)
+        hits = self._index.nearest(query.pos, k=probe_k, max_distance=reach)
+        entries = [
+            (hit.object_id, LocationDescriptor(hit.point, acc_of(hit.object_id)))
+            for hit in hits
+            if within is None or within.contains_point(hit.point)
+        ]
+        result = nearest_neighbor(entries, query)
+        if len(hits) < probe_k:  # the probe saw every candidate
+            return result
+        if result.nearest is not None:
+            selected_distance = result.nearest[1].pos.distance_to(query.pos)
+            ring = selected_distance + query.near_qual
+            # The k-th candidate bounds every unseen object's distance;
+            # if it lies beyond the ring, no unseen object can qualify.
+            if hits[-1].distance > ring:
                 return result
-            if result.nearest is not None:
-                selected_distance = result.nearest[1].pos.distance_to(query.pos)
-                ring = selected_distance + query.near_qual
-                # The k-th candidate bounds every unseen object's distance;
-                # if it lies beyond the ring, no unseen object can qualify.
-                if hits[-1].distance > ring:
-                    return result
-            k = min(total, k * 4)
+        scan = self._index.items() if within is None else self._index.query_rect(within)
+        return nearest_neighbor(
+            [
+                (oid, LocationDescriptor(pos, acc))
+                for oid, pos in scan
+                if (acc := acc_of(oid)) <= query.req_acc
+            ],
+            query,
+        )
 
     # -- soft state -----------------------------------------------------------------
 

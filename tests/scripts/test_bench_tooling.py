@@ -6,6 +6,8 @@ and only shows up as a regression nobody caught.  These tests load the
 scripts as modules (they are not packages) and pin the gate logic:
 when the trend gate trips, what the validator flags, and what the
 ``bench_check.py`` PR10 thresholds accept.
+The ``bench_pairs.py`` tests pin when a claimed gain is met and when a
+control is over its bound; ``bench_nn_shapes.py`` gets one small run.
 """
 
 import importlib.util
@@ -42,6 +44,11 @@ def smoke():
 @pytest.fixture(scope="module")
 def check():
     return load_script("bench_check")
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    return load_script("bench_pairs")
 
 
 def series_of(trend, values_by_metric: dict[str, list]) -> dict:
@@ -282,3 +289,88 @@ class TestBenchCheckPr16:
             value = written
             for part in dotted.split("."):
                 value = value[part]
+
+
+#: ten parent runs of a metric where lower is better: median 10.0,
+#: quartiles 9.75 / 10.25 (``statistics.quantiles``' exclusive method).
+PARENT_MS = [9.0, 9.5, 9.8, 9.9, 10.0, 10.0, 10.1, 10.2, 10.5, 11.0]
+
+
+class TestBenchPairsVerdicts:
+    """``scripts/bench_pairs.py`` on canned runs: when a claim holds, when
+    a control is over its bound, and when a reading is unresolved."""
+
+    def test_claim_met(self, pairs):
+        change = [v * 0.1 for v in PARENT_MS]
+        row = pairs.judge(PARENT_MS, change, "lower", 0.25, claimed=True)
+        assert (row["won"], row["ok"], row["verdict"]) == (10, True, "CLAIM MET")
+        assert row["reading"] == "better"
+
+    def test_claim_needs_nine_pairs_in_ten(self, pairs):
+        change = [v * 0.5 for v in PARENT_MS[:8]] + [20.0, 20.0]
+        row = pairs.judge(PARENT_MS, change, "lower", 0.25, claimed=True)
+        assert row["won"] == 8 and not row["ok"]
+
+    def test_claim_needs_more_than_the_parents_quartile_distance(self, pairs):
+        # Wins every pair, but by less than the parent's own q3 - q1 (0.5).
+        change = [v - 0.1 for v in PARENT_MS]
+        row = pairs.judge(PARENT_MS, change, "lower", 0.25, claimed=True)
+        assert row["won"] == 10 and not row["ok"]
+        assert row["reading"] == "unresolved"
+
+    def test_higher_is_better_metrics_win_upwards(self, pairs):
+        parent = [1000.0 + i for i in range(10)]
+        row = pairs.judge(parent, [2 * v for v in parent], "higher", 0.25, claimed=True)
+        assert row["ok"] and row["gap"] < 0
+
+    def test_control_within_bound(self, pairs):
+        change = [v * 1.05 for v in PARENT_MS]
+        row = pairs.judge(PARENT_MS, change, "lower", 0.25)
+        assert row["ok"] and row["verdict"] == "ok"
+        assert row["gap"] == pytest.approx(0.05)
+
+    def test_control_over_bound_fails(self, pairs):
+        change = [v * 1.3 for v in PARENT_MS]
+        row = pairs.judge(PARENT_MS, change, "lower", 0.25)
+        assert not row["ok"] and row["verdict"] == "OVER BOUND"
+        assert row["reading"] == "worse"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self, pairs):
+        noisy = [5.0, 6.0, 7.0, 8.0, 10.0, 10.0, 12.0, 13.0, 14.0, 15.0]
+        row = pairs.judge(PARENT_MS, noisy, "lower", 0.25)
+        assert row["ok"] and row["verdict"] == "ok, unresolved"
+        over = pairs.judge(PARENT_MS, [v * 1.5 for v in noisy], "lower", 0.25)
+        assert not over["ok"] and over["verdict"] == "OVER BOUND, unresolved"
+
+    def test_wide_spread_resolved_when_every_change_run_is_better(self, pairs):
+        noisy = [1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 6.0, 7.0, 8.0, 8.9]
+        row = pairs.judge(PARENT_MS, noisy, "lower", 0.25)
+        assert row["verdict"] == "ok"
+
+    def test_workload_rows_and_exit_code(self, pairs, tmp_path, capsys):
+        spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+        names = [m["name"] for m in spec["end_to_end"]]
+        parent_runs = [{name: v for name in names} for v in PARENT_MS]
+        fast_nn = [dict(run, nn_p50_ms=run["nn_p50_ms"] / 10) for run in parent_runs]
+        saved = tmp_path / "runs.json"
+        saved.write_text(json.dumps({"w": {"parent": parent_runs, "change": fast_nn}}))
+        runs = json.loads(saved.read_text())["w"]
+        rows = dict(pairs.judge_workload(runs, "w", spec, {("nn_p50_ms", "w")}))
+        assert list(rows) == names
+        assert rows["nn_p50_ms"]["verdict"] == "CLAIM MET"
+        assert pairs.main(["--load", str(saved), "--claim", "nn_p50_ms/w"]) == 0
+        assert pairs.main(["--load", str(saved), "--claim", "range_p50_ms/w"]) == 1
+        assert pairs.main(["--load", str(saved), "--claim", "nn_p50_ms/other"]) == 1
+        assert "CLAIM NOT MET" in capsys.readouterr().out
+
+
+def test_bench_nn_shapes_times_every_shape():
+    """``scripts/bench_nn_shapes.py`` on a small service: every shape runs
+    and answers as its parameters say."""
+    shapes = load_script("bench_nn_shapes")
+    results = shapes.run("objects", 1500, max_probes=2)
+    assert list(results) == [shape[0] for shape in shapes.SHAPES]
+    assert all(row["probes"] == 2 and row["p50_ms"] > 0 for row in results.values())
+    assert results["all_qualify"]["answer"] == 1
+    assert results["none_qualify"]["answer"] == 0
+    assert results["none_qualify"]["rounds"] > 1

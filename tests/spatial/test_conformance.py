@@ -185,6 +185,17 @@ class TestNearest:
         expected = oracle.nearest(probe, k=10)
         assert [h.object_id for h in got] == [h.object_id for h in expected]
 
+    def test_large_k_orders_by_distance_then_id(self, index):
+        # Three ids share every point, so each distance is a three-way tie.
+        points = {f"{tag}{i}": Point(i % 8, i // 8) for i in range(60) for tag in "cab"}
+        for oid, p in points.items():
+            index.insert(oid, p)
+        probe = Point(3.2, 2.9)
+        hits = index.nearest(probe, k=150)
+        expected = sorted((probe.distance_to(p), oid) for oid, p in points.items())[:150]
+        assert [h.object_id for h in hits] == [oid for _, oid in expected]
+        assert [h.distance for h in hits] == pytest.approx([d for d, _ in expected])
+
     def test_probe_outside_extent(self, index):
         fill(index, n=50, seed=17)
         hits = index.nearest(Point(-5000, -5000), k=1)

@@ -117,7 +117,7 @@ class TestQueries:
 
     def test_nearest_neighbors_accuracy_filter_forces_expansion(self):
         # The 4 objects closest to the probe have disqualifying accuracy;
-        # the probe loop must widen beyond its initial k to find o22.
+        # the search must look beyond its initial k to find o22.
         acc_of = lambda oid: 999.0 if oid != "o22" else 10.0
         result = self.db.nearest_neighbors(
             NearestNeighborQuery(Point(0, 0), req_acc=50.0), acc_of, probe_k=2
