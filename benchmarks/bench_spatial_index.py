@@ -1,11 +1,11 @@
 """Ablation C — spatial-index comparison (paper §5).
 
-The paper picks a Point Quadtree and names the R-tree as the
-alternative; this bench quantifies the choice on the Table-1 workload
-(scaled to 5 000 objects to keep bench time short), adding the uniform
-grid and a linear scan as anchors.  Expected shape: the quadtree and the
-grid lead on updates; all indexed structures beat the linear scan on
-range queries by orders of magnitude.
+The paper picks a Point Quadtree; this bench measures it on the Table-1
+workload (scaled to 5 000 objects to keep bench time short) against the
+linear scan, the correctness oracle.  Expected shape: the linear scan
+leads on updates (a dict store); the quadtree beats it on range queries
+by an order of magnitude.  The R-tree and uniform-grid rows were retired
+with those index kinds; their last numbers are in ``RESULTS.txt``.
 
 ``test_update_fastpath_small_displacement`` additionally measures the
 in-place move fast paths against the seed's remove+insert baseline on a
@@ -28,7 +28,7 @@ from repro.spatial.base import SpatialIndex
 
 OBJECTS = 5_000
 AREA_SIDE = 10_000.0
-INDEX_KINDS = ["quadtree", "rtree", "grid", "linear"]
+INDEX_KINDS = ["quadtree", "linear"]
 
 #: Per-move displacement of the small-displacement workload: one tick of
 #: the paper's reference pedestrian (~3 km/h) at a couple of seconds.
@@ -240,9 +240,9 @@ def test_update_fastpath_small_displacement(benchmark, kind):
     row, best_ratio = measure_fastpath(kind)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # timings above
     _note_fastpath(kind, row)
-    # Acceptance floors for this PR (generous against the measured
-    # ~20x/~12x/~3.3x so scheduler noise cannot flake the bench).
-    floors = {"quadtree": 1.5, "rtree": 1.5, "grid": 3.0, "linear": 1.2}
+    # Acceptance floors (generous against the measured ~8x quadtree and
+    # ~1.6x linear so scheduler noise cannot flake the bench).
+    floors = {"quadtree": 1.5, "linear": 1.2}
     assert best_ratio >= floors[kind], (
         f"{kind}: update_many is only {best_ratio:.2f}x the remove+insert "
         f"baseline ({row['update_many']:,.0f} vs {row['baseline_remove_insert']:,.0f} ops/s)"

@@ -9,7 +9,10 @@ thresholds and fails (exit code 1) when any regenerated artifact misses
 one:
 
 * ``BENCH_PR1.json`` — every spatial index's ``update_many`` fast path
-  must beat the remove+insert baseline (speedup > 1).
+  must beat the remove+insert baseline (speedup > 1).  The committed
+  file keeps its ``grid`` / ``rtree`` rows as frozen historical numbers
+  (those index kinds were deleted); a regenerated file measures only the
+  surviving kinds, and the check covers whichever rows are present.
 * ``BENCH_PR2.json`` — flash-crowd ``load_drop_factor`` ≥ 2 and zero
   lost sightings on every elastic lane.
 * ``BENCH_PR4.json`` — ``stall_ticks_overlapped`` == 0,

@@ -8,7 +8,9 @@ minutes.  This script is the middle ground:
 * **PR1** — the small-displacement update measurement of
   ``bench_spatial_index.py`` plus one batched
   :class:`~repro.sim.scenario.MobilitySimulation` tick measure per index
-  kind → ``BENCH_PR1.json``.
+  kind in ``bench_spatial_index.INDEX_KINDS`` → ``BENCH_PR1.json``.
+  (The committed file's ``grid`` / ``rtree`` rows are frozen numbers
+  from before those index kinds were deleted; a refresh drops them.)
 * **PR2** — the hotspot-rebalance measurement: the flash-crowd and
   commuter-rush scenarios run static and elastic, recording before/after
   per-server sustained load, split/merge counts and query latency →

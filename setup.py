@@ -4,13 +4,11 @@ The offline evaluation environment has no ``wheel`` package, so PEP 660
 editable installs cannot build an editable wheel.  This shim lets
 ``pip install -e .`` fall back to the legacy ``setup.py develop`` path.
 
-Nothing here is *required* at runtime: the package is pure stdlib.  The
-extras declare the optional accelerators and dev tooling (CI installs
-them explicitly so its pip cache keys on this file):
+numpy is the one runtime requirement: it backs the columnar index, the
+streaming walker population, the heavy-hitter sketch and the batched
+range filter.  The extras declare dev tooling (CI installs them
+explicitly so its pip cache keys on this file):
 
-* ``fast`` — numpy, backing the columnar hot path
-  (``repro.spatial.columnar``); without it the same code runs on
-  stdlib ``array`` buffers, correct but slower.
 * ``test`` / ``bench`` — what the CI tier-1 and bench jobs install.
 """
 
@@ -23,9 +21,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
+    install_requires=["numpy"],
     extras_require={
-        "fast": ["numpy"],
-        "test": ["pytest", "hypothesis", "numpy"],
-        "bench": ["pytest", "pytest-benchmark", "numpy"],
+        "test": ["pytest", "hypothesis"],
+        "bench": ["pytest", "pytest-benchmark"],
     },
 )

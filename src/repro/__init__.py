@@ -20,7 +20,7 @@ Package map:
 ``repro.cluster``   elastic layer: load-aware split/merge + migration
 ``repro.model``     Section-3 service model and query semantics
 ``repro.geo``       geometry substrate (exact circle-region overlap)
-``repro.spatial``   Point Quadtree, R-tree, grid, linear indexes
+``repro.spatial``   Point Quadtree, columnar, linear indexes
 ``repro.storage``   sighting DB, persistent visitor DB, soft state
 ``repro.runtime``   simulated network + asyncio runtimes
 ``repro.sim``       discrete-event engine, mobility, workloads

@@ -34,12 +34,9 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from repro.core.server import LocationServer
+import numpy as np
 
-try:  # optional accelerator, same policy as repro.spatial.columnar
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via use_numpy=False
-    _np = None
+from repro.core.server import LocationServer
 
 #: Per-object EWMAs decaying below this rate (ops/s) are dropped — an
 #: object that went dormant stops costing memory in the monitor.
@@ -84,7 +81,7 @@ class HeavyHitterSketch:
     """
 
     __slots__ = (
-        "width", "depth", "top_k", "_np", "_mask", "_shift", "_salts",
+        "width", "depth", "top_k", "_mask", "_shift", "_salts",
         "_rows", "_top", "_floor", "_total",
     )
 
@@ -93,7 +90,6 @@ class HeavyHitterSketch:
         width: int = 8192,
         depth: int = 4,
         top_k: int = 256,
-        use_numpy: bool | None = None,
     ) -> None:
         if width < 2 or width & (width - 1):
             raise ValueError(f"width must be a power of two >= 2, got {width}")
@@ -101,19 +97,13 @@ class HeavyHitterSketch:
             raise ValueError(f"depth must be in [1, {len(_ROW_SALTS)}], got {depth}")
         if top_k < 1:
             raise ValueError(f"top_k must be positive, got {top_k}")
-        if use_numpy and _np is None:
-            raise ValueError("numpy requested but not installed")
-        self._np = _np if use_numpy in (None, True) else None
         self.width = width
         self.depth = depth
         self.top_k = top_k
         self._mask = width - 1
         self._shift = 64 - width.bit_length() + 1  # top log2(width) bits
         self._salts = _ROW_SALTS[:depth]
-        if self._np is not None:
-            self._rows = self._np.zeros((depth, width), dtype=self._np.int64)
-        else:
-            self._rows = [[0] * width for _ in range(depth)]
+        self._rows = np.zeros((depth, width), dtype=np.int64)
         #: candidate label → estimated count; pruned to ``top_k`` when it
         #: reaches twice that (amortized O(log K) per admission).
         self._top: dict[str, int] = {}
@@ -162,21 +152,6 @@ class HeavyHitterSketch:
         whose estimates lead the batch — so label materialization cost
         is bounded by K, not the batch size.
         """
-        if self._np is None:
-            # Fallback engine: scalar loop over the batch.
-            labels = labeler(range(len(int_keys)))
-            for i, k in enumerate(int_keys):
-                buckets = self._buckets(int(k))
-                rows = self._rows
-                est = min(rows[r][b] for r, b in enumerate(buckets))
-                new_est = est + 1
-                for r, b in enumerate(buckets):
-                    if rows[r][b] < new_est:
-                        rows[r][b] = new_est
-                self._total += 1
-                self._admit(labels[i], new_est)
-            return
-        np = self._np
         keys = np.asarray(int_keys, dtype=np.uint64)
         n = int(keys.size)
         if n == 0:
@@ -245,19 +220,14 @@ class HeavyHitterSketch:
 
     def reset(self) -> None:
         """Zero the window (counters, candidates, admission floor)."""
-        if self._np is not None:
-            self._rows.fill(0)
-        else:
-            self._rows = [[0] * self.width for _ in range(self.depth)]
+        self._rows.fill(0)
         self._top.clear()
         self._floor = 0
         self._total = 0
 
     def memory_bytes(self) -> int:
         """Counter-table footprint (the population-independent part)."""
-        if self._np is not None:
-            return int(self._rows.nbytes)
-        return self.depth * self.width * 8
+        return int(self._rows.nbytes)
 
 
 @dataclass(frozen=True, slots=True)

@@ -138,7 +138,7 @@ class Rect:
         return overlap.area if overlap is not None else 0.0
 
     def union_bounds(self, other: "Rect") -> "Rect":
-        """The minimal rectangle covering both operands (R-tree node growth)."""
+        """The minimal rectangle covering both operands (bounding-box growth)."""
         return Rect(
             min(self.min_x, other.min_x),
             min(self.min_y, other.min_y),

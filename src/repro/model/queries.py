@@ -15,15 +15,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import LocationServiceError
 from repro.geo import Point, Rect, Region, region_area, region_bounds, region_contains_point
 from repro.geo.circle import circle_polygon_areas
 from repro.model.records import LocationDescriptor
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by monkeypatching _np away
-    _np = None
 
 #: An array overlap estimate closer than this to ``reqOverlap`` is not
 #: trusted: :func:`qualifies_for_range` decides that candidate instead.
@@ -187,31 +184,31 @@ def qualifying_indexes(
 
     The accuracy filter and the overlap of every candidate are evaluated
     as arrays.  An estimate decides only outside the guard band around
-    ``req_overlap``; inside it, for degenerate (zero-area) disks, and
-    where numpy is not importable, :func:`qualifies_for_range` — the one
-    definition of membership — gives the verdict.
+    ``req_overlap``; inside it and for degenerate (zero-area) disks,
+    :func:`qualifies_for_range` — the one definition of membership —
+    gives the verdict.
     """
 
     def scalar(i: int) -> bool:
         descriptor = LocationDescriptor(Point(xs[i], ys[i]), accs[i])
         return qualifies_for_range(area, descriptor, req_acc, req_overlap)
 
-    if _np is None or not len(xs):
-        return [i for i in range(len(xs)) if scalar(i)]
-    x = _np.asarray(xs, dtype=float)
-    y = _np.asarray(ys, dtype=float)
-    radius = _np.asarray(accs, dtype=float)
+    if not len(xs):
+        return []
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    radius = np.asarray(accs, dtype=float)
     bounds = region_bounds(area)
     center = bounds.center
-    with _np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         areas = circle_polygon_areas(
-            _np, x, y, radius, area.corners if isinstance(area, Rect) else area.points
+            np, x, y, radius, area.corners if isinstance(area, Rect) else area.points
         )
         disk = math.pi * radius * radius
-        estimate = _np.minimum(areas / disk, 1.0)
-        far = _np.hypot(x - center.x, y - center.y) + math.hypot(bounds.width, bounds.height)
+        estimate = np.minimum(areas / disk, 1.0)
+        far = np.hypot(x - center.x, y - center.y) + math.hypot(bounds.width, bounds.height)
         guard = _OVERLAP_GUARD + 1e-13 * (far / radius) ** 2
-        decided = (disk > 0.0) & (_np.abs(estimate - req_overlap) > guard)
+        decided = (disk > 0.0) & (np.abs(estimate - req_overlap) > guard)
     accurate = radius <= req_acc
     keep = accurate & decided & (estimate > req_overlap)
     for i in (accurate & ~decided).nonzero()[0].tolist():

@@ -58,13 +58,12 @@ class StreamingMobilitySimulation:
         area_side: square service-area side length (meters).
         backend: ``columnar`` or ``objects`` (see above).
         seed: trajectory seed — two simulations built with the same
-            ``objects``/``area_side``/``seed``/``use_numpy`` trace
+            ``objects``/``area_side``/``seed`` trace
             identical walker paths regardless of backend.
         monitor: optional :class:`~repro.cluster.load.LoadMonitor` whose
             per-object window is fed each tick (the columnar lane feeds
             the vectorized sketch lane and requires
             ``object_rate_mode="sketch"``).
-        use_numpy: forwarded to :class:`StreamingWalkers`.
     """
 
     def __init__(
@@ -74,14 +73,11 @@ class StreamingMobilitySimulation:
         backend: str = "columnar",
         seed: int = 0,
         monitor=None,
-        use_numpy: bool | None = None,
         ttl: float = 300.0,
     ) -> None:
         self.backend = backend
         self.area = Rect(0.0, 0.0, area_side, area_side)
-        self.walkers = StreamingWalkers(
-            objects, self.area, seed=seed, use_numpy=use_numpy
-        )
+        self.walkers = StreamingWalkers(objects, self.area, seed=seed)
         self.monitor = monitor
         self.now = 0.0
         self.store = LocalDataStore(

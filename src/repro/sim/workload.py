@@ -18,6 +18,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.hierarchy import Hierarchy
 from repro.geo import Point, Rect
 
@@ -294,9 +296,6 @@ class StreamingWalkers:
     so two populations built with identical parameters trace identical
     trajectories — the equivalence harness drives the object and the
     columnar backend from twin instances and compares answers exactly.
-
-    Uses numpy when available; the stdlib-``array`` fallback keeps the
-    same trajectories at python-loop speed.
     """
 
     def __init__(
@@ -306,41 +305,18 @@ class StreamingWalkers:
         speed: float = 1.5,
         seed: int = 0,
         prefix: str = "sw",
-        use_numpy: bool | None = None,
     ) -> None:
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - exercised via use_numpy=False
-            np = None
-        if use_numpy and np is None:
-            raise ValueError("numpy requested but not installed")
-        self._np = np if use_numpy in (None, True) else None
         self.count = count
         self.area = area
         self.object_ids = [f"{prefix}-{i}" for i in range(count)]
-        # Draws come from numpy's PCG64 when available and from
-        # random.Random otherwise — same *distribution*, different
-        # streams; reproducibility is per-engine, which is all the
-        # equivalence harness needs (it builds both populations with the
-        # same engine).
-        if self._np is not None:
-            rng = self._np.random.default_rng(seed)
-            self.xs = rng.uniform(area.min_x, area.max_x, count)
-            self.ys = rng.uniform(area.min_y, area.max_y, count)
-            headings = rng.uniform(0.0, 2.0 * math.pi, count)
-            self.vxs = speed * self._np.cos(headings)
-            self.vys = speed * self._np.sin(headings)
-        else:
-            prng = random.Random(seed)
-            from array import array as _array
-
-            self.xs = _array("d", (prng.uniform(area.min_x, area.max_x) for _ in range(count)))
-            self.ys = _array("d", (prng.uniform(area.min_y, area.max_y) for _ in range(count)))
-            headings = [prng.uniform(0.0, 2.0 * math.pi) for _ in range(count)]
-            self.vxs = _array("d", (speed * math.cos(h) for h in headings))
-            self.vys = _array("d", (speed * math.sin(h) for h in headings))
+        rng = np.random.default_rng(seed)  # PCG64: reproducible per seed
+        self.xs = rng.uniform(area.min_x, area.max_x, count)
+        self.ys = rng.uniform(area.min_y, area.max_y, count)
+        headings = rng.uniform(0.0, 2.0 * math.pi, count)
+        self.vxs = speed * np.cos(headings)
+        self.vys = speed * np.sin(headings)
 
     def step(self, dt: float):
         """Advance every walker by ``dt`` seconds; returns ``(xs, ys)``.
@@ -349,38 +325,24 @@ class StreamingWalkers:
         copies) — consume them before the next ``step``.
         """
         area = self.area
-        if self._np is not None:
-            np = self._np
-            self.xs += self.vxs * dt
-            self.ys += self.vys * dt
-            # Reflect off the borders: mirror the overshoot, flip velocity.
-            for pos, vel, lo, hi in (
-                (self.xs, self.vxs, area.min_x, area.max_x),
-                (self.ys, self.vys, area.min_y, area.max_y),
-            ):
-                low = pos < lo
-                if low.any():
-                    pos[low] = 2.0 * lo - pos[low]
-                    vel[low] = -vel[low]
-                high = pos > hi
-                if high.any():
-                    pos[high] = 2.0 * hi - pos[high]
-                    vel[high] = -vel[high]
-                # A walker overshooting past both borders in one step
-                # (speed*dt > side) would leave the area; clamp defensively.
-                np.clip(pos, lo, hi, out=pos)
-            return self.xs, self.ys
-        for i in range(self.count):
-            for pos, vel, lo, hi in ((self.xs, self.vxs, area.min_x, area.max_x),
-                                     (self.ys, self.vys, area.min_y, area.max_y)):
-                p = pos[i] + vel[i] * dt
-                if p < lo:
-                    p = 2.0 * lo - p
-                    vel[i] = -vel[i]
-                elif p > hi:
-                    p = 2.0 * hi - p
-                    vel[i] = -vel[i]
-                pos[i] = min(max(p, lo), hi)
+        self.xs += self.vxs * dt
+        self.ys += self.vys * dt
+        # Reflect off the borders: mirror the overshoot, flip velocity.
+        for pos, vel, lo, hi in (
+            (self.xs, self.vxs, area.min_x, area.max_x),
+            (self.ys, self.vys, area.min_y, area.max_y),
+        ):
+            low = pos < lo
+            if low.any():
+                pos[low] = 2.0 * lo - pos[low]
+                vel[low] = -vel[low]
+            high = pos > hi
+            if high.any():
+                pos[high] = 2.0 * hi - pos[high]
+                vel[high] = -vel[high]
+            # A walker overshooting past both borders in one step
+            # (speed*dt > side) would leave the area; clamp defensively.
+            np.clip(pos, lo, hi, out=pos)
         return self.xs, self.ys
 
     def position_of(self, i: int) -> Point:

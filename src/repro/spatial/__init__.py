@@ -1,11 +1,9 @@
 """Main-memory spatial indexes for the sighting DB (paper Section 5).
 
 * :class:`PointQuadtree` — the paper's choice ([17], used in Section 7.1),
-* :class:`RTree` — the paper's named alternative ([6]),
-* :class:`GridIndex` — uniform hash grid baseline,
 * :class:`LinearScanIndex` — brute-force correctness oracle,
-* :class:`ColumnarIndex` — contiguous-column engine for the
-  million-object update-dominant hot path (numpy when available).
+* :class:`ColumnarIndex` — numpy contiguous-column engine for the
+  million-object update-dominant hot path.
 
 All share the :class:`SpatialIndex` interface, including the batch entry
 points ``update_many`` / ``query_rect_many`` and per-index in-place move
@@ -16,16 +14,12 @@ fast-path invariants each implementation maintains.
 
 from repro.spatial.base import NeighborHit, SpatialIndex
 from repro.spatial.columnar import ColumnarIndex, SlotHandle, StaleHandleError
-from repro.spatial.grid import GridIndex
 from repro.spatial.linear import LinearScanIndex
 from repro.spatial.quadtree import PointQuadtree
-from repro.spatial.rtree import RTree
 
 #: Registry used by configuration files and benches to pick an index.
 INDEX_FACTORIES = {
     "quadtree": PointQuadtree,
-    "rtree": RTree,
-    "grid": GridIndex,
     "linear": LinearScanIndex,
     "columnar": ColumnarIndex,
 }
@@ -35,9 +29,10 @@ def make_index(kind: str = "quadtree", **kwargs) -> SpatialIndex:
     """Instantiate a spatial index by name.
 
     Args:
-        kind: one of ``quadtree`` (default, the paper's choice), ``rtree``,
-            ``grid``, ``linear`` or ``columnar`` (the array-backed
-            million-object hot path, :mod:`repro.spatial.columnar`).
+        kind: one of ``quadtree`` (default, the paper's choice),
+            ``linear`` (the brute-force oracle) or ``columnar`` (the
+            array-backed million-object hot path,
+            :mod:`repro.spatial.columnar`).
         **kwargs: forwarded to the index constructor.
     """
     try:
@@ -51,12 +46,10 @@ def make_index(kind: str = "quadtree", **kwargs) -> SpatialIndex:
 
 __all__ = [
     "ColumnarIndex",
-    "GridIndex",
     "INDEX_FACTORIES",
     "LinearScanIndex",
     "NeighborHit",
     "PointQuadtree",
-    "RTree",
     "SlotHandle",
     "SpatialIndex",
     "StaleHandleError",

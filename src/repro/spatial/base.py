@@ -24,33 +24,28 @@ outnumber queries by an order of magnitude), so every index overrides
 :meth:`update` with an **in-place fast path** for small displacements and
 the base class exposes two batch entry points:
 
-* :meth:`update_many` — apply many ``(id, point)`` moves.  Tree indexes
-  take the in-place path per move and defer the structural
+* :meth:`update_many` — apply many ``(id, point)`` moves.  The quadtree
+  takes the in-place path per move and defers the structural
   remove+reinsert of the few entries that escape their node to one
   final pass.
-* :meth:`query_rect_many` — answer many rect queries in one call; tree
-  indexes traverse the structure once, carrying the set of still-live
+* :meth:`query_rect_many` — answer many rect queries in one call; the
+  quadtree traverses the structure once, carrying the set of still-live
   rects down each branch.
 
 Per-index fast-path invariants (each equivalent to remove+insert for
 every query):
 
-* ``GridIndex.update`` is an O(1) dict move and a pure no-op on the cell
-  structure when the cell key is unchanged.
 * ``PointQuadtree.update`` rewrites the node's point in place when the
   node is childless and the new point falls into the same quadrant at
   every ancestor (i.e. stays inside the node's implicit region);
   otherwise it falls back to delete + reinsert.
-* ``RTree.update`` rewrites the leaf entry in place when the new point
-  stays inside the owning leaf's MBR.  The MBR is *not* shrunk, so node
-  MBRs may over-cover after many moves — they remain valid (supersets),
-  which preserves query and nearest-neighbor admissibility.
 * ``LinearScanIndex.update`` is a plain dict store.
+* ``ColumnarIndex.update`` is two column stores at the object's slot.
 
 Whatever path is taken, ``items()``/``query_rect``/``nearest`` must
 return results point-for-point identical to the remove+insert baseline
 (the property suite in ``tests/spatial/test_batch_ops.py`` enforces
-this for all four implementations).
+this for every registered implementation).
 """
 
 from __future__ import annotations
@@ -185,11 +180,10 @@ class SpatialIndex(ABC):
     def compact(self) -> None:
         """Re-tighten internal bounds loosened by long in-place-move streams.
 
-        A no-op for indexes whose structure never over-covers (grid,
-        linear, quadtree — their pruning bounds are exact by
-        construction).  The R-tree overrides this to shrink leaf MBRs
-        back to their entries, recovering range-query selectivity after
-        many fast-path moves.  Never changes query results — only the
+        A no-op for indexes whose structure never over-covers (linear,
+        quadtree — their pruning bounds are exact by construction).  The
+        columnar index overrides this to re-pack live slots after
+        deregistration churn.  Never changes query results — only the
         work needed to compute them.
         """
 

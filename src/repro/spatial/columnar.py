@@ -20,10 +20,6 @@ outnumber queries by an order of magnitude) this is the right corner of
 the design space; the object indexes remain available for query-heavy
 deployments via the same :func:`~repro.spatial.make_index` registry.
 
-The engine uses numpy when available and falls back to the stdlib
-``array`` module (same layout, python-loop speed) so the library keeps
-working — just slower — on interpreters without numpy.
-
 Dead slots are marked by an ``nan`` sentinel in every column: IEEE
 comparisons with nan are false, so vectorized masks skip free slots for
 free.  (Coordinates are validated non-nan on the way in; the runtime
@@ -46,17 +42,13 @@ silently redirect a walker's update into a recycled slot.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import StorageError
 from repro.geo import Point, Rect
 from repro.spatial.base import NeighborHit, SpatialIndex
-
-try:  # numpy is an optional accelerator (setup.py extra "columnar")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via use_numpy=False
-    _np = None
 
 _NAN = float("nan")
 _INF = float("inf")
@@ -72,7 +64,7 @@ class SlotHandle:
     __slots__ = ("slots", "version", "object_ids")
 
     def __init__(self, slots, version: int, object_ids: tuple[str, ...]) -> None:
-        self.slots = slots  # np.intp array, or list[int] on the fallback
+        self.slots = slots  # np.intp array
         self.version = version
         self.object_ids = object_ids
 
@@ -85,12 +77,9 @@ class ColumnarIndex(SpatialIndex):
 
     Args:
         capacity: initial slot capacity (grown by doubling).
-        use_numpy: force the numpy (``True``) or stdlib-``array``
-            (``False``) engine; default auto-detects numpy.
     """
 
     __slots__ = (
-        "_np",
         "_capacity",
         "_size",
         "_next",
@@ -102,12 +91,9 @@ class ColumnarIndex(SpatialIndex):
         "_version",
     )
 
-    def __init__(self, capacity: int = 1024, use_numpy: bool | None = None) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if use_numpy and _np is None:
-            raise StorageError("numpy requested but not installed")
-        self._np = _np if use_numpy in (None, True) else None
         self._capacity = capacity
         self._size = 0  # live entries
         self._next = 0  # high-water mark: slots >= _next never allocated
@@ -127,17 +113,12 @@ class ColumnarIndex(SpatialIndex):
         timestamp column), grown in lockstep with x/y."""
         if name in self._cols:
             raise StorageError(f"column {name!r} already registered")
-        self._cols[name] = self._new_array(self._capacity, fill)
+        self._cols[name] = np.full(self._capacity, fill, dtype=np.float64)
         self._fills[name] = fill
 
     def column(self, name: str):
         """The raw column array; only live slots hold meaningful values."""
         return self._cols[name]
-
-    def _new_array(self, length: int, fill: float):
-        if self._np is not None:
-            return self._np.full(length, fill, dtype=self._np.float64)
-        return array("d", [fill]) * length
 
     def _grow(self, needed: int) -> None:
         new_cap = max(64, self._capacity)
@@ -145,16 +126,10 @@ class ColumnarIndex(SpatialIndex):
             new_cap *= 2
         if new_cap == self._capacity:
             return
-        if self._np is not None:
-            for name, col in self._cols.items():
-                grown = self._np.full(new_cap, self._fills[name], dtype=self._np.float64)
-                grown[: self._capacity] = col
-                self._cols[name] = grown
-        else:
-            for name, col in self._cols.items():
-                col.extend(
-                    array("d", [self._fills[name]]) * (new_cap - self._capacity)
-                )
+        for name, col in self._cols.items():
+            grown = np.full(new_cap, self._fills[name], dtype=np.float64)
+            grown[: self._capacity] = col
+            self._cols[name] = grown
         self._ids.extend([None] * (new_cap - self._capacity))
         self._capacity = new_cap
 
@@ -199,9 +174,7 @@ class ColumnarIndex(SpatialIndex):
     def resolve_slots(self, object_ids: Sequence[str]) -> SlotHandle:
         """Resolve many ids to a reusable :class:`SlotHandle`."""
         slot_of = self._slot_of
-        slots = [slot_of[oid] for oid in object_ids]
-        if self._np is not None:
-            slots = self._np.asarray(slots, dtype=self._np.intp)
+        slots = np.asarray([slot_of[oid] for oid in object_ids], dtype=np.intp)
         return SlotHandle(slots, self._version, tuple(object_ids))
 
     def check_handle(self, handle: SlotHandle) -> None:
@@ -254,35 +227,19 @@ class ColumnarIndex(SpatialIndex):
     def update_slots(self, handle: SlotHandle, xs, ys) -> None:
         """Vectorized scatter of new positions into resolved slots.
 
-        ``xs``/``ys`` are sequences (numpy arrays on the fast path)
-        positionally matching ``handle.object_ids``.
+        ``xs``/``ys`` are sequences (numpy arrays, typically) positionally
+        matching ``handle.object_ids``.
         """
         self.check_handle(handle)
         if len(xs) != len(handle.slots) or len(ys) != len(handle.slots):
             raise ValueError("position arrays must match the handle length")
-        if self._np is not None:
-            self._cols["x"][handle.slots] = xs
-            self._cols["y"][handle.slots] = ys
-            return
-        col_x = self._cols["x"]
-        col_y = self._cols["y"]
-        for slot, x, y in zip(handle.slots, xs, ys):
-            col_x[slot] = x
-            col_y[slot] = y
+        self._cols["x"][handle.slots] = xs
+        self._cols["y"][handle.slots] = ys
 
     def fill_slots(self, name: str, handle: SlotHandle, value) -> None:
         """Scatter a scalar (or per-slot sequence) into an extra column."""
         self.check_handle(handle)
-        col = self._cols[name]
-        if self._np is not None:
-            col[handle.slots] = value
-            return
-        if isinstance(value, (int, float)):
-            for slot in handle.slots:
-                col[slot] = value
-        else:
-            for slot, v in zip(handle.slots, value):
-                col[slot] = v
+        self._cols[name][handle.slots] = value
 
     def bulk_load(self, entries: Iterable[tuple[str, Point]]) -> None:
         fresh = self._validated_batch(entries)
@@ -305,9 +262,7 @@ class ColumnarIndex(SpatialIndex):
         for oid in object_ids:
             if oid in slot_of:
                 raise KeyError(f"duplicate insert for {oid!r}")
-        slots = self._bulk_alloc(list(object_ids), xs, ys)
-        if self._np is not None:
-            slots = self._np.asarray(slots, dtype=self._np.intp)
+        slots = np.asarray(self._bulk_alloc(list(object_ids), xs, ys), dtype=np.intp)
         return SlotHandle(slots, self._version, tuple(object_ids))
 
     def _bulk_alloc(self, ids: list[str], xs, ys) -> list[int]:
@@ -327,15 +282,8 @@ class ColumnarIndex(SpatialIndex):
             self._ids[start:stop] = ids
             slots = list(range(start, stop))
             self._slot_of.update(zip(ids, slots))
-            if self._np is not None:
-                self._cols["x"][start:stop] = xs
-                self._cols["y"][start:stop] = ys
-            else:
-                col_x = self._cols["x"]
-                col_y = self._cols["y"]
-                for slot, x, y in zip(slots, xs, ys):
-                    col_x[slot] = x
-                    col_y[slot] = y
+            self._cols["x"][start:stop] = xs
+            self._cols["y"][start:stop] = ys
             self._next = stop
             self._size += n
             return slots
@@ -358,7 +306,7 @@ class ColumnarIndex(SpatialIndex):
         self._slot_of.clear()
         self._free.clear()
         for name in self._cols:
-            self._cols[name] = self._new_array(self._capacity, self._fills[name])
+            self._cols[name] = np.full(self._capacity, self._fills[name], dtype=np.float64)
 
     def compact(self) -> None:
         """Densify the columns when fragmentation got significant.
@@ -375,20 +323,11 @@ class ColumnarIndex(SpatialIndex):
         live = [slot for slot, oid in enumerate(self._ids[: self._next]) if oid is not None]
         self._version += 1
         new_ids: list[str | None] = [None] * self._capacity
-        if self._np is not None:
-            gather = self._np.asarray(live, dtype=self._np.intp)
-            for name, col in self._cols.items():
-                packed = self._np.full(
-                    self._capacity, self._fills[name], dtype=self._np.float64
-                )
-                packed[: len(live)] = col[gather]
-                self._cols[name] = packed
-        else:
-            for name, col in self._cols.items():
-                packed = self._new_array(self._capacity, self._fills[name])
-                for new_slot, old_slot in enumerate(live):
-                    packed[new_slot] = col[old_slot]
-                self._cols[name] = packed
+        gather = np.asarray(live, dtype=np.intp)
+        for name, col in self._cols.items():
+            packed = np.full(self._capacity, self._fills[name], dtype=np.float64)
+            packed[: len(live)] = col[gather]
+            self._cols[name] = packed
         for new_slot, old_slot in enumerate(live):
             oid = self._ids[old_slot]
             new_ids[new_slot] = oid
@@ -421,31 +360,21 @@ class ColumnarIndex(SpatialIndex):
             if oid is not None:
                 yield slot, oid
 
-    def _rect_slots(self, rect: Rect):
-        """Live slots inside a closed rect (list of ints)."""
-        xs = self._cols["x"]
-        ys = self._cols["y"]
-        if self._np is not None:
-            n = self._next
-            vx = xs[:n]
-            vy = ys[:n]
-            mask = (vx >= rect.min_x) & (vx <= rect.max_x)
-            mask &= (vy >= rect.min_y) & (vy <= rect.max_y)
-            return mask.nonzero()[0].tolist()
-        min_x, min_y, max_x, max_y = rect.min_x, rect.min_y, rect.max_x, rect.max_y
-        return [
-            slot
-            for slot, oid in enumerate(self._ids[: self._next])
-            if oid is not None
-            and min_x <= xs[slot] <= max_x
-            and min_y <= ys[slot] <= max_y
-        ]
+    def _rect_mask(self, rect: Rect):
+        """Boolean mask over the allocated slots: live and inside a
+        closed rect (free slots hold nan, which compares false)."""
+        n = self._next
+        vx = self._cols["x"][:n]
+        vy = self._cols["y"][:n]
+        mask = (vx >= rect.min_x) & (vx <= rect.max_x)
+        mask &= (vy >= rect.min_y) & (vy <= rect.max_y)
+        return mask
 
     def query_rect(self, rect: Rect) -> Iterator[tuple[str, Point]]:
         xs = self._cols["x"]
         ys = self._cols["y"]
         ids = self._ids
-        for slot in self._rect_slots(rect):
+        for slot in self._rect_mask(rect).nonzero()[0].tolist():
             yield ids[slot], Point(float(xs[slot]), float(ys[slot]))
 
     def counts_in_rects(self, rects: Iterable[Rect]) -> list[int]:
@@ -454,19 +383,7 @@ class ColumnarIndex(SpatialIndex):
         The planner's cut-costing primitive: each rect is one vectorized
         mask + popcount over the columns.
         """
-        xs = self._cols["x"]
-        ys = self._cols["y"]
-        if self._np is not None:
-            n = self._next
-            vx = xs[:n]
-            vy = ys[:n]
-            counts = []
-            for rect in rects:
-                mask = (vx >= rect.min_x) & (vx <= rect.max_x)
-                mask &= (vy >= rect.min_y) & (vy <= rect.max_y)
-                counts.append(int(self._np.count_nonzero(mask)))
-            return counts
-        return [len(self._rect_slots(rect)) for rect in rects]
+        return [int(np.count_nonzero(self._rect_mask(rect))) for rect in rects]
 
     def nearest(
         self, point: Point, k: int = 1, max_distance: float = _INF
@@ -476,31 +393,24 @@ class ColumnarIndex(SpatialIndex):
         ids = self._ids
         xs = self._cols["x"]
         ys = self._cols["y"]
-        if self._np is not None:
-            np = self._np
-            n = self._next
-            dx = xs[:n] - point.x
-            dy = ys[:n] - point.y
-            d2 = dx * dx + dy * dy
-            if math.isinf(max_distance):
-                cand = np.nonzero(~np.isnan(d2))[0]
-            else:
-                # A hair of slack so the exact scalar distance below (the
-                # same arithmetic the other indexes use) decides the
-                # boundary, not the squared prefilter's rounding.
-                cand = np.nonzero(d2 <= (max_distance * max_distance) * (1.0 + 1e-9))[0]
-            if cand.size == 0:
-                return []
-            if cand.size > k:
-                kth = np.partition(d2[cand], k - 1)[k - 1]
-                cand = cand[d2[cand] <= kth * (1.0 + 1e-9)]
-            slots = cand.tolist()
+        n = self._next
+        dx = xs[:n] - point.x
+        dy = ys[:n] - point.y
+        d2 = dx * dx + dy * dy
+        if math.isinf(max_distance):
+            cand = np.nonzero(~np.isnan(d2))[0]
         else:
-            slots = [
-                slot for slot, oid in enumerate(self._ids[: self._next]) if oid is not None
-            ]
+            # A hair of slack so the exact scalar distance below (the
+            # same arithmetic the other indexes use) decides the
+            # boundary, not the squared prefilter's rounding.
+            cand = np.nonzero(d2 <= (max_distance * max_distance) * (1.0 + 1e-9))[0]
+        if cand.size == 0:
+            return []
+        if cand.size > k:
+            kth = np.partition(d2[cand], k - 1)[k - 1]
+            cand = cand[d2[cand] <= kth * (1.0 + 1e-9)]
         hits = []
-        for slot in slots:
+        for slot in cand.tolist():
             p = Point(float(xs[slot]), float(ys[slot]))
             d = point.distance_to(p)
             if d > max_distance:
@@ -513,6 +423,4 @@ class ColumnarIndex(SpatialIndex):
 
     def memory_bytes(self) -> int:
         """Approximate column storage footprint (excludes the id maps)."""
-        if self._np is not None:
-            return sum(col.nbytes for col in self._cols.values())
-        return sum(col.itemsize * len(col) for col in self._cols.values())
+        return sum(col.nbytes for col in self._cols.values())

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import StorageError
 from repro.model import SightingRecord
 from repro.geo import Point, Rect
@@ -236,16 +238,8 @@ class ColumnarSightingDB(SightingDB):
     def expire_due(self, now: float) -> list[str]:
         index = self._index
         col_dl = index.column("deadline")
-        if index._np is not None:
-            due = col_dl[: index._next] <= now  # nan compares false
-            slots = due.nonzero()[0].tolist()
-        else:
-            slots = [
-                slot
-                for slot, _oid in index.live_slots()
-                if col_dl[slot] <= now
-            ]
-        expired = [index.id_at(slot) for slot in slots]
+        due = col_dl[: index._next] <= now  # nan compares false
+        expired = [index.id_at(slot) for slot in due.nonzero()[0].tolist()]
         for oid in expired:
             index.remove(oid)
         for oid, deadline in list(self._pending_expiry.items()):
@@ -258,14 +252,9 @@ class ColumnarSightingDB(SightingDB):
         index = self._index
         col_dl = index.column("deadline")
         best = math.inf
-        if index._np is not None:
-            live = col_dl[: index._next]
-            if live.size and not index._np.isnan(live).all():
-                best = float(index._np.nanmin(live))
-        else:
-            for slot, _oid in index.live_slots():
-                if col_dl[slot] < best:
-                    best = col_dl[slot]
+        live = col_dl[: index._next]
+        if live.size and not np.isnan(live).all():
+            best = float(np.nanmin(live))
         if self._pending_expiry:
             best = min(best, min(self._pending_expiry.values()))
         return None if math.isinf(best) else best

@@ -332,10 +332,9 @@ class LocalDataStore:
         The counterpart of :meth:`admit_handover_many` for object migration:
         visitor records keep their already-negotiated accuracy, sightings
         land through the sighting DB's bulk insert (one spatial-index
-        ``bulk_load``), and the index is compacted afterwards so R-tree
-        leaf MBRs inflated by the source's in-place move stream do not
-        carry over into the destination.  The sighting bulk insert runs
-        first: it validates the whole batch before applying anything, so
+        ``bulk_load``), and the index is compacted afterwards (see
+        :meth:`~repro.spatial.SpatialIndex.compact`).  The sighting bulk
+        insert runs first: it validates the whole batch before applying anything, so
         a duplicate id fails the admission without leaving visitor
         records that have no backing sighting.  ``compact=False`` defers
         the compaction — the chunked migration copy admits many batches

@@ -7,20 +7,16 @@ keys, and the ``object_rate_mode="sketch"`` monitor folds only those
 into its EWMAs so memory stays constant no matter the population.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster import HeavyHitterSketch
 from repro.cluster.load import LoadMonitor
 
-ENGINES = [
-    pytest.param(None, id="numpy"),
-    pytest.param(False, id="stdlib"),
-]
 
-
-@pytest.fixture(params=ENGINES)
-def sketch(request):
-    return HeavyHitterSketch(width=1024, depth=4, top_k=8, use_numpy=request.param)
+@pytest.fixture
+def sketch():
+    return HeavyHitterSketch(width=1024, depth=4, top_k=8)
 
 
 class TestCountMinProperties:
@@ -85,9 +81,6 @@ class TestCountMinProperties:
 
 class TestVectorizedLane:
     def test_add_array_matches_scalar_totals(self):
-        pytest.importorskip("numpy")
-        import numpy as np
-
         vec = HeavyHitterSketch(width=2048, depth=4, top_k=8)
         scalar = HeavyHitterSketch(width=2048, depth=4, top_k=8)
         slots = np.array([7] * 500 + [42] * 300 + list(range(100, 160)), dtype=np.int64)
@@ -103,9 +96,6 @@ class TestVectorizedLane:
         assert set(scalar.heavy_hitters()) >= {"slot-7", "slot-42"}
 
     def test_duplicate_heavy_key_cannot_crowd_out_others(self):
-        pytest.importorskip("numpy")
-        import numpy as np
-
         sketch = HeavyHitterSketch(width=2048, depth=4, top_k=4)
         # One key occupies 90% of the batch; the dedup in add_array must
         # still let the other heavy key into the candidate set.

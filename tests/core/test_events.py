@@ -9,8 +9,8 @@ from repro.geo import Point, Rect
 
 
 @pytest.fixture
-def svc():
-    return LocationService(build_table2_hierarchy())
+def svc(lane):
+    return LocationService(build_table2_hierarchy(), **lane)
 
 
 def drain(svc, seconds):

@@ -9,8 +9,8 @@ from repro.model import AccuracyModel
 
 
 @pytest.fixture
-def svc():
-    return LocationService(build_table2_hierarchy())
+def svc(lane):
+    return LocationService(build_table2_hierarchy(), **lane)
 
 
 class TestRegistration:

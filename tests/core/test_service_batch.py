@@ -17,8 +17,8 @@ from repro.geo import GeoCoordinate, Point, Rect
 
 
 @pytest.fixture
-def svc():
-    return LocationService(build_table2_hierarchy(1500.0), sighting_ttl=1e9)
+def svc(lane):
+    return LocationService(build_table2_hierarchy(1500.0), sighting_ttl=1e9, **lane)
 
 
 def leaf_areas(svc):

@@ -19,8 +19,8 @@ def make_tracker(svc, cells=None, **kwargs):
 
 
 @pytest.fixture
-def svc():
-    return LocationService(build_table2_hierarchy())
+def svc(lane):
+    return LocationService(build_table2_hierarchy(), **lane)
 
 
 class TestSensorCell:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,7 +117,6 @@ class TestArrayForm:
 
     @staticmethod
     def both(region, disks):
-        np = pytest.importorskip("numpy")
         cx, cy, r = (np.array(column, dtype=float) for column in zip(*disks))
         vertices = region.corners if isinstance(region, Rect) else region.points
         array = circle_polygon_areas(np, cx, cy, r, vertices)

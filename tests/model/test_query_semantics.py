@@ -7,6 +7,7 @@ the inclusion/exclusion outcomes the figures depict.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -401,7 +402,6 @@ class TestScanBoundsAndBatchFilter:
         st.lists(st.tuples(disks, st.floats(min_value=1e-3, max_value=10.0)), min_size=1, max_size=12),
     )
     def test_array_overlap_agrees_with_scalar_inside_the_guard(self, area, raw):
-        np = pytest.importorskip("numpy")
         # the flat guard's regime: disks not tiny against the area's extent
         box = region_bounds(area)
         descriptors = [
@@ -446,12 +446,6 @@ class TestScanBoundsAndBatchFilter:
             assert batch_members(area, descriptors, req_acc, req_overlap) == scalar_members(
                 area, descriptors, req_acc, req_overlap
             )
-
-    def test_batch_filter_without_numpy_is_the_scalar_loop(self, monkeypatch):
-        descriptors = [ld(50, 50, 10), ld(-5, 50, 20), ld(-19, 50, 20), ld(500, 500, 5), ld(1, 1, 0)]
-        with_numpy = batch_members(AREA, descriptors, 20.0, 0.3)
-        monkeypatch.setattr(queries_module, "_np", None)
-        assert batch_members(AREA, descriptors, 20.0, 0.3) == with_numpy == [0, 1, 4]
 
 
 class TestNearestNeighborProperties:

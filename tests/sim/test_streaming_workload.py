@@ -7,63 +7,51 @@ every walker inside the area, and the columnar/object twin simulations
 staying bit-identical through the full store stack.
 """
 
-import pytest
-
 from repro.geo import Rect
 from repro.sim import StreamingWalkers
 from repro.sim.columnar import StreamingMobilitySimulation, columnar_benchmark_payload
 
 AREA = Rect(0.0, 0.0, 500.0, 500.0)
 
-ENGINES = [
-    pytest.param(None, id="numpy"),
-    pytest.param(False, id="stdlib"),
-]
-
-
-@pytest.fixture(params=ENGINES)
-def engine(request):
-    return request.param
-
 
 class TestStreamingWalkers:
-    def test_same_seed_same_trajectories(self, engine):
-        a = StreamingWalkers(40, AREA, seed=3, use_numpy=engine)
-        b = StreamingWalkers(40, AREA, seed=3, use_numpy=engine)
+    def test_same_seed_same_trajectories(self):
+        a = StreamingWalkers(40, AREA, seed=3)
+        b = StreamingWalkers(40, AREA, seed=3)
         for _ in range(20):
             xs_a, ys_a = a.step(30.0)
             xs_b, ys_b = b.step(30.0)
             assert list(xs_a) == list(xs_b)
             assert list(ys_a) == list(ys_b)
 
-    def test_different_seeds_diverge(self, engine):
-        a = StreamingWalkers(40, AREA, seed=3, use_numpy=engine)
-        b = StreamingWalkers(40, AREA, seed=4, use_numpy=engine)
+    def test_different_seeds_diverge(self):
+        a = StreamingWalkers(40, AREA, seed=3)
+        b = StreamingWalkers(40, AREA, seed=4)
         a.step(30.0)
         b.step(30.0)
         assert list(a.xs) != list(b.xs)
 
-    def test_reflection_keeps_walkers_inside(self, engine):
-        walkers = StreamingWalkers(60, AREA, speed=25.0, seed=0, use_numpy=engine)
+    def test_reflection_keeps_walkers_inside(self):
+        walkers = StreamingWalkers(60, AREA, speed=25.0, seed=0)
         for _ in range(200):
             xs, ys = walkers.step(30.0)
             assert all(AREA.min_x <= x <= AREA.max_x for x in xs)
             assert all(AREA.min_y <= y <= AREA.max_y for y in ys)
 
-    def test_position_of_matches_arrays(self, engine):
-        walkers = StreamingWalkers(10, AREA, seed=1, use_numpy=engine)
+    def test_position_of_matches_arrays(self):
+        walkers = StreamingWalkers(10, AREA, seed=1)
         walkers.step(30.0)
         p = walkers.position_of(7)
         assert p.x == float(walkers.xs[7])
         assert p.y == float(walkers.ys[7])
 
-    def test_ticks_generator_advances_clock(self, engine):
-        walkers = StreamingWalkers(5, AREA, seed=0, use_numpy=engine)
+    def test_ticks_generator_advances_clock(self):
+        walkers = StreamingWalkers(5, AREA, seed=0)
         times = [now for now, _xs, _ys in walkers.ticks(4, dt=30.0)]
         assert times == [30.0, 60.0, 90.0, 120.0]
 
-    def test_object_ids_are_stable_and_prefixed(self, engine):
-        walkers = StreamingWalkers(3, AREA, seed=0, prefix="w", use_numpy=engine)
+    def test_object_ids_are_stable_and_prefixed(self):
+        walkers = StreamingWalkers(3, AREA, seed=0, prefix="w")
         assert list(walkers.object_ids) == ["w-0", "w-1", "w-2"]
 
 

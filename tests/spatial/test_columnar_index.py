@@ -4,8 +4,7 @@ The conformance and oracle-property suites already prove the columnar
 index *answers* like every other ``SpatialIndex``; these tests pin the
 machinery those suites cannot see — slot allocation and LIFO reuse,
 amortized growth, version-stamped handle invalidation, the registered
-extra columns growing in lockstep, and compaction — on both the numpy
-and the stdlib-``array`` engine.
+extra columns growing in lockstep, and compaction.
 """
 
 import pytest
@@ -13,26 +12,16 @@ import pytest
 from repro.geo import Point, Rect
 from repro.spatial import ColumnarIndex, StaleHandleError
 
-ENGINES = [
-    pytest.param(None, id="numpy"),
-    pytest.param(False, id="stdlib"),
-]
-
-
-@pytest.fixture(params=ENGINES)
-def make(request):
-    return lambda **kw: ColumnarIndex(use_numpy=request.param, **kw)
-
 
 class TestSlotsAndFreeList:
-    def test_slots_assigned_densely(self, make):
-        index = make(capacity=4)
+    def test_slots_assigned_densely(self):
+        index = ColumnarIndex(capacity=4)
         slots = [index.insert_slot(f"o{i}", float(i), 0.0) for i in range(4)]
         assert slots == [0, 1, 2, 3]
         assert [index.id_at(s) for s in slots] == ["o0", "o1", "o2", "o3"]
 
-    def test_remove_frees_slot_for_lifo_reuse(self, make):
-        index = make(capacity=8)
+    def test_remove_frees_slot_for_lifo_reuse(self):
+        index = ColumnarIndex(capacity=8)
         for i in range(4):
             index.insert_slot(f"o{i}", float(i), 0.0)
         index.remove("o1")
@@ -43,8 +32,8 @@ class TestSlotsAndFreeList:
         assert index.insert_slot("n2", 9.0, 9.0) == 1
         assert index.free_slots == 0
 
-    def test_removed_slot_is_invisible_to_queries(self, make):
-        index = make(capacity=4)
+    def test_removed_slot_is_invisible_to_queries(self):
+        index = ColumnarIndex(capacity=4)
         index.insert("a", Point(1.0, 1.0))
         index.insert("b", Point(2.0, 2.0))
         removed = index.remove("a")
@@ -55,28 +44,28 @@ class TestSlotsAndFreeList:
         assert len(index) == 1
         assert index.get("a") is None
 
-    def test_duplicate_insert_rejected(self, make):
-        index = make()
+    def test_duplicate_insert_rejected(self):
+        index = ColumnarIndex()
         index.insert("a", Point(0.0, 0.0))
         with pytest.raises(KeyError):
             index.insert("a", Point(1.0, 1.0))
 
-    def test_remove_unknown_rejected(self, make):
+    def test_remove_unknown_rejected(self):
         with pytest.raises(KeyError):
-            make().remove("ghost")
+            ColumnarIndex().remove("ghost")
 
 
 class TestGrowth:
-    def test_capacity_doubles_past_the_brim(self, make):
-        index = make(capacity=2)
+    def test_capacity_doubles_past_the_brim(self):
+        index = ColumnarIndex(capacity=2)
         for i in range(5):
             index.insert(f"o{i}", Point(float(i), float(i)))
         assert index.capacity >= 5
         assert len(index) == 5
         assert sorted(oid for oid, _ in index.items()) == [f"o{i}" for i in range(5)]
 
-    def test_growth_preserves_positions_and_columns(self, make):
-        index = make(capacity=2)
+    def test_growth_preserves_positions_and_columns(self):
+        index = ColumnarIndex(capacity=2)
         index.add_column("t", fill=-1.0)
         index.insert("a", Point(3.0, 4.0))
         index.column("t")[index.slot_of("a")] = 42.0
@@ -90,8 +79,8 @@ class TestGrowth:
 
 
 class TestHandles:
-    def test_handle_scatter_updates_positions(self, make):
-        index = make()
+    def test_handle_scatter_updates_positions(self):
+        index = ColumnarIndex()
         for i in range(4):
             index.insert(f"o{i}", Point(0.0, 0.0))
         handle = index.resolve_slots(["o3", "o1"])
@@ -100,14 +89,14 @@ class TestHandles:
         assert index.get("o1") == Point(10.0, 11.0)
         assert index.get("o0") == Point(0.0, 0.0)
 
-    def test_unknown_id_fails_resolution(self, make):
-        index = make()
+    def test_unknown_id_fails_resolution(self):
+        index = ColumnarIndex()
         index.insert("a", Point(0.0, 0.0))
         with pytest.raises(KeyError):
             index.resolve_slots(["a", "ghost"])
 
-    def test_update_does_not_invalidate(self, make):
-        index = make()
+    def test_update_does_not_invalidate(self):
+        index = ColumnarIndex()
         index.insert("a", Point(0.0, 0.0))
         handle = index.resolve_slots(["a"])
         index.update("a", Point(5.0, 5.0))  # same slot, no remap
@@ -123,8 +112,8 @@ class TestHandles:
             pytest.param(lambda ix: ix.clear(), id="clear"),
         ],
     )
-    def test_slot_remapping_staleness(self, make, mutate):
-        index = make()
+    def test_slot_remapping_staleness(self, mutate):
+        index = ColumnarIndex()
         index.insert("a", Point(0.0, 0.0))
         handle = index.resolve_slots(["a"])
         mutate(index)
@@ -133,8 +122,8 @@ class TestHandles:
         with pytest.raises(StaleHandleError):
             index.update_slots(handle, [1.0], [1.0])
 
-    def test_fill_slots_writes_registered_column(self, make):
-        index = make()
+    def test_fill_slots_writes_registered_column(self):
+        index = ColumnarIndex()
         index.add_column("deadline")
         for i in range(3):
             index.insert(f"o{i}", Point(float(i), 0.0))
@@ -146,8 +135,8 @@ class TestHandles:
 
 
 class TestBulkLoadAndCompact:
-    def test_bulk_load_arrays_round_trip(self, make):
-        index = make(capacity=2)
+    def test_bulk_load_arrays_round_trip(self):
+        index = ColumnarIndex(capacity=2)
         ids = [f"o{i}" for i in range(50)]
         xs = [float(i) for i in range(50)]
         ys = [float(50 - i) for i in range(50)]
@@ -156,13 +145,13 @@ class TestBulkLoadAndCompact:
         assert len(index) == 50
         assert index.get("o7") == Point(7.0, 43.0)
 
-    def test_bulk_load_arrays_rejects_duplicates(self, make):
-        index = make()
+    def test_bulk_load_arrays_rejects_duplicates(self):
+        index = ColumnarIndex()
         with pytest.raises(KeyError):
             index.bulk_load_arrays(["a", "a"], [0.0, 1.0], [0.0, 1.0])
 
-    def test_compact_densifies_after_mass_removal(self, make):
-        index = make(capacity=4)
+    def test_compact_densifies_after_mass_removal(self):
+        index = ColumnarIndex(capacity=4)
         for i in range(32):
             index.insert(f"o{i}", Point(float(i), float(i)))
         for i in range(24):
@@ -182,30 +171,24 @@ class TestBulkLoadAndCompact:
 
 
 class TestNearest:
-    def test_nearest_ignores_freed_slots(self, make):
-        index = make()
+    def test_nearest_ignores_freed_slots(self):
+        index = ColumnarIndex()
         index.insert("near", Point(1.0, 0.0))
         index.insert("far", Point(100.0, 0.0))
         index.remove("near")
         hits = index.nearest(Point(0.0, 0.0), k=1)
         assert [h.object_id for h in hits] == ["far"]
 
-    def test_ties_break_on_object_id(self, make):
-        index = make()
+    def test_ties_break_on_object_id(self):
+        index = ColumnarIndex()
         index.insert("b", Point(1.0, 0.0))
         index.insert("a", Point(-1.0, 0.0))
         hits = index.nearest(Point(0.0, 0.0), k=2)
         assert [h.object_id for h in hits] == ["a", "b"]
 
 
-class TestEngineSelection:
-    def test_forced_stdlib_engine_reports_no_numpy(self):
-        index = ColumnarIndex(use_numpy=False)
-        assert index._np is None
-        index.insert("a", Point(1.0, 2.0))
-        assert index.get("a") == Point(1.0, 2.0)
-
-    def test_memory_bytes_tracks_capacity(self, make):
-        small = make(capacity=16)
-        big = make(capacity=1024)
+class TestMemoryFootprint:
+    def test_memory_bytes_tracks_capacity(self):
+        small = ColumnarIndex(capacity=16)
+        big = ColumnarIndex(capacity=1024)
         assert 0 < small.memory_bytes() < big.memory_bytes()

@@ -1,81 +1,10 @@
-"""Tests for the R-tree shrink pass and quadtree orphan bulk rebuild."""
+"""Tests for the quadtree orphan bulk rebuild."""
 
 import random
 
 from repro.geo import Point, Rect
-from repro.spatial import LinearScanIndex, PointQuadtree, RTree
+from repro.spatial import LinearScanIndex, PointQuadtree
 from repro.spatial.quadtree import _BULK_REINSERT_THRESHOLD
-
-
-def leaf_mbr_area(tree: RTree) -> float:
-    total = 0.0
-    stack = [tree._root]
-    while stack:
-        node = stack.pop()
-        if node.leaf:
-            if node.mbr is not None:
-                total += node.mbr.area
-        else:
-            stack.extend(node.children)
-    return total
-
-
-class TestRTreeCompact:
-    def _drift(self, rng, tree, oracle, ids, moves):
-        for _ in range(moves):
-            oid = rng.choice(ids)
-            pos = oracle.get(oid)
-            new = Point(
-                min(max(pos.x + rng.uniform(-40, 40), 0.0), 1000.0),
-                min(max(pos.y + rng.uniform(-40, 40), 0.0), 1000.0),
-            )
-            tree.update(oid, new)
-            oracle.update(oid, new)
-
-    def test_compact_shrinks_inflated_mbrs(self):
-        rng = random.Random(3)
-        tree, oracle = RTree(), LinearScanIndex()
-        ids = []
-        for i in range(300):
-            oid = f"o{i}"
-            p = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            tree.insert(oid, p)
-            oracle.insert(oid, p)
-            ids.append(oid)
-        self._drift(rng, tree, oracle, ids, moves=3000)
-        inflated = leaf_mbr_area(tree)
-        tree.compact()
-        assert leaf_mbr_area(tree) < inflated
-
-    def test_compact_preserves_query_results(self):
-        rng = random.Random(4)
-        tree, oracle = RTree(), LinearScanIndex()
-        ids = []
-        for i in range(200):
-            oid = f"o{i}"
-            p = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            tree.insert(oid, p)
-            oracle.insert(oid, p)
-            ids.append(oid)
-        self._drift(rng, tree, oracle, ids, moves=2000)
-        tree.compact()
-        for _ in range(30):
-            rect = Rect.from_points(
-                Point(rng.uniform(0, 1000), rng.uniform(0, 1000)),
-                Point(rng.uniform(0, 1000), rng.uniform(0, 1000)),
-            )
-            assert sorted(tree.query_rect(rect)) == sorted(oracle.query_rect(rect))
-        probe = Point(500, 500)
-        assert [h.object_id for h in tree.nearest(probe, k=5)] == [
-            h.object_id for h in oracle.nearest(probe, k=5)
-        ]
-
-    def test_compact_on_small_trees_is_safe(self):
-        tree = RTree()
-        tree.compact()  # empty root-leaf
-        tree.insert("a", Point(1, 1))
-        tree.compact()
-        assert tree.get("a") == Point(1, 1)
 
 
 class TestQuadtreeOrphanRebuild:

@@ -5,21 +5,12 @@ import random
 import pytest
 
 from repro.geo import Point, Rect
-from repro.spatial import (
-    ColumnarIndex,
-    GridIndex,
-    LinearScanIndex,
-    PointQuadtree,
-    RTree,
-)
+from repro.spatial import ColumnarIndex, LinearScanIndex, PointQuadtree
 
 ALL_INDEXES = [
     pytest.param(lambda: PointQuadtree(), id="quadtree"),
-    pytest.param(lambda: RTree(), id="rtree"),
-    pytest.param(lambda: GridIndex(cell_size=25.0), id="grid"),
     pytest.param(lambda: LinearScanIndex(), id="linear"),
     pytest.param(lambda: ColumnarIndex(capacity=8), id="columnar"),
-    pytest.param(lambda: ColumnarIndex(capacity=8, use_numpy=False), id="columnar-stdlib"),
 ]
 
 

@@ -5,25 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo import Point, Rect
-from repro.spatial import (
-    ColumnarIndex,
-    GridIndex,
-    LinearScanIndex,
-    PointQuadtree,
-    RTree,
-)
+from repro.spatial import ColumnarIndex, LinearScanIndex, PointQuadtree
 
 coord = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
 point = st.builds(Point, coord, coord)
 
 FACTORIES = [
     pytest.param(lambda: PointQuadtree(), id="quadtree"),
-    pytest.param(lambda: RTree(max_entries=4), id="rtree-small-nodes"),
-    pytest.param(lambda: RTree(max_entries=16), id="rtree-large-nodes"),
-    pytest.param(lambda: GridIndex(cell_size=50.0), id="grid"),
     # Tiny starting capacity so hypothesis batches force growth + reuse.
     pytest.param(lambda: ColumnarIndex(capacity=4), id="columnar"),
-    pytest.param(lambda: ColumnarIndex(capacity=4, use_numpy=False), id="columnar-stdlib"),
 ]
 
 
@@ -147,57 +137,3 @@ class TestQuadtreeSpecifics:
 
     def test_depth_of_empty_tree(self):
         assert PointQuadtree().depth() == 0
-
-
-class TestRTreeSpecifics:
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            RTree(max_entries=2)
-        with pytest.raises(ValueError):
-            RTree(max_entries=8, min_entries=7)
-
-    def test_depth_grows_then_shrinks(self):
-        tree = RTree(max_entries=4)
-        for i in range(200):
-            tree.insert(f"o{i}", Point(i % 20 * 10.0, i // 20 * 10.0))
-        assert tree.depth() > 1
-        for i in range(195):
-            tree.remove(f"o{i}")
-        assert len(tree) == 5
-        remaining = {oid for oid, _ in tree.query_rect(Rect(-1, -1, 1000, 1000))}
-        assert remaining == {f"o{i}" for i in range(195, 200)}
-
-    def test_root_shrinks_to_leaf(self):
-        tree = RTree(max_entries=4)
-        for i in range(100):
-            tree.insert(f"o{i}", Point(float(i), 0.0))
-        for i in range(100):
-            tree.remove(f"o{i}")
-        assert len(tree) == 0
-        assert tree.depth() == 1
-        tree.insert("fresh", Point(1, 1))
-        assert tree.get("fresh") == Point(1, 1)
-
-
-class TestGridSpecifics:
-    def test_invalid_cell_size(self):
-        with pytest.raises(ValueError):
-            GridIndex(cell_size=0.0)
-
-    def test_cells_garbage_collected(self):
-        grid = GridIndex(cell_size=10.0)
-        grid.insert("a", Point(5, 5))
-        grid.insert("b", Point(105, 105))
-        assert grid.cell_count() == 2
-        grid.remove("a")
-        assert grid.cell_count() == 1
-        grid.update("b", Point(5, 5))
-        assert grid.cell_count() == 1
-
-    def test_negative_coordinates(self):
-        grid = GridIndex(cell_size=10.0)
-        grid.insert("neg", Point(-15, -25))
-        assert grid.get("neg") == Point(-15, -25)
-        assert {oid for oid, _ in grid.query_rect(Rect(-30, -30, 0, 0))} == {"neg"}
-        hits = grid.nearest(Point(-14, -24), k=1)
-        assert hits[0].object_id == "neg"

@@ -5,7 +5,7 @@ t, acc, deadline) behind a :class:`~repro.spatial.ColumnarIndex`
 instead of one ``SightingRecord`` per object, and replaces the expiry
 heap with a deadline column swept vectorized.  These tests pin the
 record round-trip, the soft-state semantics, the vectorized fast lane
-and the handle-staleness contract — on both storage engines.
+and the handle-staleness contract.
 """
 
 import pytest
@@ -21,17 +21,9 @@ def sighting(oid, x, y, t=0.0, acc=5.0):
     return SightingRecord(oid, t, Point(x, y), acc)
 
 
-ENGINES = [
-    pytest.param(None, id="numpy"),
-    pytest.param(False, id="stdlib"),
-]
-
-
-@pytest.fixture(params=ENGINES)
-def db(request):
-    return ColumnarSightingDB(
-        index=ColumnarIndex(capacity=4, use_numpy=request.param), default_ttl=100.0
-    )
+@pytest.fixture
+def db():
+    return ColumnarSightingDB(index=ColumnarIndex(capacity=4), default_ttl=100.0)
 
 
 class TestRecordRoundTrip:
@@ -65,10 +57,10 @@ class TestRecordRoundTrip:
         assert sorted(db.object_ids()) == ["o0", "o1", "o3", "o4"]
 
     def test_rejects_non_columnar_index(self):
-        from repro.spatial import GridIndex
+        from repro.spatial import LinearScanIndex
 
         with pytest.raises(StorageError):
-            ColumnarSightingDB(index=GridIndex(cell_size=10.0))
+            ColumnarSightingDB(index=LinearScanIndex())
 
 
 class TestSoftState:

@@ -11,7 +11,7 @@ from repro.model import (
     RegistrationInfo,
     SightingRecord,
 )
-from repro.spatial import GridIndex, PointQuadtree, RTree
+from repro.spatial import PointQuadtree
 from repro.storage import LocalDataStore
 
 
@@ -185,16 +185,6 @@ class TestCrashKeepsIndexConfiguration:
         assert index.get("o1") == Point(xs[1], 1.0)
         hits = store.range_query(RangeQuery(Rect(-1, -20, xs[-1] + 1, 20), req_overlap=0.4))
         assert [oid for oid, _ in hits] == sorted(f"o{i}" for i in range(len(xs)))
-
-    def test_grid_cell_size_survives(self):
-        index = GridIndex(cell_size=25.0)
-        self.crash_and_reregister(make_store(index=index), index, [0.0, 30.0, 60.0, 90.0])
-        assert index.cell_count() == 4  # one 100 m default cell would hold all four
-
-    def test_rtree_node_capacity_survives(self):
-        index = RTree(max_entries=16)
-        self.crash_and_reregister(make_store(index=index), index, [i * 10.0 for i in range(16)])
-        assert index.depth() == 1  # the default capacity of 8 would have split the root
 
     def test_quadtree_shuffle_stream_survives(self):
         index = PointQuadtree(shuffle_seed=None)

@@ -5,8 +5,7 @@
 store's coarsest offered accuracy) and decide membership as arrays.
 Neither may change an answer: for any population with mixed offered
 accuracies, both must equal `model.range_query` run over *all* records —
-no index, no bounds — on either backend, with numpy and with the
-filter's numpy handle taken away (the scalar lane).
+no index, no bounds — on either backend.
 """
 
 import math
@@ -18,12 +17,10 @@ from hypothesis import strategies as st
 
 from repro.geo import Point, Polygon, Rect
 from repro.model import RangeQuery, SightingRecord, range_query
-from repro.model import queries as queries_module
 from repro.storage import BACKENDS, LocalDataStore
 
 SIDE = 400.0
 OFFERED = (15.0, 25.0, 60.0, 90.0)
-LANES = ("numpy", "scalar")
 
 
 def populate(store: LocalDataStore, objects) -> None:
@@ -44,13 +41,10 @@ def brute_force(store: LocalDataStore, query: RangeQuery):
     )
 
 
-def assert_store_matches_brute_force(store, queries, lane):
+def assert_store_matches_brute_force(store, queries):
     expected = [brute_force(store, q) for q in queries]
-    with pytest.MonkeyPatch.context() as patch:
-        if lane == "scalar":
-            patch.setattr(queries_module, "_np", None)
-        assert store.range_query_many(queries) == expected
-        assert [store.range_query(q) for q in queries] == expected
+    assert store.range_query_many(queries) == expected
+    assert [store.range_query(q) for q in queries] == expected
 
 
 coord = st.floats(min_value=0.0, max_value=SIDE, allow_nan=False)
@@ -70,19 +64,17 @@ rect_queries = st.builds(
 )
 
 
-@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=40, deadline=None)
 @given(objects=objects_lists, queries=st.lists(rect_queries, min_size=1, max_size=5))
-def test_store_range_equals_brute_force(backend, lane, objects, queries):
+def test_store_range_equals_brute_force(backend, objects, queries):
     store = LocalDataStore(backend=backend)
     populate(store, objects)
-    assert_store_matches_brute_force(store, queries, lane)
+    assert_store_matches_brute_force(store, queries)
 
 
-@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_dense_population_rects_and_polygons(backend, lane):
+def test_dense_population_rects_and_polygons(backend):
     rng = random.Random(21)
     store = LocalDataStore(backend=backend)
     populate(
@@ -103,7 +95,7 @@ def test_dense_population_rects_and_polygons(backend, lane):
             )
         queries.append(RangeQuery(area, req_acc=req_acc, req_overlap=req_overlap))
     assert any(brute_force(store, q) for q in queries)
-    assert_store_matches_brute_force(store, queries, lane)
+    assert_store_matches_brute_force(store, queries)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -122,13 +114,13 @@ def test_stale_high_water_mark_is_loose_never_wrong(backend):
     ]
     assert store.visitors.max_offered_acc == 500.0
     assert ("whale", store.position_query("whale")) in store.range_query(queries[3])
-    assert_store_matches_brute_force(store, queries, "numpy")
+    assert_store_matches_brute_force(store, queries)
     store.deregister("whale")
     assert store.visitors.max_offered_acc == 500.0
-    assert_store_matches_brute_force(store, queries, "numpy")
+    assert_store_matches_brute_force(store, queries)
     store.visitors.compact()
     assert store.visitors.max_offered_acc == 25.0
-    assert_store_matches_brute_force(store, queries, "numpy")
+    assert_store_matches_brute_force(store, queries)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

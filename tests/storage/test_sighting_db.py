@@ -4,7 +4,7 @@ import pytest
 
 from repro.geo import Point, Rect
 from repro.model import NearestNeighborQuery, RangeQuery, SightingRecord
-from repro.spatial import GridIndex, LinearScanIndex
+from repro.spatial import LinearScanIndex
 from repro.storage import SightingDB
 
 
@@ -54,7 +54,7 @@ class TestCrud:
         assert len(db) == 0
 
     def test_custom_index(self):
-        db = SightingDB(index=GridIndex(cell_size=10.0))
+        db = SightingDB(index=LinearScanIndex())
         db.insert(sighting("a", 5, 5))
         # acc 10 around (5,5) vs the 10x10 rect: overlap ≈ 100/314 ≈ 0.3.
         result = db.objects_in_area(
@@ -226,8 +226,8 @@ class TestBatchUpdates:
         # Validation happens before anything lands.
         assert db.get("o0").pos == Point(0, 0)
 
-    def test_update_many_on_grid_index(self):
-        db = self._populated(10, index=GridIndex(cell_size=25.0))
+    def test_update_many_on_linear_index(self):
+        db = self._populated(10, index=LinearScanIndex())
         db.update_many([sighting(f"o{i}", 500.0 + i, 500.0 + i) for i in range(10)])
         hits = {oid for oid, _ in db.positions_in_rect(Rect(499, 499, 510, 510))}
         assert hits == {f"o{i}" for i in range(10)}

@@ -114,3 +114,59 @@ class TestQuickstartContract:
         )
         obj = svc.register("o", Point(10, 10), des_acc=10.0, min_acc=50.0)
         assert obj.offered_acc == 10.0
+
+
+class TestOneIndexSetOneArrayEngine:
+    """Options hygiene: the deleted index kinds and the stdlib-``array``
+    engine cannot come back quietly (the ``test_message_registry`` pattern).
+    """
+
+    #: Each surviving index kind and the one reason it is kept.
+    KEPT_KINDS = {
+        "columnar": "the columnar storage backend's index",
+        "linear": "the brute-force oracle every other kind is tested against",
+        "quadtree": "the default and the paper's Table 1 / Section 7 index",
+    }
+
+    def test_index_registry_is_exactly_the_justified_kinds(self):
+        from repro.spatial import INDEX_FACTORIES
+
+        assert sorted(INDEX_FACTORIES) == ["columnar", "linear", "quadtree"]
+        assert sorted(INDEX_FACTORIES) == sorted(self.KEPT_KINDS)
+
+    def test_no_public_constructor_takes_use_numpy(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        offenders = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for name, cls in vars(module).items():
+                if (
+                    inspect.isclass(cls)
+                    and cls.__module__ == module.__name__
+                    and not name.startswith("_")
+                    # builtin (exception) constructors cannot take it
+                    and inspect.isfunction(cls.__init__)
+                    and "use_numpy" in inspect.signature(cls.__init__).parameters
+                ):
+                    offenders.append(f"{module.__name__}.{name}")
+        assert offenders == []
+
+    def test_src_has_no_numpy_fallback(self):
+        import pathlib
+        import re
+
+        fallback = re.compile(
+            r"use_numpy|from array import|^\s*import array\b"
+            r"|try:\s*\n\s*import numpy[^\n]*\n\s*except ImportError",
+            re.MULTILINE,
+        )
+        src = pathlib.Path(repro.__file__).parent
+        hits = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if fallback.search(path.read_text(encoding="utf-8"))
+        ]
+        assert hits == []
