@@ -20,7 +20,6 @@ from repro.model import (
     RangeQuery,
 )
 from repro.runtime.base import Endpoint
-from repro.spatial import make_index
 from repro.storage import LocalDataStore
 
 
@@ -32,15 +31,12 @@ class CentralLocationServer(Endpoint):
         area: Rect,
         address: str = "central",
         accuracy: AccuracyModel | None = None,
-        index_kind: str = "quadtree",
         sighting_ttl: float = 300.0,
     ) -> None:
         super().__init__(address)
         self.area = area
         self.accuracy = accuracy if accuracy is not None else AccuracyModel()
-        self.store = LocalDataStore(
-            accuracy=self.accuracy, index=make_index(index_kind), ttl=sighting_ttl
-        )
+        self.store = LocalDataStore(accuracy=self.accuracy, ttl=sighting_ttl)
         self.on(m.RegisterReq, self._on_register)
         self.on(m.UpdateReq, self._on_update)
         self.on(m.DeregisterReq, self._on_deregister)

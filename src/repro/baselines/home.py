@@ -28,7 +28,6 @@ from repro.model import (
 )
 from repro.runtime.base import Endpoint
 from repro.runtime.simnet import SimNetwork
-from repro.spatial import make_index
 from repro.storage import LocalDataStore
 
 
@@ -46,12 +45,11 @@ class HomeServer(Endpoint):
         address: str,
         area: Rect,
         accuracy: AccuracyModel | None = None,
-        index_kind: str = "quadtree",
     ) -> None:
         super().__init__(address)
         self.area = area
         self.accuracy = accuracy if accuracy is not None else AccuracyModel()
-        self.store = LocalDataStore(accuracy=self.accuracy, index=make_index(index_kind))
+        self.store = LocalDataStore(accuracy=self.accuracy)
         self.on(m.RegisterReq, self._on_register)
         self.on(m.UpdateReq, self._on_update)
         self.on(m.PosQueryReq, self._on_pos_query)

@@ -54,7 +54,6 @@ from repro.model import (
 )
 from repro.runtime.base import Endpoint
 from repro.runtime.validation import find_defect
-from repro.spatial import make_index
 from repro.storage import LocalDataStore, PersistentStore, VisitorDB
 
 #: Relative slack for covered-area accounting (float tiling residue).
@@ -261,14 +260,13 @@ class LocationServer(Endpoint):
         self,
         config: ServerConfig,
         accuracy: AccuracyModel | None = None,
-        index_kind: str = "quadtree",
         store: PersistentStore | None = None,
         cache_config: CacheConfig | None = None,
         sighting_ttl: float = 300.0,
         sweep_interval: float | None = None,
         nn_initial_radius: float | None = None,
         data_store: LocalDataStore | None = None,
-        backend: str = "objects",
+        backend: str = "columnar",
     ) -> None:
         """``data_store`` installs a pre-built leaf store (a phased
         migration's staged copy) instead of constructing a fresh one —
@@ -276,9 +274,10 @@ class LocationServer(Endpoint):
         index is built on the latency-sensitive flip.
 
         ``backend`` selects the sighting storage engine
-        (:data:`repro.storage.datastore.BACKENDS`): ``columnar`` replaces
-        ``index_kind`` with the array-backed column table for the
-        million-object hot path."""
+        (:data:`repro.storage.datastore.BACKENDS`): the default
+        ``columnar`` keeps sightings as array columns, which double as the
+        spatial index; ``objects`` is the ablation, one record per visitor
+        over the paper's point quadtree."""
         super().__init__(address=config.server_id)
         self.config = config
         self.is_leaf = config.is_leaf
@@ -286,7 +285,6 @@ class LocationServer(Endpoint):
         self.stats = ServerStats()
         self._sweep_interval = sweep_interval
         self._cache_config = cache_config or CacheConfig.disabled()
-        self._index_kind = index_kind
         self._backend = backend
         self._sighting_ttl = sighting_ttl
         #: set by :meth:`retire` when this server left the hierarchy after
@@ -311,11 +309,7 @@ class LocationServer(Endpoint):
                 data_store
                 if data_store is not None
                 else LocalDataStore(
-                    accuracy=self.accuracy,
-                    index=None if backend == "columnar" else make_index(index_kind),
-                    store=store,
-                    ttl=sighting_ttl,
-                    backend=backend,
+                    accuracy=self.accuracy, store=store, ttl=sighting_ttl, backend=backend
                 )
             )
             self.visitors = self.store.visitors
@@ -451,10 +445,7 @@ class LocationServer(Endpoint):
         :meth:`install_store` (split staging).
         """
         return LocalDataStore(
-            accuracy=self.accuracy,
-            index=None if self._backend == "columnar" else make_index(self._index_kind),
-            ttl=self._sighting_ttl,
-            backend=self._backend,
+            accuracy=self.accuracy, ttl=self._sighting_ttl, backend=self._backend
         )
 
     def retire(self, successor: str) -> None:

@@ -211,14 +211,17 @@ async def drive_update_envelope(
 
 
 class LocationService:
-    """A fully wired simulated location service."""
+    """A fully wired simulated location service.
+
+    ``backend`` is every leaf store's engine (see :class:`~repro.core.
+    server.LocationServer`): ``columnar`` by default, ``objects`` for the
+    quadtree ablation."""
 
     def __init__(
         self,
         hierarchy: Hierarchy,
         accuracy: AccuracyModel | None = None,
         cache_config: CacheConfig | None = None,
-        index_kind: str = "quadtree",
         latency: LatencyModel | None = None,
         costs: CostModel | None = None,
         sighting_ttl: float = 300.0,
@@ -226,7 +229,7 @@ class LocationService:
         drop_rate: float = 0.0,
         seed: int = 0,
         nn_initial_radius: float | None = None,
-        backend: str = "objects",
+        backend: str = "columnar",
     ) -> None:
         self.hierarchy = hierarchy
         self.network = SimNetwork(
@@ -234,7 +237,6 @@ class LocationService:
         )
         self._server_kwargs = dict(
             accuracy=accuracy,
-            index_kind=index_kind,
             cache_config=cache_config,
             sighting_ttl=sighting_ttl,
             sweep_interval=sweep_interval,
@@ -320,7 +322,7 @@ class LocationService:
 
         Used by the elastic cluster layer (:mod:`repro.cluster`) when a
         split adds new leaf servers; the server shares this service's
-        accuracy model, index kind, cache and soft-state configuration.
+        accuracy model, storage backend, cache and soft-state configuration.
         ``store`` installs a pre-built :class:`~repro.storage.datastore.
         LocalDataStore` (the phased migration's staged copy) in place of
         the fresh empty one.

@@ -62,7 +62,6 @@ class ClusterSpec:
     hierarchy: Hierarchy
     book: AddressBook
     transport: str = "udp"
-    index_kind: str = "quadtree"
     #: soft state disabled by default, as in the measurement scenarios.
     sighting_ttl: float = 1e9
     #: sender-side datagram loss applied inside every node (and the
@@ -77,7 +76,6 @@ class ClusterSpec:
                 "hierarchy": encode_hierarchy(self.hierarchy),
                 "book": self.book.to_wire(),
                 "transport": self.transport,
-                "index_kind": self.index_kind,
                 "sighting_ttl": self.sighting_ttl,
                 "drop_rate": self.drop_rate,
                 "seed": self.seed,
@@ -92,7 +90,6 @@ class ClusterSpec:
             hierarchy=decode_hierarchy(payload["hierarchy"]),
             book=AddressBook.from_wire(payload["book"]),
             transport=payload["transport"],
-            index_kind=payload["index_kind"],
             sighting_ttl=payload["sighting_ttl"],
             drop_rate=payload["drop_rate"],
             seed=payload["seed"],
@@ -177,9 +174,17 @@ def _install_control_plane(server, transport, stop_event: asyncio.Event) -> None
     server.on(ctl.NodeShutdownReq, on_shutdown)
 
 
-async def _node_main(spec: ClusterSpec, server_id: str) -> None:
+def _node_server(spec: ClusterSpec, server_id: str):
+    """The :class:`~repro.core.server.LocationServer` a node process runs
+    (the default store backend, as in-process)."""
     from repro.core.server import LocationServer  # deferred: heavy import
 
+    server = LocationServer(spec.hierarchy.config(server_id), sighting_ttl=spec.sighting_ttl)
+    server.topology_epoch = spec.hierarchy.epoch
+    return server
+
+
+async def _node_main(spec: ClusterSpec, server_id: str) -> None:
     location = spec.book.resolve(server_id)
     if location is None or not spec.book.knows(server_id):
         raise TransportError(f"spec has no socket for node {server_id!r}")
@@ -192,12 +197,7 @@ async def _node_main(spec: ClusterSpec, server_id: str) -> None:
         seed=spec.seed + hash(server_id) % 10_000,
     )
     await transport.start()
-    server = LocationServer(
-        spec.hierarchy.config(server_id),
-        index_kind=spec.index_kind,
-        sighting_ttl=spec.sighting_ttl,
-    )
-    server.topology_epoch = spec.hierarchy.epoch
+    server = _node_server(spec, server_id)
     stop_event = asyncio.Event()
     _install_control_plane(server, transport, stop_event)
     transport.join(server)
@@ -240,7 +240,6 @@ class ClusterLauncher:
         hierarchy: Hierarchy,
         transport: str = "udp",
         host: str = "127.0.0.1",
-        index_kind: str = "quadtree",
         sighting_ttl: float = 1e9,
         drop_rate: float = 0.0,
         seed: int = 0,
@@ -251,7 +250,6 @@ class ClusterLauncher:
         self.hierarchy = hierarchy
         self.transport_kind = transport
         self.host = host
-        self.index_kind = index_kind
         self.sighting_ttl = sighting_ttl
         self.drop_rate = drop_rate
         self.seed = seed
@@ -274,7 +272,6 @@ class ClusterLauncher:
             hierarchy=self.hierarchy,
             book=book,
             transport=self.transport_kind,
-            index_kind=self.index_kind,
             sighting_ttl=self.sighting_ttl,
             drop_rate=self.drop_rate,
             seed=self.seed,

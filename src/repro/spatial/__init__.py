@@ -2,8 +2,8 @@
 
 * :class:`PointQuadtree` — the paper's choice ([17], used in Section 7.1),
 * :class:`LinearScanIndex` — brute-force correctness oracle,
-* :class:`ColumnarIndex` — numpy contiguous-column engine for the
-  million-object update-dominant hot path.
+* :class:`ColumnarIndex` — numpy contiguous-column engine of the
+  columnar storage backend, every service leaf's default store.
 
 All share the :class:`SpatialIndex` interface, including the batch entry
 points ``update_many`` / ``query_rect_many`` and per-index in-place move

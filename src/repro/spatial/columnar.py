@@ -17,8 +17,8 @@ column (branch-free SIMD compare, ~1 ms per 10^6 entries) and
 nearest-neighbor is a vectorized distance computation plus a partial
 sort.  For the paper's update-dominant workload (Table 1: updates
 outnumber queries by an order of magnitude) this is the right corner of
-the design space; the object indexes remain available for query-heavy
-deployments via the same :func:`~repro.spatial.make_index` registry.
+the design space, and every service leaf's default store; the paper's
+quadtree stays as the ``objects`` backend's index (the ablation).
 
 Dead slots are marked by an ``nan`` sentinel in every column: IEEE
 comparisons with nan are false, so vectorized masks skip free slots for

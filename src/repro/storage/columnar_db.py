@@ -68,23 +68,26 @@ class ColumnarSightingDB(SightingDB):
     # -- record materialization ------------------------------------------------
 
     def _record_at(self, slot: int, oid: str) -> SightingRecord:
-        index = self._index
+        cols = self._index._cols
         return SightingRecord(
-            object_id=oid,
-            timestamp=float(index.column("t")[slot]),
-            pos=Point(
-                float(index.column("x")[slot]), float(index.column("y")[slot])
-            ),
-            acc_sens=float(index.column("acc")[slot]),
+            oid,
+            cols["t"].item(slot),
+            Point(cols["x"].item(slot), cols["y"].item(slot)),
+            cols["acc"].item(slot),
         )
 
-    def _store_fields(
-        self, slot: int, sighting: SightingRecord, deadline: float
-    ) -> None:
-        index = self._index
-        index.column("t")[slot] = sighting.timestamp
-        index.column("acc")[slot] = sighting.acc_sens
-        index.column("deadline")[slot] = deadline
+    def _store_many(self, moves: Iterable[tuple[int, SightingRecord]], deadline: float) -> None:
+        """Write each ``(slot, sighting)`` into all five columns."""
+        cols = self._index._cols
+        col_x, col_y, col_t = cols["x"], cols["y"], cols["t"]
+        col_acc, col_dl = cols["acc"], cols["deadline"]
+        for slot, s in moves:
+            pos = s.pos
+            col_x[slot] = pos.x
+            col_y[slot] = pos.y
+            col_t[slot] = s.timestamp
+            col_acc[slot] = s.acc_sens
+            col_dl[slot] = deadline
 
     def _deadline(self, now: float, ttl: float | None) -> float:
         return now + (ttl if ttl is not None else self._default_ttl)
@@ -96,22 +99,14 @@ class ColumnarSightingDB(SightingDB):
         if oid in self:
             raise KeyError(f"sighting for {oid!r} already present; use update()")
         slot = self._index.insert_slot(oid, sighting.pos.x, sighting.pos.y)
-        self._store_fields(slot, sighting, self._deadline(now, ttl))
+        self._store_many([(slot, sighting)], self._deadline(now, ttl))
         self._pending_expiry.pop(oid, None)
 
     def update(self, sighting: SightingRecord, now: float = 0.0, ttl: float | None = None) -> None:
-        oid = sighting.object_id
-        slot = self._index.slot_of(oid)  # KeyError(oid) if absent
-        index = self._index
-        index.column("x")[slot] = sighting.pos.x
-        index.column("y")[slot] = sighting.pos.y
-        self._store_fields(slot, sighting, self._deadline(now, ttl))
+        self.update_many([sighting], now, ttl)  # KeyError(oid) if absent
 
     def upsert(self, sighting: SightingRecord, now: float = 0.0, ttl: float | None = None) -> None:
-        if sighting.object_id in self:
-            self.update(sighting, now, ttl)
-        else:
-            self.insert(sighting, now, ttl)
+        self.upsert_many([sighting], now, ttl)
 
     def update_many(
         self,
@@ -120,20 +115,9 @@ class ColumnarSightingDB(SightingDB):
         ttl: float | None = None,
     ) -> None:
         batch = list(sightings)
-        index = self._index
-        slots = [index.slot_of(s.object_id) for s in batch]  # validate first
-        deadline = self._deadline(now, ttl)
-        col_x = index.column("x")
-        col_y = index.column("y")
-        col_t = index.column("t")
-        col_acc = index.column("acc")
-        col_dl = index.column("deadline")
-        for slot, s in zip(slots, batch):
-            col_x[slot] = s.pos.x
-            col_y[slot] = s.pos.y
-            col_t[slot] = s.timestamp
-            col_acc[slot] = s.acc_sens
-            col_dl[slot] = deadline
+        slot_of = self._index.slot_of
+        slots = [slot_of(s.object_id) for s in batch]  # validate first
+        self._store_many(zip(slots, batch), self._deadline(now, ttl))
 
     def upsert_many(
         self,
@@ -141,14 +125,16 @@ class ColumnarSightingDB(SightingDB):
         now: float = 0.0,
         ttl: float | None = None,
     ) -> None:
-        updates: list[SightingRecord] = []
+        slot_of = self._index._slot_of
+        updates: list[tuple[int, SightingRecord]] = []
         for sighting in sightings:
-            if sighting.object_id in self:
-                updates.append(sighting)
+            slot = slot_of.get(sighting.object_id)
+            if slot is None:
+                self.insert(sighting, now=now, ttl=ttl)  # may regrow the columns
             else:
-                self.insert(sighting, now=now, ttl=ttl)
-        if updates:
-            self.update_many(updates, now=now, ttl=ttl)
+                updates.append((slot, sighting))
+        if updates:  # registrations are one-item inserts: skip the column fetch
+            self._store_many(updates, self._deadline(now, ttl))
 
     def bulk_insert(
         self,
@@ -192,18 +178,11 @@ class ColumnarSightingDB(SightingDB):
     # -- lookup -----------------------------------------------------------------
 
     def get(self, object_id: str) -> SightingRecord | None:
-        try:
-            slot = self._index.slot_of(object_id)
-        except KeyError:
-            return None
-        return self._record_at(slot, object_id)
+        slot = self._index._slot_of.get(object_id)
+        return None if slot is None else self._record_at(slot, object_id)
 
     def __contains__(self, object_id: str) -> bool:
-        try:
-            self._index.slot_of(object_id)
-        except KeyError:
-            return False
-        return True
+        return object_id in self._index._slot_of
 
     def __len__(self) -> int:
         return len(self._index)

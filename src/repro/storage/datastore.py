@@ -32,11 +32,11 @@ from repro.storage.sighting_db import DEFAULT_TTL, SightingDB
 from repro.storage.visitor_db import VisitorDB
 
 #: Sighting-storage backends selectable per store: ``objects`` is the
-#: record-per-visitor :class:`SightingDB`; ``columnar`` stores sightings
-#: as contiguous columns (:class:`ColumnarSightingDB`) for the
-#: million-object hot path and enables the array-native fast lane
-#: (:meth:`LocalDataStore.bulk_register_arrays` /
-#: :meth:`LocalDataStore.update_positions`).
+#: record-per-visitor :class:`SightingDB` (Table 1's store, the default
+#: here); ``columnar`` stores sightings as contiguous columns
+#: (:class:`ColumnarSightingDB`), is every service leaf's default and
+#: enables the array-native fast lane (:meth:`LocalDataStore.
+#: bulk_register_arrays` / :meth:`LocalDataStore.update_positions`).
 BACKENDS = ("objects", "columnar")
 
 

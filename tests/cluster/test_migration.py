@@ -111,6 +111,14 @@ class TestMerge:
         assert parent.is_leaf
         assert len(parent.store.sightings) == split_report.moved
 
+    def test_split_and_merge_keep_the_default_columnar_store(self):
+        svc, _ = table2_service(object_count=300, seed=9)
+        executor, split_report = force_split(svc)
+        assert {svc.servers[c].store.backend for c in split_report.spawned} == {"columnar"}
+        executor.execute(MergePlan(parent_id="root.0", children=split_report.spawned))
+        assert svc.servers["root.0"].store.backend == "columnar"
+        svc.check_consistency()
+
     def test_retired_children_forward_updates(self):
         svc, homes = table2_service(object_count=400, seed=8)
         _, merge_report, split_report = self._split_and_merge(svc)

@@ -123,9 +123,9 @@ class TestOneIndexSetOneArrayEngine:
 
     #: Each surviving index kind and the one reason it is kept.
     KEPT_KINDS = {
-        "columnar": "the columnar storage backend's index",
+        "columnar": "the index of the columnar backend, every service leaf's default",
         "linear": "the brute-force oracle every other kind is tested against",
-        "quadtree": "the default and the paper's Table 1 / Section 7 index",
+        "quadtree": "the objects backend's index and the paper's Table 1 / Section 7 index",
     }
 
     def test_index_registry_is_exactly_the_justified_kinds(self):
@@ -170,3 +170,54 @@ class TestOneIndexSetOneArrayEngine:
             if fallback.search(path.read_text(encoding="utf-8"))
         ]
         assert hits == []
+
+
+class TestOneServiceStore:
+    """Every service leaf runs on the columnar backend unless told
+    otherwise, and the index kind is a store-level choice (Table 1's
+    sweep), not a service option."""
+
+    def test_every_service_leaf_defaults_to_columnar(self):
+        from repro.core.server import LocationServer
+        from repro.net.address import AddressBook
+        from repro.net.bootstrap import ClusterSpec, _node_server
+
+        hierarchy = build_table2_hierarchy()
+        leaf = hierarchy.leaf_ids()[0]
+        spec = ClusterSpec.from_json(ClusterSpec(hierarchy, AddressBook()).to_json())
+        leaves = [
+            LocationServer(hierarchy.config(leaf)),
+            LocationService(hierarchy).servers[leaf],
+            _node_server(spec, leaf),
+        ]
+        assert [server.store.backend for server in leaves] == ["columnar"] * 3
+
+    def test_no_service_constructor_takes_index_kind(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro.baselines
+        import repro.core
+        import repro.net
+
+        offenders = []
+        for package in (repro.core, repro.net, repro.baselines):
+            for info in pkgutil.walk_packages(package.__path__, package.__name__ + "."):
+                module = importlib.import_module(info.name)
+                for name, obj in vars(module).items():
+                    if getattr(obj, "__module__", None) != module.__name__:
+                        continue
+                    fn = obj.__init__ if inspect.isclass(obj) else obj
+                    if inspect.isfunction(fn) and "index_kind" in inspect.signature(fn).parameters:
+                        offenders.append(f"{module.__name__}.{name}")
+        assert offenders == []
+
+    def test_cluster_spec_json_has_no_index_kind(self):
+        import json
+
+        from repro.net.address import AddressBook
+        from repro.net.bootstrap import ClusterSpec
+
+        spec = ClusterSpec(build_table2_hierarchy(), AddressBook())
+        assert "index_kind" not in json.loads(spec.to_json())
