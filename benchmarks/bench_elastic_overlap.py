@@ -1,21 +1,16 @@
-"""Zero-stall elasticity — phased overlapped migration vs. quiesced rebalance.
+"""Zero-stall elasticity — phased migration under sustained churn.
 
-The PR-2 executor had to apply every rebalance plan with the event loop
-drained, so exactly when the system is hottest each split/merge stalls
-all update, handover and query traffic.  The phased pipeline overlaps
-the whole migration with live traffic: the copy stages in chunks across
+Every rebalance overlaps live traffic: the copy stages in chunks across
 ticks, a buffered dual-write mirror keeps the staged stores in sync,
 and the cutover is pointer surgery plus a topology-epoch bump and a
-§6.5 invalidation broadcast.  This bench runs the festival-surge
-scenario — a crowd stampeding between stages, so splits and merges
-never stop being needed while every crowd member reports every tick —
-over both modes and asserts:
+§6.5 invalidation broadcast.  Nothing drains the event loop.  This
+bench runs the festival-surge scenario — a crowd stampeding between
+stages, so splits and merges never stop being needed while every crowd
+member reports every tick — and asserts:
 
-* ``stall_ticks == 0`` on the overlapped lane — no rebalance round
-  ever drained the loop (the quiesced baseline stalls once per round);
 * ``migration_throughput_ratio >= 0.8`` — reports/s through ticks with
   a migration in flight stays within 20% of steady state;
-* zero lost sightings and hierarchy-wide consistency on every lane.
+* zero lost sightings and hierarchy-wide consistency.
 
 Emits the machine-readable ``BENCH_PR4.json`` artifact (see
 ``benchreport.write_bench_json``); ``scripts/bench_smoke.py --skip-pr1
@@ -47,9 +42,6 @@ def test_zero_stall_rebalancing(benchmark):
         assert result["invariants"]["consistency_ok"], lane
         assert result["invariants"]["hierarchy_valid"], lane
         assert result["splits"] >= 1, lane  # the workload must rebalance
-        if result["migration_mode"] == "overlapped":
-            assert result["stall_ticks"] == 0, lane
-    assert payload["stall_ticks_quiesced"] >= 1
     assert payload["migration_throughput_ratio"] is not None
     assert payload["migration_throughput_ratio"] >= 0.8
     assert payload["zero_lost_all_lanes"]
@@ -59,9 +51,9 @@ def test_zero_stall_rebalancing(benchmark):
         rows.append(
             (
                 lane,
-                result["stall_ticks"],
                 result["migration_tick_count"],
                 result["migration_throughput_ratio"] or "-",
+                result["copy_chunk_final"],
                 result["splits"],
                 result["merges"],
                 result["topology_epoch"],
@@ -71,12 +63,12 @@ def test_zero_stall_rebalancing(benchmark):
         )
     report(
         format_table(
-            "Zero-stall elasticity (festival surge): overlapped vs. quiesced",
+            "Zero-stall elasticity (festival surge): phased migration",
             (
                 "lane",
-                "stalls",
                 "mig ticks",
                 "mig/steady",
+                "chunk",
                 "splits",
                 "merges",
                 "epoch",

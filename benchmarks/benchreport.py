@@ -16,9 +16,8 @@ Machine-readable perf artifacts live at the repository root as
   ``consistency_ok`` and ``hierarchy_valid``;
 * the *acceptance numbers* sit at the payload top level, named for
   what they gate — e.g. ``load_drop_factor`` (PR2, ≥ 2),
-  ``stall_ticks_overlapped`` (PR4, == 0) and
   ``migration_throughput_ratio`` (PR4/PR5, ≥ 0.8),
-  ``round_reduction_ratio`` (PR5, ≤ 0.5), ``zero_lost_all_lanes``
+  ``rounds_to_balance_v2`` (PR5, ≤ 4), ``zero_lost_all_lanes``
   (boolean);
 * numbers are rounded for diffability and the payload is written with
   ``sort_keys`` so regenerated artifacts diff cleanly.

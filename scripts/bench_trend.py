@@ -77,9 +77,9 @@ TRACKED_METRICS: dict[str, tuple[str, str, str]] = {
         "migration_throughput_ratio",
         "higher",
     ),
-    "pr5.round_reduction_ratio": (
+    "pr5.rounds_to_balance": (
         "BENCH_PR5.json",
-        "round_reduction_ratio",
+        "rounds_to_balance_v2",
         "lower",
     ),
     "pr7.min_throughput_ratio": (

@@ -12,7 +12,7 @@ disjoint, half-open routing assigns boundary points uniquely):
 
 * :class:`~repro.cluster.load.LoadMonitor` — samples per-server
   operation counters and index sizes into a decayed sliding window of
-  per-server load rates, plus (planner v2) per-object update-rate EWMAs
+  per-server load rates, plus per-object update-rate EWMAs
   sampled from the batched update lane and an undecayed instant-rate
   view of the last interval.
 * :class:`~repro.cluster.planner.RebalancePlanner` — detects hot leaves
@@ -29,7 +29,8 @@ disjoint, half-open routing assigns boundary points uniquely):
   to a running :class:`~repro.core.service.LocationService` in phases
   (copy → dual-write → cutover): the source leaves keep serving while
   their objects stage incrementally into destination stores
-  (``bulk_admit`` chunks spread over ticks), a buffered
+  (``bulk_admit`` chunks spread over ticks, sized open loop by
+  :class:`~repro.cluster.migration.AdaptiveCopyChunker`), a buffered
   :class:`~repro.storage.datastore.StoreMirror` keeps the staged copy
   exactly in sync with live mutations, and the cutover is pointer
   surgery — role flips, one replayed forwarding pointer per migrated
@@ -39,12 +40,13 @@ disjoint, half-open routing assigns boundary points uniquely):
   fresh forwarding path, a merged-away leaf retires into a forwarding
   alias for its absorbing parent, and fan-out collectors racing a
   cutover re-issue on the epoch bump — so no sighting is lost and no
-  tick is quiesced.
+  tick waits for a drained event loop.
 
 The sim-side driver (:class:`repro.sim.elastic.ElasticHarness`) wires
-the three together into observe → plan → migrate rounds, either
-one-shot (``rebalance``, the quiesced baseline) or phased
-(``advance_migrations`` + ``rebalance_overlapped``).
+the three together into one kind of round: ``advance_migrations`` copies
+a chunk on every tick with a migration in flight, and ``rebalance``
+cuts over finished copies, plans around the migrations still in flight
+and begins the new plans.
 """
 
 from repro.cluster.load import HeavyHitterSketch, LoadMonitor, LoadSample

@@ -10,7 +10,7 @@ server's load quickly, and an idle stretch decays it back — exactly the
 signal the rebalance planner needs to tell a sustained hotspot from a
 blip.
 
-Planner v2 extends the same window to **per-object update rates**:
+The same window extends to **per-object update rates**:
 :meth:`LoadMonitor.record_object_updates` accumulates update counts
 sampled from the batched update lane (the leaf servers' update
 listeners and the harness fast path both feed it), and each
@@ -313,7 +313,7 @@ class LoadMonitor:
         self._last_time: float | None = None
         #: retired alias → (messages seen at last sweep, idle sweep count)
         self._retired_traffic: dict[str, tuple[int, int]] = {}
-        #: object id → decayed updates/second (planner-v2 cut weighting).
+        #: object id → decayed updates/second (rate-weighted split cuts).
         self._object_rates: dict[str, float] = {}
         #: object id → updates recorded since the last sample (exact mode).
         self._object_pending: dict[str, int] = {}
@@ -373,7 +373,7 @@ class LoadMonitor:
             self._sweep_retired(service)
         return samples
 
-    # -- per-object update rates (planner v2 cut weighting) ------------------
+    # -- per-object update rates (rate-weighted split cuts) ------------------
 
     def record_object_updates(self, object_ids) -> None:
         """Accumulate one update per id since the last sample.
@@ -501,7 +501,7 @@ class LoadMonitor:
         Called at a split cutover: the children inherit the parent's
         load proportional to the weight they received — the *rate mass*
         of their staged objects when per-object rates are tracked
-        (planner v2: a child taking the dormant majority of a skewed
+        (a child taking the dormant majority of a skewed
         leaf must not inherit the hot minority's load), object counts
         otherwise — so the planner sees a realistic picture on the very
         next sample instead of a cold start (which the merge-cooldown

@@ -1,8 +1,7 @@
 """Live application of rebalance plans to a running location service.
 
 Plans apply in **phases** so a rebalance overlaps live traffic instead
-of stalling it (the PR-2 executor required the loop drained around every
-plan):
+of stalling it:
 
 1. **copy** — :meth:`MigrationExecutor.begin` snapshots the source
    leaves' objects into *staging* stores (one ``export_leaf_entries`` +
@@ -38,10 +37,10 @@ In-flight traffic survives every phase through the existing mechanisms:
   topology (:class:`~repro.core.server._BatchCollector`), which is what
   lifted the old drained-loop requirement.
 
-:meth:`MigrationExecutor.execute` keeps the PR-2 contract — one
-synchronous copy → cutover with a zero-length dual-write window — for
-callers that do not overlap (and for the quiesced baseline the zero-
-stall bench compares against).
+There is one migration path.  :meth:`MigrationExecutor.execute` is
+``cutover(begin(plan))``: the same phases run to completion in one call,
+with a zero-length dual-write window, for callers that apply a plan at
+once (the chaos layer's recovery merges, tests).
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ class _SplitMirror(StoreMirror):
     repeated moves of the same object last-write-wins, exactly like a
     tick), and the whole window lands on the staging stores in one
     batched :meth:`flush` at cutover — so dual-writing barely taxes the
-    hot leaf's tick throughput, which is the zero-stall bench's number.
+    hot leaf's tick throughput (``BENCH_PR4.json``'s number).
     """
 
     def __init__(
@@ -329,77 +328,47 @@ class _MergeAdapter(StoreMirror):
         self._mirror.record_acc(self._source, object_id, offered_acc)
 
 
+#: Copy chunk before anything is measured, and the clamp on every chunk.
+INITIAL_CHUNK = 256
+MIN_CHUNK = 64
+MAX_CHUNK = 8192
+#: Share of a steady tick's wall clock that one tick's copy may take.
+COPY_BUDGET = 0.05
+
+
 class AdaptiveCopyChunker:
-    """Self-tuning migration copy chunk size from observed tick headroom.
+    """Migration copy chunk size, paced open loop from two measurements.
 
-    PR-4 fixed the copy pace at 256 objects/tick; this controller closes
-    the ROADMAP follow-up by steering it from measurements instead.  Two
-    signals drive it:
+    Steady ticks (no migration in flight) build an EWMA **baseline** of
+    the tick wall clock, and timed copy steps build an EWMA of the
+    **per-entry copy cost**.  The chunk is ``COPY_BUDGET`` x baseline /
+    per-entry cost, clamped to ``[MIN_CHUNK, MAX_CHUNK]``: one tick's
+    copy takes about 5 % of a steady tick.
 
-    * steady ticks (no migration in flight) build an EWMA **baseline**
-      of the tick wall clock, and timed copy steps build an EWMA of the
-      **per-entry copy cost** — together they size the chunk so one
-      tick's copy work consumes about ``budget`` of a steady tick
-      (e.g. 0.15 → copying taxes the tick ~15%, keeping reports/s
-      during migration near steady state by construction);
-    * migration ticks that overshoot ``headroom`` x the baseline anyway
-      (the copy is not the only migration cost — dual-write mirroring
-      and cutovers land on ticks too) halve the budget (AIMD decrease),
-      and comfortable ticks recover it additively toward the configured
-      target — so sustained pressure backs the copy off, and cheap
-      ticks speed it back up.
+    A migrating tick's wall clock is deliberately not an input: it also
+    carries the dual-write mirror and the cutovers, which the chunk does
+    not control.  Feeding it back (shrinking the budget whenever a
+    migrating tick overshoots the baseline) pins the chunk to its floor
+    whenever steady ticks are cheap next to the mirror, as they are on
+    the columnar store, and a copy at the floor spans most of a run —
+    lengthening the very window whose cost triggered the shrink.
     """
 
-    __slots__ = (
-        "initial",
-        "min_chunk",
-        "max_chunk",
-        "target_budget",
-        "budget",
-        "headroom",
-        "_steady",
-        "_per_entry",
-    )
+    __slots__ = ("_steady", "_per_entry")
 
-    def __init__(
-        self,
-        initial: int = 256,
-        min_chunk: int = 64,
-        max_chunk: int = 8192,
-        budget: float = 0.05,
-        headroom: float = 1.3,
-    ) -> None:
-        if not 0 < min_chunk <= initial <= max_chunk:
-            raise ValueError(
-                f"need 0 < min_chunk <= initial <= max_chunk, got "
-                f"{min_chunk}/{initial}/{max_chunk}"
-            )
-        if not 0.0 < budget < 1.0:
-            raise ValueError(f"budget must be in (0, 1), got {budget}")
-        if headroom <= 1.0:
-            raise ValueError(f"headroom must exceed 1.0, got {headroom}")
-        self.initial = initial
-        self.min_chunk = min_chunk
-        self.max_chunk = max_chunk
-        self.target_budget = budget
-        self.budget = budget
-        self.headroom = headroom
+    def __init__(self) -> None:
         #: EWMA of steady-state (no migration in flight) tick wall clock.
         self._steady: float | None = None
         #: EWMA of seconds per consumed snapshot entry.
         self._per_entry: float | None = None
 
     @property
-    def steady_wall(self) -> float | None:
-        return self._steady
-
-    @property
     def chunk(self) -> int:
-        """Snapshot entries to consume per tick at the current budget."""
+        """Snapshot entries to consume per tick."""
         if self._steady is None or not self._per_entry:
-            return self.initial  # no measurements yet
-        ideal = self.budget * self._steady / self._per_entry
-        return max(self.min_chunk, min(self.max_chunk, int(ideal)))
+            return INITIAL_CHUNK  # no measurements yet
+        ideal = COPY_BUDGET * self._steady / self._per_entry
+        return max(MIN_CHUNK, min(MAX_CHUNK, int(ideal)))
 
     def note_steady_tick(self, wall: float) -> None:
         """Fold one migration-free tick's wall clock into the baseline."""
@@ -415,19 +384,6 @@ class AdaptiveCopyChunker:
         self._per_entry = (
             cost if self._per_entry is None else 0.7 * self._per_entry + 0.3 * cost
         )
-
-    def note_migration_tick(self, wall: float) -> None:
-        """Adapt the copy budget to one migrating tick's wall clock."""
-        if wall <= 0.0 or self._steady is None or self._steady <= 0.0:
-            return  # no baseline yet: keep the configured pace
-        ratio = wall / self._steady
-        if ratio > self.headroom:
-            self.budget = max(self.target_budget / 8.0, self.budget * 0.5)
-        elif ratio < 1.0 + 0.5 * (self.headroom - 1.0):
-            # Comfortably inside the headroom: recover additively.
-            self.budget = min(
-                self.target_budget, self.budget + self.target_budget / 4.0
-            )
 
 
 @dataclass(eq=False)
@@ -474,17 +430,10 @@ class MigrationExecutor:
         self.reports: list[MigrationReport] = []
         self.in_flight: list[PhasedMigration] = []
 
-    # -- one-shot (quiesced) application ------------------------------------
-
     def execute(self, plan: RebalancePlan) -> MigrationReport:
-        """Copy and cut over in one synchronous step (zero-length
-        dual-write window) — the PR-2 contract."""
+        """Run every phase of one plan to completion (a zero-length
+        dual-write window): ``cutover(begin(plan))``."""
         return self.cutover(self.begin(plan))
-
-    def execute_all(self, plans: list[RebalancePlan]) -> list[MigrationReport]:
-        return [self.execute(plan) for plan in plans]
-
-    # -- phased application ---------------------------------------------------
 
     def busy_server_ids(self) -> frozenset[str]:
         """Every server id an in-flight migration touches (sources and

@@ -12,7 +12,7 @@ a split).  Cold detection is the dual with hysteresis: an all-leaf
 sibling set whose total load stays under ``merge_load`` — far below the
 split thresholds — folds back into its parent.
 
-**Cut selection (planner v2)** weighs every object by its decayed
+**Cut selection** weighs every object by its decayed
 update rate (:meth:`~repro.cluster.load.LoadMonitor.object_rates`) when
 rates are available, falling back to plain object counts when they are
 not (or when every object is dormant): the children of a split then
@@ -97,14 +97,10 @@ class PlannerConfig:
     min_split_objects: int = 16
     #: leaves narrower than this (in meters, both axes) never split.
     min_leaf_side: float = 1.0
-    #: weigh cut candidates by per-object update rates when the caller
-    #: provides them (planner v2); ``False`` forces count weighting (the
-    #: v1 behaviour the planner-v2 bench compares against).
-    rate_weighted: bool = True
     #: upper bound on the children one split plan may create: the
     #: fan-out scales with load over ``split_load``, so an extreme
     #: hotspot splits k ways (or quad) in a single migration round.
-    #: ``2`` restores v1's strictly binary splits.
+    #: ``2`` gives strictly binary splits.
     max_split_children: int = 4
     #: fan-out margin: children are sized for ``split_load /
     #: split_headroom`` rather than ``split_load`` exactly — a split
@@ -142,7 +138,7 @@ class RebalancePlanner:
         ``object_rates`` (object id → decayed updates/s, typically
         :meth:`~repro.cluster.load.LoadMonitor.object_rates`) turns on
         rate-weighted cut costing; without it cuts balance object
-        counts, exactly as v1 did.  ``surge_rates`` (typically
+        counts.  ``surge_rates`` (typically
         :meth:`~repro.cluster.load.LoadMonitor.instant_rates`) sizes
         each split's fan-out by the *undecayed* load when it exceeds
         the EWMA: the decayed rate triggers the split (sustained
@@ -236,14 +232,13 @@ class RebalancePlanner:
     ) -> list[tuple[float, float, float]]:
         """Every sighting as ``(x, y, weight)``.
 
-        Weight is the object's decayed update rate when rate weighting is
-        on and any tracked object carries one; otherwise every object
-        weighs 1 and the partition balances counts (v1 semantics — also
-        the automatic fallback for a uniformly dormant leaf, where rates
-        carry no signal).
+        Weight is the object's decayed update rate when any tracked
+        object carries one; otherwise every object weighs 1 and the
+        partition balances counts (no rates given, or a uniformly
+        dormant leaf, where rates carry no signal).
         """
         records = list(store.sightings.records())
-        if self.config.rate_weighted and object_rates:
+        if object_rates:
             weighted = [
                 (r.pos.x, r.pos.y, object_rates.get(r.object_id, 0.0))
                 for r in records

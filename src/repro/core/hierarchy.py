@@ -232,7 +232,7 @@ class Hierarchy:
     ) -> "Hierarchy":
         """A new hierarchy where the leaf splits along ``cuts`` at once.
 
-        The k-way counterpart of :meth:`with_split` (planner v2): one
+        The k-way counterpart of :meth:`with_split`: one
         derivation turns the leaf into ``len(cuts) + 1`` children sliced
         along ``axis`` (``"x"`` or ``"y"``), or into four quadrants for
         ``axis="quad"`` with ``cuts=(x_cut, y_cut)``.  ``child_ids``

@@ -298,7 +298,7 @@ class LocationServer(Endpoint):
         #: optional per-object update observer, ``listener(object_ids)``;
         #: installed by :meth:`LocationService.set_update_listener` so the
         #: elastic layer's load monitor can sample per-object update
-        #: rates off the batched update lane (planner-v2 cut weighting).
+        #: rates off the batched update lane (rate-weighted split cuts).
         self.update_listener = None
         #: whether the periodic soft-state sweep timer is running.  Once
         #: started it re-arms itself forever (sweeping no-ops while the

@@ -11,7 +11,7 @@ N dict entries.  This module wires the pieces that avoid all of that:
   ``LocalDataStore(backend="columnar")``) lands each tick as one
   vectorized scatter through a pre-resolved slot handle, and
 * the :class:`~repro.cluster.load.LoadMonitor` heavy-hitter sketch
-  ingests the per-tick slot arrays so planner-v2 cut weighting keeps
+  ingests the per-tick slot arrays so rate-weighted split cuts keep
   working with constant memory.
 
 :func:`columnar_benchmark_payload` is the BENCH_PR10 acceptance

@@ -5,7 +5,11 @@ running :class:`~repro.core.service.LocationService`: it feeds position
 reports through the batched server tick (falling back to the full
 update/handover protocol for reports that cross service areas or race a
 migration), samples per-server load, and runs observe → plan → migrate
-rounds.
+rounds.  There is one kind of round: every tick with a migration in
+flight copies one chunk (:meth:`ElasticHarness.advance_migrations`), and
+:meth:`ElasticHarness.rebalance` cuts over finished copies, plans around
+the migrations still in flight and begins the new plans.  Traffic never
+stops for a rebalance.
 
 Two scenarios drive a rebalance end to end and are the acceptance
 measurement for the elastic layer (recorded in ``BENCH_PR2.json``):
@@ -20,10 +24,12 @@ measurement for the elastic layer (recorded in ``BENCH_PR2.json``):
   wave arrives and the cold sibling sets left behind merge back,
   exercising split *and* merge plus object migration under motion.
 
-Later PRs added :func:`festival_surge_scenario` (sustained churn for
-the zero-stall measurement, ``BENCH_PR4.json``) and
-:func:`hot_object_skew_scenario` (hot *objects* rather than hot areas,
-driving the planner-v2 comparison in ``BENCH_PR5.json``).
+Two more measure the migration pipeline and the planner:
+:func:`festival_surge_scenario` (sustained churn; reports/s during
+migration against steady state, ``BENCH_PR4.json``) and
+:func:`hot_object_skew_scenario` (hot *objects* rather than hot areas;
+rounds until the rate-weighted k-way planner settles,
+``BENCH_PR5.json``).
 
 All scenarios record before/after per-server sustained load and query
 latency, and verify the zero-loss property: every sighting present
@@ -74,8 +80,6 @@ class ElasticHarness:
         homes: dict[str, str],
         monitor: LoadMonitor | None = None,
         planner: RebalancePlanner | None = None,
-        executor: MigrationExecutor | None = None,
-        chunker: AdaptiveCopyChunker | None = None,
     ) -> None:
         self.svc = service
         #: object id → the leaf currently believed to be its agent; kept
@@ -83,31 +87,23 @@ class ElasticHarness:
         self.homes = dict(homes)
         self.monitor = monitor if monitor is not None else LoadMonitor()
         self.planner = planner if planner is not None else RebalancePlanner()
-        self.executor = (
-            executor
-            if executor is not None
-            else MigrationExecutor(service, monitor=self.monitor)
-        )
-        #: self-tuning migration copy pacing (see :meth:`note_tick`).
-        self.chunker = chunker if chunker is not None else AdaptiveCopyChunker()
+        self.executor = MigrationExecutor(service, monitor=self.monitor)
+        #: migration copy pacing (see :meth:`tick`).
+        self.chunker = AdaptiveCopyChunker()
         self.migrations: list[MigrationReport] = []
         self.tick_loads: list[TickLoad] = []
         self.latencies = LatencyRecorder()
-        #: rebalance rounds that required the event loop drained before
-        #: plans could apply (the quiesced path); the overlapped path
-        #: never drains, so this stays 0 there.
-        self.stall_ticks = 0
         #: observe → plan → migrate rounds run so far.
         self.rebalance_rounds = 0
         #: rounds whose plans included at least one split.
         self.split_rounds = 0
         #: ordinal (1-based) of the last round that planned a split — the
-        #: "migration rounds to reach balance" number the planner-v2
-        #: bench compares across planner generations.
+        #: "migration rounds to reach balance" number ``BENCH_PR5.json``
+        #: gates.
         self.last_split_round = 0
-        # Per-object update rates feed the planner's weighted cut costing
-        # (v2); the protocol lane's server-side admissions report through
-        # the leaf update listeners, the fast path in apply_reports().
+        # Per-object update rates feed the planner's weighted cut costing;
+        # the protocol lane's server-side admissions report through the
+        # leaf update listeners, the fast path in apply_reports().
         service.set_update_listener(self.monitor.record_object_updates)
         self._reporter = Reporter("elastic-reporter")
         service.network.join(self._reporter)
@@ -248,63 +244,38 @@ class ElasticHarness:
         )
         return samples
 
-    def rebalance(self) -> list[MigrationReport]:
-        """One **quiesced** plan → migrate round; updates the home map.
+    def tick(
+        self, reports: list[tuple[str, Point]]
+    ) -> tuple[dict[str, int], float, bool]:
+        """One harness tick: apply the reports, then copy one chunk of
+        every in-flight migration (:meth:`advance_migrations`).
 
-        The PR-2 behaviour, kept as the zero-stall bench's baseline:
-        when there are plans, the event loop is drained first (no
-        in-flight traffic may straddle the one-shot copy + cutover) and
-        the round counts as a stall tick.  Use
-        :meth:`rebalance_overlapped` to rebalance under live traffic.
+        Returns the :meth:`apply_reports` counts, the tick's wall clock
+        and whether a migration was in flight.  Only steady ticks feed
+        :attr:`chunker` (its baseline); a migrating tick's wall clock is
+        not an input — see :class:`~repro.cluster.migration.
+        AdaptiveCopyChunker` for why.
         """
-        plans = self.planner.plan(
-            self.svc,
-            self.monitor.rates(),
-            object_rates=self.monitor.object_rates(),
-            surge_rates=self.monitor.instant_rates(),
-        )
-        self._note_round(plans)
-        if not plans:
-            return []
-        self.svc.settle()
-        self.stall_ticks += 1
-        reports = self.executor.execute_all(plans)
-        for report in reports:
-            self.homes.update(report.new_homes)
-        self.migrations.extend(reports)
-        return reports
-
-    def _note_round(self, plans) -> None:
-        """Round accounting for the planner-v2 settling measurement."""
-        self.rebalance_rounds += 1
-        if any(isinstance(plan, SplitPlan) for plan in plans):
-            self.split_rounds += 1
-            self.last_split_round = self.rebalance_rounds
-
-    def note_tick(self, wall: float, migrating: bool) -> None:
-        """Report one tick's wall clock to the copy-pacing controller.
-
-        Steady ticks build the baseline; ticks with a migration in
-        flight adapt :attr:`chunker`'s chunk size against it — the
-        scenario loop calls this right after timing each tick.
-        """
+        migrating = bool(self.executor.in_flight)
+        start = time.perf_counter()
+        counts = self.apply_reports(reports)
         if migrating:
-            self.chunker.note_migration_tick(wall)
-        else:
+            self.advance_migrations()
+        wall = time.perf_counter() - start
+        if not migrating:
             self.chunker.note_steady_tick(wall)
+        return counts, wall, migrating
 
-    def advance_migrations(self, copy_chunk: int | None = None) -> int:
+    def advance_migrations(self) -> int:
         """Advance every in-flight migration's copy by one chunk.
 
-        Called once per tick by the overlapped driver: the bulk copy's
-        index-build cost spreads across ticks in chunked slices instead
-        of landing on a single tick, which is what keeps reports/s
-        during migration near steady state.  The chunk size self-tunes
-        from observed tick headroom (:class:`~repro.cluster.migration.
-        AdaptiveCopyChunker` via :meth:`note_tick`) unless
-        ``copy_chunk`` pins it explicitly.  Returns objects staged.
+        The bulk copy's index-build cost spreads across ticks in chunked
+        slices instead of landing on a single tick, which is what keeps
+        reports/s during migration near steady state.  The chunk comes
+        from :attr:`chunker`, which this call feeds with the timed copy.
+        Returns objects staged.
         """
-        chunk = copy_chunk if copy_chunk is not None else self.chunker.chunk
+        chunk = self.chunker.chunk
         start = time.perf_counter()
         consumed = sum(
             self.executor.step(migration, chunk)
@@ -313,8 +284,8 @@ class ElasticHarness:
         self.chunker.note_copy(consumed, time.perf_counter() - start)
         return consumed
 
-    def rebalance_overlapped(self) -> list[MigrationReport]:
-        """One phased rebalance round that never drains the loop.
+    def rebalance(self) -> list[MigrationReport]:
+        """One plan → migrate round; updates the home map.
 
         First cuts over every in-flight migration whose chunked copy
         has finished — its staged stores have tracked live traffic
@@ -324,16 +295,13 @@ class ElasticHarness:
         opens the copy + dual-write window for the fresh plans.
         Traffic keeps flowing throughout: stale-epoch envelopes re-route
         through forwarding state and racing fan-out collectors re-issue
-        on the epoch bump, so there is no quiesced tick at all.
+        on the epoch bump.  Returns the reports of the cutovers.
         """
-        reports = [
+        reports = self._record(
             self.executor.cutover(migration)
             for migration in list(self.executor.in_flight)
             if migration.copy_done
-        ]
-        for report in reports:
-            self.homes.update(report.new_homes)
-        self.migrations.extend(reports)
+        )
         plans = self.planner.plan(
             self.svc,
             self.monitor.rates(),
@@ -345,6 +313,25 @@ class ElasticHarness:
         for plan in plans:
             self.executor.begin(plan)
         return reports
+
+    def cutover_all(self) -> list[MigrationReport]:
+        """Cut over every migration still in flight (the end of a run),
+        staging whatever its copy has left first."""
+        return self._record(self.executor.cutover_all())
+
+    def _record(self, reports) -> list[MigrationReport]:
+        reports = list(reports)
+        for report in reports:
+            self.homes.update(report.new_homes)
+        self.migrations.extend(reports)
+        return reports
+
+    def _note_round(self, plans) -> None:
+        """Round accounting for the rounds-to-balance measurement."""
+        self.rebalance_rounds += 1
+        if any(isinstance(plan, SplitPlan) for plan in plans):
+            self.split_rounds += 1
+            self.last_split_round = self.rebalance_rounds
 
     # -- verification ---------------------------------------------------------
 
@@ -451,22 +438,18 @@ def _run_scenario(
     placements,
     positions_at,
     probe_area_at,
-    migration_mode: str = "quiesced",
     cache_config=None,
     planner: RebalancePlanner | None = None,
 ) -> dict[str, object]:
     """Common scenario loop; the scenarios differ only in their
     placement and per-tick position generators.
 
-    ``migration_mode`` selects how rebalance rounds apply:
-    ``"quiesced"`` drains the loop around every one-shot copy + cutover
-    (the PR-2 baseline; each such round is a stall tick), ``"overlapped"``
-    phases every migration copy → dual-write → cutover across rounds
-    with traffic flowing throughout (stall ticks stay 0).  A tick
-    counts as a *migration tick* when a migration is in flight during
-    it or a rebalance round at its end did work; the per-tick
-    throughput split lets the zero-stall bench compare reports/s during
-    migration against steady state.
+    Every migration phases copy → dual-write → cutover across rounds
+    with traffic flowing throughout.  A tick counts as a *migration
+    tick* when a migration is in flight during it or is in flight (or
+    cut over) after the rebalance round at its end; the per-tick
+    throughput split compares reports/s during migration against
+    steady state (``BENCH_PR4.json``).
     """
     svc = _fresh_service(cache_config=cache_config)
     homes = _populate(svc, placements)
@@ -487,14 +470,8 @@ def _run_scenario(
     for tick in range(ticks):
         progress = tick / max(ticks - 1, 1)
         reports = positions_at(rng, tick, progress)
-        in_flight_during_tick = bool(harness.executor.in_flight)
         ledger.rebase()  # count only the tick's own protocol traffic
-        wall_start = time.perf_counter()
-        counts = harness.apply_reports(reports)
-        if in_flight_during_tick and migration_mode == "overlapped":
-            harness.advance_migrations()
-        apply_wall = time.perf_counter() - wall_start
-        harness.note_tick(apply_wall, migrating=in_flight_during_tick)
+        counts, apply_wall, in_flight_during_tick = harness.tick(reports)
         fast += counts["fast"]
         protocol += counts["protocol"]
         tick_delta = ledger.protocol_delta()
@@ -509,12 +486,8 @@ def _run_scenario(
         did_migrate = False
         if elastic and (tick + 1) % rebalance_every == 0:
             rebalance_start = time.perf_counter()
-            if migration_mode == "overlapped":
-                round_reports = harness.rebalance_overlapped()
-                did_migrate = bool(round_reports) or bool(harness.executor.in_flight)
-            else:
-                round_reports = harness.rebalance()
-                did_migrate = bool(round_reports)
+            round_reports = harness.rebalance()
+            did_migrate = bool(round_reports) or bool(harness.executor.in_flight)
             rebalance_wall = time.perf_counter() - rebalance_start
         # Read after the rebalance step: the §6.5 invalidation broadcasts
         # (the topology lane) are sent at cutover, inside that step.
@@ -527,11 +500,8 @@ def _run_scenario(
                 "migration": did_migrate or in_flight_during_tick,
             }
         )
-    if elastic:
-        # Close any dual-write window still open at the end of the run.
-        for report in harness.executor.cutover_all():
-            harness.homes.update(report.new_homes)
-            harness.migrations.append(report)
+    # Close any dual-write window still open at the end of the run.
+    harness.cutover_all()
     invariants = harness.verify(expected_tracked=objects)
     sustained = harness.sustained_loads(measure_ticks)
     lat = harness.latencies
@@ -547,8 +517,8 @@ def _run_scenario(
         with the workload's churn phases (load shifts are what trigger
         plans), so part of any gap between the buckets is the workload
         being protocol-heavier during migrations, not migration
-        overhead itself — the quiesced lane's ratio on the same seed is
-        the like-for-like baseline.
+        overhead itself; only a tick-matched control run would separate
+        the two.
         """
         total_reports = sum(r["reports"] for r in records)
         total_wall = sum(r["wall"] for r in records)
@@ -563,7 +533,6 @@ def _run_scenario(
         "objects": objects,
         "ticks": ticks,
         "dt_s": dt,
-        "migration_mode": migration_mode if elastic else None,
         "fast_reports": fast,
         "protocol_reports": protocol,
         "protocol_messages": protocol_messages,
@@ -575,7 +544,6 @@ def _run_scenario(
         "splits": harness.split_count(),
         "merges": harness.merge_count(),
         "migrated_objects": sum(r.moved for r in harness.migrations),
-        "stall_ticks": harness.stall_ticks,
         "rebalance_rounds": harness.rebalance_rounds,
         "split_rounds": harness.split_rounds,
         "rounds_to_balance": harness.last_split_round,
@@ -628,7 +596,6 @@ def flash_crowd_scenario(
     rebalance_every: int = 2,
     measure_ticks: int = 8,
     seed: int = 0,
-    migration_mode: str = "quiesced",
 ) -> dict[str, object]:
     """A flash crowd inside one leaf of the Fig.-8 testbed.
 
@@ -670,7 +637,6 @@ def flash_crowd_scenario(
         placements=placements,
         positions_at=positions_at,
         probe_area_at=lambda progress: hotspot,
-        migration_mode=migration_mode,
     )
 
 
@@ -759,7 +725,6 @@ def commuter_rush_scenario(
     rebalance_every: int = 2,
     measure_ticks: int = 10,
     seed: int = 0,
-    migration_mode: str = "quiesced",
 ) -> dict[str, object]:
     """A commuter-rush wavefront sweeping west→east across the area.
 
@@ -787,7 +752,6 @@ def commuter_rush_scenario(
         placements=workload.placements,
         positions_at=workload.positions_at,
         probe_area_at=workload.probe_area_at,
-        migration_mode=migration_mode,
     )
 
 
@@ -801,7 +765,6 @@ def festival_surge_scenario(
     rebalance_every: int = 2,
     measure_ticks: int = 10,
     seed: int = 0,
-    migration_mode: str = "overlapped",
 ) -> dict[str, object]:
     """Sustained churn: a festival crowd surging between stages.
 
@@ -812,10 +775,8 @@ def festival_surge_scenario(
     the crowd crosses the service area to the next stage — handovers en
     masse, the abandoned stage's children merging back.  Rebalancing
     therefore never stops being needed while traffic never stops
-    flowing, which is exactly the case the phased (overlapped) migration
-    pipeline exists for; ``migration_mode="quiesced"`` runs the same
-    workload over the drain-the-loop baseline the zero-stall bench
-    compares against.
+    flowing, which is exactly the case the phased migration pipeline
+    exists for.
     """
     workload = festival_surge_workload(
         objects=objects,
@@ -835,7 +796,6 @@ def festival_surge_scenario(
         placements=workload.placements,
         positions_at=workload.positions_at,
         probe_area_at=workload.probe_area_at,
-        migration_mode=migration_mode,
         cache_config=workload.cache_config,
     )
 
@@ -932,10 +892,9 @@ def hot_object_skew_scenario(
     rebalance_every: int = 2,
     measure_ticks: int = 8,
     seed: int = 0,
-    migration_mode: str = "overlapped",
     planner: RebalancePlanner | None = None,
 ) -> dict[str, object]:
-    """Hot *objects*, not just a hot area — the planner-v2 workload.
+    """Hot *objects*, not just a hot area — the rate-weighting workload.
 
     The whole population lives inside one quadrant leaf, but the load is
     carried by a small slice of it: ``hot_fraction`` of the objects pack
@@ -943,16 +902,14 @@ def hot_object_skew_scenario(
     **every tick**, while the dormant majority spreads over the rest of
     the leaf and reports only every ``dormant_period``-th tick.  Balancing *object
     counts* across a cut therefore says almost nothing about balancing
-    *load*: the count-median cut strands most of the hot block on one
-    side, so the v1 planner (binary, count-costed) needs a cascade of
-    migration rounds to spread the update load, while v2's rate-weighted
-    k-way cuts place every line inside the hot mass and settle in one.
-    ``planner`` selects the generation under test (defaults to the
-    shared scenario planner).
+    *load*: a count-median cut strands most of the hot block on one
+    side, and binary count-costed splits need a cascade of migration
+    rounds to spread the update load, while rate-weighted k-way cuts
+    place every line inside the hot mass and settle in one.
+    ``planner`` defaults to the shared scenario planner.
     """
     # The south-west quadrant leaf (area [0, 750]^2 of the Fig.-8
-    # testbed); the hot block sits in its corner so repeated splits of
-    # the count-based planner keep re-splitting toward it.
+    # testbed); the hot block sits in its corner.
     leaf_area = Rect(0.0, 0.0, ROOT_SIDE / 2, ROOT_SIDE / 2)
     hot_block = Rect(40.0, 40.0, 40.0 + hot_side, 40.0 + hot_side)
     hot_count = round(hot_fraction * objects)
@@ -998,31 +955,30 @@ def hot_object_skew_scenario(
         placements=placements,
         positions_at=positions_at,
         probe_area_at=lambda progress: hot_block,
-        migration_mode=migration_mode,
         planner=planner,
     )
 
 
-def planner_v1_config() -> PlannerConfig:
-    """The first-generation planner: binary one-axis splits costed by
-    object counts (the PR-2 behaviour, kept as the v2 bench baseline)."""
-    return PlannerConfig(
-        split_load=120.0,
-        hot_min_load=150.0,
-        merge_load=30.0,
-        rate_weighted=False,
-        max_split_children=2,
-    )
+def _without_gc(run):
+    """``run()`` with the cyclic collector off after one full collection.
+
+    The migration throughput ratio compares ~10 ms tick walls; a GC pause
+    inside one migrating tick would swing it (standard bench hygiene).
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        return run()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
-def planner_v2_config() -> PlannerConfig:
-    """Planner v2: rate-weighted cut costing, k-way/quad fan-out."""
-    return PlannerConfig(
-        split_load=120.0,
-        hot_min_load=150.0,
-        merge_load=30.0,
-        rate_weighted=True,
-        max_split_children=8,
+def _zero_lost(result: dict[str, object]) -> bool:
+    return (
+        result["invariants"]["lost_sightings"] == 0
+        and result["invariants"]["consistency_ok"]
     )
 
 
@@ -1031,64 +987,39 @@ def planner_v2_benchmark_payload(
     ticks: int | None = None,
     seed: int = 0,
 ) -> dict[str, object]:
-    """Planner v2 vs. v1 on the hot-object-skewed workload — the
-    ``BENCH_PR5.json`` body.
+    """Rate-weighted k-way planning on the hot-object-skewed workload —
+    the ``BENCH_PR5.json`` body.
 
-    Both lanes run the identical :func:`hot_object_skew_scenario` over
-    the overlapped migration pipeline; only the planner generation
-    differs.  The acceptance numbers:
+    One lane runs :func:`hot_object_skew_scenario` under a planner with
+    rate-weighted cuts and up to 8-way fan-out.  The acceptance numbers:
 
-    * ``round_reduction_ratio <= 0.5`` — v2 reaches its settled
-      topology (the last rebalance round that still planned a split) in
-      at most half the migration rounds of the count-based binary
-      planner;
-    * ``migration_throughput_ratio >= 0.8`` on the v2 lane — the k-way
-      migration and the self-tuned copy chunking keep reports/s during
-      migration within 20% of steady state (equal or better than v1's
-      ratio is recorded alongside);
-    * zero lost sightings and full consistency on both lanes.
+    * ``rounds_to_balance_v2 <= 4`` — the last rebalance round that
+      still planned a split is round four or earlier;
+    * ``migration_throughput_ratio >= 0.8`` — the k-way migration and the
+      paced copy chunks keep reports/s during migration within 20% of
+      steady state;
+    * zero lost sightings and full consistency.
     """
     kwargs: dict[str, object] = {"objects": objects}
     if ticks is not None:
         kwargs["ticks"] = ticks
-    lanes: dict[str, dict[str, object]] = {}
-    # Same bench hygiene as the zero-stall payload: the throughput ratio
-    # compares ~ms tick walls, so collections run between lanes, never
-    # mid-measurement.
-    gc_was_enabled = gc.isenabled()
-    try:
-        for lane, config in (
-            ("v1_count_binary", planner_v1_config()),
-            ("v2_rate_kway", planner_v2_config()),
-        ):
-            gc.enable()
-            gc.collect()
-            gc.disable()
-            lanes[lane] = hot_object_skew_scenario(
-                elastic=True, seed=seed, planner=RebalancePlanner(config), **kwargs
-            )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    v1, v2 = lanes["v1_count_binary"], lanes["v2_rate_kway"]
-    rounds_v1 = v1["rounds_to_balance"]
-    rounds_v2 = v2["rounds_to_balance"]
+    planner = RebalancePlanner(
+        PlannerConfig(
+            split_load=120.0, hot_min_load=150.0, merge_load=30.0, max_split_children=8
+        )
+    )
+    lane = _without_gc(
+        lambda: hot_object_skew_scenario(
+            elastic=True, seed=seed, planner=planner, **kwargs
+        )
+    )
     return {
-        "bench": "planner v2: rate-weighted k-way splits vs. count-based binary splits",
+        "bench": "rate-weighted k-way splits on hot objects: rounds to balance",
         "scenario": "hot_object_skew",
-        "lanes": lanes,
-        "rounds_to_balance_v1": rounds_v1,
-        "rounds_to_balance_v2": rounds_v2,
-        "round_reduction_ratio": (
-            round(rounds_v2 / rounds_v1, 3) if rounds_v1 else None
-        ),
-        "migration_throughput_ratio": v2["migration_throughput_ratio"],
-        "migration_throughput_ratio_v1": v1["migration_throughput_ratio"],
-        "zero_lost_all_lanes": all(
-            lane["invariants"]["lost_sightings"] == 0
-            and lane["invariants"]["consistency_ok"]
-            for lane in lanes.values()
-        ),
+        "lanes": {"v2_rate_kway": lane},
+        "rounds_to_balance_v2": lane["rounds_to_balance"],
+        "migration_throughput_ratio": lane["migration_throughput_ratio"],
+        "zero_lost_all_lanes": _zero_lost(lane),
     }
 
 
@@ -1132,53 +1063,30 @@ def zero_stall_benchmark_payload(
     ticks: int | None = None,
     seed: int = 0,
 ) -> dict[str, object]:
-    """Overlapped vs. quiesced rebalancing under sustained churn — the
-    ``BENCH_PR4.json`` body.
+    """Phased migration under sustained churn — the ``BENCH_PR4.json``
+    body.
 
-    All lanes run the identical festival-surge workload (the crowd
-    stampedes between stages every act, so splits and merges never stop
-    being needed while every crowd member reports every tick).  The
-    acceptance numbers, per overlapped lane:
+    One lane runs the festival-surge workload (the crowd stampedes
+    between stages every act, so splits and merges never stop being
+    needed while every crowd member reports every tick).  The acceptance
+    numbers:
 
-    * ``stall_ticks == 0`` — no rebalance round ever drained the loop
-      (the quiesced baseline stalls once per migrating round);
     * ``migration_throughput_ratio >= 0.8`` — reports/s through ticks
       with a migration in flight stays within 20% of steady state;
-    * ``invariants.lost_sightings == 0`` and ``consistency_ok`` on
-      every lane — the copy → dual-write → cutover pipeline loses
-      nothing even with the protocol lane racing it.
+    * ``invariants.lost_sightings == 0`` and ``consistency_ok`` — the
+      copy → dual-write → cutover pipeline loses nothing even with the
+      protocol lane racing it.
     """
     kwargs: dict[str, object] = {"objects": objects}
     if ticks is not None:
         kwargs["ticks"] = ticks
-    lanes: dict[str, dict[str, object]] = {}
-    # The throughput ratio compares ~10 ms tick walls; a GC pause inside
-    # one migration tick would swing it, so collections run between
-    # lanes instead of mid-measurement (standard bench hygiene).
-    gc_was_enabled = gc.isenabled()
-    try:
-        for lane in ("quiesced", "overlapped"):
-            gc.enable()
-            gc.collect()
-            gc.disable()
-            lanes[lane] = festival_surge_scenario(
-                elastic=True, seed=seed, migration_mode=lane, **kwargs
-            )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    overlapped = lanes["overlapped"]
-    quiesced = lanes["quiesced"]
+    lane = _without_gc(
+        lambda: festival_surge_scenario(elastic=True, seed=seed, **kwargs)
+    )
     return {
-        "bench": "zero-stall elasticity: phased overlapped migration vs. quiesced rebalance",
+        "bench": "zero-stall elasticity: phased migration under sustained churn",
         "scenario": "festival_surge",
-        "lanes": lanes,
-        "stall_ticks_overlapped": overlapped["stall_ticks"],
-        "stall_ticks_quiesced": quiesced["stall_ticks"],
-        "migration_throughput_ratio": overlapped["migration_throughput_ratio"],
-        "zero_lost_all_lanes": all(
-            lane["invariants"]["lost_sightings"] == 0
-            and lane["invariants"]["consistency_ok"]
-            for lane in lanes.values()
-        ),
+        "lanes": {"overlapped": lane},
+        "migration_throughput_ratio": lane["migration_throughput_ratio"],
+        "zero_lost_all_lanes": _zero_lost(lane),
     }

@@ -160,10 +160,12 @@ class TestRebalanceRacingBatchedTicks:
                 positions[oid] = new_pos
                 moves.append((oid, new_pos))
             harness.apply_reports(moves, envelope_timeout=2.0)
+            harness.advance_migrations()
             svc.run(_sleep(svc, 1.0))
             harness.sample()  # also garbage-collects quiet aliases
             if tick % 2 == 1:
                 harness.rebalance()
+        harness.cutover_all()
         result = harness.verify(expected_tracked=220)
         assert result["lost_sightings"] == 0
         assert result["hierarchy_valid"] and result["consistency_ok"]

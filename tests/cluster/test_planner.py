@@ -84,7 +84,7 @@ class TestCutSelection:
         planner = RebalancePlanner(PlannerConfig(split_load=10.0))
         executor = MigrationExecutor(svc)
         plans = planner.plan(svc, {"root.0": 100.0})
-        executor.execute_all(plans)
+        [executor.execute(plan) for plan in plans]
         first_ids = {cid for cid, _ in plans[0].children}
         # Merge back: children retire but their ids stay taken.
         executor.execute(MergePlan(parent_id="root.0", children=tuple(sorted(first_ids))))
@@ -97,7 +97,7 @@ class TestCutSelection:
 class TestMergeDetection:
     def _split_then_cool(self, svc, planner, executor):
         plans = planner.plan(svc, {"root.0": 1000.0})
-        executor.execute_all(plans)
+        [executor.execute(plan) for plan in plans]
         return plans[0]
 
     def test_cold_siblings_merge_after_cooldown(self):

@@ -1,4 +1,4 @@
-"""Planner v2 edge cases: rate weighting, k-way fan-out, chunk tuning."""
+"""Planner edge cases: rate weighting, k-way fan-out, copy chunk pacing."""
 
 import pytest
 
@@ -10,10 +10,13 @@ from repro.cluster import (
     RebalancePlanner,
     SplitPlan,
 )
+from repro.cluster.migration import COPY_BUDGET, INITIAL_CHUNK, MAX_CHUNK, MIN_CHUNK
 from repro.core.hierarchy import split_rects
 from repro.errors import ConfigurationError
 from repro.geo import Point, Rect
 from repro.model import SightingRecord
+from repro.sim import elastic
+from repro.sim.elastic import ElasticHarness
 from repro.sim.scenario import table2_service
 
 
@@ -250,45 +253,59 @@ class TestObjectRateWindow:
         assert monitor.object_rate(oid) > 0.0
 
 
-class TestAdaptiveChunker:
-    def test_slow_tick_shrinks_the_chunk(self):
-        chunker = AdaptiveCopyChunker(budget=0.2, headroom=1.3, min_chunk=8)
-        for _ in range(8):
-            chunker.note_steady_tick(0.010)  # 10 ms steady ticks
-        chunker.note_copy(100, 0.001)  # 10 us per staged entry
-        comfortable = chunker.chunk
-        assert comfortable == int(0.2 * 0.010 / 1e-5)  # budget-sized
-        # An artificially slow migration tick (3x steady) halves the
-        # budget; sustained pressure keeps halving it.
-        chunker.note_migration_tick(0.030)
-        assert chunker.chunk == comfortable // 2
-        chunker.note_migration_tick(0.030)
-        assert chunker.chunk == comfortable // 4
-        # Comfortable ticks recover the budget additively to its target.
-        for _ in range(10):
-            chunker.note_migration_tick(0.010)
-        assert chunker.chunk == comfortable
+class _Clock:
+    """Stands in for the ``time`` module inside :mod:`repro.sim.elastic`:
+    each applied tick advances it by ``tick_wall`` seconds."""
 
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.tick_wall = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+class TestAdaptiveChunker:
     def test_chunk_respects_bounds(self):
-        chunker = AdaptiveCopyChunker(
-            initial=256, min_chunk=64, max_chunk=512, budget=0.2
-        )
-        assert chunker.chunk == 256  # no measurements yet
+        chunker = AdaptiveCopyChunker()
+        assert chunker.chunk == INITIAL_CHUNK  # no measurements yet
         chunker.note_steady_tick(10.0)
         chunker.note_copy(10, 1e-6)  # absurdly cheap -> capped
-        assert chunker.chunk == 512
+        assert chunker.chunk == MAX_CHUNK
         chunker.note_copy(1, 10.0)  # absurdly dear -> floored (EWMA catches up)
         chunker.note_copy(1, 10.0)
         chunker.note_copy(1, 10.0)
-        assert chunker.chunk == 64
+        assert chunker.chunk == MIN_CHUNK
 
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveCopyChunker(initial=10, min_chunk=20)
-        with pytest.raises(ValueError):
-            AdaptiveCopyChunker(budget=1.5)
-        with pytest.raises(ValueError):
-            AdaptiveCopyChunker(headroom=0.9)
+    def test_slow_migrating_ticks_leave_the_chunk_alone(self, monkeypatch):
+        """Regression: migrating ticks at 3x the steady wall clock must
+        not shrink the copy chunk.  A migrating tick also pays for the
+        dual-write mirror; when feedback from it cut the budget, every
+        copy sat at the 64-entry floor and a migration stayed in flight
+        for most of a run."""
+        svc, homes = table2_service(object_count=400)
+        harness = ElasticHarness(svc, homes)
+        clock = _Clock()
+        monkeypatch.setattr(elastic, "time", clock)
+
+        def apply_reports(reports):
+            clock.now += clock.tick_wall
+            return {"fast": 0, "protocol": 0}
+
+        monkeypatch.setattr(harness, "apply_reports", apply_reports)
+        clock.tick_wall = 0.010
+        for _ in range(8):
+            assert harness.tick([])[2] is False  # steady 10 ms ticks
+        harness.chunker.note_copy(1000, 0.001)  # 1 us per staged entry
+        chunk = harness.chunker.chunk
+        assert chunk == pytest.approx(COPY_BUDGET * 0.010 / 1e-6, rel=0.01)
+        (plan,) = binary_planner().plan(svc, {"root.0": 100.0})
+        harness.executor.begin(plan)
+        clock.tick_wall = 0.030
+        for _ in range(20):
+            _, wall, migrating = harness.tick([])
+            assert migrating and wall == pytest.approx(0.030)
+        assert harness.chunker.chunk == chunk
 
 
 class TestRateMassSeeding:

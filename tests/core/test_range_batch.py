@@ -96,7 +96,8 @@ class TestEvaluateRangeMany:
     def test_batch_works_across_a_split_topology(self):
         svc, _ = table2_service(object_count=500, seed=4)
         planner = RebalancePlanner(PlannerConfig(split_load=1.0))
-        MigrationExecutor(svc).execute_all(planner.plan(svc, {"root.0": 1e9}))
+        executor = MigrationExecutor(svc)
+        [executor.execute(plan) for plan in planner.plan(svc, {"root.0": 1e9})]
         rng = random.Random(5)
         queries = random_queries(rng, svc.hierarchy.root_area(), 6)
         entry = svc.hierarchy.leaf_ids()[0]

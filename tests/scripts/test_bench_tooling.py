@@ -89,13 +89,11 @@ class TestTrendGate:
         assert trend.trend_failures(data) == []
 
     def test_lower_is_better_metrics_trip_on_rises(self, trend):
-        assert trend.TRACKED_METRICS["pr5.round_reduction_ratio"][2] == "lower"
-        data = series_of(
-            trend, {"pr5.round_reduction_ratio": [0.40, 0.44, 0.48, 0.52]}
-        )
+        assert trend.TRACKED_METRICS["pr5.rounds_to_balance"][2] == "lower"
+        data = series_of(trend, {"pr5.rounds_to_balance": [2, 3, 4, 5]})
         failures = trend.trend_failures(data)
         assert len(failures) == 1
-        assert "pr5.round_reduction_ratio" in failures[0]
+        assert "pr5.rounds_to_balance" in failures[0]
 
     def test_only_the_trailing_window_counts(self, trend):
         # An old collapse followed by three stable nights is not a trend.

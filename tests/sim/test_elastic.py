@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from repro.cluster import PlannerConfig, RebalancePlanner
+from repro.cluster.migration import INITIAL_CHUNK
 from repro.geo import Point, Rect
 from repro.sim.elastic import (
     ElasticHarness,
+    _advance,
     _populate,
     _fresh_service,
     festival_surge_scenario,
@@ -64,6 +67,40 @@ class TestElasticHarness:
         svc.check_consistency()
         assert svc.total_tracked() == 20
 
+    def test_rebalance_cuts_over_only_finished_copies(self):
+        """One kind of round: a plan begins in one rebalance and is cut
+        over by the first rebalance after its copy has been staged by
+        advance_migrations; the topology never changes in between."""
+        rng = random.Random(1)
+        count = INITIAL_CHUNK + 44  # two copy chunks
+        placements = [
+            (f"o{i}", Point(rng.uniform(100, 600), rng.uniform(100, 600)))
+            for i in range(count)
+        ]
+        svc = _fresh_service()
+        harness = ElasticHarness(
+            svc,
+            _populate(svc, placements),
+            planner=RebalancePlanner(PlannerConfig(split_load=20.0)),
+        )
+        for _ in range(2):  # ~count updates/s on root.0
+            harness.apply_reports([(oid, Point(p.x + 1, p.y)) for oid, p in placements])
+            svc.run(_advance(svc, 1.0))
+            harness.sample()
+        leaves = svc.hierarchy.leaf_ids()
+        assert harness.rebalance() == []  # begun, not cut over
+        (migration,) = harness.executor.in_flight
+        assert harness.advance_migrations() == INITIAL_CHUNK
+        assert harness.rebalance() == []  # copy unfinished: stays in flight
+        assert harness.executor.in_flight == [migration]
+        assert svc.hierarchy.leaf_ids() == leaves
+        assert harness.advance_migrations() == 44
+        (report,) = harness.rebalance()
+        assert report.moved == count
+        assert harness.split_count() == 1
+        assert set(harness.homes.values()) == set(report.spawned)
+        assert harness.verify(expected_tracked=count)["lost_sightings"] == 0
+
     def test_verify_reports_zero_loss(self):
         placements = [(f"o{i}", Point(50.0 + i, 60.0)) for i in range(10)]
         svc, harness = self._harness(placements)
@@ -98,30 +135,13 @@ class TestFestivalSurgeScenario:
             objects=700,
             ticks=16,
             elastic=True,
-            migration_mode="overlapped",
             rebalance_every=2,
             measure_ticks=6,
             seed=4,
         )
-        assert result["migration_mode"] == "overlapped"
-        assert result["stall_ticks"] == 0
         assert result["splits"] >= 1
         assert result["topology_epoch"] >= 1
         assert result["invalidations_sent"] >= 1  # §6.5 broadcast at cutover
         assert result["dual_writes"] > 0  # traffic flowed mid-window
         assert result["invariants"]["lost_sightings"] == 0
         assert result["invariants"]["consistency_ok"]
-
-    def test_quiesced_mode_counts_stalls(self):
-        result = festival_surge_scenario(
-            objects=700,
-            ticks=16,
-            elastic=True,
-            migration_mode="quiesced",
-            rebalance_every=2,
-            measure_ticks=6,
-            seed=4,
-        )
-        assert result["stall_ticks"] >= 1
-        assert result["dual_writes"] == 0  # one-shot copy, no window
-        assert result["invariants"]["lost_sightings"] == 0

@@ -221,3 +221,57 @@ class TestOneServiceStore:
 
         spec = ClusterSpec(build_table2_hierarchy(), AddressBook())
         assert "index_kind" not in json.loads(spec.to_json())
+
+
+class TestOneElasticPath:
+    """One rebalance round, one planner and an open-loop copy pace: the
+    deleted modes and knobs cannot come back quietly."""
+
+    REMOVED_OPTIONS = {
+        "migration_mode",
+        "rate_weighted",
+        "copy_chunk",
+        "executor",
+        "chunker",
+        "initial",
+        "min_chunk",
+        "max_chunk",
+        "budget",
+        "headroom",
+    }
+
+    def test_no_elastic_signature_takes_a_removed_option(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro.cluster
+        import repro.sim
+
+        offenders = []
+        for package in (repro.cluster, repro.sim):
+            for info in pkgutil.walk_packages(package.__path__, package.__name__ + "."):
+                module = importlib.import_module(info.name)
+                for name, obj in vars(module).items():
+                    if getattr(obj, "__module__", None) != module.__name__:
+                        continue
+                    if inspect.isclass(obj):
+                        fns = [(f"{name}.{k}", v) for k, v in vars(obj).items()]
+                    else:
+                        fns = [(name, obj)]
+                    for qualname, fn in fns:
+                        if inspect.isfunction(fn) and (
+                            self.REMOVED_OPTIONS & set(inspect.signature(fn).parameters)
+                        ):
+                            offenders.append(f"{module.__name__}.{qualname}")
+        assert offenders == []
+
+    def test_removed_entry_points_stay_gone(self):
+        from repro.cluster import AdaptiveCopyChunker, MigrationExecutor
+        from repro.sim import elastic
+
+        assert not hasattr(elastic.ElasticHarness, "rebalance_overlapped")
+        assert not hasattr(elastic.ElasticHarness, "note_tick")
+        assert not hasattr(elastic, "planner_v1_config")
+        assert not hasattr(MigrationExecutor, "execute_all")
+        assert not hasattr(AdaptiveCopyChunker, "note_migration_tick")
