@@ -9,8 +9,9 @@ with those index kinds; their last numbers are in ``RESULTS.txt``.
 
 ``test_update_fastpath_small_displacement`` additionally measures the
 in-place move fast paths against the seed's remove+insert baseline on a
-walking-speed displacement workload and emits the machine-readable
-``BENCH_PR1.json`` perf artifact (see ``benchreport.write_bench_json``).
+walking-speed displacement workload.  ``scripts/bench_smoke.py`` runs
+the same measurement (:func:`measure_fastpath`) to write
+``BENCH_PR1.json``.
 """
 
 import random
@@ -18,7 +19,7 @@ import time
 
 import pytest
 
-from benchreport import report, write_bench_json
+from benchreport import report
 from repro.geo import Point, Rect
 from repro.model import RangeQuery, SightingRecord
 from repro.sim.metrics import format_table
@@ -179,29 +180,6 @@ def _note_fastpath(kind: str, row: dict[str, float]) -> None:
             ],
         )
     )
-    payload = {
-        "bench": "spatial-index update fast paths + batch pipeline",
-        "generated_by": "benchmarks/bench_spatial_index.py",
-        "workload": {
-            "objects": OBJECTS,
-            "area_side_m": AREA_SIDE,
-            "moves": FASTPATH_MOVES,
-            "displacement_m": DISPLACEMENT_M,
-            "batch_size": FASTPATH_BATCH,
-        },
-        "indexes": {
-            kind: {
-                "updates_per_s": dict(row),
-                "speedup_vs_baseline": {
-                    "update": row["update"] / row["baseline_remove_insert"],
-                    "update_many": row["update_many"] / row["baseline_remove_insert"],
-                },
-                "store_ops_per_s": _results.get(kind, {}),
-            }
-            for kind, row in _fastpath_results.items()
-        },
-    }
-    write_bench_json("BENCH_PR1.json", payload)
 
 
 def measure_fastpath(kind: str, rounds: int = FASTPATH_ROUNDS):

@@ -5,29 +5,30 @@ Bench-JSON schema
 
 Machine-readable perf artifacts live at the repository root as
 ``BENCH_<tag>.json``, one per PR that measures something, written by
-:func:`write_bench_json`.  Shared conventions (what
-``scripts/bench_check.py`` — the CI perf-regression gate — relies on):
+:func:`write_bench_json`.  Each artifact has one producer, an entry of
+``scripts/bench_smoke.py``'s ``ARTIFACTS`` table, and one gate list, its
+rows in ``scripts/bench_check.py``'s ``GATES`` table — the one place an
+acceptance threshold is written.  Shared conventions the gate rows rely
+on:
 
 * every payload has a ``bench`` (one-line description) and a
-  ``generated_by`` (producing script/bench file) key;
+  ``generated_by`` (``scripts/bench_smoke.py``) key;
 * scenario benches group per-configuration runs under ``lanes`` (lane
-  name → full scenario result dict) or ``scenarios``; every scenario
-  result carries an ``invariants`` dict with ``lost_sightings``,
-  ``consistency_ok`` and ``hierarchy_valid``;
-* the *acceptance numbers* sit at the payload top level, named for
-  what they gate — e.g. ``load_drop_factor`` (PR2, ≥ 2),
-  ``migration_throughput_ratio`` (PR4/PR5, ≥ 0.8),
-  ``rounds_to_balance_v2`` (PR5, ≤ 4), ``zero_lost_all_lanes``
-  (boolean);
+  name → full scenario result dict) or ``scenarios``, which a gate row
+  walks with a ``*`` path step; every scenario result carries an
+  ``invariants`` dict with ``lost_sightings``, ``consistency_ok`` and
+  ``hierarchy_valid``;
+* the headline acceptance numbers sit at the payload top level, named
+  for what they measure (``migration_throughput_ratio``,
+  ``rounds_to_balance_v2``, ``tick_speedup``, ...);
 * numbers are rounded for diffability and the payload is written with
   ``sort_keys`` so regenerated artifacts diff cleanly.
 
-The documented thresholds are enforced in CI: ``bench-smoke``
-regenerates every artifact and ``python scripts/bench_check.py`` fails
-the build when any acceptance number regresses.  ``BENCH_PR3.json`` is
-the exception: a frozen record of the PR-3 lane comparison, whose
-baseline lane no longer exists — kept in the tree, neither regenerated
-nor gated.
+CI's ``bench-smoke`` job regenerates every artifact and
+``python scripts/bench_check.py`` fails the build when any row fails.
+``BENCH_PR3.json`` is the exception: a frozen record of the PR-3 lane
+comparison, whose baseline lane no longer exists — kept in the tree,
+neither regenerated nor gated.
 
 Time-series schema
 ------------------

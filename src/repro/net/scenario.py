@@ -298,8 +298,8 @@ def socket_benchmark_payload(
 
     Acceptance numbers gated by ``scripts/bench_check.py``:
 
-    * ``zero_lost_all_lanes`` — every lane's verification sweep found
-      every registered object (including over UDP with injected loss).
+    * ``lanes_lost`` — every lane's verification sweep found every
+      registered object (including over UDP with injected loss).
     * ``min_throughput_ratio`` — multi-process reports/s within an
       agreed factor of in-process on every scenario (the processes pay
       real serialization + syscalls; the gate catches collapse, e.g. a
@@ -349,6 +349,7 @@ def socket_benchmark_payload(
         s["throughput_ratio"] for s in scenarios.values() if s["throughput_ratio"]
     ]
     return {
+        "bench": "real-transport lane: sockets vs in-process (smoke)",
         "scenarios": scenarios,
         "udp_loss": loss_lane,
         "lanes_lost": lanes_lost,

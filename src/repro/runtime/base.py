@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Awaitable, Callable, Coroutine
 
 from repro.errors import TransportError
@@ -258,13 +258,9 @@ class NetworkStats:
         self.by_type[name] = self.by_type.get(name, 0) + 1
 
     def reset(self) -> None:
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.messages_duplicated = 0
-        self.faults_injected = 0
-        self.dead_letters = 0
-        self.frames_corrupted = 0
-        self.messages_quarantined = 0
-        self.stale_epoch_rejected = 0
-        self.by_type.clear()
+        """Zero every counter; walks the fields, so none can be missed."""
+        for counter in fields(self):
+            if counter.name == "by_type":
+                self.by_type.clear()
+            else:
+                setattr(self, counter.name, 0)

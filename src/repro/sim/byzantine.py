@@ -47,12 +47,12 @@ gated by ``scripts/bench_check.py``.
 from __future__ import annotations
 
 import asyncio
-import random
 
 from repro.chaos import FaultInjector, LinkFaults
-from repro.core.hierarchy import Hierarchy, build_table2_hierarchy
+from repro.core.hierarchy import build_table2_hierarchy
 from repro.errors import TransportError
 from repro.runtime.validation import find_defect
+from repro.sim.chaos import _aged, _FaultRun, root_partition_scenario
 
 __all__ = [
     "AGED_EPOCH",
@@ -87,13 +87,6 @@ def byzantine_rule() -> LinkFaults:
 
 def _poison_everywhere(injector: FaultInjector) -> None:
     injector.set_link("*", "*", byzantine_rule())
-
-
-def _aged(hierarchy: Hierarchy) -> Hierarchy:
-    return Hierarchy(
-        {sid: hierarchy.config(sid) for sid in hierarchy.server_ids()},
-        epoch=AGED_EPOCH,
-    )
 
 
 def _stored_defects(servers) -> int:
@@ -138,40 +131,21 @@ def run_sim_byzantine_lane(
     itself cannot be poisoned): a quarantined envelope NACKs and the
     device's next tick re-reports, exactly the drop-recovery path.
     """
-    from repro.core.caching import CacheConfig
-    from repro.cluster.load import LoadMonitor
-    from repro.sim.chaos import _BOUNDS, _FAULT_TIMEOUTS, _invariant_block, _tick_reports
-    from repro.sim.elastic import ElasticHarness, _advance, _fresh_service, _populate
-    from repro.sim.workload import HotspotSpec, hotspot_positions
-
-    svc = _fresh_service(cache_config=CacheConfig.all_enabled())
-    svc.adopt_hierarchy(_aged(svc.hierarchy))
-    placements = hotspot_positions(
-        _BOUNDS,
-        HotspotSpec(area=_BOUNDS, fraction=0.0),  # uniform scatter
-        objects,
-        seed=seed,
-        prefix="bz",
+    run = _FaultRun(
+        objects, seed, "bz", caches=True, epoch=AGED_EPOCH, radius=60.0, dt=dt
     )
-    homes = _populate(svc, placements)
-    harness = ElasticHarness(svc, homes, monitor=LoadMonitor(half_life=5.0))
-    injector = FaultInjector(svc.network, seed=seed)
-    _poison_everywhere(injector)
+    _poison_everywhere(run.injector)
 
-    rng = random.Random(seed + 1)
-    positions = dict(placements)
-    envelope_failures = 0
-    for _ in range(ticks):
-        reports = _tick_reports(rng, positions, radius=60.0)
+    def report(reports) -> int:
         try:
-            harness.apply_reports(reports, **_FAULT_TIMEOUTS)
+            run.bounded(reports)
         except TransportError:
             # An envelope burned its whole retry budget against the
             # adversary; the objects re-report next tick.
-            envelope_failures += 1
-        svc.run(_advance(svc, dt))
-        harness.sample()
+            return 1
+        return 0
 
+    envelope_failures = sum(run.tick(report) for _ in range(ticks))
     return {
         "transport": "sim",
         "objects": objects,
@@ -181,9 +155,9 @@ def run_sim_byzantine_lane(
         "corrupt_rate": CORRUPT_RATE,
         "stale_epoch_rate": STALE_EPOCH_RATE,
         "envelope_failures": envelope_failures,
-        "corrupted_accepted": _stored_defects(svc.servers.values()),
-        **_invariant_block(svc, harness, objects),
-        **_defense_counters([svc.network.stats]),
+        "corrupted_accepted": _stored_defects(run.svc.servers.values()),
+        **run.invariants(),
+        **_defense_counters([run.svc.network.stats]),
     }
 
 
@@ -215,7 +189,7 @@ def run_asyncio_byzantine_lane(
     from repro.runtime.asyncio_rt import AsyncioNetwork
     from repro.sim.elastic import ROOT_SIDE, commuter_rush_workload
 
-    hierarchy = _aged(build_table2_hierarchy(ROOT_SIDE))
+    hierarchy = _aged(build_table2_hierarchy(ROOT_SIDE), AGED_EPOCH)
     workload = commuter_rush_workload(objects=objects, ticks=ticks, seed=seed)
 
     async def main() -> dict:
@@ -259,7 +233,7 @@ def run_udp_byzantine_lane(objects: int = 120, ticks: int = 6, seed: int = 0) ->
     from repro.net.udp import UdpTransport
     from repro.sim.elastic import ROOT_SIDE, commuter_rush_workload
 
-    hierarchy = _aged(build_table2_hierarchy(ROOT_SIDE))
+    hierarchy = _aged(build_table2_hierarchy(ROOT_SIDE), AGED_EPOCH)
     workload = commuter_rush_workload(objects=objects, ticks=ticks, seed=seed)
 
     async def main() -> dict:
@@ -315,16 +289,12 @@ def run_udp_byzantine_lane(objects: int = 120, ticks: int = 6, seed: int = 0) ->
 def byzantine_benchmark_payload(seed: int = 0) -> dict:
     """All three byzantine lanes plus the apex-promotion scenario.
 
-    Acceptance numbers (gated by ``scripts/bench_check.py``):
-    ``zero_corrupted_accepted_all_lanes``, ``zero_lost_all_lanes`` and
-    ``zero_duplicated_all_lanes`` must all be true with
-    ``defense_exercised_all_lanes`` proving the adversary was real;
-    the root-partition run must answer every cross-subtree query before
-    the heal and reconverge within 5 ticks, losing and duplicating
-    nothing.
+    Gated per lane (zero corrupted-accepted, lost and duplicated
+    sightings; faults fired and were caught) and on the root-partition
+    run (every cross-subtree query answered before the heal, bounded
+    reconvergence, nothing lost or duplicated); the thresholds are rows
+    of ``scripts/bench_check.py``.
     """
-    from repro.sim.chaos import root_partition_scenario
-
     lanes = {
         "sim": run_sim_byzantine_lane(seed=seed),
         "asyncio": run_asyncio_byzantine_lane(seed=seed),

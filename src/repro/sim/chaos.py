@@ -26,18 +26,20 @@ recovery measurements:
   post-cutover crashes *roll forward* (the staged store's WAL is the
   new server's durable state).
 
-* :func:`root_partition_scenario` (PR 9) — the *apex* is severed from
-  every other endpoint, so re-routing has no healthy root to lean on.
+* :func:`root_partition_scenario` — the *apex* is severed from every
+  other endpoint, so re-routing has no healthy root to lean on.
   Leaf-local traffic keeps flowing (devices talk to leaves, never the
   apex); :meth:`~repro.chaos.RecoveryCoordinator.recover_apex` promotes
   a standby root from the severed apex's surviving visitor WAL, cross-
   subtree queries resume through it while the partition still stands,
   and the scenario measures reconvergence ticks after the heal.
 
-:func:`chaos_benchmark_payload` folds the five PR-6 runs into the
-``BENCH_PR6.json`` artifact gated by ``scripts/bench_check.py``; the
-root-partition run rides in ``BENCH_PR9.json`` (see
-:mod:`repro.sim.byzantine`).
+Every scenario (and the simulated Byzantine lane of
+:mod:`repro.sim.byzantine`) builds its world and runs its ticks through
+one :class:`_FaultRun`.  :func:`chaos_benchmark_payload` folds the five
+leaf, partition and migration runs into ``BENCH_PR6.json``; the
+root-partition run rides in ``BENCH_PR9.json``.  Both are gated by
+``scripts/bench_check.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from repro.chaos import FaultInjector, RecoveryCoordinator, inject_crash
 from repro.cluster.load import LoadMonitor
 from repro.cluster.planner import SplitPlan
 from repro.core.caching import CacheConfig
-from repro.errors import TransportError
+from repro.core.hierarchy import Hierarchy
+from repro.errors import LocationServiceError, TransportError
 from repro.geo import Rect
 from repro.sim.elastic import (
     ROOT_SIDE,
@@ -74,101 +77,178 @@ __all__ = [
 _FAULT_TIMEOUTS = {"envelope_timeout": 1.0, "envelope_sub_timeout": 0.4}
 
 _BOUNDS = Rect(0.0, 0.0, ROOT_SIDE, ROOT_SIDE)
-_QUARTER = ROOT_SIDE / 4  # 375 m — the pre-split cut inside root.0
+_QUARTER = ROOT_SIDE / 4  # 375 m — the split cut inside root.0
 _HALF = ROOT_SIDE / 2  # 750 m — the root.0 quadrant side
+#: Where a crowd packs: most of root.0, the south-west quadrant.
+_CROWD_AREA = Rect(40.0, 40.0, 710.0, 710.0)
 
 
-def _tick_reports(rng: random.Random, positions: dict, radius: float = 40.0):
-    """Advance every object one jitter step; returns the tick's reports."""
-    reports = []
-    for oid, pos in positions.items():
-        new_pos = _jitter(rng, pos, radius, _BOUNDS)
-        positions[oid] = new_pos
-        reports.append((oid, new_pos))
-    return reports
-
-
-def _apply_guarded(harness: ElasticHarness, reports) -> int:
-    """Apply a tick's reports while a server may be down.
-
-    Reports whose believed agent is a downed address are *deferred* —
-    the device's send would time out; it retries next tick once
-    recovery has re-homed the region — and the rest run with bounded
-    envelope timeouts.  Returns the deferred count.
-    """
-    svc = harness.svc
-    live, deferred = [], 0
-    for oid, pos in reports:
-        home = harness.homes.get(oid)
-        if home is not None and svc.network.is_down(home):
-            deferred += 1
-            continue
-        live.append((oid, pos))
-    harness.apply_reports(live, **_FAULT_TIMEOUTS)
-    return deferred
-
-
-def _epoch_consistent(svc) -> bool:
-    epoch = svc.hierarchy.epoch
-    return all(server.topology_epoch == epoch for server in svc.servers.values())
-
-
-def _consistency_ok(svc) -> bool:
-    from repro.errors import LocationServiceError
-
-    try:
-        svc.check_consistency()
-    except LocationServiceError:
-        return False
-    return True
-
-
-def _fully_homed(svc, harness: ElasticHarness, positions: dict) -> bool:
-    """Every object is agented by the leaf containing its position —
-    the state a fault-free tick always restores before it ends."""
-    for oid, pos in positions.items():
-        home = harness.homes.get(oid)
-        server = svc.servers.get(home) if home is not None else None
-        if server is None or not server.is_leaf or not server.config.contains(pos):
-            return False
-    return True
-
-
-def _invariant_block(svc, harness: ElasticHarness, objects: int) -> dict:
-    """The shared invariant payload (raises on broken consistency)."""
-    invariants = harness.verify(expected_tracked=objects)
-    tracked = invariants["tracked"]
-    stats = svc.network.stats
-    return {
-        "invariants": invariants,
-        "lost_sightings": max(0, objects - tracked),
-        "duplicated_sightings": max(0, tracked - objects),
-        "epoch_consistent": _epoch_consistent(svc),
-        "topology_epoch": svc.hierarchy.epoch,
-        "faults_injected": stats.faults_injected,
-        "dropped_deliveries": stats.messages_dropped,
-        "duplicated_deliveries": stats.messages_duplicated,
-    }
-
-
-def _presplit_sw_quadrant(harness: ElasticHarness, child_prefix: str):
-    """Split root.0 in two so its crash recovery is non-degenerate
-    (depth grows to 2; the merge path has a real parent to fold into).
-    Returns the child ids."""
-    children = (
-        (f"root.0/{child_prefix}.0", Rect(0.0, 0.0, _QUARTER, _HALF)),
-        (f"root.0/{child_prefix}.1", Rect(_QUARTER, 0.0, _HALF, _HALF)),
+def _aged(hierarchy: Hierarchy, epoch: int) -> Hierarchy:
+    """The same servers at topology epoch ``epoch``."""
+    return Hierarchy(
+        {sid: hierarchy.config(sid) for sid in hierarchy.server_ids()}, epoch=epoch
     )
-    plan = SplitPlan(
+
+
+def _root0_x_split(child_prefix: str, reason: str) -> SplitPlan:
+    """root.0 cut in two at x = 375 m; ``children[0]`` is the west half."""
+    return SplitPlan(
         leaf_id="root.0",
         axis="x",
         cuts=(_QUARTER,),
-        children=children,
-        reason="chaos prep",
+        children=(
+            (f"root.0/{child_prefix}.0", Rect(0.0, 0.0, _QUARTER, _HALF)),
+            (f"root.0/{child_prefix}.1", Rect(_QUARTER, 0.0, _HALF, _HALF)),
+        ),
+        reason=reason,
     )
-    report = harness.executor.execute(plan)
-    harness.homes.update(report.new_homes)
-    return tuple(child_id for child_id, _ in children)
+
+
+class _FaultRun:
+    """One fault scenario's world and its tick loop.
+
+    Built the same way for every scenario: a fresh table-2 service (§6.5
+    caches on when ``caches``; aged to topology ``epoch`` when non-zero),
+    ``objects`` seeded placements — a ``crowd`` share of them packed into
+    root.0, the rest uniform — registered straight into the leaf stores,
+    an :class:`ElasticHarness` with its load monitor, a
+    :class:`FaultInjector` on the network, and the rng (seeded
+    ``seed + rng_offset``) that moves every object ``radius`` metres a
+    tick.
+    """
+
+    def __init__(
+        self,
+        objects: int,
+        seed: int,
+        prefix: str,
+        *,
+        crowd: float = 0.0,
+        caches: bool = False,
+        epoch: int = 0,
+        rng_offset: int = 1,
+        radius: float = 40.0,
+        dt: float = 1.0,
+    ) -> None:
+        svc = _fresh_service(cache_config=CacheConfig.all_enabled() if caches else None)
+        if epoch:
+            svc.adopt_hierarchy(_aged(svc.hierarchy, epoch))
+        placements = hotspot_positions(
+            _BOUNDS,
+            HotspotSpec(area=_CROWD_AREA, fraction=crowd),
+            objects,
+            seed=seed,
+            prefix=prefix,
+        )
+        self.svc = svc
+        self.objects = objects
+        self.harness = ElasticHarness(
+            svc, _populate(svc, placements), monitor=LoadMonitor(half_life=5.0)
+        )
+        self.injector = FaultInjector(svc.network, seed=seed)
+        self.rng = random.Random(seed + rng_offset)
+        self.positions = dict(placements)
+        self.radius = radius
+        self.dt = dt
+
+    def tick(self, apply=None):
+        """Every object takes one jitter step and reports; ``apply``
+        lands the reports (default: the harness's unbounded lane).  Then
+        the virtual clock advances ``dt`` and the monitor samples.
+        Returns what ``apply`` returned."""
+        reports = []
+        for oid, pos in self.positions.items():
+            new_pos = _jitter(self.rng, pos, self.radius, _BOUNDS)
+            self.positions[oid] = new_pos
+            reports.append((oid, new_pos))
+        landed = (apply or self.harness.apply_reports)(reports)
+        self.svc.run(_advance(self.svc, self.dt))
+        self.harness.sample()
+        return landed
+
+    def bounded(self, reports) -> None:
+        """Apply reports with envelope timeouts (faults may be live)."""
+        self.harness.apply_reports(reports, **_FAULT_TIMEOUTS)
+
+    def guarded(self, reports) -> int:
+        """Apply a tick's reports while a server may be down.
+
+        Reports whose believed agent is a downed address are *deferred* —
+        the device's send would time out; it retries next tick once
+        recovery has re-homed the region — and the rest run with bounded
+        envelope timeouts.  Returns the deferred count.
+        """
+        homes, network = self.harness.homes, self.svc.network
+        live = [
+            (oid, pos)
+            for oid, pos in reports
+            if (home := homes.get(oid)) is None or not network.is_down(home)
+        ]
+        self.bounded(live)
+        return len(reports) - len(live)
+
+    def recover(self, ticks: int, *, homed: bool = False, after_first=None):
+        """Run ``ticks`` bounded ticks; returns the first (1-based) after
+        which every object is tracked — and, when ``homed``, agented by
+        the leaf containing it in a consistent hierarchy — or ``None``.
+        ``after_first`` runs once, after the first tick and its check."""
+        svc = self.svc
+        recovered = None
+        for tick in range(ticks):
+            self.tick(self.bounded)
+            if recovered is None:
+                svc.settle()
+                if svc.total_tracked() == self.objects and (
+                    not homed or (self._fully_homed() and self._consistency_ok())
+                ):
+                    recovered = tick + 1
+            if tick == 0 and after_first is not None:
+                after_first()
+        return recovered
+
+    def _fully_homed(self) -> bool:
+        """Every object is agented by the leaf containing its position —
+        the state a fault-free tick always restores before it ends."""
+        for oid, pos in self.positions.items():
+            home = self.harness.homes.get(oid)
+            server = self.svc.servers.get(home) if home is not None else None
+            if server is None or not server.is_leaf or not server.config.contains(pos):
+                return False
+        return True
+
+    def _consistency_ok(self) -> bool:
+        try:
+            self.svc.check_consistency()
+        except LocationServiceError:
+            return False
+        return True
+
+    def invariants(self) -> dict:
+        """The shared invariant payload (raises on broken consistency)."""
+        svc = self.svc
+        invariants = self.harness.verify(expected_tracked=self.objects)
+        tracked = invariants["tracked"]
+        stats = svc.network.stats
+        epoch = svc.hierarchy.epoch
+        return {
+            "invariants": invariants,
+            "lost_sightings": max(0, self.objects - tracked),
+            "duplicated_sightings": max(0, tracked - self.objects),
+            "epoch_consistent": all(
+                server.topology_epoch == epoch for server in svc.servers.values()
+            ),
+            "topology_epoch": epoch,
+            "faults_injected": stats.faults_injected,
+            "dropped_deliveries": stats.messages_dropped,
+            "duplicated_deliveries": stats.messages_duplicated,
+        }
+
+
+def _detection(recovery) -> dict:
+    return {
+        "attempts": recovery.detection_attempts,
+        "time_s": round(recovery.detection_time_s, 3),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -185,65 +265,41 @@ def leaf_crash_scenario(
     strategy: str = "merge",
 ) -> dict:
     """Kill a leaf halfway through a tick; detect, recover, re-track."""
-    svc = _fresh_service()
-    placements = hotspot_positions(
-        _BOUNDS,
-        HotspotSpec(area=Rect(40.0, 40.0, 710.0, 710.0), fraction=0.6),
-        objects,
-        seed=seed,
-        prefix="lc",
-    )
-    homes = _populate(svc, placements)
-    harness = ElasticHarness(svc, homes, monitor=LoadMonitor(half_life=5.0))
-    FaultInjector(svc.network, seed=seed)
-    victim, _sibling = _presplit_sw_quadrant(harness, "c")
+    run = _FaultRun(objects, seed, "lc", crowd=0.6, dt=dt)
+    svc, harness = run.svc, run.harness
+    # Split root.0 in two first so its crash recovery is non-degenerate
+    # (depth grows to 2; the merge path has a real parent to fold into).
+    plan = _root0_x_split("c", "chaos prep")
+    harness.homes.update(harness.executor.execute(plan).new_homes)
+    victim = plan.children[0][0]
     # Subscribed *before* the kill: the coordinator learns about the
     # death from the protocol lane's own envelope exhaustion, not from
     # this scenario telling it which server it crashed.
     coordinator = RecoveryCoordinator(
         svc, executor=harness.executor, monitor=harness.monitor
     ).watch()
-
-    rng = random.Random(seed + 1)
-    positions = dict(placements)
     for _ in range(warm_ticks):
-        harness.apply_reports(_tick_reports(rng, positions))
-        svc.run(_advance(svc, dt))
-        harness.sample()
+        run.tick()
 
     # The mid-tick kill: half this tick's reports land, then the
     # process dies; the rest of the tick runs against a dead agent —
     # the devices don't know it died, so their envelope burns its whole
     # retry budget and surfaces the victim as a suspect.
-    reports = _tick_reports(rng, positions)
-    half_ix = len(reports) // 2
-    harness.apply_reports(reports[:half_ix])
-    inject_crash(svc, victim)
-    try:
-        harness.apply_reports(reports[half_ix:], **_FAULT_TIMEOUTS)
-        deferred = 0
-    except TransportError:
-        deferred = sum(
-            1 for oid, _ in reports[half_ix:] if harness.homes.get(oid) == victim
-        )
-    svc.run(_advance(svc, dt))
-    harness.sample()
+    def kill_midtick(reports) -> int:
+        half = len(reports) // 2
+        harness.apply_reports(reports[:half])
+        inject_crash(svc, victim)
+        try:
+            run.bounded(reports[half:])
+        except TransportError:
+            return sum(1 for oid, _ in reports[half:] if harness.homes.get(oid) == victim)
+        return 0
 
+    deferred = run.tick(kill_midtick)
     assert victim in coordinator.suspects, "envelope exhaustion did not flag the victim"
-    recoveries = coordinator.process_suspects(strategy=strategy)
-    recovery = recoveries.get(victim)
+    recovery = coordinator.process_suspects(strategy=strategy).get(victim)
     assert recovery is not None, "crashed leaf answered a liveness probe"
     harness.homes.update(recovery.new_homes)
-
-    recovery_ticks = None
-    for tick in range(post_ticks):
-        harness.apply_reports(_tick_reports(rng, positions), **_FAULT_TIMEOUTS)
-        svc.run(_advance(svc, dt))
-        harness.sample()
-        if recovery_ticks is None:
-            svc.settle()
-            if svc.total_tracked() == objects:
-                recovery_ticks = tick + 1
 
     return {
         "scenario": "leaf_crash_midtick",
@@ -254,15 +310,12 @@ def leaf_crash_scenario(
         "post_ticks": post_ticks,
         "dt_s": dt,
         "deferred_reports": deferred,
-        "detection": {
-            "attempts": recovery.detection_attempts,
-            "time_s": round(recovery.detection_time_s, 3),
-        },
+        "detection": _detection(recovery),
         "replayed_records": recovery.replayed_records,
         "moved": recovery.moved,
         "new_home": recovery.new_home,
-        "recovery_ticks": recovery_ticks,
-        **_invariant_block(svc, harness, objects),
+        "recovery_ticks": run.recover(post_ticks),
+        **run.invariants(),
     }
 
 
@@ -282,69 +335,45 @@ def partition_scenario(
     """Sever one leaf from every other server; measure staleness and
     reconvergence after the heal.  §6.5 caches run fully enabled so the
     staleness window is real cached state, not a vacuous zero."""
-    svc = _fresh_service(cache_config=CacheConfig.all_enabled())
-    placements = hotspot_positions(
-        _BOUNDS,
-        HotspotSpec(area=_BOUNDS, fraction=0.0),  # uniform scatter
-        objects,
-        seed=seed,
-        prefix="pt",
-    )
-    homes = _populate(svc, placements)
-    harness = ElasticHarness(svc, homes, monitor=LoadMonitor(half_life=5.0))
-    injector = FaultInjector(svc.network, seed=seed)
+    run = _FaultRun(objects, seed, "pt", caches=True, radius=60.0, dt=dt)
+    svc, harness = run.svc, run.harness
     isolated = "root.0"
-
-    rng = random.Random(seed + 1)
-    positions = dict(placements)
     # Warm phase: ordinary traffic plus targeted queries so live leaves
     # cache routes into the soon-to-be-isolated subtree.
     prober = svc.new_client(entry_server="root.1")
-    isolated_oids = [oid for oid, home in harness.homes.items() if home == isolated]
-    for _ in range(warm_ticks):
-        harness.apply_reports(_tick_reports(rng, positions, radius=60.0))
-        for oid in isolated_oids[:4]:
+    probed = [oid for oid, home in harness.homes.items() if home == isolated][:4]
+
+    def report_and_probe(reports) -> None:
+        harness.apply_reports(reports)
+        for oid in probed:
             svc.run(prober.pos_query(oid))
-        svc.run(_advance(svc, dt))
-        harness.sample()
+
+    for _ in range(warm_ticks):
+        run.tick(report_and_probe)
 
     others = [sid for sid in svc.hierarchy.server_ids() if sid != isolated]
-    severed_links = injector.partition([isolated], others)
-    cache_staleness_ticks = 0
-    deferred = 0
-    for _ in range(partition_ticks):
-        reports = _tick_reports(rng, positions, radius=60.0)
-        deferred += _apply_guarded(harness, reports)
-        stale = any(
+    severed_links = run.injector.partition([isolated], others)
+
+    def report_and_look_for_stale_routes(reports) -> tuple[int, bool]:
+        deferred = run.guarded(reports)
+        return deferred, any(
             svc.servers[sid].caches.holds_route_to(isolated)
             for sid in svc.hierarchy.leaf_ids()
             if sid != isolated and sid in svc.servers
         )
-        if stale:
-            cache_staleness_ticks += 1
-        svc.run(_advance(svc, dt))
-        harness.sample()
+
+    cache_staleness_ticks = deferred = 0
+    for _ in range(partition_ticks):
+        tick_deferred, stale = run.tick(report_and_look_for_stale_routes)
+        deferred += tick_deferred
+        cache_staleness_ticks += stale
     unresolved_at_heal = sum(
         1
-        for oid, pos in positions.items()
+        for oid, pos in run.positions.items()
         if (home := harness.homes.get(oid)) is None
         or not svc.servers[home].config.contains(pos)
     )
-    healed_links = injector.heal_partition()
-
-    reconvergence_ticks = None
-    for tick in range(heal_ticks):
-        harness.apply_reports(_tick_reports(rng, positions, radius=60.0), **_FAULT_TIMEOUTS)
-        svc.run(_advance(svc, dt))
-        harness.sample()
-        if reconvergence_ticks is None:
-            svc.settle()
-            if (
-                svc.total_tracked() == objects
-                and _fully_homed(svc, harness, positions)
-                and _consistency_ok(svc)
-            ):
-                reconvergence_ticks = tick + 1
+    healed_links = run.injector.heal_partition()
 
     return {
         "scenario": "partition_heal",
@@ -359,13 +388,13 @@ def partition_scenario(
         "deferred_reports": deferred,
         "unresolved_crossings_at_heal": unresolved_at_heal,
         "cache_staleness_ticks": cache_staleness_ticks,
-        "reconvergence_ticks": reconvergence_ticks,
-        **_invariant_block(svc, harness, objects),
+        "reconvergence_ticks": run.recover(heal_ticks, homed=True),
+        **run.invariants(),
     }
 
 
 # ---------------------------------------------------------------------------
-# Scenario 2b — the *apex* partitioned: standby promotion (PR 9)
+# Scenario 2b — the *apex* partitioned: standby promotion
 # ---------------------------------------------------------------------------
 
 
@@ -379,7 +408,7 @@ def root_partition_scenario(
 ) -> dict:
     """Sever the hierarchy root from everything; promote a standby apex.
 
-    The PR-6 partition scenario isolates a *leaf* — the tree above it
+    :func:`partition_scenario` isolates a *leaf* — the tree above it
     re-routes.  Here the apex itself is unreachable, so there is no
     healthy root to re-route through: cross-subtree handovers and
     queries stall (bounded NACKs, items kept at their old agent) while
@@ -389,42 +418,25 @@ def root_partition_scenario(
     epoch bump); the scenario proves queries flow again **before** the
     heal, and measures reconvergence ticks after it.
     """
-    svc = _fresh_service(cache_config=CacheConfig.all_enabled())
-    placements = hotspot_positions(
-        _BOUNDS,
-        HotspotSpec(area=_BOUNDS, fraction=0.0),  # uniform scatter
-        objects,
-        seed=seed,
-        prefix="rp",
-    )
-    homes = _populate(svc, placements)
-    harness = ElasticHarness(svc, homes, monitor=LoadMonitor(half_life=5.0))
-    injector = FaultInjector(svc.network, seed=seed)
+    run = _FaultRun(objects, seed, "rp", caches=True, radius=60.0, dt=dt)
+    svc, harness = run.svc, run.harness
     coordinator = RecoveryCoordinator(
         svc, executor=harness.executor, monitor=harness.monitor
     )
-
-    rng = random.Random(seed + 1)
-    positions = dict(placements)
     for _ in range(warm_ticks):
-        harness.apply_reports(_tick_reports(rng, positions, radius=60.0))
-        svc.run(_advance(svc, dt))
-        harness.sample()
+        run.tick()
 
     root_id = svc.hierarchy.root_id
     # Full apex isolation: every existing endpoint — servers, reporters,
     # the coordinator's prober — loses its links to the root.
     others = [addr for addr in svc.network.addresses() if addr != root_id]
-    severed_links = injector.partition([root_id], others)
+    severed_links = run.injector.partition([root_id], others)
 
     # Outage phase: no apex, yet devices keep reporting to their leaf
     # agents; cross-subtree handovers NACK and defer to the next tick.
     tracked_during_outage = []
     for _ in range(outage_ticks):
-        reports = _tick_reports(rng, positions, radius=60.0)
-        _apply_guarded(harness, reports)
-        svc.run(_advance(svc, dt))
-        harness.sample()
+        run.tick(run.guarded)
         tracked_during_outage.append(svc.total_tracked())
 
     promotion = coordinator.recover_apex()
@@ -445,21 +457,7 @@ def root_partition_scenario(
         if answer is not None:
             queries_ok += 1
 
-    healed_links = injector.heal_partition()
-    reconvergence_ticks = None
-    for tick in range(heal_ticks):
-        harness.apply_reports(_tick_reports(rng, positions, radius=60.0), **_FAULT_TIMEOUTS)
-        svc.run(_advance(svc, dt))
-        harness.sample()
-        if reconvergence_ticks is None:
-            svc.settle()
-            if (
-                svc.total_tracked() == objects
-                and _fully_homed(svc, harness, positions)
-                and _consistency_ok(svc)
-            ):
-                reconvergence_ticks = tick + 1
-
+    healed_links = run.injector.heal_partition()
     return {
         "scenario": "root_partition_promote",
         "objects": objects,
@@ -471,16 +469,13 @@ def root_partition_scenario(
         "dt_s": dt,
         "severed_links": severed_links,
         "healed_links": healed_links,
-        "detection": {
-            "attempts": promotion.detection_attempts,
-            "time_s": round(promotion.detection_time_s, 3),
-        },
+        "detection": _detection(promotion),
         "replayed_records": promotion.replayed_records,
         "tracked_during_outage_min": min(tracked_during_outage),
         "cross_queries_before_heal": len(cross_oids),
         "cross_queries_answered_before_heal": queries_ok,
-        "reconvergence_ticks": reconvergence_ticks,
-        **_invariant_block(svc, harness, objects),
+        "reconvergence_ticks": run.recover(heal_ticks, homed=True),
+        **run.invariants(),
     }
 
 
@@ -509,60 +504,31 @@ def migration_crash_scenario(
     """
     if phase not in ("copy", "dual_write", "cutover"):
         raise ValueError(f"unknown migration phase {phase!r}")
-    svc = _fresh_service()
-    placements = hotspot_positions(
-        _BOUNDS,
-        HotspotSpec(area=Rect(40.0, 40.0, 710.0, 710.0), fraction=0.55),
-        objects,
-        seed=seed,
-        prefix=f"mc-{phase}",
-    )
-    homes = _populate(svc, placements)
-    harness = ElasticHarness(svc, homes, monitor=LoadMonitor(half_life=5.0))
-    FaultInjector(svc.network, seed=seed)
-
-    rng = random.Random(seed + 2)
-    positions = dict(placements)
+    run = _FaultRun(objects, seed, f"mc-{phase}", crowd=0.55, rng_offset=2, dt=dt)
+    svc, harness = run.svc, run.harness
+    executor = harness.executor
     for _ in range(warm_ticks):
-        harness.apply_reports(_tick_reports(rng, positions))
-        svc.run(_advance(svc, dt))
-        harness.sample()
+        run.tick()
 
-    source = "root.0"
-    children = (
-        ("root.0/s.0", Rect(0.0, 0.0, _QUARTER, _HALF)),
-        ("root.0/s.1", Rect(_QUARTER, 0.0, _HALF, _HALF)),
-    )
-    plan = SplitPlan(
-        leaf_id=source,
-        axis="x",
-        cuts=(_QUARTER,),
-        children=children,
-        reason=f"chaos {phase}",
-    )
+    plan = _root0_x_split("s", f"chaos {phase}")
     epoch_before = svc.hierarchy.epoch
-    migration = harness.executor.begin(plan)
+    migration = executor.begin(plan)
     if phase == "copy":
         # Crash mid-copy: only part of the snapshot is staged.
-        harness.executor.step(migration, max_objects=25)
-        victim = source
+        executor.step(migration, max_objects=25)
+        victim = plan.leaf_id
     elif phase == "dual_write":
         # Copy complete, dual-write window open across one live tick.
-        harness.executor.step(migration)
-        harness.apply_reports(_tick_reports(rng, positions))
-        svc.run(_advance(svc, dt))
-        harness.sample()
-        victim = source
+        executor.step(migration)
+        run.tick()
+        victim = plan.leaf_id
     else:  # cutover — the epoch has bumped; crash a new child after it
-        harness.executor.step(migration)
-        report = harness.executor.cutover(migration)
-        harness.homes.update(report.new_homes)
-        victim = children[0][0]
+        executor.step(migration)
+        harness.homes.update(executor.cutover(migration).new_homes)
+        victim = plan.children[0][0]
     inject_crash(svc, victim)
 
-    coordinator = RecoveryCoordinator(
-        svc, executor=harness.executor, monitor=harness.monitor
-    )
+    coordinator = RecoveryCoordinator(svc, executor=executor, monitor=harness.monitor)
     # In-place WAL-replay restart for every phase: pre-cutover it is
     # the *abort* (inside recover_leaf) that makes recovery exact,
     # post-cutover the staged WAL rolls the new topology forward.
@@ -571,23 +537,17 @@ def migration_crash_scenario(
     epoch_after_recovery = svc.hierarchy.epoch
     discarded = phase != "cutover"
 
-    recovery_ticks = None
     rerun_moved = 0
-    for tick in range(post_ticks):
-        harness.apply_reports(_tick_reports(rng, positions), **_FAULT_TIMEOUTS)
-        svc.run(_advance(svc, dt))
-        harness.sample()
-        if recovery_ticks is None:
-            svc.settle()
-            if svc.total_tracked() == objects:
-                recovery_ticks = tick + 1
-        if discarded and tick == 0:
-            # The discard left clean state at the old epoch — prove it
-            # by re-running the identical plan to completion.
-            rerun = harness.executor.execute(plan)
-            harness.homes.update(rerun.new_homes)
-            rerun_moved = rerun.moved
 
+    def rerun() -> None:
+        # The discard left clean state at the old epoch — prove it by
+        # re-running the identical plan to completion.
+        nonlocal rerun_moved
+        report = executor.execute(plan)
+        harness.homes.update(report.new_homes)
+        rerun_moved = report.moved
+
+    recovery_ticks = run.recover(post_ticks, after_first=rerun if discarded else None)
     return {
         "scenario": f"migration_crash_{phase}",
         "objects": objects,
@@ -597,10 +557,7 @@ def migration_crash_scenario(
         "post_ticks": post_ticks,
         "dt_s": dt,
         "copied_before_crash": migration.copied,
-        "detection": {
-            "attempts": recovery.detection_attempts,
-            "time_s": round(recovery.detection_time_s, 3),
-        },
+        "detection": _detection(recovery),
         "replayed_records": recovery.replayed_records,
         "discarded": discarded,
         "rolled_forward": not discarded,
@@ -611,7 +568,7 @@ def migration_crash_scenario(
             epoch_after_recovery == epoch_before if discarded else None
         ),
         "recovery_ticks": recovery_ticks,
-        **_invariant_block(svc, harness, objects),
+        **run.invariants(),
     }
 
 
@@ -623,12 +580,11 @@ def migration_crash_scenario(
 def chaos_benchmark_payload(objects: int = 400, seed: int = 0) -> dict:
     """All five injected fault classes, one artifact.
 
-    Acceptance numbers (gated by ``scripts/bench_check.py``):
-    ``zero_lost_all_scenarios`` and ``zero_duplicated_all_scenarios``
-    must be true, ``max_recovery_ticks`` ≤ 3 and
-    ``reconvergence_ticks`` ≤ 3 (each well under the scenarios' post-
-    fault tick budgets, so a recovery that merely limps to the deadline
-    fails the gate).
+    The acceptance numbers are ``max_recovery_ticks``,
+    ``reconvergence_ticks`` and each scenario's invariant block; their
+    thresholds are rows of ``scripts/bench_check.py``, set well under
+    the scenarios' post-fault tick budgets so a recovery that merely
+    limps to the deadline fails the gate.
     """
     scenarios = {
         "leaf_crash_midtick": leaf_crash_scenario(objects=objects, seed=seed),

@@ -295,6 +295,7 @@ def columnar_benchmark_payload(
     )
 
     return {
+        "bench": "columnar hot path: 1M-object tick vs object backend",
         "objects": objects,
         "baseline_objects": baseline_objects,
         "ticks": ticks,

@@ -9,7 +9,11 @@ micro-benchmarks and the simulated distributed runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.runtime.base import NetworkStats
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,8 +143,8 @@ TOPOLOGY_MESSAGE_TYPES = frozenset({"CacheInvalidate"})
 class MessageLedger:
     """Per-type message-count deltas over a runtime's ``NetworkStats``.
 
-    Snapshot ``stats.by_type`` at construction (or :meth:`rebase`), read
-    the traffic since then with :meth:`delta` /
+    Snapshot the stats at construction (or :meth:`rebase`), read the
+    traffic since then with :meth:`delta` /
     :meth:`protocol_messages`.  The elastic scenarios use this to count
     protocol-lane messages per tick.
 
@@ -152,71 +156,51 @@ class MessageLedger:
     :meth:`dropped_deliveries` report what the fault layer did to it.
     """
 
-    __slots__ = (
-        "_stats",
-        "_baseline",
-        "_dropped",
-        "_duplicated",
-        "_faults",
-        "_corrupted",
-        "_quarantined",
-        "_stale_rejected",
-    )
+    __slots__ = ("_stats", "_base")
 
-    def __init__(self, stats) -> None:
+    def __init__(self, stats: NetworkStats) -> None:
         self._stats = stats
-        self._baseline: dict[str, int] = dict(stats.by_type)
-        self._dropped = stats.messages_dropped
-        self._duplicated = getattr(stats, "messages_duplicated", 0)
-        self._faults = getattr(stats, "faults_injected", 0)
-        self._corrupted = getattr(stats, "frames_corrupted", 0)
-        self._quarantined = getattr(stats, "messages_quarantined", 0)
-        self._stale_rejected = getattr(stats, "stale_epoch_rejected", 0)
+        self.rebase()
 
     def rebase(self) -> None:
-        self._baseline = dict(self._stats.by_type)
-        self._dropped = self._stats.messages_dropped
-        self._duplicated = getattr(self._stats, "messages_duplicated", 0)
-        self._faults = getattr(self._stats, "faults_injected", 0)
-        self._corrupted = getattr(self._stats, "frames_corrupted", 0)
-        self._quarantined = getattr(self._stats, "messages_quarantined", 0)
-        self._stale_rejected = getattr(self._stats, "stale_epoch_rejected", 0)
+        """Snapshot every counter of the wrapped stats."""
+        self._base = replace(self._stats, by_type=dict(self._stats.by_type))
 
     def dropped_deliveries(self) -> int:
         """Messages dropped (crashes, drop rate, injected faults) since
         the last (re)base."""
-        return self._stats.messages_dropped - self._dropped
+        return self._stats.messages_dropped - self._base.messages_dropped
 
     def duplicated_deliveries(self) -> int:
         """Fault-injected duplicate deliveries since the last (re)base."""
-        return getattr(self._stats, "messages_duplicated", 0) - self._duplicated
+        return self._stats.messages_duplicated - self._base.messages_duplicated
 
     def faults_injected(self) -> int:
         """Fault-injector rule firings since the last (re)base."""
-        return getattr(self._stats, "faults_injected", 0) - self._faults
+        return self._stats.faults_injected - self._base.faults_injected
 
     def frames_corrupted(self) -> int:
         """Frames rejected at the byte layer (checksum/framing) since
         the last (re)base."""
-        return getattr(self._stats, "frames_corrupted", 0) - self._corrupted
+        return self._stats.frames_corrupted - self._base.frames_corrupted
 
     def messages_quarantined(self) -> int:
         """Decoded messages rejected by receive-path validation since
         the last (re)base."""
-        return getattr(self._stats, "messages_quarantined", 0) - self._quarantined
+        return self._stats.messages_quarantined - self._base.messages_quarantined
 
     def stale_epoch_rejected(self) -> int:
         """Messages rejected as stale-epoch replays since the last
         (re)base."""
-        return getattr(self._stats, "stale_epoch_rejected", 0) - self._stale_rejected
+        return self._stats.stale_epoch_rejected - self._base.stale_epoch_rejected
 
     def delta(self) -> dict[str, int]:
         """Messages sent per type since the last (re)base, zeros omitted."""
-        by_type = self._stats.by_type
+        base = self._base.by_type
         return {
-            name: count - self._baseline.get(name, 0)
-            for name, count in by_type.items()
-            if count - self._baseline.get(name, 0) > 0
+            name: count - base.get(name, 0)
+            for name, count in self._stats.by_type.items()
+            if count - base.get(name, 0) > 0
         }
 
     def protocol_delta(self) -> dict[str, int]:

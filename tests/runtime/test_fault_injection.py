@@ -8,13 +8,13 @@ that scenarios read those counters through.
 """
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
 
 from repro.chaos import FaultInjector, LinkFaults
 from repro.runtime.asyncio_rt import AsyncioNetwork
-from repro.runtime.base import Endpoint, Message, Response
+from repro.runtime.base import Endpoint, Message, NetworkStats, Response
 from repro.runtime.latency import LatencyModel
 from repro.runtime.simnet import SimNetwork
 from repro.sim.metrics import MessageLedger
@@ -309,6 +309,30 @@ class TestLedgerAccessors:
         assert ledger.dropped_deliveries() == 0
         assert ledger.duplicated_deliveries() == 0
         assert ledger.faults_injected() == 0
+
+    def test_every_counter_reads_since_the_snapshot_and_resets(self):
+        stats = NetworkStats()
+        for counter in fields(stats):
+            if counter.name != "by_type":
+                setattr(stats, counter.name, 5)
+        stats.note_send(Ping(request_id="r0", reply_to="caller"))
+        ledger = MessageLedger(stats)
+        accessors = {
+            "messages_dropped": ledger.dropped_deliveries,
+            "messages_duplicated": ledger.duplicated_deliveries,
+            "faults_injected": ledger.faults_injected,
+            "frames_corrupted": ledger.frames_corrupted,
+            "messages_quarantined": ledger.messages_quarantined,
+            "stale_epoch_rejected": ledger.stale_epoch_rejected,
+        }
+        for n, name in enumerate(accessors, start=1):
+            setattr(stats, name, getattr(stats, name) + n)
+        stats.note_send(Ping(request_id="r1", reply_to="caller"))
+        assert [read() for read in accessors.values()] == [1, 2, 3, 4, 5, 6]
+        assert ledger.delta() == {"Ping": 1}
+
+        stats.reset()
+        assert stats == NetworkStats()
 
 
 class TestAsyncioNetworkHook:

@@ -1,11 +1,12 @@
-"""The bench tooling itself: trend gate, artifact validation, PR10 checks.
+"""The bench tooling itself: trend gate, gate table, artifact validation.
 
-``scripts/bench_trend.py`` and the artifact validation inside
-``scripts/bench_smoke.py`` are CI gates — a bug there merges silently
-and only shows up as a regression nobody caught.  These tests load the
-scripts as modules (they are not packages) and pin the gate logic:
-when the trend gate trips, what the validator flags, and what the
-``bench_check.py`` PR10 thresholds accept.
+``scripts/bench_trend.py``, the gate table of ``scripts/bench_check.py``
+and the artifact validation inside ``scripts/bench_smoke.py`` are CI
+gates — a bug there merges silently and only shows up as a regression
+nobody caught.  These tests load the scripts as modules (they are not
+packages) and pin the gate logic: when the trend gate trips, what the
+validator flags, what the gate rows accept, and that every committed
+artifact and every sub-second producer's payload passes its rows.
 The ``bench_pairs.py`` tests pin when a claimed gain is met and when a
 control is over its bound; ``bench_nn_shapes.py`` gets one small run.
 """
@@ -158,7 +159,7 @@ class TestSmokeArtifactValidation:
     @pytest.fixture
     def bench_root(self, monkeypatch, tmp_path):
         # validate_artifact resolves paths through benchreport.ROOT, the
-        # same way the runners write them.
+        # same way the producers' artifacts are written.
         import benchreport
 
         monkeypatch.setattr(benchreport, "ROOT", tmp_path)
@@ -167,7 +168,7 @@ class TestSmokeArtifactValidation:
     def write(self, root, payload):
         (root / "BENCH_PR10.json").write_text(json.dumps(payload))
 
-    def test_valid_artifact_has_no_problems(self, smoke, bench_root):
+    def test_valid_artifact_has_no_problems(self, smoke, check, bench_root):
         self.write(
             bench_root,
             {
@@ -177,17 +178,17 @@ class TestSmokeArtifactValidation:
                 "load_monitor_bounded": True,
             },
         )
-        keys = smoke.ACCEPTANCE_KEYS["out_pr10"]
-        assert smoke.validate_artifact("BENCH_PR10.json", keys) == []
+        paths = [gate.path for gate in check.GATES["BENCH_PR10.json"]]
+        assert smoke.validate_artifact("BENCH_PR10.json", paths) == []
 
     def test_missing_artifact_is_a_problem(self, smoke, bench_root):
-        problems = smoke.validate_artifact("BENCH_PR10.json", ("objects",))
+        problems = smoke.validate_artifact("BENCH_PR10.json", ["objects"])
         assert problems and "missing" in problems[0]
 
     def test_missing_key_is_a_problem(self, smoke, bench_root):
         self.write(bench_root, {"objects": 1_000_000})
         problems = smoke.validate_artifact(
-            "BENCH_PR10.json", ("objects", "tick_speedup")
+            "BENCH_PR10.json", ["objects", "tick_speedup"]
         )
         assert problems == [
             "BENCH_PR10.json: acceptance key 'tick_speedup' missing"
@@ -196,7 +197,7 @@ class TestSmokeArtifactValidation:
     def test_nan_is_a_problem_but_none_passes(self, smoke, bench_root):
         self.write(bench_root, {"tick_speedup": float("nan"), "objects": None})
         problems = smoke.validate_artifact(
-            "BENCH_PR10.json", ("tick_speedup", "objects")
+            "BENCH_PR10.json", ["tick_speedup", "objects"]
         )
         assert len(problems) == 1
         assert "non-finite" in problems[0]
@@ -204,17 +205,63 @@ class TestSmokeArtifactValidation:
     def test_dotted_paths_descend_nested_payloads(self, smoke, bench_root):
         self.write(bench_root, {"scenarios": {"flash_crowd": {}}})
         problems = smoke.validate_artifact(
-            "BENCH_PR10.json", ("scenarios.flash_crowd.load_drop_factor",)
+            "BENCH_PR10.json", ["scenarios.flash_crowd.load_drop_factor"]
         )
         assert problems and "load_drop_factor" in problems[0]
 
-    def test_every_out_attr_has_acceptance_keys(self, smoke):
-        assert smoke.ACCEPTANCE_KEYS["out_pr10"] == (
+    @pytest.mark.parametrize("lanes", [{}, None], ids=["empty", "missing"])
+    def test_star_over_no_lanes_is_a_problem(self, smoke, bench_root, lanes):
+        self.write(bench_root, {} if lanes is None else {"lanes": lanes})
+        problems = smoke.validate_artifact("BENCH_PR10.json", ["lanes.*.splits"])
+        assert len(problems) == 1 and "lanes.*.splits" in problems[0]
+
+    def test_every_artifact_has_gates(self, smoke, check):
+        assert {name for name, _ in smoke.ARTIFACTS.values()} == set(check.GATES)
+        assert [gate.path for gate in check.GATES["BENCH_PR10.json"]] == [
             "objects",
             "tick_speedup",
             "answers_identical",
             "load_monitor_bounded",
-        )
+        ]
+
+
+class TestGateTable:
+    """Every ``scripts/bench_check.py`` row over committed and made-up
+    payloads: what a ``*`` path passes and fails."""
+
+    @pytest.mark.parametrize("filename", sorted(load_script("bench_check").GATES))
+    def test_committed_artifact_passes_every_row(self, check, filename):
+        payload = json.loads((SCRIPTS.parent / filename).read_text(encoding="utf-8"))
+        rows = {gate.description: gate.run(payload) for gate in check.GATES[filename]}
+        assert {row: result for row, result in rows.items() if not result[0]} == {}
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"lanes": {}}, {}, {"lanes": []}],
+        ids=["empty", "missing", "not-a-dict"],
+    )
+    def test_star_over_no_children_fails(self, check, payload):
+        gate = check.Gate("lanes.*.splits", ">=", 1)
+        assert gate.run(payload)[0] is False
+
+    def test_one_failing_child_fails_its_gate(self, check):
+        gate = check.Gate("lanes.*.invariants.lost_sightings", "==", 0)
+        lanes = {"a": {"invariants": {"lost_sightings": 0}}}
+        assert gate.run({"lanes": lanes}) == (True, {"a": 0})
+        lanes["b"] = {"invariants": {"lost_sightings": 1}}
+        assert gate.run({"lanes": lanes}) == (False, {"a": 0, "b": 1})
+
+    def test_none_fails_a_comparison(self, check):
+        gate = check.Gate("migration_throughput_ratio", ">=", 0.8)
+        assert gate.run({"migration_throughput_ratio": None}) == (False, None)
+
+    def test_main_fails_on_a_missing_artifact(self, check, tmp_path, capsys):
+        for filename in check.GATES:
+            (tmp_path / filename).write_text((SCRIPTS.parent / filename).read_text())
+        assert check.main(["--root", str(tmp_path)]) == 0
+        (tmp_path / "BENCH_PR16.json").unlink()
+        assert check.main(["--root", str(tmp_path)]) == 1
+        assert "MISSING" in capsys.readouterr().out
 
 
 GOOD_PR10 = {
@@ -230,7 +277,7 @@ GOOD_PR10 = {
 class TestBenchCheckPr10:
     def run_checks(self, check, payload):
         return {
-            c.description: c.run(payload)[0] for c in check.CHECKS["BENCH_PR10.json"]
+            g.description: g.run(payload)[0] for g in check.GATES["BENCH_PR10.json"]
         }
 
     def test_good_payload_passes_all_four(self, check):
@@ -253,8 +300,8 @@ class TestBenchCheckPr10:
         assert sum(1 for ok in results.values() if not ok) == 1
 
     def test_missing_field_reports_not_raises(self, check):
-        for c in check.CHECKS["BENCH_PR10.json"]:
-            ok, observed = c.run({})
+        for g in check.GATES["BENCH_PR10.json"]:
+            ok, observed = g.run({})
             assert not ok
             assert "missing field" in observed
 
@@ -272,21 +319,30 @@ class TestBenchCheckPr16:
         ],
     )
     def test_only_the_byte_count_is_gated(self, check, payload, ok):
-        (gate,) = check.CHECKS["BENCH_PR16.json"]
-        assert gate.run(payload)[0] is ok
+        gates = check.GATES["BENCH_PR16.json"]
+        assert all(gate.run(payload)[0] for gate in gates) is ok
 
-    def test_runner_writes_what_the_gate_reads(self, smoke, check, tmp_path, monkeypatch):
-        written = {}
-        monkeypatch.setattr(
-            smoke, "write_bench_json", lambda name, payload: written.update(payload) or tmp_path / name
-        )
-        smoke.run_pr16(type("Args", (), {"out_pr16": "BENCH_PR16.json"}))
-        (gate,) = check.CHECKS["BENCH_PR16.json"]
-        assert gate.run(written)[0], written
-        for dotted in smoke.ACCEPTANCE_KEYS["out_pr16"]:
-            value = written
-            for part in dotted.split("."):
-                value = value[part]
+
+class TestProducersWriteWhatTheGatesRead:
+    """The sub-second producers, run for real: every path their gate rows
+    read is in the payload, finite, and every row passes."""
+
+    def assert_gated(self, check, filename, payload):
+        payload = json.loads(json.dumps(payload))  # exactly what is written
+        for gate in check.GATES[filename]:
+            values = check.resolve(payload, gate.path)
+            assert values and None not in values.values(), gate.path
+            ok, observed = gate.run(payload)
+            assert ok, (gate.description, observed)
+
+    def test_pr16_envelope_microbench(self, smoke, check):
+        filename, produce = smoke.ARTIFACTS["pr16"]
+        self.assert_gated(check, filename, produce(None))
+
+    def test_pr6_chaos_suite_at_120_objects(self, check):
+        from repro.sim.chaos import chaos_benchmark_payload
+
+        self.assert_gated(check, "BENCH_PR6.json", chaos_benchmark_payload(objects=120))
 
 
 #: ten parent runs of a metric where lower is better: median 10.0,

@@ -1,9 +1,10 @@
 """Smoke tests for the chaos scenario family (small, fast parameters).
 
-The full-size runs live in ``benchmarks/bench_chaos.py`` and are gated
-by ``scripts/bench_check.py``; these keep the scenario code honest on
-every test run — each fault class must recover with zero lost and zero
-duplicated sightings, with chaos actually injected.
+The full-size runs are ``BENCH_PR6.json``, written by
+``scripts/bench_smoke.py`` and gated by ``scripts/bench_check.py``;
+these keep the scenario code honest on every test run — each fault
+class must recover with zero lost and zero duplicated sightings, with
+chaos actually injected, and the same seed must give the same payload.
 """
 
 import pytest
@@ -104,3 +105,10 @@ class TestBenchmarkPayload:
         assert payload["max_recovery_ticks"] is not None
         assert payload["reconvergence_ticks"] is not None
         assert payload["faults_injected_total"] >= 5
+
+    def test_same_seed_same_payload_in_one_process(self):
+        # No wall clock and no rng shared between runs may leak into
+        # the scenarios' tick loop.
+        assert chaos_benchmark_payload(objects=120) == chaos_benchmark_payload(
+            objects=120
+        )
