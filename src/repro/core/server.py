@@ -722,10 +722,7 @@ class LocationServer(Endpoint):
             else:
                 crossing.append((sighting, record))
         if fast:
-            self.store.update_many(fast, now=self.ctx.now())
-            self.stats.updates += len(fast)
-            if self.update_listener is not None:
-                self.update_listener([s.object_id for s in fast])
+            self.apply_in_area(fast, self.ctx.now())
             for sighting, record in zip(fast, fast_records):
                 outcomes[sighting.object_id] = m.UpdateOutcome(
                     object_id=sighting.object_id,
@@ -743,6 +740,17 @@ class LocationServer(Endpoint):
             for merged in await self._gather(subtasks):
                 outcomes.update(merged)
         return outcomes
+
+    def apply_in_area(self, sightings, now: float) -> None:
+        """Algorithm 6-2's always-local step: in-area reports of objects
+        this leaf is the agent of land as one store batch, are counted in
+        ``stats.updates`` and are shown to :attr:`update_listener`.  The
+        one place an in-area report is applied, whether it arrived in an
+        envelope or from the in-process facade."""
+        self.store.update_many(sightings, now=now)
+        self.stats.updates += len(sightings)
+        if self.update_listener is not None:
+            self.update_listener([s.object_id for s in sightings])
 
     async def _forward_update_batch(
         self, next_hop: str, sightings: list, sub_timeout: float | None = None

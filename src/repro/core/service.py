@@ -86,15 +86,6 @@ class Reporter(Endpoint):
         self.validator = find_defect
 
 
-async def drive_all(loop, named_coros) -> None:
-    """Drive many named coroutines concurrently and await them all —
-    the per-destination fan-out scaffolding shared by the protocol
-    lanes (service tick, deregistration, elastic harness)."""
-    tasks = [loop.create_task(coro, name=name) for name, coro in named_coros]
-    for task in tasks:
-        await task
-
-
 async def drive_protocol_envelope(
     reporter: Endpoint,
     service: "LocationService",
@@ -142,71 +133,95 @@ async def drive_protocol_envelope(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-async def drive_update_envelope(
+async def drive_item_rounds(
     reporter: Endpoint,
     service: "LocationService",
     dest: str,
-    make_sightings,
+    make_envelope,
+    settle,
     timeout: float | None,
     retries: int | RetryPolicy,
-    sub_timeout: float | None = None,
-) -> tuple:
-    """Send one destination's tick reports as one envelope (used by the
-    service tick and by :class:`~repro.sim.elastic.ElasticHarness`);
-    envelope-level recovery rules are :func:`drive_protocol_envelope`'s.
-    Returns the per-object :class:`~repro.core.messages.UpdateOutcome`
-    tuple.
+    sub_timeout: float | None,
+    what: str,
+) -> None:
+    """The per-item round loop of the update and deregistration envelopes.
 
-    **Per-item retry bookkeeping** (with ``sub_timeout`` set): servers
-    bound their sub-envelope fan-outs with ``sub_timeout`` and answer
-    items stuck behind a crashed subtree as *unacknowledged* instead of
-    letting the whole envelope hang — so a partial crash no longer
-    fails (and re-sends) the entire envelope.  This driver then resends
-    **only** the unacknowledged items, up to ``retries`` more rounds;
-    items that stay unacknowledged are returned as their ``ok=False``
-    outcomes for the caller's next tick to retry.
+    Each round sends ``make_envelope(remaining)``: every item (``None``)
+    first, then only the ids the last answer left *unacknowledged* — with
+    ``sub_timeout`` set, servers bound their sub-envelope fan-outs with it
+    and answer items stuck behind a crashed subtree so instead of letting
+    the whole envelope hang.  ``settle(res)`` folds an answer and returns
+    those ids.  Rounds stop when none is left or ``sub_timeout`` is
+    unset, after at most ``retries`` resends.  Only the first round gets
+    the full envelope-level retry budget; later rounds target a
+    destination that just answered, so they get a single attempt each —
+    total envelope sends stay linear in ``retries``, not quadratic.
     """
-    epoch = service.hierarchy.epoch
     policy = RetryPolicy.of(retries)
-    outcomes: dict[str, m.UpdateOutcome] = {}
-    remaining: set[str] | None = None  # None → first round, send everything
-    for _round in range(policy.retries + 1):
-        def make_envelope(_dest: str) -> m.UpdateBatchReq:
-            sightings = make_sightings()
-            if remaining is not None:
-                sightings = tuple(
-                    s for s in sightings if s.object_id in remaining
-                )
-            return m.UpdateBatchReq(
-                request_id=reporter.next_request_id(),
-                reply_to=reporter.address,
-                sightings=sightings,
-                epoch=epoch,
-                sub_timeout=sub_timeout,
-            )
-
-        # The full envelope-level retry budget applies once (first
-        # round); later per-item rounds target a destination that just
-        # answered, so they get a single attempt each — total envelope
-        # sends stay linear in ``retries``, not quadratic.
+    remaining: set[str] | None = None
+    for round_ in range(policy.retries + 1):
         res = await drive_protocol_envelope(
             reporter,
             service,
             dest,
-            make_envelope,
+            lambda _dest: make_envelope(remaining),
             timeout,
-            policy if _round == 0 else 0,
-            what="update",
+            policy if round_ == 0 else 0,
+            what=what,
         )
+        unacked = settle(res)
+        if not unacked or sub_timeout is None:
+            return
+        remaining = unacked
+
+
+async def drive_update_envelope(
+    reporter: Endpoint,
+    service: "LocationService",
+    dest: str,
+    items,
+    timeout: float | None,
+    retries: int | RetryPolicy,
+    sub_timeout: float | None = None,
+) -> tuple:
+    """Send one destination's ``(object id, position, sensor accuracy)``
+    reports as one envelope, stamped afresh per attempt;
+    envelope-level recovery rules are :func:`drive_protocol_envelope`'s,
+    per-item rounds :func:`drive_item_rounds`'.  Returns the per-object
+    :class:`~repro.core.messages.UpdateOutcome` tuple; items that stay
+    unacknowledged are their ``ok=False`` outcomes for the caller's next
+    tick to retry.
+    """
+    epoch = service.hierarchy.epoch
+    outcomes: dict[str, m.UpdateOutcome] = {}
+
+    def make_envelope(remaining: set[str] | None) -> m.UpdateBatchReq:
+        now = service.loop.now
+        return m.UpdateBatchReq(
+            request_id=reporter.next_request_id(),
+            reply_to=reporter.address,
+            sightings=tuple(
+                SightingRecord(oid, now, pos, acc)
+                for oid, pos, acc in items
+                if remaining is None or oid in remaining
+            ),
+            epoch=epoch,
+            sub_timeout=sub_timeout,
+        )
+
+    def settle(res) -> set[str]:
         assert isinstance(res, m.UpdateBatchRes)
         unacked: set[str] = set()
         for outcome in res.outcomes:
             outcomes[outcome.object_id] = outcome
             if not outcome.ok and outcome.error == m.NACK_UNACKNOWLEDGED:
                 unacked.add(outcome.object_id)
-        if not unacked or sub_timeout is None:
-            break
-        remaining = unacked
+        return unacked
+
+    await drive_item_rounds(
+        reporter, service, dest, make_envelope, settle,
+        timeout, retries, sub_timeout, "update",
+    )
     return tuple(outcomes.values())
 
 
@@ -580,70 +595,104 @@ class LocationService:
         Per-item recovery: with ``envelope_sub_timeout`` set, servers
         bound their internal sub-envelope fan-outs with it and answer
         items stuck behind a crashed *subtree* as unacknowledged; only
-        those items are re-sent (see :func:`drive_update_envelope`)
+        those items are re-sent (see :func:`drive_item_rounds`)
         instead of failing and re-sending the whole envelope.
 
         Objects that are not registered (no agent) raise
         :class:`~repro.errors.LocationServiceError` before anything is
-        applied.  Returns operation counters: ``{"fast": n,
-        "protocol": m}``.
+        applied.  Outcomes re-point each object's agent; the lane itself
+        is :meth:`report_many`.  Returns operation counters:
+        ``{"fast": n, "protocol": m}``.
         """
-        final: dict[TrackedObject, Point] = {}
+        final: dict[str, tuple[TrackedObject, Point]] = {}
         for obj, pos in reports:
-            final[obj] = pos
-        for obj in final:
+            final[obj.object_id] = (obj, pos)
+        for obj, _ in final.values():
             if obj.agent is None:
                 raise LocationServiceError(f"{obj.object_id} is not registered")
+
+        def fold(outcomes) -> None:
+            for outcome in outcomes:
+                entry = final.get(outcome.object_id)
+                if entry is None or not outcome.ok:
+                    continue  # protocol-level rejection; agent unchanged
+                obj, pos = entry
+                if outcome.deregistered:
+                    obj.agent = None
+                    obj.deregistered = True
+                else:
+                    obj.agent = outcome.agent
+                    obj.offered_acc = outcome.offered_acc
+                    obj.last_reported = pos
+
+        applied = self.report_many(
+            ((oid, pos, obj.sensor_acc, obj.agent) for oid, (obj, pos) in final.items()),
+            self._reporter(),
+            fold,
+            envelope_timeout,
+            envelope_retries,
+            envelope_sub_timeout,
+        )
+        for oid in applied:
+            obj, pos = final[oid]
+            obj.last_reported = pos
+        return {"fast": len(applied), "protocol": len(final) - len(applied)}
+
+    def report_many(
+        self,
+        reports: Iterable[tuple[str, Point, float, str | None]],
+        reporter: Endpoint,
+        fold,
+        envelope_timeout: float | None = None,
+        envelope_retries: int | RetryPolicy = 3,
+        envelope_sub_timeout: float | None = None,
+    ) -> list[str]:
+        """The in-process report lane under :meth:`update_many` and
+        :meth:`~repro.sim.elastic.ElasticHarness.apply_reports`.
+
+        ``reports`` are ``(object id, position, sensor accuracy, believed
+        agent)``.  A report whose believed agent is a live leaf that
+        contains the position and holds the object's record is applied
+        there (:meth:`~repro.core.server.LocationServer.apply_in_area`,
+        one store batch per leaf).  Every other report with a believed
+        agent goes out from ``reporter``, one envelope per believed agent
+        (:func:`drive_update_envelope`); ``fold(outcomes)`` sees each
+        envelope's outcomes as its answer lands, so envelopes answered
+        before another raises :class:`~repro.errors.TransportError` are
+        folded all the same.  Returns the ids applied directly.
+        """
         now = self.loop.now
-        per_leaf: dict[str, list[tuple[TrackedObject, SightingRecord]]] = {}
-        slow: list[tuple[TrackedObject, Point]] = []
-        for obj, pos in final.items():
-            server = self.servers.get(obj.agent)
+        in_area: dict[str, list[SightingRecord]] = {}
+        by_dest: dict[str, list[tuple[str, Point, float]]] = {}
+        for oid, pos, sensor_acc, agent in reports:
+            server = self.servers.get(agent)
             if (
                 server is not None
                 and server.is_leaf
-                and not self.network.is_down(obj.agent)
+                and not self.network.is_down(agent)
                 and server.config.contains(pos)
-                and server.store.visitors.leaf_record(obj.object_id) is not None
+                and server.store.visitors.leaf_record(oid) is not None
             ):
-                per_leaf.setdefault(obj.agent, []).append(
-                    (obj, SightingRecord(obj.object_id, now, pos, obj.sensor_acc))
+                in_area.setdefault(agent, []).append(
+                    SightingRecord(oid, now, pos, sensor_acc)
                 )
-            else:
-                slow.append((obj, pos))
-        fast = 0
-        for leaf_id, entries in per_leaf.items():
-            server = self.servers[leaf_id]
-            server.store.update_many([sighting for _, sighting in entries], now=now)
-            server.stats.updates += len(entries)
-            if server.update_listener is not None:
-                server.update_listener([obj.object_id for obj, _ in entries])
-            for obj, sighting in entries:
-                obj.last_reported = sighting.pos
-            fast += len(entries)
-        if slow:
-            by_dest: dict[str, list[tuple[TrackedObject, Point]]] = {}
-            for obj, pos in slow:
-                by_dest.setdefault(obj.agent, []).append((obj, pos))
-            self.run(
-                drive_all(
-                    self.loop,
-                    (
-                        (
-                            f"envelope-{dest}",
-                            self._drive_update_envelope(
-                                dest,
-                                pairs,
-                                envelope_timeout,
-                                envelope_retries,
-                                envelope_sub_timeout,
-                            ),
-                        )
-                        for dest, pairs in by_dest.items()
-                    ),
+            elif agent is not None:
+                by_dest.setdefault(agent, []).append((oid, pos, sensor_acc))
+        applied: list[str] = []
+        for leaf_id, sightings in in_area.items():
+            self.servers[leaf_id].apply_in_area(sightings, now)
+            applied.extend(s.object_id for s in sightings)
+
+        async def drive(dest: str, items: list[tuple[str, Point, float]]) -> None:
+            fold(
+                await drive_update_envelope(
+                    reporter, self, dest, items,
+                    envelope_timeout, envelope_retries, envelope_sub_timeout,
                 )
             )
-        return {"fast": fast, "protocol": len(slow)}
+
+        self._drive_each("envelope", drive, by_dest)
+        return applied
 
     def _reporter(self) -> Reporter:
         if self._batch_reporter is None:
@@ -651,42 +700,22 @@ class LocationService:
             self.network.join(self._batch_reporter)
         return self._batch_reporter
 
-    async def _drive_update_envelope(
-        self,
-        dest: str,
-        pairs: list[tuple[TrackedObject, Point]],
-        timeout: float | None,
-        retries: int,
-        sub_timeout: float | None = None,
-    ) -> None:
-        """Send one tick's reports for one destination as an envelope
-        (see :func:`drive_update_envelope` for the recovery rules) and
-        fold the per-object outcomes back into the tracked objects'
-        agent pointers."""
-        outcomes = await drive_update_envelope(
-            self._reporter(),
-            self,
-            dest,
-            lambda: tuple(
-                SightingRecord(obj.object_id, self.loop.now, pos, obj.sensor_acc)
-                for obj, pos in pairs
-            ),
-            timeout,
-            retries,
-            sub_timeout=sub_timeout,
-        )
-        by_oid = {outcome.object_id: outcome for outcome in outcomes}
-        for obj, pos in pairs:
-            outcome = by_oid.get(obj.object_id)
-            if outcome is None or not outcome.ok:
-                continue  # protocol-level rejection; agent unchanged
-            if outcome.deregistered:
-                obj.agent = None
-                obj.deregistered = True
-            else:
-                obj.agent = outcome.agent
-                obj.offered_acc = outcome.offered_acc
-                obj.last_reported = pos
+    def _drive_each(self, name: str, drive, by_dest: dict) -> None:
+        """Run ``drive(dest, items)`` for every destination concurrently,
+        one task ``{name}-{dest}`` each, until all are done."""
+        if not by_dest:
+            return
+        loop = self.loop
+
+        async def drive_all() -> None:
+            tasks = [
+                loop.create_task(drive(dest, items), name=f"{name}-{dest}")
+                for dest, items in by_dest.items()
+            ]
+            for task in tasks:
+                await task
+
+        self.run(drive_all())
 
     def deregister_many(
         self,
@@ -726,36 +755,23 @@ class LocationService:
                 statuses[obj.object_id] = "not-registered"
             else:
                 by_dest.setdefault(obj.agent, []).append(obj)
-        if not by_dest:
-            return statuses if detailed else results
         reporter = self._reporter()
-        retry_policy = RetryPolicy.of(envelope_retries)
 
         async def drive(dest: str, batch: list[TrackedObject]) -> None:
-            remaining: set[str] | None = None
-            for _round in range(retry_policy.retries + 1):
-                ids = tuple(
-                    obj.object_id
-                    for obj in batch
-                    if remaining is None or obj.object_id in remaining
-                )
-                res = await drive_protocol_envelope(
-                    reporter,
-                    self,
-                    dest,
-                    lambda _dest: m.DeregisterBatchReq(
-                        request_id=reporter.next_request_id(),
-                        reply_to=reporter.address,
-                        object_ids=ids,
-                        epoch=self.hierarchy.epoch,
-                        sub_timeout=envelope_sub_timeout,
+            def make_envelope(remaining: set[str] | None) -> m.DeregisterBatchReq:
+                return m.DeregisterBatchReq(
+                    request_id=reporter.next_request_id(),
+                    reply_to=reporter.address,
+                    object_ids=tuple(
+                        obj.object_id
+                        for obj in batch
+                        if remaining is None or obj.object_id in remaining
                     ),
-                    envelope_timeout,
-                    # Linear total budget: envelope-level retries apply
-                    # to the first round only (as in drive_update_envelope).
-                    retry_policy if _round == 0 else 0,
-                    what="deregister",
+                    epoch=self.hierarchy.epoch,
+                    sub_timeout=envelope_sub_timeout,
                 )
+
+            def settle(res) -> set[str]:
                 assert isinstance(res, m.DeregisterBatchRes)
                 ok_by_oid = dict(res.results)
                 nacks = dict(res.nacks)
@@ -772,19 +788,14 @@ class LocationService:
                         obj.deregistered = True
                     elif nacks.get(oid) == m.NACK_UNACKNOWLEDGED:
                         unacked.add(oid)
-                if not unacked or envelope_sub_timeout is None:
-                    return
-                remaining = unacked
+                return unacked
 
-        self.run(
-            drive_all(
-                self.loop,
-                (
-                    (f"dereg-{dest}", drive(dest, batch))
-                    for dest, batch in by_dest.items()
-                ),
+            await drive_item_rounds(
+                reporter, self, dest, make_envelope, settle,
+                envelope_timeout, envelope_retries, envelope_sub_timeout, "deregister",
             )
-        )
+
+        self._drive_each("dereg", drive, by_dest)
         return statuses if detailed else results
 
     def pos_query(

@@ -138,9 +138,9 @@ def _install_control_plane(server, transport, stop_event: asyncio.Event) -> None
                 messages_dropped=transport.stats.messages_dropped,
                 dead_letters=transport.stats.dead_letters,
                 frames_corrupted=transport.stats.frames_corrupted,
-                messages_quarantined=transport.stats.messages_quarantined
-                + server.stats.messages_quarantined,
-                stale_epoch_rejected=server.stats.stale_epoch_rejected,
+                # The server's own rejections reach these through its ctx.
+                messages_quarantined=transport.stats.messages_quarantined,
+                stale_epoch_rejected=transport.stats.stale_epoch_rejected,
             ),
         )
 

@@ -63,11 +63,8 @@ async def drive_workload(
     *,
     timeout: float = 2.0,
     retries: int = 8,
-    register_concurrency: int = 32,
     seed: int = 0,
-    verify: bool = True,
     sub_timeout: float | None = None,
-    verify_entry: str | None = None,
 ) -> dict:
     """Run one scenario workload through the public protocol.
 
@@ -78,16 +75,13 @@ async def drive_workload(
     ``sub_timeout`` bounds the *cluster-side* fan-out each envelope
     triggers (handover/forward sub-requests).  Leave it ``None`` only on
     a loss-free fabric: with faults in play an unanswered sub-request
-    would otherwise park a server task forever.  ``verify_entry`` routes
-    the verification sweep through one fixed entry server (e.g. the
-    root) instead of each object's home leaf, forcing every query to
-    prove the *forwarding path*, not just leaf-local state.
+    would otherwise park a server task forever.
     """
     reporter = join(Reporter("wl-reporter"))
     homes: dict[str, str] = {}
 
     # -- registration (RegisterReq to each object's entry leaf) ------------
-    semaphore = asyncio.Semaphore(register_concurrency)
+    semaphore = asyncio.Semaphore(32)  # registrations / sweep queries in flight
 
     async def register(oid: str, pos) -> None:
         leaf = hierarchy.leaf_for_point(pos)
@@ -164,34 +158,33 @@ async def drive_workload(
     }
 
     # -- zero-lost sweep: every object still answerable by position query --
-    if verify:
-        found = 0
+    found = 0
 
-        async def query(oid: str, entry: str) -> None:
-            nonlocal found
-            async with semaphore:
-                res = await _request_retrying(
-                    reporter,
-                    entry,
-                    lambda rid: m.PosQueryReq(
-                        request_id=rid, reply_to=reporter.address, object_id=oid
-                    ),
-                    timeout,
-                    retries,
-                )
-                assert isinstance(res, m.PosQueryRes)
-                if res.found:
-                    found += 1
-
-        await asyncio.gather(
-            *(
-                query(oid, verify_entry or homes.get(oid, hierarchy.root_id))
-                for oid, _ in workload.placements
+    async def query(oid: str, entry: str) -> None:
+        nonlocal found
+        async with semaphore:
+            res = await _request_retrying(
+                reporter,
+                entry,
+                lambda rid: m.PosQueryReq(
+                    request_id=rid, reply_to=reporter.address, object_id=oid
+                ),
+                timeout,
+                retries,
             )
+            assert isinstance(res, m.PosQueryRes)
+            if res.found:
+                found += 1
+
+    await asyncio.gather(
+        *(
+            query(oid, homes.get(oid, hierarchy.root_id))
+            for oid, _ in workload.placements
         )
-        payload["registered"] = len(workload.placements)
-        payload["found"] = found
-        payload["lost_sightings"] = len(workload.placements) - found
+    )
+    payload["registered"] = len(workload.placements)
+    payload["found"] = found
+    payload["lost_sightings"] = len(workload.placements) - found
     return payload
 
 

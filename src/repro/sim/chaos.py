@@ -53,14 +53,8 @@ from repro.core.caching import CacheConfig
 from repro.core.hierarchy import Hierarchy
 from repro.errors import LocationServiceError, TransportError
 from repro.geo import Rect
-from repro.sim.elastic import (
-    ROOT_SIDE,
-    ElasticHarness,
-    _advance,
-    _fresh_service,
-    _jitter,
-    _populate,
-)
+from repro.sim.elastic import ROOT_SIDE, ElasticHarness, _advance, _jitter
+from repro.sim.scenario import populate, table2_service
 from repro.sim.workload import HotspotSpec, hotspot_positions
 
 __all__ = [
@@ -130,7 +124,9 @@ class _FaultRun:
         radius: float = 40.0,
         dt: float = 1.0,
     ) -> None:
-        svc = _fresh_service(cache_config=CacheConfig.all_enabled() if caches else None)
+        svc, _ = table2_service(
+            0, cache_config=CacheConfig.all_enabled() if caches else None
+        )
         if epoch:
             svc.adopt_hierarchy(_aged(svc.hierarchy, epoch))
         placements = hotspot_positions(
@@ -143,7 +139,7 @@ class _FaultRun:
         self.svc = svc
         self.objects = objects
         self.harness = ElasticHarness(
-            svc, _populate(svc, placements), monitor=LoadMonitor(half_life=5.0)
+            svc, populate(svc, placements), monitor=LoadMonitor(half_life=5.0)
         )
         self.injector = FaultInjector(svc.network, seed=seed)
         self.rng = random.Random(seed + rng_offset)

@@ -54,12 +54,11 @@ from repro.cluster import (
     RebalancePlanner,
     SplitPlan,
 )
-from repro.core import CacheConfig, LocationService, build_table2_hierarchy
-from repro.core.service import Reporter, drive_all, drive_update_envelope
+from repro.core import CacheConfig, LocationService
+from repro.core.service import Reporter
 from repro.geo import Point, Rect
-from repro.model import SightingRecord
-from repro.runtime.latency import LatencyModel
 from repro.sim.metrics import LatencyRecorder, MessageLedger
+from repro.sim.scenario import TABLE2_AREA_SIDE, populate, table2_service
 from repro.sim.workload import HotspotSpec, hotspot_positions, wavefront_area
 
 
@@ -102,8 +101,8 @@ class ElasticHarness:
         #: gates.
         self.last_split_round = 0
         # Per-object update rates feed the planner's weighted cut costing;
-        # the protocol lane's server-side admissions report through the
-        # leaf update listeners, the fast path in apply_reports().
+        # in-area applies and handover admissions both report through the
+        # leaf update listeners.
         service.set_update_listener(self.monitor.record_object_updates)
         self._reporter = Reporter("elastic-reporter")
         service.network.join(self._reporter)
@@ -118,86 +117,41 @@ class ElasticHarness:
         envelope_retries: int = 3,
         envelope_sub_timeout: float | None = None,
     ) -> dict[str, int]:
-        """Apply one tick of position reports.
+        """Apply one tick of position reports through the facade's report
+        lane (:meth:`~repro.core.service.LocationService.report_many`),
+        sent from this harness's own ``elastic-reporter`` address — fault
+        rules and partitions name addresses.
 
-        Reports whose object stays inside its current agent's area take
-        the batched fast path (one ``update_many`` per leaf); the rest —
-        area crossings, or objects whose believed agent was split or
-        merged away since the last tick — go through the full update
-        protocol, whose acknowledgement re-points the home map: one
-        :class:`~repro.core.messages.UpdateBatchReq` envelope per
-        believed-agent destination.  Envelope recovery matches
-        :meth:`~repro.core.service.LocationService.update_many` (shared
-        :func:`~repro.core.service.drive_update_envelope` core): a
-        believed agent that left the network (a garbage-collected
-        retirement alias) re-routes through the hierarchy root, and
-        ``envelope_timeout`` enables envelope-level retry against
-        crashed destinations.  Returns ``{"fast": n, "protocol": k}``.
+        Reports whose object stays inside its believed agent's area are
+        applied at that leaf; the rest — area crossings, or objects whose
+        believed agent was split or merged away since the last tick — go
+        through the full update protocol, one envelope per believed
+        agent, whose acknowledgements re-point the home map.  Envelope
+        recovery is :meth:`~repro.core.service.LocationService.
+        update_many`'s.  Returns ``{"fast": n, "protocol": k}``.
         """
-        svc = self.svc
-        now = svc.loop.now
-        per_leaf: dict[str, list[SightingRecord]] = {}
-        slow: list[tuple[str, Point]] = []
-        for oid, pos in reports:
-            home = self.homes.get(oid)
-            server = svc.servers.get(home) if home is not None else None
-            if (
-                server is not None
-                and server.is_leaf
-                and not svc.network.is_down(home)
-                and server.config.contains(pos)
-                and server.store.visitors.leaf_record(oid) is not None
-            ):
-                per_leaf.setdefault(home, []).append(
-                    SightingRecord(oid, now, pos, 10.0)
-                )
-            else:
-                slow.append((oid, pos))
-        for leaf_id, sightings in per_leaf.items():
-            server = svc.servers[leaf_id]
-            server.store.update_many(sightings, now=now)
-            server.stats.updates += len(sightings)
-            self.monitor.record_object_updates(s.object_id for s in sightings)
-        if slow:
-            reporter = self._reporter
-            homes = self.homes
-            by_dest: dict[str, list[tuple[str, Point]]] = {}
-            for oid, pos in slow:
-                agent = homes.get(oid)
-                if agent is not None:
-                    by_dest.setdefault(agent, []).append((oid, pos))
+        homes = self.homes
 
-            async def drive(dest: str, pairs: list[tuple[str, Point]]) -> None:
-                outcomes = await drive_update_envelope(
-                    reporter,
-                    svc,
-                    dest,
-                    lambda: tuple(
-                        SightingRecord(oid, svc.loop.now, pos, 10.0)
-                        for oid, pos in pairs
-                    ),
-                    envelope_timeout,
-                    envelope_retries,
-                    sub_timeout=envelope_sub_timeout,
-                )
-                for outcome in outcomes:
-                    if not outcome.ok:
-                        continue
-                    if outcome.deregistered:
-                        homes.pop(outcome.object_id, None)
-                    elif outcome.agent is not None:
-                        homes[outcome.object_id] = outcome.agent
+        def fold(outcomes) -> None:
+            for outcome in outcomes:
+                if not outcome.ok:
+                    continue
+                if outcome.deregistered:
+                    homes.pop(outcome.object_id, None)
+                elif outcome.agent is not None:
+                    homes[outcome.object_id] = outcome.agent
 
-            svc.run(
-                drive_all(
-                    svc.loop,
-                    (
-                        (f"envelope-{dest}", drive(dest, pairs))
-                        for dest, pairs in by_dest.items()
-                    ),
-                )
+        fast = len(
+            self.svc.report_many(
+                ((oid, pos, 10.0, homes.get(oid)) for oid, pos in reports),
+                self._reporter,
+                fold,
+                envelope_timeout,
+                envelope_retries,
+                envelope_sub_timeout,
             )
-        return {"fast": sum(len(v) for v in per_leaf.values()), "protocol": len(slow)}
+        )
+        return {"fast": fast, "protocol": len(reports) - fast}
 
     # -- probes --------------------------------------------------------------
 
@@ -376,34 +330,7 @@ class ElasticHarness:
 # Scenario plumbing
 # ---------------------------------------------------------------------------
 
-ROOT_SIDE = 1_500.0
-
-
-def _populate(svc: LocationService, placements) -> dict[str, str]:
-    """Register objects directly into the leaf stores (as
-    :func:`~repro.sim.scenario.table2_service` does) and install their
-    forwarding paths; returns object id → agent leaf."""
-    h = svc.hierarchy
-    homes: dict[str, str] = {}
-    for oid, pos in placements:
-        leaf_id = h.leaf_for_point(pos)
-        svc.servers[leaf_id].store.register(
-            SightingRecord(oid, 0.0, pos, 10.0), 25.0, 100.0, "sim", now=0.0
-        )
-        homes[oid] = leaf_id
-        path = h.path_to_root(leaf_id)
-        for below, above in zip(path, path[1:]):
-            svc.servers[above].visitors.insert_forward(oid, below)
-    return homes
-
-
-def _fresh_service(cache_config=None) -> LocationService:
-    return LocationService(
-        build_table2_hierarchy(ROOT_SIDE),
-        cache_config=cache_config,
-        latency=LatencyModel(base=350e-6, per_entry=1e-6),
-        sighting_ttl=1e9,  # soft state disabled during measurements
-    )
+ROOT_SIDE = TABLE2_AREA_SIDE
 
 
 def _jitter(rng: random.Random, pos: Point, radius: float, bounds: Rect) -> Point:
@@ -451,11 +378,10 @@ def _run_scenario(
     throughput split compares reports/s during migration against
     steady state (``BENCH_PR4.json``).
     """
-    svc = _fresh_service(cache_config=cache_config)
-    homes = _populate(svc, placements)
+    svc, _ = table2_service(0, cache_config=cache_config)
     harness = ElasticHarness(
         svc,
-        homes,
+        populate(svc, placements),
         monitor=LoadMonitor(half_life=5.0),
         planner=planner if planner is not None else _scenario_planner(),
     )

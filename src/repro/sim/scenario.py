@@ -75,12 +75,9 @@ def table2_service(
     seed: int = 0,
     nn_initial_radius: float | None = None,
 ) -> tuple[LocationService, dict[str, str]]:
-    """The Fig. 8 testbed, populated.
-
-    Objects are registered *directly into the leaf stores* (not via the
-    message protocol) so building the scenario is fast; the forwarding
-    paths are installed exactly as registration would.  Returns the
-    service and a map of object id → agent leaf.
+    """The Fig. 8 testbed, populated with ``object_count`` uniformly
+    scattered objects (:func:`populate`).  Returns the service and a map
+    of object id → agent leaf.
     """
     h = hierarchy if hierarchy is not None else build_table2_hierarchy(TABLE2_AREA_SIDE)
     if costs is not None:
@@ -97,17 +94,26 @@ def table2_service(
         sighting_ttl=1e9,  # soft state disabled during measurements
         nn_initial_radius=nn_initial_radius,
     )
+    return svc, populate(svc, scatter_objects(h, object_count, seed=seed, prefix="t2"))
+
+
+def populate(svc: LocationService, placements) -> dict[str, str]:
+    """Register ``(object id, position)`` placements *directly into the
+    leaf stores* (not via the message protocol) so building a scenario
+    is fast, and install the forwarding paths exactly as registration
+    would.  Returns object id → agent leaf."""
+    h = svc.hierarchy
     homes: dict[str, str] = {}
-    for oid, pos in scatter_objects(h, object_count, seed=seed, prefix="t2"):
+    for oid, pos in placements:
         leaf_id = h.leaf_for_point(pos)
-        leaf = svc.servers[leaf_id]
-        leaf.store.register(
-            SightingRecord(oid, 0.0, pos, 10.0), 25.0, 100.0, "bench", now=0.0
+        svc.servers[leaf_id].store.register(
+            SightingRecord(oid, 0.0, pos, 10.0), 25.0, 100.0, "sim", now=0.0
         )
         homes[oid] = leaf_id
-        for below, above in zip(h.path_to_root(leaf_id), h.path_to_root(leaf_id)[1:]):
+        path = h.path_to_root(leaf_id)
+        for below, above in zip(path, path[1:]):
             svc.servers[above].visitors.insert_forward(oid, below)
-    return svc, homes
+    return homes
 
 
 @dataclass
@@ -305,10 +311,10 @@ class DistributedHarness:
 
         Each batch from ``gen`` (a :class:`~repro.sim.workload.
         WorkloadGenerator`) is split by :func:`~repro.sim.workload.
-        coalesce_updates`: the position updates land as one batched store
-        update per leaf (the paper's always-local updates — the server
-        tick), the batch's range queries run as one distributed fan-out
-        per entry leaf (:meth:`~repro.core.server.LocationServer.
+        coalesce_updates`: the position updates land as one
+        :meth:`~repro.core.server.LocationServer.apply_in_area` per leaf
+        (the paper's always-local updates — the server tick), the batch's
+        range queries run as one distributed fan-out per entry leaf (:meth:`~repro.core.server.LocationServer.
         evaluate_range_many` — one ``query_rect_many`` candidate pass per
         involved leaf), the nearest-neighbor queries likewise share one
         fan-out per entry leaf and ring round (:meth:`~repro.core.server.
@@ -332,9 +338,8 @@ class DistributedHarness:
             updates_by_leaf, others = coalesce_updates(batch)
             now = loop.now
             for leaf, moves in updates_by_leaf.items():
-                self.svc.servers[leaf].store.update_many(
-                    [SightingRecord(oid, now, pos, 10.0) for oid, pos in moves],
-                    now=now,
+                self.svc.servers[leaf].apply_in_area(
+                    [SightingRecord(oid, now, pos, 10.0) for oid, pos in moves], now
                 )
                 counters["updates"] += len(moves)
                 counters["update_batches"] += 1

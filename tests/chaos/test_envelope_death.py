@@ -25,7 +25,7 @@ def _drive_batch(svc, dest, sightings, timeout=0.5, retries=2):
             reporter,
             svc,
             dest,
-            lambda: tuple(sightings),
+            [(s.object_id, s.pos, s.acc_sens) for s in sightings],
             timeout,
             retries,
         )

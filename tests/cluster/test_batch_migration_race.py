@@ -14,9 +14,9 @@ from repro.core import messages as m
 from repro.geo import Point
 from repro.model import RegistrationInfo, SightingRecord
 from repro.runtime.base import Endpoint
-from repro.sim.elastic import ElasticHarness, _fresh_service, _populate
+from repro.sim.elastic import ElasticHarness
 from repro.sim.metrics import MessageLedger
-from repro.sim.scenario import table2_service
+from repro.sim.scenario import populate, table2_service
 
 from tests.cluster.test_migration import force_split
 
@@ -130,7 +130,7 @@ class TestRebalanceRacingBatchedTicks:
     def test_batched_ticks_interleaved_with_rebalances_lose_nothing(self):
         """The full race: batched envelopes every tick, splits/merges and
         alias garbage collection between ticks, stale homes throughout."""
-        svc = _fresh_service()
+        svc, _ = table2_service(0)
         rng = random.Random(17)
         placements = [
             (
@@ -139,7 +139,7 @@ class TestRebalanceRacingBatchedTicks:
             )
             for i in range(220)
         ]
-        homes = _populate(svc, placements)
+        homes = populate(svc, placements)
         harness = ElasticHarness(
             svc,
             homes,

@@ -188,7 +188,7 @@ class TestMergedLeafSoftState:
         # An originally-interior server that becomes a leaf by merging
         # must start expiring lapsed sightings like any other leaf.
         from repro.core import LocationService, build_table2_hierarchy
-        from repro.sim.elastic import _populate
+        from repro.sim.scenario import populate
 
         svc = LocationService(
             build_table2_hierarchy(1500.0), sighting_ttl=50.0, sweep_interval=10.0
@@ -196,7 +196,7 @@ class TestMergedLeafSoftState:
         placements = [
             (f"o{i}", Point(10.0 + i * 30.0, 10.0 + i * 30.0)) for i in range(20)
         ]
-        _populate(svc, placements)
+        populate(svc, placements)
         executor, report = force_split(svc)
         executor.execute(MergePlan(parent_id="root.0", children=report.spawned))
         assert svc.servers["root.0"].is_leaf

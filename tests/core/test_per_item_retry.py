@@ -10,6 +10,8 @@ acknowledgements that distinguish *already gone* from *never existed*.
 import pytest
 
 from repro.core import LocationService, build_fig6_hierarchy, messages as m
+from repro.core.service import drive_item_rounds
+from repro.errors import TransportError
 from repro.geo import Point
 from repro.runtime.base import Endpoint
 from repro.runtime.latency import LatencyModel
@@ -82,6 +84,50 @@ class TestPerItemUpdateRetry:
         assert svc.servers["s3"].visitors.forward_ref("b") is None
         assert svc.servers["s1"].visitors.forward_ref("b") == "s2"
         svc.check_consistency()
+
+
+class TestItemRounds:
+    """``drive_item_rounds``, the one round loop behind the update and
+    deregistration envelopes, against a scripted destination: each
+    answer is the set of ids it leaves unacknowledged, ``None`` a lost
+    envelope."""
+
+    def _drive(self, svc, answers, retries, sub_timeout=1.0):
+        reporter = svc._reporter()
+        sent = []
+
+        async def request(dest, envelope, timeout=None):
+            sent.append(envelope)
+            answer = answers.pop(0)
+            if answer is None:
+                raise TransportError(f"{dest} lost the envelope")
+            return answer
+
+        reporter.request = request
+        svc.run(
+            drive_item_rounds(
+                reporter, svc, "s4", lambda remaining: remaining, set,
+                5.0, retries, sub_timeout, "test",
+            )
+        )
+        return sent
+
+    def test_later_rounds_resend_only_unacknowledged_items(self, svc):
+        sent = self._drive(svc, [{"b", "c"}, {"c"}, set()], retries=3)
+        assert sent == [None, {"b", "c"}, {"c"}]
+
+    def test_at_most_retries_resends(self, svc):
+        sent = self._drive(svc, [{"b"}, {"b"}, {"b"}, {"b"}], retries=2)
+        assert sent == [None, {"b"}, {"b"}]
+
+    def test_no_rounds_without_sub_timeout(self, svc):
+        assert self._drive(svc, [{"b"}], retries=3, sub_timeout=None) == [None]
+
+    def test_only_the_first_round_gets_the_envelope_retry_budget(self, svc):
+        answers = [None, None, {"b"}, None, {"b"}]
+        with pytest.raises(TransportError):
+            self._drive(svc, answers, retries=2)
+        assert answers == [{"b"}]  # round two made one attempt, not three
 
 
 class TestDeregisterNacks:

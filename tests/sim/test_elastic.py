@@ -10,11 +10,10 @@ from repro.geo import Point, Rect
 from repro.sim.elastic import (
     ElasticHarness,
     _advance,
-    _populate,
-    _fresh_service,
     festival_surge_scenario,
     flash_crowd_scenario,
 )
+from repro.sim.scenario import populate, table2_service
 from repro.sim.workload import HotspotSpec, hotspot_positions, wavefront_area
 
 ROOT = Rect(0, 0, 1500, 1500)
@@ -49,8 +48,8 @@ class TestHotspotWorkload:
 
 class TestElasticHarness:
     def _harness(self, placements):
-        svc = _fresh_service()
-        homes = _populate(svc, placements)
+        svc, _ = table2_service(0)
+        homes = populate(svc, placements)
         return svc, ElasticHarness(svc, homes)
 
     def test_fast_and_protocol_paths(self):
@@ -77,10 +76,10 @@ class TestElasticHarness:
             (f"o{i}", Point(rng.uniform(100, 600), rng.uniform(100, 600)))
             for i in range(count)
         ]
-        svc = _fresh_service()
+        svc, _ = table2_service(0)
         harness = ElasticHarness(
             svc,
-            _populate(svc, placements),
+            populate(svc, placements),
             planner=RebalancePlanner(PlannerConfig(split_load=20.0)),
         )
         for _ in range(2):  # ~count updates/s on root.0

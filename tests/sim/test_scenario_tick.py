@@ -108,3 +108,15 @@ class TestBatchedWorkloadRunner:
         svc.check_consistency()
         # Every tracked object still has exactly one sighting somewhere.
         assert svc.total_tracked() == 120
+
+    def test_every_in_area_apply_is_counted(self):
+        svc, homes = table2_service(object_count=120)
+        gen = WorkloadGenerator(
+            svc.hierarchy, list(homes), homes, WorkloadSpec(), seed=11
+        )
+        counters = DistributedHarness(svc, homes).run_workload_batched(
+            gen, operations=250, batch_size=40
+        )
+        leaves = [svc.servers[leaf] for leaf in svc.hierarchy.leaf_ids()]
+        assert counters["updates"] > 0
+        assert sum(leaf.stats.updates for leaf in leaves) == counters["updates"]

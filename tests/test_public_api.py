@@ -275,3 +275,59 @@ class TestOneElasticPath:
         assert not hasattr(elastic, "planner_v1_config")
         assert not hasattr(MigrationExecutor, "execute_all")
         assert not hasattr(AdaptiveCopyChunker, "note_migration_tick")
+
+
+class TestOneReportLane:
+    """An in-area report is applied by one server step whichever way it
+    arrives, and the facade and the elastic harness share one report
+    lane: the copies cannot come back quietly."""
+
+    def test_every_in_area_report_goes_through_one_server_step(self, monkeypatch):
+        from repro.core import LocationService
+        from repro.core.server import LocationServer
+        from repro.sim.elastic import ElasticHarness
+        from repro.sim.scenario import populate, table2_service
+
+        applied, lanes = [], []
+        apply_in_area = LocationServer.apply_in_area
+        report_many = LocationService.report_many
+
+        def spy_apply(server, sightings, now):
+            applied.append((server.address, [s.object_id for s in sightings]))
+            apply_in_area(server, sightings, now)
+
+        def spy_lane(svc, *args, **kwargs):
+            lanes.append(svc)
+            return report_many(svc, *args, **kwargs)
+
+        monkeypatch.setattr(LocationServer, "apply_in_area", spy_apply)
+        monkeypatch.setattr(LocationService, "report_many", spy_lane)
+        svc, _ = table2_service(0)
+        a = svc.register("a", Point(100, 100))
+        assert svc.update_many([(a, Point(110, 110))]) == {"fast": 1, "protocol": 0}
+        svc.update(a, Point(140, 140))  # an envelope of one at the agent
+        harness = ElasticHarness(svc, populate(svc, [("b", Point(1200, 1200))]))
+        assert harness.apply_reports([("b", Point(1210, 1210))]) == {
+            "fast": 1,
+            "protocol": 0,
+        }
+        assert applied == [("root.0", ["a"]), ("root.0", ["a"]), ("root.3", ["b"])]
+        assert lanes == [svc, svc]
+        assert sum(svc.servers[leaf].stats.updates for leaf in ("root.0", "root.3")) == 3
+
+    def test_removed_entry_points_stay_gone(self):
+        import inspect
+
+        from repro.core import LocationService
+        from repro.net.scenario import drive_workload
+        from repro.sim import elastic
+
+        assert not hasattr(LocationService, "_drive_update_envelope")
+        assert not hasattr(elastic, "_populate")
+        assert not hasattr(elastic, "_fresh_service")
+        options = [
+            name
+            for name, p in inspect.signature(drive_workload).parameters.items()
+            if p.kind is p.KEYWORD_ONLY
+        ]
+        assert options == ["timeout", "retries", "seed", "sub_timeout"]
