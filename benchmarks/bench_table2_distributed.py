@@ -15,10 +15,14 @@ the four leaves.  Paper numbers:
     remote range query (4 srv) 13.8 ms           284 1/s
 
 Our testbed is a virtual-time simulation (:mod:`repro.runtime.simnet`
-on :mod:`repro.sim.engine`): per-message CPU
-service times are *calibrated* from this machine's Table-1 micro-bench
-and one-way LAN latency is 350 µs.  Absolute numbers differ from the
-2001 hardware; the claim under test is the *structure*:
+on :mod:`repro.sim.engine`): per-message CPU service times are the fixed
+:func:`~repro.sim.calibration.default_cost_model` (40 / 30 / 4 / 120 µs
+per insert / update / position query / range query) and one-way LAN
+latency is 350 µs, so the table is the same on every run and host.
+:func:`~repro.sim.calibration.calibrate` measures this host's costs on
+the Table-1 workload; they are printed beside the table, reported only.
+Absolute numbers differ from the 2001 hardware; the claim under test is
+the *structure*:
 
   updates ≲ local pos query < local range < remote pos < remote range,
   and throughput decreasing as more servers participate in a range query.
@@ -27,7 +31,7 @@ and one-way LAN latency is 350 µs.  Absolute numbers differ from the
 import pytest
 
 from benchreport import report
-from repro.sim.calibration import calibrate
+from repro.sim.calibration import calibrate, default_cost_model
 from repro.sim.metrics import format_table
 from repro.sim.scenario import (
     TABLE2_OBJECTS,
@@ -83,7 +87,7 @@ def _rotating(make_op):
 @pytest.fixture(scope="module")
 def measurements():
     """Run the full Table-2 measurement campaign once (virtual time)."""
-    costs = calibrate(object_count=2000, operations=2000).cost_model()
+    costs = default_cost_model()
     results: dict[str, tuple[float, float]] = {}
 
     def campaign(name, response_factory, throughput_factory):
@@ -165,6 +169,23 @@ def measurements():
             rows,
         )
     )
+    # The host's own costs, beside the table: reported, never priced.
+    measured = calibrate(object_count=2000, operations=2000)
+    report(
+        format_table(
+            "Table 2 cost model — priced (default_cost_model) vs this host (calibrate)",
+            ("operation", "priced", "measured here (not used)"),
+            [
+                (name, f"{costs.service[message] * 1e6:.1f} us", f"{seconds * 1e6:.1f} us")
+                for name, message, seconds in (
+                    ("insert", "RegisterReq", measured.insert_cost),
+                    ("update", "UpdateReq", measured.update_cost),
+                    ("position query", "PosQueryReq", measured.pos_query_cost),
+                    ("range query", "RangeQueryReq", measured.range_query_cost),
+                )
+            ],
+        )
+    )
     return results
 
 
@@ -181,8 +202,8 @@ def test_table2_structure(measurements, benchmark):
     assert latency["remote range query (1 server)"] > latency["remote position query"]
     # Throughput mirrors the ordering within each operation class.  (The
     # paper's absolute updates-vs-queries ranking does not transfer: its
-    # distributed bottleneck was messaging, ours is the calibrated
-    # storage CPU, where updates cost more than hash lookups.)
+    # distributed bottleneck was messaging, ours is the priced storage
+    # CPU, where updates cost more than hash lookups.)
     assert throughput["local position query"] > throughput["remote position query"]
     assert throughput["local range query"] > throughput["remote range query (1 server)"]
     # More servers per range query => lower throughput (paper rows 5-7):

@@ -18,9 +18,14 @@ on:
   walks with a ``*`` path step; every scenario result carries an
   ``invariants`` dict with ``lost_sightings``, ``consistency_ok`` and
   ``hierarchy_valid``;
+* a simulated scenario result keeps every wall-clock number in one
+  ``timing`` sub-dict (``tick_wall_clock_s``, ``reports_per_s_steady``,
+  ``reports_per_s_migration``, ``migration_throughput_ratio``); the rest
+  of it is one value per seed, pinned by
+  ``tests/sim/test_payload_goldens.py``;
 * the headline acceptance numbers sit at the payload top level, named
-  for what they measure (``migration_throughput_ratio``,
-  ``rounds_to_balance_v2``, ``tick_speedup``, ...);
+  for what they measure (``migration_throughput_ratio``, a lane's
+  ``timing`` value, ``rounds_to_balance_v2``, ``tick_speedup``, ...);
 * numbers are rounded for diffability and the payload is written with
   ``sort_keys`` so regenerated artifacts diff cleanly.
 

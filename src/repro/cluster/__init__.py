@@ -29,8 +29,8 @@ disjoint, half-open routing assigns boundary points uniquely):
   to a running :class:`~repro.core.service.LocationService` in phases
   (copy → dual-write → cutover): the source leaves keep serving while
   their objects stage incrementally into destination stores
-  (``bulk_admit`` chunks spread over ticks, sized open loop by
-  :class:`~repro.cluster.migration.AdaptiveCopyChunker`), a buffered
+  (``bulk_admit`` chunks of a fixed
+  :data:`~repro.cluster.migration.COPY_CHUNK` entries per tick), a buffered
   :class:`~repro.storage.datastore.StoreMirror` keeps the staged copy
   exactly in sync with live mutations, and the cutover is pointer
   surgery — role flips, one replayed forwarding pointer per migrated
@@ -51,7 +51,6 @@ and begins the new plans.
 
 from repro.cluster.load import HeavyHitterSketch, LoadMonitor, LoadSample
 from repro.cluster.migration import (
-    AdaptiveCopyChunker,
     MigrationExecutor,
     MigrationReport,
     PhasedMigration,
@@ -65,7 +64,6 @@ from repro.cluster.planner import (
 )
 
 __all__ = [
-    "AdaptiveCopyChunker",
     "HeavyHitterSketch",
     "LoadMonitor",
     "LoadSample",

@@ -10,9 +10,10 @@ server CPU each operation consumes — with the two models here:
   message before its handler logic runs.  Service time serialises a
   server's message processing, which is what caps throughput.
 
-Defaults are calibrated in :mod:`repro.sim.calibration` from our own
-Table-1 micro-benchmarks rather than copied from the paper, so Table 2's
-relative structure *emerges* from the model.
+Table 2 prices messages with :func:`repro.sim.calibration.
+default_cost_model`: fixed costs for our own storage component rather
+than the paper's, so Table 2's relative structure *emerges* from the
+model and is the same on every host.
 """
 
 from __future__ import annotations

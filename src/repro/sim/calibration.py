@@ -1,11 +1,14 @@
-"""Calibration: derive the simulator's CPU cost model from micro-benches.
+"""The simulator's CPU cost model, fixed or measured.
 
-The per-operation service times used by the Table-2
-simulation are *measured* on our own data-storage component (the Table-1
-micro-benchmark) instead of copied from the paper's SUN Ultra numbers.
-Table 2's relative structure then emerges from the model.
+Table 2 prices messages with :func:`default_cost_model`: fixed
+per-operation service times for our own data-storage component, not
+the paper's SUN Ultra numbers, so the simulated table is the same on
+every run and host and its relative structure emerges from the model.
+:func:`calibrate` measures this host's costs with a scaled-down Table-1
+workload; the Table 2 bench prints them beside the table, and a caller
+that wants a host-priced run passes ``calibrate().cost_model()``.
 
-The measured costs map onto message types:
+Either way the per-operation costs map onto message types:
 
 =====================  ==========================================
 ``UpdateReq``          one sighting-DB update
@@ -119,11 +122,9 @@ def calibrate(
 
 
 def default_cost_model() -> CostModel:
-    """A fixed cost model with magnitudes typical of the calibration run.
-
-    Useful when determinism across hosts matters more than calibration
-    fidelity (regression tests); benches run :func:`calibrate` instead.
-    """
+    """The fixed cost model every simulated bench prices with, Table 2
+    included: the same on every host, so no wall clock steers a
+    simulated result."""
     return CalibrationResult(
         insert_cost=40e-6,
         update_cost=30e-6,

@@ -6,10 +6,13 @@ reports through the batched server tick (falling back to the full
 update/handover protocol for reports that cross service areas or race a
 migration), samples per-server load, and runs observe → plan → migrate
 rounds.  There is one kind of round: every tick with a migration in
-flight copies one chunk (:meth:`ElasticHarness.advance_migrations`), and
+flight copies one fixed-size chunk
+(:meth:`ElasticHarness.advance_migrations`), and
 :meth:`ElasticHarness.rebalance` cuts over finished copies, plans around
 the migrations still in flight and begins the new plans.  Traffic never
-stops for a rebalance.
+stops for a rebalance, and no wall-clock reading steers a decision: a
+scenario's result is one value per seed apart from its ``timing``
+sub-dict, the wall-clock numbers it only reports.
 
 Two scenarios drive a rebalance end to end and are the acceptance
 measurement for the elastic layer (recorded in ``BENCH_PR2.json``):
@@ -44,7 +47,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cluster import (
-    AdaptiveCopyChunker,
     LoadMonitor,
     LoadSample,
     MergePlan,
@@ -54,6 +56,7 @@ from repro.cluster import (
     RebalancePlanner,
     SplitPlan,
 )
+from repro.cluster.migration import COPY_CHUNK
 from repro.core import CacheConfig, LocationService
 from repro.core.service import Reporter
 from repro.geo import Point, Rect
@@ -87,8 +90,6 @@ class ElasticHarness:
         self.monitor = monitor if monitor is not None else LoadMonitor()
         self.planner = planner if planner is not None else RebalancePlanner()
         self.executor = MigrationExecutor(service, monitor=self.monitor)
-        #: migration copy pacing (see :meth:`tick`).
-        self.chunker = AdaptiveCopyChunker()
         self.migrations: list[MigrationReport] = []
         self.tick_loads: list[TickLoad] = []
         self.latencies = LatencyRecorder()
@@ -205,38 +206,28 @@ class ElasticHarness:
         every in-flight migration (:meth:`advance_migrations`).
 
         Returns the :meth:`apply_reports` counts, the tick's wall clock
-        and whether a migration was in flight.  Only steady ticks feed
-        :attr:`chunker` (its baseline); a migrating tick's wall clock is
-        not an input — see :class:`~repro.cluster.migration.
-        AdaptiveCopyChunker` for why.
+        (reported, never an input) and whether a migration was in flight.
         """
         migrating = bool(self.executor.in_flight)
         start = time.perf_counter()
         counts = self.apply_reports(reports)
         if migrating:
             self.advance_migrations()
-        wall = time.perf_counter() - start
-        if not migrating:
-            self.chunker.note_steady_tick(wall)
-        return counts, wall, migrating
+        return counts, time.perf_counter() - start, migrating
 
     def advance_migrations(self) -> int:
-        """Advance every in-flight migration's copy by one chunk.
+        """Advance every in-flight migration's copy by one chunk of
+        :data:`~repro.cluster.migration.COPY_CHUNK` entries.
 
         The bulk copy's index-build cost spreads across ticks in chunked
         slices instead of landing on a single tick, which is what keeps
-        reports/s during migration near steady state.  The chunk comes
-        from :attr:`chunker`, which this call feeds with the timed copy.
-        Returns objects staged.
+        reports/s during migration near steady state.  Returns objects
+        staged.
         """
-        chunk = self.chunker.chunk
-        start = time.perf_counter()
-        consumed = sum(
-            self.executor.step(migration, chunk)
+        return sum(
+            self.executor.step(migration, COPY_CHUNK)
             for migration in self.executor.in_flight
         )
-        self.chunker.note_copy(consumed, time.perf_counter() - start)
-        return consumed
 
     def rebalance(self) -> list[MigrationReport]:
         """One plan → migrate round; updates the home map.
@@ -376,7 +367,8 @@ def _run_scenario(
     tick* when a migration is in flight during it or is in flight (or
     cut over) after the rebalance round at its end; the per-tick
     throughput split compares reports/s during migration against
-    steady state (``BENCH_PR4.json``).
+    steady state (``BENCH_PR4.json``).  Those wall-clock numbers are
+    the result's ``timing`` sub-dict; nothing else in it reads a clock.
     """
     svc, _ = table2_service(0, cache_config=cache_config)
     harness = ElasticHarness(
@@ -465,7 +457,6 @@ def _run_scenario(
         "protocol_messages_per_tick": round(protocol_messages / ticks, 2),
         "protocol_message_types": dict(sorted(protocol_by_type.items())),
         "topology_messages": topology_messages,
-        "tick_wall_clock_s": round(tick_wall, 4),
         "leaf_count_final": len(svc.hierarchy.leaf_ids()),
         "splits": harness.split_count(),
         "merges": harness.merge_count(),
@@ -473,19 +464,23 @@ def _run_scenario(
         "rebalance_rounds": harness.rebalance_rounds,
         "split_rounds": harness.split_rounds,
         "rounds_to_balance": harness.last_split_round,
-        "copy_chunk_final": harness.chunker.chunk,
         "migration_tick_count": len(migration_ticks),
-        "reports_per_s_steady": (
-            round(steady_rate) if steady_rate is not None else None
-        ),
-        "reports_per_s_migration": (
-            round(migration_rate) if migration_rate is not None else None
-        ),
-        "migration_throughput_ratio": (
-            round(migration_rate / steady_rate, 3)
-            if steady_rate is not None and steady_rate > 0 and migration_rate is not None
-            else None
-        ),
+        "timing": {
+            "tick_wall_clock_s": round(tick_wall, 4),
+            "reports_per_s_steady": (
+                round(steady_rate) if steady_rate is not None else None
+            ),
+            "reports_per_s_migration": (
+                round(migration_rate) if migration_rate is not None else None
+            ),
+            "migration_throughput_ratio": (
+                round(migration_rate / steady_rate, 3)
+                if steady_rate is not None
+                and steady_rate > 0
+                and migration_rate is not None
+                else None
+            ),
+        },
         "topology_epoch": svc.hierarchy.epoch,
         "stale_epoch_messages": sum(
             s.stats.stale_epoch_messages for s in all_servers
@@ -922,8 +917,8 @@ def planner_v2_benchmark_payload(
     * ``rounds_to_balance_v2 <= 4`` — the last rebalance round that
       still planned a split is round four or earlier;
     * ``migration_throughput_ratio >= 0.8`` — the k-way migration and the
-      paced copy chunks keep reports/s during migration within 20% of
-      steady state;
+      chunked copy keep reports/s during migration within 20% of steady
+      state (the lane's ``timing`` value, repeated at the top level);
     * zero lost sightings and full consistency.
     """
     kwargs: dict[str, object] = {"objects": objects}
@@ -944,7 +939,7 @@ def planner_v2_benchmark_payload(
         "scenario": "hot_object_skew",
         "lanes": {"v2_rate_kway": lane},
         "rounds_to_balance_v2": lane["rounds_to_balance"],
-        "migration_throughput_ratio": lane["migration_throughput_ratio"],
+        "migration_throughput_ratio": lane["timing"]["migration_throughput_ratio"],
         "zero_lost_all_lanes": _zero_lost(lane),
     }
 
@@ -1013,6 +1008,6 @@ def zero_stall_benchmark_payload(
         "bench": "zero-stall elasticity: phased migration under sustained churn",
         "scenario": "festival_surge",
         "lanes": {"overlapped": lane},
-        "migration_throughput_ratio": lane["migration_throughput_ratio"],
+        "migration_throughput_ratio": lane["timing"]["migration_throughput_ratio"],
         "zero_lost_all_lanes": _zero_lost(lane),
     }

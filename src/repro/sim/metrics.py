@@ -73,7 +73,9 @@ class LatencyRecorder:
             return EMPTY_SUMMARY
         return Summary(
             count=len(values),
-            mean=sum(values) / len(values),
+            # fsum: correctly rounded, so the mean is the same on every
+            # interpreter (3.12's sum() compensates, 3.11's does not).
+            mean=math.fsum(values) / len(values),
             p50=percentile(values, 0.50),
             p95=percentile(values, 0.95),
             p99=percentile(values, 0.99),

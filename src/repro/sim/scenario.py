@@ -5,8 +5,8 @@
   25 000 tracked objects at random positions.
 * :func:`table2_service` — the distributed testbed (Section 7.2 /
   Fig. 8): one root + four quadrant leaves over 1.5 km x 1.5 km with
-  10 000 registered objects, a calibrated CPU cost model and LAN-like
-  latencies.
+  10 000 registered objects, a CPU cost model (the Table-2 bench passes
+  ``default_cost_model()``) and LAN-like latencies.
 * :class:`DistributedHarness` — response-time and throughput measurement
   driver used by the Table-2 bench and the ablation benches.
 * :class:`MobilitySimulation` — the batched simulation tick: step all

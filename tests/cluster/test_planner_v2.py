@@ -1,22 +1,21 @@
-"""Planner edge cases: rate weighting, k-way fan-out, copy chunk pacing."""
+"""Planner edge cases: rate weighting, k-way fan-out, a clock-free copy."""
+
+import random
 
 import pytest
 
 from repro.cluster import (
-    AdaptiveCopyChunker,
     LoadMonitor,
     MigrationExecutor,
     PlannerConfig,
     RebalancePlanner,
     SplitPlan,
 )
-from repro.cluster.migration import COPY_BUDGET, INITIAL_CHUNK, MAX_CHUNK, MIN_CHUNK
 from repro.core.hierarchy import split_rects
 from repro.errors import ConfigurationError
 from repro.geo import Point, Rect
 from repro.model import SightingRecord
 from repro.sim import elastic
-from repro.sim.elastic import ElasticHarness
 from repro.sim.scenario import table2_service
 
 
@@ -253,59 +252,38 @@ class TestObjectRateWindow:
         assert monitor.object_rate(oid) > 0.0
 
 
-class _Clock:
+class _JumpingClock:
     """Stands in for the ``time`` module inside :mod:`repro.sim.elastic`:
-    each applied tick advances it by ``tick_wall`` seconds."""
+    every reading jumps forward by a random step from 1 µs to 100 s."""
 
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.tick_wall = 0.0
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+        self._now = 0.0
 
     def perf_counter(self) -> float:
-        return self.now
+        self._now += 10.0 ** self._rng.uniform(-6.0, 2.0)
+        return self._now
 
 
-class TestAdaptiveChunker:
-    def test_chunk_respects_bounds(self):
-        chunker = AdaptiveCopyChunker()
-        assert chunker.chunk == INITIAL_CHUNK  # no measurements yet
-        chunker.note_steady_tick(10.0)
-        chunker.note_copy(10, 1e-6)  # absurdly cheap -> capped
-        assert chunker.chunk == MAX_CHUNK
-        chunker.note_copy(1, 10.0)  # absurdly dear -> floored (EWMA catches up)
-        chunker.note_copy(1, 10.0)
-        chunker.note_copy(1, 10.0)
-        assert chunker.chunk == MIN_CHUNK
+class TestClockIndependence:
+    """No wall-clock reading steers a decision: with a clock that jumps
+    at random, an elastic scenario splits, copies, cuts over and merges
+    exactly as with the real one.  Only its ``timing`` sub-dict moves."""
 
-    def test_slow_migrating_ticks_leave_the_chunk_alone(self, monkeypatch):
-        """Regression: migrating ticks at 3x the steady wall clock must
-        not shrink the copy chunk.  A migrating tick also pays for the
-        dual-write mirror; when feedback from it cut the budget, every
-        copy sat at the 64-entry floor and a migration stayed in flight
-        for most of a run."""
-        svc, homes = table2_service(object_count=400)
-        harness = ElasticHarness(svc, homes)
-        clock = _Clock()
-        monkeypatch.setattr(elastic, "time", clock)
+    @pytest.mark.parametrize(
+        "scenario",
+        [elastic.festival_surge_scenario, elastic.hot_object_skew_scenario],
+        ids=["festival_surge", "hot_object_skew"],
+    )
+    def test_a_jumping_clock_changes_nothing_but_timing(self, scenario, monkeypatch):
+        def untimed():
+            result = scenario(objects=600, ticks=16, seed=1)
+            assert result["splits"] >= 1  # a migration was copied and cut over
+            return {key: value for key, value in result.items() if key != "timing"}
 
-        def apply_reports(reports):
-            clock.now += clock.tick_wall
-            return {"fast": 0, "protocol": 0}
-
-        monkeypatch.setattr(harness, "apply_reports", apply_reports)
-        clock.tick_wall = 0.010
-        for _ in range(8):
-            assert harness.tick([])[2] is False  # steady 10 ms ticks
-        harness.chunker.note_copy(1000, 0.001)  # 1 us per staged entry
-        chunk = harness.chunker.chunk
-        assert chunk == pytest.approx(COPY_BUDGET * 0.010 / 1e-6, rel=0.01)
-        (plan,) = binary_planner().plan(svc, {"root.0": 100.0})
-        harness.executor.begin(plan)
-        clock.tick_wall = 0.030
-        for _ in range(20):
-            _, wall, migrating = harness.tick([])
-            assert migrating and wall == pytest.approx(0.030)
-        assert harness.chunker.chunk == chunk
+        expected = untimed()
+        monkeypatch.setattr(elastic, "time", _JumpingClock(seed=7))
+        assert untimed() == expected
 
 
 class TestRateMassSeeding:

@@ -7,7 +7,7 @@ one role of the system — the hierarchy server or the client side —
 registers a handler for it.  A type that is none of these, or that no
 code under ``src/`` ever constructs, is a lane kept alive only by its
 own tests.  The tables that *name* message types by string
-(``PROTOCOL_LANE_MESSAGE_TYPES``, the calibrated cost model, the latency
+(``PROTOCOL_LANE_MESSAGE_TYPES``, the cost model's service table, the latency
 model's fan-out pair) must name only types that exist.
 
 Schema hygiene rides along: every field annotation of every wire type

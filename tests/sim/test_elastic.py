@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.cluster import PlannerConfig, RebalancePlanner
-from repro.cluster.migration import INITIAL_CHUNK
+from repro.cluster.migration import COPY_CHUNK
 from repro.geo import Point, Rect
 from repro.sim.elastic import (
     ElasticHarness,
@@ -71,7 +71,7 @@ class TestElasticHarness:
         over by the first rebalance after its copy has been staged by
         advance_migrations; the topology never changes in between."""
         rng = random.Random(1)
-        count = INITIAL_CHUNK + 44  # two copy chunks
+        count = 2 * COPY_CHUNK + 44  # three copy chunks
         placements = [
             (f"o{i}", Point(rng.uniform(100, 600), rng.uniform(100, 600)))
             for i in range(count)
@@ -80,19 +80,20 @@ class TestElasticHarness:
         harness = ElasticHarness(
             svc,
             populate(svc, placements),
-            planner=RebalancePlanner(PlannerConfig(split_load=20.0)),
+            planner=RebalancePlanner(PlannerConfig(split_load=5.0)),
         )
-        for _ in range(2):  # ~count updates/s on root.0
+        for _ in range(2):  # root.0's decayed load passes split_load
             harness.apply_reports([(oid, Point(p.x + 1, p.y)) for oid, p in placements])
             svc.run(_advance(svc, 1.0))
             harness.sample()
         leaves = svc.hierarchy.leaf_ids()
         assert harness.rebalance() == []  # begun, not cut over
         (migration,) = harness.executor.in_flight
-        assert harness.advance_migrations() == INITIAL_CHUNK
-        assert harness.rebalance() == []  # copy unfinished: stays in flight
-        assert harness.executor.in_flight == [migration]
-        assert svc.hierarchy.leaf_ids() == leaves
+        for _ in range(2):
+            assert harness.advance_migrations() == COPY_CHUNK
+            assert harness.rebalance() == []  # copy unfinished: stays in flight
+            assert harness.executor.in_flight == [migration]
+            assert svc.hierarchy.leaf_ids() == leaves
         assert harness.advance_migrations() == 44
         (report,) = harness.rebalance()
         assert report.moved == count

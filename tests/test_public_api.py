@@ -224,7 +224,7 @@ class TestOneServiceStore:
 
 
 class TestOneElasticPath:
-    """One rebalance round, one planner and an open-loop copy pace: the
+    """One rebalance round, one planner and a constant copy chunk: the
     deleted modes and knobs cannot come back quietly."""
 
     REMOVED_OPTIONS = {
@@ -267,14 +267,20 @@ class TestOneElasticPath:
         assert offenders == []
 
     def test_removed_entry_points_stay_gone(self):
-        from repro.cluster import AdaptiveCopyChunker, MigrationExecutor
+        import repro.cluster
+        from repro.cluster import MigrationExecutor, migration
         from repro.sim import elastic
+        from repro.sim.scenario import table2_service
 
         assert not hasattr(elastic.ElasticHarness, "rebalance_overlapped")
         assert not hasattr(elastic.ElasticHarness, "note_tick")
         assert not hasattr(elastic, "planner_v1_config")
         assert not hasattr(MigrationExecutor, "execute_all")
-        assert not hasattr(AdaptiveCopyChunker, "note_migration_tick")
+        # The copy chunk is one constant: no wall-clock pacer to feed.
+        assert not hasattr(repro.cluster, "AdaptiveCopyChunker")
+        assert not hasattr(migration, "AdaptiveCopyChunker")
+        svc, homes = table2_service(object_count=4)
+        assert not hasattr(elastic.ElasticHarness(svc, homes), "chunker")
 
 
 class TestOneReportLane:
