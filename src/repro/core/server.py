@@ -53,6 +53,7 @@ from repro.model import (
     nearest_neighbor,
 )
 from repro.runtime.base import Endpoint
+from repro.runtime.schema import builder_of
 from repro.runtime.validation import find_defect
 from repro.storage import LocalDataStore, PersistentStore, VisitorDB
 
@@ -88,6 +89,10 @@ _PATH_REPAIR_RETRIES = 3
 #: PathAck` before re-sending (virtual seconds on the simulated
 #: runtime, wall-clock on asyncio/sockets — well above loopback RTT).
 _PATH_REPAIR_TIMEOUT = 0.5
+
+#: The write lane's per-item results, built positionally by row builders.
+_UPDATE_OUTCOME = builder_of(m.UpdateOutcome)
+_HANDOVER_OUTCOME = builder_of(m.HandoverOutcome)
 
 
 @dataclass
@@ -724,12 +729,8 @@ class LocationServer(Endpoint):
         if fast:
             self.apply_in_area(fast, self.ctx.now())
             for sighting, record in zip(fast, fast_records):
-                outcomes[sighting.object_id] = m.UpdateOutcome(
-                    object_id=sighting.object_id,
-                    ok=True,
-                    agent=self.address,
-                    offered_acc=record.offered_acc,
-                )
+                oid = sighting.object_id  # (object_id, ok, agent, offered_acc)
+                outcomes[oid] = _UPDATE_OUTCOME(oid, True, self.address, record.offered_acc)
         subtasks = [
             self._forward_update_batch(next_hop, batch, sub_timeout)
             for next_hop, batch in forward.items()
@@ -971,12 +972,8 @@ class LocationServer(Endpoint):
                     item.reg_info.registrar,
                     m.NotifyAvailAcc(object_id=oid, offered_acc=offered),
                 )
-            outcomes[oid] = m.HandoverOutcome(
-                object_id=oid,
-                new_agent=self.address,
-                offered_acc=offered,
-                origin_area=self.config.area,
-            )
+            # (object_id, new_agent, offered_acc, origin_area)
+            outcomes[oid] = _HANDOVER_OUTCOME(oid, self.address, offered, self.config.area)
         for repair in repairs:
             self._spawn_repair(self._parent, repair)
         return outcomes

@@ -4,7 +4,9 @@ Every :class:`~repro.runtime.base.Message` dataclass (protocol catalogue,
 launcher control plane, UDP fragments) is encodable without per-type
 code: types are auto-registered by class name from
 ``Message.__subclasses__``, and each class's encoder and decoder are
-closures compiled once from its :mod:`repro.runtime.schema` entry.
+closures compiled once from its :mod:`repro.runtime.schema` entry; a
+decoder builds records with the class's
+:func:`~repro.runtime.schema.builder_of` row function.
 
 Frame (integers big-endian, as in every version since 1)::
 
@@ -47,9 +49,10 @@ comparison), a struct running past its parent or leaving bytes no field
 accounts for, a presence byte other than 0 / 1, an unknown union tag, bad
 UTF-8.  Field types come from the schema, never from the bytes, so "a
 string where a float belongs" and "nesting too deep" cannot be expressed.
-A record that trips one of these, or whose constructor raises, is skipped
-like an unknown type; a frame whose *record headers* do not add up is
-counted corrupt and nothing of it is delivered.
+A record that trips one of these, or whose ``__post_init__`` record rule
+raises (a negative accuracy, a degenerate rect), is skipped like an
+unknown type; a frame whose *record headers* do not add up is counted
+corrupt and nothing of it is delivered.
 :func:`~repro.runtime.validation.find_defect` owns the semantic rules
 (NaN, negative epoch, empty id).
 """
@@ -59,7 +62,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import zlib
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from struct import Struct, pack, unpack_from
 from struct import error as StructError
 from typing import Iterable
@@ -67,7 +70,7 @@ from typing import Iterable
 from repro.core.hierarchy import decode_hierarchy, encode_hierarchy  # noqa: F401 (re-export)
 from repro.errors import LocationServiceError, WireError
 from repro.runtime.base import Message
-from repro.runtime.schema import Kind, schema_of
+from repro.runtime.schema import Kind, builder_of, schema_of
 
 __all__ = [
     "WIRE_VERSION", "MAGIC", "HEADER_SIZE", "MAX_FRAME_SIZE", "encode", "decode",
@@ -122,12 +125,19 @@ def _fixed(code: str) -> tuple:
 _WRITE_U32, _READ_U32 = _fixed("I")
 
 
-def _blob(to_bytes, from_bytes) -> tuple:
+def _blob(text: bool) -> tuple:
+    """``str`` or ``bytes``; ASCII text columns are joined / decoded once
+    and sliced, other text goes item by item (bad UTF-8 is refused)."""
+    to_bytes, to_value = (str.encode, bytes.decode) if text else (bytes, bytes)
+
     def write(out, values):
         if len(values) == 1:
             blob = to_bytes(values[0])
             out += _U32.pack(len(blob))
             out += blob
+        elif text and (joined := "".join(values)).isascii():
+            _WRITE_U32(out, list(map(len, values)))
+            out += joined.encode()
         else:
             blobs = [to_bytes(v) for v in values]
             _WRITE_U32(out, [len(b) for b in blobs])
@@ -138,15 +148,18 @@ def _blob(to_bytes, from_bytes) -> tuple:
             stop = pos + 4 + _U32.unpack_from(buf, pos)[0]
             if stop > end:
                 raise WireError("string bytes overrun their struct")
-            return [from_bytes(buf[pos + 4 : stop])], stop
+            return [to_value(buf[pos + 4 : stop])], stop
         lengths, pos = _READ_U32(buf, pos, end, n)
-        if pos + sum(lengths) > end:
+        stop = pos + sum(lengths)
+        if stop > end:
             raise WireError("string bytes overrun their struct")
-        values = []
-        for length in lengths:
-            values.append(from_bytes(buf[pos : pos + length]))
-            pos += length
-        return values, pos
+        raw = buf[pos:stop]
+        whole = str(raw, "ascii") if text and raw.isascii() else raw
+        offsets = list(accumulate(lengths, initial=0))
+        values = [whole[a:b] for a, b in zip(offsets, offsets[1:])]
+        if whole is raw:  # bytes, or text that is not all ASCII: item by item
+            values = list(map(to_value, values))
+        return values, stop
 
     return write, read
 
@@ -164,8 +177,8 @@ _SCALARS = {
     "float": _fixed("d"),
     "int": _fixed("q"),
     "bool": _fixed("?"),
-    "str": _blob(str.encode, lambda raw: str(raw, "utf-8")),
-    "bytes": _blob(bytes, bytes),
+    "str": _blob(text=True),
+    "bytes": _blob(text=False),
 }
 _WRITE_STR, _READ_STR = _SCALARS["str"]
 
@@ -263,6 +276,7 @@ def _struct(cls: type) -> tuple:
     writers = [(field.get, w) for field, (w, _) in zip(fields, codecs)]
     readers = [r for _, r in codecs]
     required = sum(field.required for field in fields)
+    row = builder_of(cls)
 
     def write(out, values):
         if not values:
@@ -292,7 +306,7 @@ def _struct(cls: type) -> tuple:
             columns.append(column)
         if pos != stop and count <= len(readers):
             raise WireError(f"{cls.__name__}: {stop - pos} byte(s) no field accounts for")
-        return (list(map(cls, *columns)) if columns else [cls() for _ in range(n)]), stop
+        return (list(map(row, *columns)) if columns else [row() for _ in range(n)]), stop
 
     _STRUCTS[cls] = write, read
     return write, read
@@ -349,6 +363,9 @@ def _walk_subclasses(cls: type) -> Iterable[type]:
         yield from _walk_subclasses(sub)
 
 
+_swept_generation = -1  # ``Message.generation`` at the last sweep
+
+
 def _refresh_message_types() -> None:
     """Auto-register every :class:`Message` subclass currently defined.
 
@@ -357,8 +374,10 @@ def _refresh_message_types() -> None:
     module; later-defined subclasses (control plane, tests) are picked
     up on the next unknown-type miss.
     """
+    global _swept_generation
     import repro.core.messages  # noqa: F401  (side effect: defines the catalog)
 
+    _swept_generation = Message.generation
     for sub in _walk_subclasses(Message):
         if sub in _PREFIX or not dataclasses.is_dataclass(sub):
             continue
@@ -384,7 +403,8 @@ def _refresh_message_types() -> None:
 
 
 def _lookup(table: dict, key):
-    if key not in table:
+    # A miss sweeps only if a subclass was defined since the last sweep.
+    if key not in table and _swept_generation != Message.generation:
         _refresh_message_types()
     return table.get(key)
 

@@ -30,6 +30,11 @@ from repro.errors import TransportError
 class Message:
     """Base class for all wire messages."""
 
+    generation = 0  # subclasses defined so far (the wire registry's sweep key)
+
+    def __init_subclass__(cls) -> None:
+        Message.generation += 1
+
 
 @dataclass(frozen=True, slots=True)
 class Response(Message):

@@ -4,7 +4,9 @@ Derived once per class from the dataclass annotations, it is the only
 source for the three things that must agree about a message's shape: the
 wire codec (:mod:`repro.net.wire`), the receive-path validator
 (:mod:`repro.runtime.validation`) and the chaos layer's field mutator
-(:meth:`repro.chaos.FaultInjector.mutate_message`).
+(:meth:`repro.chaos.FaultInjector.mutate_message`).  The fourth is
+:func:`builder_of`, the records' constructor without the dataclass
+``__init__`` (``__post_init__`` still refuses a bad record).
 
 A field's type is a small tree of :class:`Kind` nodes.  ``tag`` is a
 scalar (``str`` ``float`` ``int`` ``bool`` ``bytes``, no ``arg``) or a
@@ -26,6 +28,8 @@ Containers hand their field's name down to their items.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import types
 import typing
 from operator import attrgetter
@@ -33,7 +37,7 @@ from typing import Callable, NamedTuple
 
 from repro.errors import WireError
 
-__all__ = ["Kind", "Field", "schema_of", "is_id_field", "is_epoch_field"]
+__all__ = ["Kind", "Field", "schema_of", "builder_of", "is_id_field", "is_epoch_field"]
 
 #: field names treated as identifiers (must be non-empty strings).
 _ID_SUFFIXES = ("_id",)
@@ -123,6 +127,45 @@ def schema_of(cls: type) -> tuple[Field, ...]:
             for f in dataclasses.fields(cls)
         )
     return fields
+
+
+@functools.cache
+def builder_of(cls: type) -> Callable:
+    """``row(f0, f1=<default>, …)`` building ``cls`` exactly as ``cls(…)``
+    does, compiled once: ``object.__new__``, each field through its slot's
+    ``__set__``, missing trailing fields from ``default`` /
+    ``default_factory``, then ``__post_init__`` if the class has one.
+    Anything but a slotted dataclass whose ``__init__`` takes its fields
+    in order (``Polygon``, an unslotted subclass) gets ``cls`` itself."""
+    fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+    slots = [getattr(cls, f.name, None) for f in fields]
+    if (
+        not dataclasses.is_dataclass(cls)
+        or "__slots__" not in cls.__dict__
+        or cls.__new__ is not object.__new__
+        or list(inspect.signature(cls.__init__).parameters)[1:] != [f.name for f in fields]
+        or any(f.kw_only for f in fields)
+        or not all(isinstance(slot, types.MemberDescriptorType) for slot in slots)
+    ):
+        return cls
+    env = {"cls": cls, "new": object.__new__, "FACTORY": _FACTORY}
+    args, body = [], ["o = new(cls)"]
+    for i, (f, slot) in enumerate(zip(fields, slots)):
+        env[f"set{i}"], env[f"d{i}"] = slot.__set__, f.default
+        if f.default_factory is not dataclasses.MISSING:
+            env[f"d{i}"], env[f"mk{i}"] = _FACTORY, f.default_factory
+            body.append(f"if f{i} is FACTORY: f{i} = mk{i}()")
+        args.append(f"f{i}" if env[f"d{i}"] is dataclasses.MISSING else f"f{i}=d{i}")
+        body.append(f"set{i}(o, f{i})")
+    if hasattr(cls, "__post_init__"):
+        env["post"] = cls.__post_init__
+        body.append("post(o)")
+    exec(f"def row({', '.join(args)}):\n    " + "\n    ".join(body + ["return o"]), env)
+    return env["row"]
+
+
+#: a ``default_factory`` field's argument when the caller left it out.
+_FACTORY = object()
 
 
 # Polygon is the one embedded value type that is not a dataclass: it

@@ -12,7 +12,9 @@ model's fan-out pair) must name only types that exist.
 
 Schema hygiene rides along: every field annotation of every wire type
 must resolve to a kind :mod:`repro.runtime.schema` supports, so a future
-``dict`` / ``Any`` field fails here and not on the first frame.
+``dict`` / ``Any`` field fails here and not on the first frame, and every
+wire type must get a compiled row builder (a slotted dataclass), so one
+declared without ``slots=True`` fails here instead of decoding slowly.
 """
 
 import dataclasses
@@ -29,11 +31,11 @@ from repro.baselines.home import HomeServer, HomeServerClient
 from repro.core import LocationService, build_table2_hierarchy
 from repro.core import messages as m
 from repro.errors import WireError
-from repro.geo import Rect
+from repro.geo import Polygon, Rect
 from repro.net.wire import registered_types
 from repro.runtime.base import Message, Response
 from repro.runtime.latency import FAN_OUT_FORWARDS, FAN_OUT_SUB_RESULTS
-from repro.runtime.schema import Kind, schema_of
+from repro.runtime.schema import Kind, builder_of, schema_of
 from repro.sim.calibration import CalibrationResult
 from repro.sim.metrics import PROTOCOL_LANE_MESSAGE_TYPES
 
@@ -159,7 +161,8 @@ def _classes_under(kind: Kind):
         assert kind.tag in ("str", "float", "int", "bool", "bytes"), kind
 
 
-def test_every_wire_type_annotation_has_a_schema_kind():
+def _wire_closure() -> set:
+    """Every ``repro.*`` wire type plus every struct class it embeds."""
     import repro.net.control  # noqa: F401  (control plane and fragments join the sweep)
     import repro.net.udp  # noqa: F401
 
@@ -174,9 +177,24 @@ def test_every_wire_type_annotation_has_a_schema_kind():
         seen.add(cls)
         for field in schema_of(cls):  # WireError names the class and field
             todo.extend(_classes_under(field.kind))
+    return seen
+
+
+def test_every_wire_type_annotation_has_a_schema_kind():
+    seen = _wire_closure()
     # The value types the messages embed were all reached through them.
     assert {"Point", "Rect", "Polygon", "SightingRecord", "ServerConfig", "ChildRef",
             "AreaOccupancy", "Proximity"} <= {cls.__name__ for cls in seen}
+
+
+def test_every_wire_type_gets_a_compiled_row_builder():
+    # The decoder builds records through ``builder_of``; a wire type
+    # declared without ``slots=True`` would silently fall back to its
+    # ``__init__``.  Polygon (not a dataclass) is the one exception.
+    fallbacks = sorted(
+        cls.__name__ for cls in _wire_closure() if builder_of(cls) is cls and cls is not Polygon
+    )
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("annotation", [dict, typing.Any, list[int], tuple, int | str])

@@ -8,6 +8,7 @@ CRC32, so the damage is only visible to the typed decoder.  Layouts are
 the ones the :mod:`repro.net.wire` docstring specifies.
 """
 
+import dataclasses
 import struct
 import zlib
 
@@ -32,6 +33,16 @@ def struct_of(field_count: int, *columns: bytes) -> bytes:
     """A ``struct`` column: field count, byte length, the field columns."""
     payload = b"".join(columns)
     return struct.pack("<BI", field_count, len(payload)) + payload
+
+
+def forged(cls: type, *values):
+    """An instance of the frozen dataclass ``cls`` that never ran
+    ``__post_init__``: the encoder carries it, so its bytes are what a
+    peer that ignores the record rules would send."""
+    obj = object.__new__(cls)
+    for field, value in zip(dataclasses.fields(cls), values, strict=True):
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 class Record:

@@ -145,6 +145,8 @@ def _live_message_types():
     live binding (``@dataclass(slots=True)`` leaves dead pre-slots
     classes behind) and to ``repro.*`` modules (a full-suite run also
     has other test files' throwaway message classes in memory)."""
+    import repro.net.control  # noqa: F401  (the control plane and UDP fragments
+    import repro.net.udp  # noqa: F401       are catalogue types too)
 
     def walk(cls):
         for sub in cls.__subclasses__():
@@ -425,6 +427,37 @@ class TestFraming:
             assert registry["SweepCollider"] is first
         finally:
             del mod.SweepCollider
+
+    def test_unknown_names_cost_at_most_one_sweep(self, monkeypatch):
+        # 200 records of names nobody defines, in one CRC-valid frame:
+        # each miss used to re-walk every ``Message`` subclass.
+        sweeps = []
+        sweep = wire._refresh_message_types
+        monkeypatch.setattr(wire, "_refresh_message_types", lambda: sweeps.append(sweep()))
+        records = []
+        for i in range(200):
+            record = Record.of(m.PingRes(request_id="q"))
+            record.name = f"Unknown{i}"
+            records.append(record)
+        decoder = FrameDecoder()
+        assert decoder.feed(frame("a", "b", *records)) == [("a", "b", [])]
+        assert decoder.skipped_messages == 200
+        assert len(sweeps) <= 1
+
+    def test_subclass_defined_after_a_sweep_is_found_on_its_first_miss(self):
+        wire.registered_types()
+        late = dataclasses.dataclass(frozen=True, slots=True)(
+            type("LateSweepMessage", (Message,), {"__annotations__": {"note": str}})
+        )
+        mod = sys.modules[__name__]
+        mod.LateSweepMessage = late
+        try:
+            decoder = FrameDecoder()
+            frames = decoder.feed(frame("a", "b", Record("LateSweepMessage", 1, strs("hi"))))
+            assert frames == [("a", "b", [late("hi")])]
+            assert decoder.skipped_messages == 0
+        finally:
+            del mod.LateSweepMessage
 
 
 class TestHierarchyWire:
