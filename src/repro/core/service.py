@@ -86,16 +86,18 @@ class Reporter(Endpoint):
         self.validator = find_defect
 
 
-async def drive_protocol_envelope(
+def protocol_sender(
     reporter: Endpoint,
     service: "LocationService",
     dest: str,
     make_envelope,
     timeout: float | None,
-    retries: int | RetryPolicy,
-    what: str = "protocol",
+    what: str,
 ):
-    """The shared recovery core of the batched protocol lane.
+    """The batched protocol lane's envelope step for
+    :func:`drive_item_rounds`: ``send(remaining, retries)`` sends
+    ``make_envelope(remaining)`` — a fresh request (fresh id, fresh
+    timestamps) per attempt — from ``reporter`` to ``dest``.
 
     Envelope-level recovery, per attempt: a destination that is no
     longer part of the service — a garbage-collected retirement alias —
@@ -105,71 +107,64 @@ async def drive_protocol_envelope(
     destination; requires ``timeout``) is re-sent up to ``retries``
     times.  ``retries`` may be a plain count (immediate re-sends) or a
     :class:`RetryPolicy`, whose capped exponential backoff spaces the
-    re-attempts out.  ``make_envelope(dest)`` builds a fresh request per
-    attempt (fresh request id, fresh timestamps).  Returns the response;
-    raises :class:`~repro.errors.TransportError` when every attempt went
+    re-attempts out.  ``send`` returns the response; it raises
+    :class:`~repro.errors.TransportError` when every attempt went
     unanswered — after notifying the service's envelope-death listeners
     (:meth:`LocationService.add_envelope_death_listener`), so a recovery
     coordinator learns about a suspect destination from the protocol
     lane itself rather than from harness-side liveness polling.
     """
-    policy = RetryPolicy.of(retries)
-    for attempt in range(policy.retries + 1):
-        if attempt:
-            delay = policy.delay_before(attempt, rng=getattr(service.network, "_rng", None))
-            if delay > 0.0:
-                await service.loop.sleep(delay)
-        if dest not in service.servers and dest not in service.retired_servers:
-            dest = service.hierarchy.root_id
-        try:
-            return await reporter.request(dest, make_envelope(dest), timeout=timeout)
-        except TransportError:
-            if attempt >= policy.retries:
-                service._note_envelope_death(dest, what, policy.retries + 1)
-                raise TransportError(
-                    f"{what} envelope to {dest} unanswered after "
-                    f"{policy.retries + 1} attempts"
+
+    async def send(remaining: set[str] | None, retries: int | RetryPolicy):
+        policy = RetryPolicy.of(retries)
+        target = dest
+        for attempt in range(policy.retries + 1):
+            if attempt:
+                delay = policy.delay_before(
+                    attempt, rng=getattr(service.network, "_rng", None)
                 )
-    raise AssertionError("unreachable")  # pragma: no cover
+                if delay > 0.0:
+                    await service.loop.sleep(delay)
+            if target not in service.servers and target not in service.retired_servers:
+                target = service.hierarchy.root_id
+            try:
+                return await reporter.request(
+                    target, make_envelope(remaining), timeout=timeout
+                )
+            except TransportError:
+                if attempt >= policy.retries:
+                    service._note_envelope_death(target, what, policy.retries + 1)
+                    raise TransportError(
+                        f"{what} envelope to {target} unanswered after "
+                        f"{policy.retries + 1} attempts"
+                    )
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    return send
 
 
 async def drive_item_rounds(
-    reporter: Endpoint,
-    service: "LocationService",
-    dest: str,
-    make_envelope,
-    settle,
-    timeout: float | None,
-    retries: int | RetryPolicy,
-    sub_timeout: float | None,
-    what: str,
+    send, settle, retries: int | RetryPolicy, sub_timeout: float | None
 ) -> None:
-    """The per-item round loop of the update and deregistration envelopes.
+    """The per-item round loop of every update and deregistration envelope.
 
-    Each round sends ``make_envelope(remaining)``: every item (``None``)
-    first, then only the ids the last answer left *unacknowledged* — with
-    ``sub_timeout`` set, servers bound their sub-envelope fan-outs with it
-    and answer items stuck behind a crashed subtree so instead of letting
-    the whole envelope hang.  ``settle(res)`` folds an answer and returns
-    those ids.  Rounds stop when none is left or ``sub_timeout`` is
-    unset, after at most ``retries`` resends.  Only the first round gets
-    the full envelope-level retry budget; later rounds target a
+    Each round awaits ``send(remaining, budget)``: every item
+    (``remaining`` is ``None``) first, then only the ids the last answer
+    left *unacknowledged* — with ``sub_timeout`` set, servers bound their
+    sub-envelope fan-outs with it and answer items stuck behind a crashed
+    subtree so instead of letting the whole envelope hang.
+    ``settle(res)`` folds an answer and returns those ids.  Rounds stop
+    when none is left or ``sub_timeout`` is unset, after at most
+    ``retries`` resends.  ``budget`` is the round's envelope-level retry
+    budget: only the first round gets ``retries``; later rounds target a
     destination that just answered, so they get a single attempt each —
     total envelope sends stay linear in ``retries``, not quadratic.
+    ``send`` is the lane's envelope step: :func:`protocol_sender` here,
+    fresh-id requests in the socket driver (:mod:`repro.net.scenario`).
     """
-    policy = RetryPolicy.of(retries)
     remaining: set[str] | None = None
-    for round_ in range(policy.retries + 1):
-        res = await drive_protocol_envelope(
-            reporter,
-            service,
-            dest,
-            lambda _dest: make_envelope(remaining),
-            timeout,
-            policy if round_ == 0 else 0,
-            what=what,
-        )
-        unacked = settle(res)
+    for round_ in range(RetryPolicy.of(retries).retries + 1):
+        unacked = settle(await send(remaining, retries if round_ == 0 else 0))
         if not unacked or sub_timeout is None:
             return
         remaining = unacked
@@ -186,7 +181,7 @@ async def drive_update_envelope(
 ) -> tuple:
     """Send one destination's ``(object id, position, sensor accuracy)``
     reports as one envelope, stamped afresh per attempt;
-    envelope-level recovery rules are :func:`drive_protocol_envelope`'s,
+    envelope-level recovery rules are :func:`protocol_sender`'s,
     per-item rounds :func:`drive_item_rounds`'.  Returns the per-object
     :class:`~repro.core.messages.UpdateOutcome` tuple; items that stay
     unacknowledged are their ``ok=False`` outcomes for the caller's next
@@ -219,8 +214,8 @@ async def drive_update_envelope(
         return unacked
 
     await drive_item_rounds(
-        reporter, service, dest, make_envelope, settle,
-        timeout, retries, sub_timeout, "update",
+        protocol_sender(reporter, service, dest, make_envelope, timeout, "update"),
+        settle, retries, sub_timeout,
     )
     return tuple(outcomes.values())
 
@@ -303,8 +298,8 @@ class LocationService:
         """Subscribe to protocol-envelope retry exhaustion.
 
         ``listener(dest, what, attempts)`` fires when a protocol-lane
-        envelope (:func:`drive_protocol_envelope` — the update, handover,
-        and deregistration drivers all route through it) burns its whole
+        envelope (:func:`protocol_sender` — the update, handover, and
+        deregistration drivers all route through it) burns its whole
         :class:`RetryPolicy` against ``dest`` without an answer.  That is
         the protocol's own dead-destination signal; the chaos layer's
         :meth:`~repro.chaos.recovery.RecoveryCoordinator.watch` records
@@ -791,8 +786,10 @@ class LocationService:
                 return unacked
 
             await drive_item_rounds(
-                reporter, self, dest, make_envelope, settle,
-                envelope_timeout, envelope_retries, envelope_sub_timeout, "deregister",
+                protocol_sender(
+                    reporter, self, dest, make_envelope, envelope_timeout, "deregister"
+                ),
+                settle, envelope_retries, envelope_sub_timeout,
             )
 
         self._drive_each("dereg", drive, by_dest)

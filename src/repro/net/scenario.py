@@ -1,17 +1,18 @@
 """Drive the elastic scenarios' workloads over a live socket cluster.
 
-The festival-surge and commuter-rush workloads
-(:func:`repro.sim.elastic.festival_surge_workload` /
-:func:`~repro.sim.elastic.commuter_rush_workload`) are transport-
-agnostic: placements and per-tick movement closures, nothing else.
-:func:`drive_workload` runs one of them against *any* joinable runtime —
-the in-process :class:`~repro.runtime.asyncio_rt.AsyncioNetwork` or a
+A :class:`~repro.sim.elastic.ScenarioWorkload` (e.g.
+:func:`repro.sim.elastic.festival_surge_workload` /
+:func:`~repro.sim.elastic.commuter_rush_workload`) is transport-
+agnostic: placements and motion, nothing else.  :func:`drive_workload`
+runs one against *any* joinable runtime — the in-process
+:class:`~repro.runtime.asyncio_rt.AsyncioNetwork` or a
 :class:`~repro.net.bootstrap.ClusterLauncher` whose servers are real OS
-processes — using only public protocol messages: ``RegisterReq`` per
-object, one ``UpdateBatchReq`` envelope per destination leaf per tick
-(with ``RetryPolicy``-style resends on timeout, exactly the simulated
-protocol lane's recovery), and a final ``PosQueryReq`` sweep that
-proves zero lost sightings end to end.
+processes — with the workload's own motion seed and using only public
+protocol messages: ``RegisterReq`` per object, one ``UpdateBatchReq``
+envelope per destination leaf per tick (fresh-id resends on timeout,
+and the simulated lane's per-item rounds for unacknowledged items via
+:func:`~repro.core.service.drive_item_rounds`), and a final
+``PosQueryReq`` sweep that proves zero lost sightings end to end.
 
 :func:`socket_benchmark_payload` is the ``BENCH_PR7.json`` body: both
 scenarios on the asyncio runtime (one interpreter) vs. the multi-process
@@ -27,7 +28,7 @@ import time
 
 from repro.core import messages as m
 from repro.core.hierarchy import Hierarchy, build_table2_hierarchy
-from repro.core.service import Reporter
+from repro.core.service import Reporter, drive_item_rounds
 from repro.errors import TransportError
 from repro.model import SightingRecord
 from repro.net.bootstrap import ClusterLauncher
@@ -63,7 +64,6 @@ async def drive_workload(
     *,
     timeout: float = 2.0,
     retries: int = 8,
-    seed: int = 0,
     sub_timeout: float | None = None,
 ) -> dict:
     """Run one scenario workload through the public protocol.
@@ -75,7 +75,9 @@ async def drive_workload(
     ``sub_timeout`` bounds the *cluster-side* fan-out each envelope
     triggers (handover/forward sub-requests).  Leave it ``None`` only on
     a loss-free fabric: with faults in play an unanswered sub-request
-    would otherwise park a server task forever.
+    would otherwise park a server task forever.  With it set, items an
+    answer leaves unacknowledged are re-sent alone, up to ``retries``
+    rounds.
     """
     reporter = join(Reporter("wl-reporter"))
     homes: dict[str, str] = {}
@@ -106,13 +108,13 @@ async def drive_workload(
     await asyncio.gather(*(register(oid, pos) for oid, pos in workload.placements))
 
     # -- tick loop: one UpdateBatchReq envelope per destination ------------
-    rng = random.Random(seed + 1)  # mirrors _run_scenario's seeding
+    rng = random.Random(workload.motion_seed)
+    positions = dict(workload.placements)
     total_reports = 0
     envelope_count = 0
     t_start = time.perf_counter()
     for tick in range(workload.ticks):
-        progress = tick / max(workload.ticks - 1, 1)
-        reports = workload.positions_at(rng, tick, progress)
+        reports = workload.positions_at(rng, positions, tick)
         now = float(tick + 1)
         by_dest: dict[str, list] = {}
         for oid, pos in reports:
@@ -122,25 +124,40 @@ async def drive_workload(
         total_reports += len(reports)
 
         async def drive(dest: str, sightings: list) -> None:
-            res = await _request_retrying(
-                reporter,
-                dest,
-                lambda rid: m.UpdateBatchReq(
-                    request_id=rid,
-                    reply_to=reporter.address,
-                    sightings=tuple(sightings),
-                    epoch=hierarchy.epoch,
-                    sub_timeout=sub_timeout,
-                ),
-                timeout,
-                retries,
-            )
-            assert isinstance(res, m.UpdateBatchRes)
-            for outcome in res.outcomes:
-                if outcome.agent:
-                    homes[outcome.object_id] = outcome.agent
-                elif outcome.deregistered:
-                    homes.pop(outcome.object_id, None)
+            def send(remaining: set[str] | None, _budget: int):
+                # Every round gets the whole retry budget: on a lossy or
+                # corrupting fabric the destination that just answered
+                # can still lose the next request.
+                return _request_retrying(
+                    reporter,
+                    dest,
+                    lambda rid: m.UpdateBatchReq(
+                        request_id=rid,
+                        reply_to=reporter.address,
+                        sightings=tuple(
+                            s for s in sightings
+                            if remaining is None or s.object_id in remaining
+                        ),
+                        epoch=hierarchy.epoch,
+                        sub_timeout=sub_timeout,
+                    ),
+                    timeout,
+                    retries,
+                )
+
+            def settle(res) -> set[str]:
+                assert isinstance(res, m.UpdateBatchRes)
+                unacked: set[str] = set()
+                for outcome in res.outcomes:
+                    if outcome.agent:
+                        homes[outcome.object_id] = outcome.agent
+                    elif outcome.deregistered:
+                        homes.pop(outcome.object_id, None)
+                    elif outcome.error == m.NACK_UNACKNOWLEDGED:
+                        unacked.add(outcome.object_id)
+                return unacked
+
+            await drive_item_rounds(send, settle, retries, sub_timeout)
 
         envelope_count += len(by_dest)
         await asyncio.gather(
@@ -195,15 +212,15 @@ async def drive_workload(
 
 def run_workload_multiprocess(
     workload,
-    hierarchy: Hierarchy | None = None,
     transport: str = "udp",
     drop_rate: float = 0.0,
     retries: int = 8,
     timeout: float = 2.0,
     seed: int = 0,
 ) -> dict:
-    """The workload against a real multi-process socket cluster."""
-    hierarchy = hierarchy if hierarchy is not None else build_table2_hierarchy(1500.0)
+    """The workload against a real multi-process socket cluster over the
+    Fig.-8 testbed."""
+    hierarchy = build_table2_hierarchy(1500.0)
 
     async def main() -> dict:
         launcher = ClusterLauncher(
@@ -217,7 +234,6 @@ def run_workload_multiprocess(
                 launcher.join,
                 timeout=timeout,
                 retries=retries,
-                seed=seed,
             )
             payload["transport"] = transport
             payload["processes"] = len(launcher.order)
@@ -237,19 +253,13 @@ def run_workload_multiprocess(
     return asyncio.run(main())
 
 
-def run_workload_inprocess(
-    workload,
-    hierarchy: Hierarchy | None = None,
-    retries: int = 8,
-    timeout: float = 2.0,
-    seed: int = 0,
-) -> dict:
+def run_workload_inprocess(workload) -> dict:
     """The same driver against the in-process asyncio runtime (the
     single-interpreter comparison lane)."""
     from repro.core.server import LocationServer
     from repro.runtime.asyncio_rt import AsyncioNetwork
 
-    hierarchy = hierarchy if hierarchy is not None else build_table2_hierarchy(1500.0)
+    hierarchy = build_table2_hierarchy(1500.0)
 
     async def main() -> dict:
         network = AsyncioNetwork()
@@ -257,14 +267,7 @@ def run_workload_inprocess(
             server = LocationServer(hierarchy.config(server_id), sighting_ttl=1e9)
             server.topology_epoch = hierarchy.epoch
             network.join(server)
-        payload = await drive_workload(
-            workload,
-            hierarchy,
-            network.join,
-            timeout=timeout,
-            retries=retries,
-            seed=seed,
-        )
+        payload = await drive_workload(workload, hierarchy, network.join)
         payload["transport"] = "in-process"
         payload["processes"] = 1
         await network.quiesce()
@@ -278,16 +281,10 @@ def run_workload_inprocess(
 # ---------------------------------------------------------------------------
 
 
-def socket_benchmark_payload(
-    objects: int = 300,
-    ticks: int = 10,
-    loss_objects: int = 120,
-    loss_ticks: int = 6,
-    loss_drop_rate: float = 0.01,
-    seed: int = 0,
-) -> dict:
+def socket_benchmark_payload(seed: int = 0) -> dict:
     """In-process vs. multi-process reports/s on both acceptance
-    scenarios, plus the lossy-UDP zero-lost lane.
+    scenarios (300 objects, 10 ticks), plus the lossy-UDP zero-lost lane
+    (120 objects, 6 ticks, 1 % loss).
 
     Acceptance numbers gated by ``scripts/bench_check.py``:
 
@@ -300,18 +297,14 @@ def socket_benchmark_payload(
     """
     from repro.sim.elastic import commuter_rush_workload, festival_surge_workload
 
-    builders = {
-        "festival_surge": lambda: festival_surge_workload(
-            objects=objects, ticks=ticks, seed=seed
-        ),
-        "commuter_rush": lambda: commuter_rush_workload(
-            objects=objects, ticks=ticks, seed=seed
-        ),
+    workloads = {
+        "festival_surge": festival_surge_workload(300, 10, seed),
+        "commuter_rush": commuter_rush_workload(300, 10, seed),
     }
     scenarios: dict[str, dict] = {}
-    for name, build in builders.items():
-        in_process = run_workload_inprocess(build(), seed=seed)
-        multi_process = run_workload_multiprocess(build(), transport="udp", seed=seed)
+    for name, workload in workloads.items():
+        in_process = run_workload_inprocess(workload)
+        multi_process = run_workload_multiprocess(workload, transport="udp", seed=seed)
         ratio = (
             round(multi_process["reports_per_s"] / in_process["reports_per_s"], 4)
             if in_process["reports_per_s"]
@@ -324,9 +317,9 @@ def socket_benchmark_payload(
         }
 
     loss_lane = run_workload_multiprocess(
-        commuter_rush_workload(objects=loss_objects, ticks=loss_ticks, seed=seed),
+        commuter_rush_workload(120, 6, seed),
         transport="udp",
-        drop_rate=loss_drop_rate,
+        drop_rate=0.01,
         retries=12,
         timeout=1.0,
         seed=seed,

@@ -55,13 +55,14 @@ _SCENARIO_EXPORTS = {
 #: package's engine.
 _ELASTIC_EXPORTS = {
     "ElasticHarness",
+    "ScenarioRun",
     "ScenarioWorkload",
-    "commuter_rush_scenario",
     "commuter_rush_workload",
     "elastic_benchmark_payload",
-    "festival_surge_scenario",
     "festival_surge_workload",
-    "flash_crowd_scenario",
+    "flash_crowd_workload",
+    "hot_object_skew_workload",
+    "run_scenario",
 }
 
 #: The chaos scenarios sit on the elastic harness plus repro.chaos, so
@@ -106,7 +107,6 @@ __all__ = [
     "DistributedHarness",
     "ElasticHarness",
     "HotspotSpec",
-    "ScenarioWorkload",
     "LatencyRecorder",
     "ManhattanWalker",
     "MessageLedger",
@@ -115,6 +115,8 @@ __all__ = [
     "PROTOCOL_LANE_MESSAGE_TYPES",
     "RandomWalkWalker",
     "RandomWaypointWalker",
+    "ScenarioRun",
+    "ScenarioWorkload",
     "SimFuture",
     "SimLoop",
     "SimTask",
@@ -137,20 +139,20 @@ __all__ = [
     "chaos_benchmark_payload",
     "coalesce_updates",
     "columnar_benchmark_payload",
-    "commuter_rush_scenario",
     "commuter_rush_workload",
     "default_cost_model",
     "elastic_benchmark_payload",
-    "festival_surge_scenario",
     "festival_surge_workload",
-    "flash_crowd_scenario",
+    "flash_crowd_workload",
     "format_table",
+    "hot_object_skew_workload",
     "hotspot_positions",
     "leaf_crash_scenario",
     "make_walkers",
     "migration_crash_scenario",
     "partition_scenario",
     "percentile",
+    "run_scenario",
     "scatter_objects",
     "table1_store",
     "table2_service",

@@ -52,7 +52,8 @@ from repro.chaos import FaultInjector, LinkFaults
 from repro.core.hierarchy import build_table2_hierarchy
 from repro.errors import TransportError
 from repro.runtime.validation import find_defect
-from repro.sim.chaos import _aged, _FaultRun, root_partition_scenario
+from repro.sim.chaos import _FaultRun, root_partition_scenario
+from repro.sim.elastic import DT, ROOT_SIDE, _aged, commuter_rush_workload
 
 __all__ = [
     "AGED_EPOCH",
@@ -121,9 +122,7 @@ def _defense_counters(stats_list) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_sim_byzantine_lane(
-    objects: int = 200, ticks: int = 8, dt: float = 1.0, seed: int = 0
-) -> dict:
+def run_sim_byzantine_lane(objects: int = 200, ticks: int = 8, seed: int = 0) -> dict:
     """Corrupt + stale traffic on the simulated runtime.
 
     Faults stay live through the whole run *including* the final
@@ -131,9 +130,7 @@ def run_sim_byzantine_lane(
     itself cannot be poisoned): a quarantined envelope NACKs and the
     device's next tick re-reports, exactly the drop-recovery path.
     """
-    run = _FaultRun(
-        objects, seed, "bz", caches=True, epoch=AGED_EPOCH, radius=60.0, dt=dt
-    )
+    run = _FaultRun(objects, seed, "bz", caches=True, epoch=AGED_EPOCH, radius=60.0)
     _poison_everywhere(run.injector)
 
     def report(reports) -> int:
@@ -150,7 +147,7 @@ def run_sim_byzantine_lane(
         "transport": "sim",
         "objects": objects,
         "ticks": ticks,
-        "dt_s": dt,
+        "dt_s": DT,
         "reports": objects * ticks,
         "corrupt_rate": CORRUPT_RATE,
         "stale_epoch_rate": STALE_EPOCH_RATE,
@@ -187,7 +184,6 @@ def run_asyncio_byzantine_lane(
     from repro.core.server import LocationServer
     from repro.net.scenario import drive_workload
     from repro.runtime.asyncio_rt import AsyncioNetwork
-    from repro.sim.elastic import ROOT_SIDE, commuter_rush_workload
 
     hierarchy = _aged(build_table2_hierarchy(ROOT_SIDE), AGED_EPOCH)
     workload = commuter_rush_workload(objects=objects, ticks=ticks, seed=seed)
@@ -208,10 +204,16 @@ def run_asyncio_byzantine_lane(
             network.join,
             timeout=0.5,
             retries=12,
-            seed=seed,
             sub_timeout=0.4,
         )
-        await network.quiesce()
+        # Every handler that can change a store is bounded by the
+        # timeouts above; a position query whose answer the adversary
+        # quarantined stays parked at its entry server for good, so the
+        # settle is bounded too.
+        try:
+            await asyncio.wait_for(network.quiesce(), timeout=5.0)
+        except asyncio.TimeoutError:
+            pass
         payload["transport"] = "asyncio"
         return _finish_driver_lane(payload, servers, [network.stats])
 
@@ -231,7 +233,6 @@ def run_udp_byzantine_lane(objects: int = 120, ticks: int = 6, seed: int = 0) ->
     from repro.net.address import AddressBook
     from repro.net.scenario import drive_workload
     from repro.net.udp import UdpTransport
-    from repro.sim.elastic import ROOT_SIDE, commuter_rush_workload
 
     hierarchy = _aged(build_table2_hierarchy(ROOT_SIDE), AGED_EPOCH)
     workload = commuter_rush_workload(objects=objects, ticks=ticks, seed=seed)
@@ -266,7 +267,6 @@ def run_udp_byzantine_lane(objects: int = 120, ticks: int = 6, seed: int = 0) ->
                 driver.join,
                 timeout=1.0,
                 retries=12,
-                seed=seed,
                 sub_timeout=0.4,
             )
             payload["transport"] = "udp"

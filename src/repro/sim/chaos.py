@@ -36,7 +36,10 @@ recovery measurements:
 
 Every scenario (and the simulated Byzantine lane of
 :mod:`repro.sim.byzantine`) builds its world and runs its ticks through
-one :class:`_FaultRun`.  :func:`chaos_benchmark_payload` folds the five
+one :class:`_FaultRun`: the elastic scenarios' world and tick
+(:class:`~repro.sim.elastic.ScenarioRun`, every object jittering each
+tick of :data:`~repro.sim.elastic.DT` virtual seconds) plus a fault
+injector.  :func:`chaos_benchmark_payload` folds the five
 leaf, partition and migration runs into ``BENCH_PR6.json``; the
 root-partition run rides in ``BENCH_PR9.json``.  Both are gated by
 ``scripts/bench_check.py``.
@@ -44,17 +47,19 @@ root-partition run rides in ``BENCH_PR9.json``.  Both are gated by
 
 from __future__ import annotations
 
-import random
-
 from repro.chaos import FaultInjector, RecoveryCoordinator, inject_crash
-from repro.cluster.load import LoadMonitor
 from repro.cluster.planner import SplitPlan
 from repro.core.caching import CacheConfig
-from repro.core.hierarchy import Hierarchy
 from repro.errors import LocationServiceError, TransportError
 from repro.geo import Rect
-from repro.sim.elastic import ROOT_SIDE, ElasticHarness, _advance, _jitter
-from repro.sim.scenario import populate, table2_service
+from repro.sim.elastic import (
+    DT,
+    ROOT_AREA,
+    ROOT_SIDE,
+    ScenarioRun,
+    ScenarioWorkload,
+    _jittering,
+)
 from repro.sim.workload import HotspotSpec, hotspot_positions
 
 __all__ = [
@@ -70,18 +75,10 @@ __all__ = [
 #: their old agent for the next tick) instead of an unbounded wait.
 _FAULT_TIMEOUTS = {"envelope_timeout": 1.0, "envelope_sub_timeout": 0.4}
 
-_BOUNDS = Rect(0.0, 0.0, ROOT_SIDE, ROOT_SIDE)
 _QUARTER = ROOT_SIDE / 4  # 375 m — the split cut inside root.0
 _HALF = ROOT_SIDE / 2  # 750 m — the root.0 quadrant side
 #: Where a crowd packs: most of root.0, the south-west quadrant.
 _CROWD_AREA = Rect(40.0, 40.0, 710.0, 710.0)
-
-
-def _aged(hierarchy: Hierarchy, epoch: int) -> Hierarchy:
-    """The same servers at topology epoch ``epoch``."""
-    return Hierarchy(
-        {sid: hierarchy.config(sid) for sid in hierarchy.server_ids()}, epoch=epoch
-    )
 
 
 def _root0_x_split(child_prefix: str, reason: str) -> SplitPlan:
@@ -98,17 +95,15 @@ def _root0_x_split(child_prefix: str, reason: str) -> SplitPlan:
     )
 
 
-class _FaultRun:
-    """One fault scenario's world and its tick loop.
+class _FaultRun(ScenarioRun):
+    """One fault scenario's :class:`~repro.sim.elastic.ScenarioRun`.
 
-    Built the same way for every scenario: a fresh table-2 service (§6.5
-    caches on when ``caches``; aged to topology ``epoch`` when non-zero),
-    ``objects`` seeded placements — a ``crowd`` share of them packed into
-    root.0, the rest uniform — registered straight into the leaf stores,
-    an :class:`ElasticHarness` with its load monitor, a
-    :class:`FaultInjector` on the network, and the rng (seeded
-    ``seed + rng_offset``) that moves every object ``radius`` metres a
-    tick.
+    ``objects`` seeded placements — a ``crowd`` share of them packed
+    into root.0, the rest uniform — each taking a ``radius``-metre
+    jitter step every tick, moves seeded ``seed + rng_offset``; §6.5
+    caches on when ``caches``.  Adds a :class:`FaultInjector` on the
+    network and the bounded apply lanes and checks every fault scenario
+    shares.
     """
 
     def __init__(
@@ -122,45 +117,25 @@ class _FaultRun:
         epoch: int = 0,
         rng_offset: int = 1,
         radius: float = 40.0,
-        dt: float = 1.0,
     ) -> None:
-        svc, _ = table2_service(
-            0, cache_config=CacheConfig.all_enabled() if caches else None
+        move = _jittering(radius, ROOT_AREA)
+        workload = ScenarioWorkload(
+            objects=objects,
+            ticks=0,
+            placements=hotspot_positions(
+                ROOT_AREA,
+                HotspotSpec(area=_CROWD_AREA, fraction=crowd),
+                objects,
+                seed=seed,
+                prefix=prefix,
+            ),
+            crowd=objects,
+            crowd_step=lambda tick, progress: move,
+            motion_seed=seed + rng_offset,
+            cache_config=CacheConfig.all_enabled() if caches else None,
         )
-        if epoch:
-            svc.adopt_hierarchy(_aged(svc.hierarchy, epoch))
-        placements = hotspot_positions(
-            _BOUNDS,
-            HotspotSpec(area=_CROWD_AREA, fraction=crowd),
-            objects,
-            seed=seed,
-            prefix=prefix,
-        )
-        self.svc = svc
-        self.objects = objects
-        self.harness = ElasticHarness(
-            svc, populate(svc, placements), monitor=LoadMonitor(half_life=5.0)
-        )
-        self.injector = FaultInjector(svc.network, seed=seed)
-        self.rng = random.Random(seed + rng_offset)
-        self.positions = dict(placements)
-        self.radius = radius
-        self.dt = dt
-
-    def tick(self, apply=None):
-        """Every object takes one jitter step and reports; ``apply``
-        lands the reports (default: the harness's unbounded lane).  Then
-        the virtual clock advances ``dt`` and the monitor samples.
-        Returns what ``apply`` returned."""
-        reports = []
-        for oid, pos in self.positions.items():
-            new_pos = _jitter(self.rng, pos, self.radius, _BOUNDS)
-            self.positions[oid] = new_pos
-            reports.append((oid, new_pos))
-        landed = (apply or self.harness.apply_reports)(reports)
-        self.svc.run(_advance(self.svc, self.dt))
-        self.harness.sample()
-        return landed
+        super().__init__(workload, epoch=epoch)
+        self.injector = FaultInjector(self.svc.network, seed=seed)
 
     def bounded(self, reports) -> None:
         """Apply reports with envelope timeouts (faults may be live)."""
@@ -194,7 +169,7 @@ class _FaultRun:
             self.tick(self.bounded)
             if recovered is None:
                 svc.settle()
-                if svc.total_tracked() == self.objects and (
+                if svc.total_tracked() == self.workload.objects and (
                     not homed or (self._fully_homed() and self._consistency_ok())
                 ):
                     recovered = tick + 1
@@ -222,14 +197,14 @@ class _FaultRun:
     def invariants(self) -> dict:
         """The shared invariant payload (raises on broken consistency)."""
         svc = self.svc
-        invariants = self.harness.verify(expected_tracked=self.objects)
+        invariants = self.harness.verify(expected_tracked=self.workload.objects)
         tracked = invariants["tracked"]
         stats = svc.network.stats
         epoch = svc.hierarchy.epoch
         return {
             "invariants": invariants,
-            "lost_sightings": max(0, self.objects - tracked),
-            "duplicated_sightings": max(0, tracked - self.objects),
+            "lost_sightings": max(0, self.workload.objects - tracked),
+            "duplicated_sightings": max(0, tracked - self.workload.objects),
             "epoch_consistent": all(
                 server.topology_epoch == epoch for server in svc.servers.values()
             ),
@@ -256,12 +231,11 @@ def leaf_crash_scenario(
     objects: int = 400,
     warm_ticks: int = 3,
     post_ticks: int = 5,
-    dt: float = 1.0,
     seed: int = 0,
     strategy: str = "merge",
 ) -> dict:
     """Kill a leaf halfway through a tick; detect, recover, re-track."""
-    run = _FaultRun(objects, seed, "lc", crowd=0.6, dt=dt)
+    run = _FaultRun(objects, seed, "lc", crowd=0.6)
     svc, harness = run.svc, run.harness
     # Split root.0 in two first so its crash recovery is non-degenerate
     # (depth grows to 2; the merge path has a real parent to fold into).
@@ -304,7 +278,7 @@ def leaf_crash_scenario(
         "victim": victim,
         "warm_ticks": warm_ticks,
         "post_ticks": post_ticks,
-        "dt_s": dt,
+        "dt_s": DT,
         "deferred_reports": deferred,
         "detection": _detection(recovery),
         "replayed_records": recovery.replayed_records,
@@ -325,13 +299,12 @@ def partition_scenario(
     warm_ticks: int = 3,
     partition_ticks: int = 4,
     heal_ticks: int = 6,
-    dt: float = 1.0,
     seed: int = 0,
 ) -> dict:
     """Sever one leaf from every other server; measure staleness and
     reconvergence after the heal.  §6.5 caches run fully enabled so the
     staleness window is real cached state, not a vacuous zero."""
-    run = _FaultRun(objects, seed, "pt", caches=True, radius=60.0, dt=dt)
+    run = _FaultRun(objects, seed, "pt", caches=True, radius=60.0)
     svc, harness = run.svc, run.harness
     isolated = "root.0"
     # Warm phase: ordinary traffic plus targeted queries so live leaves
@@ -378,7 +351,7 @@ def partition_scenario(
         "warm_ticks": warm_ticks,
         "partition_ticks": partition_ticks,
         "heal_ticks": heal_ticks,
-        "dt_s": dt,
+        "dt_s": DT,
         "severed_links": severed_links,
         "healed_links": healed_links,
         "deferred_reports": deferred,
@@ -399,7 +372,6 @@ def root_partition_scenario(
     warm_ticks: int = 3,
     outage_ticks: int = 3,
     heal_ticks: int = 6,
-    dt: float = 1.0,
     seed: int = 0,
 ) -> dict:
     """Sever the hierarchy root from everything; promote a standby apex.
@@ -414,7 +386,7 @@ def root_partition_scenario(
     epoch bump); the scenario proves queries flow again **before** the
     heal, and measures reconvergence ticks after it.
     """
-    run = _FaultRun(objects, seed, "rp", caches=True, radius=60.0, dt=dt)
+    run = _FaultRun(objects, seed, "rp", caches=True, radius=60.0)
     svc, harness = run.svc, run.harness
     coordinator = RecoveryCoordinator(
         svc, executor=harness.executor, monitor=harness.monitor
@@ -462,7 +434,7 @@ def root_partition_scenario(
         "warm_ticks": warm_ticks,
         "outage_ticks": outage_ticks,
         "heal_ticks": heal_ticks,
-        "dt_s": dt,
+        "dt_s": DT,
         "severed_links": severed_links,
         "healed_links": healed_links,
         "detection": _detection(promotion),
@@ -485,7 +457,6 @@ def migration_crash_scenario(
     objects: int = 400,
     warm_ticks: int = 2,
     post_ticks: int = 5,
-    dt: float = 1.0,
     seed: int = 0,
 ) -> dict:
     """Crash a server inside one phased-migration phase and recover.
@@ -500,7 +471,7 @@ def migration_crash_scenario(
     """
     if phase not in ("copy", "dual_write", "cutover"):
         raise ValueError(f"unknown migration phase {phase!r}")
-    run = _FaultRun(objects, seed, f"mc-{phase}", crowd=0.55, rng_offset=2, dt=dt)
+    run = _FaultRun(objects, seed, f"mc-{phase}", crowd=0.55, rng_offset=2)
     svc, harness = run.svc, run.harness
     executor = harness.executor
     for _ in range(warm_ticks):
@@ -551,7 +522,7 @@ def migration_crash_scenario(
         "victim": victim,
         "warm_ticks": warm_ticks,
         "post_ticks": post_ticks,
-        "dt_s": dt,
+        "dt_s": DT,
         "copied_before_crash": migration.copied,
         "detection": _detection(recovery),
         "replayed_records": recovery.replayed_records,

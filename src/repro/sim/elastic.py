@@ -1,4 +1,4 @@
-"""Elastic-cluster simulation driver and rebalance scenarios.
+"""Elastic-cluster simulation driver and the scenario kernel.
 
 :class:`ElasticHarness` glues the :mod:`repro.cluster` subsystem to a
 running :class:`~repro.core.service.LocationService`: it feeds position
@@ -14,29 +14,30 @@ stops for a rebalance, and no wall-clock reading steers a decision: a
 scenario's result is one value per seed apart from its ``timing``
 sub-dict, the wall-clock numbers it only reports.
 
-Two scenarios drive a rebalance end to end and are the acceptance
-measurement for the elastic layer (recorded in ``BENCH_PR2.json``):
+A scenario is data: a :class:`ScenarioWorkload` holds the placements, a
+crowd that moves every tick and a background that reports every
+:data:`BACKGROUND_PERIOD`-th tick, and its
+:meth:`~ScenarioWorkload.positions_at` is the one motion loop.  Four
+builders, each ``(objects, ticks, seed)``, make the acceptance
+workloads:
 
-* :func:`flash_crowd_scenario` — most of the population concentrates in
-  a small hotspot inside one leaf area (a stadium filling up).  Static
-  hierarchy: that leaf takes nearly all update load.  Elastic: the hot
-  leaf splits (recursively, while still hot) and the crowd's load
-  spreads over the new children.
-* :func:`commuter_rush_scenario` — a hot wavefront sweeps west→east
-  across the service area (the morning commute).  Leaves split as the
-  wave arrives and the cold sibling sets left behind merge back,
-  exercising split *and* merge plus object migration under motion.
+* :func:`flash_crowd_workload` — most of the population concentrates in
+  a small hotspot inside one leaf area (a stadium filling up);
+* :func:`commuter_rush_workload` — a hot wavefront sweeps west→east
+  (splits as it arrives, merges behind it);
+* :func:`festival_surge_workload` — sustained churn between stages;
+* :func:`hot_object_skew_workload` — hot *objects* rather than hot
+  areas, the rate-weighted planner's case.
 
-Two more measure the migration pipeline and the planner:
-:func:`festival_surge_scenario` (sustained churn; reports/s during
-migration against steady state, ``BENCH_PR4.json``) and
-:func:`hot_object_skew_scenario` (hot *objects* rather than hot areas;
-rounds until the rate-weighted k-way planner settles,
-``BENCH_PR5.json``).
-
-All scenarios record before/after per-server sustained load and query
-latency, and verify the zero-loss property: every sighting present
-before the rebalance is reachable after it.
+:class:`ScenarioRun` builds one world for a workload (the Fig.-8
+testbed, placements, harness, motion rng) and runs one tick; the fault
+scenarios of :mod:`repro.sim.chaos` subclass it.  :func:`run_scenario`
+runs a workload static or elastic and measures before/after
+per-server load, query latency and the zero-loss property; the
+``BENCH_PR2/4/5.json`` bodies (:func:`elastic_benchmark_payload`,
+:func:`zero_stall_benchmark_payload`,
+:func:`planner_v2_benchmark_payload`) are its runs at the builders'
+default sizes, one argument each: the seed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import gc
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.cluster import (
@@ -58,6 +60,7 @@ from repro.cluster import (
 )
 from repro.cluster.migration import COPY_CHUNK
 from repro.core import CacheConfig, LocationService
+from repro.core.hierarchy import Hierarchy
 from repro.core.service import Reporter
 from repro.geo import Point, Rect
 from repro.sim.metrics import LatencyRecorder, MessageLedger
@@ -115,7 +118,6 @@ class ElasticHarness:
         self,
         reports: list[tuple[str, Point]],
         envelope_timeout: float | None = None,
-        envelope_retries: int = 3,
         envelope_sub_timeout: float | None = None,
     ) -> dict[str, int]:
         """Apply one tick of position reports through the facade's report
@@ -147,9 +149,8 @@ class ElasticHarness:
                 ((oid, pos, 10.0, homes.get(oid)) for oid, pos in reports),
                 self._reporter,
                 fold,
-                envelope_timeout,
-                envelope_retries,
-                envelope_sub_timeout,
+                envelope_timeout=envelope_timeout,
+                envelope_sub_timeout=envelope_sub_timeout,
             )
         )
         return {"fast": fast, "protocol": len(reports) - fast}
@@ -161,30 +162,24 @@ class ElasticHarness:
             self._clients[leaf_id] = self.svc.new_client(entry_server=leaf_id)
         return self._clients[leaf_id]
 
-    def probe_queries(
-        self,
-        rng: random.Random,
-        phase: str,
-        pos_queries: int = 4,
-        range_area: Rect | None = None,
-    ) -> None:
-        """Issue a few queries from random entry leaves, recording
-        latencies under ``pos_query:<phase>`` / ``range_query:<phase>``."""
+    def probe_queries(self, rng: random.Random, phase: str, range_area: Rect) -> None:
+        """Issue four position queries and one range query over
+        ``range_area`` from random entry leaves, recording latencies
+        under ``pos_query:<phase>`` / ``range_query:<phase>``."""
         svc = self.svc
         leaves = svc.hierarchy.leaf_ids()
         oids = list(self.homes)
         loop = svc.loop
-        for _ in range(pos_queries):
+        for _ in range(4):
             client = self._client_at(rng.choice(leaves))
             oid = rng.choice(oids)
             start = loop.now
             svc.run(client.pos_query(oid))
             self.latencies.record(f"pos_query:{phase}", loop.now - start)
-        if range_area is not None:
-            client = self._client_at(rng.choice(leaves))
-            start = loop.now
-            svc.run(client.range_query(range_area, req_acc=100.0, req_overlap=0.3))
-            self.latencies.record(f"range_query:{phase}", loop.now - start)
+        client = self._client_at(rng.choice(leaves))
+        start = loop.now
+        svc.run(client.range_query(range_area, req_acc=100.0, req_overlap=0.3))
+        self.latencies.record(f"range_query:{phase}", loop.now - start)
 
     # -- observe / rebalance ------------------------------------------------
 
@@ -318,25 +313,320 @@ class ElasticHarness:
 
 
 # ---------------------------------------------------------------------------
-# Scenario plumbing
+# Scenarios: one workload record, one world, one runner
 # ---------------------------------------------------------------------------
 
 ROOT_SIDE = TABLE2_AREA_SIDE
+#: The Fig.-8 testbed's root service area.
+ROOT_AREA = Rect(0.0, 0.0, ROOT_SIDE, ROOT_SIDE)
+#: Virtual seconds one scenario tick advances the clock.
+DT = 1.0
+#: An elastic run plans one rebalance round every this many ticks.
+REBALANCE_EVERY = 2
+#: Background objects report every this-many-th tick, staggered by index.
+BACKGROUND_PERIOD = 4
 
 
-def _jitter(rng: random.Random, pos: Point, radius: float, bounds: Rect) -> Point:
-    return Point(
-        min(max(pos.x + rng.uniform(-radius, radius), bounds.min_x), bounds.max_x),
-        min(max(pos.y + rng.uniform(-radius, radius), bounds.min_y), bounds.max_y),
-    )
+def _jittering(radius: float, bounds: Rect):
+    """The move ``(rng, pos) → Point``: up to ``radius`` metres along
+    each axis, clamped to ``bounds``."""
+
+    def move(rng: random.Random, pos: Point) -> Point:
+        return Point(
+            min(max(pos.x + rng.uniform(-radius, radius), bounds.min_x), bounds.max_x),
+            min(max(pos.y + rng.uniform(-radius, radius), bounds.min_y), bounds.max_y),
+        )
+
+    return move
 
 
 async def _advance(svc: LocationService, dt: float) -> None:
     await svc.loop.sleep(dt)
 
 
+def _aged(hierarchy: Hierarchy, epoch: int) -> Hierarchy:
+    """The same servers at topology epoch ``epoch``."""
+    return Hierarchy(
+        {sid: hierarchy.config(sid) for sid in hierarchy.server_ids()}, epoch=epoch
+    )
+
+
+@dataclass(frozen=True)
+class ScenarioWorkload:
+    """One scenario's objects and their motion, apart from any runtime.
+
+    :func:`run_scenario`, the fault scenarios of :mod:`repro.sim.chaos`
+    and the socket-cluster driver (:func:`repro.net.scenario.
+    drive_workload`) all consume this record, so "the festival surge
+    over real UDP sockets" is the festival-surge workload — same
+    placements, same motion, same seeds — under a different transport.
+    The record is never mutated: every run keeps its own positions.
+    """
+
+    objects: int
+    ticks: int
+    #: ``[(object id, Point)]`` at registration, crowd first.
+    placements: list
+    #: The first ``crowd`` placements move and report every tick.
+    crowd: int
+    #: ``crowd_step(tick, progress)`` → the tick's crowd move
+    #: ``(rng, pos) → Point``.
+    crowd_step: Callable
+    #: Seed of the rng every move (and every probe query) draws from.
+    motion_seed: int
+    #: The other objects' move ``(rng, pos) → Point``; each reports every
+    #: :data:`BACKGROUND_PERIOD`-th tick.
+    background_step: Callable | None = None
+    #: ``probe_area_at(progress)`` → the currently hot :class:`Rect`.
+    probe_area_at: Callable | None = None
+    #: Sustained per-server load is read over this many final ticks.
+    measure_ticks: int = 0
+    #: §6.5 cache configuration the service runs with (None = default).
+    cache_config: CacheConfig | None = None
+
+    def progress(self, tick: int) -> float:
+        """``tick`` as a fraction of the run, 0 to 1."""
+        return tick / max(self.ticks - 1, 1)
+
+    def positions_at(
+        self, rng: random.Random, positions: dict[str, Point], tick: int
+    ) -> list[tuple[str, Point]]:
+        """Move the tick's reporters: the one motion loop.
+
+        ``positions`` (object id → Point, in placement order) is the
+        caller's own copy and is updated in place.  Returns the tick's
+        ``[(object id, Point)]`` reports.
+        """
+        crowd_move = self.crowd_step(tick, self.progress(tick))
+        reports = []
+        for i, (oid, pos) in enumerate(positions.items()):
+            if i < self.crowd:
+                new_pos = crowd_move(rng, pos)
+            elif (i + tick) % BACKGROUND_PERIOD == 0:
+                new_pos = self.background_step(rng, pos)
+            else:
+                continue  # background objects report sparsely
+            positions[oid] = new_pos
+            reports.append((oid, new_pos))
+        return reports
+
+
+def _crowd_workload(
+    prefix: str, area: Rect, hotspot: HotspotSpec, objects: int, ticks: int, seed: int,
+    **motion,
+) -> ScenarioWorkload:
+    """``hotspot.fraction`` of the objects placed in ``hotspot.area`` as
+    the crowd, the rest uniformly over ``area``; moves seeded ``seed + 1``."""
+    return ScenarioWorkload(
+        objects=objects,
+        ticks=ticks,
+        placements=hotspot_positions(area, hotspot, objects, seed=seed, prefix=prefix),
+        crowd=round(hotspot.fraction * objects),
+        motion_seed=seed + 1,
+        **motion,
+    )
+
+
+def flash_crowd_workload(
+    objects: int = 1200, ticks: int = 24, seed: int = 0
+) -> ScenarioWorkload:
+    """A flash crowd inside one leaf of the Fig.-8 testbed.
+
+    85 % of the objects pack into a 240 m square in the south-west
+    quadrant and report every tick; background objects jitter over the
+    whole area.  Static hierarchy: that leaf takes nearly all update
+    load.  Elastic: it splits (recursively, while still hot).
+    """
+    hotspot = Rect(260.0, 260.0, 500.0, 500.0)
+    crowd_move = _jittering(15.0, hotspot)
+    return _crowd_workload(
+        "fc", ROOT_AREA, HotspotSpec(area=hotspot, fraction=0.85), objects, ticks, seed,
+        crowd_step=lambda tick, progress: crowd_move,
+        background_step=_jittering(30.0, ROOT_AREA),
+        probe_area_at=lambda progress: hotspot,
+        measure_ticks=8,
+    )
+
+
+def commuter_rush_workload(
+    objects: int = 1000, ticks: int = 36, seed: int = 0
+) -> ScenarioWorkload:
+    """A commuter-rush wavefront sweeping west→east across the area.
+
+    80 % of the objects ride a hot 300 m vertical band that crosses the
+    whole service area over the run, handing over between leaves as they
+    go; the band heats leaves in sequence (splits) and leaves cold
+    regions behind (merges).
+    """
+    width = 300.0
+
+    def crowd_step(tick: int, progress: float):
+        band = wavefront_area(ROOT_AREA, progress, width)
+
+        def ride(rng: random.Random, pos: Point) -> Point:
+            # Track the band's x-range, keep own lane.
+            return Point(
+                rng.uniform(band.min_x, band.max_x),
+                min(max(pos.y + rng.uniform(-20.0, 20.0), ROOT_AREA.min_y), ROOT_AREA.max_y),
+            )
+
+        return ride
+
+    return _crowd_workload(
+        "cr",
+        ROOT_AREA,
+        HotspotSpec(area=wavefront_area(ROOT_AREA, 0.0, width), fraction=0.8),
+        objects, ticks, seed,
+        crowd_step=crowd_step,
+        background_step=_jittering(30.0, ROOT_AREA),
+        probe_area_at=lambda progress: wavefront_area(ROOT_AREA, progress, width),
+        measure_ticks=10,
+    )
+
+
+def festival_surge_workload(
+    objects: int = 1200, ticks: int = 36, seed: int = 0
+) -> ScenarioWorkload:
+    """Sustained churn: a festival crowd surging between three stages.
+
+    85 % of the objects report **every tick** (heavy sustained load)
+    while stampeding between stage areas in different quadrants: each
+    act packs the crowd into one stage (splitting its leaf,
+    recursively), and at every act change the crowd crosses the service
+    area to the next stage — handovers en masse, the abandoned stage's
+    children merging back.  Rebalancing never stops being needed while
+    traffic never stops flowing: the case the phased migration pipeline
+    exists for.
+    """
+    stages = [
+        Rect.from_center(center, 280.0, 280.0)
+        for center in (
+            Point(380.0, 380.0),  # south-west quadrant
+            Point(1120.0, 1120.0),  # north-east quadrant
+            Point(1120.0, 380.0),  # south-east quadrant
+        )
+    ]
+    act_length = max(ticks // len(stages), 1)
+
+    def stage_at(tick: int) -> Rect:
+        return stages[min(tick // act_length, len(stages) - 1)]
+
+    def crowd_step(tick: int, progress: float):
+        stage = stage_at(tick)
+        settle, drift = _jittering(15.0, stage), _jittering(25.0, ROOT_AREA)
+
+        def surge(rng: random.Random, pos: Point) -> Point:
+            if stage.contains_point(pos):
+                return settle(rng, pos)
+            # Act change: festival-goers drift to the new stage over a
+            # few ticks (~30% arrive per tick) instead of teleporting en
+            # masse — so no single tick is a handover storm, the
+            # sustained-load shape the zero-stall measurement is about.
+            if rng.random() < 0.3:
+                return Point(
+                    rng.uniform(stage.min_x, stage.max_x),
+                    rng.uniform(stage.min_y, stage.max_y),
+                )
+            return drift(rng, pos)
+
+        return surge
+
+    return _crowd_workload(
+        "fs", ROOT_AREA, HotspotSpec(area=stages[0], fraction=0.85), objects, ticks, seed,
+        crowd_step=crowd_step,
+        background_step=_jittering(30.0, ROOT_AREA),
+        probe_area_at=lambda progress: stage_at(
+            min(int(progress * (ticks - 1)), ticks - 1) if ticks > 1 else 0
+        ),
+        measure_ticks=10,
+        # §6.5 caches on: the crowd's act-change handovers exercise the
+        # direct dispatch path, and the cutover invalidation broadcasts
+        # are what keeps it from paying healing hops through the old
+        # addresses.
+        cache_config=CacheConfig.all_enabled(),
+    )
+
+
+def hot_object_skew_workload(
+    objects: int = 1200, ticks: int = 28, seed: int = 0
+) -> ScenarioWorkload:
+    """Hot *objects*, not just a hot area — the rate-weighting workload.
+
+    The whole population lives inside the south-west quadrant leaf, but
+    the load is carried by a slice of it: 25 % of the objects pack into
+    a 300 m block in the leaf's corner and report **every tick**, while
+    the dormant majority spreads over the rest of the leaf and reports
+    every fourth tick.  Balancing *object counts* across a cut therefore
+    says almost nothing about balancing *load*: a count-median cut
+    strands most of the hot block on one side, while rate-weighted k-way
+    cuts place every line inside the hot mass and settle in one round.
+    """
+    half = ROOT_SIDE / 2
+    leaf_area = Rect(0.0, 0.0, half, half)
+    hot_block = Rect(40.0, 40.0, 340.0, 340.0)
+    crowd_move = _jittering(12.0, hot_block)
+    return _crowd_workload(
+        "ho",
+        # Placed strictly inside the leaf: its far edges belong to the
+        # neighbouring leaves.
+        Rect(0.0, 0.0, half - 1e-6, half - 1e-6),
+        HotspotSpec(area=hot_block, fraction=0.25),
+        objects, ticks, seed,
+        crowd_step=lambda tick, progress: crowd_move,
+        background_step=_jittering(10.0, leaf_area),
+        probe_area_at=lambda progress: hot_block,
+        measure_ticks=8,
+    )
+
+
+class ScenarioRun:
+    """One scenario's world and its tick.
+
+    The world is the Fig.-8 testbed (with the workload's §6.5 cache
+    configuration; aged to topology ``epoch`` when non-zero), the
+    workload's placements registered straight into the leaf stores, an
+    :class:`ElasticHarness` with its load monitor (and ``planner``), and
+    the rng seeded ``workload.motion_seed`` every move draws from.
+    """
+
+    def __init__(
+        self,
+        workload: ScenarioWorkload,
+        *,
+        epoch: int = 0,
+        planner: RebalancePlanner | None = None,
+    ) -> None:
+        svc, _ = table2_service(0, cache_config=workload.cache_config)
+        if epoch:
+            svc.adopt_hierarchy(_aged(svc.hierarchy, epoch))
+        self.svc = svc
+        self.workload = workload
+        self.harness = ElasticHarness(
+            svc,
+            populate(svc, workload.placements),
+            monitor=LoadMonitor(half_life=5.0),
+            planner=planner,
+        )
+        self.rng = random.Random(workload.motion_seed)
+        self.positions = dict(workload.placements)
+        #: Index of the tick running (the count of finished ticks).
+        self.tick_index = 0
+
+    def tick(self, apply=None):
+        """One tick: the workload moves its reporters, ``apply`` lands
+        the reports (default: the harness's unbounded lane), the virtual
+        clock advances :data:`DT` and the monitor samples.  Returns what
+        ``apply`` returned."""
+        reports = self.workload.positions_at(self.rng, self.positions, self.tick_index)
+        landed = (apply or self.harness.apply_reports)(reports)
+        self.svc.run(_advance(self.svc, DT))
+        self.harness.sample()
+        self.tick_index += 1
+        return landed
+
+
 def _scenario_planner() -> RebalancePlanner:
-    """Planner thresholds shared by both scenarios: split beyond 400
+    """Planner thresholds shared by the scenarios: split beyond 400
     ops/s, merge sibling sets whose decayed total drops under 80 ops/s
     (above the background noise floor, far below the split thresholds)."""
     return RebalancePlanner(
@@ -344,40 +634,33 @@ def _scenario_planner() -> RebalancePlanner:
     )
 
 
-def _run_scenario(
+def run_scenario(
+    workload: ScenarioWorkload,
     *,
-    objects: int,
-    ticks: int,
-    dt: float,
-    elastic: bool,
-    rebalance_every: int,
-    measure_ticks: int,
-    seed: int,
-    placements,
-    positions_at,
-    probe_area_at,
-    cache_config=None,
+    elastic: bool = True,
     planner: RebalancePlanner | None = None,
 ) -> dict[str, object]:
-    """Common scenario loop; the scenarios differ only in their
-    placement and per-tick position generators.
+    """Run ``workload`` for its ticks and measure it.
 
-    Every migration phases copy → dual-write → cutover across rounds
-    with traffic flowing throughout.  A tick counts as a *migration
-    tick* when a migration is in flight during it or is in flight (or
-    cut over) after the rebalance round at its end; the per-tick
-    throughput split compares reports/s during migration against
-    steady state (``BENCH_PR4.json``).  Those wall-clock numbers are
-    the result's ``timing`` sub-dict; nothing else in it reads a clock.
+    With ``elastic=False`` the hierarchy stays static (the baseline the
+    acceptance criteria compare against); otherwise every
+    :data:`REBALANCE_EVERY`-th tick ends in a rebalance round of
+    ``planner`` (default: the shared scenario planner).  Every migration
+    phases copy → dual-write → cutover across rounds with traffic
+    flowing throughout.  A tick counts as a *migration tick* when a
+    migration is in flight during it or is in flight (or cut over) after
+    the rebalance round at its end; the per-tick throughput split
+    compares reports/s during migration against steady state
+    (``BENCH_PR4.json``).  Those wall-clock numbers are the result's
+    ``timing`` sub-dict; nothing else in it reads a clock.  Every result
+    records per-server sustained load and query latency, and verifies
+    the zero-loss property: every sighting present before a rebalance is
+    reachable after it.
     """
-    svc, _ = table2_service(0, cache_config=cache_config)
-    harness = ElasticHarness(
-        svc,
-        populate(svc, placements),
-        monitor=LoadMonitor(half_life=5.0),
-        planner=planner if planner is not None else _scenario_planner(),
+    run = ScenarioRun(
+        workload, planner=planner if planner is not None else _scenario_planner()
     )
-    rng = random.Random(seed)
+    svc, harness = run.svc, run.harness
     ledger = MessageLedger(svc.network.stats)
     fast = protocol = 0
     tick_wall = 0.0
@@ -385,9 +668,11 @@ def _run_scenario(
     topology_messages = 0
     protocol_by_type: dict[str, int] = {}
     tick_records: list[dict[str, object]] = []
-    for tick in range(ticks):
-        progress = tick / max(ticks - 1, 1)
-        reports = positions_at(rng, tick, progress)
+
+    def apply(reports) -> tuple[int, float, bool]:
+        """The tick's reports through the harness with their protocol
+        traffic counted, then the tick's probe queries."""
+        nonlocal fast, protocol, protocol_messages
         ledger.rebase()  # count only the tick's own protocol traffic
         counts, apply_wall, in_flight_during_tick = harness.tick(reports)
         fast += counts["fast"]
@@ -397,12 +682,16 @@ def _run_scenario(
         for name, count in tick_delta.items():
             protocol_by_type[name] = protocol_by_type.get(name, 0) + count
         phase = "post" if harness.migrations else "pre"
-        harness.probe_queries(rng, phase, range_area=probe_area_at(progress))
-        svc.run(_advance(svc, dt))
-        harness.sample()
+        harness.probe_queries(
+            run.rng, phase, workload.probe_area_at(workload.progress(run.tick_index))
+        )
+        return len(reports), apply_wall, in_flight_during_tick
+
+    for tick in range(workload.ticks):
+        reports, apply_wall, in_flight_during_tick = run.tick(apply)
         rebalance_wall = 0.0
         did_migrate = False
-        if elastic and (tick + 1) % rebalance_every == 0:
+        if elastic and (tick + 1) % REBALANCE_EVERY == 0:
             rebalance_start = time.perf_counter()
             round_reports = harness.rebalance()
             did_migrate = bool(round_reports) or bool(harness.executor.in_flight)
@@ -413,15 +702,15 @@ def _run_scenario(
         tick_wall += apply_wall
         tick_records.append(
             {
-                "reports": len(reports),
+                "reports": reports,
                 "wall": apply_wall + rebalance_wall,
                 "migration": did_migrate or in_flight_during_tick,
             }
         )
     # Close any dual-write window still open at the end of the run.
     harness.cutover_all()
-    invariants = harness.verify(expected_tracked=objects)
-    sustained = harness.sustained_loads(measure_ticks)
+    invariants = harness.verify(expected_tracked=workload.objects)
+    sustained = harness.sustained_loads(workload.measure_ticks)
     lat = harness.latencies
 
     def _ms(name: str) -> float | None:
@@ -448,13 +737,13 @@ def _run_scenario(
     migration_rate = _rate(migration_ticks)
     all_servers = list(svc.servers.values()) + list(svc.retired_servers.values())
     return {
-        "objects": objects,
-        "ticks": ticks,
-        "dt_s": dt,
+        "objects": workload.objects,
+        "ticks": workload.ticks,
+        "dt_s": DT,
         "fast_reports": fast,
         "protocol_reports": protocol,
         "protocol_messages": protocol_messages,
-        "protocol_messages_per_tick": round(protocol_messages / ticks, 2),
+        "protocol_messages_per_tick": round(protocol_messages / workload.ticks, 2),
         "protocol_message_types": dict(sorted(protocol_by_type.items())),
         "topology_messages": topology_messages,
         "leaf_count_final": len(svc.hierarchy.leaf_ids()),
@@ -508,378 +797,6 @@ def _run_scenario(
     }
 
 
-def flash_crowd_scenario(
-    objects: int = 1200,
-    ticks: int = 24,
-    dt: float = 1.0,
-    hot_fraction: float = 0.85,
-    elastic: bool = True,
-    rebalance_every: int = 2,
-    measure_ticks: int = 8,
-    seed: int = 0,
-) -> dict[str, object]:
-    """A flash crowd inside one leaf of the Fig.-8 testbed.
-
-    ``hot_fraction`` of the objects pack into a 240 m square in the
-    south-west quadrant and report every tick; background objects report
-    every fourth tick.  With ``elastic=False`` the hierarchy stays
-    static (the baseline the acceptance criteria compare against).
-    """
-    root = Rect(0, 0, ROOT_SIDE, ROOT_SIDE)
-    hotspot = Rect(260.0, 260.0, 500.0, 500.0)
-    spec = HotspotSpec(area=hotspot, fraction=hot_fraction)
-    placements = hotspot_positions(root, spec, objects, seed=seed, prefix="fc")
-    hot_count = round(hot_fraction * objects)
-    base_positions = dict(placements)
-
-    def positions_at(
-        rng: random.Random, tick: int, progress: float
-    ) -> list[tuple[str, Point]]:
-        reports = []
-        for i, (oid, pos) in enumerate(base_positions.items()):
-            if i < hot_count:
-                new_pos = _jitter(rng, pos, 15.0, hotspot)
-            else:
-                if (i + tick) % 4 != 0:
-                    continue  # background objects report sparsely
-                new_pos = _jitter(rng, pos, 30.0, root)
-            base_positions[oid] = new_pos
-            reports.append((oid, new_pos))
-        return reports
-
-    return _run_scenario(
-        objects=objects,
-        ticks=ticks,
-        dt=dt,
-        elastic=elastic,
-        rebalance_every=rebalance_every,
-        measure_ticks=measure_ticks,
-        seed=seed + 1,
-        placements=placements,
-        positions_at=positions_at,
-        probe_area_at=lambda progress: hotspot,
-    )
-
-
-@dataclass
-class ScenarioWorkload:
-    """One scenario's placement + movement generators, decoupled from
-    the driving harness.
-
-    The simulated :func:`_run_scenario` loop, the asyncio integration
-    tests, and the socket-cluster driver
-    (:mod:`repro.net.scenario`) all consume the same record, so "the
-    festival-surge scenario over real UDP sockets" is *literally* the
-    festival-surge workload — same placements, same per-tick movement
-    closures, same seeds — under a different transport.
-    """
-
-    name: str
-    objects: int
-    ticks: int
-    placements: list
-    #: ``positions_at(rng, tick, progress)`` → ``[(object_id, Point)]``.
-    positions_at: object
-    #: ``probe_area_at(progress)`` → the currently hot :class:`Rect`.
-    probe_area_at: object
-    #: §6.5 cache configuration the scenario runs with (None = default).
-    cache_config: object = None
-
-
-def commuter_rush_workload(
-    objects: int = 1000,
-    ticks: int = 36,
-    commuter_fraction: float = 0.8,
-    wave_width: float = 300.0,
-    seed: int = 0,
-) -> ScenarioWorkload:
-    """The commuter-rush wavefront as a transport-agnostic workload."""
-    root = Rect(0, 0, ROOT_SIDE, ROOT_SIDE)
-    commuter_count = round(commuter_fraction * objects)
-    initial_band = wavefront_area(root, 0.0, wave_width)
-    placements = hotspot_positions(
-        root,
-        HotspotSpec(area=initial_band, fraction=commuter_fraction),
-        objects,
-        seed=seed,
-        prefix="cr",
-    )
-    base_positions = dict(placements)
-
-    def positions_at(
-        rng: random.Random, tick: int, progress: float
-    ) -> list[tuple[str, Point]]:
-        band = wavefront_area(root, progress, wave_width)
-        reports = []
-        for i, (oid, pos) in enumerate(base_positions.items()):
-            if i < commuter_count:
-                # Ride the wave: track the band's x-range, keep own lane.
-                new_pos = Point(
-                    rng.uniform(band.min_x, band.max_x),
-                    min(max(pos.y + rng.uniform(-20.0, 20.0), root.min_y), root.max_y),
-                )
-            else:
-                if (i + tick) % 4 != 0:
-                    continue
-                new_pos = _jitter(rng, pos, 30.0, root)
-            base_positions[oid] = new_pos
-            reports.append((oid, new_pos))
-        return reports
-
-    return ScenarioWorkload(
-        name="commuter_rush",
-        objects=objects,
-        ticks=ticks,
-        placements=placements,
-        positions_at=positions_at,
-        probe_area_at=lambda progress: wavefront_area(root, progress, wave_width),
-    )
-
-
-def commuter_rush_scenario(
-    objects: int = 1000,
-    ticks: int = 36,
-    dt: float = 1.0,
-    commuter_fraction: float = 0.8,
-    wave_width: float = 300.0,
-    elastic: bool = True,
-    rebalance_every: int = 2,
-    measure_ticks: int = 10,
-    seed: int = 0,
-) -> dict[str, object]:
-    """A commuter-rush wavefront sweeping west→east across the area.
-
-    Commuters ride a hot vertical band that crosses the whole service
-    area over the run, handing over between leaves as they go; the band
-    heats leaves in sequence (splits) and leaves cold regions behind
-    (merges).  Background objects report sparsely, as in the flash-crowd
-    scenario.
-    """
-    workload = commuter_rush_workload(
-        objects=objects,
-        ticks=ticks,
-        commuter_fraction=commuter_fraction,
-        wave_width=wave_width,
-        seed=seed,
-    )
-    return _run_scenario(
-        objects=objects,
-        ticks=ticks,
-        dt=dt,
-        elastic=elastic,
-        rebalance_every=rebalance_every,
-        measure_ticks=measure_ticks,
-        seed=seed + 1,
-        placements=workload.placements,
-        positions_at=workload.positions_at,
-        probe_area_at=workload.probe_area_at,
-    )
-
-
-def festival_surge_scenario(
-    objects: int = 1200,
-    ticks: int = 36,
-    dt: float = 1.0,
-    crowd_fraction: float = 0.85,
-    stage_count: int = 3,
-    elastic: bool = True,
-    rebalance_every: int = 2,
-    measure_ticks: int = 10,
-    seed: int = 0,
-) -> dict[str, object]:
-    """Sustained churn: a festival crowd surging between stages.
-
-    ``crowd_fraction`` of the objects report **every tick** (heavy
-    sustained load) while stampeding between ``stage_count`` stage
-    areas in different quadrants: each act packs the crowd into one
-    stage (splitting its leaf, recursively), and at every act change
-    the crowd crosses the service area to the next stage — handovers en
-    masse, the abandoned stage's children merging back.  Rebalancing
-    therefore never stops being needed while traffic never stops
-    flowing, which is exactly the case the phased migration pipeline
-    exists for.
-    """
-    workload = festival_surge_workload(
-        objects=objects,
-        ticks=ticks,
-        crowd_fraction=crowd_fraction,
-        stage_count=stage_count,
-        seed=seed,
-    )
-    return _run_scenario(
-        objects=objects,
-        ticks=ticks,
-        dt=dt,
-        elastic=elastic,
-        rebalance_every=rebalance_every,
-        measure_ticks=measure_ticks,
-        seed=seed + 1,
-        placements=workload.placements,
-        positions_at=workload.positions_at,
-        probe_area_at=workload.probe_area_at,
-        cache_config=workload.cache_config,
-    )
-
-
-def festival_surge_workload(
-    objects: int = 1200,
-    ticks: int = 36,
-    crowd_fraction: float = 0.85,
-    stage_count: int = 3,
-    seed: int = 0,
-) -> ScenarioWorkload:
-    """The festival-surge crowd as a transport-agnostic workload."""
-    root = Rect(0, 0, ROOT_SIDE, ROOT_SIDE)
-    stage_side = 280.0
-    stage_centers = [
-        Point(380.0, 380.0),      # south-west quadrant
-        Point(1120.0, 1120.0),    # north-east quadrant
-        Point(1120.0, 380.0),     # south-east quadrant
-        Point(380.0, 1120.0),     # north-west quadrant
-    ]
-    stages = [
-        Rect.from_center(center, stage_side, stage_side)
-        for center in stage_centers[: max(2, min(stage_count, 4))]
-    ]
-    act_length = max(ticks // len(stages), 1)
-    crowd_count = round(crowd_fraction * objects)
-    placements = hotspot_positions(
-        root,
-        HotspotSpec(area=stages[0], fraction=crowd_fraction),
-        objects,
-        seed=seed,
-        prefix="fs",
-    )
-    base_positions = dict(placements)
-
-    def stage_at(tick: int) -> Rect:
-        return stages[min(tick // act_length, len(stages) - 1)]
-
-    def positions_at(
-        rng: random.Random, tick: int, progress: float
-    ) -> list[tuple[str, Point]]:
-        stage = stage_at(tick)
-        reports = []
-        for i, (oid, pos) in enumerate(base_positions.items()):
-            if i < crowd_count:
-                if not stage.contains_point(pos):
-                    # Act change: festival-goers drift to the new stage
-                    # over a few ticks (~30% arrive per tick) instead of
-                    # teleporting en masse — so no single tick is a
-                    # handover storm, the sustained-load shape the
-                    # zero-stall measurement is about.
-                    if rng.random() < 0.3:
-                        new_pos = Point(
-                            rng.uniform(stage.min_x, stage.max_x),
-                            rng.uniform(stage.min_y, stage.max_y),
-                        )
-                    else:
-                        new_pos = _jitter(rng, pos, 25.0, root)
-                else:
-                    new_pos = _jitter(rng, pos, 15.0, stage)
-            else:
-                if (i + tick) % 4 != 0:
-                    continue  # background objects report sparsely
-                new_pos = _jitter(rng, pos, 30.0, root)
-            base_positions[oid] = new_pos
-            reports.append((oid, new_pos))
-        return reports
-
-    return ScenarioWorkload(
-        name="festival_surge",
-        objects=objects,
-        ticks=ticks,
-        placements=placements,
-        positions_at=positions_at,
-        probe_area_at=lambda progress: stage_at(
-            min(int(progress * (ticks - 1)), ticks - 1) if ticks > 1 else 0
-        ),
-        # §6.5 caches on: the crowd's act-change handovers exercise the
-        # direct dispatch path, and the cutover invalidation broadcasts
-        # are what keeps it from paying healing hops through the old
-        # addresses.
-        cache_config=CacheConfig.all_enabled(),
-    )
-
-
-def hot_object_skew_scenario(
-    objects: int = 1200,
-    ticks: int = 28,
-    dt: float = 1.0,
-    hot_fraction: float = 0.25,
-    hot_side: float = 300.0,
-    dormant_period: int = 4,
-    elastic: bool = True,
-    rebalance_every: int = 2,
-    measure_ticks: int = 8,
-    seed: int = 0,
-    planner: RebalancePlanner | None = None,
-) -> dict[str, object]:
-    """Hot *objects*, not just a hot area — the rate-weighting workload.
-
-    The whole population lives inside one quadrant leaf, but the load is
-    carried by a small slice of it: ``hot_fraction`` of the objects pack
-    into a ``hot_side``-square block in the leaf's corner and report
-    **every tick**, while the dormant majority spreads over the rest of
-    the leaf and reports only every ``dormant_period``-th tick.  Balancing *object
-    counts* across a cut therefore says almost nothing about balancing
-    *load*: a count-median cut strands most of the hot block on one
-    side, and binary count-costed splits need a cascade of migration
-    rounds to spread the update load, while rate-weighted k-way cuts
-    place every line inside the hot mass and settle in one.
-    ``planner`` defaults to the shared scenario planner.
-    """
-    # The south-west quadrant leaf (area [0, 750]^2 of the Fig.-8
-    # testbed); the hot block sits in its corner.
-    leaf_area = Rect(0.0, 0.0, ROOT_SIDE / 2, ROOT_SIDE / 2)
-    hot_block = Rect(40.0, 40.0, 40.0 + hot_side, 40.0 + hot_side)
-    hot_count = round(hot_fraction * objects)
-    rng0 = random.Random(seed)
-    placements = []
-    for i in range(objects):
-        if i < hot_count:
-            pos = Point(
-                rng0.uniform(hot_block.min_x, hot_block.max_x),
-                rng0.uniform(hot_block.min_y, hot_block.max_y),
-            )
-        else:
-            pos = Point(
-                rng0.uniform(leaf_area.min_x, leaf_area.max_x - 1e-6),
-                rng0.uniform(leaf_area.min_y, leaf_area.max_y - 1e-6),
-            )
-        placements.append((f"ho-{i}", pos))
-    base_positions = dict(placements)
-
-    def positions_at(
-        rng: random.Random, tick: int, progress: float
-    ) -> list[tuple[str, Point]]:
-        reports = []
-        for i, (oid, pos) in enumerate(base_positions.items()):
-            if i < hot_count:
-                new_pos = _jitter(rng, pos, 12.0, hot_block)
-            else:
-                if (i + tick) % dormant_period != 0:
-                    continue  # dormant objects barely report
-                new_pos = _jitter(rng, pos, 10.0, leaf_area)
-            base_positions[oid] = new_pos
-            reports.append((oid, new_pos))
-        return reports
-
-    return _run_scenario(
-        objects=objects,
-        ticks=ticks,
-        dt=dt,
-        elastic=elastic,
-        rebalance_every=rebalance_every,
-        measure_ticks=measure_ticks,
-        seed=seed + 1,
-        placements=placements,
-        positions_at=positions_at,
-        probe_area_at=lambda progress: hot_block,
-        planner=planner,
-    )
-
-
 def _without_gc(run):
     """``run()`` with the cyclic collector off after one full collection.
 
@@ -903,15 +820,11 @@ def _zero_lost(result: dict[str, object]) -> bool:
     )
 
 
-def planner_v2_benchmark_payload(
-    objects: int = 1200,
-    ticks: int | None = None,
-    seed: int = 0,
-) -> dict[str, object]:
+def planner_v2_benchmark_payload(seed: int = 0) -> dict[str, object]:
     """Rate-weighted k-way planning on the hot-object-skewed workload —
     the ``BENCH_PR5.json`` body.
 
-    One lane runs :func:`hot_object_skew_scenario` under a planner with
+    One lane runs :func:`hot_object_skew_workload` under a planner with
     rate-weighted cuts and up to 8-way fan-out.  The acceptance numbers:
 
     * ``rounds_to_balance_v2 <= 4`` — the last rebalance round that
@@ -921,18 +834,13 @@ def planner_v2_benchmark_payload(
       state (the lane's ``timing`` value, repeated at the top level);
     * zero lost sightings and full consistency.
     """
-    kwargs: dict[str, object] = {"objects": objects}
-    if ticks is not None:
-        kwargs["ticks"] = ticks
     planner = RebalancePlanner(
         PlannerConfig(
             split_load=120.0, hot_min_load=150.0, merge_load=30.0, max_split_children=8
         )
     )
     lane = _without_gc(
-        lambda: hot_object_skew_scenario(
-            elastic=True, seed=seed, planner=planner, **kwargs
-        )
+        lambda: run_scenario(hot_object_skew_workload(seed=seed), planner=planner)
     )
     return {
         "bench": "rate-weighted k-way splits on hot objects: rounds to balance",
@@ -944,26 +852,21 @@ def planner_v2_benchmark_payload(
     }
 
 
-def elastic_benchmark_payload(
-    objects: int = 1200,
-    ticks: int | None = None,
-    seed: int = 0,
-) -> dict[str, object]:
-    """Run both scenarios static + elastic; the ``BENCH_PR2.json`` body.
+def elastic_benchmark_payload(seed: int = 0) -> dict[str, object]:
+    """Flash crowd and commuter rush, static + elastic; the
+    ``BENCH_PR2.json`` body.
 
     The acceptance criterion lives in
     ``scenarios.flash_crowd.load_drop_factor``: static max sustained
     per-server load over elastic max, required to be ≥ 2.
     """
     scenarios: dict[str, object] = {}
-    for name, runner, kwargs in (
-        ("flash_crowd", flash_crowd_scenario, {"objects": objects}),
-        ("commuter_rush", commuter_rush_scenario, {"objects": max(objects * 5 // 6, 100)}),
+    for name, workload in (
+        ("flash_crowd", flash_crowd_workload(seed=seed)),
+        ("commuter_rush", commuter_rush_workload(seed=seed)),
     ):
-        if ticks is not None:
-            kwargs["ticks"] = ticks
-        static = runner(elastic=False, seed=seed, **kwargs)
-        dynamic = runner(elastic=True, seed=seed, **kwargs)
+        static = run_scenario(workload, elastic=False)
+        dynamic = run_scenario(workload)
         static_max = static["max_sustained_load_ops_per_s"]
         dynamic_max = dynamic["max_sustained_load_ops_per_s"]
         scenarios[name] = {
@@ -979,11 +882,7 @@ def elastic_benchmark_payload(
     }
 
 
-def zero_stall_benchmark_payload(
-    objects: int = 1200,
-    ticks: int | None = None,
-    seed: int = 0,
-) -> dict[str, object]:
+def zero_stall_benchmark_payload(seed: int = 0) -> dict[str, object]:
     """Phased migration under sustained churn — the ``BENCH_PR4.json``
     body.
 
@@ -998,12 +897,7 @@ def zero_stall_benchmark_payload(
       copy → dual-write → cutover pipeline loses nothing even with the
       protocol lane racing it.
     """
-    kwargs: dict[str, object] = {"objects": objects}
-    if ticks is not None:
-        kwargs["ticks"] = ticks
-    lane = _without_gc(
-        lambda: festival_surge_scenario(elastic=True, seed=seed, **kwargs)
-    )
+    lane = _without_gc(lambda: run_scenario(festival_surge_workload(seed=seed)))
     return {
         "bench": "zero-stall elasticity: phased migration under sustained churn",
         "scenario": "festival_surge",

@@ -271,13 +271,13 @@ class TestClockIndependence:
     exactly as with the real one.  Only its ``timing`` sub-dict moves."""
 
     @pytest.mark.parametrize(
-        "scenario",
-        [elastic.festival_surge_scenario, elastic.hot_object_skew_scenario],
+        "workload",
+        [elastic.festival_surge_workload, elastic.hot_object_skew_workload],
         ids=["festival_surge", "hot_object_skew"],
     )
-    def test_a_jumping_clock_changes_nothing_but_timing(self, scenario, monkeypatch):
+    def test_a_jumping_clock_changes_nothing_but_timing(self, workload, monkeypatch):
         def untimed():
-            result = scenario(objects=600, ticks=16, seed=1)
+            result = elastic.run_scenario(workload(objects=600, ticks=16, seed=1))
             assert result["splits"] >= 1  # a migration was copied and cut over
             return {key: value for key, value in result.items() if key != "timing"}
 

@@ -7,14 +7,19 @@ those.  Deregistration and path teardown now answer negative
 acknowledgements that distinguish *already gone* from *never existed*.
 """
 
+import asyncio
+
 import pytest
 
 from repro.core import LocationService, build_fig6_hierarchy, messages as m
-from repro.core.service import drive_item_rounds
+from repro.core.hierarchy import build_table2_hierarchy
+from repro.core.service import drive_item_rounds, protocol_sender
 from repro.errors import TransportError
 from repro.geo import Point
+from repro.net.scenario import drive_workload
 from repro.runtime.base import Endpoint
 from repro.runtime.latency import LatencyModel
+from repro.sim.elastic import commuter_rush_workload
 
 
 @pytest.fixture
@@ -106,8 +111,8 @@ class TestItemRounds:
         reporter.request = request
         svc.run(
             drive_item_rounds(
-                reporter, svc, "s4", lambda remaining: remaining, set,
-                5.0, retries, sub_timeout, "test",
+                protocol_sender(reporter, svc, "s4", lambda remaining: remaining, 5.0, "test"),
+                set, retries, sub_timeout,
             )
         )
         return sent
@@ -128,6 +133,74 @@ class TestItemRounds:
         with pytest.raises(TransportError):
             self._drive(svc, answers, retries=2)
         assert answers == [{"b"}]  # round two made one attempt, not three
+
+
+class TestDriveWorkloadRounds:
+    """The socket driver re-sends unacknowledged items through the same
+    round loop, against a scripted destination: every object registers
+    at leaf ``s``, and each update answer leaves the next scripted set of
+    ids unacknowledged (then none); ``None`` is a lost envelope."""
+
+    def _drive(self, stuck, retries, sub_timeout=0.4):
+        # Two commuters: both report on the one tick.
+        workload = commuter_rush_workload(objects=2, ticks=1, seed=0)
+        updates = []
+
+        def join(reporter):
+            async def request(dest, message, timeout=None):
+                if isinstance(message, m.RegisterReq):
+                    return m.RegisterRes(request_id=message.request_id, ok=True, agent="s")
+                if isinstance(message, m.PosQueryReq):
+                    return m.PosQueryRes(request_id=message.request_id, found=True)
+                updates.append(message)
+                unacked = stuck.pop(0) if stuck else set()
+                if unacked is None:
+                    raise TransportError(f"{dest} lost the envelope")
+                return m.UpdateBatchRes(
+                    request_id=message.request_id,
+                    outcomes=tuple(
+                        m.UpdateOutcome(s.object_id, ok=False, error=m.NACK_UNACKNOWLEDGED)
+                        if s.object_id in unacked
+                        else m.UpdateOutcome(s.object_id, ok=True, agent="s")
+                        for s in message.sightings
+                    ),
+                )
+
+            reporter.request = request
+            return reporter
+
+        payload = asyncio.run(
+            drive_workload(
+                workload,
+                build_table2_hierarchy(1500.0),
+                join,
+                timeout=1.0,
+                retries=retries,
+                sub_timeout=sub_timeout,
+            )
+        )
+        assert payload["lost_sightings"] == 0
+        return [tuple(s.object_id for s in update.sightings) for update in updates], [
+            update.request_id for update in updates
+        ]
+
+    def test_unacknowledged_id_is_resent_alone_with_a_fresh_request_id(self):
+        sent, request_ids = self._drive([{"cr-1"}], retries=3)
+        assert sent == [("cr-0", "cr-1"), ("cr-1",)]
+        assert len(set(request_ids)) == 2
+
+    def test_at_most_retries_rounds(self):
+        sent, _ = self._drive([{"cr-1"}] * 5, retries=2)
+        assert sent == [("cr-0", "cr-1"), ("cr-1",), ("cr-1",)]
+
+    def test_a_lost_resend_is_retried(self):
+        # Over a lossy fabric a re-send gets the whole retry budget too.
+        sent, _ = self._drive([{"cr-1"}, None], retries=3)
+        assert sent == [("cr-0", "cr-1"), ("cr-1",), ("cr-1",)]
+
+    def test_nothing_resent_without_sub_timeout(self):
+        sent, _ = self._drive([{"cr-1"}], retries=3, sub_timeout=None)
+        assert sent == [("cr-0", "cr-1")]
 
 
 class TestDeregisterNacks:

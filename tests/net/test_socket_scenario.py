@@ -16,7 +16,7 @@ pytestmark = pytest.mark.slow
 class TestInProcessLane:
     def test_festival_surge_zero_lost(self):
         payload = run_workload_inprocess(
-            festival_surge_workload(objects=60, ticks=3, seed=0), seed=0
+            festival_surge_workload(objects=60, ticks=3, seed=0)
         )
         assert payload["lost_sightings"] == 0
         assert payload["registered"] == 60

@@ -39,7 +39,6 @@ def test_festival_surge_through_injected_loss():
             network.join,
             timeout=0.4,
             retries=12,
-            seed=2,
         )
         await network.quiesce()
         return payload, network.stats

@@ -10,8 +10,9 @@ from repro.geo import Point, Rect
 from repro.sim.elastic import (
     ElasticHarness,
     _advance,
-    festival_surge_scenario,
-    flash_crowd_scenario,
+    festival_surge_workload,
+    flash_crowd_workload,
+    run_scenario,
 )
 from repro.sim.scenario import populate, table2_service
 from repro.sim.workload import HotspotSpec, hotspot_positions, wavefront_area
@@ -111,18 +112,15 @@ class TestElasticHarness:
 
 class TestFlashCrowdScenario:
     def test_small_elastic_run_rebalances_and_loses_nothing(self):
-        result = flash_crowd_scenario(
-            objects=300, ticks=10, elastic=True, rebalance_every=2, measure_ticks=4,
-            seed=2,
-        )
+        result = run_scenario(flash_crowd_workload(objects=300, ticks=10, seed=2))
         assert result["invariants"]["lost_sightings"] == 0
         assert result["splits"] >= 1
         assert result["leaf_count_final"] > 4
         assert result["migrated_objects"] > 0
 
     def test_static_run_keeps_topology(self):
-        result = flash_crowd_scenario(
-            objects=200, ticks=6, elastic=False, measure_ticks=3, seed=3
+        result = run_scenario(
+            flash_crowd_workload(objects=200, ticks=6, seed=3), elastic=False
         )
         assert result["splits"] == 0
         assert result["leaf_count_final"] == 4
@@ -131,14 +129,7 @@ class TestFlashCrowdScenario:
 
 class TestFestivalSurgeScenario:
     def test_overlapped_run_never_stalls_and_loses_nothing(self):
-        result = festival_surge_scenario(
-            objects=700,
-            ticks=16,
-            elastic=True,
-            rebalance_every=2,
-            measure_ticks=6,
-            seed=4,
-        )
+        result = run_scenario(festival_surge_workload(objects=700, ticks=16, seed=4))
         assert result["splits"] >= 1
         assert result["topology_epoch"] >= 1
         assert result["invalidations_sent"] >= 1  # §6.5 broadcast at cutover

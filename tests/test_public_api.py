@@ -336,4 +336,73 @@ class TestOneReportLane:
             for name, p in inspect.signature(drive_workload).parameters.items()
             if p.kind is p.KEYWORD_ONLY
         ]
-        assert options == ["timeout", "retries", "seed", "sub_timeout"]
+        assert options == ["timeout", "retries", "sub_timeout"]
+
+
+class TestOneScenarioKernel:
+    """Every scenario is a ``ScenarioWorkload`` run by one ``ScenarioRun``:
+    the per-scenario wrappers and the knobs no caller set (tick length,
+    rebalance period, shape fractions, widths, stage counts, periods)
+    cannot come back quietly."""
+
+    #: Each entry point's exact parameter list.
+    OPTIONS = {
+        "repro.sim.elastic.run_scenario": ["workload", "elastic", "planner"],
+        "repro.sim.elastic.ScenarioRun": ["workload", "epoch", "planner"],
+        "repro.sim.elastic.flash_crowd_workload": ["objects", "ticks", "seed"],
+        "repro.sim.elastic.commuter_rush_workload": ["objects", "ticks", "seed"],
+        "repro.sim.elastic.festival_surge_workload": ["objects", "ticks", "seed"],
+        "repro.sim.elastic.hot_object_skew_workload": ["objects", "ticks", "seed"],
+        "repro.sim.elastic.elastic_benchmark_payload": ["seed"],
+        "repro.sim.elastic.zero_stall_benchmark_payload": ["seed"],
+        "repro.sim.elastic.planner_v2_benchmark_payload": ["seed"],
+        "repro.sim.chaos.leaf_crash_scenario": [
+            "objects", "warm_ticks", "post_ticks", "seed", "strategy",
+        ],
+        "repro.sim.chaos.partition_scenario": [
+            "objects", "warm_ticks", "partition_ticks", "heal_ticks", "seed",
+        ],
+        "repro.sim.chaos.root_partition_scenario": [
+            "objects", "warm_ticks", "outage_ticks", "heal_ticks", "seed",
+        ],
+        "repro.sim.chaos.migration_crash_scenario": [
+            "phase", "objects", "warm_ticks", "post_ticks", "seed",
+        ],
+        "repro.sim.byzantine.run_sim_byzantine_lane": ["objects", "ticks", "seed"],
+        "repro.net.scenario.drive_workload": [
+            "workload", "hierarchy", "join", "timeout", "retries", "sub_timeout",
+        ],
+        "repro.net.scenario.run_workload_inprocess": ["workload"],
+        "repro.net.scenario.run_workload_multiprocess": [
+            "workload", "transport", "drop_rate", "retries", "timeout", "seed",
+        ],
+        "repro.net.scenario.socket_benchmark_payload": ["seed"],
+    }
+
+    def test_entry_points_take_exactly_their_options(self):
+        import importlib
+        import inspect
+
+        for dotted, expected in self.OPTIONS.items():
+            module, name = dotted.rsplit(".", 1)
+            entry = getattr(importlib.import_module(module), name)
+            assert list(inspect.signature(entry).parameters) == expected, dotted
+
+    def test_removed_entry_points_stay_gone(self):
+        import dataclasses
+
+        import repro.sim
+        from repro.sim import elastic
+
+        for name in (
+            "_run_scenario",
+            "flash_crowd_scenario",
+            "commuter_rush_scenario",
+            "festival_surge_scenario",
+            "hot_object_skew_scenario",
+        ):
+            assert not hasattr(elastic, name), name
+            assert not hasattr(repro.sim, name), name
+        fields = {f.name for f in dataclasses.fields(elastic.ScenarioWorkload)}
+        assert "name" not in fields
+        assert not {"dt", "rebalance_every"} & fields
