@@ -90,9 +90,10 @@ _PATH_REPAIR_RETRIES = 3
 #: runtime, wall-clock on asyncio/sockets — well above loopback RTT).
 _PATH_REPAIR_TIMEOUT = 0.5
 
-#: The write lane's per-item results, built positionally by row builders.
+#: The write lane's per-item records, built positionally by row builders.
 _UPDATE_OUTCOME = builder_of(m.UpdateOutcome)
 _HANDOVER_OUTCOME = builder_of(m.HandoverOutcome)
+_HANDOVER_ITEM = builder_of(m.HandoverBatchItem)
 
 
 @dataclass
@@ -785,12 +786,13 @@ class LocationServer(Endpoint):
         assert isinstance(res, m.UpdateBatchRes)
         return {outcome.object_id: outcome for outcome in res.outcomes}
 
-    def _drop_object(self, object_id: str) -> None:
-        """Remove the visitor and sighting records (Alg. 6-2 lines 5-6)."""
+    def _drop_objects(self, object_ids: list[str]) -> None:
+        """Remove the visitor and sighting records (Alg. 6-2 lines 5-6)
+        of an envelope's departures in one store pass."""
         if self.is_leaf:
-            self.store.deregister(object_id)
+            self.store.deregister_many(object_ids)
         else:
-            self.visitors.remove(object_id)
+            self.visitors.remove_many(object_ids)
 
     # ======================================================================
     # Algorithm 6-3: handover
@@ -811,24 +813,19 @@ class LocationServer(Endpoint):
             target = self.caches.leaf_for_point(sighting.pos.x, sighting.pos.y)
             if target == self.address:
                 target = None  # stale self-entry: route via the hierarchy
+            # (sighting, reg_info, previous_offered)
             groups.setdefault(target, []).append(
-                m.HandoverBatchItem(
-                    sighting=sighting,
-                    reg_info=record.reg_info,
-                    previous_offered=record.offered_acc,
-                )
+                _HANDOVER_ITEM(sighting, record.reg_info, record.offered_acc)
             )
         outcomes: dict[str, m.UpdateOutcome] = {}
         subtasks = []
         for target, items in groups.items():
             if target is None and self._parent is None:
                 # Single-server LS: the objects left the root service area.
-                for item in items:
-                    oid = item.sighting.object_id
-                    self._drop_object(oid)
-                    outcomes[oid] = m.UpdateOutcome(
-                        object_id=oid, ok=True, deregistered=True
-                    )
+                left = [item.sighting.object_id for item in items]
+                self._drop_objects(left)
+                for oid in left:  # (object_id, ok, agent, offered_acc, deregistered)
+                    outcomes[oid] = _UPDATE_OUTCOME(oid, True, None, None, True)
                 continue
             dest = self._parent if target is None else target
             subtasks.append(
@@ -837,6 +834,7 @@ class LocationServer(Endpoint):
                 )
             )
         if subtasks:
+            departed: list[str] = []
             for sub_outcomes in await self._gather(subtasks):
                 for hres in sub_outcomes:
                     oid = hres.object_id
@@ -844,20 +842,17 @@ class LocationServer(Endpoint):
                         # The handover may or may not have landed (crashed
                         # subtree): keep the object — re-running the item
                         # is idempotent — and report it retryable.
-                        outcomes[oid] = m.UpdateOutcome(
-                            object_id=oid, ok=False, error=m.NACK_UNACKNOWLEDGED
+                        outcomes[oid] = _UPDATE_OUTCOME(
+                            oid, False, None, None, False, m.NACK_UNACKNOWLEDGED
                         )
                         continue
                     self.caches.note_leaf_area(hres.new_agent, hres.origin_area)
-                    self._drop_object(oid)
+                    departed.append(oid)
                     # No new agent: the object left the root service area.
-                    outcomes[oid] = m.UpdateOutcome(
-                        object_id=oid,
-                        ok=True,
-                        agent=hres.new_agent,
-                        offered_acc=hres.offered_acc,
-                        deregistered=hres.new_agent is None,
+                    outcomes[oid] = _UPDATE_OUTCOME(
+                        oid, True, hres.new_agent, hres.offered_acc, hres.new_agent is None
                     )
+            self._drop_objects(departed)
         return outcomes
 
     async def _request_handover_batch(
@@ -878,13 +873,9 @@ class LocationServer(Endpoint):
                 timeout=sub_timeout,
             )
         except TransportError:
+            # (object_id, new_agent, offered_acc, origin_area, unacknowledged)
             return tuple(
-                m.HandoverOutcome(
-                    object_id=item.sighting.object_id,
-                    new_agent=None,
-                    offered_acc=None,
-                    unacknowledged=True,
-                )
+                _HANDOVER_OUTCOME(item.sighting.object_id, None, None, None, True)
                 for item in items
             )
         assert isinstance(res, m.HandoverBatchRes)
@@ -985,23 +976,19 @@ class LocationServer(Endpoint):
         16-19, batched); at the root the objects left the service area
         and are deregistered hierarchy-wide."""
         if self._parent is None:
-            outcomes = []
-            for item in items:
-                oid = item.sighting.object_id
-                self.visitors.remove(oid)
-                outcomes.append(
-                    m.HandoverOutcome(object_id=oid, new_agent=None, offered_acc=None)
-                )
-            return tuple(outcomes)
+            left = [item.sighting.object_id for item in items]
+            self.visitors.remove_many(left)
+            # (object_id, new_agent, offered_acc)
+            return tuple(_HANDOVER_OUTCOME(oid, None, None) for oid in left)
         sub_outcomes = await self._request_handover_batch(
             self._parent, items, False, sub_timeout=sub_timeout
         )
         # This server is no longer on these paths (Alg. 6-3 line 19) —
         # except for unacknowledged items, whose path must stay intact
         # for the retry.
-        for outcome in sub_outcomes:
-            if not outcome.unacknowledged:
-                self.visitors.remove(outcome.object_id)
+        self.visitors.remove_many(
+            outcome.object_id for outcome in sub_outcomes if not outcome.unacknowledged
+        )
         return sub_outcomes
 
     # ======================================================================
@@ -1066,9 +1053,8 @@ class LocationServer(Endpoint):
                         else m.NACK_NEVER_EXISTED
                     )
         if local:
-            for oid in local:
-                self.store.deregister(oid)
-                results[oid] = True
+            self.store.deregister_many(local)
+            results.update(dict.fromkeys(local, True))
             if self._parent is not None:
                 self.send(
                     self._parent,
@@ -1138,8 +1124,7 @@ class LocationServer(Endpoint):
             )
         if not live:
             return
-        for oid in live:
-            self.visitors.remove(oid)
+        self.visitors.remove_many(live)
         if self._parent is not None:
             self.send(
                 self._parent,

@@ -133,7 +133,12 @@ class ColumnarIndex(SpatialIndex):
         self._ids.extend([None] * (new_cap - self._capacity))
         self._capacity = new_cap
 
-    def _alloc(self, object_id: str) -> int:
+    def alloc_slot(self, object_id: str) -> int:
+        """Give an id the caller checked is absent a slot (the most
+        recently freed one first) and bump the version; the caller writes
+        the columns, so the sighting DB sets its extra columns at the same
+        slot."""
+        self._version += 1
         if self._free:
             slot = self._free.pop()
         else:
@@ -145,10 +150,6 @@ class ColumnarIndex(SpatialIndex):
         self._slot_of[object_id] = slot
         self._size += 1
         return slot
-
-    def _clear_slot(self, slot: int) -> None:
-        for name, col in self._cols.items():
-            col[slot] = self._fills[name]
 
     @property
     def version(self) -> int:
@@ -187,28 +188,39 @@ class ColumnarIndex(SpatialIndex):
     # -- mutation (object API) -----------------------------------------------
 
     def insert(self, object_id: str, point: Point) -> None:
-        self.insert_slot(object_id, point.x, point.y)
-
-    def insert_slot(self, object_id: str, x: float, y: float) -> int:
-        """Insert and return the allocated slot (the sighting DB sets its
-        extra columns at the same slot)."""
         if object_id in self._slot_of:
             raise KeyError(f"duplicate insert for {object_id!r}")
-        self._version += 1
-        slot = self._alloc(object_id)
-        self._cols["x"][slot] = x
-        self._cols["y"][slot] = y
-        return slot
+        slot = self.alloc_slot(object_id)
+        self._cols["x"][slot] = point.x
+        self._cols["y"][slot] = point.y
 
     def remove(self, object_id: str) -> Point:
-        slot = self._slot_of.pop(object_id)  # KeyError if absent, per contract
+        slot = self._slot_of[object_id]  # KeyError if absent, per contract
         point = Point(float(self._cols["x"][slot]), float(self._cols["y"][slot]))
-        self._version += 1
-        self._ids[slot] = None
-        self._clear_slot(slot)
-        self._free.append(slot)
-        self._size -= 1
+        self.remove_many((object_id,))
         return point
+
+    def remove_many(self, object_ids: Iterable[str]) -> None:
+        """Remove each id with one version bump and one fill per column
+        (``KeyError`` before anything changes if an id is absent or
+        repeated); the freed slots join the free list in the order per-id
+        removes would leave them, so slot reuse is unchanged."""
+        slot_of = self._slot_of
+        pairs = [(oid, slot_of[oid]) for oid in object_ids]
+        if not pairs:
+            return
+        slots = [slot for _, slot in pairs]
+        if len(set(slots)) != len(slots):
+            raise KeyError("duplicate id in remove_many batch")
+        self._version += 1
+        ids = self._ids
+        for oid, slot in pairs:
+            del slot_of[oid]
+            ids[slot] = None
+        for name, col in self._cols.items():
+            col[slots] = self._fills[name]
+        self._free.extend(slots)
+        self._size -= len(slots)
 
     def update(self, object_id: str, point: Point) -> None:
         slot = self._slot_of[object_id]
@@ -270,31 +282,26 @@ class ColumnarIndex(SpatialIndex):
 
         The common registration shape — no free slots yet — takes one
         contiguous range and two vectorized column writes; recycled
-        slots (after deregistration churn) fall back to per-id
-        allocation.
+        slots (after deregistration churn) fall back to
+        :meth:`alloc_slot`.
         """
+        if self._free:
+            slots = list(map(self.alloc_slot, ids))
+            self._cols["x"][slots] = xs
+            self._cols["y"][slots] = ys
+            return slots
         self._version += 1
         n = len(ids)
-        if not self._free:
-            start = self._next
-            self._grow(start + n)
-            stop = start + n
-            self._ids[start:stop] = ids
-            slots = list(range(start, stop))
-            self._slot_of.update(zip(ids, slots))
-            self._cols["x"][start:stop] = xs
-            self._cols["y"][start:stop] = ys
-            self._next = stop
-            self._size += n
-            return slots
-        col_x = self._cols["x"]
-        col_y = self._cols["y"]
-        slots = []
-        for oid, x, y in zip(ids, xs, ys):
-            slot = self._alloc(oid)
-            col_x[slot] = x
-            col_y[slot] = y
-            slots.append(slot)
+        start = self._next
+        self._grow(start + n)
+        stop = start + n
+        self._ids[start:stop] = ids
+        slots = list(range(start, stop))
+        self._slot_of.update(zip(ids, slots))
+        self._cols["x"][start:stop] = xs
+        self._cols["y"][start:stop] = ys
+        self._next = stop
+        self._size += n
         return slots
 
     def clear(self) -> None:

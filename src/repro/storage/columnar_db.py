@@ -98,9 +98,7 @@ class ColumnarSightingDB(SightingDB):
         oid = sighting.object_id
         if oid in self:
             raise KeyError(f"sighting for {oid!r} already present; use update()")
-        slot = self._index.insert_slot(oid, sighting.pos.x, sighting.pos.y)
-        self._store_many([(slot, sighting)], self._deadline(now, ttl))
-        self._pending_expiry.pop(oid, None)
+        self.upsert_many([sighting], now, ttl)
 
     def update(self, sighting: SightingRecord, now: float = 0.0, ttl: float | None = None) -> None:
         self.update_many([sighting], now, ttl)  # KeyError(oid) if absent
@@ -125,16 +123,16 @@ class ColumnarSightingDB(SightingDB):
         now: float = 0.0,
         ttl: float | None = None,
     ) -> None:
-        slot_of = self._index._slot_of
-        updates: list[tuple[int, SightingRecord]] = []
+        index = self._index
+        slot_of = index._slot_of
+        moves: list[tuple[int, SightingRecord]] = []
         for sighting in sightings:
             slot = slot_of.get(sighting.object_id)
-            if slot is None:
-                self.insert(sighting, now=now, ttl=ttl)  # may regrow the columns
-            else:
-                updates.append((slot, sighting))
-        if updates:  # registrations are one-item inserts: skip the column fetch
-            self._store_many(updates, self._deadline(now, ttl))
+            if slot is None:  # may regrow the columns: _store_many fetches them after
+                slot = index.alloc_slot(sighting.object_id)
+                self._pending_expiry.pop(sighting.object_id, None)
+            moves.append((slot, sighting))
+        self._store_many(moves, self._deadline(now, ttl))
 
     def bulk_insert(
         self,
@@ -167,9 +165,14 @@ class ColumnarSightingDB(SightingDB):
     def remove(self, object_id: str) -> SightingRecord:
         slot = self._index.slot_of(object_id)  # KeyError if absent
         record = self._record_at(slot, object_id)
-        self._index.remove(object_id)  # nan-fills every column
-        self._pending_expiry.pop(object_id, None)
+        self.remove_many((object_id,))
         return record
+
+    def remove_many(self, object_ids: Iterable[str]) -> None:
+        ids = list(object_ids)
+        self._index.remove_many(ids)  # nan-fills every column; KeyError first
+        for oid in ids:
+            self._pending_expiry.pop(oid, None)
 
     def clear(self) -> None:
         self._index.clear()
@@ -219,8 +222,7 @@ class ColumnarSightingDB(SightingDB):
         col_dl = index.column("deadline")
         due = col_dl[: index._next] <= now  # nan compares false
         expired = [index.id_at(slot) for slot in due.nonzero()[0].tolist()]
-        for oid in expired:
-            index.remove(oid)
+        index.remove_many(expired)
         for oid, deadline in list(self._pending_expiry.items()):
             if deadline <= now:
                 del self._pending_expiry[oid]

@@ -367,11 +367,19 @@ class LocalDataStore:
 
     def deregister(self, object_id: str) -> None:
         """Forget a visitor entirely (departure or explicit deregister)."""
-        if object_id in self.sightings:
-            self.sightings.remove(object_id)
-        self.visitors.remove(object_id)
+        self.deregister_many((object_id,))
+
+    def deregister_many(self, object_ids) -> None:
+        """Forget many visitors (an envelope's departures): one sighting-DB
+        pass over those with a sighting, then one visitor-DB pass over
+        them all."""
+        ids = list(dict.fromkeys(object_ids))
+        sightings = self.sightings
+        sightings.remove_many([oid for oid in ids if oid in sightings])
+        self.visitors.remove_many(ids)
         if self._mirror is not None:
-            self._mirror.record_remove(object_id)
+            for oid in ids:
+                self._mirror.record_remove(oid)
 
     # -- queries (local halves of Algorithms 6-4 / 6-5) -----------------------
 
@@ -428,9 +436,9 @@ class LocalDataStore:
     def expire_due(self, now: float) -> list[str]:
         """Soft-state sweep: drop expired sightings and their visitor records."""
         expired = self.sightings.expire_due(now)
-        for oid in expired:
-            self.visitors.remove(oid)
-            if self._mirror is not None:
+        self.visitors.remove_many(expired)
+        if self._mirror is not None:
+            for oid in expired:
                 self._mirror.record_remove(oid)
         return expired
 

@@ -5,8 +5,11 @@ only when an object is registered, deregisters or a handover occurs", so
 forwarding paths survive server failures.  Its prototype used a DB2
 database via JDBC; the substitution here is a classic
 write-ahead pattern: an append-only JSON-lines log plus an optional
-snapshot, compacted on demand.  An in-memory backend with identical
-semantics keeps large simulations off the filesystem while still
+snapshot.  The owner compacts it under a rule: the visitor DB does so
+whenever the log outgrows twice its live records plus
+:data:`~repro.storage.visitor_db.LOG_SLACK`, so the log is bounded by
+the live set, not by the handovers seen.  An in-memory backend with
+identical semantics keeps large simulations off the filesystem while still
 exercising the recovery code path (it survives a *simulated* crash —
 ``simulate_crash()`` drops nothing from it, exactly like a disk).
 """
@@ -43,7 +46,8 @@ class PersistentStore(ABC):
 
     @abstractmethod
     def record_count(self) -> int:
-        """Number of records replay would yield (diagnostics)."""
+        """Number of records replay would yield (diagnostics; may read the
+        whole store, so not for a per-append check)."""
 
 
 class MemoryStore(PersistentStore):

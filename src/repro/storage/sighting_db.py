@@ -169,6 +169,12 @@ class SightingDB:
         self._timer.cancel(object_id)
         return record
 
+    def remove_many(self, object_ids: Iterable[str]) -> None:
+        """Drop many visitors' sightings (an envelope's departures) without
+        handing any record back."""
+        for object_id in object_ids:
+            self.remove(object_id)
+
     def clear(self) -> None:
         """Wipe all volatile state (used to simulate a crash)."""
         self._records.clear()

@@ -11,7 +11,9 @@ inside its service area.  The record structure differs by server role:
 
 The visitor DB writes through to a :class:`~repro.storage.persistence.
 PersistentStore` so forwarding paths survive crashes; :meth:`VisitorDB.
-recover` rebuilds the in-memory dictionary from the log.
+recover` rebuilds the in-memory dictionary from the log.  Every handover
+appends records, so the DB compacts its own log: the store never holds
+more than twice the live records plus :data:`LOG_SLACK`.
 """
 
 from __future__ import annotations
@@ -51,11 +53,18 @@ VisitorRecord = NonLeafVisitorRecord | LeafVisitorRecord
 #: — so they are not logged to the persistent store.
 TOMBSTONE_CAPACITY = 4096
 
+#: How many log records a visitor DB's store may hold beyond twice the
+#: live record count before the DB compacts it.  Compaction rewrites the
+#: live records, and at least a third of their number plus this slack
+#: are appended between two compactions, so its cost stays amortised
+#: constant per append.
+LOG_SLACK = 4096
+
 
 class VisitorDB:
     """Persistent map of object id to visitor record."""
 
-    __slots__ = ("_records", "_store", "_tombstones", "max_offered_acc")
+    __slots__ = ("_records", "_store", "_tombstones", "max_offered_acc", "_logged", "compactions")
 
     def __init__(self, store: PersistentStore | None = None) -> None:
         self._records: dict[str, VisitorRecord] = {}
@@ -67,13 +76,25 @@ class VisitorDB:
         #: Raised on write, never lowered by :meth:`remove` (a stale mark
         #: is loose, never wrong); :meth:`compact` re-tightens it.
         self.max_offered_acc = 0.0
+        #: records the store replays (the last snapshot plus every append
+        #: since), counted here so an append never has to ask the store.
+        self._logged = 0
+        #: times :meth:`compact` ran.
+        self.compactions = 0
 
     # -- mutation (each op is one durable log record) -----------------------
+
+    def _append(self, operation: str, payload: dict) -> None:
+        """Log one mutation; compact once the log outgrows its bound."""
+        self._store.append(operation, payload)
+        self._logged += 1
+        if self._logged > 2 * len(self._records) + LOG_SLACK:
+            self.compact()
 
     def insert_forward(self, object_id: str, forward_ref: str) -> None:
         """Create or redirect a non-leaf forwarding record."""
         self._records[object_id] = NonLeafVisitorRecord(object_id, forward_ref)
-        self._store.append("forward", {"oid": object_id, "ref": forward_ref})
+        self._append("forward", {"oid": object_id, "ref": forward_ref})
 
     def insert_leaf(
         self, object_id: str, offered_acc: float, reg_info: RegistrationInfo
@@ -82,7 +103,7 @@ class VisitorDB:
         the object's agent."""
         self._records[object_id] = LeafVisitorRecord(object_id, offered_acc, reg_info)
         self.max_offered_acc = max(self.max_offered_acc, offered_acc)
-        self._store.append(
+        self._append(
             "leaf",
             {
                 "oid": object_id,
@@ -102,7 +123,7 @@ class VisitorDB:
             object_id, offered_acc, record.reg_info
         )
         self.max_offered_acc = max(self.max_offered_acc, offered_acc)
-        self._store.append("acc", {"oid": object_id, "acc": offered_acc})
+        self._append("acc", {"oid": object_id, "acc": offered_acc})
 
     def insert_forward_many(self, refs: Iterable[tuple[str, str]]) -> None:
         """Replay a batch of ``(object_id, forward_ref)`` pointers.
@@ -112,24 +133,33 @@ class VisitorDB:
         still one durable log record, so recovery replays identically.
         """
         records = self._records
-        append = self._store.append
+        append = self._append
         for object_id, forward_ref in refs:
             records[object_id] = NonLeafVisitorRecord(object_id, forward_ref)
             append("forward", {"oid": object_id, "ref": forward_ref})
 
     def remove(self, object_id: str) -> None:
-        """Drop the record (deregistration or handover departure).
+        """Drop one record (see :meth:`remove_many`)."""
+        self.remove_many((object_id,))
 
-        The id is tombstoned so a later lookup can distinguish *already
-        gone* from *never existed* (protocol-lane NACKs).
+    def remove_many(self, object_ids: Iterable[str]) -> None:
+        """Drop each id's record (deregistration or handover departure).
+
+        A removed id is tombstoned so a later lookup can distinguish
+        *already gone* from *never existed* (protocol-lane NACKs); an
+        unknown id is skipped and logs nothing.
         """
-        if object_id in self._records:
-            del self._records[object_id]
-            self._store.append("remove", {"oid": object_id})
-            self._tombstones.pop(object_id, None)
-            self._tombstones[object_id] = None
-            if len(self._tombstones) > TOMBSTONE_CAPACITY:
-                self._tombstones.pop(next(iter(self._tombstones)))
+        records = self._records
+        tombstones = self._tombstones
+        append = self._append
+        for object_id in object_ids:
+            if object_id in records:
+                del records[object_id]
+                append("remove", {"oid": object_id})
+                tombstones.pop(object_id, None)
+                tombstones[object_id] = None
+                if len(tombstones) > TOMBSTONE_CAPACITY:
+                    tombstones.pop(next(iter(tombstones)))
 
     def was_removed(self, object_id: str) -> bool:
         """Whether a record for this id was removed recently (bounded
@@ -181,7 +211,8 @@ class VisitorDB:
         )
 
     def compact(self) -> None:
-        """Snapshot current state and truncate the log."""
+        """Snapshot current state and truncate the log (called by the log
+        bound; a caller may compact earlier)."""
         self._tighten_max_offered_acc()
         records = []
         for record in self._records.values():
@@ -201,15 +232,16 @@ class VisitorDB:
                     )
                 )
         self._store.compact(records)
+        self._logged = len(records)
+        self.compactions += 1
 
     @classmethod
     def recover(cls, store: PersistentStore) -> "VisitorDB":
-        """Rebuild a visitor DB from its persistent store after a crash."""
-        db = cls.__new__(cls)
-        db._records = {}
-        db._store = store
-        db._tombstones = {}
+        """Rebuild a visitor DB from its persistent store after a crash;
+        every replayed record counts toward the log bound."""
+        db = cls(store=store)
         for operation, payload in store.replay():
+            db._logged += 1
             oid = payload.get("oid")
             if oid is None:
                 raise StorageError(f"log record without object id: {operation}")

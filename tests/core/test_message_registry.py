@@ -90,6 +90,12 @@ def test_every_message_type_has_exactly_one_consumer_role():
     assert baseline <= server | client
 
 
+def constructs(text: str, name: str) -> bool:
+    """A call ``Name(`` or a compiled row builder ``builder_of(m.Name)``
+    (hot paths build records through the latter)."""
+    return re.search(rf"\b{name}\(|\bbuilder_of\((?:\w+\.)?{name}\)", text) is not None
+
+
 def test_every_message_type_is_constructed_somewhere_in_src():
     src = pathlib.Path(repro.__file__).parent
     text = "\n".join(
@@ -97,10 +103,15 @@ def test_every_message_type_is_constructed_somewhere_in_src():
         for path in src.rglob("*.py")
         if path.name != "messages.py"
     )
-    never_built = [
-        name for name in MESSAGE_TYPES if not re.search(rf"\b{name}\(", text)
-    ]
+    never_built = [name for name in MESSAGE_TYPES if not constructs(text, name)]
     assert never_built == []
+
+
+def test_a_row_builder_binding_counts_as_construction():
+    assert constructs("_ITEM = builder_of(m.HandoverBatchItem)", "HandoverBatchItem")
+    assert constructs("m.HandoverBatchItem(sighting=s)", "HandoverBatchItem")
+    assert not constructs("items: tuple[HandoverBatchItem, ...]", "HandoverBatchItem")
+    assert not constructs("builder_of(m.HandoverBatchItems)", "HandoverBatchItem")
 
 
 def test_write_lane_binds_only_the_edge_pair_and_the_envelopes():

@@ -16,21 +16,32 @@ from repro.spatial import ColumnarIndex, StaleHandleError
 class TestSlotsAndFreeList:
     def test_slots_assigned_densely(self):
         index = ColumnarIndex(capacity=4)
-        slots = [index.insert_slot(f"o{i}", float(i), 0.0) for i in range(4)]
+        slots = [index.alloc_slot(f"o{i}") for i in range(4)]
         assert slots == [0, 1, 2, 3]
         assert [index.id_at(s) for s in slots] == ["o0", "o1", "o2", "o3"]
 
     def test_remove_frees_slot_for_lifo_reuse(self):
         index = ColumnarIndex(capacity=8)
         for i in range(4):
-            index.insert_slot(f"o{i}", float(i), 0.0)
+            index.insert(f"o{i}", Point(float(i), 0.0))
         index.remove("o1")
         index.remove("o2")
         assert index.free_slots == 2
         # LIFO: the most recently freed slot (o2's, slot 2) goes first.
-        assert index.insert_slot("n1", 9.0, 9.0) == 2
-        assert index.insert_slot("n2", 9.0, 9.0) == 1
+        assert [index.alloc_slot("n1"), index.alloc_slot("n2")] == [2, 1]
         assert index.free_slots == 0
+
+    def test_insert_and_remove_many_refuse_repeats_before_changing_anything(self):
+        index = ColumnarIndex(capacity=4)
+        index.insert("a", Point(1.0, 1.0))
+        version = index.version
+        with pytest.raises(KeyError):
+            index.insert("a", Point(2.0, 2.0))
+        for bad in (iter(["a", "a"]), ["a", "ghost"]):
+            with pytest.raises(KeyError):
+                index.remove_many(bad)
+        assert index.version == version and index.slot_of("a") == 0
+        assert index.get("a") == Point(1.0, 1.0) and index.free_slots == 0
 
     def test_removed_slot_is_invisible_to_queries(self):
         index = ColumnarIndex(capacity=4)

@@ -10,11 +10,11 @@ every observable after every step.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geo import Point, Rect
-from repro.model import NearestNeighborQuery, RangeQuery, SightingRecord
+from repro.model import NearestNeighborQuery, RangeQuery, RegistrationInfo, SightingRecord
 from repro.storage import BACKENDS, LocalDataStore
 
 AREA = 1000.0
@@ -138,6 +138,85 @@ class TestBackendEquivalence:
             columnar.register(rec, des_acc=25.0, min_acc=100.0, registrar="prop", now=1.0)
             objects.register(rec, des_acc=25.0, min_acc=100.0, registrar="prop", now=1.0)
             assert observe(columnar, probe) == observe(objects, probe)
+
+
+REG = RegistrationInfo("prop", 25.0, 100.0)
+
+deregister_many_op = st.tuples(st.just("deregister_many"), st.lists(oid_idx, max_size=6))
+admit_op = st.tuples(
+    st.just("admit"), st.lists(st.tuples(oid_idx, coord, coord), min_size=2, max_size=6)
+)
+batch_ops_lists = st.lists(
+    st.one_of(register_op, update_op, deregister_many_op, admit_op, expire_op),
+    min_size=1,
+    max_size=40,
+)
+
+
+def apply_batch_op(store: LocalDataStore, step, now: float, per_item: bool) -> None:
+    """One step of a batched interleaving: an envelope's departures
+    (``deregister_many``, unknown ids included) or arrivals
+    (``admit_handover_many``, known ids included), either as one call
+    or as the equivalent sequence of per-item calls."""
+    op = step[0]
+    if op == "deregister_many":
+        ids = [f"obj-{idx}" for idx in step[1]]
+        if per_item:
+            for oid in ids:
+                store.deregister(oid)
+        else:
+            store.deregister_many(ids)
+    elif op == "admit":
+        arrivals = [
+            (SightingRecord(f"obj-{idx}", now, Point(x, y), 10.0), REG) for idx, x, y in step[1]
+        ]
+        if per_item:
+            for arrival in arrivals:
+                store.admit_handover_many([arrival], now=now)
+        else:
+            store.admit_handover_many(arrivals, now=now)
+    else:
+        _, idx, x, y = step
+        apply_op(store, op, f"obj-{idx}", x, y, now)
+
+
+def slot_layout(store: LocalDataStore):
+    index = store.sightings._index
+    return list(index._free), dict(index._slot_of), index._next
+
+
+class TestBatchEqualsPerItem:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=batch_ops_lists, probe_x=coord, probe_y=coord)
+    @example(  # two departures free two slots; an envelope's arrivals reuse them
+        ops=[
+            ("admit", [(0, 10.0, 10.0), (1, 20.0, 20.0), (2, 30.0, 30.0)]),
+            ("deregister_many", [2, 0, 7]),
+            ("admit", [(3, 40.0, 40.0), (1, 50.0, 50.0), (4, 60.0, 60.0)]),
+        ],
+        probe_x=0.0,
+        probe_y=0.0,
+    )
+    def test_batched_departures_and_arrivals(self, ops, probe_x, probe_y):
+        """Both backends answer identically under batched departures and
+        arrivals, and the columnar store's free list and id → slot map
+        match the per-item calls' (slot reuse feeds the payload goldens)."""
+        batched = {backend: make_store(backend) for backend in BACKENDS}
+        per_item = make_store("columnar")
+        probe = Point(probe_x, probe_y)
+        now = 0.0
+        for step in ops:
+            now += 1.0
+            for store in batched.values():
+                apply_batch_op(store, step, now, per_item=False)
+            apply_batch_op(per_item, step, now, per_item=True)
+            assert observe(batched["columnar"], probe) == observe(batched["objects"], probe)
+            assert observe(per_item, probe) == observe(batched["objects"], probe)
+            assert slot_layout(batched["columnar"]) == slot_layout(per_item)
+            for store in (*batched.values(), per_item):
+                assert sorted(store.visitors.object_ids()) == sorted(
+                    batched["objects"].visitors.object_ids()
+                )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -63,6 +63,57 @@ class TestRecordRoundTrip:
             ColumnarSightingDB(index=LinearScanIndex())
 
 
+def layout(db):
+    index = db._index
+    cols = {name: col[: index._next].tolist() for name, col in index._cols.items()}
+    return list(index._free), dict(index._slot_of), index._ids[: index._next], repr(cols)
+
+
+class TestBatchedSlotMoves:
+    """``remove_many`` / ``upsert_many`` land exactly where the per-item
+    ``remove`` / ``insert`` calls would: same slots, same free list."""
+
+    def test_remove_many_matches_per_id_removes(self):
+        batched, per_item = (ColumnarSightingDB(index=ColumnarIndex(capacity=4)) for _ in "ab")
+        for db in (batched, per_item):
+            for i in range(9):
+                db.insert(sighting(f"o{i}", float(i), 1.0))
+        gone = ["o5", "o1", "o7", "o2"]
+        version = batched._index.version
+        batched.remove_many(gone)
+        for oid in gone:
+            per_item.remove(oid)
+        assert layout(batched) == layout(per_item)
+        assert batched._index.version == version + 1
+        assert len(batched) == 5
+
+    def test_remove_many_refuses_an_absent_id_before_changing_anything(self, db):
+        db.insert(sighting("a", 1, 2))
+        for bad in (["a", "ghost"], (oid for oid in ["a", "a"])):
+            with pytest.raises(KeyError):
+                db.remove_many(bad)
+        assert "a" in db and db._index.free_slots == 0
+
+    def test_upsert_many_arrivals_match_per_item_inserts(self):
+        batched, per_item = (ColumnarSightingDB(index=ColumnarIndex(capacity=4)) for _ in "ab")
+        for db in (batched, per_item):
+            for i in range(6):
+                db.insert(sighting(f"o{i}", float(i), 1.0))
+            db.remove("o4")
+            db.remove("o1")
+            db.schedule_expiry("n2", now=0.0)  # a recovered id: its pending deadline goes
+        arrivals = [sighting(f"n{i}", 10.0 + i, 2.0, t=5.0) for i in range(5)]
+        known = sighting("o0", 50.0, 50.0, t=5.0)
+        batched.upsert_many([arrivals[0], known, *arrivals[1:]], now=5.0)
+        for s in arrivals:
+            per_item.insert(s, now=5.0)
+        per_item.update(known, now=5.0)
+        assert layout(batched) == layout(per_item)
+        assert batched.get("n3") == arrivals[3]
+        assert batched.expiry_deadline("n2") == per_item.expiry_deadline("n2")
+        assert batched._pending_expiry == {}
+
+
 class TestSoftState:
     def test_expire_due_sweeps_past_deadlines(self, db):
         db.insert(sighting("fast", 0, 0), now=0.0, ttl=10.0)

@@ -10,6 +10,7 @@ from repro.storage import (
     NonLeafVisitorRecord,
     VisitorDB,
 )
+from repro.storage import visitor_db
 
 REG = RegistrationInfo("client-1", des_acc=10.0, min_acc=100.0)
 
@@ -137,6 +138,78 @@ class TestRecovery:
                 db.set_offered_acc(oid, float(rng.randint(5, 100)))
         recovered = VisitorDB.recover(store)
         assert dict(recovered.items()) == dict(db.items())
+
+
+class TestRemoveMany:
+    def test_removes_known_ids_and_tombstones_them(self):
+        store = MemoryStore()
+        db = VisitorDB(store=store)
+        db.insert_leaf("a", 25.0, REG)
+        db.insert_forward("b", "child-1")
+        db.insert_leaf("c", 25.0, REG)
+        db.remove_many(["a", "ghost", "b"])
+        assert list(db.object_ids()) == ["c"]
+        assert db.was_removed("a") and db.was_removed("b")
+        assert not db.was_removed("ghost")  # unknown: skipped, nothing logged
+        assert store.record_count() == 5
+
+
+class TestLogBound:
+    """The DB compacts its own store: the records replay would yield
+    never exceed twice the live records plus ``LOG_SLACK``."""
+
+    @pytest.fixture(autouse=True)
+    def small_slack(self, monkeypatch):
+        monkeypatch.setattr(visitor_db, "LOG_SLACK", 8)
+
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    def test_bound_holds_after_every_mutation(self, kind, tmp_path):
+        import random
+
+        rng = random.Random(5)
+        store = MemoryStore() if kind == "memory" else FileStore(tmp_path / "visitors")
+        db = VisitorDB(store=store)
+        for step in range(300):
+            oid = f"o{rng.randint(0, 12)}"
+            action = rng.random()
+            if action < 0.4:
+                db.insert_forward(oid, f"child-{rng.randint(0, 3)}")
+            elif action < 0.7:
+                db.insert_leaf(oid, float(rng.randint(5, 100)), REG)
+            elif action < 0.8 and db.leaf_record(oid) is not None:
+                db.set_offered_acc(oid, float(rng.randint(5, 100)))
+            else:
+                db.remove_many(f"o{rng.randint(0, 12)}" for _ in range(3))
+            assert db._logged == store.record_count() <= 2 * len(db) + 8
+        assert db.compactions > 0
+        assert dict(VisitorDB.recover(store).items()) == dict(db.items())
+
+    def test_mass_removal_stays_bounded(self):
+        # A count of appends since the last compaction, checked against
+        # the live count alone, would leave 90 records here.
+        store = MemoryStore()
+        db = VisitorDB(store=store)
+        for i in range(100):
+            db.insert_leaf(f"o{i}", 25.0, REG)
+        for _ in range(109):
+            db.insert_leaf("o0", 25.0, REG)
+        assert db.compactions == 1 and store.record_count() == 100
+        db.remove_many(f"o{i}" for i in range(100))
+        assert len(db) == 0 and store.record_count() <= 8
+
+    def test_recover_counts_the_replayed_records(self):
+        store = MemoryStore()
+        db = VisitorDB(store=store)
+        db.insert_leaf("a", 25.0, REG)
+        for i in range(11):
+            db.insert_forward("b", f"child-{i}")
+        assert db.compactions == 0
+        recovered = VisitorDB.recover(store)
+        assert recovered._logged == store.record_count() == 12
+        assert recovered.compactions == 0 and len(recovered) == 2
+        recovered.insert_forward("b", "child-11")  # 13 > 2 * 2 + 8: compacts
+        assert recovered.compactions == 1 and store.record_count() == 2
+        assert dict(VisitorDB.recover(store).items()) == dict(recovered.items())
 
 
 class TestMaxOfferedAcc:
