@@ -15,8 +15,8 @@ Faults are injected at two layers, both fully accounted in
 ``messages_duplicated``, ``faults_injected``):
 
 * **Link faults** — :class:`FaultInjector` installs per-link
-  :class:`LinkFaults` rules on a :class:`~repro.runtime.simnet.
-  SimNetwork` or :class:`~repro.runtime.asyncio_rt.AsyncioNetwork`:
+  :class:`LinkFaults` rules on any runtime — the simulated or asyncio
+  network, or a socket transport:
   probabilistic drops, fixed extra delay, per-message jitter (which
   reorders deliveries relative to send order), duplicated deliveries,
   and severed links.  :meth:`FaultInjector.partition` severs every link

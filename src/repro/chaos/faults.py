@@ -1,15 +1,15 @@
-"""Link-level fault injection for the simulated and asyncio networks.
+"""Link-level fault injection for every runtime.
 
 The runtimes expose one hook: a network's optional ``fault_injector``
-attribute is consulted on every transmission *after* the crash
+attribute is consulted on every send by
+:func:`~repro.runtime.base.admit_send`, *after* the crash
 (``network.crash``) and global ``drop_rate`` checks, via::
 
     deliver, extra_delay, copies, message, replay = injector.verdict(
         src, dst, message
     )
 
-(the legacy ``outcome(src, dst)`` three-tuple remains for callers that
-only care about loss/delay/duplication).  Socket transports additionally
+Socket transports additionally
 roll :meth:`FaultInjector.frame_corrupt` once per dispatched frame and
 damage the encoded bytes with :meth:`FaultInjector.corrupt_bytes` —
 byte-layer corruption the CRC32 checksum must catch, distinct from the
@@ -45,11 +45,9 @@ class LinkFaults:
 
     ``delay`` adds a fixed extra latency; ``jitter`` adds a further
     uniform ``[0, jitter)`` seconds *per message*, which reorders
-    messages relative to their send order on the single-send path (the
-    coalescing batch path keeps a batch together — the slowest member's
-    injected delay holds the whole burst, so reordering there happens
-    only *between* batches).  ``severed`` drops everything — the
-    partition primitive — and wins over the probabilistic fields.
+    messages relative to their send order.  ``severed`` drops
+    everything — the partition primitive — and wins over the
+    probabilistic fields.
 
     The Byzantine knobs (PR 9) model *damaged and lying* traffic rather
     than lost traffic:
@@ -65,9 +63,6 @@ class LinkFaults:
       ancient topology epoch stamp (``epoch`` rewound by
       :attr:`FaultInjector.stale_epoch_skew`), modelling a
       partition-returned peer echoing pre-reconfiguration state.
-    * ``reorder_rate``/``reorder_delay`` — the message is held back by
-      ``reorder_delay`` seconds, explicitly landing it *behind* traffic
-      sent after it (jitter's reordering, but deterministic and large).
     """
 
     drop_rate: float = 0.0
@@ -77,16 +72,14 @@ class LinkFaults:
     severed: bool = False
     corrupt_rate: float = 0.0
     stale_epoch_rate: float = 0.0
-    reorder_rate: float = 0.0
-    reorder_delay: float = 0.05
 
     def __post_init__(self) -> None:
         for name in ("drop_rate", "duplicate_rate", "corrupt_rate",
-                     "stale_epoch_rate", "reorder_rate"):
+                     "stale_epoch_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in ("delay", "jitter", "reorder_delay"):
+        for name in ("delay", "jitter"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -129,7 +122,8 @@ class FaultInjector:
         only when ``mutate`` — socket transports pass ``False`` and do
         their corruption at the frame layer); ``replay`` is an optional
         manufactured stale-epoch echo the runtime must schedule as an
-        extra delivery.
+        extra delivery (:func:`~repro.runtime.base.admit_send` counts it
+        in ``messages_duplicated``, like a copy).
         """
         faults = self._lookup(src, dst)
         if faults is None:
@@ -147,10 +141,7 @@ class FaultInjector:
             extra = faults.delay + (
                 faults.jitter * self._rng.random() if faults.jitter > 0.0 else 0.0
             )
-            fired = fired or extra > 0.0
-        if faults.reorder_rate > 0.0 and self._rng.random() < faults.reorder_rate:
-            extra += faults.reorder_delay
-            fired = True
+            fired = extra > 0.0
         copies = 0
         if faults.duplicate_rate > 0.0 and self._rng.random() < faults.duplicate_rate:
             copies = 1
@@ -171,40 +162,10 @@ class FaultInjector:
         ):
             replay = self.make_stale(message)
             if replay is not None:
-                # A replay is a manufactured delivery, like a duplicate:
-                # the sender paid for one send.
-                stats.messages_duplicated += 1
                 fired = True
         if fired:
             stats.faults_injected += 1
         return True, extra, copies, message, replay
-
-    def outcome(self, src: str, dst: str) -> tuple[bool, float, int]:
-        """Per-message verdict: ``(deliver, extra_delay_s, extra_copies)``."""
-        faults = self._lookup(src, dst)
-        if faults is None:
-            return True, 0.0, 0
-        stats = self._network.stats
-        if faults.severed:
-            stats.faults_injected += 1
-            return False, 0.0, 0
-        fired = False
-        if faults.drop_rate > 0.0 and self._rng.random() < faults.drop_rate:
-            stats.faults_injected += 1
-            return False, 0.0, 0
-        extra = 0.0
-        if faults.delay > 0.0 or faults.jitter > 0.0:
-            extra = faults.delay + (
-                faults.jitter * self._rng.random() if faults.jitter > 0.0 else 0.0
-            )
-            fired = fired or extra > 0.0
-        copies = 0
-        if faults.duplicate_rate > 0.0 and self._rng.random() < faults.duplicate_rate:
-            copies = 1
-            fired = True
-        if fired:
-            stats.faults_injected += 1
-        return True, extra, copies
 
     # -- byzantine damage helpers --------------------------------------------
 
@@ -213,8 +174,7 @@ class FaultInjector:
 
         Socket transports call this per dispatched frame (and skip the
         message-layer mutation by passing ``mutate=False`` to
-        :meth:`verdict`), so "2% corruption" means 2% of *frames*
-        regardless of how many messages each coalesces.
+        :meth:`verdict`), so "2% corruption" means 2% of *frames*.
         """
         faults = self._lookup(src, dst)
         if faults is None or faults.severed or faults.corrupt_rate <= 0.0:

@@ -175,14 +175,13 @@ class RecoveryCoordinator:
         """
         policy = self.probe_policy
         svc = self.svc
-        rng = getattr(svc.network, "_rng", None)
 
         async def _confirm() -> tuple[bool, int, float]:
             start = svc.loop.now
             attempts = 0
             for attempt in range(policy.retries + 1):
                 if attempt:
-                    delay = policy.delay_before(attempt, rng=rng)
+                    delay = policy.delay_before(attempt)
                     if delay > 0.0:
                         await svc.loop.sleep(delay)
                 attempts += 1

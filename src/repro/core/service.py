@@ -10,7 +10,6 @@ async layer directly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,7 +30,7 @@ from repro.storage.visitor_db import VisitorDB
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """Envelope retry policy: capped exponential backoff with jitter.
+    """Envelope retry policy: capped exponential backoff.
 
     The protocol lane's drivers accept either a plain retry count (the
     historical interface — ``retries`` immediate re-sends, no waiting)
@@ -40,15 +39,13 @@ class RetryPolicy:
     chaos/recovery code passes a non-zero base to stop a dead
     destination from being hammered at network rate: re-attempt *n*
     waits ``base_delay * backoff_factor**(n-1)`` seconds, capped at
-    ``max_delay``, spread by ``±jitter`` (a fraction) when an RNG is
-    supplied.
+    ``max_delay``.
     """
 
     retries: int = 3
     base_delay: float = 0.0
     backoff_factor: float = 2.0
     max_delay: float = 30.0
-    jitter: float = 0.0
 
     @classmethod
     def of(cls, value: int | RetryPolicy) -> RetryPolicy:
@@ -57,17 +54,14 @@ class RetryPolicy:
             return value
         return cls(retries=int(value))
 
-    def delay_before(self, attempt: int, rng: random.Random | None = None) -> float:
+    def delay_before(self, attempt: int) -> float:
         """Seconds to wait before (re-)attempt ``attempt`` (0-based; the
         first attempt never waits)."""
         if attempt <= 0 or self.base_delay <= 0.0:
             return 0.0
-        delay = min(
+        return min(
             self.base_delay * self.backoff_factor ** (attempt - 1), self.max_delay
         )
-        if self.jitter > 0.0 and rng is not None:
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
 
 
 class Reporter(Endpoint):
@@ -120,9 +114,7 @@ def protocol_sender(
         target = dest
         for attempt in range(policy.retries + 1):
             if attempt:
-                delay = policy.delay_before(
-                    attempt, rng=getattr(service.network, "_rng", None)
-                )
+                delay = policy.delay_before(attempt)
                 if delay > 0.0:
                     await service.loop.sleep(delay)
             if target not in service.servers and target not in service.retired_servers:

@@ -12,8 +12,8 @@ UDP datagrams; this package takes the reproduction there:
   as columns.
 * :mod:`repro.net.transport` / :mod:`~repro.net.udp` /
   :mod:`~repro.net.tcp` — the :class:`~repro.runtime.base.Context`
-  contract over real sockets, ``send_many`` coalescing, ``NetworkStats``
-  and the chaos ``fault_injector`` hook preserved.
+  contract over real sockets, one frame per send, ``NetworkStats`` and
+  the chaos ``fault_injector`` hook preserved.
 * :mod:`repro.net.bootstrap` — one OS process per location server:
   spec serialization, ordered startup/shutdown, readiness probing,
   cross-process stats and epoch adoption.

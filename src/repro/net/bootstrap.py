@@ -31,6 +31,7 @@ import asyncio
 import json
 import multiprocessing
 import socket
+import zlib
 from dataclasses import dataclass, field
 
 from repro.core.hierarchy import Hierarchy, decode_hierarchy, encode_hierarchy
@@ -184,6 +185,13 @@ def _node_server(spec: ClusterSpec, server_id: str):
     return server
 
 
+def node_seed(seed: int, server_id: str) -> int:
+    """The transport RNG seed of node ``server_id`` in a cluster seeded
+    ``seed``.  ``crc32``, not ``hash``: ``hash(str)`` is salted per
+    process, so a lossy run would drop different messages every time."""
+    return seed + zlib.crc32(server_id.encode()) % 10_000
+
+
 async def _node_main(spec: ClusterSpec, server_id: str) -> None:
     location = spec.book.resolve(server_id)
     if location is None or not spec.book.knows(server_id):
@@ -194,7 +202,7 @@ async def _node_main(spec: ClusterSpec, server_id: str) -> None:
         port=location[1],
         book=spec.book,
         drop_rate=spec.drop_rate,
-        seed=spec.seed + hash(server_id) % 10_000,
+        seed=node_seed(spec.seed, server_id),
     )
     await transport.start()
     server = _node_server(spec, server_id)

@@ -6,19 +6,15 @@ role :class:`~repro.runtime.asyncio_rt.AsyncioNetwork` plays in-process
 — and keeps its exact bookkeeping semantics, so every endpoint (servers,
 clients, tracked objects, the recovery prober) runs **unchanged**:
 
-* ``send``/``send_many`` go through :meth:`transmit`/:meth:`transmit_many`
-  with the same per-message ``NetworkStats`` accounting (``note_send``
-  per message, ``dead_letters`` for an unresolvable destination,
-  ``messages_dropped`` for crash/drop-rate/injected losses,
-  ``messages_duplicated`` for manufactured copies).
-* The PR-6 ``fault_injector`` hook is consulted per message after the
-  crash/drop-rate checks, on the local *and* the socket path — the
-  chaos layer installs itself on a socket transport exactly as it does
-  on the simulated or asyncio network.
-* ``send_many`` coalescing survives the wire: a batch becomes **one**
-  frame (one datagram / one stream write) whose survivors are delivered
-  back to back at the receiver — the envelope lane's scheduling win is
-  not undone by serialization.
+* ``send`` goes through :meth:`transmit`, whose crash / drop-rate /
+  fault-injector verdict is :func:`~repro.runtime.base.admit_send` —
+  the one admission step every runtime shares, with the same
+  ``NetworkStats`` accounting.  The chaos layer installs its
+  ``fault_injector`` on a socket transport exactly as it does on the
+  simulated or asyncio network.
+* One send is one frame — one stream write on TCP, one datagram (or its
+  fragments) on UDP — carrying the message plus any injected copies and
+  stale-epoch replay, delivered back to back at the receiver.
 
 Destinations are resolved in two steps: an address joined to *this*
 transport is delivered locally through the event loop (so a driver
@@ -34,10 +30,10 @@ import asyncio
 import random
 from typing import Awaitable, Callable, Coroutine
 
-from repro.errors import TransportError, WireError
+from repro.errors import TransportError
 from repro.net.address import AddressBook, validate_address
 from repro.net.wire import FrameDecoder, encode_frame
-from repro.runtime.base import Context, Endpoint, Message, NetworkStats
+from repro.runtime.base import Context, Endpoint, Message, NetworkStats, admit_send
 
 __all__ = ["SocketContext", "SocketTransport"]
 
@@ -60,9 +56,6 @@ class SocketContext(Context):
 
     def send(self, dest: str, message: Message) -> None:
         self._transport.transmit(self._address, dest, message)
-
-    def send_many(self, dest: str, messages: "list[Message]") -> None:
-        self._transport.transmit_many(self._address, dest, messages)
 
     def create_future(self) -> asyncio.Future:
         return asyncio.get_event_loop().create_future()
@@ -177,90 +170,37 @@ class SocketTransport:
         return dst in self._endpoints or self.book.resolve(dst) is not None
 
     def transmit(self, src: str, dst: str, message: Message) -> None:
-        self.stats.note_send(message)
-        if not self._resolvable(dst):
-            self.stats.dead_letters += 1
-            return
-        if dst in self._down or src in self._down:
-            self.stats.messages_dropped += 1
-            return
-        if self.drop_rate > 0.0 and self._rng.random() < self.drop_rate:
-            self.stats.messages_dropped += 1
-            return
-        extra_delay, copies, replay = 0.0, 0, None
-        if self.fault_injector is not None:
-            # ``mutate=False``: on a socket transport corruption happens
-            # at the frame layer (see :meth:`_dispatch`), so the rate
-            # means "this share of *frames*", not of messages.
-            should_deliver, extra_delay, copies, message, replay = (
-                self.fault_injector.verdict(src, dst, message, mutate=False)
-            )
-            if not should_deliver:
-                self.stats.messages_dropped += 1
-                return
-        if copies:
-            self.stats.messages_duplicated += copies
-        payloads = [message] * (1 + copies)
-        if replay is not None:
-            payloads.append(replay)
-        self._dispatch(src, dst, payloads, extra_delay)
+        # ``mutate=False``: on a socket transport corruption happens at
+        # the frame layer (see :meth:`_dispatch`), so the rate means
+        # "this share of *frames*", not of messages.
+        admitted = admit_send(
+            self, src, dst, message, self._resolvable(dst), mutate=False
+        )
+        if admitted is not None:
+            self._dispatch(src, dst, *admitted)
 
     def transmit_many(self, src: str, dst: str, messages: "list[Message]") -> None:
-        """Coalescing batch send: one frame, one wire write.
-
-        Per-message bookkeeping matches :meth:`transmit`; the batch pays
-        the *slowest* member's injected delay (the whole burst is held
-        together, as on the asyncio network's batch path).
-        """
-        if not messages:
-            return
-        survivors: list[Message] = []
-        delay = 0.0
+        # No caller sends batches; kept only because the e2e benchmark's
+        # tracer binds this name.
         for message in messages:
-            self.stats.note_send(message)
-            if not self._resolvable(dst):
-                self.stats.dead_letters += 1
-                continue
-            if dst in self._down or src in self._down:
-                self.stats.messages_dropped += 1
-                continue
-            if self.drop_rate > 0.0 and self._rng.random() < self.drop_rate:
-                self.stats.messages_dropped += 1
-                continue
-            if self.fault_injector is not None:
-                should_deliver, extra_delay, copies, message, replay = (
-                    self.fault_injector.verdict(src, dst, message, mutate=False)
-                )
-                if not should_deliver:
-                    self.stats.messages_dropped += 1
-                    continue
-                if copies:
-                    self.stats.messages_duplicated += copies
-                    survivors.extend([message] * copies)
-                if replay is not None:
-                    survivors.append(replay)
-                delay = max(delay, extra_delay)
-            survivors.append(message)
-        if survivors:
-            self._dispatch(src, dst, survivors, delay)
+            self.transmit(src, dst, message)
 
     def _dispatch(
         self, src: str, dst: str, messages: "list[Message]", delay: float
     ) -> None:
-        """Deliver locally or serialize onto the socket, after ``delay``."""
+        """Deliver one send's payloads locally, or serialize them onto the
+        socket as one frame, after ``delay``."""
         loop = asyncio.get_event_loop()
         injector = self.fault_injector
         frame_corrupt = injector is not None and injector.frame_corrupt(src, dst)
         if dst in self._endpoints:
-            if frame_corrupt and messages:
+            if frame_corrupt:
                 # Loopback never serializes, so frame damage becomes a
-                # field mutation on one member of the burst — damage the
+                # field mutation on the message — damage the
                 # receive-path validator must quarantine.
-                messages = list(messages)
-                index = 0
-                mutated = injector.mutate_message(messages[index])
+                mutated = injector.mutate_message(messages[0])
                 if mutated is not None:
-                    messages[index] = mutated
+                    messages[0] = mutated
 
             def deliver_local() -> None:
                 if dst in self._down:
@@ -306,10 +246,6 @@ class SocketTransport:
             self.stats.messages_delivered += len(messages)
             for message in messages:
                 endpoint.deliver(message)
-
-    def _on_wire_error(self, exc: WireError) -> None:
-        """A peer sent an undecodable frame; count and move on."""
-        self.stats.dead_letters += 1
 
     def _note_decoder_damage(self, decoder: FrameDecoder) -> None:
         """Fold a decoder's damage counters into stats (and zero them).

@@ -1,10 +1,10 @@
 """UDP transport: the paper's deployment story, datagrams and all.
 
-One frame per datagram on the common path; a ``send_many`` batch whose
-frame exceeds :data:`MAX_DATAGRAM_PAYLOAD` is split into
+One frame per datagram on the common path; a message whose frame
+exceeds :data:`MAX_DATAGRAM_PAYLOAD` (a large envelope) is split into
 :class:`Fragment` messages (each safely under the datagram ceiling) and
-reassembled at the receiver before normal dispatch — so envelope
-batching never silently truncates at 64 KiB.
+reassembled at the receiver before normal dispatch — so a large message
+never silently truncates at 64 KiB.
 
 Loss semantics are UDP's: a dropped datagram is simply gone, and the
 protocol lane's ``RetryPolicy`` timeouts (unchanged from the simulated

@@ -13,11 +13,10 @@ the paper's prototype used UDP precisely this way).
 from __future__ import annotations
 
 import asyncio
-import random
 from typing import Awaitable, Callable, Coroutine
 
 from repro.errors import TransportError
-from repro.runtime.base import Context, Endpoint, Message, NetworkStats
+from repro.runtime.base import Context, Endpoint, Message, NetworkStats, admit_send
 from repro.runtime.latency import LatencyModel
 
 
@@ -39,9 +38,6 @@ class AsyncioContext(Context):
 
     def send(self, dest: str, message: Message) -> None:
         self._network.transmit(self._address, dest, message)
-
-    def send_many(self, dest: str, messages: "list[Message]") -> None:
-        self._network.transmit_many(self._address, dest, messages)
 
     def create_future(self) -> asyncio.Future:
         return asyncio.get_event_loop().create_future()
@@ -68,26 +64,21 @@ class AsyncioNetwork:
     """In-process message delivery over a real asyncio loop.
 
     Latencies from the shared :class:`LatencyModel` become real
-    ``asyncio.sleep`` delays (scaled by ``time_scale`` so tests finish
-    quickly).  No CPU cost model: real Python executes the handlers.
+    ``asyncio.sleep`` delays.  No CPU cost model: real Python executes
+    the handlers.  Loss on this runtime comes from a ``FaultInjector``
+    rule, never from a drop rate.
     """
 
-    def __init__(
-        self,
-        latency: LatencyModel | None = None,
-        time_scale: float = 1.0,
-        drop_rate: float = 0.0,
-        seed: int = 0,
-    ) -> None:
+    #: no uniform loss here (:func:`admit_send` reads it).
+    drop_rate = 0.0
+
+    def __init__(self, latency: LatencyModel | None = None) -> None:
         self.latency = latency if latency is not None else LatencyModel(base=1e-4)
-        self.time_scale = time_scale
         self.stats = NetworkStats()
-        self.drop_rate = drop_rate
         #: optional :class:`repro.chaos.FaultInjector` consulted on every
-        #: transmission (after crash/drop-rate checks); installed by the
-        #: chaos layer, ``None`` in ordinary runs.
+        #: transmission (after the crash checks); installed by the chaos
+        #: layer, ``None`` in ordinary runs.
         self.fault_injector = None
-        self._rng = random.Random(seed)
         self._endpoints: dict[str, Endpoint] = {}
         self._down: set[str] = set()
         self._tasks: set[asyncio.Task] = set()
@@ -110,105 +101,30 @@ class AsyncioNetwork:
         task.add_done_callback(self._tasks.discard)
 
     def transmit(self, src: str, dst: str, message: Message) -> None:
-        self.stats.note_send(message)
-        if dst not in self._endpoints:
-            self.stats.dead_letters += 1
+        admitted = admit_send(self, src, dst, message, dst in self._endpoints)
+        if admitted is None:
             return
-        if dst in self._down or src in self._down:
-            self.stats.messages_dropped += 1
-            return
-        if self.drop_rate > 0.0 and self._rng.random() < self.drop_rate:
-            self.stats.messages_dropped += 1
-            return
-        extra_delay, copies, replay = 0.0, 0, None
-        if self.fault_injector is not None:
-            should_deliver, extra_delay, copies, message, replay = (
-                self.fault_injector.verdict(src, dst, message)
-            )
-            if not should_deliver:
-                self.stats.messages_dropped += 1
-                return
-        delay = (self.latency.delay(src, dst, message) + extra_delay) * self.time_scale
+        payloads, extra_delay = admitted
+        delay = self.latency.delay(src, dst, payloads[0]) + extra_delay
         loop = asyncio.get_event_loop()
-
-        def deliver(payload: Message = message) -> None:
-            if dst in self._down:
-                self.stats.messages_dropped += 1
-                return
-            self.stats.messages_delivered += 1
-            self._endpoints[dst].deliver(payload)
-
-        if copies:
-            self.stats.messages_duplicated += copies
-        deliveries = [message] * (1 + copies)
-        if replay is not None:
-            deliveries.append(replay)
-        for payload in deliveries:
+        for payload in payloads:
             if delay <= 0.0:
-                loop.call_soon(deliver, payload)
+                loop.call_soon(self._deliver, dst, payload)
             else:
-                loop.call_later(delay, deliver, payload)
+                loop.call_later(delay, self._deliver, dst, payload)
 
-    def transmit_many(self, src: str, dst: str, messages: list[Message]) -> None:
-        """Coalescing batch send — the asyncio counterpart of the
-        simulated network's group delivery, carrying the envelope win
-        onto real event loops: the whole batch pays **one** latency
-        computation (the slowest member's delay, one UDP burst) and one
-        scheduled callback delivering every survivor back to back,
-        instead of one timer per message.  Per-message drop/crash
-        bookkeeping matches :meth:`transmit`.
-        """
-        if not messages:
+    def _deliver(self, dst: str, message: Message) -> None:
+        if dst in self._down:
+            self.stats.messages_dropped += 1
             return
-        survivors: list[Message] = []
-        delay = 0.0
+        self.stats.messages_delivered += 1
+        self._endpoints[dst].deliver(message)
+
+    def transmit_many(self, src: str, dst: str, messages: "list[Message]") -> None:
+        # No caller sends batches; kept only because the e2e benchmark's
+        # tracer binds this name.
         for message in messages:
-            self.stats.note_send(message)
-            if dst not in self._endpoints:
-                self.stats.dead_letters += 1
-                continue
-            if dst in self._down or src in self._down:
-                self.stats.messages_dropped += 1
-                continue
-            if self.drop_rate > 0.0 and self._rng.random() < self.drop_rate:
-                self.stats.messages_dropped += 1
-                continue
-            extra_delay = 0.0
-            if self.fault_injector is not None:
-                should_deliver, extra_delay, copies, message, replay = (
-                    self.fault_injector.verdict(src, dst, message)
-                )
-                if not should_deliver:
-                    self.stats.messages_dropped += 1
-                    continue
-                if copies:
-                    self.stats.messages_duplicated += copies
-                    survivors.extend([message] * copies)
-                if replay is not None:
-                    survivors.append(replay)
-            survivors.append(message)
-            delay = max(delay, self.latency.delay(src, dst, message) + extra_delay)
-        if not survivors:
-            return
-        loop = asyncio.get_event_loop()
-
-        def deliver_batch() -> None:
-            if dst in self._down:
-                self.stats.messages_dropped += len(survivors)
-                return
-            endpoint = self._endpoints.get(dst)
-            if endpoint is None:
-                self.stats.dead_letters += len(survivors)
-                return
-            self.stats.messages_delivered += len(survivors)
-            for message in survivors:
-                endpoint.deliver(message)
-
-        scaled = delay * self.time_scale
-        if scaled <= 0.0:
-            loop.call_soon(deliver_batch)
-        else:
-            loop.call_later(scaled, deliver_batch)
+            self.transmit(src, dst, message)
 
     async def quiesce(self) -> None:
         """Wait until all spawned handler tasks have finished."""

@@ -60,16 +60,6 @@ class Context(ABC):
     def send(self, dest: str, message: Message) -> None:
         """Fire-and-forget message send."""
 
-    def send_many(self, dest: str, messages: "list[Message]") -> None:
-        """Fire-and-forget send of several messages to one destination.
-
-        Runtimes may override this to amortize delivery scheduling (the
-        simulated network coalesces per-destination batches into one
-        delivery event); the default is a plain per-message loop.
-        """
-        for message in messages:
-            self.send(dest, message)
-
     @abstractmethod
     def create_future(self) -> Any:
         """A runtime-appropriate awaitable future."""
@@ -173,12 +163,6 @@ class Endpoint:
         assert self.ctx is not None, "endpoint must be attached before sending"
         self.ctx.send(dest, message)
 
-    def send_many(self, dest: str, messages: "list[Message]") -> None:
-        """Send a batch of messages to one destination in one call (the
-        runtime may coalesce their delivery scheduling)."""
-        assert self.ctx is not None, "endpoint must be attached before sending"
-        self.ctx.send_many(dest, messages)
-
     async def request(
         self, dest: str, message: Message, timeout: float | None = None
     ) -> Response:
@@ -269,3 +253,51 @@ class NetworkStats:
                 self.by_type.clear()
             else:
                 setattr(self, counter.name, 0)
+
+
+def admit_send(
+    net, src: str, dst: str, message: Message, known: bool, mutate: bool = True
+) -> "tuple[list[Message], float] | None":
+    """The fabric's verdict on one send, shared by every runtime.
+
+    ``net`` is any runtime carrying ``stats``, the crashed-address set
+    ``_down``, a ``drop_rate`` (with its ``_rng``) and an optional
+    ``fault_injector``; ``known`` says whether ``dst`` resolves at all.
+    The send is counted, then refused as a dead letter (``dst`` unknown),
+    dropped (either end crashed, the drop rate, an injected loss), or
+    admitted.  An admitted send returns ``(payloads, extra_delay)``: the
+    message (field-mutated by a ``corrupt`` rule when ``mutate``), its
+    injected copies and any stale-epoch replay, plus the injected extra
+    latency.  Copies and the replay count in ``messages_duplicated`` —
+    the sender paid for one send, the network invented the rest.  The
+    caller schedules the payloads its own way.
+
+    The drop-rate draw happens only when both ends are up, and the
+    injector's draws come after it: a seed replays identically.
+    """
+    stats = net.stats
+    stats.note_send(message)
+    if not known:
+        stats.dead_letters += 1
+        return None
+    down = net._down
+    if dst in down or src in down:
+        stats.messages_dropped += 1
+        return None
+    if net.drop_rate > 0.0 and net._rng.random() < net.drop_rate:
+        stats.messages_dropped += 1
+        return None
+    injector = net.fault_injector
+    if injector is None:
+        return [message], 0.0
+    deliver, extra_delay, copies, message, replay = injector.verdict(
+        src, dst, message, mutate=mutate
+    )
+    if not deliver:
+        stats.messages_dropped += 1
+        return None
+    payloads = [message] * (1 + copies)
+    if replay is not None:
+        payloads.append(replay)
+    stats.messages_duplicated += len(payloads) - 1
+    return payloads, extra_delay

@@ -97,31 +97,6 @@ class TestLoopback:
 
         asyncio.run(scenario())
 
-    def test_send_many_coalesces_to_one_wire_write(self, cls):
-        async def scenario():
-            left, right = await start_pair(cls)
-            writes = []
-            real = left._send_bytes
-            left._send_bytes = lambda data, loc: (writes.append(len(data)), real(data, loc))
-            try:
-                sink = right.join(Collector())
-                caller = left.join(Endpoint("caller"))
-                batch = [
-                    XportEchoReq(f"r{i}", "caller", f"p{i}") for i in range(5)
-                ]
-                caller.send_many("sink", batch)
-                await settle()
-                assert len(writes) == 1  # one frame, one write
-                assert [r.request_id for r in sink.received] == [
-                    f"r{i}" for i in range(5)
-                ]
-                assert left.stats.messages_sent == 5
-                assert right.stats.messages_delivered == 5
-            finally:
-                await stop_all(left, right)
-
-        asyncio.run(scenario())
-
     def test_unresolvable_destination_is_a_dead_letter(self, cls):
         async def scenario():
             left, right = await start_pair(cls)
@@ -269,19 +244,16 @@ class TestFaultInjectorOnSockets:
 
 
 class TestUdpFragmentation:
-    def test_oversized_batch_survives_fragmentation(self):
+    def test_oversized_message_survives_fragmentation(self):
         async def scenario():
             left, right = await start_pair(UdpTransport)
             try:
                 sink = right.join(Collector())
                 caller = left.join(Endpoint("caller"))
-                big = "x" * 600
-                batch = [
-                    XportEchoReq(f"r{i}", "caller", big) for i in range(200)
-                ]
-                caller.send_many("sink", batch)  # ~125 KB frame
+                big = "x" * 125_000
+                caller.send("sink", XportEchoReq("r", "caller", big))  # ~125 KB frame
                 await settle(0.4)
-                assert len(sink.received) == 200
+                assert len(sink.received) == 1
                 assert sink.received[0].payload == big
             finally:
                 await stop_all(left, right)
@@ -338,11 +310,11 @@ class TestUdpFragmentation:
                     sent.append(len(data)),
                     real_sendto(data, addr),
                 )
-                batch = [XportEchoReq(f"r{i}", "caller", "x" * 600) for i in range(200)]
-                whole = len(encode_frame("caller", "sink", batch))
-                caller.send_many("sink", batch)
+                message = XportEchoReq("r", "caller", "x" * 125_000)
+                whole = len(encode_frame("caller", "sink", [message]))
+                caller.send("sink", message)
                 await settle(0.4)
-                assert len(sink.received) == 200
+                assert len(sink.received) == 1
                 # No text inflation: the chunks add up to the frame, each
                 # datagram pays only the fragment header on top.
                 assert len(sent) == -(-whole // FRAGMENT_CHUNK)

@@ -5,8 +5,11 @@ import asyncio
 import pytest
 
 from repro.core import LocationServer, TrackedObject, LocationClient, build_table2_hierarchy
+from repro.core import messages as m
 from repro.geo import Point, Rect
+from repro.model import SightingRecord
 from repro.runtime.asyncio_rt import AsyncioNetwork
+from repro.runtime.base import Endpoint
 from repro.runtime.latency import LatencyModel
 
 
@@ -125,3 +128,78 @@ class TestAsyncioIntegration:
                 await client.pos_query("truck")
 
         run(scenario())
+
+    def test_update_envelope_through_the_server_handlers(self):
+        """An UpdateBatchReq envelope against the asyncio runtime: the
+        service-side batched tick is sim-only, so drive the server
+        handlers directly."""
+
+        async def scenario():
+            net, hierarchy, servers = build_network()
+            obj = net.join(TrackedObject("truck", entry_server="root.0"))
+            await obj.register(Point(100, 100), 25.0, 100.0)
+            res = await obj.request(
+                "root.0",
+                m.UpdateBatchReq(
+                    request_id=obj.next_request_id(),
+                    reply_to=obj.address,
+                    sightings=(SightingRecord("truck", 0.0, Point(1200, 1200), 10.0),),
+                ),
+            )
+            await net.quiesce()
+            return res
+
+        res = run(scenario())
+        assert isinstance(res, m.UpdateBatchRes)
+        assert res.outcomes[0].ok and res.outcomes[0].agent == "root.3"
+
+
+class TestAsyncioLoss:
+    def test_crashed_and_unknown_destinations(self):
+        async def scenario():
+            net, hierarchy, servers = build_network()
+            sender = net.join(Endpoint("sender"))
+            net.crash("root.0")
+            for i in range(2):
+                sender.send("root.0", m.PingReq(request_id=f"r{i}", reply_to="sender"))
+            sender.send("gone", m.PingReq(request_id="r2", reply_to="sender"))
+            await asyncio.sleep(0.01)
+            return net
+
+        net = run(scenario())
+        assert net.stats.messages_dropped == 2
+        assert net.stats.dead_letters == 1
+        assert net.stats.messages_delivered == 0
+
+    @pytest.mark.parametrize("base", [0.0, 0.002])
+    def test_sends_arrive_in_send_order(self, base):
+        # Zero latency delivers through call_soon, any other through
+        # call_later; both keep one sender's order to one destination.
+        async def scenario():
+            net = AsyncioNetwork(latency=LatencyModel(base=base, per_entry=0.0))
+            sink = net.join(Endpoint("sink"))
+            sender = net.join(Endpoint("sender"))
+            for i in range(5):
+                sender.send("sink", m.PingReq(request_id=f"r{i}", reply_to="sender"))
+            await asyncio.sleep(base + 0.01)
+            return net, sink
+
+        net, sink = run(scenario())
+        assert [msg.request_id for msg in sink.unhandled] == [f"r{i}" for i in range(5)]
+        assert net.stats.messages_delivered == 5
+
+    def test_crash_mid_flight_drops_the_message(self):
+        async def scenario():
+            net = AsyncioNetwork(latency=LatencyModel(base=0.005, per_entry=0.0))
+            sink = net.join(Endpoint("sink"))
+            sender = net.join(Endpoint("sender"))
+            for i in range(3):
+                sender.send("sink", m.PingReq(request_id=f"r{i}", reply_to="sender"))
+            net.crash("sink")  # after the send, before the 5 ms arrival
+            await asyncio.sleep(0.02)
+            return net, sink
+
+        net, sink = run(scenario())
+        assert sink.unhandled == []
+        assert net.stats.messages_dropped == 3
+        assert net.stats.messages_delivered == 0

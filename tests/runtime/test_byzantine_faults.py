@@ -22,7 +22,7 @@ from repro.core import messages as m
 from repro.geo import Point
 from repro.model import SightingRecord
 from repro.net import wire
-from repro.runtime.base import Endpoint, NetworkStats
+from repro.runtime.base import NetworkStats, admit_send
 from repro.runtime.validation import find_defect
 from repro.sim.scenario import table2_service
 
@@ -31,11 +31,15 @@ from tests.net.frame_surgery import Record, frame, strs
 
 
 class _StubNetwork:
-    """Just enough network for a FaultInjector: a stats sink."""
+    """Just enough network for a FaultInjector and ``admit_send``: a
+    stats sink with nobody down and no uniform loss."""
+
+    drop_rate = 0.0
 
     def __init__(self):
         self.stats = NetworkStats()
         self.fault_injector = None
+        self._down = set()
 
 
 def _injector(**faults) -> FaultInjector:
@@ -90,9 +94,10 @@ class TestInjectorByzantineRules:
         fresh = m.UpdateBatchReq(
             request_id="r", reply_to="dev", sightings=(), epoch=3
         )
-        deliver, _, _, original, replay = injector.verdict("a", "b", fresh)
-        assert deliver and original is fresh
-        assert replay is not None and replay.epoch == 0  # floored, not negative
+        payloads, _ = admit_send(injector._network, "a", "b", fresh, known=True)
+        original, replay = payloads
+        assert original is fresh
+        assert replay.epoch == 0  # floored, not negative
         # The replay is a manufactured delivery, accounted like a duplicate.
         assert injector._network.stats.messages_duplicated == 1
         assert injector._network.stats.faults_injected == 1

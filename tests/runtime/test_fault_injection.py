@@ -132,19 +132,6 @@ class TestInjectedDuplicates:
         # sent traffic still counts one Ping (plus the two Pong replies).
         assert net.stats.by_type["Ping"] == 1
 
-    def test_batch_path_duplicates_within_group(self):
-        net, echo, caller = _net()
-        injector = FaultInjector(net)
-        injector.set_link("caller", "echo", LinkFaults(duplicate_rate=1.0))
-        net.transmit_many(
-            "caller",
-            "echo",
-            [Ping(request_id=f"r{i}", reply_to="caller") for i in range(2)],
-        )
-        net.run()
-        assert len(echo.received) == 4
-        assert net.stats.messages_duplicated == 2
-
 
 class TestInjectedDelay:
     def test_extra_delay_holds_delivery(self):

@@ -82,6 +82,17 @@ class TestDelivery:
         with pytest.raises(TransportError):
             net.join(Echo("echo"))
 
+    @pytest.mark.parametrize("base", [0.0, 0.001])
+    def test_sends_to_one_destination_arrive_in_send_order(self, base):
+        net = SimNetwork(latency=LatencyModel(base=base, per_entry=0.0))
+        echo = net.join(Echo("echo"))
+        caller = net.join(Caller("caller"))
+        for i in range(5):
+            caller.send("echo", Ping(request_id=f"r{i}", reply_to="caller"))
+        net.run()
+        assert [p.request_id for p in echo.received] == [f"r{i}" for i in range(5)]
+        assert net.stats.messages_sent == 10  # five pings, five pongs
+
     def test_dead_letter_counted(self):
         net = SimNetwork()
         caller = net.join(Caller("caller"))
@@ -172,6 +183,54 @@ class TestFailureInjection:
             net.run()
             outcomes.append(net.stats.messages_dropped)
         assert outcomes[0] == outcomes[1] > 0
+
+
+class TestLeave:
+    """``SimNetwork.leave`` is how the service garbage-collects retired
+    aliases: in-flight and later messages to a departed address become
+    dead letters instead of crashing the simulation."""
+
+    def wired(self):
+        net = SimNetwork(latency=LatencyModel(base=0.001, per_entry=0.0))
+        echo = net.join(Echo("echo"))
+        caller = net.join(Caller("caller"))
+        return net, echo, caller
+
+    def test_messages_to_left_endpoint_are_dead_letters(self):
+        net, echo, caller = self.wired()
+        net.leave("echo")
+        for i in range(3):
+            caller.send("echo", Ping(request_id=f"r{i}", reply_to="caller"))
+        net.run()
+        assert echo.received == []
+        assert net.stats.dead_letters == 3
+        assert net.stats.messages_dropped == 0
+
+    def test_leave_while_message_in_flight(self):
+        net, echo, caller = self.wired()
+        for i in range(2):  # on the wire, 1 ms from arriving
+            caller.send("echo", Ping(request_id=f"r{i}", reply_to="caller"))
+        net.leave("echo")
+        net.run()
+        assert echo.received == []
+        assert net.stats.dead_letters == 2
+
+    def test_leave_is_idempotent_and_unknown_safe(self):
+        net, echo, caller = self.wired()
+        net.leave("echo")
+        net.leave("echo")
+        net.leave("never-joined")
+        assert "echo" not in net.addresses()
+
+    def test_restore_after_leave_is_a_noop(self):
+        net, echo, caller = self.wired()
+        net.crash("echo")
+        net.leave("echo")
+        net.restore("echo")  # departed endpoint: nothing to restore
+        assert "echo" not in net.addresses()
+        caller.send("echo", Ping(request_id="r", reply_to="caller"))
+        net.run()
+        assert net.stats.dead_letters == 1
 
 
 class TestLatencyModel:
