@@ -38,20 +38,6 @@ from repro.runtime.base import Endpoint
 AREA_SIDE = 1500.0  # meters; 4 leaf quadrants of 750 m
 
 
-async def request(endpoint: Endpoint, dest: str, make_message, retries: int = 4):
-    """The protocol lane's recovery, driver-side: UDP may drop the
-    datagram, so an unanswered request is re-sent with a fresh id."""
-    last = None
-    for _ in range(retries + 1):
-        try:
-            return await endpoint.request(
-                dest, make_message(endpoint.next_request_id()), timeout=2.0
-            )
-        except Exception as exc:  # TransportError: timed out
-            last = exc
-    raise last
-
-
 async def main() -> None:
     hierarchy = build_table2_hierarchy(AREA_SIDE)
     launcher = ClusterLauncher(hierarchy, transport="udp")
@@ -66,12 +52,13 @@ async def main() -> None:
 
     try:
         client = launcher.join(Endpoint("example-client"))
+        # UDP may drop a datagram: ``ask`` re-sends an unanswered request
+        # under a fresh id, up to ``retries`` times.
 
         # -- 1. register at the entry leaf owning the position ------------
         start = Point(700.0, 300.0)  # inside root.0, near the border
         entry = hierarchy.leaf_for_point(start)
-        res = await request(
-            client,
+        res = await client.ask(
             entry,
             lambda rid: m.RegisterReq(
                 request_id=rid,
@@ -81,6 +68,8 @@ async def main() -> None:
                 min_acc=100.0,
                 registrar=client.address,
             ),
+            timeout=2.0,
+            retries=4,
         )
         print(f"\nregistered van-1 at {entry} (agent={res.agent}, "
               f"offered {res.offered_acc} m)")
@@ -90,8 +79,7 @@ async def main() -> None:
         for t, pos in enumerate(
             [Point(730.0, 300.0), Point(760.0, 300.0), Point(800.0, 300.0)], 1
         ):
-            res = await request(
-                client,
+            res = await client.ask(
                 agent,
                 lambda rid: m.UpdateBatchReq(
                     request_id=rid,
@@ -99,6 +87,8 @@ async def main() -> None:
                     sightings=(SightingRecord("van-1", float(t), pos, 10.0),),
                     epoch=hierarchy.epoch,
                 ),
+                timeout=2.0,
+                retries=4,
             )
             outcome = res.outcomes[0]
             if outcome.agent and outcome.agent != agent:
@@ -112,12 +102,13 @@ async def main() -> None:
         far_leaf = next(
             leaf for leaf in hierarchy.leaf_ids() if leaf not in (entry, agent)
         )
-        res = await request(
-            client,
+        res = await client.ask(
             far_leaf,
             lambda rid: m.PosQueryReq(
                 request_id=rid, reply_to=client.address, object_id="van-1"
             ),
+            timeout=2.0,
+            retries=4,
         )
         print(f"\nposition query entered at {far_leaf}, routed through the "
               f"root process:\n  van-1 is at ({res.descriptor.pos.x:.0f}, "

@@ -2,10 +2,10 @@
 
 :class:`RecoveryCoordinator` is the control-plane half of the chaos
 layer: it owns a probe endpoint on the service's network, detects a
-dead server with capped-exponential-backoff liveness probes
-(:class:`~repro.core.service.RetryPolicy` spacing real protocol-lane
-timeouts, not a side-channel oracle), and then repairs the cluster by
-one of two strategies:
+dead server with liveness probes spaced by capped exponential backoff
+(:data:`PROBE_WAITS` between real protocol-lane timeouts, not a
+side-channel oracle), and then repairs the cluster by one of two
+strategies:
 
 * ``"restart"`` — the paper's Section 5 story: replay the crashed
   server's persistent visitor WAL in place
@@ -32,14 +32,21 @@ from repro.cluster.migration import MigrationExecutor
 from repro.cluster.planner import MergePlan
 from repro.core import messages as m
 from repro.core.hierarchy import Hierarchy
-from repro.core.service import RetryPolicy
 from repro.errors import LocationServiceError, TransportError
 from repro.runtime.base import Endpoint
 from repro.storage.visitor_db import VisitorDB
 
-__all__ = ["RecoveryCoordinator", "RecoveryReport"]
+__all__ = ["PROBE_TIMEOUT", "PROBE_WAITS", "RecoveryCoordinator", "RecoveryReport"]
 
 _prober_ids = itertools.count()
+
+#: Virtual seconds one liveness probe waits for its ``PingRes``.
+PROBE_TIMEOUT = 0.25
+
+#: Virtual seconds waited before each liveness probe: capped exponential
+#: backoff, so a dead destination is not hammered at network rate.  Five
+#: probes; a dead server is declared after 5 x 0.25 + 1.5 = 2.75 s.
+PROBE_WAITS = (0.0, 0.1, 0.2, 0.4, 0.8)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,9 +74,8 @@ class RecoveryReport:
 class RecoveryCoordinator:
     """Detects dead servers and re-homes their regions.
 
-    ``probe_policy`` spaces the liveness probes (capped exponential
-    backoff by default — a dead destination is not hammered at network
-    rate); ``probe_timeout`` bounds each individual probe.
+    Liveness probes wait :data:`PROBE_TIMEOUT` each, spaced by
+    :data:`PROBE_WAITS`.
     """
 
     def __init__(
@@ -77,18 +83,10 @@ class RecoveryCoordinator:
         service,
         executor: MigrationExecutor | None = None,
         monitor=None,
-        probe_policy: RetryPolicy | None = None,
-        probe_timeout: float = 0.25,
     ) -> None:
         self.svc = service
         self.executor = executor if executor is not None else MigrationExecutor(service)
         self.monitor = monitor
-        self.probe_policy = (
-            probe_policy
-            if probe_policy is not None
-            else RetryPolicy(retries=4, base_delay=0.1, backoff_factor=2.0, max_delay=2.0)
-        )
-        self.probe_timeout = probe_timeout
         self.reports: list[RecoveryReport] = []
         #: destinations whose protocol envelopes exhausted their retry
         #: budget, with the exhaustion count — fed by :meth:`watch`,
@@ -104,7 +102,7 @@ class RecoveryCoordinator:
         """Let the protocol lane report dead destinations itself.
 
         Subscribes to the service's envelope-death notifications: any
-        envelope that burns its whole :class:`RetryPolicy` adds its
+        envelope that burns its whole retry budget adds its
         destination to :attr:`suspects`.  The listener only records —
         the exhaustion fires inside the driving coroutine, where probing
         or recovering would re-enter the event loop — and
@@ -151,12 +149,13 @@ class RecoveryCoordinator:
 
     async def _probe(self, server_id: str) -> bool:
         """One liveness probe; ``True`` iff the server answered in time."""
-        request_id = self._prober.next_request_id()
+        prober = self._prober
         try:
-            res = await self._prober.request(
+            res = await prober.ask(
                 server_id,
-                m.PingReq(request_id=request_id, reply_to=self._prober.address),
-                timeout=self.probe_timeout,
+                lambda rid: m.PingReq(request_id=rid, reply_to=prober.address),
+                PROBE_TIMEOUT,
+                0,
             )
         except TransportError:
             return False
@@ -167,27 +166,22 @@ class RecoveryCoordinator:
         return self.svc.run(self._probe(server_id))
 
     def confirm_dead(self, server_id: str) -> tuple[bool, int, float]:
-        """Probe with backoff until an answer or the policy is exhausted.
+        """Probe after each of :data:`PROBE_WAITS` until an answer.
 
         Returns ``(dead, attempts, elapsed_virtual_seconds)`` — the
         detection cost every recovery report carries.  A server that
         answers any probe is *not* dead (transient loss tolerated).
         """
-        policy = self.probe_policy
         svc = self.svc
 
         async def _confirm() -> tuple[bool, int, float]:
             start = svc.loop.now
-            attempts = 0
-            for attempt in range(policy.retries + 1):
-                if attempt:
-                    delay = policy.delay_before(attempt)
-                    if delay > 0.0:
-                        await svc.loop.sleep(delay)
-                attempts += 1
+            for attempts, wait in enumerate(PROBE_WAITS, 1):
+                if wait:
+                    await svc.loop.sleep(wait)
                 if await self._probe(server_id):
                     return False, attempts, svc.loop.now - start
-            return True, attempts, svc.loop.now - start
+            return True, len(PROBE_WAITS), svc.loop.now - start
 
         return svc.run(_confirm())
 
@@ -229,9 +223,9 @@ class RecoveryCoordinator:
         if not svc.network.is_down(server_id):
             raise LocationServiceError(f"{server_id!r} is not down")
         if strategy == "restart":
-            report = self._recover_restart(server_id, 0, 0.0)
+            report = self._recover_restart(server_id)
         elif strategy == "merge":
-            report = self._recover_merge(server_id, 0, 0.0)
+            report = self._recover_merge(server_id)
         else:
             raise LocationServiceError(f"unknown recovery strategy {strategy!r}")
         self.reports.append(report)
@@ -246,16 +240,10 @@ class RecoveryCoordinator:
         dead, attempts, elapsed = self.confirm_dead(server_id)
         if not dead:
             return None
-        report = self.recover_leaf(server_id, strategy=strategy)
-        report = RecoveryReport(
-            server_id=report.server_id,
-            strategy=report.strategy,
+        report = dataclasses.replace(
+            self.recover_leaf(server_id, strategy=strategy),
             detection_attempts=attempts,
             detection_time_s=elapsed,
-            replayed_records=report.replayed_records,
-            moved=report.moved,
-            new_home=report.new_home,
-            new_homes=report.new_homes,
         )
         self.reports[-1] = report
         return report
@@ -353,25 +341,21 @@ class RecoveryCoordinator:
         self.reports.append(report)
         return report
 
-    def _recover_restart(
-        self, server_id: str, attempts: int, elapsed: float
-    ) -> RecoveryReport:
+    def _recover_restart(self, server_id: str) -> RecoveryReport:
         self.abort_in_flight_for(server_id)
         server = self.svc.restart_server(server_id)
         replayed = sum(1 for _ in server.store.visitors.leaf_records())
         return RecoveryReport(
             server_id=server_id,
             strategy="restart",
-            detection_attempts=attempts,
-            detection_time_s=elapsed,
+            detection_attempts=0,
+            detection_time_s=0.0,
             replayed_records=replayed,
             moved=0,
             new_home=server_id,
         )
 
-    def _recover_merge(
-        self, server_id: str, attempts: int, elapsed: float
-    ) -> RecoveryReport:
+    def _recover_merge(self, server_id: str) -> RecoveryReport:
         svc = self.svc
         h = svc.hierarchy
         parent_id = h.parent_of(server_id)
@@ -423,8 +407,8 @@ class RecoveryCoordinator:
         return RecoveryReport(
             server_id=server_id,
             strategy="merge",
-            detection_attempts=attempts,
-            detection_time_s=elapsed,
+            detection_attempts=0,
+            detection_time_s=0.0,
             replayed_records=replayed,
             moved=report.moved,
             new_home=parent_id,

@@ -1159,7 +1159,10 @@ class LocationServer(Endpoint):
         # The first attempt goes out inline, before the caller's own reply
         # — path propagation must not lag behind the answer that makes the
         # object queryable.  Only the ack wait (and any retries) runs in
-        # the spawned task.
+        # the spawned task.  That is why this keeps its own re-send loop
+        # instead of spawning Endpoint.ask: a spawned task starts on
+        # call_soon (SimTask too), so its first send would leave after
+        # the reply and reorder the messages.
         first_id = self.next_request_id()
         first_future = self.park(first_id)
         self.send(

@@ -10,7 +10,6 @@ async layer directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core import messages as m
@@ -26,42 +25,6 @@ from repro.runtime.validation import find_defect
 from repro.runtime.latency import CostModel, LatencyModel
 from repro.runtime.simnet import SimNetwork
 from repro.storage.visitor_db import VisitorDB
-
-
-@dataclass(frozen=True, slots=True)
-class RetryPolicy:
-    """Envelope retry policy: capped exponential backoff.
-
-    The protocol lane's drivers accept either a plain retry count (the
-    historical interface — ``retries`` immediate re-sends, no waiting)
-    or one of these.  The default ``base_delay=0.0`` reproduces the
-    fixed behaviour exactly, so every existing caller is unchanged;
-    chaos/recovery code passes a non-zero base to stop a dead
-    destination from being hammered at network rate: re-attempt *n*
-    waits ``base_delay * backoff_factor**(n-1)`` seconds, capped at
-    ``max_delay``.
-    """
-
-    retries: int = 3
-    base_delay: float = 0.0
-    backoff_factor: float = 2.0
-    max_delay: float = 30.0
-
-    @classmethod
-    def of(cls, value: int | RetryPolicy) -> RetryPolicy:
-        """Normalize the historical plain-int retry count."""
-        if isinstance(value, cls):
-            return value
-        return cls(retries=int(value))
-
-    def delay_before(self, attempt: int) -> float:
-        """Seconds to wait before (re-)attempt ``attempt`` (0-based; the
-        first attempt never waits)."""
-        if attempt <= 0 or self.base_delay <= 0.0:
-            return 0.0
-        return min(
-            self.base_delay * self.backoff_factor ** (attempt - 1), self.max_delay
-        )
 
 
 class Reporter(Endpoint):
@@ -89,54 +52,42 @@ def protocol_sender(
     what: str,
 ):
     """The batched protocol lane's envelope step for
-    :func:`drive_item_rounds`: ``send(remaining, retries)`` sends
-    ``make_envelope(remaining)`` — a fresh request (fresh id, fresh
-    timestamps) per attempt — from ``reporter`` to ``dest``.
+    :func:`drive_item_rounds`: ``send(remaining, retries)`` asks ``dest``
+    from ``reporter`` (:meth:`~repro.runtime.base.Endpoint.ask`) with
+    ``make_envelope(request_id, remaining)``, a fresh request (fresh id,
+    fresh timestamps) per attempt.
 
-    Envelope-level recovery, per attempt: a destination that is no
-    longer part of the service — a garbage-collected retirement alias —
-    is re-routed to the hierarchy root *before* sending (the root
-    reaches every object via its forwarding references, so no timeout is
-    needed for this case), and an unanswered envelope (crashed
-    destination; requires ``timeout``) is re-sent up to ``retries``
-    times.  ``retries`` may be a plain count (immediate re-sends) or a
-    :class:`RetryPolicy`, whose capped exponential backoff spaces the
-    re-attempts out.  ``send`` returns the response; it raises
-    :class:`~repro.errors.TransportError` when every attempt went
-    unanswered — after notifying the service's envelope-death listeners
-    (:meth:`LocationService.add_envelope_death_listener`), so a recovery
-    coordinator learns about a suspect destination from the protocol
-    lane itself rather than from harness-side liveness polling.
+    A destination that left the service — a garbage-collected retirement
+    alias — is re-routed to the hierarchy root first (the root reaches
+    every object via its forwarding references); aliases are only dropped
+    between runs, so one check covers every attempt.  When every attempt
+    went unanswered (a crashed destination; requires ``timeout``), the
+    service's envelope-death listeners
+    (:meth:`LocationService.add_envelope_death_listener`) hear of the
+    destination before :class:`~repro.errors.TransportError` is raised:
+    a recovery coordinator learns of a suspect from the protocol lane
+    itself, not from harness-side liveness polling.
     """
 
-    async def send(remaining: set[str] | None, retries: int | RetryPolicy):
-        policy = RetryPolicy.of(retries)
+    async def send(remaining: set[str] | None, retries: int):
         target = dest
-        for attempt in range(policy.retries + 1):
-            if attempt:
-                delay = policy.delay_before(attempt)
-                if delay > 0.0:
-                    await service.loop.sleep(delay)
-            if target not in service.servers and target not in service.retired_servers:
-                target = service.hierarchy.root_id
-            try:
-                return await reporter.request(
-                    target, make_envelope(remaining), timeout=timeout
-                )
-            except TransportError:
-                if attempt >= policy.retries:
-                    service._note_envelope_death(target, what, policy.retries + 1)
-                    raise TransportError(
-                        f"{what} envelope to {target} unanswered after "
-                        f"{policy.retries + 1} attempts"
-                    )
-        raise AssertionError("unreachable")  # pragma: no cover
+        if target not in service.servers and target not in service.retired_servers:
+            target = service.hierarchy.root_id
+        try:
+            return await reporter.ask(
+                target, lambda rid: make_envelope(rid, remaining), timeout, retries
+            )
+        except TransportError:
+            service._note_envelope_death(target, what, retries + 1)
+            raise TransportError(
+                f"{what} envelope to {target} unanswered after {retries + 1} attempts"
+            ) from None
 
     return send
 
 
 async def drive_item_rounds(
-    send, settle, retries: int | RetryPolicy, sub_timeout: float | None
+    send, settle, retries: int, sub_timeout: float | None
 ) -> None:
     """The per-item round loop of every update and deregistration envelope.
 
@@ -155,7 +106,7 @@ async def drive_item_rounds(
     fresh-id requests in the socket driver (:mod:`repro.net.scenario`).
     """
     remaining: set[str] | None = None
-    for round_ in range(RetryPolicy.of(retries).retries + 1):
+    for round_ in range(retries + 1):
         unacked = settle(await send(remaining, retries if round_ == 0 else 0))
         if not unacked or sub_timeout is None:
             return
@@ -168,7 +119,7 @@ async def drive_update_envelope(
     dest: str,
     items,
     timeout: float | None,
-    retries: int | RetryPolicy,
+    retries: int,
     sub_timeout: float | None = None,
 ) -> tuple:
     """Send one destination's ``(object id, position, sensor accuracy)``
@@ -182,10 +133,10 @@ async def drive_update_envelope(
     epoch = service.hierarchy.epoch
     outcomes: dict[str, m.UpdateOutcome] = {}
 
-    def make_envelope(remaining: set[str] | None) -> m.UpdateBatchReq:
+    def make_envelope(request_id: str, remaining: set[str] | None) -> m.UpdateBatchReq:
         now = service.loop.now
         return m.UpdateBatchReq(
-            request_id=reporter.next_request_id(),
+            request_id=request_id,
             reply_to=reporter.address,
             sightings=tuple(
                 SightingRecord(oid, now, pos, acc)
@@ -292,7 +243,7 @@ class LocationService:
         ``listener(dest, what, attempts)`` fires when a protocol-lane
         envelope (:func:`protocol_sender` — the update, handover, and
         deregistration drivers all route through it) burns its whole
-        :class:`RetryPolicy` against ``dest`` without an answer.  That is
+        retry budget against ``dest`` without an answer.  That is
         the protocol's own dead-destination signal; the chaos layer's
         :meth:`~repro.chaos.recovery.RecoveryCoordinator.watch` records
         the suspect for confirmation instead of polling every server.
@@ -554,7 +505,7 @@ class LocationService:
         self,
         reports: Iterable[tuple[TrackedObject, Point]],
         envelope_timeout: float | None = None,
-        envelope_retries: int | RetryPolicy = 3,
+        envelope_retries: int = 3,
         envelope_sub_timeout: float | None = None,
     ) -> dict[str, int]:
         """Apply a batch of position reports — the server-tick fast path.
@@ -631,7 +582,7 @@ class LocationService:
         reporter: Endpoint,
         fold,
         envelope_timeout: float | None = None,
-        envelope_retries: int | RetryPolicy = 3,
+        envelope_retries: int = 3,
         envelope_sub_timeout: float | None = None,
     ) -> list[str]:
         """The in-process report lane under :meth:`update_many` and
@@ -708,7 +659,7 @@ class LocationService:
         self,
         objs: Iterable[TrackedObject],
         envelope_timeout: float | None = None,
-        envelope_retries: int | RetryPolicy = 3,
+        envelope_retries: int = 3,
         envelope_sub_timeout: float | None = None,
         detailed: bool = False,
     ) -> dict[str, bool] | dict[str, str]:
@@ -745,9 +696,11 @@ class LocationService:
         reporter = self._reporter()
 
         async def drive(dest: str, batch: list[TrackedObject]) -> None:
-            def make_envelope(remaining: set[str] | None) -> m.DeregisterBatchReq:
+            def make_envelope(
+                request_id: str, remaining: set[str] | None
+            ) -> m.DeregisterBatchReq:
                 return m.DeregisterBatchReq(
-                    request_id=reporter.next_request_id(),
+                    request_id=request_id,
                     reply_to=reporter.address,
                     object_ids=tuple(
                         obj.object_id

@@ -42,9 +42,20 @@ from repro.net.tcp import TcpTransport
 from repro.net.udp import UdpTransport
 from repro.runtime.base import Endpoint
 
-__all__ = ["ClusterSpec", "ClusterLauncher", "make_transport", "run_node"]
+__all__ = ["ClusterSpec", "ClusterLauncher", "make_transport", "node_server", "run_node"]
 
 _TRANSPORTS = {"udp": UdpTransport, "tcp": TcpTransport}
+
+#: Sighting lifetime on every node: soft state disabled, as in the
+#: measurement scenarios.
+SIGHTING_TTL = 1e9
+
+#: Seconds :meth:`ClusterLauncher.wait_ready` ping-probes a node for.
+READY_TIMEOUT = 15.0
+
+#: The receive-path defense counters of ``NetworkStats`` (and of
+#: :class:`~repro.net.control.NodeStatsRes`).
+DEFENSE_COUNTERS = ("frames_corrupted", "messages_quarantined", "stale_epoch_rejected")
 
 
 def make_transport(kind: str, **kwargs):
@@ -63,8 +74,6 @@ class ClusterSpec:
     hierarchy: Hierarchy
     book: AddressBook
     transport: str = "udp"
-    #: soft state disabled by default, as in the measurement scenarios.
-    sighting_ttl: float = 1e9
     #: sender-side datagram loss applied inside every node (and the
     #: driver), for the UDP-loss acceptance lane.
     drop_rate: float = 0.0
@@ -77,7 +86,6 @@ class ClusterSpec:
                 "hierarchy": encode_hierarchy(self.hierarchy),
                 "book": self.book.to_wire(),
                 "transport": self.transport,
-                "sighting_ttl": self.sighting_ttl,
                 "drop_rate": self.drop_rate,
                 "seed": self.seed,
                 "extra": self.extra,
@@ -91,7 +99,6 @@ class ClusterSpec:
             hierarchy=decode_hierarchy(payload["hierarchy"]),
             book=AddressBook.from_wire(payload["book"]),
             transport=payload["transport"],
-            sighting_ttl=payload["sighting_ttl"],
             drop_rate=payload["drop_rate"],
             seed=payload["seed"],
             extra=payload.get("extra", {}),
@@ -175,13 +182,15 @@ def _install_control_plane(server, transport, stop_event: asyncio.Event) -> None
     server.on(ctl.NodeShutdownReq, on_shutdown)
 
 
-def _node_server(spec: ClusterSpec, server_id: str):
-    """The :class:`~repro.core.server.LocationServer` a node process runs
-    (the default store backend, as in-process)."""
+def node_server(hierarchy: Hierarchy, server_id: str):
+    """The :class:`~repro.core.server.LocationServer` a cluster node runs
+    (the default store backend), at ``hierarchy``'s topology epoch —
+    in a node process here, in the driver's process on the in-process
+    runtimes of :data:`repro.net.scenario.RUNTIMES`."""
     from repro.core.server import LocationServer  # deferred: heavy import
 
-    server = LocationServer(spec.hierarchy.config(server_id), sighting_ttl=spec.sighting_ttl)
-    server.topology_epoch = spec.hierarchy.epoch
+    server = LocationServer(hierarchy.config(server_id), sighting_ttl=SIGHTING_TTL)
+    server.topology_epoch = hierarchy.epoch
     return server
 
 
@@ -205,7 +214,7 @@ async def _node_main(spec: ClusterSpec, server_id: str) -> None:
         seed=node_seed(spec.seed, server_id),
     )
     await transport.start()
-    server = _node_server(spec, server_id)
+    server = node_server(spec.hierarchy, server_id)
     stop_event = asyncio.Event()
     _install_control_plane(server, transport, stop_event)
     transport.join(server)
@@ -248,20 +257,16 @@ class ClusterLauncher:
         hierarchy: Hierarchy,
         transport: str = "udp",
         host: str = "127.0.0.1",
-        sighting_ttl: float = 1e9,
         drop_rate: float = 0.0,
         seed: int = 0,
-        ready_timeout: float = 15.0,
     ) -> None:
         for server_id in hierarchy.server_ids():
             validate_address(server_id, what="server id")
         self.hierarchy = hierarchy
         self.transport_kind = transport
         self.host = host
-        self.sighting_ttl = sighting_ttl
         self.drop_rate = drop_rate
         self.seed = seed
-        self.ready_timeout = ready_timeout
         self.order = bfs_order(hierarchy)
         self.transport = None  # driver-side transport, set by start()
         self.control: Endpoint | None = None
@@ -280,7 +285,6 @@ class ClusterLauncher:
             hierarchy=self.hierarchy,
             book=book,
             transport=self.transport_kind,
-            sighting_ttl=self.sighting_ttl,
             drop_rate=self.drop_rate,
             seed=self.seed,
         )
@@ -317,7 +321,7 @@ class ClusterLauncher:
             if process is None or not process.is_alive():
                 continue
             try:
-                await self.request(
+                await self.control.ask(
                     server_id,
                     lambda rid: ctl.NodeShutdownReq(
                         request_id=rid, reply_to=self.DRIVER_ADDRESS
@@ -349,40 +353,24 @@ class ClusterLauncher:
 
     # -- cluster operations ------------------------------------------------
 
-    async def request(self, dest: str, make_message, timeout: float, retries: int):
-        """Send a control request with per-attempt fresh ids and retries."""
-        assert self.control is not None, "launcher not started"
-        last: TransportError | None = None
-        for _ in range(retries + 1):
-            request_id = self.control.next_request_id()
-            try:
-                return await self.control.request(
-                    dest, make_message(request_id), timeout=timeout
-                )
-            except TransportError as exc:
-                last = exc
-        raise TransportError(f"control request to {dest} failed: {last}")
-
     async def wait_ready(self, server_id: str) -> None:
         """Ping-probe one node until it answers (startup barrier)."""
         from repro.core import messages as m
 
-        attempts = max(int(self.ready_timeout / 0.25), 1)
         try:
-            await self.request(
+            await self.control.ask(
                 server_id,
                 lambda rid: m.PingReq(request_id=rid, reply_to=self.DRIVER_ADDRESS),
                 timeout=0.25,
-                retries=attempts,
+                retries=int(READY_TIMEOUT / 0.25),
             )
         except TransportError:
             raise TransportError(
-                f"node {server_id!r} did not become ready within "
-                f"{self.ready_timeout}s"
+                f"node {server_id!r} did not become ready within {READY_TIMEOUT}s"
             ) from None
 
     async def node_stats(self, server_id: str) -> ctl.NodeStatsRes:
-        res = await self.request(
+        res = await self.control.ask(
             server_id,
             lambda rid: ctl.NodeStatsReq(request_id=rid, reply_to=self.DRIVER_ADDRESS),
             timeout=1.0,
@@ -401,22 +389,11 @@ class ClusterLauncher:
         return total
 
     async def defense_totals(self) -> dict[str, int]:
-        """Cluster-wide receive-path defense counters (PR 9).
-
-        Sums the trailing :class:`~repro.net.control.NodeStatsRes`
-        fields over every node; a pre-PR-9 node that omits them on the
-        wire contributes the schema-evolution defaults (0)."""
-        totals = {
-            "frames_corrupted": 0,
-            "messages_quarantined": 0,
-            "stale_epoch_rejected": 0,
-        }
-        for server_id in self.order:
-            stats = await self.node_stats(server_id)
-            totals["frames_corrupted"] += stats.frames_corrupted
-            totals["messages_quarantined"] += stats.messages_quarantined
-            totals["stale_epoch_rejected"] += stats.stale_epoch_rejected
-        return totals
+        """Cluster-wide receive-path defense counters: the trailing
+        :class:`~repro.net.control.NodeStatsRes` fields summed over every
+        node (a node that omits them on the wire contributes 0)."""
+        stats = [await self.node_stats(server_id) for server_id in self.order]
+        return {name: sum(getattr(s, name) for s in stats) for name in DEFENSE_COUNTERS}
 
     async def adopt_hierarchy(self, hierarchy: Hierarchy) -> dict[str, int]:
         """Push an epoch bump to every node; returns id → adopted epoch."""
@@ -427,7 +404,7 @@ class ClusterLauncher:
         configs = tuple(hierarchy.configs.values())
         epochs: dict[str, int] = {}
         for server_id in self.order:
-            res = await self.request(
+            res = await self.control.ask(
                 server_id,
                 lambda rid: ctl.AdoptHierarchyReq(
                     request_id=rid,

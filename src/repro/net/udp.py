@@ -7,7 +7,8 @@ reassembled at the receiver before normal dispatch — so a large message
 never silently truncates at 64 KiB.
 
 Loss semantics are UDP's: a dropped datagram is simply gone, and the
-protocol lane's ``RetryPolicy`` timeouts (unchanged from the simulated
+protocol lane's timeouts and fresh-id re-sends
+(:meth:`~repro.runtime.base.Endpoint.ask`, unchanged from the simulated
 runtime) are what recover it.  The transport's own ``drop_rate`` knob
 exists so loss can be *provoked* deterministically on loopback, where
 real drops are rare.

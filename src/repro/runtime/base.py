@@ -176,6 +176,33 @@ class Endpoint:
         self.send(dest, message)
         return await self.wait(request_id, future, timeout)
 
+    async def ask(
+        self,
+        dest: str,
+        make_message: Callable[[str], Message],
+        timeout: float | None,
+        retries: int,
+    ) -> Response:
+        """Request with re-sends: the one recovery over a lossy network.
+
+        Each attempt sends ``make_message(request_id)`` under a fresh id
+        (a late answer to an abandoned attempt resolves nothing) and
+        waits up to ``timeout``; up to ``retries + 1`` attempts.  Returns
+        the first answer; raises :class:`~repro.errors.TransportError`
+        when every attempt went unanswered.
+        """
+        for _ in range(retries + 1):
+            try:
+                return await self.request(
+                    dest, make_message(self.next_request_id()), timeout=timeout
+                )
+            except TransportError:
+                pass
+        raise TransportError(
+            f"request to {dest} from {self.address} unanswered after "
+            f"{retries + 1} attempts"
+        )
+
     def park(self, request_id: str) -> Any:
         """Create and register the future a response will resolve."""
         assert self.ctx is not None

@@ -4,18 +4,19 @@ PR 9's acceptance artifact (``BENCH_PR9.json``) proves the receive-path
 hardening end to end on **all three runtimes** behind the ``Context``
 contract:
 
-* :func:`run_sim_byzantine_lane` — the table-2 service on
-  :class:`~repro.runtime.simnet.SimNetwork` (virtual time), driven by
-  the elastic harness's envelope lane.
-* :func:`run_asyncio_byzantine_lane` — the same hierarchy on
-  :class:`~repro.runtime.asyncio_rt.AsyncioNetwork`, driven through the
-  public protocol by :func:`repro.net.scenario.drive_workload`.
-* :func:`run_udp_byzantine_lane` — one :class:`~repro.net.udp.
-  UdpTransport` **per server** in one process, so every inter-server and
-  driver↔server message is a real datagram: corruption lands on encoded
-  frame *bytes* and must be caught by the wire codec's CRC32 /
-  resynchronising :class:`~repro.net.wire.FrameDecoder` before the
-  message-layer validator ever sees it.
+1. :func:`run_sim_byzantine_lane` — the table-2 service on
+   :class:`~repro.runtime.simnet.SimNetwork` (virtual time), driven by
+   the elastic harness's envelope lane.
+2. The ``"asyncio"`` row of :data:`repro.net.scenario.RUNTIMES` — the
+   same hierarchy on :class:`~repro.runtime.asyncio_rt.AsyncioNetwork`,
+   driven through the public protocol by
+   :func:`repro.net.scenario.run_lane`.
+3. The ``"udp"`` row — one :class:`~repro.net.udp.UdpTransport` **per
+   server** in one process, so every inter-server and driver↔server
+   message is a real datagram: corruption lands on encoded frame
+   *bytes* and must be caught by the wire codec's CRC32 /
+   resynchronising :class:`~repro.net.wire.FrameDecoder` before the
+   message-layer validator ever sees it.
 
 Every lane runs under the same adversary — a wildcard
 :class:`~repro.chaos.LinkFaults` rule corrupting
@@ -23,8 +24,9 @@ Every lane runs under the same adversary — a wildcard
 of epoch-stamped messages with an ancient epoch — and must finish with:
 
 * **zero corrupted-accepted**: no stored record fails
-  :func:`~repro.runtime.validation.find_defect` post-run (damage never
-  reached storage);
+  :func:`~repro.runtime.validation.find_defect` post-run
+  (:func:`~repro.net.scenario.stored_defects`; damage never reached
+  storage);
 * **zero lost / zero duplicated sightings**: quarantine degrades to the
   retry path, never to silent loss, and a rejected stale replay is
   never applied twice;
@@ -46,14 +48,16 @@ gated by ``scripts/bench_check.py``.
 
 from __future__ import annotations
 
-import asyncio
-
-from repro.chaos import FaultInjector, LinkFaults
-from repro.core.hierarchy import build_table2_hierarchy
+from repro.chaos import LinkFaults
 from repro.errors import TransportError
-from repro.runtime.validation import find_defect
+from repro.net.scenario import (
+    DEFENSE_COUNTERS,
+    fault_counters,
+    run_lane,
+    stored_defects,
+)
 from repro.sim.chaos import _FaultRun, root_partition_scenario
-from repro.sim.elastic import DT, ROOT_SIDE, _aged, commuter_rush_workload
+from repro.sim.elastic import DT, commuter_rush_workload
 
 __all__ = [
     "AGED_EPOCH",
@@ -61,9 +65,7 @@ __all__ = [
     "STALE_EPOCH_RATE",
     "byzantine_benchmark_payload",
     "byzantine_rule",
-    "run_asyncio_byzantine_lane",
     "run_sim_byzantine_lane",
-    "run_udp_byzantine_lane",
 ]
 
 #: Share of traffic the adversary damages (frames on socket transports,
@@ -86,37 +88,6 @@ def byzantine_rule() -> LinkFaults:
     return LinkFaults(corrupt_rate=CORRUPT_RATE, stale_epoch_rate=STALE_EPOCH_RATE)
 
 
-def _poison_everywhere(injector: FaultInjector) -> None:
-    injector.set_link("*", "*", byzantine_rule())
-
-
-def _stored_defects(servers) -> int:
-    """Stored sightings that carry validator-detectable damage.
-
-    The defense claim is *negative* — corruption must never be accepted
-    — so the proof is a post-run sweep of every leaf's store with the
-    same :func:`find_defect` the receive path uses.
-    """
-    bad = 0
-    for server in servers:
-        store = getattr(server, "store", None)
-        if store is None:
-            continue
-        for record in store.sightings.records():
-            if find_defect(record) is not None:
-                bad += 1
-    return bad
-
-
-def _defense_counters(stats_list) -> dict:
-    return {
-        "faults_injected": sum(s.faults_injected for s in stats_list),
-        "frames_corrupted": sum(s.frames_corrupted for s in stats_list),
-        "messages_quarantined": sum(s.messages_quarantined for s in stats_list),
-        "stale_epoch_rejected": sum(s.stale_epoch_rejected for s in stats_list),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Lane 1 — SimNetwork (virtual time, elastic harness envelopes)
 # ---------------------------------------------------------------------------
@@ -131,7 +102,7 @@ def run_sim_byzantine_lane(objects: int = 200, ticks: int = 8, seed: int = 0) ->
     device's next tick re-reports, exactly the drop-recovery path.
     """
     run = _FaultRun(objects, seed, "bz", caches=True, epoch=AGED_EPOCH, radius=60.0)
-    _poison_everywhere(run.injector)
+    run.injector.set_link("*", "*", byzantine_rule())
 
     def report(reports) -> int:
         try:
@@ -152,133 +123,10 @@ def run_sim_byzantine_lane(objects: int = 200, ticks: int = 8, seed: int = 0) ->
         "corrupt_rate": CORRUPT_RATE,
         "stale_epoch_rate": STALE_EPOCH_RATE,
         "envelope_failures": envelope_failures,
-        "corrupted_accepted": _stored_defects(run.svc.servers.values()),
+        "corrupted_accepted": stored_defects(run.svc.servers.values()),
         **run.invariants(),
-        **_defense_counters([run.svc.network.stats]),
+        **fault_counters([run.svc.network.stats]),
     }
-
-
-# ---------------------------------------------------------------------------
-# Lanes 2 and 3 — the protocol driver on asyncio and real UDP sockets
-# ---------------------------------------------------------------------------
-
-
-def _finish_driver_lane(payload: dict, servers, stats_list) -> dict:
-    """Shared post-run bookkeeping for the drive_workload lanes."""
-    tracked = sum(
-        len(server.store.sightings) for server in servers if server.is_leaf
-    )
-    payload["tracked_total"] = tracked
-    payload["duplicated_sightings"] = max(0, tracked - payload["registered"])
-    payload["corrupted_accepted"] = _stored_defects(servers)
-    payload["corrupt_rate"] = CORRUPT_RATE
-    payload["stale_epoch_rate"] = STALE_EPOCH_RATE
-    payload.update(_defense_counters(stats_list))
-    return payload
-
-
-def run_asyncio_byzantine_lane(
-    objects: int = 160, ticks: int = 6, seed: int = 0
-) -> dict:
-    """Corrupt + stale traffic on the in-process asyncio runtime."""
-    from repro.core.server import LocationServer
-    from repro.net.scenario import drive_workload
-    from repro.runtime.asyncio_rt import AsyncioNetwork
-
-    hierarchy = _aged(build_table2_hierarchy(ROOT_SIDE), AGED_EPOCH)
-    workload = commuter_rush_workload(objects=objects, ticks=ticks, seed=seed)
-
-    async def main() -> dict:
-        network = AsyncioNetwork()
-        servers = []
-        for server_id in hierarchy.server_ids():
-            server = LocationServer(hierarchy.config(server_id), sighting_ttl=1e9)
-            server.topology_epoch = hierarchy.epoch
-            network.join(server)
-            servers.append(server)
-        injector = FaultInjector(network, seed=seed)
-        _poison_everywhere(injector)
-        payload = await drive_workload(
-            workload,
-            hierarchy,
-            network.join,
-            timeout=0.5,
-            retries=12,
-            sub_timeout=0.4,
-        )
-        # Every handler that can change a store is bounded by the
-        # timeouts above; a position query whose answer the adversary
-        # quarantined stays parked at its entry server for good, so the
-        # settle is bounded too.
-        try:
-            await asyncio.wait_for(network.quiesce(), timeout=5.0)
-        except asyncio.TimeoutError:
-            pass
-        payload["transport"] = "asyncio"
-        return _finish_driver_lane(payload, servers, [network.stats])
-
-    return asyncio.run(main())
-
-
-def run_udp_byzantine_lane(objects: int = 120, ticks: int = 6, seed: int = 0) -> dict:
-    """Corrupt + stale traffic over real UDP datagrams.
-
-    One transport (one socket) per server in a single process, plus one
-    for the driver, sharing an :class:`~repro.net.address.AddressBook`:
-    every inter-server hop serializes through the versioned wire codec,
-    so the injected corruption damages encoded frame *bytes* and the
-    CRC32 / magic-resync machinery is what keeps it out.
-    """
-    from repro.core.server import LocationServer
-    from repro.net.address import AddressBook
-    from repro.net.scenario import drive_workload
-    from repro.net.udp import UdpTransport
-
-    hierarchy = _aged(build_table2_hierarchy(ROOT_SIDE), AGED_EPOCH)
-    workload = commuter_rush_workload(objects=objects, ticks=ticks, seed=seed)
-
-    async def main() -> dict:
-        book = AddressBook()
-        transports: list[UdpTransport] = []
-        servers = []
-        try:
-            for index, server_id in enumerate(hierarchy.server_ids()):
-                transport = UdpTransport(book=book, seed=seed + index)
-                _poison_everywhere(FaultInjector(transport, seed=seed * 7919 + index))
-                await transport.start()
-                server = LocationServer(
-                    hierarchy.config(server_id), sighting_ttl=1e9
-                )
-                server.topology_epoch = hierarchy.epoch
-                transport.join(server)
-                book.bind(server_id, transport.host, transport.port)
-                transports.append(transport)
-                servers.append(server)
-            driver = UdpTransport(book=book, seed=seed + 4096)
-            _poison_everywhere(FaultInjector(driver, seed=seed * 7919 + 4096))
-            await driver.start()
-            transports.append(driver)
-            # Driver-side endpoints (reporter) are created dynamically;
-            # server replies resolve to the driver socket via fallback.
-            book.fallback = (driver.host, driver.port)
-            payload = await drive_workload(
-                workload,
-                hierarchy,
-                driver.join,
-                timeout=1.0,
-                retries=12,
-                sub_timeout=0.4,
-            )
-            payload["transport"] = "udp"
-            payload["sockets"] = len(transports)
-            return _finish_driver_lane(
-                payload, servers, [t.stats for t in transports]
-            )
-        finally:
-            for transport in transports:
-                await transport.stop()
-
-    return asyncio.run(main())
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +143,25 @@ def byzantine_benchmark_payload(seed: int = 0) -> dict:
     reconvergence, nothing lost or duplicated); the thresholds are rows
     of ``scripts/bench_check.py``.
     """
-    lanes = {
-        "sim": run_sim_byzantine_lane(seed=seed),
-        "asyncio": run_asyncio_byzantine_lane(seed=seed),
-        "udp": run_udp_byzantine_lane(seed=seed),
-    }
+    lanes = {"sim": run_sim_byzantine_lane(seed=seed)}
+    for runtime, objects, timeout in (("asyncio", 160, 0.5), ("udp", 120, 1.0)):
+        lanes[runtime] = {
+            **run_lane(
+                commuter_rush_workload(objects, 6, seed),
+                runtime,
+                faults=byzantine_rule(),
+                epoch=AGED_EPOCH,
+                timeout=timeout,
+                retries=12,
+                sub_timeout=0.4,
+                seed=seed,
+            ),
+            "corrupt_rate": CORRUPT_RATE,
+            "stale_epoch_rate": STALE_EPOCH_RATE,
+        }
     root_partition = root_partition_scenario(seed=seed)
     caught = {
-        name: lane["frames_corrupted"]
-        + lane["messages_quarantined"]
-        + lane["stale_epoch_rejected"]
-        for name, lane in lanes.items()
+        name: sum(lane[d] for d in DEFENSE_COUNTERS) for name, lane in lanes.items()
     }
     return {
         "bench": "byzantine hardening: corrupt/stale defense + apex promotion",

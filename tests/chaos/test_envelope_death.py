@@ -1,5 +1,5 @@
 """Protocol-lane death detection: an envelope that exhausts its
-``RetryPolicy`` notifies the service's envelope-death listeners, and a
+retry budget notifies the service's envelope-death listeners, and a
 watching ``RecoveryCoordinator`` confirms and recovers the suspect —
 no harness-side liveness polling anywhere."""
 

@@ -1,7 +1,7 @@
 """Tests for the chaos layer's detection + recovery control plane.
 
-Exercises :class:`RetryPolicy` backoff arithmetic, the probe-based
-dead-leaf detector on the virtual clock, and both recovery strategies
+Exercises the probe-based dead-leaf detector on the virtual clock
+(its backoff schedule included), and both recovery strategies
 (in-place WAL restart; merge re-homing with WAL replay into the
 staging store).
 """
@@ -11,9 +11,9 @@ import random
 import pytest
 
 from repro.chaos import FaultInjector, RecoveryCoordinator, inject_crash
+from repro.chaos.recovery import PROBE_TIMEOUT, PROBE_WAITS
 from repro.cluster import MigrationExecutor, SplitPlan
 from repro.core import messages as m
-from repro.core.service import RetryPolicy
 from repro.errors import LocationServiceError
 from repro.geo import Point, Rect
 from repro.model import SightingRecord
@@ -62,32 +62,6 @@ def split_sw_quadrant(svc):
     return executor, report, tuple(child for child, _ in children)
 
 
-class TestRetryPolicy:
-    def test_of_normalizes_plain_int(self):
-        policy = RetryPolicy.of(5)
-        assert policy.retries == 5
-        assert policy.base_delay == 0.0
-
-    def test_of_passes_policy_through(self):
-        policy = RetryPolicy(retries=2, base_delay=0.5)
-        assert RetryPolicy.of(policy) is policy
-
-    def test_default_policy_never_waits(self):
-        policy = RetryPolicy()
-        assert [policy.delay_before(n) for n in range(4)] == [0.0] * 4
-
-    def test_first_attempt_never_waits(self):
-        policy = RetryPolicy(base_delay=1.0)
-        assert policy.delay_before(0) == 0.0
-
-    def test_exponential_growth_capped(self):
-        policy = RetryPolicy(
-            retries=6, base_delay=0.1, backoff_factor=2.0, max_delay=0.5
-        )
-        delays = [policy.delay_before(n) for n in range(1, 6)]
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
-
-
 class TestDetection:
     def test_probe_alive_on_live_server(self):
         svc, _ = table2_service(object_count=20, seed=0)
@@ -106,7 +80,7 @@ class TestDetection:
         dead, attempts, elapsed = coordinator.confirm_dead("root.1")
         assert not dead
         assert attempts == 1
-        assert elapsed < coordinator.probe_timeout
+        assert elapsed < PROBE_TIMEOUT
 
     def test_confirm_dead_exhausts_backoff_schedule(self):
         svc, _ = table2_service(object_count=20, seed=0)
@@ -114,14 +88,10 @@ class TestDetection:
         svc.crash_server("root.0")
         dead, attempts, elapsed = coordinator.confirm_dead("root.0")
         assert dead
-        policy = coordinator.probe_policy
-        assert attempts == policy.retries + 1
+        assert attempts == len(PROBE_WAITS) == 5
         # Every probe burns its full timeout; backoff sleeps in between.
-        backoff = sum(
-            policy.delay_before(n) for n in range(1, policy.retries + 1)
-        )
-        expected = attempts * coordinator.probe_timeout + backoff
-        assert elapsed == pytest.approx(expected)
+        assert elapsed == pytest.approx(attempts * PROBE_TIMEOUT + sum(PROBE_WAITS))
+        assert elapsed == pytest.approx(2.75)
 
     def test_recover_dead_leaf_declines_live_server(self):
         svc, _ = table2_service(object_count=20, seed=0)
@@ -144,7 +114,7 @@ class TestRestartRecovery:
         assert report.new_home == "root.0"
         assert report.moved == 0
         assert report.replayed_records == len(local)
-        assert report.detection_attempts == coordinator.probe_policy.retries + 1
+        assert report.detection_attempts == len(PROBE_WAITS)
         # Registrations are back; sightings are soft state, rebuilt by
         # the next position report.
         server = svc.servers["root.0"]

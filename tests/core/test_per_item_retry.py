@@ -111,7 +111,9 @@ class TestItemRounds:
         reporter.request = request
         svc.run(
             drive_item_rounds(
-                protocol_sender(reporter, svc, "s4", lambda remaining: remaining, 5.0, "test"),
+                protocol_sender(
+                    reporter, svc, "s4", lambda _rid, remaining: remaining, 5.0, "test"
+                ),
                 set, retries, sub_timeout,
             )
         )

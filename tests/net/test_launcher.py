@@ -38,7 +38,7 @@ class TestUdpCluster:
 
                 # Register at the entry leaf owning the position.
                 leaf = h.leaf_for_point(Point(100.0, 100.0))
-                res = await launcher.request(
+                res = await launcher.control.ask(
                     leaf,
                     lambda rid: m.RegisterReq(
                         request_id=rid,
@@ -100,7 +100,7 @@ class TestTcpCluster:
             await launcher.start()
             try:
                 leaf = h.leaf_for_point(Point(700.0, 100.0))
-                res = await launcher.request(
+                res = await launcher.control.ask(
                     leaf,
                     lambda rid: m.RegisterReq(
                         request_id=rid,

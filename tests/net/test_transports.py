@@ -132,8 +132,8 @@ class TestLoopback:
 
     @pytest.mark.slow
     def test_timeout_and_retry_recover_from_drops(self, cls):
-        """The RetryPolicy story end-to-end: a lossy sender-side link
-        still converges because unanswered requests are re-sent."""
+        """The re-send story end-to-end: a lossy sender-side link still
+        converges because unanswered requests are re-sent."""
 
         async def scenario():
             left, right = await start_pair(cls, drop_rate=0.5, seed=3)

@@ -1,8 +1,8 @@
 """Option hygiene for the runtime fabric: no constructor keyword that
 nothing sets.
 
-Every ``__init__`` parameter of the runtimes and of the fault injector
-must be passed — by keyword or by position — by some call in ``src/``,
+Every ``__init__`` parameter of the runtimes, the fault injector, the
+cluster launcher and the recovery coordinator must be passed — by keyword or by position — by some call in ``src/``,
 ``benchmarks/``, ``scripts/`` or ``examples/``.  A knob only its own
 tests turn is a second behaviour the fault semantics must carry for no
 caller; it fails here instead of lingering.  Socket transports are
@@ -15,7 +15,8 @@ import inspect
 import pathlib
 
 import repro
-from repro.chaos import FaultInjector
+from repro.chaos import FaultInjector, RecoveryCoordinator
+from repro.net.bootstrap import ClusterLauncher
 from repro.net.transport import SocketTransport
 from repro.runtime.asyncio_rt import AsyncioNetwork
 from repro.runtime.simnet import SimNetwork
@@ -29,7 +30,14 @@ CONSTRUCTORS = {
     AsyncioNetwork: {"AsyncioNetwork"},
     SocketTransport: {"UdpTransport", "TcpTransport", "make_transport"},
     FaultInjector: {"FaultInjector"},
+    ClusterLauncher: {"ClusterLauncher"},
+    RecoveryCoordinator: {"RecoveryCoordinator"},
 }
+
+#: Keywords exempt because they are a deployment's address, not a
+#: behaviour: every caller here runs on loopback, a real deployment
+#: binds elsewhere.
+DEPLOYMENT = {(ClusterLauncher, "host")}
 
 
 def init_parameters(cls) -> list[str]:
@@ -80,7 +88,11 @@ def test_every_fabric_constructor_keyword_has_a_caller():
             used |= keywords
             if callee != "make_transport":
                 used |= {params[i] for i in positions if i < len(params)}
-        missing = [name for name in params if name not in used]
+        missing = [
+            name
+            for name in params
+            if name not in used and (cls, name) not in DEPLOYMENT
+        ]
         if missing:
             unused[cls.__name__] = missing
     assert unused == {}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import FaultInjector, LinkFaults
 from repro.errors import TransportError
 from repro.runtime.base import Endpoint, Message, Response
 from repro.runtime.latency import CostModel, LatencyModel
@@ -107,6 +108,54 @@ class TestDelivery:
         caller.send("other", Ping(request_id="x", reply_to="caller"))
         net.run()
         assert len(other.unhandled) == 1
+
+
+class TestAsk:
+    """``Endpoint.ask``, the one re-send loop: a fresh request id per
+    attempt, the first answer wins, and ``retries + 1`` unanswered sends
+    raise.  Every ``caller → echo`` send is dropped by an injected rule
+    until it is lifted."""
+
+    def _setup(self):
+        net = SimNetwork()
+        echo = net.join(Echo("echo"))
+        caller = net.join(Caller("caller"))
+        injector = FaultInjector(net, seed=0)
+        injector.set_link("caller", "echo", LinkFaults(drop_rate=1.0))
+        return net, echo, caller, injector
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_answer_on_attempt_k_returns_after_exactly_k_sends(self, k):
+        net, echo, caller, injector = self._setup()
+        ids = []
+
+        def make(request_id):
+            ids.append(request_id)
+            if len(ids) == k:
+                injector.clear_link("caller", "echo")
+            return Ping(request_id=request_id, reply_to="caller")
+
+        res = net.run_coro(caller.ask("echo", make, timeout=1.0, retries=5))
+        assert len(ids) == len(set(ids)) == k
+        assert net.stats.by_type["Ping"] == k
+        assert net.stats.messages_dropped == k - 1
+        assert isinstance(res, Pong) and res.request_id == ids[-1]
+        assert [ping.request_id for ping in echo.received] == [ids[-1]]
+
+    def test_retries_plus_one_unanswered_sends_raise(self):
+        net, echo, caller, _ = self._setup()
+        ids = []
+
+        def make(request_id):
+            ids.append(request_id)
+            return Ping(request_id=request_id, reply_to="caller")
+
+        with pytest.raises(TransportError, match="unanswered after 4 attempts"):
+            net.run_coro(caller.ask("echo", make, timeout=1.0, retries=3))
+        assert len(ids) == len(set(ids)) == 4
+        assert net.stats.by_type["Ping"] == net.stats.messages_dropped == 4
+        assert echo.received == []
+        assert caller.pending_count == 0
 
 
 class TestCpuCostModel:

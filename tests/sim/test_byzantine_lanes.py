@@ -1,21 +1,17 @@
 """The BENCH_PR9 byzantine lanes, at test scale.
 
 The bench artifact runs three runtimes under the 2% corrupt + 2% stale
-adversary; these smokes run the sim and asyncio lanes small enough for
-tier-1 and assert the *gates*, not the magnitudes: nothing corrupted is
-ever accepted, nothing is lost or duplicated, and the adversary was
-demonstrably real (faults fired, defenses caught).  The UDP lane opens
-real sockets and lives with the transport tests in
-``tests/net/test_socket_scenario.py``'s environment instead.
+adversary; these smokes run the sim lane small enough for tier-1 and
+assert the *gates*, not the magnitudes: nothing corrupted is ever
+accepted, nothing is lost or duplicated, and the adversary was
+demonstrably real (faults fired, defenses caught).  The asyncio and UDP
+lanes are rows of :data:`repro.net.scenario.RUNTIMES`, tested with the
+other rows in ``tests/net/test_lanes.py``.
 """
 
 import pytest
 
-from repro.sim.byzantine import (
-    AGED_EPOCH,
-    run_asyncio_byzantine_lane,
-    run_sim_byzantine_lane,
-)
+from repro.sim.byzantine import AGED_EPOCH, run_sim_byzantine_lane
 
 pytestmark = pytest.mark.slow
 
@@ -45,11 +41,3 @@ class TestSimLane:
         # would be vacuous; the lane must age the topology first.
         lane = run_sim_byzantine_lane(objects=60, ticks=4, seed=1)
         assert lane["topology_epoch"] >= AGED_EPOCH
-
-
-class TestAsyncioLane:
-    def test_defends_and_loses_nothing(self):
-        lane = run_asyncio_byzantine_lane(objects=60, ticks=4, seed=0)
-        assert lane["transport"] == "asyncio"
-        assert lane["registered"] == lane["found"] == 60
-        _assert_defended(lane)

@@ -180,7 +180,7 @@ class TestOneServiceStore:
     def test_every_service_leaf_defaults_to_columnar(self):
         from repro.core.server import LocationServer
         from repro.net.address import AddressBook
-        from repro.net.bootstrap import ClusterSpec, _node_server
+        from repro.net.bootstrap import ClusterSpec, node_server
 
         hierarchy = build_table2_hierarchy()
         leaf = hierarchy.leaf_ids()[0]
@@ -188,7 +188,7 @@ class TestOneServiceStore:
         leaves = [
             LocationServer(hierarchy.config(leaf)),
             LocationService(hierarchy).servers[leaf],
-            _node_server(spec, leaf),
+            node_server(spec.hierarchy, leaf),
         ]
         assert [server.store.backend for server in leaves] == ["columnar"] * 3
 
@@ -372,9 +372,9 @@ class TestOneScenarioKernel:
         "repro.net.scenario.drive_workload": [
             "workload", "hierarchy", "join", "timeout", "retries", "sub_timeout",
         ],
-        "repro.net.scenario.run_workload_inprocess": ["workload"],
-        "repro.net.scenario.run_workload_multiprocess": [
-            "workload", "transport", "drop_rate", "retries", "timeout", "seed",
+        "repro.net.scenario.run_lane": [
+            "workload", "runtime", "faults", "epoch", "drop_rate", "timeout",
+            "retries", "sub_timeout", "seed",
         ],
         "repro.net.scenario.socket_benchmark_payload": ["seed"],
     }
@@ -406,3 +406,23 @@ class TestOneScenarioKernel:
         fields = {f.name for f in dataclasses.fields(elastic.ScenarioWorkload)}
         assert "name" not in fields
         assert not {"dt", "rebalance_every"} & fields
+
+
+class TestOneWayToAskAgain:
+    """``Endpoint.ask`` is the one fresh-id re-send loop, a retry budget
+    is a plain count, and ``run_lane`` is the one driver-lane builder."""
+
+    def test_removed_loops_and_lane_builders_stay_gone(self):
+        from repro.core import service
+        from repro.net import bootstrap, scenario
+        from repro.runtime.base import Endpoint
+        from repro.sim import byzantine
+
+        assert callable(Endpoint.ask)
+        assert not hasattr(service, "RetryPolicy")
+        assert not hasattr(scenario, "_request_retrying")
+        assert not hasattr(bootstrap.ClusterLauncher, "request")
+        for name in ("run_workload_inprocess", "run_workload_multiprocess"):
+            assert not hasattr(scenario, name), name
+        for name in ("run_asyncio_byzantine_lane", "run_udp_byzantine_lane"):
+            assert not hasattr(byzantine, name), name
