@@ -45,7 +45,7 @@ class CentralLocationServer(Endpoint):
         self.on(m.NeighborQueryReq, self._on_neighbor_query)
         self.on(m.ChangeAccReq, self._on_change_acc)
 
-    async def _on_register(self, msg: m.RegisterReq) -> None:
+    def _on_register(self, msg: m.RegisterReq) -> None:
         if not self.area.contains_point(msg.sighting.pos):
             self.send(
                 msg.reply_to,
@@ -78,7 +78,7 @@ class CentralLocationServer(Endpoint):
             ),
         )
 
-    async def _on_update(self, msg: m.UpdateReq) -> None:
+    def _on_update(self, msg: m.UpdateReq) -> None:
         oid = msg.sighting.object_id
         record = self.store.visitors.leaf_record(oid)
         if record is None:
@@ -106,13 +106,13 @@ class CentralLocationServer(Endpoint):
             ),
         )
 
-    async def _on_deregister(self, msg: m.DeregisterReq) -> None:
+    def _on_deregister(self, msg: m.DeregisterReq) -> None:
         known = self.store.visitors.leaf_record(msg.object_id) is not None
         if known:
             self.store.deregister(msg.object_id)
         self.send(msg.reply_to, m.DeregisterRes(request_id=msg.request_id, ok=known))
 
-    async def _on_pos_query(self, msg: m.PosQueryReq) -> None:
+    def _on_pos_query(self, msg: m.PosQueryReq) -> None:
         record = self.store.visitors.leaf_record(msg.object_id)
         sighting = self.store.sightings.get(msg.object_id)
         if record is None or sighting is None:
@@ -128,7 +128,7 @@ class CentralLocationServer(Endpoint):
             ),
         )
 
-    async def _on_range_query(self, msg: m.RangeQueryReq) -> None:
+    def _on_range_query(self, msg: m.RangeQueryReq) -> None:
         query = RangeQuery(msg.area, req_acc=msg.req_acc, req_overlap=msg.req_overlap)
         entries = tuple(self.store.range_query(query))
         self.send(
@@ -136,7 +136,7 @@ class CentralLocationServer(Endpoint):
             m.RangeQueryRes(request_id=msg.request_id, entries=entries, servers_involved=1),
         )
 
-    async def _on_neighbor_query(self, msg: m.NeighborQueryReq) -> None:
+    def _on_neighbor_query(self, msg: m.NeighborQueryReq) -> None:
         query = NearestNeighborQuery(msg.pos, req_acc=msg.req_acc, near_qual=msg.near_qual)
         result = self.store.nearest_neighbor_query(query)
         self.send(
@@ -146,7 +146,7 @@ class CentralLocationServer(Endpoint):
             ),
         )
 
-    async def _on_change_acc(self, msg: m.ChangeAccReq) -> None:
+    def _on_change_acc(self, msg: m.ChangeAccReq) -> None:
         try:
             offered = self.store.change_accuracy(msg.object_id, msg.des_acc, msg.min_acc)
         except Exception as exc:  # Unknown object or unachievable accuracy

@@ -56,7 +56,7 @@ class HomeServer(Endpoint):
         self.on(m.RangeQueryBatchFwd, self._on_range_fwd)
         self.on(m.NNCandidatesBatchFwd, self._on_nn_fwd)
 
-    async def _on_register(self, msg: m.RegisterReq) -> None:
+    def _on_register(self, msg: m.RegisterReq) -> None:
         offered = self.accuracy.negotiate(msg.des_acc, msg.min_acc)
         if offered is None:
             self.send(
@@ -79,7 +79,7 @@ class HomeServer(Endpoint):
             ),
         )
 
-    async def _on_update(self, msg: m.UpdateReq) -> None:
+    def _on_update(self, msg: m.UpdateReq) -> None:
         record = self.store.visitors.leaf_record(msg.sighting.object_id)
         if record is None:
             self.send(
@@ -100,7 +100,7 @@ class HomeServer(Endpoint):
             ),
         )
 
-    async def _on_pos_query(self, msg: m.PosQueryReq) -> None:
+    def _on_pos_query(self, msg: m.PosQueryReq) -> None:
         record = self.store.visitors.leaf_record(msg.object_id)
         if record is None or self.store.sightings.get(msg.object_id) is None:
             self.send(msg.reply_to, m.PosQueryRes(request_id=msg.request_id, found=False))
@@ -115,7 +115,7 @@ class HomeServer(Endpoint):
             ),
         )
 
-    async def _on_range_fwd(self, msg: m.RangeQueryBatchFwd) -> None:
+    def _on_range_fwd(self, msg: m.RangeQueryBatchFwd) -> None:
         (item,) = msg.items  # the client scatters one query per message
         query = RangeQuery(item.area, req_acc=item.req_acc, req_overlap=item.req_overlap)
         self.send(
@@ -129,7 +129,7 @@ class HomeServer(Endpoint):
             ),
         )
 
-    async def _on_nn_fwd(self, msg: m.NNCandidatesBatchFwd) -> None:
+    def _on_nn_fwd(self, msg: m.NNCandidatesBatchFwd) -> None:
         (item,) = msg.items
         query = NearestNeighborQuery(item.pos, req_acc=item.req_acc, near_qual=item.near_qual)
         entries = tuple(self.store.nn_candidates(query, item.dispatch))
@@ -262,7 +262,7 @@ class HomeServerClient(Endpoint):
             NearestNeighborQuery(pos, req_acc=req_acc, near_qual=near_qual),
         )
 
-    async def _on_sub_res(self, msg) -> None:
+    def _on_sub_res(self, msg) -> None:
         """One server's answer to the one item of a scatter (either kind)."""
         state = self._collect.get(msg.query_id)
         if state is None:

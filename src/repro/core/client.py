@@ -64,7 +64,7 @@ class LocationClient(Endpoint):
 
         self.on(ev.EventNotification, self._on_event)
 
-    async def _on_event(self, msg) -> None:
+    def _on_event(self, msg) -> None:
         self.notifications.append(msg)
 
     def use_entry_server(self, entry_server: str) -> None:
@@ -192,7 +192,7 @@ class TrackedObject(LocationClient):
         self.deregistered = False
         self.on(m.NotifyAvailAcc, self._on_notify_acc)
 
-    async def _on_notify_acc(self, msg: m.NotifyAvailAcc) -> None:
+    def _on_notify_acc(self, msg: m.NotifyAvailAcc) -> None:
         self.offered_acc = msg.offered_acc
         self.acc_notifications.append(msg.offered_acc)
 

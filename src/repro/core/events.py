@@ -156,7 +156,7 @@ class EventEngine:
 
     # -- message handlers -------------------------------------------------
 
-    async def _on_subscribe(self, msg: SubscribeReq) -> None:
+    def _on_subscribe(self, msg: SubscribeReq) -> None:
         server = self._server
         if not server.is_leaf:
             server.send(
@@ -185,7 +185,7 @@ class EventEngine:
         )
         server.ctx.spawn(self._evaluate_loop(sub), name=f"events:{sub.subscription_id}")
 
-    async def _on_unsubscribe(self, msg: UnsubscribeReq) -> None:
+    def _on_unsubscribe(self, msg: UnsubscribeReq) -> None:
         sub = self._subscriptions.pop(msg.subscription_id, None)
         if sub is not None:
             sub.cancelled = True

@@ -11,14 +11,20 @@ ServerConfig`:
 * **non-leaf** servers keep only forwarding references in a persistent
   :class:`~repro.storage.visitor_db.VisitorDB`.
 
-Handlers map one-to-one onto the paper's algorithms:
+Handlers map one-to-one onto the paper's algorithms.  Each runs inline
+at delivery (:meth:`~repro.runtime.base.Endpoint.deliver`); where a path
+waits on another server, the handler returns the continuation named
+in brackets, and only that becomes a task.  The range / NN entries and
+the deregistration pair are ``async`` handlers, spawned whole:
 
 =====================  =======================================
 Algorithm 6-1          ``_on_register`` / ``_on_create_path``
 Algorithm 6-2          ``_on_update`` (edge) / ``_on_update_batch``
-                       → ``_apply_updates``
+                       → ``_apply_updates`` [→ ``_merge_then_reply``]
 Algorithm 6-3          ``_handover_batch`` / ``_on_handover_batch``
-Algorithm 6-4          ``_on_pos_query`` / ``_on_pos_query_fwd``
+                       [→ ``_finish_handover_batch``]
+Algorithm 6-4          ``_on_pos_query`` [→ ``_answer_resolved``] /
+                       ``_on_pos_query_fwd``
 Algorithm 6-5          ``_on_range_query`` (edge) → ``_collect`` /
                        ``_on_fanout_fwd`` / ``_on_fanout_sub_res``
 Section 3.2 (derived)  ``_on_neighbor_query`` (edge) → the ring loop
@@ -30,7 +36,7 @@ Section 6.5 caches     ``_on_pos_query_direct``, ``_on_path_update``,
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Coroutine
 from dataclasses import dataclass, field, replace
 
 from repro.core import messages as m
@@ -570,7 +576,7 @@ class LocationServer(Endpoint):
     # Algorithm 6-1: registration
     # ======================================================================
 
-    async def _on_register(self, msg: m.RegisterReq) -> None:
+    def _on_register(self, msg: m.RegisterReq) -> None:
         self.stats.note(msg)
         pos = msg.sighting.pos
         if not self._contains(pos):
@@ -619,7 +625,7 @@ class LocationServer(Endpoint):
             ),
         )
 
-    async def _on_create_path(self, msg: m.CreatePath) -> None:
+    def _on_create_path(self, msg: m.CreatePath) -> None:
         self.stats.note(msg)
         self._ack_repair(msg)
         self.visitors.insert_forward(msg.object_id, msg.sender)
@@ -660,42 +666,66 @@ class LocationServer(Endpoint):
         if msg.epoch < self.topology_epoch:
             self.stats.stale_epoch_messages += 1
 
-    async def _on_update(self, msg: m.UpdateReq) -> None:
+    def _on_update(self, msg: m.UpdateReq) -> Coroutine | None:
         """Device-facing edge: one report, served as an envelope of one."""
         self.stats.note(msg)
-        outcomes = await self._apply_updates((msg.sighting,))
-        outcome = outcomes[msg.sighting.object_id]
-        self.send(
-            msg.reply_to,
-            m.UpdateRes(
-                request_id=msg.request_id,
-                ok=outcome.ok,
-                agent=outcome.agent,
-                offered_acc=outcome.offered_acc,
-                deregistered=outcome.deregistered,
-                error=outcome.error,
-            ),
-        )
 
-    async def _on_update_batch(self, msg: m.UpdateBatchReq) -> None:
+        def reply(outcomes) -> None:
+            outcome = outcomes[msg.sighting.object_id]
+            self.send(
+                msg.reply_to,
+                m.UpdateRes(
+                    request_id=msg.request_id,
+                    ok=outcome.ok,
+                    agent=outcome.agent,
+                    offered_acc=outcome.offered_acc,
+                    deregistered=outcome.deregistered,
+                    error=outcome.error,
+                ),
+            )
+
+        return self._reply_after(*self._apply_updates((msg.sighting,)), reply)
+
+    def _on_update_batch(self, msg: m.UpdateBatchReq) -> Coroutine | None:
         self.stats.note(msg)
         self._note_epoch(msg)
-        outcomes = await self._apply_updates(msg.sightings, msg.sub_timeout)
-        self.send(
-            msg.reply_to,
-            m.UpdateBatchRes(
-                request_id=msg.request_id,
-                outcomes=tuple(
-                    outcomes[oid]
-                    for oid in dict.fromkeys(s.object_id for s in msg.sightings)
+
+        def reply(outcomes) -> None:
+            self.send(
+                msg.reply_to,
+                m.UpdateBatchRes(
+                    request_id=msg.request_id,
+                    outcomes=tuple(
+                        outcomes[oid]
+                        for oid in dict.fromkeys(s.object_id for s in msg.sightings)
+                    ),
                 ),
-            ),
+            )
+
+        return self._reply_after(
+            *self._apply_updates(msg.sightings, msg.sub_timeout), reply
         )
 
-    async def _apply_updates(
+    def _reply_after(self, outcomes: dict, subtasks: list, reply) -> Coroutine | None:
+        """``reply(outcomes)`` at once when no sub-envelope waits;
+        otherwise the continuation that merges every sub-envelope's
+        outcomes first (the handler returns it, ``deliver`` spawns it)."""
+        if subtasks:
+            return self._merge_then_reply(outcomes, subtasks, reply)
+        reply(outcomes)
+        return None
+
+    async def _merge_then_reply(self, outcomes: dict, subtasks: list, reply) -> None:
+        for merged in await self._gather(subtasks):
+            outcomes.update(merged)
+        reply(outcomes)
+
+    def _apply_updates(
         self, sightings, sub_timeout: float | None = None
-    ) -> dict[str, m.UpdateOutcome]:
-        """Algorithm 6-2 for a set of reports; per-object outcomes.
+    ) -> tuple[dict[str, m.UpdateOutcome], list]:
+        """Algorithm 6-2 for a set of reports: the per-object outcomes
+        settled here, and the sub-envelope coroutines that settle the
+        rest (each returns its items' outcomes).
 
         In-area items this server is the agent of go through one batched
         store pass, items that left the area through the handover lane,
@@ -738,10 +768,7 @@ class LocationServer(Endpoint):
         ]
         if crossing:
             subtasks.append(self._handover_batch(crossing, sub_timeout))
-        if subtasks:
-            for merged in await self._gather(subtasks):
-                outcomes.update(merged)
-        return outcomes
+        return outcomes, subtasks
 
     def apply_in_area(self, sightings, now: float) -> None:
         """Algorithm 6-2's always-local step: in-area reports of objects
@@ -881,7 +908,7 @@ class LocationServer(Endpoint):
         assert isinstance(res, m.HandoverBatchRes)
         return res.outcomes
 
-    async def _on_handover_batch(self, msg: m.HandoverBatchReq) -> None:
+    def _on_handover_batch(self, msg: m.HandoverBatchReq) -> Coroutine | None:
         self.stats.note(msg)
         self._note_epoch(msg)
         outcomes: dict[str, m.HandoverOutcome] = {}
@@ -915,21 +942,31 @@ class LocationServer(Endpoint):
                 (None, self._escalate_handover_batch(escalate, msg.sub_timeout))
             )
         if subtasks:
-            results = await self._gather([coro for _, coro in subtasks])
-            for (child_id, _), sub_outcomes in zip(subtasks, results):
-                if child_id is not None:
-                    # Create or reset the forwarding pointers (Alg. 6-3
-                    # lines 12-13) — one batched visitor-DB pass.  An
-                    # unacknowledged item installed nothing downstream,
-                    # so no pointer must be created for it either.
-                    self.visitors.insert_forward_many(
-                        (outcome.object_id, child_id)
-                        for outcome in sub_outcomes
-                        if not outcome.unacknowledged
-                    )
-                outcomes.update(
-                    (outcome.object_id, outcome) for outcome in sub_outcomes
+            return self._finish_handover_batch(msg, outcomes, subtasks)
+        self._reply_handover_batch(msg, outcomes)  # leaf-side admission only
+        return None
+
+    async def _finish_handover_batch(
+        self, msg: m.HandoverBatchReq, outcomes: dict, subtasks: list
+    ) -> None:
+        """The waiting half of :meth:`_on_handover_batch`: gather the
+        per-child and upward sub-envelopes, then answer."""
+        results = await self._gather([coro for _, coro in subtasks])
+        for (child_id, _), sub_outcomes in zip(subtasks, results):
+            if child_id is not None:
+                # Create or reset the forwarding pointers (Alg. 6-3
+                # lines 12-13) — one batched visitor-DB pass.  An
+                # unacknowledged item installed nothing downstream,
+                # so no pointer must be created for it either.
+                self.visitors.insert_forward_many(
+                    (outcome.object_id, child_id)
+                    for outcome in sub_outcomes
+                    if not outcome.unacknowledged
                 )
+            outcomes.update((outcome.object_id, outcome) for outcome in sub_outcomes)
+        self._reply_handover_batch(msg, outcomes)
+
+    def _reply_handover_batch(self, msg: m.HandoverBatchReq, outcomes: dict) -> None:
         self.send(
             msg.reply_to,
             m.HandoverBatchRes(
@@ -1099,7 +1136,7 @@ class LocationServer(Endpoint):
         assert isinstance(res, m.DeregisterBatchRes)
         return dict(res.results), dict(res.nacks)
 
-    async def _on_path_teardown_batch(self, msg: m.PathTeardownBatch) -> None:
+    def _on_path_teardown_batch(self, msg: m.PathTeardownBatch) -> None:
         self.stats.note(msg)
         self._note_epoch(msg)
         # Per-object guard: only ids whose reference still points at the
@@ -1135,7 +1172,7 @@ class LocationServer(Endpoint):
                 ),
             )
 
-    async def _on_path_teardown_nack(self, msg: m.PathTeardownNack) -> None:
+    def _on_path_teardown_nack(self, msg: m.PathTeardownNack) -> None:
         """Record per-id teardown NACKs (observability only: a
         *redirected* path is live again — a handover won the race and
         the new branch must stay — and an *already-gone* or
@@ -1198,7 +1235,7 @@ class LocationServer(Endpoint):
         if msg.reply_to:
             self.send(msg.reply_to, m.PathAck(request_id=msg.request_id))
 
-    async def _on_path_update(self, msg: m.PathUpdate) -> None:
+    def _on_path_update(self, msg: m.PathUpdate) -> None:
         self.stats.note(msg)
         self._ack_repair(msg)
         previous = self.visitors.forward_ref(msg.object_id)
@@ -1215,7 +1252,7 @@ class LocationServer(Endpoint):
                 m.PathUpdate(object_id=msg.object_id, sender=self.address),
             )
 
-    async def _on_remove_path(self, msg: m.RemovePath) -> None:
+    def _on_remove_path(self, msg: m.RemovePath) -> None:
         self.stats.note(msg)
         self._ack_repair(msg)
         if self.is_leaf:
@@ -1228,14 +1265,14 @@ class LocationServer(Endpoint):
         if next_hop is not None:
             self._spawn_repair(next_hop, m.RemovePath(object_id=msg.object_id))
 
-    async def _on_cache_invalidate(self, msg: m.CacheInvalidate) -> None:
+    def _on_cache_invalidate(self, msg: m.CacheInvalidate) -> None:
         """Apply a §6.5 invalidation broadcast (migration cutover)."""
         self.stats.note(msg)
         self.caches.apply_invalidation(msg.forget, msg.learned)
         if msg.epoch > self.topology_epoch:
             self.topology_epoch = msg.epoch
 
-    async def _on_ping(self, msg: m.PingReq) -> None:
+    def _on_ping(self, msg: m.PingReq) -> None:
         """Liveness probe (chaos/recovery lane): answer with our epoch.
 
         A crashed server never answers — the network drops traffic to a
@@ -1253,30 +1290,27 @@ class LocationServer(Endpoint):
     # Algorithm 6-4: position queries
     # ======================================================================
 
-    async def _on_pos_query(self, msg: m.PosQueryReq) -> None:
+    def _on_pos_query(self, msg: m.PosQueryReq) -> Coroutine | None:
         self.stats.note(msg)
         if not self.is_leaf:
             # Clients access the LS through leaf entry servers (Section 6).
             self.send(msg.reply_to, m.PosQueryRes(request_id=msg.request_id, found=False))
-            return
+            return None
         self.stats.pos_queries_served += 1
         object_id = msg.object_id
         # Local answer (entry server is the agent).
-        if self.is_leaf:
-            record = self.visitors.leaf_record(object_id)
-            sighting = self.store.sightings.get(object_id) if record else None
-            if record is not None and sighting is not None:
-                descriptor = self.store.position_query(object_id)
-                self.send(
-                    msg.reply_to,
-                    m.PosQueryRes(
-                        request_id=msg.request_id,
-                        found=True,
-                        descriptor=descriptor,
-                        agent=self.address,
-                    ),
-                )
-                return
+        record = self.visitors.leaf_record(object_id)
+        if record is not None and self.store.sightings.get(object_id) is not None:
+            self.send(
+                msg.reply_to,
+                m.PosQueryRes(
+                    request_id=msg.request_id,
+                    found=True,
+                    descriptor=self.store.position_query(object_id),
+                    agent=self.address,
+                ),
+            )
+            return None
         # §6.5 descriptor cache.
         cached = self.caches.fresh_descriptor(object_id, self.ctx.now(), msg.req_acc)
         if cached is not None:
@@ -1289,7 +1323,13 @@ class LocationServer(Endpoint):
                     agent=self.caches.agent_of(object_id),
                 ),
             )
-            return
+            return None
+        return self._answer_resolved(msg)
+
+    async def _answer_resolved(self, msg: m.PosQueryReq) -> None:
+        """The waiting half of :meth:`_on_pos_query`: resolve the object
+        elsewhere, remember the answer in the §6.5 caches, reply."""
+        object_id = msg.object_id
         answer = await self._resolve_position(object_id)
         if answer.found:
             self.caches.note_agent(object_id, answer.agent)
@@ -1338,7 +1378,7 @@ class LocationServer(Endpoint):
         assert isinstance(answer, m.PosQueryAnswer)
         return answer
 
-    async def _on_pos_query_fwd(self, msg: m.PosQueryFwd) -> None:
+    def _on_pos_query_fwd(self, msg: m.PosQueryFwd) -> None:
         self.stats.note(msg)
         object_id = msg.object_id
         if self.is_leaf:
@@ -1356,7 +1396,7 @@ class LocationServer(Endpoint):
                 m.PosQueryAnswer(request_id=msg.query_id, found=False, authoritative=True),
             )
 
-    async def _on_pos_query_direct(self, msg: m.PosQueryDirect) -> None:
+    def _on_pos_query_direct(self, msg: m.PosQueryDirect) -> None:
         self.stats.note(msg)
         self._answer_pos_query(
             msg.query_id, msg.entry_server, msg.object_id, authoritative=False
@@ -1587,7 +1627,7 @@ class LocationServer(Endpoint):
             )
         return bool(hops)
 
-    async def _on_fanout_fwd(self, msg) -> None:
+    def _on_fanout_fwd(self, msg) -> None:
         """Route one fan-out forward of either kind.
 
         A **leaf** answers every item touching its area through one
@@ -1644,7 +1684,7 @@ class LocationServer(Endpoint):
                     ),
                 )
 
-    async def _on_fanout_sub_res(self, msg) -> None:
+    def _on_fanout_sub_res(self, msg) -> None:
         self.stats.note(msg)
         self.caches.note_leaf_area(msg.origin, msg.origin_area)
         collector = self._batch_collectors.get(msg.query_id)
@@ -1742,7 +1782,7 @@ class LocationServer(Endpoint):
     # Accuracy renegotiation
     # ======================================================================
 
-    async def _on_change_acc(self, msg: m.ChangeAccReq) -> None:
+    def _on_change_acc(self, msg: m.ChangeAccReq) -> None:
         self.stats.note(msg)
         if not self.is_leaf or self.visitors.leaf_record(msg.object_id) is None:
             # Post-split forwarding, as in _on_update.

@@ -88,7 +88,7 @@ class StationaryTracker(Endpoint):
         self.acc_notifications: dict[str, list[float]] = {}
         self.on(m.NotifyAvailAcc, self._on_notify_acc)
 
-    async def _on_notify_acc(self, msg: m.NotifyAvailAcc) -> None:
+    def _on_notify_acc(self, msg: m.NotifyAvailAcc) -> None:
         self.acc_notifications.setdefault(msg.object_id, []).append(msg.offered_acc)
         if msg.object_id in self.badges:
             agent, _ = self.badges[msg.object_id]

@@ -132,7 +132,7 @@ def free_port(host: str = "127.0.0.1") -> int:
 def _install_control_plane(server, transport, stop_event: asyncio.Event) -> None:
     """Register launcher control handlers on the server endpoint."""
 
-    async def on_stats(msg: ctl.NodeStatsReq) -> None:
+    def on_stats(msg: ctl.NodeStatsReq) -> None:
         tracked = len(server.store.sightings) if server.is_leaf else 0
         server.send(
             msg.reply_to,
@@ -152,7 +152,7 @@ def _install_control_plane(server, transport, stop_event: asyncio.Event) -> None
             ),
         )
 
-    async def on_adopt(msg: ctl.AdoptHierarchyReq) -> None:
+    def on_adopt(msg: ctl.AdoptHierarchyReq) -> None:
         hierarchy = Hierarchy(
             {config.server_id: config for config in msg.configs},
             epoch=msg.hierarchy_epoch,
@@ -170,7 +170,7 @@ def _install_control_plane(server, transport, stop_event: asyncio.Event) -> None
             ),
         )
 
-    async def on_shutdown(msg: ctl.NodeShutdownReq) -> None:
+    def on_shutdown(msg: ctl.NodeShutdownReq) -> None:
         server.send(
             msg.reply_to,
             ctl.NodeShutdownRes(request_id=msg.request_id, server_id=server.address),

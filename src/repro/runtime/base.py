@@ -1,8 +1,10 @@
 """Runtime abstraction: contexts, endpoints and message correlation.
 
-The location-server algorithms (Section 6) are written once, as ``async``
-methods against the small :class:`Context` interface below.  Two runtimes
-implement it:
+The location-server algorithms (Section 6) are written once, as message
+handlers against the small :class:`Context` interface below.  A handler
+is a plain method: it finishes its work inline, or returns the coroutine
+of the part that must wait on another endpoint, which alone becomes a
+task (see :meth:`Endpoint.deliver`).  Two runtimes implement it:
 
 * :mod:`repro.runtime.simnet` — deterministic virtual-time simulation
   (used for all measurements), and
@@ -97,13 +99,19 @@ class Endpoint:
     Subclasses register message handlers with :meth:`on`; incoming
     :class:`Response` messages whose ``request_id`` matches a parked
     request resolve that request instead of invoking a handler.
+
+    The handler contract: ``handler(message)`` runs inside delivery and
+    returns ``None`` when it is done, or the coroutine of the part that
+    must wait (a sub-request, a fan-out); only that coroutine is
+    spawned.  An ``async def`` handler therefore spawns on every message
+    and is kept for handlers whose common path waits.
     """
 
     def __init__(self, address: str) -> None:
         self.address = address
         self.ctx: Context | None = None
         self._pending: dict[str, Any] = {}
-        self._handlers: dict[type, Callable[[Message], Coroutine]] = {}
+        self._handlers: dict[type, Callable[[Message], Coroutine | None]] = {}
         self._request_counter = itertools.count()
         #: messages delivered with no matching handler or pending request
         self.unhandled: list[Message] = []
@@ -126,13 +134,21 @@ class Endpoint:
     def on_attached(self) -> None:
         """Hook for subclasses (e.g. to schedule periodic work)."""
 
-    def on(self, message_type: type, handler: Callable[[Message], Coroutine]) -> None:
+    def on(self, message_type: type, handler: Callable[[Message], Coroutine | None]) -> None:
         self._handlers[message_type] = handler
 
     # -- receive path --------------------------------------------------------
 
     def deliver(self, message: Message) -> None:
-        """Runtime entry point for one incoming message."""
+        """Runtime entry point for one incoming message.
+
+        The handler runs here, inside the runtime's delivery callback; a
+        coroutine it returns is spawned as a task named
+        ``{address}:{message type}``.  A handler that raises therefore
+        raises out of ``deliver`` into the runtime's receive path (out
+        of a ``SimNetwork`` run, into an asyncio callback, out of a TCP
+        connection's reader), not into a task.
+        """
         if self.validator is not None:
             defect = self.validator(message)
             if defect is not None:
@@ -152,7 +168,9 @@ class Endpoint:
             self.unhandled.append(message)
             return
         assert self.ctx is not None, "endpoint must be attached before delivery"
-        self.ctx.spawn(handler(message), name=f"{self.address}:{type(message).__name__}")
+        waits = handler(message)
+        if waits is not None:
+            self.ctx.spawn(waits, name=f"{self.address}:{type(message).__name__}")
 
     # -- send path --------------------------------------------------------------
 
@@ -229,9 +247,6 @@ class Endpoint:
             future.set_exception(
                 TransportError(f"request {request_id} timed out at {self.address}")
             )
-
-    def cancel_pending(self, request_id: str) -> None:
-        self._pending.pop(request_id, None)
 
     @property
     def pending_count(self) -> int:

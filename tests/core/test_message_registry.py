@@ -10,6 +10,10 @@ own tests.  The tables that *name* message types by string
 (``PROTOCOL_LANE_MESSAGE_TYPES``, the cost model's service table, the latency
 model's fan-out pair) must name only types that exist.
 
+Delivery hygiene: a handler is spawned as a task only when it waits.
+An ``async def`` handler must await in its own body, and the paths
+that never leave the entry server answer without any spawn.
+
 Schema hygiene rides along: every field annotation of every wire type
 must resolve to a kind :mod:`repro.runtime.schema` supports, so a future
 ``dict`` / ``Any`` field fails here and not on the first frame, and every
@@ -17,10 +21,13 @@ wire type must get a compiled row builder (a slotted dataclass), so one
 declared without ``slots=True`` fails here instead of decoding slowly.
 """
 
+import ast
+import collections
 import dataclasses
 import inspect
 import pathlib
 import re
+import textwrap
 import typing
 
 import pytest
@@ -28,14 +35,16 @@ import pytest
 import repro
 from repro.baselines.central import CentralLocationServer
 from repro.baselines.home import HomeServer, HomeServerClient
-from repro.core import LocationService, build_table2_hierarchy
+from repro.core import LocationService, SensorCell, StationaryTracker, build_table2_hierarchy
 from repro.core import messages as m
+from repro.core.service import drive_update_envelope
 from repro.errors import WireError
-from repro.geo import Polygon, Rect
+from repro.geo import Point, Polygon, Rect
 from repro.net.wire import registered_types
 from repro.runtime.base import Message, Response
 from repro.runtime.latency import FAN_OUT_FORWARDS, FAN_OUT_SUB_RESULTS
 from repro.runtime.schema import Kind, builder_of, schema_of
+from repro.runtime.simnet import SimContext
 from repro.sim.calibration import CalibrationResult
 from repro.sim.metrics import PROTOCOL_LANE_MESSAGE_TYPES
 
@@ -149,6 +158,108 @@ def test_read_lane_binds_only_the_edge_pair_and_the_fanout():
         "NNCandidatesBatchSubRes",
     }
     assert [name for name in vars(leaf) if "collector" in name] == ["_batch_collectors"]
+
+
+def _handlers_by_class() -> dict[str, dict[str, object]]:
+    """Every registered handler of every endpoint role, by owning class."""
+    svc = LocationService(build_table2_hierarchy(1500.0))
+    tracker = StationaryTracker("t", [SensorCell("c", Rect(0, 0, 10, 10))], "root.0")
+    area = Rect(0, 0, 100, 100)
+    endpoints = (
+        svc.servers["root"],
+        svc.servers["root.0"],
+        svc.new_client(entry_server="root.0"),
+        svc.new_tracked_object("probe"),
+        tracker,
+        CentralLocationServer(area),
+        HomeServer("home-0", area),
+        HomeServerClient("home-client", 1, area),
+    )
+    by_class: dict[str, dict[str, object]] = collections.defaultdict(dict)
+    for endpoint in endpoints:
+        for handler in endpoint._handlers.values():
+            func = handler.__func__
+            by_class[type(handler.__self__).__name__][func.__name__] = func
+    return by_class
+
+
+def _awaits_in_own_body(func) -> bool:
+    """Whether ``func`` awaits outside any function nested in it."""
+    (node,) = ast.parse(textwrap.dedent(inspect.getsource(func))).body
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    todo = list(node.body)
+    while todo:
+        child = todo.pop()
+        if isinstance(child, (ast.Await, ast.AsyncFor, ast.AsyncWith)):
+            return True
+        if not isinstance(child, nested):
+            todo.extend(ast.iter_child_nodes(child))
+    return False
+
+
+def test_an_async_handler_awaits_in_its_own_body():
+    by_class = _handlers_by_class()
+    assert set(by_class) == {
+        "LocationServer", "EventEngine", "LocationClient", "TrackedObject",
+        "StationaryTracker", "CentralLocationServer", "HomeServer", "HomeServerClient",
+    }
+    spawned_whole = {
+        (owner, name)
+        for owner, handlers in by_class.items()
+        for name, func in handlers.items()
+        if inspect.iscoroutinefunction(func)
+    }
+    assert [
+        (owner, name)
+        for owner, name in sorted(spawned_whole)
+        if not _awaits_in_own_body(by_class[owner][name])
+    ] == []
+    # The handlers whose entry path always waits; every other handler
+    # runs inline at delivery.
+    assert spawned_whole == {
+        ("LocationServer", "_on_deregister"),
+        ("LocationServer", "_on_deregister_batch"),
+        ("LocationServer", "_on_range_query"),
+        ("LocationServer", "_on_neighbor_query"),
+    }
+
+
+def test_only_a_path_that_waits_spawns(monkeypatch):
+    svc = LocationService(build_table2_hierarchy(1500.0))
+    svc.register("near", Point(100, 100))  # agent root.0
+    svc.register("far", Point(1400, 1400))  # agent root.3
+    svc.settle()
+    spawns: collections.Counter = collections.Counter()
+    spawn = SimContext.spawn
+
+    def counting(ctx, coro, name="task"):
+        if ctx.address in svc.servers:
+            spawns[ctx.address] += 1
+        return spawn(ctx, coro, name)
+
+    monkeypatch.setattr(SimContext, "spawn", counting)
+
+    def spawned(drive) -> dict[str, int]:
+        spawns.clear()
+        drive()
+        svc.settle()
+        return dict(spawns)
+
+    def envelope(pos: Point) -> None:
+        reporter = svc._reporter()
+        svc.run(drive_update_envelope(reporter, svc, "root.0", [("near", pos, 10.0)], None, 0))
+
+    # The entry server is the agent: answered inline, no task anywhere.
+    assert spawned(lambda: svc.pos_query("near", entry_server="root.0")) == {}
+    assert spawned(lambda: envelope(Point(110, 110))) == {}
+    # Only the entry server's wait for the agent's answer is a task; the
+    # forward at the root and the answer at root.3 run inline.
+    assert spawned(lambda: svc.pos_query("far", entry_server="root.0")) == {"root.0": 1}
+    # A border crossing: one continuation at the old agent, one at the
+    # root, which waits on the new agent's admission (answered inline).
+    assert spawned(lambda: envelope(Point(1400, 100))) == {"root.0": 1, "root": 1}
+    assert svc.servers["root.0"].visitors.leaf_record("near") is None
+    svc.check_consistency()
 
 
 def test_string_tables_name_only_existing_types():
