@@ -66,10 +66,11 @@ from repro.storage import LocalDataStore, PersistentStore, VisitorDB
 #: Relative slack for covered-area accounting (float tiling residue).
 _COVER_EPS = 1e-6
 
-#: Extra fan-out collection attempts when a rebalance races a query.
-#: Each retry only happens after the topology epoch actually advanced
-#: mid-collection, so the bound is never hit under steady churn; past it
-#: the accumulated (at-least-once) entries are returned as best effort.
+#: Extra fan-out collection attempts when a rebalance races a query or a
+#: sub-result is lost.  Each retry only happens after the topology epoch
+#: advanced mid-collection or the attempt's row expired or was aborted,
+#: so the bound is never hit under steady churn; past it the accumulated
+#: (at-least-once) entries are returned as best effort.
 _EPOCH_RETRIES = 2
 
 #: How many epochs behind a message may be before the receive-path
@@ -95,6 +96,12 @@ _PATH_REPAIR_RETRIES = 3
 #: PathAck` before re-sending (virtual seconds on the simulated
 #: runtime, wall-clock on asyncio/sockets — well above loopback RTT).
 _PATH_REPAIR_TIMEOUT = 0.5
+
+#: Seconds a server waits when its caller gave no timeout (a position
+#: resolve, a fan-out attempt, a sub-envelope with ``sub_timeout`` unset):
+#: longer than any answer takes without faults on every runtime, short
+#: enough that a lost answer frees its waiter within one lane's settle.
+ANSWER_DEADLINE = 5.0
 
 #: The write lane's per-item records, built positionally by row builders.
 _UPDATE_OUTCOME = builder_of(m.UpdateOutcome)
@@ -206,9 +213,19 @@ class _BatchCollector:
         if not self.open:
             self.resolve()
 
+    def __call__(self, msg) -> None:
+        """The pending row's answer: one leaf's sub-result."""
+        self.add(msg.results, msg.origin, msg.origin_area, msg.epoch)
+
     def resolve(self) -> None:
         if not self.future.done():
             self.future.set_result(None)
+
+    def abort(self) -> None:
+        """Resolve retryably: the row expired, or a sub-result was
+        quarantined — the issuing loop re-asks for what is in doubt."""
+        self.stale = True
+        self.resolve()
 
     def remainders(self, current_epoch: int) -> dict[int, list[Rect]]:
         """Per bucket, the rects a re-issue under ``current_epoch`` must
@@ -330,7 +347,6 @@ class LocationServer(Endpoint):
             self.store = None
             self.visitors = VisitorDB(store=store)
             self.caches = LeafCaches(CacheConfig.disabled())
-        self._batch_collectors: dict[str, _BatchCollector] = {}
         self._nn_initial_radius = (
             nn_initial_radius
             if nn_initial_radius is not None
@@ -482,7 +498,7 @@ class LocationServer(Endpoint):
     def deliver(self, message) -> None:
         """Intercept delivery: a retired address forwards all requests.
 
-        Responses still resolve locally parked futures, and fan-out
+        Responses still answer local pending rows, and fan-out
         sub-results addressed to a still-open local collector are
         aggregated locally (a query issued just before retirement must
         not hang); everything else goes to the successor unchanged — the
@@ -497,13 +513,11 @@ class LocationServer(Endpoint):
         """
         if self._quarantine(message):
             return
-        if self._retired_to is not None and not isinstance(message, m.Response):
-            if (
-                isinstance(message, _SUB_RESULTS)
-                and message.query_id in self._batch_collectors
-            ):
-                super().deliver(message)
-                return
+        if (
+            self._retired_to is not None
+            and not isinstance(message, m.Response)
+            and not (isinstance(message, _SUB_RESULTS) and message.query_id in self._pending)
+        ):
             self.stats.note(message)
             self.send(self._retired_to, message)
             return
@@ -517,7 +531,8 @@ class LocationServer(Endpoint):
         Returns ``True`` when the message must not be processed.  A
         defective *sub-result* additionally aborts the collector waiting
         on it (retryably — the entry server re-issues the fan-out), so a
-        quarantined answer degrades to a retry instead of a hang.
+        quarantined answer degrades to a retry instead of a wait for the
+        row's deadline.
         """
         defect = find_defect(message)
         if defect is not None:
@@ -550,15 +565,13 @@ class LocationServer(Endpoint):
         """
         if not isinstance(message, _SUB_RESULTS):
             return
-        collectors = self._batch_collectors
         query_id = getattr(message, "query_id", "")
-        if query_id in collectors:
-            victims = [collectors[query_id]]
-        else:
-            victims = list(collectors.values())
-        for collector in victims:
-            collector.stale = True
-            collector.resolve()
+        victims = [query_id] if query_id in self._pending else list(self._pending)
+        for request_id in victims:
+            row = self._pending.get(request_id)
+            if row is not None and isinstance(row.answer, _BatchCollector):
+                self.unpark(request_id)
+                row.expire()
 
     # -- routing helpers -----------------------------------------------------------
 
@@ -644,6 +657,31 @@ class LocationServer(Endpoint):
     # applicable, per-next-hop sub-envelopes for the rest.  A device's
     # single ``UpdateReq`` / ``DeregisterReq`` is served at the edge as
     # an envelope of one and never travels between servers.
+
+    async def _ask_once(self, dest: str, make_message, timeout: float | None = None):
+        """One request to another server under a fresh id: the answer, or
+        ``None`` when ``timeout`` (unset: :data:`ANSWER_DEADLINE`) passed
+        first."""
+        try:
+            return await self.ask(
+                dest, make_message, ANSWER_DEADLINE if timeout is None else timeout, 0
+            )
+        except TransportError:
+            return None
+
+    def _sub_envelope(self, dest: str, sub_timeout: float | None, build):
+        """:meth:`_ask_once` for a protocol-lane sub-envelope ``build(**stamp)``,
+        stamped with its id, this server and its epoch, and ``sub_timeout``."""
+        return self._ask_once(
+            dest,
+            lambda request_id: build(
+                request_id=request_id,
+                reply_to=self.address,
+                epoch=self.topology_epoch,
+                sub_timeout=sub_timeout,
+            ),
+            sub_timeout,
+        )
 
     async def _gather(self, coros: list):
         """Drive sub-envelope requests concurrently; results in order."""
@@ -786,24 +824,17 @@ class LocationServer(Endpoint):
     ) -> dict[str, m.UpdateOutcome]:
         """Route a sub-envelope one step down the forwarding path.
 
-        With ``sub_timeout`` set, an unanswered next hop (crashed
-        subtree) yields per-item *unacknowledged* outcomes instead of
-        hanging the parent envelope — the service resends only those
-        items (per-item retry bookkeeping).
+        An unanswered next hop (crashed subtree) yields per-item
+        *unacknowledged* outcomes once ``sub_timeout`` (else the answer
+        deadline) passes, instead of hanging the parent envelope — the
+        service resends only those items (per-item retry bookkeeping).
         """
-        try:
-            res = await self.request(
-                next_hop,
-                m.UpdateBatchReq(
-                    request_id=self.next_request_id(),
-                    reply_to=self.address,
-                    sightings=tuple(sightings),
-                    epoch=self.topology_epoch,
-                    sub_timeout=sub_timeout,
-                ),
-                timeout=sub_timeout,
-            )
-        except TransportError:
+        res = await self._sub_envelope(
+            next_hop,
+            sub_timeout,
+            lambda **stamp: m.UpdateBatchReq(**stamp, sightings=tuple(sightings)),
+        )
+        if res is None:
             return {
                 s.object_id: m.UpdateOutcome(
                     object_id=s.object_id, ok=False, error=m.NACK_UNACKNOWLEDGED
@@ -885,21 +916,14 @@ class LocationServer(Endpoint):
     async def _request_handover_batch(
         self, dest: str, items: list, direct: bool, sub_timeout: float | None = None
     ) -> tuple[m.HandoverOutcome, ...]:
-        try:
-            res = await self.request(
-                dest,
-                m.HandoverBatchReq(
-                    request_id=self.next_request_id(),
-                    reply_to=self.address,
-                    sender=self.address,
-                    items=tuple(items),
-                    direct=direct,
-                    epoch=self.topology_epoch,
-                    sub_timeout=sub_timeout,
-                ),
-                timeout=sub_timeout,
-            )
-        except TransportError:
+        res = await self._sub_envelope(
+            dest,
+            sub_timeout,
+            lambda **stamp: m.HandoverBatchReq(
+                **stamp, sender=self.address, items=tuple(items), direct=direct
+            ),
+        )
+        if res is None:
             # (object_id, new_agent, offered_acc, origin_area, unacknowledged)
             return tuple(
                 _HANDOVER_OUTCOME(item.sighting.object_id, None, None, None, True)
@@ -1116,19 +1140,12 @@ class LocationServer(Endpoint):
     async def _forward_deregister_batch(
         self, next_hop: str, object_ids: list[str], sub_timeout: float | None = None
     ) -> tuple[dict[str, bool], dict[str, str]]:
-        try:
-            res = await self.request(
-                next_hop,
-                m.DeregisterBatchReq(
-                    request_id=self.next_request_id(),
-                    reply_to=self.address,
-                    object_ids=tuple(object_ids),
-                    epoch=self.topology_epoch,
-                    sub_timeout=sub_timeout,
-                ),
-                timeout=sub_timeout,
-            )
-        except TransportError:
+        res = await self._sub_envelope(
+            next_hop,
+            sub_timeout,
+            lambda **stamp: m.DeregisterBatchReq(**stamp, object_ids=tuple(object_ids)),
+        )
+        if res is None:
             return (
                 {oid: False for oid in object_ids},
                 {oid: m.NACK_UNACKNOWLEDGED for oid in object_ids},
@@ -1193,43 +1210,23 @@ class LocationServer(Endpoint):
         duplicate caused by a lost ack is harmless.
         """
 
-        # The first attempt goes out inline, before the caller's own reply
-        # — path propagation must not lag behind the answer that makes the
-        # object queryable.  Only the ack wait (and any retries) runs in
-        # the spawned task.  That is why this keeps its own re-send loop
-        # instead of spawning Endpoint.ask: a spawned task starts on
-        # call_soon (SimTask too), so its first send would leave after
-        # the reply and reorder the messages.
-        first_id = self.next_request_id()
-        first_future = self.park(first_id)
-        self.send(
-            dest, replace(message, request_id=first_id, reply_to=self.address)
-        )
-
-        async def drive() -> None:
-            try:
-                await self.wait(first_id, first_future, _PATH_REPAIR_TIMEOUT)
-                return
-            except TransportError:
-                pass
-            for _ in range(_PATH_REPAIR_RETRIES):
+        def expired(retries_left: int) -> None:
+            if retries_left:
                 self.stats.path_repair_resends += 1
-                try:
-                    await self.request(
-                        dest,
-                        replace(
-                            message,
-                            request_id=self.next_request_id(),
-                            reply_to=self.address,
-                        ),
-                        timeout=_PATH_REPAIR_TIMEOUT,
-                    )
-                    return
-                except TransportError:
-                    continue
-            self.stats.path_repairs_abandoned += 1
+            else:
+                self.stats.path_repairs_abandoned += 1
 
-        self.ctx.spawn(drive(), name=f"{self.address}:path-repair")
+        # One resend row: its first attempt goes out inline, before the
+        # caller's own reply — path propagation must not lag behind the
+        # answer that makes the object queryable.
+        self.resend(
+            dest,
+            lambda request_id: replace(message, request_id=request_id, reply_to=self.address),
+            _PATH_REPAIR_TIMEOUT,
+            _PATH_REPAIR_RETRIES,
+            lambda _ack: None,  # the hop applied it: nothing more to do
+            expired,
+        )
 
     def _ack_repair(self, msg) -> None:
         if msg.reply_to:
@@ -1348,35 +1345,33 @@ class LocationServer(Endpoint):
         )
 
     async def _resolve_position(self, object_id: str) -> m.PosQueryAnswer:
-        """Find the object's descriptor via cache probe or hierarchy."""
+        """Find the object's descriptor via cache probe or hierarchy; a
+        probe left unanswered counts as a miss."""
         # §6.5 agent cache: probe the remembered agent directly.
         cached_agent = self.caches.agent_of(object_id)
         if cached_agent is not None and cached_agent != self.address:
-            query_id = self.next_request_id()
-            future = self.park(query_id)
-            self.send(
+            answer = await self._ask_once(
                 cached_agent,
-                m.PosQueryDirect(
+                lambda query_id: m.PosQueryDirect(
                     query_id=query_id, object_id=object_id, entry_server=self.address
                 ),
             )
-            answer = await self.wait(query_id, future)
-            assert isinstance(answer, m.PosQueryAnswer)
-            if answer.found or answer.authoritative:
+            assert answer is None or isinstance(answer, m.PosQueryAnswer)
+            if answer is not None and (answer.found or answer.authoritative):
                 return answer
             self.caches.invalidate_agent(object_id)
         # Hierarchy traversal (Alg. 6-4).
-        if self._parent is None:
-            return m.PosQueryAnswer(request_id="", found=False)
-        query_id = self.next_request_id()
-        future = self.park(query_id)
-        self.send(
-            self._parent,
-            m.PosQueryFwd(query_id=query_id, object_id=object_id, entry_server=self.address),
-        )
-        answer = await self.wait(query_id, future)
-        assert isinstance(answer, m.PosQueryAnswer)
-        return answer
+        if self._parent is not None:
+            answer = await self._ask_once(
+                self._parent,
+                lambda query_id: m.PosQueryFwd(
+                    query_id=query_id, object_id=object_id, entry_server=self.address
+                ),
+            )
+            assert answer is None or isinstance(answer, m.PosQueryAnswer)
+            if answer is not None:
+                return answer
+        return m.PosQueryAnswer(request_id="", found=False)
 
     def _on_pos_query_fwd(self, msg: m.PosQueryFwd) -> None:
         self.stats.note(msg)
@@ -1530,7 +1525,9 @@ class LocationServer(Endpoint):
         may then mix pre- and post-migration service areas (an absorbing
         parent's answer overlaps an already-counted retired child's), so
         the collection is re-issued under the current topology.  Entries
-        accumulate across attempts (deduplicated by object id).
+        accumulate across attempts (deduplicated by object id).  An
+        attempt whose row expired or was aborted (a sub-result lost or
+        quarantined) is re-issued the same way.
 
         Retries are **coverage-aware**: each answering leaf reports its
         service area and epoch, and the re-issue asks only for
@@ -1555,20 +1552,23 @@ class LocationServer(Endpoint):
             collector = _BatchCollector(
                 self.ctx.create_future(), self.topology_epoch, targets, buckets, origins
             )
-            self._batch_collectors[query_id] = collector
-            try:
-                # Local portion (Alg. 6-5 entry, lines 3-7).  The store
-                # check covers a leaf that became interior mid-use.
-                area = self.config.area
-                local = self._answer(kind, items, area) if self.store is not None else ()
-                if local:
-                    collector.add(local, self.address, area, collector.epoch)
-                if collector.open and self._dispatch(
-                    kind, query_id, [item for item in items if item.index in collector.open]
-                ):
-                    await collector.future
-            finally:
-                self._batch_collectors.pop(query_id, None)
+            # Local portion (Alg. 6-5 entry, lines 3-7).  The store check
+            # covers a leaf that became interior mid-use.
+            area = self.config.area
+            local = self._answer(kind, items, area) if self.store is not None else ()
+            if local:
+                collector.add(local, self.address, area, collector.epoch)
+            if collector.open:
+                # The rest is one pending row: sub-results answer it, and
+                # its expiry aborts the attempt like a quarantined one.
+                self.park(query_id, ANSWER_DEADLINE, collector, collector.abort)
+                try:
+                    if self._dispatch(
+                        kind, query_id, [item for item in items if item.index in collector.open]
+                    ):
+                        await collector.future
+                finally:
+                    self.unpark(query_id)
             if not collector.stale and self.topology_epoch == collector.epoch:
                 break
             doubt = collector.remainders(self.topology_epoch)
@@ -1687,9 +1687,11 @@ class LocationServer(Endpoint):
     def _on_fanout_sub_res(self, msg) -> None:
         self.stats.note(msg)
         self.caches.note_leaf_area(msg.origin, msg.origin_area)
-        collector = self._batch_collectors.get(msg.query_id)
-        if collector is not None:  # else a late answer for a finished fan-out
-            collector.add(msg.results, msg.origin, msg.origin_area, msg.epoch)
+        row = self._pending.get(msg.query_id)
+        if row is None:  # a late answer for a finished or expired fan-out
+            self.late_answers += 1
+        else:
+            row.answer(msg)
 
     # ======================================================================
     # Nearest-neighbor queries (derived; Section 3.2 semantics)

@@ -12,16 +12,23 @@ task (see :meth:`Endpoint.deliver`).  Two runtimes implement it:
   demonstrate the same code runs outside the simulator).
 
 Correlation model: every request message carries a ``request_id``; the
-issuing endpoint parks a future under that id and the responder sends a
-:class:`Response` subclass carrying the same id — possibly *directly* to
-a third server, which is exactly how the paper routes query answers to
-the entry server instead of back along the forwarding path.
+issuing endpoint parks a *row* under that id in its one pending table
+and the responder sends a :class:`Response` subclass carrying the same
+id — possibly *directly* to a third server, which is exactly how the
+paper routes query answers to the entry server instead of back along the
+forwarding path.  A row says what its answer does, what its expiry does
+and when it expires: a row parked with a timeout gets that deadline
+(servers give every wait of their own one, so nothing a server parks
+waits forever); a row parked without one waits for its answer.  An
+answer that arrives after its row expired is counted in
+``late_answers`` and dropped.
 """
 
 from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from typing import Any, Awaitable, Callable, Coroutine
 
@@ -40,7 +47,7 @@ class Message:
 
 @dataclass(frozen=True, slots=True)
 class Response(Message):
-    """Base class for messages that resolve a parked request future.
+    """Base class for messages that answer a pending row.
 
     Subclasses must define a ``request_id`` field.
     """
@@ -93,12 +100,39 @@ class Context(ABC):
         """Record ``count`` messages rejected as stale-epoch replays."""
 
 
+#: One row of an endpoint's pending table: what an answer does, what the
+#: expiry does, and the timer of its deadline (``None``: no deadline).
+PendingRow = namedtuple("PendingRow", "answer expire timer")
+
+
+def _settles(future: Any, describe: Callable[[], str]):
+    """The ``(answer, expire)`` pair of a row that settles ``future`` with
+    the answer, or with a :class:`~repro.errors.TransportError` saying
+    ``describe()``; a future already done (its waiter was cancelled) is
+    left alone."""
+
+    def answer(message: Message) -> None:
+        if not future.done():
+            future.set_result(message)
+
+    def expire() -> None:
+        if not future.done():
+            future.set_exception(TransportError(describe()))
+
+    return answer, expire
+
+
 class Endpoint:
     """A network-addressable participant (server, client, tracked object).
 
-    Subclasses register message handlers with :meth:`on`; incoming
-    :class:`Response` messages whose ``request_id`` matches a parked
-    request resolve that request instead of invoking a handler.
+    Subclasses register message handlers with :meth:`on`.  Everything an
+    endpoint waits for is a row of its one pending table (``_pending``,
+    keyed by request id): :meth:`park` adds a row and arms its deadline
+    if it has one, an incoming :class:`Response` whose ``request_id`` names a row runs
+    the row's answer instead of a handler, and :meth:`_expire` — the one
+    expiry path — runs its expiry when the deadline passes first.  A
+    response that names no row (its row expired, or it answers nothing
+    asked) is counted in ``late_answers`` and dropped.
 
     The handler contract: ``handler(message)`` runs inside delivery and
     returns ``None`` when it is done, or the coroutine of the part that
@@ -110,15 +144,17 @@ class Endpoint:
     def __init__(self, address: str) -> None:
         self.address = address
         self.ctx: Context | None = None
-        self._pending: dict[str, Any] = {}
+        self._pending: dict[str, PendingRow] = {}
         self._handlers: dict[type, Callable[[Message], Coroutine | None]] = {}
         self._request_counter = itertools.count()
-        #: messages delivered with no matching handler or pending request
+        #: messages delivered that no handler takes
         self.unhandled: list[Message] = []
+        #: answers that named no pending row, dropped on arrival
+        self.late_answers = 0
         #: optional receive-path validator: ``validator(message)`` returns
         #: a defect string (message quarantined, never dispatched — not
-        #: even to a parked request future) or ``None`` (clean).  Installed
-        #: by endpoints that face adversarial traffic; ``None`` keeps the
+        #: even to a pending row) or ``None`` (clean).  Installed by
+        #: endpoints that face adversarial traffic; ``None`` keeps the
         #: delivery hot path free of the walk.
         self.validator: Callable[[Message], str | None] | None = None
         #: messages this endpoint quarantined via ``validator``.
@@ -157,12 +193,12 @@ class Endpoint:
                     self.ctx.note_quarantined()
                 return
         if isinstance(message, Response):
-            request_id = getattr(message, "request_id", None)
-            future = self._pending.pop(request_id, None)
-            if future is not None:
-                if not future.done():
-                    future.set_result(message)
-                return
+            row = self.unpark(message.request_id)
+            if row is None:
+                self.late_answers += 1
+            else:
+                row.answer(message)
+            return
         handler = self._handlers.get(type(message))
         if handler is None:
             self.unhandled.append(message)
@@ -187,12 +223,19 @@ class Endpoint:
         """Send a request and await the correlated response.
 
         The message must carry a ``request_id`` attribute (already set by
-        the caller via :meth:`next_request_id`).
+        the caller via :meth:`next_request_id`).  Raises
+        :class:`~repro.errors.TransportError` when ``timeout`` (if set)
+        passes first.
         """
         request_id = getattr(message, "request_id")
-        future = self.park(request_id)
+        future = self.ctx.create_future()
+        self.park(
+            request_id,
+            timeout,
+            *_settles(future, lambda: f"request {request_id} timed out at {self.address}"),
+        )
         self.send(dest, message)
-        return await self.wait(request_id, future, timeout)
+        return await future
 
     async def ask(
         self,
@@ -201,52 +244,64 @@ class Endpoint:
         timeout: float | None,
         retries: int,
     ) -> Response:
+        """:meth:`resend` awaited: the first answer, or
+        :class:`~repro.errors.TransportError` when all ``retries + 1``
+        attempts went unanswered."""
+        future = self.ctx.create_future()
+        answer, fail = _settles(
+            future,
+            lambda: f"request to {dest} from {self.address} unanswered after "
+            f"{retries + 1} attempts",
+        )
+        self.resend(
+            dest, make_message, timeout, retries, answer, lambda left: None if left else fail()
+        )
+        return await future
+
+    def resend(
+        self, dest: str, make_message, timeout: float | None, retries: int, answer, expired
+    ) -> None:
         """Request with re-sends: the one recovery over a lossy network.
 
-        Each attempt sends ``make_message(request_id)`` under a fresh id
-        (a late answer to an abandoned attempt resolves nothing) and
-        waits up to ``timeout``; up to ``retries + 1`` attempts.  Returns
-        the first answer; raises :class:`~repro.errors.TransportError`
-        when every attempt went unanswered.
+        Sends ``make_message(request_id)`` now, under a fresh id, and
+        parks a row for it.  The first answer runs ``answer(message)``.
+        Each expiry runs ``expired(retries_left)`` and, while retries are
+        left, sends the next attempt under a fresh id (a late answer to
+        an abandoned attempt resolves nothing): up to ``retries``
+        re-sends, the last expiry seeing ``0``.
         """
-        for _ in range(retries + 1):
-            try:
-                return await self.request(
-                    dest, make_message(self.next_request_id()), timeout=timeout
-                )
-            except TransportError:
-                pass
-        raise TransportError(
-            f"request to {dest} from {self.address} unanswered after "
-            f"{retries + 1} attempts"
-        )
 
-    def park(self, request_id: str) -> Any:
-        """Create and register the future a response will resolve."""
-        assert self.ctx is not None
-        future = self.ctx.create_future()
-        self._pending[request_id] = future
-        return future
+        def expire() -> None:
+            expired(retries)
+            if retries:
+                self.resend(dest, make_message, timeout, retries - 1, answer, expired)
 
-    async def wait(
-        self, request_id: str, future: Any, timeout: float | None = None
-    ) -> Response:
-        """Await a parked future, enforcing an optional deadline."""
-        assert self.ctx is not None
-        if timeout is None:
-            return await future
-        handle = self.ctx.call_later(timeout, lambda: self._expire(request_id))
-        try:
-            return await future
-        finally:
-            handle.cancel()
+        request_id = self.next_request_id()
+        self.park(request_id, timeout, answer, expire)
+        self.send(dest, make_message(request_id))
+
+    # -- the pending table ------------------------------------------------------
+
+    def park(self, request_id: str, timeout: float | None, answer, expire) -> None:
+        """Add the row for ``request_id``: its answer runs
+        ``answer(message)``; ``timeout`` seconds from now (if set) its
+        expiry runs ``expire()``."""
+        timer = None
+        if timeout is not None:
+            timer = self.ctx.call_later(timeout, lambda: self._expire(request_id))
+        self._pending[request_id] = PendingRow(answer, expire, timer)
+
+    def unpark(self, request_id: str) -> PendingRow | None:
+        """Remove the row for ``request_id`` and disarm its deadline."""
+        row = self._pending.pop(request_id, None)
+        if row is not None and row.timer is not None:
+            row.timer.cancel()
+        return row
 
     def _expire(self, request_id: str) -> None:
-        future = self._pending.pop(request_id, None)
-        if future is not None and not future.done():
-            future.set_exception(
-                TransportError(f"request {request_id} timed out at {self.address}")
-            )
+        row = self._pending.pop(request_id, None)
+        if row is not None:
+            row.expire()
 
     @property
     def pending_count(self) -> int:

@@ -69,12 +69,12 @@ class TestRecoverApex:
         )
         reporter = Reporter()
         svc.network.join(reporter)
-        future = reporter.park("q1")
-        reporter.send(
-            entry,
-            m.PosQueryReq(request_id="q1", reply_to=reporter.address, object_id=oid),
+        res = svc.run(
+            reporter.request(
+                entry,
+                m.PosQueryReq(request_id="q1", reply_to=reporter.address, object_id=oid),
+            )
         )
-        res = svc.run(reporter.wait("q1", future))
         assert isinstance(res, m.PosQueryRes) and res.found
 
     def test_declines_while_the_root_still_answers(self):

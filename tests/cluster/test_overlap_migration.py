@@ -175,7 +175,8 @@ class TestEpochRaces:
         old_epoch = svc.hierarchy.epoch
         # Queue the envelope (it sits on the virtual wire), then cut
         # over before delivery.
-        future = courier.park("stale-env")
+        answers = []
+        courier.park("stale-env", None, answers.append, lambda: None)
         courier.send(
             "root.0",
             m.UpdateBatchReq(
@@ -189,7 +190,8 @@ class TestEpochRaces:
         )
         executor.cutover(migration)
         assert svc.hierarchy.epoch == old_epoch + 1
-        res = svc.run(courier.wait("stale-env", future))
+        svc.settle()
+        (res,) = answers
         assert isinstance(res, m.UpdateBatchRes)
         assert all(outcome.ok for outcome in res.outcomes)
         # The agents answered are the new children, re-pointing senders.

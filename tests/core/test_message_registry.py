@@ -157,7 +157,9 @@ def test_read_lane_binds_only_the_edge_pair_and_the_fanout():
         "NNCandidatesBatchFwd",
         "NNCandidatesBatchSubRes",
     }
-    assert [name for name in vars(leaf) if "collector" in name] == ["_batch_collectors"]
+    # A fan-out's collector is a row of the one pending table, not a
+    # table of its own.
+    assert [name for name in vars(leaf) if "collector" in name] == []
 
 
 def _handlers_by_class() -> dict[str, dict[str, object]]:
@@ -249,6 +251,9 @@ def test_only_a_path_that_waits_spawns(monkeypatch):
         reporter = svc._reporter()
         svc.run(drive_update_envelope(reporter, svc, "root.0", [("near", pos, 10.0)], None, 0))
 
+    # A registration's path creation is an acked pending row per hop,
+    # re-sent on expiry, not a task.
+    assert spawned(lambda: svc.register("third", Point(200, 200))) == {}
     # The entry server is the agent: answered inline, no task anywhere.
     assert spawned(lambda: svc.pos_query("near", entry_server="root.0")) == {}
     assert spawned(lambda: envelope(Point(110, 110))) == {}

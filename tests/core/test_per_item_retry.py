@@ -17,6 +17,7 @@ from repro.core.service import drive_item_rounds, protocol_sender
 from repro.errors import TransportError
 from repro.geo import Point
 from repro.net.scenario import drive_workload
+from repro.runtime.asyncio_rt import AsyncioNetwork
 from repro.runtime.base import Endpoint
 from repro.runtime.latency import LatencyModel
 from repro.sim.elastic import commuter_rush_workload
@@ -91,6 +92,22 @@ class TestPerItemUpdateRetry:
         svc.check_consistency()
 
 
+def _scripted_resend(reporter, destination):
+    """A stand-in for ``reporter.resend`` against a scripted destination:
+    ``destination(message)`` is the answer to one attempt, ``None`` a
+    lost one, and every attempt is made at once under a fresh id."""
+
+    def resend(dest, make_message, timeout, retries, answer, expired):
+        for left in range(retries, -1, -1):
+            reply = destination(make_message(reporter.next_request_id()))
+            if reply is not None:
+                answer(reply)
+                return
+            expired(left)
+
+    return resend
+
+
 class TestItemRounds:
     """``drive_item_rounds``, the one round loop behind the update and
     deregistration envelopes, against a scripted destination: each
@@ -101,14 +118,11 @@ class TestItemRounds:
         reporter = svc._reporter()
         sent = []
 
-        async def request(dest, envelope, timeout=None):
-            sent.append(envelope)
-            answer = answers.pop(0)
-            if answer is None:
-                raise TransportError(f"{dest} lost the envelope")
-            return answer
+        def envelope(message):
+            sent.append(message)
+            return answers.pop(0)
 
-        reporter.request = request
+        reporter.resend = _scripted_resend(reporter, envelope)
         svc.run(
             drive_item_rounds(
                 protocol_sender(
@@ -149,7 +163,7 @@ class TestDriveWorkloadRounds:
         updates = []
 
         def join(reporter):
-            async def request(dest, message, timeout=None):
+            def destination(message):
                 if isinstance(message, m.RegisterReq):
                     return m.RegisterRes(request_id=message.request_id, ok=True, agent="s")
                 if isinstance(message, m.PosQueryReq):
@@ -157,7 +171,7 @@ class TestDriveWorkloadRounds:
                 updates.append(message)
                 unacked = stuck.pop(0) if stuck else set()
                 if unacked is None:
-                    raise TransportError(f"{dest} lost the envelope")
+                    return None  # the envelope is lost
                 return m.UpdateBatchRes(
                     request_id=message.request_id,
                     outcomes=tuple(
@@ -168,8 +182,8 @@ class TestDriveWorkloadRounds:
                     ),
                 )
 
-            reporter.request = request
-            return reporter
+            reporter.resend = _scripted_resend(reporter, destination)
+            return AsyncioNetwork().join(reporter)  # a context, nothing more
 
         payload = asyncio.run(
             drive_workload(

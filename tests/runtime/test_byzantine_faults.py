@@ -169,9 +169,7 @@ class TestServerQuarantine:
         assert leaf.stats.stale_epoch_rejected == 1
 
         # Two behind is legitimate in-flight lag: healed, answered.
-        future = reporter.park("laggy")
-        reporter.send(leaf_id, envelope("laggy", epoch=3))
-        res = svc.run(reporter.wait("laggy", future))
+        res = svc.run(reporter.request(leaf_id, envelope("laggy", epoch=3)))
         assert isinstance(res, m.UpdateBatchRes)
         assert all(outcome.ok for outcome in res.outcomes)
         assert leaf.stats.stale_epoch_rejected == 1  # unchanged
@@ -184,6 +182,8 @@ class TestPathRepairLane:
         root = svc.hierarchy.root_id
         reporter = Reporter()
         svc.network.join(reporter)
+        acks = []
+        reporter.park("repair-1", None, acks.append, lambda: None)
 
         # The root's forwarding pointer for ``oid`` already names this
         # leaf, so the delivery is a pure (idempotent) retry — but it
@@ -198,7 +198,7 @@ class TestPathRepairLane:
             ),
         )
         svc.settle()
-        acks = [msg for msg in reporter.unhandled if isinstance(msg, m.PathAck)]
+        assert [type(ack) for ack in acks] == [m.PathAck]
         assert [ack.request_id for ack in acks] == ["repair-1"]
         svc.check_consistency()
 
@@ -219,7 +219,7 @@ class TestPathRepairLane:
             svc.hierarchy.root_id, m.PathUpdate(object_id=oid, sender=leaf_id)
         )
         svc.settle()
-        assert not reporter.unhandled  # applied, but nothing to ack
+        assert reporter.late_answers == 0  # applied, but nothing to ack
 
     def test_repair_retries_then_abandons_when_acks_never_return(self):
         svc, homes = table2_service(object_count=20, seed=3)
