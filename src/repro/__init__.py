@@ -47,7 +47,6 @@ from repro.model import (
     AccuracyModel,
     LocationDescriptor,
     NearestNeighborQuery,
-    PositionQuery,
     RangeQuery,
     SightingRecord,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "NearestNeighborQuery",
     "Point",
     "Polygon",
-    "PositionQuery",
     "RangeQuery",
     "Rect",
     "SightingRecord",

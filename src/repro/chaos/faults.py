@@ -84,10 +84,6 @@ class LinkFaults:
                 raise ValueError(f"{name} must be >= 0")
 
 
-#: A link with no faults — :meth:`FaultInjector.heal` resets to this.
-NO_FAULTS = LinkFaults()
-
-
 class FaultInjector:
     """Per-link fault rules over one network (install-on-construct).
 
@@ -268,18 +264,9 @@ class FaultInjector:
         if symmetric:
             self._links[(dst, src)] = faults
 
-    def clear_link(self, src: str, dst: str, symmetric: bool = False) -> None:
-        self._links.pop((src, dst), None)
-        if symmetric:
-            self._links.pop((dst, src), None)
-
     def sever(self, a: str, b: str) -> None:
         """Cut the ``a ↔ b`` link entirely (both directions)."""
         self.set_link(a, b, LinkFaults(severed=True), symmetric=True)
-
-    def heal(self, a: str, b: str) -> None:
-        """Restore the ``a ↔ b`` link (removes any rule, both directions)."""
-        self.clear_link(a, b, symmetric=True)
 
     def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> int:
         """Sever every link between the two groups (a network partition).
@@ -312,16 +299,6 @@ class FaultInjector:
         """Drop every rule (including partition bookkeeping)."""
         self._links.clear()
         self._partition.clear()
-
-    def note_fault(self, count: int = 1) -> None:
-        """Account faults injected outside the link rules (e.g. a whole
-        server crash) so ``faults_injected`` covers the full scenario."""
-        self._network.stats.faults_injected += count
-
-    def detach(self) -> None:
-        """Uninstall from the network (rules stop applying)."""
-        if getattr(self._network, "fault_injector", None) is self:
-            self._network.fault_injector = None
 
 
 def inject_crash(service, server_id: str):

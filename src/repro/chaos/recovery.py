@@ -115,12 +115,6 @@ class RecoveryCoordinator:
             self._watching = True
         return self
 
-    def unwatch(self) -> None:
-        """Stop recording envelope deaths (keeps existing suspects)."""
-        if self._watching:
-            self.svc.remove_envelope_death_listener(self._on_envelope_death)
-            self._watching = False
-
     def _on_envelope_death(self, dest: str, what: str, attempts: int) -> None:
         self.suspects[dest] = self.suspects.get(dest, 0) + 1
 
@@ -160,10 +154,6 @@ class RecoveryCoordinator:
         except TransportError:
             return False
         return isinstance(res, m.PingRes)
-
-    def probe_alive(self, server_id: str) -> bool:
-        """Single-probe liveness check (no retries)."""
-        return self.svc.run(self._probe(server_id))
 
     def confirm_dead(self, server_id: str) -> tuple[bool, int, float]:
         """Probe after each of :data:`PROBE_WAITS` until an answer.

@@ -537,10 +537,6 @@ class LoadMonitor:
         self._instant.pop(server_id, None)
         self._retired_traffic.pop(server_id, None)
 
-    def rate_of(self, server_id: str) -> float:
-        """The current decayed rate; 0 for unknown servers."""
-        return self._rates.get(server_id, 0.0)
-
     def rates(self) -> dict[str, float]:
         return dict(self._rates)
 

@@ -48,11 +48,13 @@ is the leaf's *share* — its nearest qualifying object in the dispatch
 and that object's ``nearQual`` ring — which is all the entry server
 needs (``LocalDataStore.nn_candidates``).  A client's single
 ``RangeQueryReq`` / ``NeighborQueryReq`` is served at the edge as a
-batch of one (``evaluate_range_many`` / ``evaluate_neighbors_many`` are
-the many-query entry points).  With the §6.5 area cache on, an item
-whose dispatch rect the cached leaves fully tile skips the hierarchy:
-the still-open items are grouped by next hop, one ``direct`` forward per
-cached leaf, one ordinary forward to the parent for the rest.  There is
+batch of one, and so is an in-process query: ``evaluate_range_many`` /
+``evaluate_neighbors_many`` are the one in-process entry point per
+query kind (the event engine passes ``[query]``).  With the §6.5 area
+cache on, an item whose dispatch rect the cached leaves fully tile
+skips the hierarchy: the still-open items are grouped by next hop, one
+``direct`` forward per cached leaf, one ordinary forward to the parent
+for the rest.  There is
 one retry rule: when a rebalance races a collection, only each item's
 rect *minus the service areas that answered under the current epoch* is
 asked again.

@@ -135,9 +135,6 @@ class LeafCaches:
         self.stats.area_misses += 1
         return None
 
-    def known_leaf_count(self) -> int:
-        return len(self._areas)
-
     def holds_route_to(self, server_id: str) -> bool:
         """Whether any cache entry currently routes to ``server_id``.
 
@@ -251,6 +248,3 @@ class LeafCaches:
             return cached.descriptor.with_accuracy(aged_acc)
         self.stats.descriptor_misses += 1
         return None
-
-    def invalidate_descriptor(self, object_id: str) -> None:
-        self._descriptors.pop(object_id, None)

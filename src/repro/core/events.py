@@ -151,9 +151,6 @@ class EventEngine:
     def active_count(self) -> int:
         return sum(1 for s in self._subscriptions.values() if not s.cancelled)
 
-    def subscription(self, subscription_id: str) -> _Subscription | None:
-        return self._subscriptions.get(subscription_id)
-
     # -- message handlers -------------------------------------------------
 
     def _on_subscribe(self, msg: SubscribeReq) -> None:
@@ -221,7 +218,7 @@ class EventEngine:
                 req_acc=predicate.req_acc,
                 req_overlap=predicate.req_overlap,
             )
-            entries = await self._server.evaluate_range(query)
+            (entries,) = await self._server.evaluate_range_many([query])
             ids = [oid for oid, _ in entries]
             return (
                 len(ids) >= predicate.threshold,

@@ -1456,11 +1456,8 @@ class LocationServer(Endpoint):
         )
 
     # -- internal query API (event engine, embedding applications) ------------
-
-    async def evaluate_range(self, query: RangeQuery) -> tuple[ObjectEntry, ...]:
-        """Run a distributed range query from this (leaf) entry server."""
-        (entries,), _ = await self._execute_range_many([query])
-        return entries
+    # One entry point per query kind: evaluate_position, evaluate_range_many
+    # and evaluate_neighbors_many.  One range query is a batch of one.
 
     async def evaluate_position(self, object_id: str):
         """Resolve one object's descriptor from this (leaf) entry server;

@@ -255,11 +255,6 @@ class LocationService:
         if listener not in self._envelope_death_listeners:
             self._envelope_death_listeners.append(listener)
 
-    def remove_envelope_death_listener(self, listener) -> None:
-        """Inverse of :meth:`add_envelope_death_listener` (idempotent)."""
-        if listener in self._envelope_death_listeners:
-            self._envelope_death_listeners.remove(listener)
-
     def _note_envelope_death(self, dest: str, what: str, attempts: int) -> None:
         for listener in tuple(self._envelope_death_listeners):
             listener(dest, what, attempts)
@@ -776,29 +771,6 @@ class LocationService:
         return self.run(obj.deregister())
 
     # -- bulk helpers (used by benches and examples) ------------------------------
-
-    def register_many(
-        self,
-        positions: Iterable[tuple[str, Point]],
-        des_acc: float = 25.0,
-        min_acc: float = 100.0,
-    ) -> dict[str, TrackedObject]:
-        """Register a batch of objects; drives the clock once per batch."""
-        objects: dict[str, TrackedObject] = {}
-        coros = []
-        for object_id, pos in positions:
-            obj = self.new_tracked_object(
-                object_id, entry_server=self.entry_server_for(pos)
-            )
-            objects[object_id] = obj
-            coros.append(obj.register(pos, des_acc, min_acc))
-
-        async def register_all():
-            for coro in coros:
-                await coro
-
-        self.run(register_all())
-        return objects
 
     # -- introspection -------------------------------------------------------------
 

@@ -198,24 +198,3 @@ def _segment_circle_params(
     t1 = (-b_coef - sqrt_disc) / (2.0 * a_coef)
     t2 = (-b_coef + sqrt_disc) / (2.0 * a_coef)
     return [t for t in (t1, t2) if _EPS < t < 1.0 - _EPS]
-
-
-def circle_circle_intersection_area(a: Circle, b: Circle) -> float:
-    """Exact area of the lens ``disk_a ∩ disk_b``.
-
-    Used by tests and by the nearest-neighbor probability discussion in
-    Section 3.2 (footnote on the influence of location-area radii).
-    """
-    d = a.center.distance_to(b.center)
-    if d >= a.radius + b.radius:
-        return 0.0
-    if d <= abs(a.radius - b.radius):
-        smaller = min(a.radius, b.radius)
-        return math.pi * smaller * smaller
-    r1, r2 = a.radius, b.radius
-    alpha = 2.0 * math.acos((d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))
-    beta = 2.0 * math.acos((d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))
-    return (
-        0.5 * r1 * r1 * (alpha - math.sin(alpha))
-        + 0.5 * r2 * r2 * (beta - math.sin(beta))
-    )

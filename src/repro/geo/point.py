@@ -32,14 +32,6 @@ class Point:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    def translated(self, dx: float, dy: float) -> "Point":
-        """A new point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def midpoint(self, other: "Point") -> "Point":
-        """The midpoint between this point and ``other``."""
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
@@ -80,11 +72,6 @@ class Vector:
     def cross(self, other: "Vector") -> float:
         """The z-component of the 3-D cross product (signed parallelogram area)."""
         return self.dx * other.dy - self.dy * other.dx
-
-    def rotated(self, radians: float) -> "Vector":
-        cos_a = math.cos(radians)
-        sin_a = math.sin(radians)
-        return Vector(self.dx * cos_a - self.dy * sin_a, self.dx * sin_a + self.dy * cos_a)
 
     def __add__(self, other: "Vector") -> "Vector":
         return Vector(self.dx + other.dx, self.dy + other.dy)

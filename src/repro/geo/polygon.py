@@ -10,7 +10,6 @@ covered-region bookkeeping of the range-query entry server).
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from repro.errors import GeometryError
@@ -54,21 +53,6 @@ class Polygon:
     def from_rect(cls, rect: Rect) -> "Polygon":
         return cls(rect.corners)
 
-    @classmethod
-    def regular(cls, center: Point, radius: float, sides: int) -> "Polygon":
-        """A regular ``sides``-gon inscribed in a circle of ``radius``."""
-        if sides < 3:
-            raise GeometryError(f"regular polygon needs >= 3 sides, got {sides}")
-        if radius <= 0:
-            raise GeometryError(f"regular polygon needs positive radius, got {radius}")
-        step = 2.0 * math.pi / sides
-        return cls(
-            [
-                Point(center.x + radius * math.cos(i * step), center.y + radius * math.sin(i * step))
-                for i in range(sides)
-            ]
-        )
-
     # -- properties -----------------------------------------------------
 
     @property
@@ -87,21 +71,6 @@ class Polygon:
         pts = self._points
         for i, a in enumerate(pts):
             yield a, pts[(i + 1) % len(pts)]
-
-    def is_convex(self) -> bool:
-        """Whether all turns share one orientation (collinear runs allowed)."""
-        sign = 0
-        pts = self._points
-        n = len(pts)
-        for i in range(n):
-            cross = (pts[(i + 1) % n] - pts[i]).cross(pts[(i + 2) % n] - pts[(i + 1) % n])
-            if abs(cross) < _EPS:
-                continue
-            if sign == 0:
-                sign = 1 if cross > 0 else -1
-            elif (cross > 0) != (sign > 0):
-                return False
-        return True
 
     # -- predicates -----------------------------------------------------
 

@@ -39,11 +39,6 @@ class Rect:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_points(cls, a: Point, b: Point) -> "Rect":
-        """The bounding box of two corner points, in any order."""
-        return cls(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
-
-    @classmethod
     def from_center(cls, center: Point, width: float, height: float) -> "Rect":
         """A rectangle of the given size centered on ``center``."""
         return cls(
@@ -137,15 +132,6 @@ class Rect:
         overlap = self.intersection(other)
         return overlap.area if overlap is not None else 0.0
 
-    def union_bounds(self, other: "Rect") -> "Rect":
-        """The minimal rectangle covering both operands (bounding-box growth)."""
-        return Rect(
-            min(self.min_x, other.min_x),
-            min(self.min_y, other.min_y),
-            max(self.max_x, other.max_x),
-            max(self.max_y, other.max_y),
-        )
-
     def subtract(self, other: "Rect") -> "list[Rect]":
         """The part of this rectangle not covered by ``other``.
 
@@ -182,20 +168,6 @@ class Rect:
         """
         return Rect(
             self.min_x - margin, self.min_y - margin, self.max_x + margin, self.max_y + margin
-        )
-
-    def quadrants(self) -> tuple["Rect", "Rect", "Rect", "Rect"]:
-        """Split into four equal quadrants (SW, SE, NW, NE).
-
-        This is the split the paper's own testbed uses (Fig. 8: the root's
-        service area divided into quarters).
-        """
-        cx, cy = self.center.x, self.center.y
-        return (
-            Rect(self.min_x, self.min_y, cx, cy),
-            Rect(cx, self.min_y, self.max_x, cy),
-            Rect(self.min_x, cy, cx, self.max_y),
-            Rect(cx, cy, self.max_x, self.max_y),
         )
 
     def grid(self, cols: int, rows: int) -> list["Rect"]:

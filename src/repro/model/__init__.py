@@ -10,8 +10,6 @@ from repro.model.queries import (
     NearestNeighborQuery,
     NearestNeighborResult,
     ObjectEntry,
-    PositionQuery,
-    QueryStatistics,
     RangeQuery,
     candidate_bounds,
     effective_margin,
@@ -38,8 +36,6 @@ __all__ = [
     "NearestNeighborResult",
     "NegotiationError",
     "ObjectEntry",
-    "PositionQuery",
-    "QueryStatistics",
     "RangeQuery",
     "RegistrationInfo",
     "SightingRecord",

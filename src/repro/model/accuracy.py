@@ -71,9 +71,3 @@ class AccuracyModel:
         if self.achievable > min_acc:
             return None
         return max(self.achievable, des_acc)
-
-    def aged_accuracy(self, base_acc: float, elapsed: float) -> float:
-        """Worst-case accuracy after ``elapsed`` seconds without an update."""
-        if elapsed < 0:
-            raise NegotiationError(f"elapsed time must be non-negative, got {elapsed}")
-        return base_acc + self.max_speed * elapsed

@@ -11,7 +11,7 @@ the equivalence tests rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -40,17 +40,6 @@ ObjectEntry = tuple[str, LocationDescriptor]
 # ---------------------------------------------------------------------------
 # Query specifications
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class PositionQuery:
-    """``posQuery(o) → ld`` — retrieve one object's location descriptor."""
-
-    object_id: str
-
-    def __post_init__(self) -> None:
-        if not self.object_id:
-            raise InvalidQueryError("position query needs a non-empty object id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,14 +316,3 @@ def nearest_neighbor(
         near_set=near_set,
         guaranteed_min_distance=guaranteed,
     )
-
-
-@dataclass(frozen=True, slots=True)
-class QueryStatistics:
-    """Bookkeeping a server attaches to a processed query (for benches)."""
-
-    candidates_examined: int = 0
-    results_returned: int = 0
-    servers_involved: int = 1
-    hops: int = 0
-    extra: dict = field(default_factory=dict, compare=False)

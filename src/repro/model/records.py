@@ -80,19 +80,6 @@ class SightingRecord:
         if self.acc_sens < 0:
             raise InvalidRecordError(f"sensor accuracy must be non-negative, got {self.acc_sens}")
 
-    def aged(self, now: float, max_speed: float) -> LocationDescriptor:
-        """The accuracy bound at a later time ``now`` (Section 3, fn. 1).
-
-        Between sightings the object may have moved at up to
-        ``max_speed``, so the worst-case deviation grows linearly:
-        ``acc(now) = acc_sens + max_speed * (now - timestamp)``.
-        """
-        if now < self.timestamp:
-            raise InvalidRecordError(
-                f"cannot age a sighting backwards ({now} < {self.timestamp})"
-            )
-        return LocationDescriptor(self.pos, self.acc_sens + max_speed * (now - self.timestamp))
-
 
 @dataclass(frozen=True, slots=True)
 class RegistrationInfo:
@@ -118,7 +105,3 @@ class RegistrationInfo:
                 f"(des_acc={self.des_acc}, min_acc={self.min_acc}; "
                 "remember: smaller = more accurate)"
             )
-
-    def accepts(self, offered: float) -> bool:
-        """Whether an offered accuracy lies in the requested range."""
-        return offered <= self.min_acc

@@ -3,9 +3,9 @@
 The paper's prototype ran its hierarchy as real processes exchanging
 UDP datagrams; this package takes the reproduction there:
 
-* :mod:`repro.net.address` — logical-address validation, ``host:port``
-  parsing, and the :class:`~repro.net.address.AddressBook` resolution
-  table (the one helper every launcher/transport/alias path uses).
+* :mod:`repro.net.address` — logical-address validation and the
+  :class:`~repro.net.address.AddressBook` resolution table (the one
+  helper every launcher/transport/alias path uses).
 * :mod:`repro.net.wire` — versioned, length-prefixed, CRC-checked
   binary codec for every protocol message (auto-registered by class
   name, typed from :mod:`repro.runtime.schema`), batch envelopes packed
@@ -28,9 +28,6 @@ lazily so ``repro.core`` can import the address helper without a cycle.
 
 from repro.net.address import (
     AddressBook,
-    format_hostport,
-    is_valid_address,
-    parse_hostport,
     validate_address,
 )
 from repro.net.wire import (
@@ -42,15 +39,11 @@ from repro.net.wire import (
     encode_frame,
     encode_hierarchy,
     register_type,
-    registered_types,
 )
 
 __all__ = [
     # address
     "AddressBook",
-    "format_hostport",
-    "is_valid_address",
-    "parse_hostport",
     "validate_address",
     # wire
     "FrameDecoder",
@@ -61,7 +54,6 @@ __all__ = [
     "encode_frame",
     "encode_hierarchy",
     "register_type",
-    "registered_types",
     # lazy (transports / launcher / scenario)
     "SocketTransport",
     "SocketContext",

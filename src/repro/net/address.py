@@ -1,4 +1,4 @@
-"""Endpoint-address validation, ``host:port`` parsing, and resolution.
+"""Endpoint-address validation and resolution.
 
 Every layer that previously treated addresses as opaque strings — the
 launcher, both socket transports, and the forwarding-alias paths —
@@ -11,9 +11,7 @@ Two address spaces exist side by side:
   (``"root"``, ``"leaf-nw"``, ``"driver"``, a tracked object's id).
   :func:`validate_address` is the single rule for what is acceptable.
 * **Socket locations** — ``(host, port)`` pairs a datagram or stream
-  actually travels to.  :func:`parse_hostport`/:func:`format_hostport`
-  convert to and from the ``"127.0.0.1:9000"`` notation used in specs
-  and logs.
+  actually travels to.
 
 :class:`AddressBook` maps the first space onto the second.  Its
 ``fallback`` route is what lets a node process answer endpoints it has
@@ -29,9 +27,6 @@ from repro.errors import AddressError
 __all__ = [
     "MAX_ADDRESS_LENGTH",
     "validate_address",
-    "is_valid_address",
-    "parse_hostport",
-    "format_hostport",
     "AddressBook",
 ]
 
@@ -63,40 +58,6 @@ def validate_address(address: str, what: str = "address") -> str:
         if ch in _FORBIDDEN or ch.isspace() or not ch.isprintable():
             raise AddressError(f"{what} {address!r} contains forbidden character {ch!r}")
     return address
-
-
-def is_valid_address(address: object) -> bool:
-    """Predicate form of :func:`validate_address`."""
-    try:
-        validate_address(address)  # type: ignore[arg-type]
-    except AddressError:
-        return False
-    return True
-
-
-def parse_hostport(text: str, what: str = "host:port") -> tuple[str, int]:
-    """Parse ``"host:port"`` into ``(host, port)``.
-
-    The port must be an integer in ``[1, 65535]`` (0 is only ever an
-    *ask* — bind-time "pick a free port" — never a resolvable
-    destination).  Raises :class:`~repro.errors.AddressError`.
-    """
-    if not isinstance(text, str) or ":" not in text:
-        raise AddressError(f"{what} {text!r} is not of the form 'host:port'")
-    host, _, port_text = text.rpartition(":")
-    if not host:
-        raise AddressError(f"{what} {text!r} has an empty host")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise AddressError(f"{what} {text!r} has a non-integer port") from None
-    if not 1 <= port <= 65535:
-        raise AddressError(f"{what} {text!r} has an out-of-range port {port}")
-    return host, port
-
-
-def format_hostport(host: str, port: int) -> str:
-    return f"{host}:{port}"
 
 
 class AddressBook:

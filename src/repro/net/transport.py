@@ -269,8 +269,3 @@ class SocketTransport:
         while self._tasks:
             pending = list(self._tasks)
             await asyncio.gather(*pending, return_exceptions=True)
-
-
-def make_stream_decoder() -> FrameDecoder:
-    """Convenience for subclasses (kept here so tests can monkeypatch)."""
-    return FrameDecoder()

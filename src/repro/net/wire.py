@@ -74,7 +74,7 @@ from repro.runtime.schema import Kind, builder_of, schema_of
 
 __all__ = [
     "WIRE_VERSION", "MAGIC", "HEADER_SIZE", "MAX_FRAME_SIZE", "encode", "decode",
-    "encode_frame", "decode_frame", "FrameDecoder", "register_type", "registered_types",
+    "encode_frame", "decode_frame", "FrameDecoder", "register_type",
     "encode_hierarchy", "decode_hierarchy",
 ]  # fmt: skip
 
@@ -349,12 +349,6 @@ def register_type(cls: type) -> type:
     _BY_NAME[name] = cls
     _PREFIX[cls] = bytes([len(raw)]) + raw
     return cls
-
-
-def registered_types() -> dict[str, type]:
-    """Snapshot of the wire-name → class registry (after a refresh)."""
-    _refresh_message_types()
-    return dict(_BY_NAME)
 
 
 def _walk_subclasses(cls: type) -> Iterable[type]:

@@ -48,10 +48,6 @@ class UpdatePolicy(ABC):
         """The server-side position estimate under this policy."""
         return self._last_report_pos
 
-    @property
-    def has_reported(self) -> bool:
-        return self._last_report_pos is not None
-
 
 class TimePolicy(UpdatePolicy):
     """Report every ``interval`` seconds, regardless of movement."""

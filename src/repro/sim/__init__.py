@@ -8,7 +8,7 @@ runtime without a cycle.
 """
 
 from repro.sim.calibration import CalibrationResult, calibrate, default_cost_model
-from repro.sim.engine import SimFuture, SimLoop, SimTask, SimulationError, TimeoutExpired
+from repro.sim.engine import SimFuture, SimLoop, SimTask, SimulationError
 from repro.sim.metrics import (
     PROTOCOL_LANE_MESSAGE_TYPES,
     LatencyRecorder,
@@ -31,7 +31,6 @@ from repro.sim.workload import (
     StreamingWalkers,
     WorkloadGenerator,
     WorkloadSpec,
-    coalesce_updates,
     hotspot_positions,
     scatter_objects,
     wavefront_area,
@@ -131,13 +130,11 @@ __all__ = [
     "TABLE2_RANGE_SIDE",
     "ThroughputMeter",
     "TickStats",
-    "TimeoutExpired",
     "Walker",
     "WorkloadGenerator",
     "WorkloadSpec",
     "calibrate",
     "chaos_benchmark_payload",
-    "coalesce_updates",
     "columnar_benchmark_payload",
     "commuter_rush_workload",
     "default_cost_model",

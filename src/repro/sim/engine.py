@@ -15,6 +15,11 @@ Design notes:
   ``await`` protocol; :class:`SimTask` is the coroutine driver.
 * The loop is *not* thread-safe; simulations are single-threaded by
   construction.
+* A cancelled timer stays in the heap until it is popped, unless
+  cancelled timers grow past half of a heap of more than
+  :data:`COMPACT_MIN` entries: then the heap is rebuilt without them
+  (asyncio's rule).  Live events keep their (time, sequence) keys, so
+  the pop order does not change.
 """
 
 from __future__ import annotations
@@ -23,6 +28,11 @@ import heapq
 from typing import Any, Callable, Coroutine, Generator
 
 from repro.errors import LocationServiceError
+
+
+#: Heaps this small are never compacted (asyncio's
+#: ``_MIN_SCHEDULED_TIMER_HANDLES``).
+COMPACT_MIN = 100
 
 
 class SimulationError(LocationServiceError):
@@ -172,24 +182,29 @@ class SimTask:
 class TimerHandle:
     """Cancellation handle returned by :meth:`SimLoop.call_later`."""
 
-    __slots__ = ("cancelled",)
+    __slots__ = ("cancelled", "_loop")
 
-    def __init__(self) -> None:
+    def __init__(self, loop: "SimLoop") -> None:
         self.cancelled = False
+        self._loop = loop
 
     def cancel(self) -> None:
-        self.cancelled = True
+        if not self.cancelled:
+            self.cancelled = True
+            self._loop._note_cancelled()
 
 
 class SimLoop:
     """A minimal deterministic event loop over virtual time (seconds)."""
 
-    __slots__ = ("_now", "_sequence", "_queue", "task_errors")
+    __slots__ = ("_now", "_sequence", "_queue", "_cancelled", "task_errors")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._sequence = 0
         self._queue: list[tuple[float, int, Callable[[], None], TimerHandle]] = []
+        #: cancelled handles still in ``_queue``
+        self._cancelled = 0
         #: (task, exception) pairs from tasks that died un-awaited.
         self.task_errors: list[tuple[SimTask, BaseException]] = []
 
@@ -202,7 +217,7 @@ class SimLoop:
     def call_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
         if when < self._now:
             raise SimulationError(f"cannot schedule in the past ({when} < {self._now})")
-        handle = TimerHandle()
+        handle = TimerHandle(self)
         self._sequence += 1
         heapq.heappush(self._queue, (when, self._sequence, callback, handle))
         return handle
@@ -214,6 +229,14 @@ class SimLoop:
 
     def call_soon(self, callback: Callable[[], None]) -> TimerHandle:
         return self.call_at(self._now, callback)
+
+    def _note_cancelled(self) -> None:
+        self._cancelled += 1
+        queue = self._queue
+        if len(queue) > COMPACT_MIN and 2 * self._cancelled > len(queue):
+            queue[:] = [entry for entry in queue if not entry[3].cancelled]
+            heapq.heapify(queue)
+            self._cancelled = 0
 
     # -- futures & tasks --------------------------------------------------------
 
@@ -229,27 +252,6 @@ class SimLoop:
         self.call_later(delay, lambda: future.set_result(None))
         return future
 
-    def timeout_future(self, future: SimFuture, timeout: float, message: str) -> SimFuture:
-        """Wrap ``future`` with a deadline; on expiry the result is a
-        :class:`TimeoutExpired` exception instead."""
-        wrapped = self.create_future()
-        handle = self.call_later(
-            timeout,
-            lambda: None if wrapped.done() else wrapped.set_exception(TimeoutExpired(message)),
-        )
-
-        def _forward(inner: SimFuture) -> None:
-            if wrapped.done():
-                return
-            handle.cancel()
-            try:
-                wrapped.set_result(inner.result())
-            except BaseException as exc:  # noqa: BLE001
-                wrapped.set_exception(exc)
-
-        future.add_done_callback(_forward)
-        return wrapped
-
     # -- execution ---------------------------------------------------------------
 
     def run_until_idle(self, max_time: float | None = None, max_events: int = 10_000_000) -> float:
@@ -261,6 +263,7 @@ class SimLoop:
         while self._queue:
             when, _, callback, handle = heapq.heappop(self._queue)
             if handle.cancelled:
+                self._cancelled -= 1
                 continue
             if max_time is not None and when > max_time:
                 # Leave the event for a later run; freeze time at the cap.
@@ -287,6 +290,7 @@ class SimLoop:
         while self._queue and not task.done():
             when, _, callback, handle = heapq.heappop(self._queue)
             if handle.cancelled:
+                self._cancelled -= 1
                 continue
             if max_time is not None and when > max_time:
                 self._sequence += 1
@@ -302,12 +306,5 @@ class SimLoop:
             raise SimulationError("loop went idle before the main task finished")
         return task.result()
 
-    def pending_events(self) -> int:
-        return sum(1 for _, _, _, handle in self._queue if not handle.cancelled)
-
     def _note_task_error(self, task: SimTask, exc: BaseException) -> None:
         self.task_errors.append((task, exc))
-
-
-class TimeoutExpired(LocationServiceError):
-    """A simulated wait exceeded its deadline."""

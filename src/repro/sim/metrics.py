@@ -32,14 +32,6 @@ class Summary:
     def mean_ms(self) -> float:
         return self.mean * 1e3
 
-    def format_ms(self) -> str:
-        return (
-            f"n={self.count} mean={self.mean * 1e3:.3f}ms "
-            f"p50={self.p50 * 1e3:.3f}ms p95={self.p95 * 1e3:.3f}ms "
-            f"max={self.maximum * 1e3:.3f}ms"
-        )
-
-
 EMPTY_SUMMARY = Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -225,16 +217,6 @@ class MessageLedger:
             for name, count in self.delta().items()
             if name in TOPOLOGY_MESSAGE_TYPES
         )
-
-
-@dataclass(frozen=True, slots=True)
-class TableRow:
-    """One row of a paper-versus-measured comparison table."""
-
-    operation: str
-    paper_value: str
-    measured_value: str
-    note: str = ""
 
 
 def format_table(title: str, headers: tuple[str, ...], rows: list[tuple]) -> str:

@@ -27,7 +27,7 @@ from repro.protocols.update_policies import UpdatePolicy
 from repro.runtime.latency import CostModel, LatencyModel
 from repro.sim.metrics import LatencyRecorder, ThroughputMeter
 from repro.sim.mobility import Walker, make_walkers
-from repro.sim.workload import coalesce_updates, scatter_objects
+from repro.sim.workload import scatter_objects
 from repro.storage import LocalDataStore
 
 #: Paper Table 1 parameters.
@@ -114,15 +114,6 @@ def populate(svc: LocationService, placements) -> dict[str, str]:
         for below, above in zip(path, path[1:]):
             svc.servers[above].visitors.insert_forward(oid, below)
     return homes
-
-
-@dataclass
-class OpResult:
-    """Outcome of one measured operation."""
-
-    kind: str
-    latency: float
-    ok: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,78 +294,6 @@ class DistributedHarness:
 
         self.svc.run(run_all())
         return meter.per_second()
-
-    # -- batched workload consumption (the server-tick pipeline) ---------------
-
-    def run_workload_batched(self, gen, operations: int, batch_size: int = 64) -> dict[str, int]:
-        """Consume a workload stream in simulation steps.
-
-        Each batch from ``gen`` (a :class:`~repro.sim.workload.
-        WorkloadGenerator`) is split by :func:`~repro.sim.workload.
-        coalesce_updates`: the position updates land as one
-        :meth:`~repro.core.server.LocationServer.apply_in_area` per leaf
-        (the paper's always-local updates — the server tick), the batch's
-        range queries run as one distributed fan-out per entry leaf (:meth:`~repro.core.server.LocationServer.
-        evaluate_range_many` — one ``query_rect_many`` candidate pass per
-        involved leaf), the nearest-neighbor queries likewise share one
-        fan-out per entry leaf and ring round (:meth:`~repro.core.server.
-        LocationServer.evaluate_neighbors_many`), and the remaining
-        queries run through the normal request protocol.  It is the same
-        query lane a client's single ``RangeQueryReq`` /
-        ``NeighborQueryReq`` takes as a batch of one.  Returns operation
-        counters.
-        """
-        from repro.model import NearestNeighborQuery, RangeQuery
-
-        loop = self.svc.loop
-        counters = {
-            "updates": 0,
-            "update_batches": 0,
-            "queries": 0,
-            "range_batches": 0,
-            "nn_batches": 0,
-        }
-        for batch in gen.operation_batches(operations, batch_size):
-            updates_by_leaf, others = coalesce_updates(batch)
-            now = loop.now
-            for leaf, moves in updates_by_leaf.items():
-                self.svc.servers[leaf].apply_in_area(
-                    [SightingRecord(oid, now, pos, 10.0) for oid, pos in moves], now
-                )
-                counters["updates"] += len(moves)
-                counters["update_batches"] += 1
-            ranges_by_leaf: dict[str, list] = {}
-            nns_by_leaf: dict[str, list] = {}
-            for op in others:
-                if op.kind == "range_query":
-                    ranges_by_leaf.setdefault(op.entry_leaf, []).append(op)
-                    continue
-                if op.kind == "nn_query":
-                    nns_by_leaf.setdefault(op.entry_leaf, []).append(op)
-                    continue
-                client = self.client_at(op.entry_leaf)
-                self.svc.run(client.pos_query(op.object_id))
-                counters["queries"] += 1
-            for leaf, ops in ranges_by_leaf.items():
-                self.svc.run(
-                    self.svc.servers[leaf].evaluate_range_many(
-                        [
-                            RangeQuery(op.area, req_acc=50.0, req_overlap=0.3)
-                            for op in ops
-                        ]
-                    )
-                )
-                counters["queries"] += len(ops)
-                counters["range_batches"] += 1
-            for leaf, ops in nns_by_leaf.items():
-                self.svc.run(
-                    self.svc.servers[leaf].evaluate_neighbors_many(
-                        [NearestNeighborQuery(op.pos, req_acc=50.0) for op in ops]
-                    )
-                )
-                counters["queries"] += len(ops)
-                counters["nn_batches"] += 1
-        return counters
 
     # -- canned operations matching Table 2's rows -----------------------------
 

@@ -156,44 +156,6 @@ class WorkloadGenerator:
         for _ in range(count):
             yield self.next_operation()
 
-    def operation_batches(self, count: int, batch_size: int):
-        """The same stream as :meth:`operations`, chunked into batches.
-
-        A batch is what one simulation step hands to the service tick:
-        its updates coalesce into per-leaf bulk index updates (see
-        :func:`coalesce_updates`) while queries run individually.
-        """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        remaining = count
-        while remaining > 0:
-            take = min(batch_size, remaining)
-            remaining -= take
-            yield [self.next_operation() for _ in range(take)]
-
-
-def coalesce_updates(
-    ops: "list[Operation]",
-) -> tuple[dict[str, list[tuple[str, Point]]], list["Operation"]]:
-    """Split one operation batch into bulk updates and individual queries.
-
-    Returns ``(updates_by_leaf, others)``: the position updates grouped
-    by their (home) entry leaf as ``(object_id, pos)`` moves — ready for
-    one ``store.update_many`` per leaf — and the remaining operations in
-    stream order.  Repeated updates for the same object keep their order
-    inside the leaf's move list, so last-write-wins semantics match the
-    sequential stream.
-    """
-    updates_by_leaf: dict[str, list[tuple[str, Point]]] = {}
-    others: list[Operation] = []
-    for op in ops:
-        if op.kind == "update":
-            updates_by_leaf.setdefault(op.entry_leaf, []).append((op.object_id, op.pos))
-        else:
-            others.append(op)
-    return updates_by_leaf, others
-
-
 # ---------------------------------------------------------------------------
 # Skewed spatial distributions (elastic-cluster scenarios)
 # ---------------------------------------------------------------------------

@@ -172,17 +172,11 @@ class ColumnarIndex(SpatialIndex):
         """The id occupying a slot (``None`` for free slots)."""
         return self._ids[slot]
 
-    def resolve_slots(self, object_ids: Sequence[str]) -> SlotHandle:
-        """Resolve many ids to a reusable :class:`SlotHandle`."""
-        slot_of = self._slot_of
-        slots = np.asarray([slot_of[oid] for oid in object_ids], dtype=np.intp)
-        return SlotHandle(slots, self._version, tuple(object_ids))
-
     def check_handle(self, handle: SlotHandle) -> None:
         if handle.version != self._version:
             raise StaleHandleError(
                 "slot handle is stale (the id/slot mapping changed since it "
-                "was resolved); re-resolve with resolve_slots()"
+                "was issued)"
             )
 
     # -- mutation (object API) -----------------------------------------------

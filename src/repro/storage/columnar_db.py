@@ -27,10 +27,7 @@ same operation interleavings and asserts identical answers.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from repro.errors import StorageError
 from repro.model import SightingRecord
@@ -229,30 +226,7 @@ class ColumnarSightingDB(SightingDB):
                 expired.append(oid)
         return expired
 
-    def next_expiry(self) -> float | None:
-        index = self._index
-        col_dl = index.column("deadline")
-        best = math.inf
-        live = col_dl[: index._next]
-        if live.size and not np.isnan(live).all():
-            best = float(np.nanmin(live))
-        if self._pending_expiry:
-            best = min(best, min(self._pending_expiry.values()))
-        return None if math.isinf(best) else best
-
-    def expiry_deadline(self, object_id: str) -> float | None:
-        try:
-            slot = self._index.slot_of(object_id)
-        except KeyError:
-            return self._pending_expiry.get(object_id)
-        deadline = float(self._index.column("deadline")[slot])
-        return None if math.isnan(deadline) else deadline
-
     # -- array-native fast lane --------------------------------------------------
-
-    def resolve_handle(self, object_ids: Sequence[str]) -> SlotHandle:
-        """Resolve ids once; reuse across ticks until the mapping changes."""
-        return self._index.resolve_slots(object_ids)
 
     def update_positions(
         self,

@@ -261,27 +261,11 @@ class LocalDataStore:
                 self._mirror.record_upsert(sightings.get(oid), offered, reg_info)
         return handle
 
-    def resolve_update_handle(self, object_ids) -> SlotHandle:
-        """Resolve a population's slots for :meth:`update_positions`.
-
-        Registration is validated here, once — any id without a leaf
-        visitor record raises :class:`~repro.errors.UnknownObjectError`
-        like :meth:`update_many` would.  Later deregistrations are
-        covered by the handle's version stamp: any slot-mapping change
-        makes the handle stale.
-        """
-        sightings = self._columnar_sightings()
-        leaf_record = self.visitors.leaf_record
-        for oid in object_ids:
-            if leaf_record(oid) is None:
-                raise UnknownObjectError(oid)
-        return sightings.resolve_handle(object_ids)
-
     def update_positions(self, handle: SlotHandle, xs, ys, now: float = 0.0) -> None:
         """Tick-rate position scatter for a resolved population.
 
         Semantically :meth:`update_many` for sightings whose ids were
-        validated at :meth:`resolve_update_handle` time; no records are
+        registered when the handle was resolved; no records are
         materialized.  While a migration mirror is attached the dual
         writes need real :class:`SightingRecord` objects, so the scatter
         falls back to the object path — correctness over speed for the
@@ -454,18 +438,6 @@ class LocalDataStore:
         for object_id in self.visitors.object_ids():
             if self.visitors.leaf_record(object_id) is not None:
                 self.sightings.schedule_expiry(object_id, now)
-
-    def restore_sighting(self, sighting: SightingRecord, now: float = 0.0) -> bool:
-        """Re-admit a sighting after a crash, if the object is still a
-        registered visitor.  Returns whether the record was accepted —
-        unknown objects must re-register."""
-        record = self.visitors.leaf_record(sighting.object_id)
-        if record is None:
-            return False
-        self.sightings.upsert(sighting, now=now)
-        if self._mirror is not None:
-            self._mirror.record_upsert(sighting, record.offered_acc, record.reg_info)
-        return True
 
     @property
     def visitor_count(self) -> int:

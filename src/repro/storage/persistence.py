@@ -44,11 +44,6 @@ class PersistentStore(ABC):
     def compact(self, snapshot_records: list[LogRecord]) -> None:
         """Replace snapshot + log with the given snapshot records."""
 
-    @abstractmethod
-    def record_count(self) -> int:
-        """Number of records replay would yield (diagnostics; may read the
-        whole store, so not for a per-append check)."""
-
 
 class MemoryStore(PersistentStore):
     """In-memory store with durable semantics relative to simulated crashes.
@@ -77,9 +72,6 @@ class MemoryStore(PersistentStore):
     def compact(self, snapshot_records: list[LogRecord]) -> None:
         self._records = bytearray().join(_marshalled(*record) for record in snapshot_records)
         self._count = len(snapshot_records)
-
-    def record_count(self) -> int:
-        return self._count
 
 
 def _marshalled(operation: str, payload: dict) -> bytes:
@@ -186,13 +178,6 @@ class FileStore(PersistentStore):
                     _fsync_dir(self._log_path.parent)
         except OSError as exc:
             raise StorageError(f"compaction failed for {self._snapshot_path}: {exc}") from exc
-
-    def record_count(self) -> int:
-        return sum(
-            _line_count(path)
-            for path in (self._snapshot_path, self._log_path)
-            if path.exists()
-        )
 
 
 def _fsync_dir(path: Path) -> None:

@@ -246,10 +246,6 @@ class SightingDB:
             for query, candidates in zip(query_list, candidate_lists)
         ]
 
-    def positions_in_rect(self, rect: Rect) -> Iterator[tuple[str, Point]]:
-        """Raw spatial-index scan: (object id, position) pairs in a rect."""
-        return self._index.query_rect(rect)
-
     def positions_in_rects(self, rects: Iterable[Rect]) -> list[list[tuple[str, Point]]]:
         """Raw scans for many rects via one batched index traversal
         (:meth:`~repro.spatial.SpatialIndex.query_rect_many`); result
@@ -332,12 +328,6 @@ class SightingDB:
             if self._index.get(oid) is not None:
                 self._index.remove(oid)
         return expired
-
-    def next_expiry(self) -> float | None:
-        return self._timer.next_deadline()
-
-    def expiry_deadline(self, object_id: str) -> float | None:
-        return self._timer.deadline_of(object_id)
 
 
 def _members(

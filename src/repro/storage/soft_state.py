@@ -42,14 +42,6 @@ class ExpiryTimer:
         self._deadline.pop(key, None)
         self._version.pop(key, None)
 
-    def deadline_of(self, key: str) -> float | None:
-        return self._deadline.get(key)
-
-    def next_deadline(self) -> float | None:
-        """The earliest live deadline, or ``None`` when nothing is tracked."""
-        self._drop_stale_head()
-        return self._heap[0][0] if self._heap else None
-
     def pop_expired(self, now: float) -> list[str]:
         """All keys whose deadline is ``<= now``, removed from the timer."""
         expired = []

@@ -88,7 +88,8 @@ class TestCentralBaseline:
 
         # Hierarchical service.
         svc = LocationService(build_table2_hierarchy())
-        svc.register_many(placements)
+        for oid, pos in placements:
+            svc.register(oid, pos)
         hier = svc.range_query(query_area, req_acc=50.0, req_overlap=0.4)
 
         # Central baseline.
@@ -173,7 +174,8 @@ class TestHomeServerBaseline:
         query_area = Rect(100, 100, 1000, 700)
 
         svc = LocationService(build_table2_hierarchy())
-        svc.register_many(placements)
+        for oid, pos in placements:
+            svc.register(oid, pos)
         hier = svc.range_query(query_area, req_acc=50.0, req_overlap=0.4)
 
         net, client = build_home_service(AREA, n_servers=4)

@@ -51,10 +51,10 @@ class TestLoadMonitor:
         for tick in range(1, 20):
             bump_updates(svc, "root.0", 50)
             monitor.sample(svc, now=float(tick))
-        hot = monitor.rate_of("root.0")
+        hot = monitor.rates().get("root.0", 0.0)
         # One idle half-life halves the rate (one big idle step).
         monitor.sample(svc, now=19.0 + 4.0)
-        assert monitor.rate_of("root.0") == pytest.approx(hot / 2.0, rel=0.01)
+        assert monitor.rates().get("root.0", 0.0) == pytest.approx(hot / 2.0, rel=0.01)
 
     def test_index_sizes_reported_for_leaves(self):
         svc, homes = table2_service(object_count=40)
@@ -79,11 +79,11 @@ class TestLoadMonitor:
         monitor.sample(svc, now=0.0)
         bump_updates(svc, "root.0", 100)
         monitor.sample(svc, now=1.0)
-        before = monitor.rate_of("root.0")
+        before = monitor.rates().get("root.0", 0.0)
         assert before > 0.0
         # A zero-dt resample must not wipe the window.
         samples = monitor.sample(svc, now=1.0)
-        assert monitor.rate_of("root.0") == before
+        assert monitor.rates().get("root.0", 0.0) == before
         assert samples["root.0"].rate == before
         # The next real sample still sees the interval's ops.
         bump_updates(svc, "root.0", 100)
@@ -97,4 +97,79 @@ class TestLoadMonitor:
         svc.servers.pop("root.3")
         samples = monitor.sample(svc, now=1.0)
         assert "root.3" not in samples
-        assert monitor.rate_of("root.3") == 0.0
+        assert monitor.rates().get("root.3", 0.0) == 0.0
+
+
+class TestRateSeeding:
+    """Split / merge cutovers hand the parent's window to the new leaves."""
+
+    @staticmethod
+    def _warm(svc, monitor, leaf_id, per_tick=100, ticks=30):
+        monitor.sample(svc, now=0.0)
+        for tick in range(1, ticks):
+            bump_updates(svc, leaf_id, per_tick)
+            monitor.sample(svc, now=float(tick))
+        return monitor.rates()[leaf_id]
+
+    def test_seed_split_divides_the_rate_by_weight(self):
+        svc, _ = table2_service(object_count=10)
+        monitor = LoadMonitor(half_life=2.0)
+        hot = self._warm(svc, monitor, "root.0")
+        monitor.seed_split("root.0", {"c0": 3.0, "c1": 1.0})
+        rates = monitor.rates()
+        assert "root.0" not in rates
+        assert rates["c0"] == pytest.approx(0.75 * hot)
+        assert rates["c1"] == pytest.approx(0.25 * hot)
+
+    def test_seed_split_without_weight_drops_the_rate(self):
+        svc, _ = table2_service(object_count=10)
+        monitor = LoadMonitor(half_life=2.0)
+        self._warm(svc, monitor, "root.0")
+        monitor.seed_split("root.0", {"c0": 0.0})
+        assert "root.0" not in monitor.rates()
+        assert "c0" not in monitor.rates()
+
+    def test_seed_merge_sums_children_into_the_parent(self):
+        svc, _ = table2_service(object_count=10)
+        monitor = LoadMonitor(half_life=2.0)
+        monitor.sample(svc, now=0.0)
+        bump_updates(svc, "root.1", 30)
+        bump_updates(svc, "root.2", 10)
+        monitor.sample(svc, now=1.0)
+        before = monitor.rates()
+        monitor.seed_merge("merged", ["root.1", "root.2"])
+        after = monitor.rates()
+        assert "root.1" not in after and "root.2" not in after
+        assert after["merged"] == pytest.approx(before["root.1"] + before["root.2"])
+        assert before["root.1"] > before["root.2"] > 0.0
+
+
+class TestForgetServer:
+    def test_restarted_counters_read_as_a_fresh_server(self):
+        svc, _ = table2_service(object_count=10)
+        monitor = LoadMonitor(half_life=2.0)
+        monitor.sample(svc, now=0.0)
+        bump_updates(svc, "root.0", 500)
+        monitor.sample(svc, now=1.0)
+        # A crash re-homes the leaf: its counters restart below the baseline.
+        monitor.forget_server("root.0")
+        svc.servers["root.0"].stats.updates = 0
+        sample = monitor.sample(svc, now=2.0)["root.0"]
+        assert sample.delta == 0
+        assert sample.rate == 0.0
+        assert monitor.instant_rates()["root.0"] == 0.0
+
+
+class TestInstantRates:
+    def test_instant_rate_is_the_last_interval_only(self):
+        svc, _ = table2_service(object_count=10)
+        monitor = LoadMonitor(half_life=10.0)
+        monitor.sample(svc, now=0.0)
+        assert monitor.instant_rates()["root.0"] == 0.0
+        bump_updates(svc, "root.0", 40)
+        monitor.sample(svc, now=2.0)
+        # The surge registers in full, the decayed rate only in part.
+        assert monitor.instant_rates()["root.0"] == pytest.approx(20.0)
+        assert 0.0 < monitor.rates()["root.0"] < 20.0
+        monitor.sample(svc, now=4.0)
+        assert monitor.instant_rates()["root.0"] == 0.0

@@ -167,7 +167,7 @@ class TestInteriorEntryFanOut:
         force_split(svc)
         assert not server.is_leaf
         query = RangeQuery(Rect(0, 0, 1500, 1500), req_acc=100.0, req_overlap=0.5)
-        entries = svc.run(server.evaluate_range(query))
+        (entries,) = svc.run(server.evaluate_range_many([query]))
         assert len(entries) == 400
         batched = svc.run(server.evaluate_range_many([query, query]))
         assert [len(r) for r in batched] == [400, 400]
@@ -178,7 +178,7 @@ class TestInteriorEntryFanOut:
         _, report = force_split(svc)
         area = svc.hierarchy.config(report.spawned[0]).area
         query = RangeQuery(area, req_acc=100.0, req_overlap=0.5)
-        entries = svc.run(server.evaluate_range(query))
+        (entries,) = svc.run(server.evaluate_range_many([query]))
         expected = len(svc.servers[report.spawned[0]].store.range_query(query))
         assert len(entries) >= expected > 0
 

@@ -1,7 +1,7 @@
 """Tests for hot/cold detection and cut-line selection."""
 
 from repro.cluster import MergePlan, MigrationExecutor, PlannerConfig, RebalancePlanner, SplitPlan
-from repro.geo import Point
+from repro.geo import Point, Rect
 from repro.model import SightingRecord
 from repro.sim.scenario import table2_service
 
@@ -69,7 +69,8 @@ class TestCutSelection:
         assert 60.0 < plan.cut < 700.0
         low, high = (area for _, area in plan.children)
         # Children tile the leaf area.
-        assert low.union_bounds(high) == svc.hierarchy.config("root.0").area
+        area = svc.hierarchy.config("root.0").area
+        assert Rect(low.min_x, low.min_y, high.max_x, high.max_y) == area
         assert low.intersection_area(high) == 0.0
 
     def test_degenerate_population_yields_no_plan(self):

@@ -309,6 +309,6 @@ class TestRateMassSeeding:
         # The weighted cut halves the hot mass (5 hot west; 5 hot + 90
         # dormant east), so each child inherits half the leaf's load.
         # Count-based seeding would have handed the east child 95% of it.
-        assert monitor.rate_of(west_child) == pytest.approx(50.0)
-        assert monitor.rate_of(east_child) == pytest.approx(50.0)
+        assert monitor.rates().get(west_child, 0.0) == pytest.approx(50.0)
+        assert monitor.rates().get(east_child, 0.0) == pytest.approx(50.0)
         assert report.moved == 100

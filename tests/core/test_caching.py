@@ -70,6 +70,58 @@ class TestLeafCachesUnit:
         assert caches.fresh_descriptor("obj", now=0.0, req_acc=None) is None
 
 
+    def test_config_presets(self):
+        assert not CacheConfig.disabled().any_enabled
+        every = CacheConfig.all_enabled(max_speed=12.0)
+        assert every.area_cache and every.agent_cache and every.descriptor_cache
+        assert every.max_speed == 12.0
+        assert CacheConfig(descriptor_cache=True).any_enabled
+
+    def test_holds_route_to_counts_agent_entries(self):
+        caches = LeafCaches(CacheConfig(agent_cache=True))
+        caches.note_agent("a", "leaf-1")
+        caches.note_agent("b", "leaf-1")
+        caches.note_agent("a", "leaf-2")  # re-point releases one reference
+        assert caches.holds_route_to("leaf-1")
+        assert caches.holds_route_to("leaf-2")
+        caches.invalidate_agent("b")
+        assert not caches.holds_route_to("leaf-1")
+        assert caches.holds_route_to("leaf-2")
+
+    def test_forget_server_drops_every_route_to_it(self):
+        caches = LeafCaches(CacheConfig(area_cache=True, agent_cache=True))
+        caches.note_leaf_area("west", Rect(0, 0, 100, 100))
+        caches.note_leaf_area("east", Rect(100, 0, 200, 100))
+        caches.note_agent("a", "west")
+        caches.note_agent("b", "west")
+        caches.note_agent("c", "east")
+        caches.forget_server("west")
+        assert not caches.holds_route_to("west")
+        assert caches.leaf_for_point(50, 50) is None
+        assert caches.agent_of("a") is None and caches.agent_of("b") is None
+        assert caches.agent_of("c") == "east"
+        assert caches.leaf_for_point(150, 50) == "east"
+
+    def test_apply_invalidation_forgets_and_learns(self):
+        caches = LeafCaches(CacheConfig(area_cache=True))
+        caches.note_leaf_area("old", Rect(0, 0, 100, 100))
+        caches.apply_invalidation(
+            forget=("old",),
+            learned=(("sw", Rect(0, 0, 50, 50)), ("ne", Rect(50, 50, 100, 100))),
+        )
+        assert not caches.holds_route_to("old")
+        assert caches.leaf_for_point(10, 10) == "sw"
+        assert caches.leaf_for_point(60, 60) == "ne"
+        assert caches.leaf_for_point(60, 10) is None  # not learned yet
+        assert caches.stats.invalidations_applied == 1
+
+    def test_invalidation_is_not_counted_without_caches(self):
+        caches = LeafCaches(CacheConfig.disabled())
+        caches.apply_invalidation(forget=("old",), learned=(("sw", Rect(0, 0, 1, 1)),))
+        assert caches.stats.invalidations_applied == 0
+        assert not caches.holds_route_to("sw")
+
+
 class TestAgentCacheIntegration:
     def test_second_query_goes_direct(self):
         svc = make_service(agent_cache=True)
@@ -164,7 +216,6 @@ class TestAreaCacheIntegration:
         for i, (x, y) in enumerate([(100, 100), (1400, 100), (100, 1400), (1400, 1400)]):
             svc.register(f"o{i}", Point(x, y))
         self.warm_area_cache(svc)
-        assert svc.servers["root.0"].caches.known_leaf_count() >= 3
         root_fwds_before = svc.servers["root"].stats.messages_handled.get("RangeQueryBatchFwd", 0)
         svc.network.stats.reset()
         answer = svc.range_query(

@@ -163,5 +163,5 @@ class TestSubscriptionRouting:
             )
         )
         drain(svc, 5.5)
-        sub = svc.servers["root.0"].events.subscription(sub_id)
+        sub = svc.servers["root.0"].events._subscriptions[sub_id]
         assert sub.evaluations >= 5

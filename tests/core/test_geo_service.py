@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import GeoLocationService
 from repro.geo import GeoCoordinate, haversine_distance
+from repro.model import LocationDescriptor
 
 STUTTGART = GeoCoordinate(48.7758, 9.1829)
 
@@ -26,6 +27,14 @@ class TestCoordinatePlumbing:
         back = geo.to_geo(geo.to_local(coord))
         assert back.latitude == pytest.approx(coord.latitude, abs=1e-9)
         assert back.longitude == pytest.approx(coord.longitude, abs=1e-9)
+
+
+    def test_descriptor_to_geo(self, geo):
+        point = geo.to_local(GeoCoordinate(48.7800, 9.1900))
+        coord, acc = geo.descriptor_to_geo(LocationDescriptor(point, 42.0))
+        assert acc == 42.0
+        assert coord.latitude == pytest.approx(48.7800, abs=1e-9)
+        assert coord.longitude == pytest.approx(9.1900, abs=1e-9)
 
 
 class TestGeoApi:

@@ -13,6 +13,7 @@ from repro.core import (
     build_quad_hierarchy,
     build_table2_hierarchy,
 )
+from repro.core.hierarchy import child_for_point
 from repro.errors import ConfigurationError, OutOfServiceAreaError
 from repro.geo import Point, Rect
 
@@ -73,6 +74,23 @@ class TestRouting:
     def test_root_max_edge_still_routed(self):
         h = build_table2_hierarchy()
         assert h.leaf_for_point(Point(1500, 1500)) == "root.3"
+
+    def test_child_for_resolves_shared_edges_half_open(self):
+        root = build_table2_hierarchy().config("root")
+        assert root.child_for(Point(750, 10)).server_id == "root.1"
+        assert root.child_for(Point(10, 750)).server_id == "root.2"
+        assert root.child_for(Point(750, 750)).server_id == "root.3"
+        assert root.child_for(Point(749.999, 749.999)).server_id == "root.0"
+        assert root.child_for(Point(-1, 10)) is None
+
+    def test_child_for_point_falls_back_to_closed_outer_edges(self):
+        h = build_table2_hierarchy()
+        children = h.config("root").children
+        assert child_for_point(children, Point(1500, 10)).server_id == "root.1"
+        assert child_for_point(children, Point(10, 1500)).server_id == "root.2"
+        assert child_for_point(children, Point(1500, 1500)).server_id == "root.3"
+        # A leaf has nobody to hand a point to.
+        assert h.config("root.0").child_for(Point(10, 10)) is None
 
     def test_outside_root_raises(self):
         with pytest.raises(OutOfServiceAreaError):

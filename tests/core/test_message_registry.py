@@ -40,13 +40,14 @@ from repro.core import messages as m
 from repro.core.service import drive_update_envelope
 from repro.errors import WireError
 from repro.geo import Point, Polygon, Rect
-from repro.net.wire import registered_types
 from repro.runtime.base import Message, Response
 from repro.runtime.latency import FAN_OUT_FORWARDS, FAN_OUT_SUB_RESULTS
 from repro.runtime.schema import Kind, builder_of, schema_of
 from repro.runtime.simnet import SimContext
 from repro.sim.calibration import CalibrationResult
 from repro.sim.metrics import PROTOCOL_LANE_MESSAGE_TYPES
+
+from tests.net.frame_surgery import registered_types
 
 MESSAGE_TYPES = {
     name: cls

@@ -138,7 +138,7 @@ class TestInternalQueryApi:
         svc.register("a", Point(100, 100))
         svc.register("b", Point(1400, 1400))
         query = RangeQuery(Rect(0, 0, 1500, 1500), req_acc=50.0, req_overlap=0.3)
-        entries = svc.run(svc.servers["root.0"].evaluate_range(query))
+        (entries,) = svc.run(svc.servers["root.0"].evaluate_range_many([query]))
         assert {oid for oid, _ in entries} == {"a", "b"}
 
     def test_evaluate_position_local_and_remote(self, svc):

@@ -69,6 +69,25 @@ class TestUpdatesAndHandover:
         ld = svc.pos_query("truck-1", entry_server="root.0")
         assert ld.pos == Point(200, 200)
 
+    def test_move_within_offered_accuracy_sends_nothing(self, svc):
+        obj = svc.register("truck-1", Point(100, 100), des_acc=25.0, sensor_acc=10.0)
+        assert obj.offered_acc == 25.0
+        sent = svc.network.stats.messages_sent
+        # 15 m of drift is what the offer leaves beyond the sensor's 10 m.
+        assert not svc.run(obj.move_to(Point(112, 109)))
+        assert svc.network.stats.messages_sent == sent
+        assert svc.pos_query("truck-1").pos == Point(100, 100)
+
+    def test_move_beyond_offered_accuracy_reports(self, svc):
+        obj = svc.register("truck-1", Point(700, 100), des_acc=25.0, sensor_acc=10.0)
+        assert svc.run(obj.move_to(Point(716, 100)))
+        assert svc.pos_query("truck-1").pos == Point(716, 100)
+        assert svc.run(obj.move_to(Point(800, 100)))  # crosses into root.1
+        assert obj.agent == "root.1"
+        assert obj.last_reported == Point(800, 100)
+        svc.settle()
+        svc.check_consistency()
+
     def test_handover_to_adjacent_leaf(self, svc):
         obj = svc.register("truck-1", Point(700, 100))
         res = svc.update(obj, Point(800, 100))  # crosses into root.1

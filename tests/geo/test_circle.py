@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
-from repro.geo import Circle, Point, Polygon, Rect, circle_circle_intersection_area
+from repro.geo import Circle, Point, Polygon, Rect
 from repro.geo.circle import circle_polygon_areas
+from tests.geo.shapes import regular_polygon
 
 
 class TestBasics:
@@ -158,31 +159,6 @@ class TestArrayForm:
             assert array == scalar == [0.0, 0.0]
 
 
-class TestCircleCircle:
-    def test_disjoint(self):
-        a = Circle(Point(0, 0), 1.0)
-        b = Circle(Point(10, 0), 1.0)
-        assert circle_circle_intersection_area(a, b) == 0.0
-
-    def test_contained(self):
-        a = Circle(Point(0, 0), 5.0)
-        b = Circle(Point(1, 0), 1.0)
-        assert circle_circle_intersection_area(a, b) == pytest.approx(b.area)
-
-    def test_identical(self):
-        a = Circle(Point(0, 0), 3.0)
-        assert circle_circle_intersection_area(a, a) == pytest.approx(a.area)
-
-    def test_symmetric_lens(self):
-        a = Circle(Point(0, 0), 1.0)
-        b = Circle(Point(1, 0), 1.0)
-        # Standard lens area for unit circles at distance 1.
-        expected = 2.0 * (math.pi / 3.0) - math.sin(math.pi / 3.0) * 2.0 * 0.5
-        lens = 2.0 * ((math.pi / 3.0) - 0.5 * math.sin(2.0 * math.pi / 3.0))
-        assert circle_circle_intersection_area(a, b) == pytest.approx(lens)
-        assert expected > 0  # sanity on the analytic form above
-
-
 class TestMonteCarloAgreement:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -210,7 +186,7 @@ class TestMonteCarloAgreement:
     def test_circle_polygon_bounded(self, seed):
         rng = random.Random(seed)
         c = Circle(Point(rng.uniform(-5, 5), rng.uniform(-5, 5)), rng.uniform(0.5, 10))
-        poly = Polygon.regular(
+        poly = regular_polygon(
             Point(rng.uniform(-5, 5), rng.uniform(-5, 5)),
             rng.uniform(1, 10),
             rng.randint(3, 9),

@@ -1,7 +1,5 @@
 """Unit and property tests for points and vectors."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,12 +21,6 @@ class TestPoint:
     def test_squared_distance_matches_distance(self):
         a, b = Point(1, 2), Point(4, 6)
         assert a.squared_distance_to(b) == pytest.approx(a.distance_to(b) ** 2)
-
-    def test_translated(self):
-        assert Point(1, 1).translated(2, -3) == Point(3, -2)
-
-    def test_midpoint(self):
-        assert Point(0, 0).midpoint(Point(10, 4)) == Point(5, 2)
 
     def test_subtraction_yields_vector(self):
         v = Point(5, 7) - Point(2, 3)
@@ -73,10 +65,6 @@ class TestVector:
         assert Vector(1, 0).cross(Vector(0, 1)) == 1.0
         assert Vector(0, 1).cross(Vector(1, 0)) == -1.0
 
-    def test_rotated_quarter_turn(self):
-        r = Vector(1, 0).rotated(math.pi / 2)
-        assert (r.dx, r.dy) == pytest.approx((0.0, 1.0), abs=1e-12)
-
     def test_addition_and_negation(self):
         v = Vector(1, 2) + (-Vector(3, 4))
         assert (v.dx, v.dy) == (-2, -2)
@@ -94,8 +82,3 @@ class TestPointProperties:
     @given(points, points)
     def test_distance_non_negative(self, a, b):
         assert a.distance_to(b) >= 0.0
-
-    @given(points, points)
-    def test_midpoint_equidistant(self, a, b):
-        m = a.midpoint(b)
-        assert m.distance_to(a) == pytest.approx(m.distance_to(b), abs=1e-6)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geo import Point, Polygon, Rect
+from tests.geo.shapes import regular_polygon
 
 
 def square(size=10.0, origin=(0.0, 0.0)):
@@ -46,15 +47,22 @@ class TestConstruction:
         assert p.area == pytest.approx(6.0)
 
     def test_regular_polygon_area(self):
-        hexagon = Polygon.regular(Point(0, 0), 1.0, 6)
+        hexagon = regular_polygon(Point(0, 0), 1.0, 6)
         expected = 3.0 * math.sqrt(3.0) / 2.0
         assert hexagon.area == pytest.approx(expected)
 
-    def test_regular_invalid(self):
-        with pytest.raises(GeometryError):
-            Polygon.regular(Point(0, 0), 1.0, 2)
-        with pytest.raises(GeometryError):
-            Polygon.regular(Point(0, 0), -1.0, 5)
+
+class TestEdges:
+    def test_edges_close_the_ring(self):
+        tri = Polygon([Point(0, 0), Point(4, 0), Point(0, 3)])
+        edges = list(tri.edges())
+        assert len(edges) == 3
+        assert [a for a, _ in edges] == list(tri.points)
+        assert [b for _, b in edges] == list(tri.points[1:] + tri.points[:1])
+
+    def test_perimeter_from_edges(self):
+        tri = Polygon([Point(0, 0), Point(4, 0), Point(0, 3)])
+        assert sum(a.distance_to(b) for a, b in tri.edges()) == pytest.approx(12.0)
 
 
 class TestArea:
@@ -83,10 +91,6 @@ class TestContainment:
     def test_concave_notch_excluded(self):
         assert not L_SHAPE.contains_point(Point(3, 3))
         assert L_SHAPE.contains_point(Point(1, 3))
-
-    def test_convexity(self):
-        assert square().is_convex()
-        assert not L_SHAPE.is_convex()
 
 
 class TestRectInteraction:
@@ -151,15 +155,14 @@ class TestPolygonProperties:
         st.floats(min_value=-1000, max_value=1000),
     )
     def test_regular_polygon_area_below_circle(self, radius, sides, cx, cy):
-        poly = Polygon.regular(Point(cx, cy), radius, sides)
+        poly = regular_polygon(Point(cx, cy), radius, sides)
         assert poly.area <= math.pi * radius * radius + 1e-6
-        assert poly.is_convex()
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_clip_area_never_exceeds_operands(self, seed):
         rng = random.Random(seed)
-        poly = Polygon.regular(
+        poly = regular_polygon(
             Point(rng.uniform(-50, 50), rng.uniform(-50, 50)),
             rng.uniform(5, 40),
             rng.randint(3, 10),
@@ -176,7 +179,7 @@ class TestPolygonProperties:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_clip_matches_monte_carlo(self, seed):
         rng = random.Random(seed)
-        poly = Polygon.regular(Point(0, 0), rng.uniform(10, 30), rng.randint(3, 8))
+        poly = regular_polygon(Point(0, 0), rng.uniform(10, 30), rng.randint(3, 8))
         rect = Rect.from_center(
             Point(rng.uniform(-20, 20), rng.uniform(-20, 20)), 30, 30
         )

@@ -26,10 +26,6 @@ class TestConstruction:
         r = Rect(1, 1, 1, 1)
         assert r.area == 0.0
 
-    def test_from_points_any_order(self):
-        r = Rect.from_points(Point(5, 1), Point(2, 8))
-        assert (r.min_x, r.min_y, r.max_x, r.max_y) == (2, 1, 5, 8)
-
     def test_from_center(self):
         r = Rect.from_center(Point(10, 10), 4, 6)
         assert (r.min_x, r.min_y, r.max_x, r.max_y) == (8, 7, 12, 13)
@@ -58,7 +54,7 @@ class TestPredicates:
 
     def test_halfopen_partitions_siblings(self):
         parent = Rect(0, 0, 100, 100)
-        quads = parent.quadrants()
+        quads = parent.grid(2, 2)
         boundary_point = Point(50, 50)
         owners = [q for q in quads if q.contains_point_halfopen(boundary_point)]
         assert len(owners) == 1
@@ -85,22 +81,12 @@ class TestOperations:
     def test_intersection_area(self):
         assert Rect(0, 0, 10, 10).intersection_area(Rect(5, 5, 15, 15)) == 25.0
 
-    def test_union_bounds(self):
-        u = Rect(0, 0, 1, 1).union_bounds(Rect(5, 5, 6, 6))
-        assert u == Rect(0, 0, 6, 6)
-
     def test_enlarged(self):
         e = Rect(0, 0, 10, 10).enlarged(5)
         assert e == Rect(-5, -5, 15, 15)
 
     def test_enlarged_negative_shrinks(self):
         assert Rect(0, 0, 10, 10).enlarged(-2) == Rect(2, 2, 8, 8)
-
-    def test_quadrants_tile_parent(self):
-        parent = Rect(0, 0, 8, 4)
-        quads = parent.quadrants()
-        assert sum(q.area for q in quads) == pytest.approx(parent.area)
-        assert all(parent.contains_rect(q) for q in quads)
 
     def test_grid_tiles_parent(self):
         parent = Rect(0, 0, 9, 6)
@@ -132,23 +118,18 @@ class TestRectProperties:
         area = a.intersection_area(b)
         assert area <= min(a.area, b.area) + 1e-6
 
-    @given(rects())
-    def test_quadrants_are_disjoint_halfopen(self, r):
-        quads = r.quadrants()
-        for i, qa in enumerate(quads):
-            for qb in quads[i + 1 :]:
-                inter = qa.intersection(qb)
-                assert inter is None or inter.area == pytest.approx(0.0, abs=1e-6)
-
     @given(rects(), st.floats(min_value=0, max_value=100))
     def test_enlarge_superset(self, r, margin):
         e = r.enlarged(margin)
         assert e.contains_rect(r)
 
     @given(rects(), rects())
-    def test_union_contains_both(self, a, b):
-        u = a.union_bounds(b)
+    def test_bounding_of_corners_contains_both(self, a, b):
+        u = Rect.bounding(a.corners + b.corners)
         assert u.contains_rect(a) and u.contains_rect(b)
+        # Minimal: every side of the union is a side of one operand.
+        assert u.min_x in (a.min_x, b.min_x) and u.max_x in (a.max_x, b.max_x)
+        assert u.min_y in (a.min_y, b.min_y) and u.max_y in (a.max_y, b.max_y)
 
 
 # Small integer coordinates: every area below is exact in floating point.
@@ -212,3 +193,31 @@ class TestSubtractProperties:
         assert subtract_rects(base, holes, cap=4) is None
         assert len(subtract_rects(base, holes, cap=32)) > 4
         assert subtract_rects(base, [base], cap=0) == []  # fully covered: nothing to re-query
+
+
+class TestGridProperties:
+    """``grid`` is how a leaf's area is split among its new children."""
+
+    @given(grid_rects(), st.integers(1, 4), st.integers(1, 4))
+    def test_grid_cells_tile_the_parent(self, parent, cols, rows):
+        cells = parent.grid(cols, rows)
+        assert len(cells) == cols * rows
+        assert all(parent.contains_rect(cell) for cell in cells)
+        for i, a in enumerate(cells):
+            for b in cells[i + 1 :]:
+                assert a.intersection_area(b) == pytest.approx(0.0, abs=1e-9)
+        assert sum(cell.area for cell in cells) == pytest.approx(parent.area)
+
+    @given(
+        bases,
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_halfopen_grid_has_one_owner_per_point(self, parent, cols, rows, fx, fy):
+        p = Point(parent.min_x + fx * parent.width, parent.min_y + fy * parent.height)
+        if not parent.contains_point_halfopen(p):
+            return  # rounded onto the max edge: no half-open owner exists
+        owners = [c for c in parent.grid(cols, rows) if c.contains_point_halfopen(p)]
+        assert len(owners) == 1

@@ -39,14 +39,6 @@ class TestAccuracyModel:
         with pytest.raises(NegotiationError):
             model.negotiate(des_acc=100.0, min_acc=10.0)
 
-    def test_aged_accuracy(self):
-        model = AccuracyModel(max_speed=10.0)
-        assert model.aged_accuracy(base_acc=25.0, elapsed=3.0) == 55.0
-
-    def test_aged_accuracy_negative_elapsed_raises(self):
-        with pytest.raises(NegotiationError):
-            AccuracyModel().aged_accuracy(10.0, -1.0)
-
     @given(des=acc, extra=acc)
     def test_offer_respects_both_bounds(self, des, extra):
         model = AccuracyModel(sensor_floor=10.0, update_slack=5.0)

@@ -19,7 +19,6 @@ from repro.model import (
     InvalidQueryError,
     LocationDescriptor,
     NearestNeighborQuery,
-    PositionQuery,
     RangeQuery,
     candidate_bounds,
     effective_margin,
@@ -40,10 +39,6 @@ def ld(x, y, acc):
 
 
 class TestQueryValidation:
-    def test_position_query_needs_id(self):
-        with pytest.raises(InvalidQueryError):
-            PositionQuery("")
-
     def test_overlap_zero_rejected(self):
         with pytest.raises(InvalidQueryError):
             RangeQuery(AREA, req_overlap=0.0)

@@ -15,6 +15,12 @@ import zlib
 from repro.net import wire
 
 
+def registered_types() -> dict[str, type]:
+    """The codec's wire-name → class registry, after a subclass sweep."""
+    wire._refresh_message_types()
+    return dict(wire._BY_NAME)
+
+
 def strs(*values: str) -> bytes:
     """A ``str`` column: the u32 byte lengths, then the bytes."""
     blobs = [v.encode() for v in values]

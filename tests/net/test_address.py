@@ -1,16 +1,10 @@
-"""Endpoint-address validation and host:port parsing (one helper for
-the launcher, the transports, and the service's forwarding aliases)."""
+"""Endpoint-address validation (one helper for the launcher, the
+transports, and the service's forwarding aliases)."""
 
 import pytest
 
 from repro.errors import AddressError, TransportError
-from repro.net.address import (
-    AddressBook,
-    format_hostport,
-    is_valid_address,
-    parse_hostport,
-    validate_address,
-)
+from repro.net.address import AddressBook, validate_address
 
 
 class TestValidateAddress:
@@ -20,7 +14,6 @@ class TestValidateAddress:
     )
     def test_accepts_real_addresses(self, address):
         assert validate_address(address) == address
-        assert is_valid_address(address)
 
     @pytest.mark.parametrize(
         "address",
@@ -30,7 +23,6 @@ class TestValidateAddress:
     def test_rejects_malformed(self, address):
         with pytest.raises(AddressError):
             validate_address(address)
-        assert not is_valid_address(address)
 
     def test_error_names_the_role(self):
         with pytest.raises(AddressError, match="forwarding successor"):
@@ -40,19 +32,6 @@ class TestValidateAddress:
         # Callers that guard protocol sends with ``except TransportError``
         # must also catch malformed-address failures.
         assert issubclass(AddressError, TransportError)
-
-
-class TestHostport:
-    def test_round_trip(self):
-        assert parse_hostport(format_hostport("127.0.0.1", 9000)) == ("127.0.0.1", 9000)
-
-    @pytest.mark.parametrize(
-        "text", ["nocolon", "host:", ":123", "host:notaport", "host:0",
-                 "host:70000", "host:-1", ""],
-    )
-    def test_rejects_malformed(self, text):
-        with pytest.raises(AddressError):
-            parse_hostport(text)
 
 
 class TestAddressBook:
@@ -76,6 +55,26 @@ class TestAddressBook:
             book.bind("bad addr", "127.0.0.1", 9001)
         with pytest.raises(AddressError):
             book.bind("ok", "127.0.0.1", 0)
+
+    @pytest.mark.parametrize("port", [0, -1, 65536, 70000])
+    def test_bind_rejects_ports_out_of_range(self, port):
+        book = AddressBook()
+        with pytest.raises(AddressError, match="out of range"):
+            book.bind("root.0", "127.0.0.1", port)
+        assert not book.knows("root.0")
+
+    @pytest.mark.parametrize("port", [1, 65535])
+    def test_bind_accepts_the_port_range_ends(self, port):
+        book = AddressBook()
+        book.bind("root.0", "127.0.0.1", port)
+        assert book.resolve("root.0") == ("127.0.0.1", port)
+
+    def test_rebind_replaces_the_route(self):
+        book = AddressBook()
+        book.bind("root.0", "127.0.0.1", 9001)
+        book.bind("root.0", "127.0.0.1", 9002)
+        assert book.resolve("root.0") == ("127.0.0.1", 9002)
+        assert book.addresses() == ("root.0",)
 
     def test_wire_round_trip(self):
         book = AddressBook(fallback=("127.0.0.1", 9999))

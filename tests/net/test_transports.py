@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.chaos import FaultInjector, LinkFaults
-from repro.core import messages as m
 from repro.errors import TransportError
 from repro.net.address import AddressBook
 from repro.net.tcp import TcpTransport
@@ -183,7 +182,7 @@ class TestFaultInjectorOnSockets:
                 assert sink.received == []
                 assert left.stats.faults_injected == 1
                 assert left.stats.messages_dropped == 1
-                injector.heal("caller", "sink")
+                injector.clear()
                 caller.send("sink", XportEchoReq("r2", "caller", "y"))
                 await settle()
                 assert [r.request_id for r in sink.received] == ["r2"]

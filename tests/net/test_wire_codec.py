@@ -24,7 +24,6 @@ from repro.geo import Circle, Point, Polygon, Rect
 from repro.geo.point import Vector
 from repro.model import (
     LocationDescriptor,
-    NearestNeighborResult,
     RegistrationInfo,
     SightingRecord,
 )
@@ -35,11 +34,10 @@ from repro.net.wire import (
     decode_hierarchy,
     encode_frame,
     encode_hierarchy,
-    registered_types,
 )
 from repro.runtime.base import Message
 
-from tests.net.frame_surgery import Record, f64s, frame, strs, struct_of
+from tests.net.frame_surgery import Record, f64s, frame, registered_types, strs, struct_of
 
 # ---------------------------------------------------------------------------
 # Instance synthesis from type hints
@@ -420,10 +418,10 @@ class TestFraming:
         mod = sys.modules[__name__]
         try:
             mod.SweepCollider = first
-            wire.registered_types()
-            assert wire.registered_types()["SweepCollider"] is first
+            registered_types()
+            assert registered_types()["SweepCollider"] is first
             mod.SweepCollider = second
-            registry = wire.registered_types()  # no raise
+            registry = registered_types()  # no raise
             assert registry["SweepCollider"] is first
         finally:
             del mod.SweepCollider
@@ -445,7 +443,7 @@ class TestFraming:
         assert len(sweeps) <= 1
 
     def test_subclass_defined_after_a_sweep_is_found_on_its_first_miss(self):
-        wire.registered_types()
+        registered_types()
         late = dataclasses.dataclass(frozen=True, slots=True)(
             type("LateSweepMessage", (Message,), {"__annotations__": {"note": str}})
         )

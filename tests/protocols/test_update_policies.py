@@ -33,6 +33,13 @@ class TestTimePolicy:
         result = simulate_policy(policy, trajectory)
         assert result["updates"] == 11
 
+    def test_interval_boundary_is_inclusive(self):
+        policy = TimePolicy(interval=10.0)
+        assert policy.should_report(0.0, Point(0, 0))  # nothing reported yet
+        policy.note_report(0.0, Point(0, 0))
+        assert not policy.should_report(9.999, Point(0, 0))
+        assert policy.should_report(10.0, Point(0, 0))
+
 
 class TestDistancePolicy:
     def test_invalid_threshold(self):
@@ -45,6 +52,19 @@ class TestDistancePolicy:
         # 200 m of travel at 25 m threshold: ~8 reports plus the first.
         assert 7 <= result["updates"] <= 10
         assert result["max_deviation"] <= 25.0 + 2.0  # threshold + one step
+
+    def test_threshold_boundary_is_exclusive(self):
+        policy = DistancePolicy(threshold=25.0)
+        policy.note_report(0.0, Point(0, 0))
+        assert not policy.should_report(1.0, Point(15.0, 20.0))  # exactly 25 m
+        assert policy.should_report(1.0, Point(15.0, 20.001))
+
+    def test_estimate_is_last_reported_position(self):
+        policy = DistancePolicy(threshold=25.0)
+        assert policy.estimate(0.0) is None
+        policy.note_report(0.0, Point(3, 4))
+        assert policy.estimate(100.0) == Point(3, 4)
+        assert policy.reports_sent == 1
 
     def test_no_reports_when_stationary(self):
         policy = DistancePolicy(threshold=25.0)
@@ -65,6 +85,10 @@ class TestDistancePolicy:
 
 
 class TestDeadReckoning:
+    def test_invalid_threshold(self):
+        with pytest.raises(ValueError):
+            DeadReckoningPolicy(0.0)
+
     def test_linear_motion_needs_few_updates(self):
         # Perfectly linear motion: after the second report the velocity
         # estimate is exact, so no further updates are ever needed.
@@ -94,6 +118,25 @@ class TestDeadReckoning:
         # Extrapolation drift between samples: threshold + one step at
         # (true + estimated) speed.
         assert result["max_deviation"] <= 30.0 + 6.0 + 1e-6
+
+
+class TestSimulatePolicy:
+    def test_empty_trajectory(self):
+        result = simulate_policy(DistancePolicy(threshold=10.0), [])
+        assert result == {
+            "updates": 0,
+            "samples": 0,
+            "mean_deviation": 0.0,
+            "max_deviation": 0.0,
+        }
+
+    def test_first_sample_has_no_estimate_to_deviate_from(self):
+        trajectory = [(0.0, Point(0, 0)), (1.0, Point(4, 0)), (2.0, Point(8, 0))]
+        result = simulate_policy(DistancePolicy(threshold=10.0), trajectory)
+        assert result["updates"] == 1
+        assert result["samples"] == 2
+        assert result["mean_deviation"] == pytest.approx(6.0)
+        assert result["max_deviation"] == pytest.approx(8.0)
 
 
 class TestPolicyComparison:

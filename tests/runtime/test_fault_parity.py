@@ -67,7 +67,7 @@ def fault_script(net) -> Endpoint:
 
     injector.sever("a", "b")
     a.send("b", ParityNote(3))
-    injector.heal("a", "b")
+    injector.clear()
 
     for seq, faults in (
         (4, LinkFaults(duplicate_rate=1.0)),
@@ -76,7 +76,7 @@ def fault_script(net) -> Endpoint:
     ):
         injector.set_link("a", "b", faults)
         a.send("b", ParityNote(seq))
-        injector.clear_link("a", "b")
+        injector.clear()
     return b
 
 

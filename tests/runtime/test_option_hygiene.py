@@ -2,7 +2,8 @@
 nothing sets.
 
 Every ``__init__`` parameter of the runtimes, the fault injector, the
-cluster launcher and the recovery coordinator must be passed — by keyword or by position — by some call in ``src/``,
+cluster launcher, the recovery coordinator, the leaf data store and the
+elastic harness must be passed — by keyword or by position — by some call in ``src/``,
 ``benchmarks/``, ``scripts/`` or ``examples/``.  A knob only its own
 tests turn is a second behaviour the fault semantics must carry for no
 caller; it fails here instead of lingering.  Socket transports are
@@ -20,6 +21,8 @@ from repro.net.bootstrap import ClusterLauncher
 from repro.net.transport import SocketTransport
 from repro.runtime.asyncio_rt import AsyncioNetwork
 from repro.runtime.simnet import SimNetwork
+from repro.sim.elastic import ElasticHarness
+from repro.storage import LocalDataStore
 
 ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 SCANNED = ("src", "benchmarks", "scripts", "examples")
@@ -32,6 +35,8 @@ CONSTRUCTORS = {
     FaultInjector: {"FaultInjector"},
     ClusterLauncher: {"ClusterLauncher"},
     RecoveryCoordinator: {"RecoveryCoordinator"},
+    LocalDataStore: {"LocalDataStore"},
+    ElasticHarness: {"ElasticHarness"},
 }
 
 #: Keywords exempt because they are a deployment's address, not a

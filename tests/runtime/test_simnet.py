@@ -132,7 +132,7 @@ class TestAsk:
         def make(request_id):
             ids.append(request_id)
             if len(ids) == k:
-                injector.clear_link("caller", "echo")
+                injector.clear()
             return Ping(request_id=request_id, reply_to="caller")
 
         res = net.run_coro(caller.ask("echo", make, timeout=1.0, retries=5))
@@ -205,6 +205,30 @@ class TestFailureInjection:
         caller.send("echo", Ping(request_id="b", reply_to="caller"))
         net.run()
         assert [p.request_id for p in echo.received] == ["b"]
+
+    def test_is_down_follows_crash_and_restore(self):
+        net = SimNetwork()
+        net.join(Echo("echo"))
+        assert not net.is_down("echo")
+        net.crash("echo")
+        assert net.is_down("echo")
+        net.restore("echo")
+        assert not net.is_down("echo")
+        net.crash("echo")
+        net.leave("echo")  # a departed address is gone, not down
+        assert not net.is_down("echo")
+
+    def test_crash_drops_messages_already_in_flight(self):
+        net = SimNetwork(latency=LatencyModel(base=0.001, per_entry=0.0))
+        echo = net.join(Echo("echo"))
+        caller = net.join(Caller("caller"))
+        for i in range(3):  # on the wire, 1 ms from arriving
+            caller.send("echo", Ping(request_id=f"r{i}", reply_to="caller"))
+        net.crash("echo")
+        net.run()
+        assert echo.received == []
+        assert net.stats.messages_dropped == 3
+        assert net.stats.dead_letters == 0
 
     def test_request_timeout_on_drop(self):
         net = SimNetwork(drop_rate=1.0)

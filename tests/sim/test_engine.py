@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import SimLoop, SimulationError, TimeoutExpired
+from repro.sim.engine import COMPACT_MIN, SimLoop, SimulationError
 
 
 class TestScheduling:
@@ -73,6 +73,36 @@ class TestScheduling:
         loop.call_soon(respawn)
         with pytest.raises(SimulationError):
             loop.run_until_idle(max_events=1000)
+
+
+class TestCancelledTimers:
+    """Cancelled timers are dropped from the heap once they outnumber
+    the live ones (asyncio's rule), and the pop order does not change."""
+
+    def test_heap_is_rebuilt_without_cancelled_timers(self):
+        loop = SimLoop()
+        order = []
+        handles = [loop.call_at(float(i % 7), lambda i=i: order.append(i)) for i in range(400)]
+        for handle in handles[::2]:
+            handle.cancel()
+        assert len(loop._queue) == 400  # half cancelled: kept
+        handles[1].cancel()
+        assert len(loop._queue) == 199
+        assert not any(entry[3].cancelled for entry in loop._queue)
+        loop.run_until_idle()
+        live = list(range(3, 400, 2))
+        assert order == sorted(live, key=lambda i: (i % 7, i))
+        assert loop._queue == [] and loop._cancelled == 0
+
+    def test_small_heaps_are_left_alone(self):
+        loop = SimLoop()
+        handles = [loop.call_at(1.0, lambda: None) for _ in range(COMPACT_MIN)]
+        for handle in handles:
+            handle.cancel()
+            handle.cancel()  # a second cancel counts once
+        assert len(loop._queue) == COMPACT_MIN and loop._cancelled == COMPACT_MIN
+        loop.run_until_idle()
+        assert loop._queue == [] and loop._cancelled == 0
 
 
 class TestFutures:
@@ -214,43 +244,6 @@ class TestTasks:
         assert loop.task_errors
 
 
-class TestTimeouts:
-    def test_timeout_fires(self):
-        loop = SimLoop()
-        inner = loop.create_future()
-        wrapped = loop.timeout_future(inner, 5.0, "no reply")
-
-        async def main():
-            with pytest.raises(TimeoutExpired):
-                await wrapped
-            return loop.now
-
-        assert loop.run_until_complete(main()) == 5.0
-
-    def test_result_beats_timeout(self):
-        loop = SimLoop()
-        inner = loop.create_future()
-        wrapped = loop.timeout_future(inner, 5.0, "no reply")
-        loop.call_at(2.0, lambda: inner.set_result("ok"))
-
-        async def main():
-            return await wrapped, loop.now
-
-        assert loop.run_until_complete(main()) == ("ok", 2.0)
-
-    def test_late_result_ignored_after_timeout(self):
-        loop = SimLoop()
-        inner = loop.create_future()
-        wrapped = loop.timeout_future(inner, 1.0, "late")
-        loop.call_at(5.0, lambda: inner.set_result("too late"))
-
-        async def main():
-            with pytest.raises(TimeoutExpired):
-                await wrapped
-
-        loop.run_until_complete(main())
-
-
 class TestCallbackBatching:
     """SimFuture drains multi-callback lists in one queue event."""
 
@@ -271,13 +264,13 @@ class TestCallbackBatching:
             future.add_done_callback(lambda fut: None)
         future.set_result(None)
         # All five callbacks ride one scheduled event.
-        assert loop.pending_events() == 1
+        assert len(loop._queue) == 1
 
     def test_no_event_scheduled_without_callbacks(self):
         loop = SimLoop()
         future = loop.create_future()
         future.set_result(None)
-        assert loop.pending_events() == 0
+        assert loop._queue == []
 
     def test_callback_added_after_resolution_runs_separately(self):
         loop = SimLoop()

@@ -4,9 +4,11 @@ import pytest
 
 from repro.core import build_table2_hierarchy
 from repro.geo import Point
+from repro.runtime import NetworkStats
 from repro.sim.calibration import calibrate, default_cost_model
 from repro.sim.metrics import (
     LatencyRecorder,
+    MessageLedger,
     ThroughputMeter,
     format_table,
     percentile,
@@ -131,7 +133,6 @@ class TestMetrics:
         assert summary.mean == pytest.approx(0.004)
         assert summary.p50 == pytest.approx(0.003)
         assert summary.maximum == 0.010
-        assert "mean=4.000ms" in summary.format_ms()
 
     def test_empty_summary(self):
         assert LatencyRecorder().summary("never").count == 0
@@ -154,6 +155,67 @@ class TestMetrics:
         assert "41494/s" in text
         lines = text.splitlines()
         assert len(lines) == 5
+
+
+class TestMessageLedger:
+    """Per-type traffic deltas over one runtime's ``NetworkStats``."""
+
+    @staticmethod
+    def _sent(stats, name, count=1):
+        stats.messages_sent += count
+        stats.by_type[name] = stats.by_type.get(name, 0) + count
+
+    def test_delta_is_relative_to_the_snapshot(self):
+        stats = NetworkStats()
+        self._sent(stats, "UpdateReq", 5)
+        ledger = MessageLedger(stats)
+        assert ledger.delta() == {}
+        self._sent(stats, "UpdateReq", 2)
+        self._sent(stats, "RangeQueryReq", 1)
+        assert ledger.delta() == {"UpdateReq": 2, "RangeQueryReq": 1}
+
+    def test_lanes_split_protocol_and_topology_traffic(self):
+        stats = NetworkStats()
+        ledger = MessageLedger(stats)
+        self._sent(stats, "UpdateBatchReq", 3)
+        self._sent(stats, "HandoverBatchReq", 1)
+        self._sent(stats, "RangeQueryReq", 7)
+        self._sent(stats, "CacheInvalidate", 2)
+        assert ledger.protocol_delta() == {"UpdateBatchReq": 3, "HandoverBatchReq": 1}
+        assert ledger.protocol_messages() == 4
+        assert ledger.topology_messages() == 2
+
+    def test_rebase_restarts_every_counter(self):
+        stats = NetworkStats()
+        ledger = MessageLedger(stats)
+        self._sent(stats, "UpdateReq", 4)
+        stats.messages_dropped += 2
+        stats.faults_injected += 1
+        assert ledger.dropped_deliveries() == 2
+        assert ledger.faults_injected() == 1
+        ledger.rebase()
+        assert ledger.delta() == {}
+        assert ledger.dropped_deliveries() == 0
+        assert ledger.faults_injected() == 0
+
+    def test_fault_layer_counters_are_separate_from_sends(self):
+        stats = NetworkStats()
+        ledger = MessageLedger(stats)
+        stats.messages_duplicated += 3
+        stats.frames_corrupted += 2
+        stats.messages_quarantined += 1
+        stats.stale_epoch_rejected += 4
+        assert ledger.duplicated_deliveries() == 3
+        assert ledger.frames_corrupted() == 2
+        assert ledger.messages_quarantined() == 1
+        assert ledger.stale_epoch_rejected() == 4
+        assert ledger.delta() == {} and ledger.protocol_messages() == 0
+
+    def test_summary_mean_in_milliseconds(self):
+        recorder = LatencyRecorder()
+        recorder.record("op", 0.002)
+        recorder.record("op", 0.004)
+        assert recorder.summary("op").mean_ms == pytest.approx(3.0)
 
 
 class TestCalibration:

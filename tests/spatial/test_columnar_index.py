@@ -92,24 +92,17 @@ class TestGrowth:
 class TestHandles:
     def test_handle_scatter_updates_positions(self):
         index = ColumnarIndex()
-        for i in range(4):
-            index.insert(f"o{i}", Point(0.0, 0.0))
-        handle = index.resolve_slots(["o3", "o1"])
+        for oid in ("o0", "o2"):
+            index.insert(oid, Point(0.0, 0.0))
+        handle = index.bulk_load_arrays(["o3", "o1"], [0.0, 0.0], [0.0, 0.0])
         index.update_slots(handle, [30.0, 10.0], [33.0, 11.0])
         assert index.get("o3") == Point(30.0, 33.0)
         assert index.get("o1") == Point(10.0, 11.0)
         assert index.get("o0") == Point(0.0, 0.0)
 
-    def test_unknown_id_fails_resolution(self):
-        index = ColumnarIndex()
-        index.insert("a", Point(0.0, 0.0))
-        with pytest.raises(KeyError):
-            index.resolve_slots(["a", "ghost"])
-
     def test_update_does_not_invalidate(self):
         index = ColumnarIndex()
-        index.insert("a", Point(0.0, 0.0))
-        handle = index.resolve_slots(["a"])
+        handle = index.bulk_load_arrays(["a"], [0.0], [0.0])
         index.update("a", Point(5.0, 5.0))  # same slot, no remap
         index.check_handle(handle)
         index.update_slots(handle, [7.0], [8.0])
@@ -125,8 +118,7 @@ class TestHandles:
     )
     def test_slot_remapping_staleness(self, mutate):
         index = ColumnarIndex()
-        index.insert("a", Point(0.0, 0.0))
-        handle = index.resolve_slots(["a"])
+        handle = index.bulk_load_arrays(["a"], [0.0], [0.0])
         mutate(index)
         with pytest.raises(StaleHandleError):
             index.check_handle(handle)
@@ -136,9 +128,8 @@ class TestHandles:
     def test_fill_slots_writes_registered_column(self):
         index = ColumnarIndex()
         index.add_column("deadline")
-        for i in range(3):
-            index.insert(f"o{i}", Point(float(i), 0.0))
-        handle = index.resolve_slots(["o0", "o2"])
+        index.insert("o1", Point(1.0, 0.0))
+        handle = index.bulk_load_arrays(["o0", "o2"], [0.0, 2.0], [0.0, 0.0])
         index.fill_slots("deadline", handle, 99.0)
         col = index.column("deadline")
         assert col[index.slot_of("o0")] == 99.0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.geo import Point, Rect
 from repro.spatial import ColumnarIndex, LinearScanIndex, PointQuadtree
+from repro.spatial.base import NeighborHit, keep_nearest
 
 coord = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False)
 point = st.builds(Point, coord, coord)
@@ -137,3 +138,30 @@ class TestQuadtreeSpecifics:
 
     def test_depth_of_empty_tree(self):
         assert PointQuadtree().depth() == 0
+
+
+class TestKeepNearest:
+    """The bounded top-k every index's ``nearest`` folds its hits into."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        distances=st.lists(st.integers(min_value=0, max_value=20), max_size=40),
+        k=st.integers(min_value=1, max_value=12),
+    )
+    def test_keeps_the_k_smallest_in_distance_then_id_order(self, distances, k):
+        hits = [
+            NeighborHit(f"o{i:02d}", Point(0.0, 0.0), float(d))
+            for i, d in enumerate(distances)
+        ]
+        best: list[NeighborHit] = []
+        for hit in hits:
+            keep_nearest(best, hit, k)
+        expected = sorted(hits, key=lambda h: (h.distance, h.object_id))[:k]
+        assert best == expected
+
+    def test_full_list_rejects_a_tie_with_a_larger_id(self):
+        best = [NeighborHit("a", Point(0, 0), 1.0), NeighborHit("b", Point(0, 0), 2.0)]
+        keep_nearest(best, NeighborHit("c", Point(0, 0), 2.0), k=2)
+        assert [h.object_id for h in best] == ["a", "b"]
+        keep_nearest(best, NeighborHit("aa", Point(0, 0), 2.0), k=2)
+        assert [h.object_id for h in best] == ["a", "aa"]

@@ -110,7 +110,6 @@ class TestBatchedSlotMoves:
         per_item.update(known, now=5.0)
         assert layout(batched) == layout(per_item)
         assert batched.get("n3") == arrivals[3]
-        assert batched.expiry_deadline("n2") == per_item.expiry_deadline("n2")
         assert batched._pending_expiry == {}
 
 
@@ -124,25 +123,25 @@ class TestSoftState:
         assert db.get("slow") is not None
         assert db.expire_due(60.0) == ["slow"]
 
+    def test_removed_record_leaves_the_expiry_schedule(self, db):
+        db.insert(sighting("a", 0, 0), now=0.0, ttl=30.0)
+        db.insert(sighting("b", 1, 1), now=0.0, ttl=10.0)
+        db.remove("b")
+        assert db.expire_due(29.0) == []
+        assert db.expire_due(30.0) == ["a"]
+        assert len(db) == 0
+
     def test_update_renews_the_deadline(self, db):
         db.insert(sighting("a", 0, 0), now=0.0, ttl=10.0)
         db.update(sighting("a", 1, 1, t=8.0), now=8.0, ttl=10.0)
         assert db.expire_due(15.0) == []
         assert db.expire_due(20.0) == ["a"]
 
-    def test_next_expiry_tracks_the_minimum(self, db):
-        assert db.next_expiry() is None
-        db.insert(sighting("a", 0, 0), now=0.0, ttl=30.0)
-        db.insert(sighting("b", 1, 1), now=0.0, ttl=10.0)
-        assert db.next_expiry() == pytest.approx(10.0)
-        db.remove("b")
-        assert db.next_expiry() == pytest.approx(30.0)
-
     def test_schedule_expiry_for_slotless_id_survives(self, db):
         # Crash recovery replays expiry schedules before reinserting the
         # records; a deadline for an id with no slot must not be lost.
         db.schedule_expiry("ghost", now=0.0, ttl=5.0)
-        assert db.next_expiry() == pytest.approx(5.0)
+        assert db.expire_due(4.0) == []
         assert db.expire_due(6.0) == ["ghost"]
         assert db.expire_due(6.0) == []
 
@@ -165,9 +164,7 @@ class TestVectorizedLane:
         assert sorted(db.expire_due(111.0)) == sorted(ids)
 
     def test_handle_goes_stale_after_remove(self, db):
-        db.insert(sighting("a", 0, 0))
-        db.insert(sighting("b", 1, 1))
-        handle = db.resolve_handle(["a", "b"])
+        handle = db.bulk_insert_arrays(["a", "b"], [0.0, 1.0], [0.0, 1.0], now=0.0, acc=5.0)
         db.remove("b")
         with pytest.raises(StaleHandleError):
             db.update_positions(handle, [5.0, 6.0], [5.0, 6.0], now=1.0)

@@ -142,22 +142,19 @@ class TestSoftStateAndRecovery:
         store.register(sighting("a", 1, 1), 20.0, 100.0, "client")
         store.crash()
         # The periodic position update re-populates volatile state.
-        assert store.restore_sighting(sighting("a", 2, 2, t=10.0), now=10.0)
+        store.update_many([sighting("a", 2, 2, t=10.0)], now=10.0)
         ld = store.position_query("a")
         assert ld.pos == Point(2, 2)
         assert ld.acc == 20.0  # negotiated accuracy survived the crash
-
-    def test_restore_rejects_unregistered(self):
-        store = make_store()
-        assert not store.restore_sighting(sighting("ghost", 0, 0))
 
     def test_index_rebuilt_after_crash(self):
         store = make_store()
         for i in range(20):
             store.register(sighting(f"o{i}", i * 10.0, 0.0), 15.0, 100.0, "client")
         store.crash()
-        for i in range(20):
-            store.restore_sighting(sighting(f"o{i}", i * 10.0, 0.0, t=5.0), now=5.0)
+        store.update_many(
+            [sighting(f"o{i}", i * 10.0, 0.0, t=5.0) for i in range(20)], now=5.0
+        )
         # Offered acc is 15 m; objects sit on the rect's bottom edge, so at
         # most half of each disk can overlap.  With threshold 0.4 the
         # qualifying objects are those at x = 10..80 (x=0 is a quarter disk
@@ -179,8 +176,9 @@ class TestCrashKeepsIndexConfiguration:
             store.register(sighting(f"o{i}", x, 0.0), 15.0, 100.0, "client")
         store.crash()
         assert len(index) == 0
-        for i, x in enumerate(xs):
-            assert store.restore_sighting(sighting(f"o{i}", x, 1.0, t=5.0), now=5.0)
+        store.update_many(
+            [sighting(f"o{i}", x, 1.0, t=5.0) for i, x in enumerate(xs)], now=5.0
+        )
         assert len(index) == len(xs)  # the configured index, not a stand-in
         assert index.get("o1") == Point(xs[1], 1.0)
         hits = store.range_query(RangeQuery(Rect(-1, -20, xs[-1] + 1, 20), req_overlap=0.4))

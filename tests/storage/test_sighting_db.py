@@ -4,7 +4,7 @@ import pytest
 
 from repro.geo import Point, Rect
 from repro.model import NearestNeighborQuery, RangeQuery, SightingRecord
-from repro.spatial import LinearScanIndex
+from repro.spatial import ColumnarIndex, LinearScanIndex
 from repro.storage import SightingDB
 
 
@@ -155,6 +155,14 @@ class TestSoftState:
         assert "a" not in db
         assert "b" in db
 
+    def test_removed_record_leaves_the_expiry_schedule(self):
+        db = SightingDB(default_ttl=60.0)
+        db.insert(sighting("a", 0, 0), now=10.0)
+        db.insert(sighting("b", 1, 1), now=0.0)
+        db.remove("b")
+        assert db.expire_due(69.0) == []
+        assert db.expire_due(70.0) == ["a"]
+
     def test_update_renews_ttl(self):
         db = SightingDB(default_ttl=60.0)
         db.insert(sighting("a", 0, 0), now=0.0)
@@ -166,12 +174,6 @@ class TestSoftState:
         db = SightingDB(default_ttl=60.0)
         db.insert(sighting("a", 0, 0), now=0.0, ttl=5.0)
         assert db.expire_due(5.0) == ["a"]
-
-    def test_next_expiry(self):
-        db = SightingDB(default_ttl=60.0)
-        assert db.next_expiry() is None
-        db.insert(sighting("a", 0, 0), now=10.0)
-        assert db.next_expiry() == 70.0
 
     def test_expired_objects_leave_spatial_index(self):
         db = SightingDB(default_ttl=10.0)
@@ -188,7 +190,7 @@ class TestSoftState:
             db.insert(sighting(f"o{i}", i, i))
         db.clear()
         assert len(db) == 0
-        assert db.next_expiry() is None
+        assert db.expire_due(1e9) == []
         assert (
             db.objects_in_area(
                 RangeQuery(Rect(-100, -100, 100, 100), req_acc=50, req_overlap=0.1),
@@ -209,7 +211,7 @@ class TestBatchUpdates:
         db = self._populated()
         db.update_many([sighting(f"o{i}", i * 10.0 + 1, i * 10.0 + 1, t=5.0) for i in range(20)], now=5.0)
         assert db.get("o3").pos == Point(31, 31)
-        hits = {oid for oid, _ in db.positions_in_rect(Rect(0, 0, 200, 200))}
+        hits = {oid for oid, _ in db.positions_in_rects([Rect(0, 0, 200, 200)])[0]}
         assert hits == {f"o{i}" for i in range(20)}
 
     def test_update_many_renews_expiry(self):
@@ -229,7 +231,7 @@ class TestBatchUpdates:
     def test_update_many_on_linear_index(self):
         db = self._populated(10, index=LinearScanIndex())
         db.update_many([sighting(f"o{i}", 500.0 + i, 500.0 + i) for i in range(10)])
-        hits = {oid for oid, _ in db.positions_in_rect(Rect(499, 499, 510, 510))}
+        hits = {oid for oid, _ in db.positions_in_rects([Rect(499, 499, 510, 510)])[0]}
         assert hits == {f"o{i}" for i in range(10)}
 
     def test_upsert_many_mixes_inserts_and_updates(self):
@@ -245,3 +247,21 @@ class TestBatchUpdates:
         db.upsert_many([sighting("x", 1, 1), sighting("x", 2, 2)])
         assert len(db) == 1
         assert db.get("x").pos == Point(2, 2)
+
+
+class TestCompaction:
+    def test_compact_index_keeps_answers_and_later_updates(self):
+        db = SightingDB(index=ColumnarIndex(capacity=8))
+        for i in range(40):
+            db.insert(sighting(f"o{i}", float(i), float(i % 7)))
+        for i in range(40):
+            if i % 4:
+                db.remove(f"o{i}")
+        window = [Rect(0, 0, 40, 7), Rect(10, 0, 30, 3)]
+        before = [sorted(hits) for hits in db.positions_in_rects(window)]
+        db.compact_index()
+        assert [sorted(hits) for hits in db.positions_in_rects(window)] == before
+        db.update(sighting("o8", 100.0, 100.0, t=1.0))
+        hits = db.positions_in_rects([Rect(99, 99, 101, 101)])[0]
+        assert hits == [("o8", Point(100.0, 100.0))]
+        assert len(db) == 10

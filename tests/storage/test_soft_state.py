@@ -10,14 +10,12 @@ class TestExpiryTimer:
     def test_empty(self):
         timer = ExpiryTimer()
         assert len(timer) == 0
-        assert timer.next_deadline() is None
         assert timer.pop_expired(1e9) == []
 
     def test_schedule_and_expire(self):
         timer = ExpiryTimer()
         timer.schedule("a", 10.0)
         timer.schedule("b", 20.0)
-        assert timer.next_deadline() == 10.0
         assert timer.pop_expired(10.0) == ["a"]
         assert timer.pop_expired(19.9) == []
         assert timer.pop_expired(20.0) == ["b"]
@@ -27,8 +25,7 @@ class TestExpiryTimer:
         timer = ExpiryTimer()
         timer.schedule("a", 10.0)
         timer.renew("a", 30.0)
-        assert timer.pop_expired(10.0) == []
-        assert timer.deadline_of("a") == 30.0
+        assert timer.pop_expired(29.9) == []
         assert timer.pop_expired(30.0) == ["a"]
 
     def test_renew_can_shorten(self):
@@ -54,12 +51,12 @@ class TestExpiryTimer:
         timer.schedule("mid", 20.0)
         assert timer.pop_expired(100.0) == ["early", "mid", "late"]
 
-    def test_stale_entries_skipped_in_next_deadline(self):
+    def test_stale_entries_skipped_on_pop(self):
         timer = ExpiryTimer()
         timer.schedule("a", 5.0)
         timer.renew("a", 50.0)
         timer.schedule("b", 20.0)
-        assert timer.next_deadline() == 20.0
+        assert timer.pop_expired(20.0) == ["b"]
 
     @given(
         st.lists(
@@ -82,8 +79,9 @@ class TestExpiryTimer:
         expected = {k for k, d in model.items() if d <= now}
         assert set(expired) == expected
         # Expired keys are gone; survivors keep their deadlines.
-        for key, deadline in model.items():
-            if deadline <= now:
-                assert key not in timer
-            else:
-                assert timer.deadline_of(key) == deadline
+        survivors = {k: d for k, d in model.items() if d > now}
+        for key in model:
+            assert (key in timer) == (key in survivors)
+        for deadline in sorted(set(survivors.values())):
+            due = {k for k, d in survivors.items() if d == deadline}
+            assert set(timer.pop_expired(deadline)) == due
