@@ -5,13 +5,14 @@ OS processes talking over UDP sockets.
 Every other example runs the hierarchy inside one interpreter (the
 simulated or asyncio runtime).  This one deploys it the way the paper's
 system would actually run: :class:`repro.net.ClusterLauncher` spawns
-one process per ``LocationServer`` from the hierarchy spec, wires the
-address book (logical server id → host:port), starts the tree root
-first, and probes each node until it answers.  The driver process then
-speaks the ordinary protocol — the same ``RegisterReq`` /
-``UpdateBatchReq`` / ``PosQueryReq`` dataclasses, serialized through
-the versioned wire codec (:mod:`repro.net.wire`) — to servers it shares
-no memory with.
+one process per ``LocationServer`` from the hierarchy spec.  Each node
+binds a port of the kernel's choosing and reports it up its spawn pipe;
+the launcher sends every node the finished address book (logical
+server id → host:port) and waits for each to answer "ready".  The
+driver process then speaks the ordinary protocol — the same
+``RegisterReq`` / ``UpdateBatchReq`` / ``PosQueryReq`` dataclasses,
+serialized through the versioned wire codec (:mod:`repro.net.wire`) —
+to servers it shares no memory with.
 
 The walkthrough:
 
@@ -42,7 +43,7 @@ async def main() -> None:
     hierarchy = build_table2_hierarchy(AREA_SIDE)
     launcher = ClusterLauncher(hierarchy, transport="udp")
 
-    print("starting 5 node processes (root first, then the leaves)...")
+    print("starting 5 node processes...")
     await launcher.start()
     print("  node processes:")
     for server_id in launcher.order:

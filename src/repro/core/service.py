@@ -179,15 +179,11 @@ class LocationService:
         costs: CostModel | None = None,
         sighting_ttl: float = 300.0,
         sweep_interval: float | None = None,
-        drop_rate: float = 0.0,
-        seed: int = 0,
         nn_initial_radius: float | None = None,
         backend: str = "columnar",
     ) -> None:
         self.hierarchy = hierarchy
-        self.network = SimNetwork(
-            latency=latency, costs=costs, drop_rate=drop_rate, seed=seed
-        )
+        self.network = SimNetwork(latency=latency, costs=costs)
         self._server_kwargs = dict(
             accuracy=accuracy,
             cache_config=cache_config,

@@ -36,16 +36,13 @@ class AccuracyModel:
             drifted by its offered accuracy, so the recorded position can
             be off by up to the reporting threshold plus network delay
             drift), meters.
-        max_speed: assumed maximum object speed, m/s, used to age
-            sightings between updates.
     """
 
     sensor_floor: float = 10.0
     update_slack: float = 5.0
-    max_speed: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.sensor_floor < 0 or self.update_slack < 0 or self.max_speed < 0:
+        if self.sensor_floor < 0 or self.update_slack < 0:
             raise NegotiationError("accuracy-model parameters must be non-negative")
 
     @property

@@ -94,16 +94,13 @@ class AddressBook:
             return route
         return self.fallback
 
-    def knows(self, address: str) -> bool:
-        return address in self._routes
-
     def addresses(self) -> tuple[str, ...]:
         return tuple(self._routes)
 
     def __len__(self) -> int:
         return len(self._routes)
 
-    # -- wire form (launcher specs cross a process boundary) ---------------
+    # -- wire form (the launcher sends the book down every node's pipe) -----
 
     def to_wire(self) -> dict:
         payload: dict = {
@@ -115,10 +112,11 @@ class AddressBook:
             payload["fallback"] = [self.fallback[0], self.fallback[1]]
         return payload
 
-    @classmethod
-    def from_wire(cls, payload: dict) -> "AddressBook":
+    def load(self, payload: dict) -> None:
+        """Bind every route of a :meth:`to_wire` payload, and take its
+        fallback: a node fills the book its transport already holds."""
         fallback = payload.get("fallback")
-        book = cls(fallback=(fallback[0], int(fallback[1])) if fallback else None)
+        if fallback:
+            self.fallback = (fallback[0], int(fallback[1]))
         for address, (host, port) in payload.get("routes", {}).items():
-            book.bind(address, host, int(port))
-        return book
+            self.bind(address, host, int(port))

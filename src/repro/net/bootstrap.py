@@ -1,27 +1,30 @@
 """Multi-process cluster bootstrap: one OS process per location server.
 
 The launcher takes the same :class:`~repro.core.hierarchy.Hierarchy`
-spec every in-process runtime takes, assigns each server a socket,
-spawns each :class:`~repro.core.server.LocationServer` in its own
-process (``multiprocessing`` *spawn* — nothing is inherited except the
-serialized :class:`ClusterSpec`), and keeps a driver-side transport +
-control endpoint in the calling process for workload traffic and
-cluster operations:
+spec every in-process runtime takes, spawns each
+:class:`~repro.core.server.LocationServer` in its own process
+(``multiprocessing`` *spawn* — nothing is inherited except the
+serialized :class:`ClusterSpec` and one end of a pipe), and keeps a
+driver-side transport + control endpoint in the calling process for
+workload traffic and cluster operations.
 
-* **Ordered startup** — processes launch top-down from the root and
-  each is ping-probed (the protocol's own ``PingReq``) until it answers
-  before the next tier is awaited, so a child never boots into a world
-  where its parent's socket does not exist.
-* **Ordered shutdown** — the reverse: leaves acknowledge
-  ``NodeShutdownReq`` and exit before their parents do; stragglers are
-  terminated after a grace period.
+The spawn pipe is a node's one lifecycle channel:
+
+* **Bind first** — every node binds port 0 and sends the address it got
+  up its pipe; the launcher builds the address book from those and sends
+  it down to every node, and each node answers "ready" once its server
+  is joined.  No port is guessed before it is bound, and every socket
+  exists before any node holds a book it could send with.
+* **Shutdown** — the launcher sends "stop" down each pipe, leaves
+  first, and terminates stragglers after a grace period.  A node also
+  stops when it reads EOF, so a launcher that dies leaves no node behind.
 * **Epoch adoption** — :meth:`ClusterLauncher.adopt_hierarchy` pushes
   an epoch-bumped hierarchy to every node and collects each node's
   post-adoption epoch, the cross-process counterpart of
   :meth:`~repro.core.service.LocationService.adopt_hierarchy`.
 
 Every logical address crosses :func:`repro.net.address.validate_address`
-at spec-build time — a malformed server id fails before a single
+when the launcher is built — a malformed server id fails before a single
 process is spawned.
 """
 
@@ -30,14 +33,13 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
-import socket
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.hierarchy import Hierarchy, decode_hierarchy, encode_hierarchy
 from repro.errors import TransportError
 from repro.net import control as ctl
-from repro.net.address import AddressBook, validate_address
+from repro.net.address import validate_address
 from repro.net.tcp import TcpTransport
 from repro.net.udp import UdpTransport
 from repro.runtime.base import Endpoint
@@ -50,7 +52,8 @@ _TRANSPORTS = {"udp": UdpTransport, "tcp": TcpTransport}
 #: measurement scenarios.
 SIGHTING_TTL = 1e9
 
-#: Seconds :meth:`ClusterLauncher.wait_ready` ping-probes a node for.
+#: Seconds :meth:`ClusterLauncher.start` waits for every node's address
+#: and then its "ready".
 READY_TIMEOUT = 15.0
 
 #: The receive-path defense counters of ``NetworkStats`` (and of
@@ -72,41 +75,34 @@ class ClusterSpec:
     """Everything a node process needs, in one JSON-serializable record."""
 
     hierarchy: Hierarchy
-    book: AddressBook
+    #: the interface every node binds (its port is the kernel's pick).
+    host: str = "127.0.0.1"
     transport: str = "udp"
     #: sender-side datagram loss applied inside every node (and the
     #: driver), for the UDP-loss acceptance lane.
     drop_rate: float = 0.0
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "hierarchy": encode_hierarchy(self.hierarchy),
-                "book": self.book.to_wire(),
+                "host": self.host,
                 "transport": self.transport,
                 "drop_rate": self.drop_rate,
                 "seed": self.seed,
-                "extra": self.extra,
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterSpec":
         payload = json.loads(text)
-        return cls(
-            hierarchy=decode_hierarchy(payload["hierarchy"]),
-            book=AddressBook.from_wire(payload["book"]),
-            transport=payload["transport"],
-            drop_rate=payload["drop_rate"],
-            seed=payload["seed"],
-            extra=payload.get("extra", {}),
-        )
+        payload["hierarchy"] = decode_hierarchy(payload["hierarchy"])
+        return cls(**payload)
 
 
 def bfs_order(hierarchy: Hierarchy) -> list[str]:
-    """Server ids top-down from the root (startup order)."""
+    """Server ids top-down from the root (shutdown runs it reversed)."""
     order: list[str] = []
     frontier = [hierarchy.root_id]
     while frontier:
@@ -117,11 +113,17 @@ def bfs_order(hierarchy: Hierarchy) -> list[str]:
     return order
 
 
-def free_port(host: str = "127.0.0.1") -> int:
-    """Ask the kernel for a currently free TCP/UDP port number."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
+async def _recv(conn):
+    """The next object from pipe end ``conn``, awaited without blocking
+    the loop; raises ``EOFError`` once the other end is closed."""
+    loop = asyncio.get_running_loop()
+    readable = loop.create_future()
+    loop.add_reader(conn.fileno(), lambda: readable.done() or readable.set_result(None))
+    try:
+        await readable
+    finally:
+        loop.remove_reader(conn.fileno())
+    return conn.recv()
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +131,7 @@ def free_port(host: str = "127.0.0.1") -> int:
 # ---------------------------------------------------------------------------
 
 
-def _install_control_plane(server, transport, stop_event: asyncio.Event) -> None:
+def _install_control_plane(server, transport) -> None:
     """Register launcher control handlers on the server endpoint."""
 
     def on_stats(msg: ctl.NodeStatsReq) -> None:
@@ -170,16 +172,8 @@ def _install_control_plane(server, transport, stop_event: asyncio.Event) -> None
             ),
         )
 
-    def on_shutdown(msg: ctl.NodeShutdownReq) -> None:
-        server.send(
-            msg.reply_to,
-            ctl.NodeShutdownRes(request_id=msg.request_id, server_id=server.address),
-        )
-        stop_event.set()
-
     server.on(ctl.NodeStatsReq, on_stats)
     server.on(ctl.AdoptHierarchyReq, on_adopt)
-    server.on(ctl.NodeShutdownReq, on_shutdown)
 
 
 def node_server(hierarchy: Hierarchy, server_id: str):
@@ -201,34 +195,35 @@ def node_seed(seed: int, server_id: str) -> int:
     return seed + zlib.crc32(server_id.encode()) % 10_000
 
 
-async def _node_main(spec: ClusterSpec, server_id: str) -> None:
-    location = spec.book.resolve(server_id)
-    if location is None or not spec.book.knows(server_id):
-        raise TransportError(f"spec has no socket for node {server_id!r}")
+async def _node_main(spec: ClusterSpec, server_id: str, conn) -> None:
     transport = make_transport(
         spec.transport,
-        host=location[0],
-        port=location[1],
-        book=spec.book,
+        host=spec.host,
         drop_rate=spec.drop_rate,
         seed=node_seed(spec.seed, server_id),
     )
-    await transport.start()
-    server = node_server(spec.hierarchy, server_id)
-    stop_event = asyncio.Event()
-    _install_control_plane(server, transport, stop_event)
-    transport.join(server)
-    await stop_event.wait()
-    # Let the shutdown ack (and any trailing protocol answers) flush.
+    address = await transport.start()
+    try:
+        conn.send(address)
+        transport.book.load(await _recv(conn))
+        server = node_server(spec.hierarchy, server_id)
+        _install_control_plane(server, transport)
+        transport.join(server)
+        conn.send("ready")
+        await _recv(conn)  # "stop"
+    except (EOFError, ConnectionError):
+        pass  # the launcher is gone, or gave up on starting
+    # Let trailing protocol answers flush.
     await asyncio.sleep(0.05)
     await transport.stop()
 
 
-def run_node(spec_json: str, server_id: str) -> None:
+def run_node(spec_json: str, server_id: str, conn) -> None:
     """Child-process entry point (must stay module-level: *spawn* pickles
-    the callable by qualified name)."""
+    the callable by qualified name).  ``conn`` is the node's end of its
+    spawn pipe."""
     spec = ClusterSpec.from_json(spec_json)
-    asyncio.run(_node_main(spec, server_id))
+    asyncio.run(_node_main(spec, server_id, conn))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ def run_node(spec_json: str, server_id: str) -> None:
 
 
 class ClusterLauncher:
-    """Spawn, probe, operate and stop a cluster of node processes.
+    """Spawn, operate and stop a cluster of node processes.
 
     Usage (driver side, inside a running event loop)::
 
@@ -271,75 +266,93 @@ class ClusterLauncher:
         self.transport = None  # driver-side transport, set by start()
         self.control: Endpoint | None = None
         self._processes: dict[str, multiprocessing.process.BaseProcess] = {}
-        self._spec: ClusterSpec | None = None
+        #: the launcher's end of each node's spawn pipe
+        self._pipes: dict[str, multiprocessing.connection.Connection] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> "ClusterLauncher":
-        driver_location = (self.host, free_port(self.host))
-        book = AddressBook(fallback=driver_location)
-        book.bind(self.DRIVER_ADDRESS, *driver_location)
-        for server_id in self.order:
-            book.bind(server_id, self.host, free_port(self.host))
-        self._spec = ClusterSpec(
+        self.transport = make_transport(
+            self.transport_kind,
+            host=self.host,
+            drop_rate=self.drop_rate,
+            seed=self.seed,
+        )
+        book = self.transport.book
+        # Every address no node is bound to is a driver-side endpoint.
+        book.fallback = await self.transport.start()
+        self.control = self.transport.join(Endpoint(self.DRIVER_ADDRESS))
+        spec_json = ClusterSpec(
             hierarchy=self.hierarchy,
-            book=book,
+            host=self.host,
             transport=self.transport_kind,
             drop_rate=self.drop_rate,
             seed=self.seed,
-        )
-        self.transport = make_transport(
-            self.transport_kind,
-            host=driver_location[0],
-            port=driver_location[1],
-            book=book,
-            drop_rate=self.drop_rate,
-            seed=self.seed,
-        )
-        await self.transport.start()
-        self.control = self.transport.join(Endpoint(self.DRIVER_ADDRESS))
-        spec_json = self._spec.to_json()
+        ).to_json()
         mp = multiprocessing.get_context("spawn")
-        for server_id in self.order:  # top-down: root first
-            process = mp.Process(
-                target=run_node,
-                args=(spec_json, server_id),
-                name=f"ls-node-{server_id}",
-                daemon=True,
-            )
-            process.start()
-            self._processes[server_id] = process
-        for server_id in self.order:
-            await self.wait_ready(server_id)
+        try:
+            for server_id in self.order:
+                mine, theirs = mp.Pipe()
+                process = mp.Process(
+                    target=run_node,
+                    args=(spec_json, server_id, theirs),
+                    name=f"ls-node-{server_id}",
+                    daemon=True,
+                )
+                process.start()
+                theirs.close()  # so a node that dies reads as EOF here
+                self._processes[server_id] = process
+                self._pipes[server_id] = mine
+            deadline = asyncio.get_running_loop().time() + READY_TIMEOUT
+            for server_id in self.order:
+                book.bind(server_id, *await self._read(server_id, deadline))
+            for conn in self._pipes.values():
+                conn.send(book.to_wire())
+            for server_id in self.order:
+                await self._read(server_id, deadline)  # "ready"
+        except BaseException:
+            for conn in self._pipes.values():
+                conn.close()  # a node still waiting for its book reads EOF
+            await self.stop()
+            raise
         return self
+
+    async def _read(self, server_id: str, deadline: float):
+        """The next object node ``server_id`` sends up its pipe."""
+        loop = asyncio.get_running_loop()
+        try:
+            return await asyncio.wait_for(
+                _recv(self._pipes[server_id]), deadline - loop.time()
+            )
+        except (EOFError, ConnectionError, TimeoutError):
+            process = self._processes[server_id]
+            # A node that closed its pipe is exiting: wait for its code.
+            await loop.run_in_executor(None, process.join, 0.5)
+            raise TransportError(
+                f"node {server_id!r} did not start (exit code {process.exitcode},"
+                f" deadline {READY_TIMEOUT}s)"
+            ) from None
 
     async def stop(self, grace: float = 5.0) -> None:
         if self.transport is None:
             return
-        for server_id in reversed(self.order):  # bottom-up: leaves first
-            process = self._processes.get(server_id)
-            if process is None or not process.is_alive():
-                continue
+        loop = asyncio.get_running_loop()
+        bottom_up = list(reversed(self._processes))  # leaves first
+        for server_id in bottom_up:
             try:
-                await self.control.ask(
-                    server_id,
-                    lambda rid: ctl.NodeShutdownReq(
-                        request_id=rid, reply_to=self.DRIVER_ADDRESS
-                    ),
-                    timeout=1.0,
-                    retries=3,
-                )
-            except TransportError:
-                pass  # fall through to terminate below
-        deadline = asyncio.get_event_loop().time() + grace
-        for server_id, process in self._processes.items():
-            remaining = max(deadline - asyncio.get_event_loop().time(), 0.1)
-            await asyncio.get_event_loop().run_in_executor(
-                None, process.join, remaining
-            )
+                self._pipes[server_id].send("stop")
+            except OSError:
+                pass  # the node or its pipe is gone already
+        deadline = loop.time() + grace
+        for server_id in bottom_up:
+            process = self._processes[server_id]
+            remaining = max(deadline - loop.time(), 0.1)
+            await loop.run_in_executor(None, process.join, remaining)
             if process.is_alive():
                 process.terminate()
+            self._pipes[server_id].close()
         self._processes.clear()
+        self._pipes.clear()
         await self.transport.stop()
         self.transport = None
         self.control = None
@@ -352,22 +365,6 @@ class ClusterLauncher:
         return self.transport.join(endpoint)
 
     # -- cluster operations ------------------------------------------------
-
-    async def wait_ready(self, server_id: str) -> None:
-        """Ping-probe one node until it answers (startup barrier)."""
-        from repro.core import messages as m
-
-        try:
-            await self.control.ask(
-                server_id,
-                lambda rid: m.PingReq(request_id=rid, reply_to=self.DRIVER_ADDRESS),
-                timeout=0.25,
-                retries=int(READY_TIMEOUT / 0.25),
-            )
-        except TransportError:
-            raise TransportError(
-                f"node {server_id!r} did not become ready within {READY_TIMEOUT}s"
-            ) from None
 
     async def node_stats(self, server_id: str) -> ctl.NodeStatsRes:
         res = await self.control.ask(

@@ -3,9 +3,9 @@
 These ride the same wire as the protocol lane (they are ordinary
 :class:`~repro.runtime.base.Message` dataclasses, so the codec's
 auto-registration covers them) but address cluster *operations*, not
-locations: readiness probing reuses the protocol's own ``PingReq``;
-everything here is what ping cannot carry — stats snapshots, topology
-adoption, ordered shutdown.
+locations: stats snapshots and topology adoption.  A node's readiness
+and its shutdown are not wire messages: they ride its spawn pipe (see
+:mod:`repro.net.bootstrap`), which cannot drop them.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ __all__ = [
     "NodeStatsRes",
     "AdoptHierarchyReq",
     "AdoptHierarchyRes",
-    "NodeShutdownReq",
-    "NodeShutdownRes",
 ]
 
 
@@ -77,16 +75,3 @@ class AdoptHierarchyRes(Response):
     server_id: str
     epoch: int  # the node's epoch after adoption
 
-
-@dataclass(frozen=True, slots=True)
-class NodeShutdownReq(Message):
-    """Ordered shutdown: the node acks, drains, and exits its loop."""
-
-    request_id: str
-    reply_to: str
-
-
-@dataclass(frozen=True, slots=True)
-class NodeShutdownRes(Response):
-    request_id: str
-    server_id: str

@@ -92,13 +92,12 @@ class SocketTransport:
     def __init__(
         self,
         host: str = "127.0.0.1",
-        port: int = 0,
         book: AddressBook | None = None,
         drop_rate: float = 0.0,
         seed: int = 0,
     ) -> None:
         self.host = host
-        self.port = port  # 0 until started: "pick a free port"
+        self.port = 0  # until started: the kernel picks a free port
         self.book = book if book is not None else AddressBook()
         self.stats = NetworkStats()
         self.drop_rate = drop_rate

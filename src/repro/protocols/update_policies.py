@@ -117,13 +117,10 @@ class DeadReckoningPolicy(UpdatePolicy):
             return True
         return pos.distance_to(estimate) > self.threshold
 
-    def note_report(self, now: float, pos: Point) -> None:
-        super().note_report(now, pos)
-
     def estimate(self, now: float) -> Point | None:
         if self._last_report_pos is None:
             return None
-        dt = now - (self._last_report_time or now)
+        dt = now - self._last_report_time
         return self._last_report_pos + self._velocity.scaled(dt)
 
 

@@ -358,8 +358,9 @@ def admit_send(
     """The fabric's verdict on one send, shared by every runtime.
 
     ``net`` is any runtime carrying ``stats``, the crashed-address set
-    ``_down``, a ``drop_rate`` (with its ``_rng``) and an optional
-    ``fault_injector``; ``known`` says whether ``dst`` resolves at all.
+    ``_down``, a ``drop_rate`` (and an ``_rng`` where it is above 0) and
+    an optional ``fault_injector``; ``known`` says whether ``dst``
+    resolves at all.
     The send is counted, then refused as a dead letter (``dst`` unknown),
     dropped (either end crashed, the drop rate, an injected loss), or
     admitted.  An admitted send returns ``(payloads, extra_delay)``: the

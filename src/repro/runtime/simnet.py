@@ -10,14 +10,13 @@ sends become events on the shared :class:`~repro.sim.engine.SimLoop`:
 
 Failure injection supports the paper's soft-state and recovery stories:
 endpoints can be crashed (messages to them vanish) and restored, and a
-uniform drop rate can model UDP loss.  What the fabric does to one send
-— dead letter, crash or drop-rate loss, injected fault — is decided by
+wildcard ``FaultInjector`` rule models UDP loss.  What the fabric does
+to one send — dead letter, crash loss, injected fault — is decided by
 :func:`~repro.runtime.base.admit_send`, the same step every runtime uses.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Awaitable, Callable, Coroutine
 
 from repro.errors import TransportError
@@ -65,25 +64,27 @@ class SimContext(Context):
 
 
 class SimNetwork:
-    """All endpoints plus delivery scheduling on one simulation loop."""
+    """All endpoints plus delivery scheduling on one simulation loop.
+
+    Loss on this runtime comes from a ``FaultInjector`` rule, never from
+    a drop rate."""
+
+    #: no uniform loss here (:func:`admit_send` reads it).
+    drop_rate = 0.0
 
     def __init__(
         self,
         latency: LatencyModel | None = None,
         costs: CostModel | None = None,
-        drop_rate: float = 0.0,
-        seed: int = 0,
     ) -> None:
         self.loop = SimLoop()
         self.latency = latency if latency is not None else LatencyModel()
         self.costs = costs if costs is not None else CostModel.zero()
         self.stats = NetworkStats()
-        self.drop_rate = drop_rate
         #: optional :class:`repro.chaos.FaultInjector` consulted on every
-        #: transmission (after crash/drop-rate checks); installed by the
+        #: transmission (after the crash checks); installed by the
         #: chaos layer, ``None`` in ordinary runs.
         self.fault_injector = None
-        self._rng = random.Random(seed)
         self._endpoints: dict[str, Endpoint] = {}
         self._busy_until: dict[str, float] = {}
         self._down: set[str] = set()

@@ -9,6 +9,7 @@ loss surfaces as client timeouts, never as wrong answers.
 
 import pytest
 
+from repro.chaos import FaultInjector, LinkFaults
 from repro.core import LocationService, build_table2_hierarchy
 from repro.errors import TransportError
 from repro.geo import Point, Rect
@@ -16,6 +17,11 @@ from repro.geo import Point, Rect
 
 def make_service(**kwargs):
     return LocationService(build_table2_hierarchy(), **kwargs)
+
+
+def lose(svc, drop_rate, seed=0):
+    """Drop ``drop_rate`` of every send on the service's network."""
+    FaultInjector(svc.network, seed=seed).set_link("*", "*", LinkFaults(drop_rate=drop_rate))
 
 
 class TestSoftStateExpiry:
@@ -139,14 +145,16 @@ class TestMessageLoss:
         assert svc.network.stats.messages_dropped == 0
 
     def test_loss_causes_timeout_not_wrong_answer(self):
-        svc = make_service(drop_rate=1.0)
+        svc = make_service()
+        lose(svc, 1.0)
         obj = svc.new_tracked_object("truck", entry_server="root.0", timeout=5.0)
         with pytest.raises(TransportError):
             svc.run(obj.register(Point(100, 100), 25.0, 100.0))
         assert svc.network.stats.messages_dropped >= 1
 
     def test_client_retry_succeeds_under_partial_loss(self):
-        svc = make_service(drop_rate=0.35, seed=4)
+        svc = make_service()
+        lose(svc, 0.35, seed=4)
         obj = svc.new_tracked_object("truck", entry_server="root.0", timeout=5.0)
 
         async def register_with_retries():
@@ -164,9 +172,9 @@ class TestMessageLoss:
         assert svc.total_tracked() == 1
 
     def test_queries_eventually_succeed_under_loss(self):
-        svc = make_service(drop_rate=0.0)
+        svc = make_service()
         svc.register("truck", Point(100, 100))
-        svc.network.drop_rate = 0.3
+        lose(svc, 0.3)
         client = svc.new_client(entry_server="root.3", timeout=5.0)
 
         async def query_with_retries():

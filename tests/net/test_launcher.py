@@ -2,9 +2,16 @@
 OS process, driven over real sockets from this (driver) process."""
 
 import asyncio
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.core import messages as m
 from repro.core.hierarchy import Hierarchy, build_table2_hierarchy
 from repro.geo import Point
@@ -82,12 +89,11 @@ class TestUdpCluster:
                 assert set(adopted) == set(h.server_ids())
                 assert all(epoch == h.epoch + 1 for epoch in adopted.values())
             finally:
+                processes = list(launcher._processes.values())
                 await launcher.stop()
-            # Ordered shutdown leaves no straggler node processes.
-            assert all(
-                not process.is_alive()
-                for process in launcher._processes.values()
-            )
+            # Shutdown leaves no straggler node processes.
+            assert len(processes) == 5
+            assert not any(process.is_alive() for process in processes)
 
         run(scenario())
 
@@ -121,6 +127,25 @@ class TestTcpCluster:
         run(scenario())
 
 
+def exit_at_start(spec_json, server_id, conn):
+    """A node entry point that dies before it binds (module-level: the
+    spawned process imports it by name)."""
+    os._exit(3)
+
+
+class TestNodeThatDies:
+    def test_start_names_the_node_and_its_exit_code_at_once(self, monkeypatch):
+        from repro.errors import TransportError
+        from repro.net import bootstrap
+
+        monkeypatch.setattr(bootstrap, "run_node", exit_at_start)
+        launcher = ClusterLauncher(build_table2_hierarchy())
+        began = time.monotonic()
+        with pytest.raises(TransportError, match=r"node 'root' .*exit code 3"):
+            run(launcher.start())
+        assert time.monotonic() - began < bootstrap.READY_TIMEOUT / 2
+
+
 class TestLauncherValidation:
     def test_rejects_malformed_server_ids(self):
         from repro.core.hierarchy import build_grid_hierarchy
@@ -138,3 +163,61 @@ class TestLauncherValidation:
 
         h = build_grid_hierarchy(Rect(0, 0, 100, 100), [], root_id="root.0/c.1")
         ClusterLauncher(h)  # no raise
+
+
+#: A launcher that starts a cluster, prints its node pids and dies
+#: without stopping it.
+DYING_LAUNCHER = """
+import asyncio
+import os
+
+from repro.core.hierarchy import build_table2_hierarchy
+from repro.net.bootstrap import ClusterLauncher
+
+
+async def main():
+    launcher = ClusterLauncher(build_table2_hierarchy())
+    await launcher.start()
+    print(*(process.pid for process in launcher._processes.values()), flush=True)
+    os._exit(0)
+
+
+if __name__ == "__main__":
+    asyncio.run(main())
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+class TestDeadLauncher:
+    def test_a_dead_launcher_leaves_no_node(self, tmp_path):
+        script = tmp_path / "dying_launcher.py"
+        script.write_text(DYING_LAUNCHER)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        launcher = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        # One line, not EOF: the nodes inherit the launcher's stdout.
+        pids = [int(pid) for pid in launcher.stdout.readline().split()]
+        try:
+            assert len(pids) == 5
+            deadline = time.monotonic() + 5.0
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if running(pid)] == []
+        finally:
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)
+            launcher.stdout.close()
+            launcher.wait()

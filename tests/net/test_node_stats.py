@@ -26,7 +26,7 @@ async def _node_stats_after(bad: m.UpdateBatchReq) -> tuple[ctl.NodeStatsRes, Lo
         book.bind(address, host, port)
     server = LocationServer(build_table2_hierarchy().config("root.0"), sighting_ttl=1e9)
     server.topology_epoch = 5
-    _install_control_plane(server, transport, asyncio.Event())
+    _install_control_plane(server, transport)
     transport.join(server)
     driver = transport.join(Endpoint("driver"))
     try:

@@ -101,12 +101,20 @@ class TestDeadReckoning:
         assert distance_result["updates"] > 10 * result["updates"]
 
     def test_turning_motion_triggers_updates(self):
-        # A sharp turn invalidates the extrapolation.
+        # A sharp turn invalidates the extrapolation: the first report
+        # (t = 0) extrapolates exactly until the turn, which costs one more.
         out = [(float(t), Point(2.0 * t, 0.0)) for t in range(51)]
         back = [(50.0 + t, Point(100.0 - 2.0 * t, 0.0)) for t in range(1, 51)]
         policy = DeadReckoningPolicy(threshold=10.0)
         result = simulate_policy(policy, out + back)
-        assert result["updates"] >= 3
+        assert result["updates"] == 2
+
+    def test_a_report_at_time_zero_extrapolates(self):
+        policy = DeadReckoningPolicy(threshold=10.0)
+        policy.note_report(0.0, Point(0.0, 0.0))
+        policy.observe(0.0, Point(0.0, 0.0))
+        policy.observe(1.0, Point(3.0, 0.0))
+        assert policy.estimate(4.0) == Point(12.0, 0.0)
 
     def test_deviation_bounded(self):
         walker = RandomWaypointWalker(

@@ -2,13 +2,17 @@
 nothing sets.
 
 Every ``__init__`` parameter of the runtimes, the fault injector, the
-cluster launcher, the recovery coordinator, the leaf data store and the
-elastic harness must be passed — by keyword or by position — by some call in ``src/``,
-``benchmarks/``, ``scripts/`` or ``examples/``.  A knob only its own
-tests turn is a second behaviour the fault semantics must carry for no
-caller; it fails here instead of lingering.  Socket transports are
-built as ``UdpTransport`` / ``TcpTransport`` or through
-``make_transport``, so those calls count for ``SocketTransport``.
+cluster launcher, the recovery coordinator, the leaf data store, the
+elastic harness and the simulated service must be passed — by keyword
+or by position — by some call in ``src/``, ``benchmarks/``,
+``scripts/`` or ``examples/``.  A knob only its own tests turn is a
+second behaviour the fault semantics must carry for no caller; it fails
+here instead of lingering, unless it is a :data:`PAPER_KNOBS` row.
+Socket transports are built as ``UdpTransport`` / ``TcpTransport`` or
+through ``make_transport``, so those calls count for
+``SocketTransport``.  ``LocationServer`` is not scanned: its keywords
+arrive through ``LocationService``'s ``**self._server_kwargs``, which
+no call site shows.
 """
 
 import ast
@@ -17,6 +21,7 @@ import pathlib
 
 import repro
 from repro.chaos import FaultInjector, RecoveryCoordinator
+from repro.core import LocationService
 from repro.net.bootstrap import ClusterLauncher
 from repro.net.transport import SocketTransport
 from repro.runtime.asyncio_rt import AsyncioNetwork
@@ -37,12 +42,26 @@ CONSTRUCTORS = {
     RecoveryCoordinator: {"RecoveryCoordinator"},
     LocalDataStore: {"LocalDataStore"},
     ElasticHarness: {"ElasticHarness"},
+    LocationService: {"LocationService"},
 }
 
 #: Keywords exempt because they are a deployment's address, not a
 #: behaviour: every caller here runs on loopback, a real deployment
 #: binds elsewhere.
 DEPLOYMENT = {(ClusterLauncher, "host")}
+
+#: Keywords only tests set that stay as the paper's service surface:
+#: (class, keyword) → (paper section, why it stays).
+PAPER_KNOBS = {
+    (LocationService, "accuracy"): (
+        "§3–3.1",
+        "accuracy negotiation: what a leaf can offer sets offeredAcc",
+    ),
+    (LocationService, "sweep_interval"): (
+        "§3",
+        "sightings are soft state, expired by a periodic sweep",
+    ),
+}
 
 
 def init_parameters(cls) -> list[str]:
@@ -96,8 +115,19 @@ def test_every_fabric_constructor_keyword_has_a_caller():
         missing = [
             name
             for name in params
-            if name not in used and (cls, name) not in DEPLOYMENT
+            if name not in used
+            and (cls, name) not in DEPLOYMENT
+            and (cls, name) not in PAPER_KNOBS
         ]
         if missing:
             unused[cls.__name__] = missing
     assert unused == {}
+
+
+def test_every_paper_knob_is_a_keyword_nothing_else_sets():
+    seen = passed_arguments()
+    for (cls, name), (section, reason) in PAPER_KNOBS.items():
+        assert name in init_parameters(cls), name
+        for callee in CONSTRUCTORS[cls]:
+            assert name not in seen.get(callee, (set(), set()))[1], (callee, name)
+        assert section.startswith("§") and reason, name

@@ -231,7 +231,8 @@ class TestFailureInjection:
         assert net.stats.dead_letters == 0
 
     def test_request_timeout_on_drop(self):
-        net = SimNetwork(drop_rate=1.0)
+        net = SimNetwork()
+        FaultInjector(net).set_link("*", "*", LinkFaults(drop_rate=1.0))
         net.join(Echo("echo"))
         caller = net.join(Caller("caller"))
 
@@ -248,7 +249,8 @@ class TestFailureInjection:
     def test_deterministic_drops_with_seed(self):
         outcomes = []
         for _ in range(2):
-            net = SimNetwork(drop_rate=0.5, seed=42)
+            net = SimNetwork()
+            FaultInjector(net, seed=42).set_link("*", "*", LinkFaults(drop_rate=0.5))
             net.join(Echo("echo"))
             caller = net.join(Caller("caller"))
             for i in range(20):

@@ -179,12 +179,11 @@ class TestOneServiceStore:
 
     def test_every_service_leaf_defaults_to_columnar(self):
         from repro.core.server import LocationServer
-        from repro.net.address import AddressBook
         from repro.net.bootstrap import ClusterSpec, node_server
 
         hierarchy = build_table2_hierarchy()
         leaf = hierarchy.leaf_ids()[0]
-        spec = ClusterSpec.from_json(ClusterSpec(hierarchy, AddressBook()).to_json())
+        spec = ClusterSpec.from_json(ClusterSpec(hierarchy).to_json())
         leaves = [
             LocationServer(hierarchy.config(leaf)),
             LocationService(hierarchy).servers[leaf],
@@ -216,10 +215,9 @@ class TestOneServiceStore:
     def test_cluster_spec_json_has_no_index_kind(self):
         import json
 
-        from repro.net.address import AddressBook
         from repro.net.bootstrap import ClusterSpec
 
-        spec = ClusterSpec(build_table2_hierarchy(), AddressBook())
+        spec = ClusterSpec(build_table2_hierarchy())
         assert "index_kind" not in json.loads(spec.to_json())
 
 

@@ -7,7 +7,9 @@ module-level class, earns its place in one of three ways:
   ``examples/``: an ``ast.Name`` or ``ast.Attribute`` with its
   identifier, or a ``str`` constant equal to it (the e2e tracer rebinds
   methods by name).  Its own definition, ``import`` lines, ``__all__``
-  and docstrings do not count;
+  and docstrings do not count, nor does ``X.name`` where ``X`` is bound
+  in that file by ``import`` of a module outside ``repro``
+  (``subprocess.TimeoutExpired`` names no definition in ``src/``);
 * it is a :data:`PAPER_SURFACE` row: part of the paper's service
   surface that no code path calls, with its section and one reason (a
   class row covers the class's methods);
@@ -109,12 +111,14 @@ def public_definitions() -> tuple[dict[str, str], dict[str, str]]:
 
 class _References(ast.NodeVisitor):
     """Identifiers a tree refers to, minus imports, ``__all__``,
-    docstrings, and a definition's references to itself (a class naming
-    itself in its own annotations, a recursive call)."""
+    docstrings, a definition's references to itself (a class naming
+    itself in its own annotations, a recursive call), and attributes of
+    a module outside ``repro`` the tree imports."""
 
     def __init__(self):
         self.found: set[str] = set()
         self._inside: list[str] = []
+        self._outside: set[str] = set()
 
     def _add(self, name: str) -> None:
         if name not in self._inside:
@@ -131,7 +135,15 @@ class _References(ast.NodeVisitor):
             if child is not docstring:
                 self.visit(child)
 
-    visit_Module = _visit_body
+    def visit_Module(self, node) -> None:
+        self._outside = {
+            alias.asname or alias.name.split(".")[0]
+            for child in ast.walk(node)
+            if isinstance(child, ast.Import)
+            for alias in child.names
+            if alias.name.split(".")[0] != "repro"
+        }
+        self._visit_body(node)
 
     def _visit_definition(self, node) -> None:
         self._inside.append(node.name)
@@ -153,7 +165,8 @@ class _References(ast.NodeVisitor):
         self._add(node.id)
 
     def visit_Attribute(self, node) -> None:
-        self._add(node.attr)
+        if not (isinstance(node.value, ast.Name) and node.value.id in self._outside):
+            self._add(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node) -> None:
@@ -198,3 +211,17 @@ def test_every_row_names_a_definition_nothing_else_reaches():
     assert sorted(row for row in rows if names[row] in found) == []
     for dotted, (section, reason) in PAPER_SURFACE.items():
         assert section.startswith("§") and reason, dotted
+
+
+def test_an_outside_module_attribute_is_no_reference():
+    visitor = _References()
+    visitor.visit(
+        ast.parse(
+            "import subprocess\n"
+            "import repro.sim.engine as engine\n"
+            "subprocess.TimeoutExpired\n"
+            "engine.SimLoop\n"
+        )
+    )
+    assert "TimeoutExpired" not in visitor.found
+    assert "SimLoop" in visitor.found
