@@ -31,7 +31,8 @@ Position reports travel one of two lanes:
   ``envelope_sub_timeout`` set the servers bound their internal
   sub-envelope fan-outs and answer items stuck behind a crashed subtree
   as *unacknowledged*, so only those items are resent (per-item retry
-  bookkeeping).
+  bookkeeping).  The agent that starts a handover re-sends it until an
+  answer settles it, so a lost answer never leaves two agents.
 
 Query lane
 ----------

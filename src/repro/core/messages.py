@@ -126,10 +126,11 @@ class UpdateRes(Response):
 #   role-change forwarding machinery) and counts the staleness, so a
 #   rebalance never requires the protocol lane to drain first.
 # * ``sub_timeout`` — when set, the receiver bounds every sub-envelope
-#   it fans out with this timeout and reports timed-out items as
-#   per-item *unacknowledged* outcomes instead of hanging the whole
-#   envelope on a crashed subtree; the service then resends only the
-#   unacknowledged items (per-item retry bookkeeping).
+#   it fans out with this timeout instead of hanging the whole envelope
+#   on a crashed subtree.  A handover hop leaves a timed-out item out of
+#   its answer (the origin's re-send row asks again); an update or
+#   deregistration answers it *unacknowledged*, and the service resends
+#   only those items (per-item retry bookkeeping).
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,23 +200,18 @@ class HandoverBatchReq(Message):
 class HandoverOutcome(Message):
     """Per-object result inside a :class:`HandoverBatchRes` — Alg. 6-3's
     ``handoverRes(lsnew, acc)`` (``new_agent=None`` means the object
-    left the root service area and was deregistered).
-
-    ``unacknowledged=True`` marks an item whose sub-envelope went
-    unanswered within the envelope's ``sub_timeout`` (a crashed
-    subtree): the handover may or may not have landed, the initiating
-    agent must keep the object and the service retries the item.
-    """
+    left the root service area and was deregistered)."""
 
     object_id: str
     new_agent: str | None
     offered_acc: float | None
     origin_area: Rect | None = None
-    unacknowledged: bool = False
 
 
 @dataclass(frozen=True, slots=True)
 class HandoverBatchRes(Response):
+    """The settled items' outcomes in request order (unanswered: left out)."""
+
     request_id: str
     outcomes: tuple[HandoverOutcome, ...]
 

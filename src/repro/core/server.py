@@ -21,8 +21,8 @@ the deregistration pair are ``async`` handlers, spawned whole:
 Algorithm 6-1          ``_on_register`` / ``_on_create_path``
 Algorithm 6-2          ``_on_update`` (edge) / ``_on_update_batch``
                        → ``_apply_updates`` [→ ``_merge_then_reply``]
-Algorithm 6-3          ``_handover_batch`` / ``_on_handover_batch``
-                       [→ ``_finish_handover_batch``]
+Algorithm 6-3          ``_handover_batch`` → ``_handover_row`` /
+                       ``_on_handover_batch`` [→ ``_finish_handover_batch``]
 Algorithm 6-4          ``_on_pos_query`` [→ ``_answer_resolved``] /
                        ``_on_pos_query_fwd``
 Algorithm 6-5          ``_on_range_query`` (edge) → ``_collect`` /
@@ -31,6 +31,7 @@ Section 3.2 (derived)  ``_on_neighbor_query`` (edge) → the ring loop
                        of ``_execute_neighbors_many`` → ``_collect``
 Section 6.5 caches     ``_on_pos_query_direct``, ``_on_path_update``,
                        ``_on_remove_path`` + :mod:`repro.core.caching`
+One agent (derived)    ``_repoint`` prunes the branch a path leaves
 =====================  =======================================
 """
 
@@ -85,12 +86,11 @@ _EPOCH_REJECT_HORIZON = 2
 #: epoch retries; past it the retry re-queries the rect at hand whole.
 _MAX_REMAINDER_RECTS = 32
 
-#: Re-sends of an unacked §6.5 path-repair delivery (PathUpdate /
-#: RemovePath).  The repair lane used to be fire-and-forget, which let a
-#: single corrupted or dropped repair strand a stale forwarding path
-#: forever; per-hop acks with bounded retries make a strand require
-#: ``_PATH_REPAIR_RETRIES + 1`` consecutive losses on one link.
-_PATH_REPAIR_RETRIES = 3
+#: Re-sends of a server's own unanswered delivery: a §6.5 path repair
+#: (PathUpdate / RemovePath) or a handover group (Alg. 6-3).  Either
+#: one is lost for good only after ``_RESEND_RETRIES + 1`` consecutive
+#: losses on one link.
+_RESEND_RETRIES = 3
 
 #: Seconds a repair hop waits for its :class:`~repro.core.messages.
 #: PathAck` before re-sending (virtual seconds on the simulated
@@ -139,6 +139,10 @@ class ServerStats:
     path_repair_resends: int = 0
     #: path-repair deliveries abandoned after exhausting retries.
     path_repairs_abandoned: int = 0
+    #: handover groups re-sent after a missing answer.
+    handover_resends: int = 0
+    #: handover items kept here after their row's last attempt expired.
+    handovers_abandoned: int = 0
     messages_handled: dict[str, int] = field(default_factory=dict)
 
     def note(self, message) -> None:
@@ -319,6 +323,8 @@ class LocationServer(Endpoint):
         #: set by :meth:`retire` when this server left the hierarchy after
         #: a merge; all further non-response traffic forwards there.
         self._retired_to: str | None = None
+        #: object id → newest item of a handover row this server owns.
+        self._handovers: dict[str, m.HandoverBatchItem] = {}
         #: the topology epoch this server's config belongs to.  The
         #: service advances it on every adopted rebalance; fan-outs and
         #: envelopes are stamped with it so stale-epoch traffic (routed
@@ -400,17 +406,8 @@ class LocationServer(Endpoint):
             return
         expired = self.store.expire_due(self.ctx.now())
         self.stats.expired += len(expired)
-        if not expired or self.config.parent is None:
-            return
-        # One batched teardown for the whole sweep (protocol lane).
-        self.send(
-            self.config.parent,
-            m.PathTeardownBatch(
-                object_ids=tuple(expired),
-                sender=self.address,
-                epoch=self.topology_epoch,
-            ),
-        )
+        if expired:
+            self._tear_down(expired)  # one batched teardown for the whole sweep
 
     def simulate_crash_recovery(self) -> None:
         """Wipe volatile state, as after a restart (persistent DB survives)."""
@@ -709,18 +706,9 @@ class LocationServer(Endpoint):
         self.stats.note(msg)
 
         def reply(outcomes) -> None:
-            outcome = outcomes[msg.sighting.object_id]
-            self.send(
-                msg.reply_to,
-                m.UpdateRes(
-                    request_id=msg.request_id,
-                    ok=outcome.ok,
-                    agent=outcome.agent,
-                    offered_acc=outcome.offered_acc,
-                    deregistered=outcome.deregistered,
-                    error=outcome.error,
-                ),
-            )
+            o = outcomes[msg.sighting.object_id]  # the same fields, less the id
+            res = m.UpdateRes(msg.request_id, o.ok, o.agent, o.offered_acc, o.deregistered, o.error)
+            self.send(msg.reply_to, res)
 
         return self._reply_after(*self._apply_updates((msg.sighting,)), reply)
 
@@ -845,12 +833,11 @@ class LocationServer(Endpoint):
         return {outcome.object_id: outcome for outcome in res.outcomes}
 
     def _drop_objects(self, object_ids: list[str]) -> None:
-        """Remove the visitor and sighting records (Alg. 6-2 lines 5-6)
-        of an envelope's departures in one store pass."""
+        """Remove the visitor and sighting records (Alg. 6-2 lines 5-6) of
+        departed objects in one store pass; a server that stopped being a
+        leaf meanwhile (split or retired) holds none, and drops nothing."""
         if self.is_leaf:
             self.store.deregister_many(object_ids)
-        else:
-            self.visitors.remove_many(object_ids)
 
     # ======================================================================
     # Algorithm 6-3: handover
@@ -862,142 +849,160 @@ class LocationServer(Endpoint):
         """Initiate handovers for the out-of-area reports of one pass.
 
         Items are grouped per destination — a §6.5-cached leaf (direct
-        dispatch) or the parent — and each group travels as one
-        :class:`~repro.core.messages.HandoverBatchReq`.
+        dispatch) or the parent — into one :meth:`_handover_row` each;
+        an item its first attempt left unanswered is answered
+        ``NACK_UNACKNOWLEDGED`` while the row keeps asking.
         """
         self.stats.handovers_initiated += len(crossing)
-        groups: dict[str | None, list[m.HandoverBatchItem]] = {}
+        groups: dict[str | None, dict[str, m.HandoverBatchItem]] = {}
         for sighting, record in crossing:
             target = self.caches.leaf_for_point(sighting.pos.x, sighting.pos.y)
             if target == self.address:
                 target = None  # stale self-entry: route via the hierarchy
             # (sighting, reg_info, previous_offered)
-            groups.setdefault(target, []).append(
-                _HANDOVER_ITEM(sighting, record.reg_info, record.offered_acc)
+            groups.setdefault(target, {})[sighting.object_id] = _HANDOVER_ITEM(
+                sighting, record.reg_info, record.offered_acc
             )
-        outcomes: dict[str, m.UpdateOutcome] = {}
         subtasks = []
         for target, items in groups.items():
-            if target is None and self._parent is None:
-                # Single-server LS: the objects left the root service area.
-                left = [item.sighting.object_id for item in items]
-                self._drop_objects(left)
-                for oid in left:  # (object_id, ok, agent, offered_acc, deregistered)
-                    outcomes[oid] = _UPDATE_OUTCOME(oid, True, None, None, True)
-                continue
             dest = self._parent if target is None else target
             subtasks.append(
-                self._request_handover_batch(
-                    dest, items, direct=target is not None, sub_timeout=sub_timeout
-                )
+                self._handover_row(dest, items, target is not None, sub_timeout)
+                if dest is not None  # else a one-server LS: the objects left its area
+                else self._escalate_handover_batch(list(items.values()))
             )
-        if subtasks:
-            departed: list[str] = []
-            for sub_outcomes in await self._gather(subtasks):
-                for hres in sub_outcomes:
-                    oid = hres.object_id
-                    if hres.unacknowledged:
-                        # The handover may or may not have landed (crashed
-                        # subtree): keep the object — re-running the item
-                        # is idempotent — and report it retryable.
-                        outcomes[oid] = _UPDATE_OUTCOME(
-                            oid, False, None, None, False, m.NACK_UNACKNOWLEDGED
-                        )
-                        continue
-                    self.caches.note_leaf_area(hres.new_agent, hres.origin_area)
-                    departed.append(oid)
-                    # No new agent: the object left the root service area.
-                    outcomes[oid] = _UPDATE_OUTCOME(
-                        oid, True, hres.new_agent, hres.offered_acc, hres.new_agent is None
-                    )
-            self._drop_objects(departed)
+        outcomes: dict[str, m.UpdateOutcome] = {}
+        departed: list[str] = []
+        for answered in await self._gather(subtasks):
+            for hres in answered:
+                self.caches.note_leaf_area(hres.new_agent, hres.origin_area)
+                departed.append(hres.object_id)
+                # (object_id, ok, agent, offered_acc, deregistered: left the root)
+                outcomes[hres.object_id] = _UPDATE_OUTCOME(
+                    hres.object_id, True, hres.new_agent, hres.offered_acc, hres.new_agent is None
+                )
+        self._drop_objects(departed)
+        for oid in [s.object_id for s, _ in crossing if s.object_id not in outcomes]:
+            outcomes[oid] = _UPDATE_OUTCOME(oid, False, None, None, False, m.NACK_UNACKNOWLEDGED)
         return outcomes
 
-    async def _request_handover_batch(
-        self, dest: str, items: list, direct: bool, sub_timeout: float | None = None
+    async def _handover_row(
+        self, dest: str, items: dict, direct: bool, sub_timeout: float | None
     ) -> tuple[m.HandoverOutcome, ...]:
+        """One destination group's handovers as one re-send row, owned
+        here until answered; returns the first attempt's outcomes (none
+        when it expired).  Each attempt asks for the items the row still
+        owns in :attr:`_handovers` (a newer report takes one over with a
+        row of its own).  An item settled late is dropped, leaving a
+        forwarding pointer (§5) that re-points the device's next report;
+        one owned past the last expiry is kept, counted abandoned."""
+        table = self._handovers
+        table.update(items)
+        first = self.ctx.create_future()
+
+        def owned() -> list:
+            return [item for oid, item in items.items() if table.get(oid) is item]
+
+        def make_message(request_id: str) -> m.HandoverBatchReq | None:
+            live = owned()
+            if not live:
+                return None  # every item settled or taken over: the row ends
+            self.stats.handover_resends += first.done()
+            return m.HandoverBatchReq(
+                request_id=request_id, reply_to=self.address, sender=self.address,
+                items=tuple(live), direct=direct, epoch=self.topology_epoch,
+                sub_timeout=sub_timeout,
+            )
+
+        def answer(res: m.HandoverBatchRes) -> None:
+            live = {item.sighting.object_id for item in owned()}
+            mine = [o for o in res.outcomes if o.object_id in live]  # settled now
+            for outcome in mine:
+                del table[outcome.object_id]
+            if not first.done():
+                first.set_result(res.outcomes)
+                return  # the departures are dropped with the device's reply
+            held = [o for o in mine if self.visitors.leaf_record(o.object_id) is not None]
+            self._drop_objects([o.object_id for o in held])
+            self.visitors.insert_forward_many(
+                (o.object_id, o.new_agent) for o in held if o.new_agent
+            )
+
+        def expired(retries_left: int) -> None:
+            if not first.done():
+                first.set_result(())
+            if not retries_left:
+                live = owned()
+                for item in live:
+                    del table[item.sighting.object_id]
+                self.stats.handovers_abandoned += len(live)
+
+        deadline = ANSWER_DEADLINE if sub_timeout is None else sub_timeout
+        self.resend(dest, make_message, deadline, _RESEND_RETRIES, answer, expired)
+        return await first
+
+    async def _request_handover_batch(
+        self, dest: str, items: list, sub_timeout: float | None = None
+    ) -> tuple[m.HandoverOutcome, ...]:
+        """An interior hop's sub-envelope: its outcomes, or none when it
+        went unanswered (the hop's own answer then leaves those items
+        out, and the origin's row asks again)."""
         res = await self._sub_envelope(
             dest,
             sub_timeout,
-            lambda **stamp: m.HandoverBatchReq(
-                **stamp, sender=self.address, items=tuple(items), direct=direct
-            ),
+            lambda **stamp: m.HandoverBatchReq(**stamp, sender=self.address, items=tuple(items)),
         )
-        if res is None:
-            # (object_id, new_agent, offered_acc, origin_area, unacknowledged)
-            return tuple(
-                _HANDOVER_OUTCOME(item.sighting.object_id, None, None, None, True)
-                for item in items
-            )
-        assert isinstance(res, m.HandoverBatchRes)
-        return res.outcomes
+        return () if res is None else res.outcomes
 
     def _on_handover_batch(self, msg: m.HandoverBatchReq) -> Coroutine | None:
         self.stats.note(msg)
         self._note_epoch(msg)
         outcomes: dict[str, m.HandoverOutcome] = {}
-        subtasks: list[tuple[str | None, object]] = []  # (child_id, coro)
-        if self.is_leaf:
-            admit, escalate = [], []
-            for item in msg.items:
-                (admit if self._contains(item.sighting.pos) else escalate).append(item)
-            if admit:
-                outcomes.update(self._admit_handover_batch(admit, direct=msg.direct))
-        else:
-            by_child: dict[str, list] = {}
-            escalate = []
-            for item in msg.items:
-                if self._contains(item.sighting.pos):
-                    child = self._child_for(item.sighting.pos)
-                    by_child.setdefault(child.server_id, []).append(item)
-                else:
-                    escalate.append(item)
-            for child_id, items in by_child.items():
-                subtasks.append(
-                    (
-                        child_id,
-                        self._request_handover_batch(
-                            child_id, items, False, sub_timeout=msg.sub_timeout
-                        ),
-                    )
-                )
-        if escalate:
-            subtasks.append(
-                (None, self._escalate_handover_batch(escalate, msg.sub_timeout))
-            )
-        if subtasks:
-            return self._finish_handover_batch(msg, outcomes, subtasks)
+        admit, escalate = [], []
+        by_child: dict[str, list] = {}
+        for item in msg.items:
+            pos = item.sighting.pos
+            if not self._contains(pos):
+                escalate.append(item)
+            elif self.is_leaf:
+                admit.append(item)
+            else:
+                by_child.setdefault(self._child_for(pos).server_id, []).append(item)
+        if admit:
+            outcomes.update(self._admit_handover_batch(admit, direct=msg.direct))
+        if by_child or escalate:
+            return self._finish_handover_batch(msg, outcomes, by_child, escalate)
         self._reply_handover_batch(msg, outcomes)  # leaf-side admission only
         return None
 
     async def _finish_handover_batch(
-        self, msg: m.HandoverBatchReq, outcomes: dict, subtasks: list
+        self, msg: m.HandoverBatchReq, outcomes: dict, by_child: dict, escalate: list
     ) -> None:
         """The waiting half of :meth:`_on_handover_batch`: gather the
         per-child and upward sub-envelopes, then answer."""
-        results = await self._gather([coro for _, coro in subtasks])
-        for (child_id, _), sub_outcomes in zip(subtasks, results):
-            if child_id is not None:
-                # Create or reset the forwarding pointers (Alg. 6-3
-                # lines 12-13) — one batched visitor-DB pass.  An
-                # unacknowledged item installed nothing downstream,
-                # so no pointer must be created for it either.
-                self.visitors.insert_forward_many(
-                    (outcome.object_id, child_id)
-                    for outcome in sub_outcomes
-                    if not outcome.unacknowledged
-                )
+        subtasks = [
+            self._request_handover_batch(child_id, items, msg.sub_timeout)
+            for child_id, items in by_child.items()
+        ]
+        if escalate:
+            subtasks.append(self._escalate_handover_batch(escalate, msg.sub_timeout))
+        results = await self._gather(subtasks)
+        for child_id, sub_outcomes in zip(by_child, results):
+            # Create or reset the forwarding pointers (Alg. 6-3 lines
+            # 12-13) — one batched visitor-DB pass.
+            self._repoint([o.object_id for o in sub_outcomes], child_id, msg.sender)
+        for sub_outcomes in results:
             outcomes.update((outcome.object_id, outcome) for outcome in sub_outcomes)
         self._reply_handover_batch(msg, outcomes)
 
     def _reply_handover_batch(self, msg: m.HandoverBatchReq, outcomes: dict) -> None:
+        """Answer the items this server settled, in request order."""
+        oids = (item.sighting.object_id for item in msg.items)
         self.send(
             msg.reply_to,
             m.HandoverBatchRes(
                 request_id=msg.request_id,
-                outcomes=tuple(
-                    outcomes[item.sighting.object_id] for item in msg.items
-                ),
+                outcomes=tuple(outcomes[oid] for oid in oids if oid in outcomes),
             ),
         )
 
@@ -1041,15 +1046,10 @@ class LocationServer(Endpoint):
             self.visitors.remove_many(left)
             # (object_id, new_agent, offered_acc)
             return tuple(_HANDOVER_OUTCOME(oid, None, None) for oid in left)
-        sub_outcomes = await self._request_handover_batch(
-            self._parent, items, False, sub_timeout=sub_timeout
-        )
-        # This server is no longer on these paths (Alg. 6-3 line 19) —
-        # except for unacknowledged items, whose path must stay intact
-        # for the retry.
-        self.visitors.remove_many(
-            outcome.object_id for outcome in sub_outcomes if not outcome.unacknowledged
-        )
+        sub_outcomes = await self._request_handover_batch(self._parent, items, sub_timeout)
+        # This server is no longer on the answered items' paths (Alg.
+        # 6-3 line 19); an unanswered item keeps its path for the retry.
+        self.visitors.remove_many(outcome.object_id for outcome in sub_outcomes)
         return sub_outcomes
 
     # ======================================================================
@@ -1116,15 +1116,7 @@ class LocationServer(Endpoint):
         if local:
             self.store.deregister_many(local)
             results.update(dict.fromkeys(local, True))
-            if self._parent is not None:
-                self.send(
-                    self._parent,
-                    m.PathTeardownBatch(
-                        object_ids=tuple(local),
-                        sender=self.address,
-                        epoch=self.topology_epoch,
-                    ),
-                )
+            self._tear_down(local)
         if forward:
             merged = await self._gather(
                 [
@@ -1153,6 +1145,13 @@ class LocationServer(Endpoint):
         assert isinstance(res, m.DeregisterBatchRes)
         return dict(res.results), dict(res.nacks)
 
+    def _tear_down(self, object_ids: list[str]) -> None:
+        """Remove the paths of ``object_ids`` above this server: one
+        ``PathTeardownBatch`` to the parent (none at the root)."""
+        if self._parent is not None:
+            teardown = m.PathTeardownBatch(tuple(object_ids), self.address, self.topology_epoch)
+            self.send(self._parent, teardown)
+
     def _on_path_teardown_batch(self, msg: m.PathTeardownBatch) -> None:
         self.stats.note(msg)
         self._note_epoch(msg)
@@ -1179,15 +1178,7 @@ class LocationServer(Endpoint):
         if not live:
             return
         self.visitors.remove_many(live)
-        if self._parent is not None:
-            self.send(
-                self._parent,
-                m.PathTeardownBatch(
-                    object_ids=tuple(live),
-                    sender=self.address,
-                    epoch=self.topology_epoch,
-                ),
-            )
+        self._tear_down(live)
 
     def _on_path_teardown_nack(self, msg: m.PathTeardownNack) -> None:
         """Record per-id teardown NACKs (observability only: a
@@ -1223,7 +1214,7 @@ class LocationServer(Endpoint):
             dest,
             lambda request_id: replace(message, request_id=request_id, reply_to=self.address),
             _PATH_REPAIR_TIMEOUT,
-            _PATH_REPAIR_RETRIES,
+            _RESEND_RETRIES,
             lambda _ack: None,  # the hop applied it: nothing more to do
             expired,
         )
@@ -1232,18 +1223,26 @@ class LocationServer(Endpoint):
         if msg.reply_to:
             self.send(msg.reply_to, m.PathAck(request_id=msg.request_id))
 
+    def _repoint(self, object_ids: list[str], child: str, came_from: str) -> list:
+        """Point each object's forward reference at ``child`` in one
+        visitor-DB pass; returns the references replaced (``None``: there
+        was none).  A replaced reference that is neither ``child`` nor
+        ``came_from`` (the branch the change arrived from) leads to a
+        stale copy of the object, so that branch is pruned with
+        ``RemovePath``: every object keeps exactly one agent."""
+        previous = self.visitors.insert_forward_many([(oid, child) for oid in object_ids])
+        for oid, ref in zip(object_ids, previous):
+            if ref not in (None, child, came_from):
+                self._spawn_repair(ref, m.RemovePath(object_id=oid))
+        return previous
+
     def _on_path_update(self, msg: m.PathUpdate) -> None:
         self.stats.note(msg)
         self._ack_repair(msg)
-        previous = self.visitors.forward_ref(msg.object_id)
-        if previous == msg.sender:
-            return  # path already correct: common ancestor reached (or a retry)
-        self.visitors.insert_forward(msg.object_id, msg.sender)
-        if previous is not None:
-            # Common ancestor: prune the stale branch, stop propagating.
-            self._spawn_repair(previous, m.RemovePath(object_id=msg.object_id))
-            return
-        if self._parent is not None:
+        # A replaced reference marks the common ancestor (or a retry): a
+        # stale branch is pruned there, and propagation stops.
+        (previous,) = self._repoint([msg.object_id], msg.sender, msg.sender)
+        if previous is None and self._parent is not None:
             self._spawn_repair(
                 self._parent,
                 m.PathUpdate(object_id=msg.object_id, sender=self.address),

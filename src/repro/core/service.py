@@ -776,7 +776,9 @@ class LocationService:
         For every object with a sighting at some leaf, every ancestor of
         that leaf must hold a forwarding reference pointing one step down
         the path, and no other server may consider itself the agent.
-        Raises :class:`LocationServiceError` on violation.
+        This holds at quiescent points (``network.quiescent``): two agents
+        coexist only while a handover row is pending.  Raises
+        :class:`LocationServiceError` on violation.
         """
         agents: dict[str, str] = {}
         for server_id, server in self.servers.items():

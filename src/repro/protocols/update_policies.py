@@ -89,7 +89,8 @@ class DeadReckoningPolicy(UpdatePolicy):
 
     For straight-line movement this slashes update counts versus the
     distance policy at equal accuracy — the DOMINO trade-off [24] the
-    paper cites.
+    paper cites.  An offline ablation (the service stores no velocity):
+    the estimate extrapolates the velocity frozen at the last report.
     """
 
     def __init__(self, threshold: float) -> None:
@@ -98,6 +99,7 @@ class DeadReckoningPolicy(UpdatePolicy):
             raise ValueError(f"threshold must be positive, got {threshold}")
         self.threshold = threshold
         self._velocity = Vector(0.0, 0.0)
+        self._reported_velocity = self._velocity  # sent with the last report
         self._prev_time: float | None = None
         self._prev_pos: Point | None = None
 
@@ -117,11 +119,15 @@ class DeadReckoningPolicy(UpdatePolicy):
             return True
         return pos.distance_to(estimate) > self.threshold
 
+    def note_report(self, now: float, pos: Point) -> None:
+        super().note_report(now, pos)
+        self._reported_velocity = self._velocity
+
     def estimate(self, now: float) -> Point | None:
         if self._last_report_pos is None:
             return None
         dt = now - self._last_report_time
-        return self._last_report_pos + self._velocity.scaled(dt)
+        return self._last_report_pos + self._reported_velocity.scaled(dt)
 
 
 def simulate_policy(

@@ -268,7 +268,7 @@ class Endpoint:
         Each expiry runs ``expired(retries_left)`` and, while retries are
         left, sends the next attempt under a fresh id (a late answer to
         an abandoned attempt resolves nothing): up to ``retries``
-        re-sends, the last expiry seeing ``0``.
+        re-sends, the last expiry seeing ``0``; a ``None`` message ends it.
         """
 
         def expire() -> None:
@@ -277,8 +277,10 @@ class Endpoint:
                 self.resend(dest, make_message, timeout, retries - 1, answer, expired)
 
         request_id = self.next_request_id()
-        self.park(request_id, timeout, answer, expire)
-        self.send(dest, make_message(request_id))
+        message = make_message(request_id)
+        if message is not None:
+            self.park(request_id, timeout, answer, expire)
+            self.send(dest, message)
 
     # -- the pending table ------------------------------------------------------
 

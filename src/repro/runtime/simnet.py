@@ -88,6 +88,12 @@ class SimNetwork:
         self._endpoints: dict[str, Endpoint] = {}
         self._busy_until: dict[str, float] = {}
         self._down: set[str] = set()
+        self._in_flight = 0  # payloads sent, not yet delivered or dropped
+
+    @property
+    def quiescent(self) -> bool:
+        """Nothing in flight, no endpoint waiting: ``check_consistency`` holds."""
+        return not self._in_flight and not any(e.pending_count for e in self._endpoints.values())
 
     # -- membership -------------------------------------------------------
 
@@ -143,15 +149,13 @@ class SimNetwork:
             return
         payloads, extra_delay = admitted
         delay = self.latency.delay(src, dst, payloads[0]) + extra_delay
+        self._in_flight += len(payloads)
         for payload in payloads:
             self.loop.call_later(delay, lambda payload=payload: self._arrive(dst, payload))
 
     def _arrive(self, dst: str, message: Message) -> None:
-        if dst in self._down:
-            self.stats.messages_dropped += 1
-            return
-        if dst not in self._endpoints:  # left the network while in flight
-            self.stats.dead_letters += 1
+        if dst in self._down or dst not in self._endpoints:
+            self._deliver(dst, message)  # counts the loss
             return
         service = self.costs.service_time(message, dst=dst)
         start = max(self.loop.now, self._busy_until[dst])
@@ -163,6 +167,7 @@ class SimNetwork:
             self.loop.call_at(ready, lambda: self._deliver(dst, message))
 
     def _deliver(self, dst: str, message: Message) -> None:
+        self._in_flight -= 1
         if dst in self._down:
             self.stats.messages_dropped += 1
             return

@@ -122,12 +122,15 @@ class ColumnarSightingDB(SightingDB):
     ) -> None:
         index = self._index
         slot_of = index._slot_of
+        col_t = index.column("t")  # a regrow copies it: still right for old slots
         moves: list[tuple[int, SightingRecord]] = []
         for sighting in sightings:
             slot = slot_of.get(sighting.object_id)
             if slot is None:  # may regrow the columns: _store_many fetches them after
                 slot = index.alloc_slot(sighting.object_id)
                 self._pending_expiry.pop(sighting.object_id, None)
+            elif col_t[slot] > sighting.timestamp:
+                continue  # the newest sighting wins, whatever the arrival order
             moves.append((slot, sighting))
         self._store_many(moves, self._deadline(now, ttl))
 

@@ -122,17 +122,18 @@ class SightingDB:
     ) -> None:
         """Batched upsert: updates take the batched fast path.
 
-        Sightings for known objects go through :meth:`update_many`; the
-        (rare — registration and crash recovery) unknown ones fall back
-        to per-record inserts.
+        Sightings for known objects go through :meth:`update_many` unless
+        the stored one is newer (arrival order does not matter); the rare
+        unknown ones (registration, crash recovery) are inserted one by one.
         """
         records = self._records
         updates: list[SightingRecord] = []
         for sighting in sightings:
-            if sighting.object_id in records:
-                updates.append(sighting)
-            else:
+            stored = records.get(sighting.object_id)
+            if stored is None:
                 self.insert(sighting, now=now, ttl=ttl)
+            elif sighting.timestamp >= stored.timestamp:
+                updates.append(sighting)
         if updates:
             self.update_many(updates, now=now, ttl=ttl)
 

@@ -125,8 +125,9 @@ class VisitorDB:
         self.max_offered_acc = max(self.max_offered_acc, offered_acc)
         self._append("acc", {"oid": object_id, "acc": offered_acc})
 
-    def insert_forward_many(self, refs: Iterable[tuple[str, str]]) -> None:
-        """Replay a batch of ``(object_id, forward_ref)`` pointers.
+    def insert_forward_many(self, refs: Iterable[tuple[str, str]]) -> list[str | None]:
+        """Set a batch of ``(object_id, forward_ref)`` pointers; returns
+        each object's previous forward reference (``None``: it had none).
 
         The migration path uses this to re-point every migrated object in
         one pass when a leaf becomes an interior server; each pointer is
@@ -134,9 +135,13 @@ class VisitorDB:
         """
         records = self._records
         append = self._append
+        previous = []
         for object_id, forward_ref in refs:
+            old = records.get(object_id)
+            previous.append(old.forward_ref if isinstance(old, NonLeafVisitorRecord) else None)
             records[object_id] = NonLeafVisitorRecord(object_id, forward_ref)
             append("forward", {"oid": object_id, "ref": forward_ref})
+        return previous
 
     def remove(self, object_id: str) -> None:
         """Drop one record (see :meth:`remove_many`)."""

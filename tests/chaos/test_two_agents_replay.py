@@ -1,12 +1,14 @@
-"""The two-agent race, replayed by script (ROADMAP direction 1).
+"""Exactly one agent after a lost handover answer, replayed by script
+(ROADMAP direction 1).
 
-A handover whose answer is lost on the way back to the old agent leaves
-the object on that agent's books, while the root and the new agent have
-already moved it: two agents.  The seeded Byzantine lane only hits the
-race when its schedule happens to corrupt that one answer, so a green
-seeded run proves nothing; this replay severs the answer's link outright
-and hits it every time.  It is a strict xfail: the day the race is
-resolved, the test turns red and the marker must go.
+A handover whose answer is lost on the way back to the old agent used to
+leave the object on that agent's books while the root and the new agent
+had already moved it: two agents.  The seeded Byzantine lane only hits
+the race when its schedule happens to corrupt that one answer, so a
+green seeded run proves nothing; these replays sever the answer's link
+outright and hit it every time.  The old agent now owns the handover
+until it is answered (one re-send row per destination group), and an
+ancestor that re-points a path prunes the branch it leaves.
 """
 
 import pytest
@@ -18,24 +20,103 @@ from repro.errors import LocationServiceError
 from repro.geo import Point
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=LocationServiceError,
-    reason="ROADMAP direction 1: an unacknowledged handover keeps the object "
-    "at the old agent while the new agent admitted it",
-)
-def test_a_lost_handover_answer_leaves_one_agent():
+@pytest.fixture
+def lost():
+    """``o1`` registered at root.0, its handover to root.3 sent with the
+    answer's link root → root.0 severed: the device has its NACK, the
+    fault is still on."""
     svc = LocationService(build_table2_hierarchy(), sighting_ttl=1e9)
     svc.register("o1", Point(100, 100))  # agent root.0
     injector = FaultInjector(svc.network)
     injector.set_link("root", "root.0", LinkFaults(severed=True))
-    (outcome,) = svc.run(
+    (outcome,) = report(svc, Point(1400, 1400))
+    assert not outcome.ok  # the answer never came back
+    return svc, injector
+
+
+def report(svc, pos):
+    return svc.run(
         drive_update_envelope(
-            svc._reporter(), svc, "root.0", [("o1", Point(1400, 1400), 10.0)],
+            svc._reporter(), svc, "root.0", [("o1", pos, 10.0)],
             timeout=0.5, retries=0, sub_timeout=0.2,
         )
     )
-    assert not outcome.ok  # the answer never came back
+
+
+def holders(svc):
+    return {
+        sid: server.store.sightings.get("o1")
+        for sid, server in svc.servers.items()
+        if server.is_leaf and server.store.sightings.get("o1") is not None
+    }
+
+
+def test_a_lost_handover_answer_leaves_one_agent(lost):
+    svc, injector = lost
     injector.clear()
     svc.settle()
     svc.check_consistency()
+    assert list(holders(svc)) == ["root.3"]
+
+
+def test_a_retried_report_to_a_third_leaf_leaves_one_agent(lost):
+    """The re-sent report lands in root.1 while root.3 already admitted
+    the first one: the root re-points root.3 → root.1 and prunes root.3."""
+    svc, injector = lost
+    injector.clear()
+    report(svc, Point(1400, 100))
+    svc.settle()
+    svc.check_consistency()
+    (agent, sighting), = holders(svc).items()
+    assert agent == "root.1" and sighting.pos == Point(1400, 100)
+
+
+def test_a_silent_device_is_re_pointed_by_its_next_report(lost):
+    """The row resolves after the device had its NACK: the old agent
+    keeps a forwarding pointer, so the next report still finds the
+    object's agent and tells the device."""
+    svc, injector = lost
+    injector.clear()
+    svc.settle()
+    origin = svc.servers["root.0"]
+    assert origin.visitors.leaf_record("o1") is None
+    assert origin.visitors.forward_ref("o1") == "root.3"
+    (outcome,) = report(svc, Point(1450, 1450))
+    assert outcome.ok and outcome.agent == "root.3"
+    assert holders(svc)["root.3"].pos == Point(1450, 1450)
+
+
+def test_two_agents_coexist_only_while_a_handover_row_is_pending(lost):
+    svc, injector = lost
+    with pytest.raises(LocationServiceError, match="two agents"):
+        svc.check_consistency()
+    assert not svc.network.quiescent
+    injector.clear()
+    svc.settle()
+    assert svc.network.quiescent
+    assert all(not server._handovers for server in svc.servers.values())
+    svc.check_consistency()
+
+
+def test_an_unanswered_row_is_abandoned_and_keeps_the_object(lost):
+    svc, injector = lost
+    svc.settle()  # the fault stays on: every attempt's answer is lost
+    origin = svc.servers["root.0"]
+    assert origin.stats.handover_resends == 3
+    assert origin.stats.handovers_abandoned == 1
+    assert not origin._handovers
+    assert origin.visitors.leaf_record("o1") is not None
+
+
+def test_a_retired_origin_is_not_touched_by_its_row(lost):
+    """A server that left its role while its row was out holds none of
+    the row's objects: the late answer drops nothing and installs no
+    pointer there."""
+    svc, injector = lost
+    origin = svc.servers["root.0"]
+    origin.retire("root")
+    injector.clear()
+    svc.settle()
+    assert len(origin.visitors) == 0
+    assert not origin._handovers
+    assert list(holders(svc)) == ["root.3"]

@@ -101,20 +101,30 @@ class TestDeadReckoning:
         assert distance_result["updates"] > 10 * result["updates"]
 
     def test_turning_motion_triggers_updates(self):
-        # A sharp turn invalidates the extrapolation: the first report
-        # (t = 0) extrapolates exactly until the turn, which costs one more.
+        # The first report (t = 0) carries no velocity yet, so drifting
+        # past the threshold costs a second report, which then
+        # extrapolates exactly until the sharp turn; the turn costs one more.
         out = [(float(t), Point(2.0 * t, 0.0)) for t in range(51)]
         back = [(50.0 + t, Point(100.0 - 2.0 * t, 0.0)) for t in range(1, 51)]
         policy = DeadReckoningPolicy(threshold=10.0)
         result = simulate_policy(policy, out + back)
-        assert result["updates"] == 2
+        assert result["updates"] == 3
 
     def test_a_report_at_time_zero_extrapolates(self):
         policy = DeadReckoningPolicy(threshold=10.0)
-        policy.note_report(0.0, Point(0.0, 0.0))
+        policy.observe(-1.0, Point(-3.0, 0.0))
         policy.observe(0.0, Point(0.0, 0.0))
-        policy.observe(1.0, Point(3.0, 0.0))
+        policy.note_report(0.0, Point(0.0, 0.0))
         assert policy.estimate(4.0) == Point(12.0, 0.0)
+
+    def test_samples_without_a_report_do_not_move_the_estimate(self):
+        # The report at t = 0 carried velocity 0; a sample that triggers
+        # no report tells the server nothing.
+        policy = DeadReckoningPolicy(threshold=10.0)
+        assert policy.should_report(0.0, Point(0.0, 0.0))
+        policy.note_report(0.0, Point(0.0, 0.0))
+        assert not policy.should_report(1.0, Point(2.0, 0.0))
+        assert policy.estimate(1.0) == Point(0.0, 0.0)
 
     def test_deviation_bounded(self):
         walker = RandomWaypointWalker(

@@ -12,7 +12,7 @@ from repro.model import (
     SightingRecord,
 )
 from repro.spatial import PointQuadtree
-from repro.storage import LocalDataStore
+from repro.storage import BACKENDS, LocalDataStore
 
 
 def sighting(oid, x, y, t=0.0, acc=5.0):
@@ -222,3 +222,29 @@ class TestBatchUpdates:
         store.update_many([sighting("a", 5, 5, t=11.0), sighting("b", 6, 6, t=11.0)], now=11.0)
         assert store.sighting_count == 2
         assert store.position_query("b").pos == Point(6, 6)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+class TestNewestSightingWins:
+    """A sighting is applied only when it is at least as new as the
+    stored one: arrival order does not decide the position."""
+
+    def test_an_older_update_leaves_the_newer_position(self, backend):
+        store = make_store(backend=backend)
+        store.register(sighting("a", 1, 1, t=0.0), 20.0, 100.0, "client")
+        store.update_many([sighting("a", 2, 2, t=2.0)], now=2.0)
+        store.update_many([sighting("a", 9, 9, t=1.0)], now=3.0)
+        assert store.position_query("a").pos == Point(2, 2)
+        store.update_many([sighting("a", 3, 3, t=2.0)], now=4.0)  # equal: applied
+        assert store.position_query("a").pos == Point(3, 3)
+
+    def test_an_older_handover_leaves_the_newer_position(self, backend):
+        store = make_store(backend=backend)
+        reg = RegistrationInfo("client", 20.0, 100.0)
+        store.admit_handover_many([(sighting("a", 50, 50, t=2.0), reg)], now=2.0)
+        store.admit_handover_many([(sighting("a", 500, 500, t=1.0), reg)], now=3.0)
+        assert store.position_query("a").pos == Point(50, 50)
+        entries = store.range_query(
+            RangeQuery(Rect(0, 0, 100, 100), req_acc=50.0, req_overlap=0.5)
+        )
+        assert [oid for oid, _ in entries] == ["a"]  # the index agrees
