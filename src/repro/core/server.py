@@ -39,6 +39,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Coroutine
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import is_not
+
+import numpy as np
 
 from repro.core import messages as m
 from repro.core.caching import CacheConfig, LeafCaches
@@ -56,6 +60,7 @@ from repro.model import (
     NearestNeighborResult,
     ObjectEntry,
     RangeQuery,
+    SightingColumns,
     effective_margin,
     nearest_neighbor,
 )
@@ -325,6 +330,9 @@ class LocationServer(Endpoint):
         self._retired_to: str | None = None
         #: object id → newest item of a handover row this server owns.
         self._handovers: dict[str, m.HandoverBatchItem] = {}
+        #: ``(area, min_x, max_x, min_y, max_y)``, the bounds as 0-d arrays
+        #: (a Python float in a numpy compare costs more than the compare).
+        self._bounds: tuple = (None,)
         #: the topology epoch this server's config belongs to.  The
         #: service advances it on every adopted rebalance; fan-outs and
         #: envelopes are stamped with it so stale-epoch traffic (routed
@@ -715,22 +723,18 @@ class LocationServer(Endpoint):
     def _on_update_batch(self, msg: m.UpdateBatchReq) -> Coroutine | None:
         self.stats.note(msg)
         self._note_epoch(msg)
+        sightings = SightingColumns.of(msg.sightings)
 
         def reply(outcomes) -> None:
             self.send(
                 msg.reply_to,
                 m.UpdateBatchRes(
                     request_id=msg.request_id,
-                    outcomes=tuple(
-                        outcomes[oid]
-                        for oid in dict.fromkeys(s.object_id for s in msg.sightings)
-                    ),
+                    outcomes=tuple(map(outcomes.__getitem__, dict.fromkeys(sightings.ids))),
                 ),
             )
 
-        return self._reply_after(
-            *self._apply_updates(msg.sightings, msg.sub_timeout), reply
-        )
+        return self._reply_after(*self._apply_updates(sightings, msg.sub_timeout), reply)
 
     def _reply_after(self, outcomes: dict, subtasks: list, reply) -> Coroutine | None:
         """``reply(outcomes)`` at once when no sub-envelope waits;
@@ -759,41 +763,45 @@ class LocationServer(Endpoint):
         interior server devices still address as their agent) one step
         down the path — the real agent's outcome re-points the sender.
         """
+        sightings = SightingColumns.of(sightings)
+        ids, x, y, area = sightings.ids, sightings.x, sightings.y, self.config.area
+        held = list(map(self.visitors.leaf_record, ids)) if self.is_leaf else [None] * len(ids)
+        if self._bounds[0] is not area:
+            self._bounds = (area, *map(np.array, (area.min_x, area.max_x, area.min_y, area.max_y)))
+        _, min_x, max_x, min_y, max_y = self._bounds
+        here = (min_x <= x) & (x <= max_x) & (min_y <= y) & (y <= max_y)  # closed, as contains()
+        if not all(held):
+            here &= np.fromiter(map(is_not, held, repeat(None)), bool, len(ids))
+        kept = here.nonzero()[0]
+        away = (~here).nonzero()[0].tolist() if len(kept) < len(ids) else ()
         outcomes: dict[str, m.UpdateOutcome] = {}
-        fast: list = []  # agent here, still in-area → one store batch
-        fast_records: list = []
-        crossing: list = []  # agent here, left the area → handover lane
-        forward: dict[str, list] = {}  # known only by forwarding reference
-        is_leaf = self.is_leaf
-        for sighting in sightings:
-            oid = sighting.object_id
-            record = self.visitors.leaf_record(oid) if is_leaf else None
-            if record is None:
-                next_hop = self.visitors.forward_ref(oid)
-                if next_hop is not None:
-                    forward.setdefault(next_hop, []).append(sighting)
-                else:
-                    outcomes[oid] = m.UpdateOutcome(
-                        object_id=oid,
-                        ok=False,
-                        error=f"{self.address} is not the agent of {oid}",
-                    )
-            elif self._contains(sighting.pos):
-                fast.append(sighting)
-                fast_records.append(record)
+        crossing: list[int] = []  # agent here, left the area → handover lane
+        forward: dict[str, list[int]] = {}  # known only by forwarding reference
+        for i in away:  # Python visits only the items not applied here
+            if held[i] is not None:
+                crossing.append(i)
+            elif (next_hop := self.visitors.forward_ref(ids[i])) is not None:
+                forward.setdefault(next_hop, []).append(i)
             else:
-                crossing.append((sighting, record))
-        if fast:
+                outcomes[ids[i]] = m.UpdateOutcome(
+                    object_id=ids[i], ok=False, error=f"{self.address} is not the agent of {ids[i]}"
+                )
+        fast, records = sightings, held  # agent here, still in-area → one store batch
+        if away:
+            fast, records = sightings.take(kept.tolist()), [held[i] for i in kept.tolist()]
+        if records:
             self.apply_in_area(fast, self.ctx.now())
-            for sighting, record in zip(fast, fast_records):
-                oid = sighting.object_id  # (object_id, ok, agent, offered_acc)
-                outcomes[oid] = _UPDATE_OUTCOME(oid, True, self.address, record.offered_acc)
+            accs = [record.offered_acc for record in records]
+            # UpdateOutcome(object_id, ok, agent, offered_acc) per in-area item
+            made = map(_UPDATE_OUTCOME, fast.ids, repeat(True), repeat(self.address), accs)
+            outcomes.update(zip(fast.ids, made))
         subtasks = [
-            self._forward_update_batch(next_hop, batch, sub_timeout)
-            for next_hop, batch in forward.items()
+            self._forward_update_batch(next_hop, sightings.take(items), sub_timeout)
+            for next_hop, items in forward.items()
         ]
         if crossing:
-            subtasks.append(self._handover_batch(crossing, sub_timeout))
+            pairs = zip(sightings.take(crossing), [held[i] for i in crossing])
+            subtasks.append(self._handover_batch(list(pairs), sub_timeout))
         return outcomes, subtasks
 
     def apply_in_area(self, sightings, now: float) -> None:
@@ -801,11 +809,12 @@ class LocationServer(Endpoint):
         this leaf is the agent of land as one store batch, are counted in
         ``stats.updates`` and are shown to :attr:`update_listener`.  The
         one place an in-area report is applied, whether it arrived in an
-        envelope or from the in-process facade."""
+        envelope (a :class:`~repro.model.SightingColumns` view) or from
+        the in-process facade (records)."""
         self.store.update_many(sightings, now=now)
         self.stats.updates += len(sightings)
         if self.update_listener is not None:
-            self.update_listener([s.object_id for s in sightings])
+            self.update_listener(SightingColumns.ids_of(sightings))
 
     async def _forward_update_batch(
         self, next_hop: str, sightings: list, sub_timeout: float | None = None

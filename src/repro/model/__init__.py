@@ -24,6 +24,7 @@ from repro.model.records import (
     InvalidRecordError,
     LocationDescriptor,
     RegistrationInfo,
+    SightingColumns,
     SightingRecord,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "ObjectEntry",
     "RangeQuery",
     "RegistrationInfo",
+    "SightingColumns",
     "SightingRecord",
     "candidate_bounds",
     "effective_margin",

@@ -5,6 +5,8 @@
   the circular *location area* of Fig. 2.
 * :class:`SightingRecord` — ``s = (oId, t, pos, accsens)``: one sensor
   sighting sent on registration and position updates (Section 3.1).
+* :class:`SightingColumns` — an envelope's sightings as columns, read as
+  a sequence of :class:`SightingRecord`.
 * :class:`RegistrationInfo` — the ``regInfo`` record kept in a leaf
   server's visitor DB: who registered the object and the negotiated
   accuracy range ``[desAcc, minAcc]``.
@@ -18,7 +20,11 @@ and ``minAcc`` is the worst deviation the client will accept.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from operator import attrgetter
+
+import numpy as np
 
 from repro.errors import LocationServiceError
 from repro.geo import Circle, Point
@@ -79,6 +85,80 @@ class SightingRecord:
             raise InvalidRecordError("sighting needs a non-empty object id")
         if self.acc_sens < 0:
             raise InvalidRecordError(f"sensor accuracy must be non-negative, got {self.acc_sens}")
+
+
+#: a sighting's float fields, in the view's column order.
+_FLOAT_FIELDS = tuple(map(attrgetter, ("timestamp", "pos.x", "pos.y", "acc_sens")))
+
+
+class SightingColumns(Sequence):
+    """Sightings as columns — ``ids`` (a list of str) and ``t``, ``x``,
+    ``y``, ``acc`` (float64 arrays) — and a read-only sequence of the
+    :class:`SightingRecord` rows, built once, on demand; it compares and
+    hashes as their tuple.  The wire decodes a ``seq`` of sightings into
+    one; validation, the in-area split and the columnar store run on its
+    columns.  Its items keep the record rules (else
+    :class:`InvalidRecordError`)."""
+
+    __slots__ = ("ids", "t", "x", "y", "acc", "columns", "_rows")
+
+    def __init__(self, ids: list, t, x, y, acc) -> None:
+        if "" in ids:
+            raise InvalidRecordError("sighting needs a non-empty object id")
+        if (least := np.fmin.reduce(acc, initial=0.0)) < 0:  # (fmin passes over a nan)
+            raise InvalidRecordError(f"sensor accuracy must be non-negative, got {least}")
+        self.ids, self.t, self.x, self.y, self.acc = ids, t, x, y, acc
+        self.columns = (ids, t, x, y, acc)  # the schema's field columns, ``pos`` inline
+        self._rows: tuple | None = None
+
+    @classmethod
+    def of(cls, sightings) -> "SightingColumns":
+        """``sightings`` itself when it is a view, else a view of the records."""
+        if type(sightings) is cls:
+            return sightings
+        rows = tuple(sightings)
+        floats = (np.fromiter(map(get, rows), np.float64, len(rows)) for get in _FLOAT_FIELDS)
+        view = cls([s.object_id for s in rows], *floats)
+        view._rows = rows
+        return view
+
+    @staticmethod
+    def ids_of(sightings) -> list:
+        """The object ids of a view or of records, building neither."""
+        if type(sightings) is SightingColumns:
+            return list(sightings.ids)
+        return [s.object_id for s in sightings]
+
+    def take(self, indexes: list) -> "SightingColumns":
+        """The view of the items at ``indexes``, in that order."""
+        ids, at = self.ids, np.array(indexes, np.intp)
+        return SightingColumns([ids[i] for i in indexes], *(c[at] for c in self.columns[1:]))
+
+    def _all(self) -> tuple:
+        if self._rows is None:
+            from repro.runtime.schema import builder_of  # the runtime layer imports this one
+
+            points = map(builder_of(Point), self.x.tolist(), self.y.tolist())
+            row = builder_of(SightingRecord)
+            self._rows = tuple(map(row, self.ids, self.t.tolist(), points, self.acc.tolist()))
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, SightingColumns)):
+            return self._all() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._all())
 
 
 @dataclass(frozen=True, slots=True)

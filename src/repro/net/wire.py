@@ -30,7 +30,9 @@ message is the case ``n = 1``, a batch's item list the case ``n = len``:
 ``opt``            ``n`` presence bytes (0 / 1), then a column of the present values
                    (nothing when none is present).
 ``seq``            ``n`` ``u32`` item counts, then ONE column of all the items: the
-                   100 sightings of an update envelope are five packed columns.
+                   100 sightings of an update envelope are five packed columns,
+                   decoded into their ``COLUMN_VIEWS`` column view, no record built
+                   (a struct whose field count is not its schema's: rows).
 ``tuple``          one column per position.
 ``union``          ``n`` tag bytes (index into the annotation), then per variant a
                    column of the values carrying that tag.
@@ -50,9 +52,9 @@ accounts for, a presence byte other than 0 / 1, an unknown union tag, bad
 UTF-8.  Field types come from the schema, never from the bytes, so "a
 string where a float belongs" and "nesting too deep" cannot be expressed.
 A record that trips one of these, or whose ``__post_init__`` record rule
-raises (a negative accuracy, a degenerate rect), is skipped like an
-unknown type; a frame whose *record headers* do not add up is counted
-corrupt and nothing of it is delivered.
+raises (a negative accuracy, a degenerate rect; a column view runs them
+as column checks), is skipped like an unknown type; a frame whose *record
+headers* do not add up is counted corrupt and nothing of it is delivered.
 :func:`~repro.runtime.validation.find_defect` owns the semantic rules
 (NaN, negative epoch, empty id).
 """
@@ -60,6 +62,7 @@ corrupt and nothing of it is delivered.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 import zlib
 from itertools import accumulate, chain, islice
@@ -67,10 +70,12 @@ from struct import Struct, pack, unpack_from
 from struct import error as StructError
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.hierarchy import decode_hierarchy, encode_hierarchy  # noqa: F401 (re-export)
 from repro.errors import LocationServiceError, WireError
 from repro.runtime.base import Message
-from repro.runtime.schema import Kind, builder_of, schema_of
+from repro.runtime.schema import COLUMN_VIEWS, Kind, builder_of, schema_of
 
 __all__ = [
     "WIRE_VERSION", "MAGIC", "HEADER_SIZE", "MAX_FRAME_SIZE", "encode", "decode",
@@ -99,6 +104,7 @@ _UNDECODABLE = (LocationServiceError, StructError, ValueError, TypeError, IndexE
 # bytes, no format string to build): most messages are columns of one.
 
 _U32 = Struct("<I")
+_F64 = np.dtype("<f8")
 _STRUCT_HEAD = Struct("<BI")  # field count, byte length of the field columns
 
 
@@ -211,6 +217,7 @@ def _opt(kind: Kind) -> tuple:
 
 def _seq(kind: Kind) -> tuple:
     write_inner, read_inner = _column(kind.arg)
+    view = COLUMN_VIEWS.get(kind.arg.arg) if kind.arg.tag == "struct" else None
 
     def write(out, values):
         _WRITE_U32(out, [len(v) for v in values])
@@ -218,11 +225,51 @@ def _seq(kind: Kind) -> tuple:
 
     def read(buf, pos, end, n):
         counts, pos = _READ_U32(buf, pos, end, n)
+        if view and n == 1 and counts[0]:  # one seq of a struct that has a column view
+            stop = _flat(kind.arg.arg)(buf, pos, end, counts[0], columns := [])
+            if stop is not None:
+                return [view(*columns)], stop
         items, pos = read_inner(buf, pos, end, sum(counts))
         it = iter(items)
         return [tuple(islice(it, count)) for count in counts], pos
 
     return write, read
+
+
+@functools.cache
+def _flat(cls: type):
+    """``read(buf, pos, end, n, out)``: append the columns of ``n`` ``cls``
+    structs to ``out`` — a nested struct's inline, floats as aligned
+    float64 arrays — and return the position after them; ``None`` when a
+    struct's field count is not its schema's (the row reader takes that
+    peer)."""
+    steps = [
+        (_flat(k.arg) if k.tag == "struct" else None, k.tag == "float", _column(k)[1])
+        for k in (field.kind for field in schema_of(cls))
+    ]
+
+    def read(buf, pos, end, n, out):
+        count, size = _STRUCT_HEAD.unpack_from(buf, pos)
+        stop, pos = pos + 5 + size, pos + 5
+        if count != len(steps):
+            return None
+        if stop > end or n > max(size, 1):
+            raise WireError(f"{cls.__name__}: {n} item(s) in {size} byte(s) do not fit")
+        for nested, floats, read_column in steps:
+            if nested is not None:
+                if (pos := nested(buf, pos, stop, n, out)) is None:
+                    return None
+            elif floats and pos + 8 * n <= stop:
+                out.append(np.frombuffer(buf[pos : pos + 8 * n], _F64))  # aligned: cheaper to use
+                pos += 8 * n
+            else:  # another scalar, or an overrun the codec's own reader refuses
+                column, pos = read_column(buf, pos, stop, n)
+                out.append(column)
+        if pos != stop:
+            raise WireError(f"{cls.__name__}: {stop - pos} byte(s) no field accounts for")
+        return stop
+
+    return read
 
 
 def _tuple(kind: Kind) -> tuple:

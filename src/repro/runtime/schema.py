@@ -6,7 +6,8 @@ wire codec (:mod:`repro.net.wire`), the receive-path validator
 (:mod:`repro.runtime.validation`) and the chaos layer's field mutator
 (:meth:`repro.chaos.FaultInjector.mutate_message`).  The fourth is
 :func:`builder_of`, the records' constructor without the dataclass
-``__init__`` (``__post_init__`` still refuses a bad record).
+``__init__`` (``__post_init__`` still refuses a bad record); the fifth
+is :data:`COLUMN_VIEWS`, a ``seq``'s decoded form where it is columns.
 
 A field's type is a small tree of :class:`Kind` nodes.  ``tag`` is a
 scalar (``str`` ``float`` ``int`` ``bool`` ``bytes``, no ``arg``) or a
@@ -37,7 +38,8 @@ from typing import Callable, NamedTuple
 
 from repro.errors import WireError
 
-__all__ = ["Kind", "Field", "schema_of", "builder_of", "is_id_field", "is_epoch_field"]
+__all__ = ["Kind", "Field", "schema_of", "builder_of", "COLUMN_VIEWS", "is_id_field",
+           "is_epoch_field"]
 
 #: field names treated as identifiers (must be non-empty strings).
 _ID_SUFFIXES = ("_id",)
@@ -175,3 +177,10 @@ from repro.geo import Point, Polygon  # noqa: E402
 _SCHEMAS[Polygon] = (
     Field("points", Kind("seq", Kind("struct", Point)), True, attrgetter("points")),
 )
+
+from repro.model.records import SightingColumns, SightingRecord  # noqa: E402
+
+#: struct → what a ``seq`` of it decodes into: ``view(*columns)`` over its
+#: field columns in order (a nested struct's inline, floats as float64
+#: arrays), a read-only sequence of the records.
+COLUMN_VIEWS: dict[type, type] = {SightingRecord: SightingColumns}

@@ -20,7 +20,10 @@ epochs) out with one ``attrgetter`` and scans them at C speed, then hands
 each container field (``opt``, ``seq``, ``tuple``, ``union``, nested
 ``struct``) that leads to a ruled scalar, as a column, to that kind's
 checker; a field that leads to none costs nothing.  A batch envelope's
-100 sightings are three scans, not 100 object walks.
+100 sightings are three scans, not 100 object walks; as a column view
+(:data:`repro.runtime.schema.COLUMN_VIEWS`, the wire's form) the same
+scans, in the same order and with the same defect strings, run on its
+columns — one NaN test per float column, ``"" in ids``, no record built.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from operator import ne
 from typing import Any, Callable
 
 from repro.errors import WireError
-from repro.runtime.schema import Kind, is_epoch_field, is_id_field, schema_of
+from repro.runtime.schema import COLUMN_VIEWS, Kind, is_epoch_field, is_id_field, schema_of
 
 __all__ = ["find_defect", "is_id_field", "is_epoch_field"]
 
@@ -94,7 +97,24 @@ def _column(kind: Kind, name: str) -> Check | None:
     if tag == "opt":
         return _all_of([(lambda vs: [v for v in vs if v is not None], _column(arg, name))])
     if tag == "seq":
-        return _all_of([(lambda vs: list(chain.from_iterable(vs)), _column(arg, name))])
+        rows = _all_of([(lambda vs: list(chain.from_iterable(vs)), _column(arg, name))])
+        view = COLUMN_VIEWS.get(arg.arg) if arg.tag == "struct" else None
+        if view is None or rows is None:
+            return rows
+        parts = _flat_parts(arg.arg)[0]
+
+        def check(values: list) -> str | None:  # a view: the same scans, on its columns
+            if len(values) != 1 or type(values[0]) is not view:
+                return rows(values)
+            columns = values[0].columns
+            for rule, label, at in parts:
+                for column in map(columns.__getitem__, at):  # a sum of squares is NaN iff a term is
+                    defect = _RULES[rule]([column.dot(column)] if rule == "nan" else column)
+                    if defect:
+                        return f"{label}: {defect}"
+            return None
+
+        return check
     if tag == "tuple":
         return _all_of(
             [(lambda vs, i=i: [v[i] for v in vs], _column(k, name)) for i, k in enumerate(arg)]
@@ -104,6 +124,22 @@ def _column(kind: Kind, name: str) -> Check | None:
             [(lambda vs, c=k.arg: [v for v in vs if type(v) is c], _struct(k.arg)) for k in arg]
         )
     return None
+
+
+def _flat_parts(cls: type, at: int = 0) -> tuple[list, int]:
+    """:func:`_struct`'s scans of ``cls`` in its order, as ``(rule, label,
+    column indexes)`` over its flat columns (a nested struct's inline),
+    and the index after them."""
+    parts, ruled = [], {}
+    for field in schema_of(cls):
+        if field.kind.tag == "struct":
+            inner, at = _flat_parts(field.kind.arg, at)
+            parts += inner
+        else:
+            ruled.setdefault(field.kind.rule, []).append((field.name, at))
+            at += 1
+    ruled.pop(None, None)
+    return parts + [(r, "/".join(n for n, _ in f), [i for _, i in f]) for r, f in ruled.items()], at
 
 
 _STRUCTS: dict[type, Check | None] = {}

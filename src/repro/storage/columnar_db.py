@@ -10,6 +10,9 @@ columns registered here hold each sighting's timestamp (``t``), sensed
 accuracy (``acc``) and soft-state expiry deadline (``deadline``).  A
 ``SightingRecord`` is materialized only when a caller actually asks for
 one; the tick-rate hot path (:meth:`update_positions`) never builds any.
+A batch lands from its :class:`~repro.model.SightingColumns` view (an
+envelope off the wire is one) as five fancy-index stores, the newest
+sighting rule one compare on ``t``; a one-record call writes one slot.
 
 Soft state lives in the ``deadline`` column rather than an
 :class:`~repro.storage.soft_state.ExpiryTimer` heap: renewing a record's
@@ -29,8 +32,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import StorageError
-from repro.model import SightingRecord
+from repro.model import SightingColumns, SightingRecord
 from repro.geo import Point, Rect
 from repro.spatial.columnar import ColumnarIndex, SlotHandle
 from repro.storage.sighting_db import DEFAULT_TTL, SightingDB
@@ -73,18 +78,36 @@ class ColumnarSightingDB(SightingDB):
             cols["acc"].item(slot),
         )
 
-    def _store_many(self, moves: Iterable[tuple[int, SightingRecord]], deadline: float) -> None:
-        """Write each ``(slot, sighting)`` into all five columns."""
+    def _write(self, slot: int, sighting: SightingRecord, deadline: float) -> None:
+        """One sighting into one slot: five scalar stores, no array set-up."""
         cols = self._index._cols
-        col_x, col_y, col_t = cols["x"], cols["y"], cols["t"]
-        col_acc, col_dl = cols["acc"], cols["deadline"]
-        for slot, s in moves:
-            pos = s.pos
-            col_x[slot] = pos.x
-            col_y[slot] = pos.y
-            col_t[slot] = s.timestamp
-            col_acc[slot] = s.acc_sens
-            col_dl[slot] = deadline
+        cols["x"][slot] = sighting.pos.x
+        cols["y"][slot] = sighting.pos.y
+        cols["t"][slot] = sighting.timestamp
+        cols["acc"][slot] = sighting.acc_sens
+        cols["deadline"][slot] = deadline
+
+    def _scatter(self, slots: list, view: SightingColumns, deadline: float, newest=True) -> None:
+        """``view``'s items into ``slots``: five fancy-index stores.  A slot
+        named twice takes its item with the largest ``t`` (``newest``) or
+        its last item, on a tie the later one, as one-by-one writes would;
+        with ``newest`` a slot whose stored sighting is newer keeps it."""
+        columns = [np.array(slots, dtype=np.intp), view.t, view.x, view.y, view.acc]
+        if len(set(slots)) < len(slots):
+            at, t = columns[:2]
+            order = np.arange(len(slots))
+            order = np.lexsort((order, t, at) if newest else (order, at))
+            ordered = at[order]
+            last = order[np.append(ordered[1:] != ordered[:-1], True)]  # each slot's last
+            columns = [column[last] for column in columns]
+        cols = self._index._cols
+        if newest:
+            stale = cols["t"][columns[0]] > columns[1]  # a fresh slot's nan: written
+            if stale.nonzero()[0].size:
+                columns = [column[~stale] for column in columns]
+        at, t, x, y, acc = columns
+        cols["t"][at], cols["x"][at], cols["y"][at], cols["acc"][at] = t, x, y, acc
+        cols["deadline"][at] = deadline
 
     def _deadline(self, now: float, ttl: float | None) -> float:
         return now + (ttl if ttl is not None else self._default_ttl)
@@ -95,13 +118,21 @@ class ColumnarSightingDB(SightingDB):
         oid = sighting.object_id
         if oid in self:
             raise KeyError(f"sighting for {oid!r} already present; use update()")
-        self.upsert_many([sighting], now, ttl)
+        self.upsert(sighting, now, ttl)
 
     def update(self, sighting: SightingRecord, now: float = 0.0, ttl: float | None = None) -> None:
-        self.update_many([sighting], now, ttl)  # KeyError(oid) if absent
+        slot = self._index.slot_of(sighting.object_id)  # KeyError(oid) if absent
+        self._write(slot, sighting, self._deadline(now, ttl))
 
     def upsert(self, sighting: SightingRecord, now: float = 0.0, ttl: float | None = None) -> None:
-        self.upsert_many([sighting], now, ttl)
+        index, oid = self._index, sighting.object_id
+        slot = index._slot_of.get(oid)
+        if slot is None:
+            slot = index.alloc_slot(oid)
+            self._pending_expiry.pop(oid, None)
+        elif index._cols["t"][slot] > sighting.timestamp:
+            return  # the newest sighting wins, whatever the arrival order
+        self._write(slot, sighting, self._deadline(now, ttl))
 
     def update_many(
         self,
@@ -109,10 +140,9 @@ class ColumnarSightingDB(SightingDB):
         now: float = 0.0,
         ttl: float | None = None,
     ) -> None:
-        batch = list(sightings)
-        slot_of = self._index.slot_of
-        slots = [slot_of(s.object_id) for s in batch]  # validate first
-        self._store_many(zip(slots, batch), self._deadline(now, ttl))
+        view = SightingColumns.of(sightings)
+        slots = list(map(self._index.slot_of, view.ids))  # KeyError before any write
+        self._scatter(slots, view, self._deadline(now, ttl), newest=False)
 
     def upsert_many(
         self,
@@ -120,19 +150,16 @@ class ColumnarSightingDB(SightingDB):
         now: float = 0.0,
         ttl: float | None = None,
     ) -> None:
+        view = SightingColumns.of(sightings)
         index = self._index
-        slot_of = index._slot_of
-        col_t = index.column("t")  # a regrow copies it: still right for old slots
-        moves: list[tuple[int, SightingRecord]] = []
-        for sighting in sightings:
-            slot = slot_of.get(sighting.object_id)
-            if slot is None:  # may regrow the columns: _store_many fetches them after
-                slot = index.alloc_slot(sighting.object_id)
-                self._pending_expiry.pop(sighting.object_id, None)
-            elif col_t[slot] > sighting.timestamp:
-                continue  # the newest sighting wins, whatever the arrival order
-            moves.append((slot, sighting))
-        self._store_many(moves, self._deadline(now, ttl))
+        slots = list(map(index._slot_of.get, view.ids))
+        if None in slots:  # unknown ids get slots in arrival order
+            for oid in view.ids:
+                if oid not in index._slot_of:
+                    index.alloc_slot(oid)
+                    self._pending_expiry.pop(oid, None)
+            slots = list(map(index._slot_of.__getitem__, view.ids))
+        self._scatter(slots, view, self._deadline(now, ttl))
 
     def bulk_insert(
         self,
@@ -140,27 +167,16 @@ class ColumnarSightingDB(SightingDB):
         now: float = 0.0,
         ttl: float | None = None,
     ) -> None:
-        batch = list(sightings)
-        for sighting in batch:
-            if sighting.object_id in self:
-                raise KeyError(
-                    f"sighting for {sighting.object_id!r} already present; use update()"
-                )
-        handle = self._index.bulk_load_arrays(
-            [s.object_id for s in batch],
-            [s.pos.x for s in batch],
-            [s.pos.y for s in batch],
-        )
-        index = self._index
-        col_t = index.column("t")
-        col_acc = index.column("acc")
-        col_dl = index.column("deadline")
-        deadline = self._deadline(now, ttl)
-        for slot, s in zip(handle.slots, batch):
-            col_t[slot] = s.timestamp
-            col_acc[slot] = s.acc_sens
-            col_dl[slot] = deadline
-            self._pending_expiry.pop(s.object_id, None)
+        view = SightingColumns.of(sightings)
+        for oid in view.ids:
+            if oid in self:
+                raise KeyError(f"sighting for {oid!r} already present; use update()")
+        slots = self._index.bulk_load_arrays(view.ids, view.x, view.y).slots
+        cols = self._index._cols
+        cols["t"][slots], cols["acc"][slots] = view.t, view.acc
+        cols["deadline"][slots] = self._deadline(now, ttl)
+        for oid in view.ids:
+            self._pending_expiry.pop(oid, None)
 
     def remove(self, object_id: str) -> SightingRecord:
         slot = self._index.slot_of(object_id)  # KeyError if absent

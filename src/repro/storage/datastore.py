@@ -12,8 +12,10 @@ store a **leaf** location server operates on.  It is also:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import AccuracyUnavailableError, StorageError, UnknownObjectError
-from repro.geo import Point, Rect
+from repro.geo import Rect
 from repro.model import (
     AccuracyModel,
     LocationDescriptor,
@@ -22,6 +24,7 @@ from repro.model import (
     ObjectEntry,
     RangeQuery,
     RegistrationInfo,
+    SightingColumns,
     SightingRecord,
 )
 from repro.spatial import SpatialIndex
@@ -29,7 +32,7 @@ from repro.spatial.columnar import SlotHandle
 from repro.storage.columnar_db import ColumnarSightingDB
 from repro.storage.persistence import PersistentStore
 from repro.storage.sighting_db import DEFAULT_TTL, SightingDB
-from repro.storage.visitor_db import VisitorDB
+from repro.storage.visitor_db import LeafVisitorRecord, VisitorDB
 
 #: Sighting-storage backends selectable per store: ``objects`` is the
 #: record-per-visitor :class:`SightingDB` (Table 1's store, the default
@@ -193,29 +196,24 @@ class LocalDataStore:
         """Refresh many visitors' sightings with one batched index pass.
 
         The batched counterpart of :meth:`update` (same per-record upsert
-        semantics): visitor records are validated first, then the
-        sighting DB applies all position moves through the spatial
-        index's in-place batch path.  Raises
+        semantics) over records or a :class:`~repro.model.SightingColumns`
+        view: the ids are checked against the visitor records first, then
+        the sighting DB applies the batch in one pass (the columnar
+        backend on the view's columns).  Raises
         :class:`~repro.errors.UnknownObjectError` (before anything is
         applied) if any sighting refers to an unregistered object.
         """
-        batch = list(sightings)
-        leaf_record = self.visitors.leaf_record
-        if self._mirror is None:
-            for sighting in batch:
-                if leaf_record(sighting.object_id) is None:
-                    raise UnknownObjectError(sighting.object_id)
-            self.sightings.upsert_many(batch, now=now)
-            return
-        records = []
-        for sighting in batch:
-            record = leaf_record(sighting.object_id)
-            if record is None:
-                raise UnknownObjectError(sighting.object_id)
-            records.append(record)
+        batch = sightings if type(sightings) is SightingColumns else list(sightings)
+        ids = SightingColumns.ids_of(batch)
+        found = list(map(self.visitors.get, ids))  # leaf_record's rule, at C speed
+        if not set(map(type, found)) <= {LeafVisitorRecord}:
+            unknown = next(o for o, r in zip(ids, found) if type(r) is not LeafVisitorRecord)
+            raise UnknownObjectError(unknown)
         self.sightings.upsert_many(batch, now=now)
-        for sighting, record in zip(batch, records):
-            self._mirror.record_upsert(sighting, record.offered_acc, record.reg_info)
+        if self._mirror is not None:
+            for sighting in batch:
+                record = self.visitors.leaf_record(sighting.object_id)
+                self._mirror.record_upsert(sighting, record.offered_acc, record.reg_info)
 
     # -- array-native fast lane (columnar backend only) -----------------------
 
@@ -277,17 +275,9 @@ class LocalDataStore:
             return
         index = sightings._index
         index.check_handle(handle)  # same staleness contract as the fast path
-        col_acc = index.column("acc")
-        records = [
-            SightingRecord(
-                object_id=oid,
-                timestamp=now,
-                pos=Point(float(x), float(y)),
-                acc_sens=float(col_acc[slot]),
-            )
-            for oid, slot, x, y in zip(handle.object_ids, handle.slots, xs, ys)
-        ]
-        self.update_many(records, now=now)
+        t, acc = np.full(len(handle), float(now)), index.column("acc")[handle.slots]
+        xs, ys = np.asarray(xs, np.float64), np.asarray(ys, np.float64)
+        self.update_many(SightingColumns(list(handle.object_ids), t, xs, ys, acc), now=now)
 
     # -- migration bulk paths (repro.cluster) ---------------------------------
 

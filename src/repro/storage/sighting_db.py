@@ -83,10 +83,12 @@ class SightingDB:
         self._timer.renew(oid, now + (ttl if ttl is not None else self._default_ttl))
 
     def upsert(self, sighting: SightingRecord, now: float = 0.0, ttl: float | None = None) -> None:
-        if sighting.object_id in self._records:
-            self.update(sighting, now, ttl)
-        else:
+        """Insert, or update unless the stored sighting is newer."""
+        stored = self._records.get(sighting.object_id)
+        if stored is None:
             self.insert(sighting, now, ttl)
+        elif sighting.timestamp >= stored.timestamp:
+            self.update(sighting, now, ttl)
 
     def update_many(
         self,
@@ -123,19 +125,20 @@ class SightingDB:
         """Batched upsert: updates take the batched fast path.
 
         Sightings for known objects go through :meth:`update_many` unless
-        the stored one is newer (arrival order does not matter); the rare
+        the stored one is newer (arrival order does not matter: an object
+        named twice ends at its newest, on a tie the later); the rare
         unknown ones (registration, crash recovery) are inserted one by one.
         """
         records = self._records
-        updates: list[SightingRecord] = []
+        newest: dict[str, SightingRecord] = {}
         for sighting in sightings:
-            stored = records.get(sighting.object_id)
+            stored = newest.get(sighting.object_id) or records.get(sighting.object_id)
             if stored is None:
                 self.insert(sighting, now=now, ttl=ttl)
             elif sighting.timestamp >= stored.timestamp:
-                updates.append(sighting)
-        if updates:
-            self.update_many(updates, now=now, ttl=ttl)
+                newest[sighting.object_id] = sighting
+        if newest:
+            self.update_many(newest.values(), now=now, ttl=ttl)
 
     def bulk_insert(
         self,

@@ -25,6 +25,7 @@ from repro.geo.point import Vector
 from repro.model import (
     LocationDescriptor,
     RegistrationInfo,
+    SightingColumns,
     SightingRecord,
 )
 from repro.net import wire
@@ -121,6 +122,9 @@ def _build(cls, rng, depth=0):
 
 
 def _assert_equal(a, b, context):
+    if type(b) is SightingColumns:  # a seq of SightingRecord decodes into its view
+        assert type(a) is tuple, (context, a, b)
+        b = tuple(b)
     assert type(a) is type(b), (context, a, b)
     if isinstance(a, Polygon):
         assert a.points == b.points, context

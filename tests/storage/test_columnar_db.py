@@ -113,6 +113,34 @@ class TestBatchedSlotMoves:
         assert batched._pending_expiry == {}
 
 
+class TestColumnWrites:
+    """A batch lands from its column view with one store per column; a
+    one-record call writes its slot directly.  Both keep the newest
+    sighting, as one-by-one writes would."""
+
+    def test_an_older_one_record_upsert_writes_nothing(self, db):
+        db.insert(sighting("a", 1, 1, t=5.0), now=0.0, ttl=10.0)
+        db.upsert(sighting("a", 9, 9, t=1.0), now=20.0, ttl=10.0)
+        assert db.get("a") == sighting("a", 1, 1, t=5.0)
+        assert db.expire_due(15.0) == ["a"]  # nor renewed its deadline
+
+    def test_a_batch_naming_an_object_twice_keeps_its_newest(self, db):
+        db.insert(sighting("a", 0, 0, t=1.0))
+        db.upsert_many(
+            [sighting("b", 1, 1, t=2.0), sighting("a", 2, 2, t=3.0), sighting("b", 3, 3, t=2.0),
+             sighting("a", 4, 4, t=0.5), sighting("b", 5, 5, t=1.0)],
+        )  # fmt: skip
+        assert db.get("a") == sighting("a", 2, 2, t=3.0)
+        assert db.get("b") == sighting("b", 3, 3, t=2.0)  # a tie: the later one
+        assert len(db) == 2
+
+    def test_update_many_is_unconditional_like_the_record_store(self, db):
+        for store in (db, SightingDB()):
+            store.insert(sighting("a", 0, 0, t=5.0))
+            store.update_many([sighting("a", 1, 1, t=9.0), sighting("a", 2, 2, t=1.0)])
+            assert store.get("a") == sighting("a", 2, 2, t=1.0)  # the last one
+
+
 class TestSoftState:
     def test_expire_due_sweeps_past_deadlines(self, db):
         db.insert(sighting("fast", 0, 0), now=0.0, ttl=10.0)

@@ -238,6 +238,34 @@ class TestNewestSightingWins:
         store.update_many([sighting("a", 3, 3, t=2.0)], now=4.0)  # equal: applied
         assert store.position_query("a").pos == Point(3, 3)
 
+    def test_an_older_one_record_update_leaves_the_newer_position(self, backend):
+        store = make_store(backend=backend)
+        store.register(sighting("a", 1, 1, t=0.0), 20.0, 100.0, "client")
+        store.update(sighting("a", 2, 2, t=2.0), now=2.0)
+        store.update(sighting("a", 9, 9, t=1.0), now=3.0)
+        assert store.position_query("a").pos == Point(2, 2)
+        assert store.sightings.get("a").timestamp == 2.0
+        store.update(sighting("a", 3, 3, t=2.0), now=4.0)  # equal: applied
+        assert store.position_query("a").pos == Point(3, 3)
+
+    def test_an_envelope_naming_an_object_twice_ends_at_its_newest(self, backend):
+        store = make_store(backend=backend)
+        store.register(sighting("a", 1, 1, t=5.0), 20.0, 100.0, "client")
+        store.register(sighting("b", 1, 1, t=0.0), 20.0, 100.0, "client")
+        store.update_many(
+            [
+                sighting("a", 2, 2, t=4.0),  # older than the stored one
+                sighting("b", 3, 3, t=2.0),
+                sighting("b", 6, 6, t=3.0),  # the newest of b
+                sighting("b", 4, 4, t=3.0),  # ties it, later: wins
+                sighting("b", 5, 5, t=1.0),  # arrives last, older
+            ],
+            now=6.0,
+        )
+        assert store.position_query("a").pos == Point(1, 1)
+        assert store.position_query("b").pos == Point(4, 4)
+        assert store.sightings.get("b").timestamp == 3.0
+
     def test_an_older_handover_leaves_the_newer_position(self, backend):
         store = make_store(backend=backend)
         reg = RegistrationInfo("client", 20.0, 100.0)
