@@ -21,7 +21,12 @@ from repro.sim.metrics import format_table
 from repro.sim.mobility import make_walkers
 
 AREA = Rect(0, 0, 5_000, 5_000)
-THRESHOLD = 25.0  # the Table-2 accuracy bound
+OFFERED_ACC = 25.0  # the Table-2 accuracy bound
+SENSOR_ACC = 10.0  # a TrackedObject's default sensor
+# The drift at which a device reports (Section 6.2): what the offer
+# leaves beyond the sensor's own error.  Both rows that claim a bound run
+# at it, so the distance row counts what a service device sends.
+THRESHOLD = OFFERED_ACC - SENSOR_ACC
 DURATION = 1_800.0
 DT = 5.0
 POPULATION = 20
@@ -61,8 +66,9 @@ def test_policy_comparison(benchmark, model):
     if model == MODELS[-1]:
         report(
             format_table(
-                "Ablation E — update protocols "
-                f"({POPULATION} objects, 30 min, {THRESHOLD:.0f} m bound)",
+                f"Ablation E — update protocols ({POPULATION} objects, 30 min, "
+                f"{OFFERED_ACC:.0f} m offered, {SENSOR_ACC:.0f} m sensor: "
+                f"{THRESHOLD:.0f} m threshold)",
                 ("mobility", "policy", "updates sent", "worst error"),
                 _rows,
             )

@@ -387,11 +387,20 @@ class MigrationExecutor:
 
     def busy_server_ids(self) -> frozenset[str]:
         """Every server id an in-flight migration touches (sources and
-        reserved destination names); the planner must skip them."""
-        busy: set[str] = set()
-        for migration in self.in_flight:
-            busy |= migration.busy
-        return frozenset(busy)
+        reserved destination names), and every leaf :meth:`begin` would
+        refuse; the planner must skip them."""
+        busy = self._handing_over(self.service.servers)
+        return busy.union(*(migration.busy for migration in self.in_flight))
+
+    def _handing_over(self, server_ids) -> frozenset[str]:
+        """The live servers of ``server_ids`` that own a pending handover
+        row: its late answer must find the object's agent still there.  A
+        crashed server is not counted, so recovery can merge it away."""
+        svc = self.service
+        return frozenset(
+            sid for sid in server_ids
+            if svc.servers[sid].handovers and not svc.network.is_down(sid)
+        )
 
     def begin(self, plan: RebalancePlan) -> PhasedMigration:
         """Open the dual-write window and queue the copy.
@@ -400,14 +409,19 @@ class MigrationExecutor:
         call (one loop turn), so no mutation can slip between them; the
         snapshot is *staged* incrementally by :meth:`step` — begin
         itself costs one pass over the source's visitor records, not an
-        index build.  The service keeps serving throughout.
+        index build.  The service keeps serving throughout.  A plan
+        whose source leaf still owns a pending handover row is refused.
         """
         if isinstance(plan, SplitPlan):
-            migration = self._begin_split(plan)
+            sources, begin = (plan.leaf_id,), self._begin_split
         elif isinstance(plan, MergePlan):
-            migration = self._begin_merge(plan)
+            sources, begin = plan.children, self._begin_merge
         else:
             raise LocationServiceError(f"unknown plan type {type(plan).__name__}")
+        pending = self._handing_over(sources)
+        if pending:
+            raise LocationServiceError(f"{sorted(pending)}: handover rows still pending")
+        migration = begin(plan)
         self.in_flight.append(migration)
         return migration
 

@@ -10,6 +10,7 @@ will have both roles, tracked object and client" — so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core import messages as m
@@ -21,6 +22,7 @@ from repro.model import (
     ObjectEntry,
     SightingRecord,
 )
+from repro.protocols import DistancePolicy
 from repro.runtime.base import Endpoint
 from repro.runtime.validation import find_defect
 
@@ -170,8 +172,9 @@ class TrackedObject(LocationClient):
 
     Implements the client half of the paper's update protocol: it keeps a
     pointer to its current *agent* (updated on every handover response)
-    and reports a new sighting whenever its true position drifts from the
-    last reported one by more than the offered accuracy.
+    and reports when its :attr:`policy`, a :class:`~repro.protocols.
+    DistancePolicy` at the offered minus the sensor accuracy, asks (§6.2;
+    time-based reporting and dead reckoning are offline ablations only).
     """
 
     def __init__(
@@ -186,15 +189,37 @@ class TrackedObject(LocationClient):
         self.sensor_acc = sensor_acc
         self.agent: str | None = None
         self.offered_acc: float | None = None
-        self.last_reported: Point | None = None
-        #: accuracy-change notifications received (``notifyAvailAcc``).
-        self.acc_notifications: list[float] = []
         self.deregistered = False
+        # No report yet, so no threshold yet: the first answer sets it.
+        self.policy = DistancePolicy(math.inf)
         self.on(m.NotifyAvailAcc, self._on_notify_acc)
 
     def _on_notify_acc(self, msg: m.NotifyAvailAcc) -> None:
-        self.offered_acc = msg.offered_acc
-        self.acc_notifications.append(msg.offered_acc)
+        self.adopt(m.UpdateOutcome(self.object_id, True, self.agent, msg.offered_acc))
+
+    def adopt(self, answer: m.UpdateRes | m.UpdateOutcome, pos: Point | None = None) -> None:
+        """The one writer of :attr:`agent`, :attr:`offered_acc`,
+        :attr:`deregistered` and the last report (``pos``, when the answer
+        acknowledges one).  Every other answer (register, ``changeAcc``,
+        ``notifyAvailAcc``, deregister) arrives as the update answer it
+        amounts to; an offer re-sets the policy's threshold."""
+        if not answer.ok:
+            return
+        self.deregistered = answer.deregistered
+        if answer.deregistered:
+            self.agent = None
+            return
+        self.agent = answer.agent
+        self.offered_acc = answer.offered_acc
+        self.policy.threshold = answer.offered_acc - self.sensor_acc
+        if pos is not None:
+            self.policy.note_report(self.ctx.now(), pos)
+
+    async def _ask(self, dest: str, build):
+        """Send ``dest`` the request ``build(**stamp)``, stamped with a
+        fresh id and this address, and await its answer."""
+        stamp = dict(request_id=self.next_request_id(), reply_to=self.address)
+        return await self.request(dest, build(**stamp), timeout=self.timeout)
 
     def _sighting(self, pos: Point) -> SightingRecord:
         return SightingRecord(
@@ -211,60 +236,36 @@ class TrackedObject(LocationClient):
             RegistrationError: when the LS rejects the accuracy range or
                 the position lies outside the service area.
         """
-        res = await self.request(
+        res = await self._ask(
             self.entry_server,
-            m.RegisterReq(
-                request_id=self.next_request_id(),
-                reply_to=self.address,
-                sighting=self._sighting(pos),
-                des_acc=des_acc,
-                min_acc=min_acc,
+            lambda **stamp: m.RegisterReq(
+                **stamp, sighting=self._sighting(pos), des_acc=des_acc, min_acc=min_acc,
                 registrar=self.address,
             ),
-            timeout=self.timeout,
         )
         assert isinstance(res, m.RegisterRes)
         if not res.ok:
             raise RegistrationError(res.error or "registration failed")
-        self.agent = res.agent
-        self.offered_acc = res.offered_acc
-        self.last_reported = pos
-        self.deregistered = False
+        self.adopt(m.UpdateOutcome(self.object_id, True, res.agent, res.offered_acc), pos)
         return res.offered_acc
 
     async def report(self, pos: Point) -> m.UpdateRes:
         """Send one position update to the current agent (``update(s)``)."""
         if self.agent is None:
             raise LocationServiceError(f"{self.object_id} is not registered")
-        res = await self.request(
+        res = await self._ask(
             self.agent,
-            m.UpdateReq(
-                request_id=self.next_request_id(),
-                reply_to=self.address,
-                sighting=self._sighting(pos),
-            ),
-            timeout=self.timeout,
+            lambda **stamp: m.UpdateReq(**stamp, sighting=self._sighting(pos)),
         )
         assert isinstance(res, m.UpdateRes)
-        if res.deregistered:
-            # The object left the root service area (Section 4).
-            self.agent = None
-            self.deregistered = True
-        elif res.ok:
-            self.agent = res.agent
-            self.offered_acc = res.offered_acc
-            self.last_reported = pos
+        self.adopt(res, pos)
         return res
 
     async def move_to(self, pos: Point) -> bool:
-        """Move; report only if drift exceeds the offered accuracy.
-
-        This is the paper's simple distance-based update protocol
-        (Section 6.2).  Returns whether an update was sent.
-        """
-        if self.last_reported is not None and self.offered_acc is not None:
-            if pos.distance_to(self.last_reported) <= self.offered_acc - self.sensor_acc:
-                return False
+        """Move to the sensed ``pos``; report it only when :attr:`policy`
+        asks (Section 6.2).  Returns whether an update was sent."""
+        if not self.policy.should_report(self.ctx.now(), pos):
+            return False
         await self.report(pos)
         return True
 
@@ -272,38 +273,26 @@ class TrackedObject(LocationClient):
         """``changeAcc(o, desAcc, minAcc) → offeredAcc``."""
         if self.agent is None:
             raise LocationServiceError(f"{self.object_id} is not registered")
-        res = await self.request(
+        res = await self._ask(
             self.agent,
-            m.ChangeAccReq(
-                request_id=self.next_request_id(),
-                reply_to=self.address,
-                object_id=self.object_id,
-                des_acc=des_acc,
-                min_acc=min_acc,
+            lambda **stamp: m.ChangeAccReq(
+                **stamp, object_id=self.object_id, des_acc=des_acc, min_acc=min_acc
             ),
-            timeout=self.timeout,
         )
         assert isinstance(res, m.ChangeAccRes)
         if not res.ok:
             raise RegistrationError(res.error or "accuracy change rejected")
-        self.offered_acc = res.offered_acc
+        self.adopt(m.UpdateOutcome(self.object_id, True, self.agent, res.offered_acc))
         return res.offered_acc
 
     async def deregister(self) -> bool:
         """``deregister(o)``."""
         if self.agent is None:
             return False
-        res = await self.request(
+        res = await self._ask(
             self.agent,
-            m.DeregisterReq(
-                request_id=self.next_request_id(),
-                reply_to=self.address,
-                object_id=self.object_id,
-            ),
-            timeout=self.timeout,
+            lambda **stamp: m.DeregisterReq(**stamp, object_id=self.object_id),
         )
         assert isinstance(res, m.DeregisterRes)
-        if res.ok:
-            self.agent = None
-            self.deregistered = True
+        self.adopt(m.UpdateOutcome(self.object_id, res.ok, deregistered=True))
         return res.ok

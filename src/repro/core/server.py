@@ -329,7 +329,7 @@ class LocationServer(Endpoint):
         #: a merge; all further non-response traffic forwards there.
         self._retired_to: str | None = None
         #: object id → newest item of a handover row this server owns.
-        self._handovers: dict[str, m.HandoverBatchItem] = {}
+        self.handovers: dict[str, m.HandoverBatchItem] = {}
         #: ``(area, min_x, max_x, min_y, max_y)``, the bounds as 0-d arrays
         #: (a Python float in a numpy compare costs more than the compare).
         self._bounds: tuple = (None,)
@@ -901,11 +901,11 @@ class LocationServer(Endpoint):
         """One destination group's handovers as one re-send row, owned
         here until answered; returns the first attempt's outcomes (none
         when it expired).  Each attempt asks for the items the row still
-        owns in :attr:`_handovers` (a newer report takes one over with a
+        owns in :attr:`handovers` (a newer report takes one over with a
         row of its own).  An item settled late is dropped, leaving a
         forwarding pointer (§5) that re-points the device's next report;
         one owned past the last expiry is kept, counted abandoned."""
-        table = self._handovers
+        table = self.handovers
         table.update(items)
         first = self.ctx.create_future()
 

@@ -529,8 +529,9 @@ class LocationService:
 
         Objects that are not registered (no agent) raise
         :class:`~repro.errors.LocationServiceError` before anything is
-        applied.  Outcomes re-point each object's agent; the lane itself
-        is :meth:`report_many`.  Returns operation counters:
+        applied.  Each device adopts its answer (in-area reports are
+        answered by the agent it has: :meth:`TrackedObject.adopt`); the
+        lane itself is :meth:`report_many`.  Returns operation counters:
         ``{"fast": n, "protocol": m}``.
         """
         final: dict[str, tuple[TrackedObject, Point]] = {}
@@ -542,17 +543,9 @@ class LocationService:
 
         def fold(outcomes) -> None:
             for outcome in outcomes:
-                entry = final.get(outcome.object_id)
-                if entry is None or not outcome.ok:
-                    continue  # protocol-level rejection; agent unchanged
-                obj, pos = entry
-                if outcome.deregistered:
-                    obj.agent = None
-                    obj.deregistered = True
-                else:
-                    obj.agent = outcome.agent
-                    obj.offered_acc = outcome.offered_acc
-                    obj.last_reported = pos
+                if outcome.object_id in final:
+                    obj, pos = final[outcome.object_id]
+                    obj.adopt(outcome, pos)
 
         applied = self.report_many(
             ((oid, pos, obj.sensor_acc, obj.agent) for oid, (obj, pos) in final.items()),
@@ -562,9 +555,9 @@ class LocationService:
             envelope_retries,
             envelope_sub_timeout,
         )
-        for oid in applied:
+        for oid in applied:  # acknowledged by the agent the device already has
             obj, pos = final[oid]
-            obj.last_reported = pos
+            obj.adopt(m.UpdateOutcome(oid, True, obj.agent, obj.offered_acc), pos)
         return {"fast": len(applied), "protocol": len(final) - len(applied)}
 
     def report_many(
@@ -714,10 +707,8 @@ class LocationService:
                     ok = ok_by_oid[oid]
                     results[oid] = ok
                     statuses[oid] = "ok" if ok else nacks.get(oid, m.NACK_NEVER_EXISTED)
-                    if ok:
-                        obj.agent = None
-                        obj.deregistered = True
-                    elif nacks.get(oid) == m.NACK_UNACKNOWLEDGED:
+                    obj.adopt(m.UpdateOutcome(oid, ok, deregistered=True))
+                    if not ok and nacks.get(oid) == m.NACK_UNACKNOWLEDGED:
                         unacked.add(oid)
                 return unacked
 

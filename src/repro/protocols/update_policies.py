@@ -3,14 +3,16 @@
 A tracked object continuously compares its sensed position with what it
 last reported and decides when to send an update.  The paper's prototype
 uses the simple *distance-based* policy ("if these positions differ by
-more than the distance defined by the offered accuracy"); its companion
-technical report [15] compares that against time-based reporting and
-dead reckoning.  All three are implemented here; the update-protocol
-ablation bench measures the updates-sent vs. accuracy-kept trade-off.
+more than the distance defined by the offered accuracy"), and
+:class:`DistancePolicy` is the rule every :class:`~repro.core.
+TrackedObject` runs.  The time-based and dead-reckoning policies its
+companion report [15] compares are offline ablations that no device
+runs: :func:`simulate_policy` replays them, and the update-protocol
+bench measures the updates-sent vs. accuracy-kept trade-off.
 
 Each policy is a small state machine::
 
-    policy = DistancePolicy(threshold=25.0)
+    policy = DistancePolicy(threshold=15.0)
     if policy.should_report(now, true_pos):
         policy.note_report(now, true_pos)
         # ... send update(s) to the agent ...
@@ -67,8 +69,10 @@ class TimePolicy(UpdatePolicy):
 class DistancePolicy(UpdatePolicy):
     """Report when the position drifted more than ``threshold`` meters.
 
-    This is the paper's own protocol (Section 6.2) with the threshold
-    normally set to the offered accuracy minus the sensor accuracy.
+    This is the paper's own protocol (Section 6.2) and the device's:
+    a :class:`~repro.core.TrackedObject` sets ``threshold`` to the offered
+    minus the sensor accuracy, which is not positive (every move reports)
+    when the sensor is no better than the offer.
     """
 
     def __init__(self, threshold: float) -> None:

@@ -13,11 +13,12 @@ ancestor that re-points a path prunes the branch it leaves.
 
 import pytest
 
-from repro.chaos import FaultInjector, LinkFaults
+from repro.chaos import FaultInjector, LinkFaults, RecoveryCoordinator
+from repro.cluster import MergePlan, MigrationExecutor, SplitPlan
 from repro.core import LocationService, build_table2_hierarchy
 from repro.core.service import drive_update_envelope
 from repro.errors import LocationServiceError
-from repro.geo import Point
+from repro.geo import Point, Rect
 
 
 @pytest.fixture
@@ -94,7 +95,7 @@ def test_two_agents_coexist_only_while_a_handover_row_is_pending(lost):
     injector.clear()
     svc.settle()
     assert svc.network.quiescent
-    assert all(not server._handovers for server in svc.servers.values())
+    assert all(not server.handovers for server in svc.servers.values())
     svc.check_consistency()
 
 
@@ -104,7 +105,7 @@ def test_an_unanswered_row_is_abandoned_and_keeps_the_object(lost):
     origin = svc.servers["root.0"]
     assert origin.stats.handover_resends == 3
     assert origin.stats.handovers_abandoned == 1
-    assert not origin._handovers
+    assert not origin.handovers
     assert origin.visitors.leaf_record("o1") is not None
 
 
@@ -118,5 +119,46 @@ def test_a_retired_origin_is_not_touched_by_its_row(lost):
     injector.clear()
     svc.settle()
     assert len(origin.visitors) == 0
-    assert not origin._handovers
+    assert not origin.handovers
     assert list(holders(svc)) == ["root.3"]
+
+
+SPLIT = SplitPlan(
+    "root.0", "x", (375.0,),
+    (("root.0/t.0", Rect(0, 0, 375, 750)), ("root.0/t.1", Rect(375, 0, 750, 750))),
+)
+MERGE = MergePlan("root", ("root.0", "root.1", "root.2", "root.3"))
+
+
+def test_a_split_waits_for_the_pending_handover_row(lost):
+    """Split root.0 while its row is out and the kept object moves into a
+    child, so the late answer finds nothing to drop at the now-interior
+    root.0 and o1 has two agents.  The split is refused until the row
+    ends, and the planner's busy set names the leaf meanwhile."""
+    svc, injector = lost
+    executor = MigrationExecutor(svc)
+    assert executor.busy_server_ids() == {"root.0"}
+    for plan in (SPLIT, MERGE):
+        with pytest.raises(LocationServiceError, match="handover rows still pending"):
+            executor.execute(plan)
+    assert not executor.in_flight
+    injector.clear()
+    svc.settle()
+    assert executor.busy_server_ids() == frozenset()
+    executor.execute(SPLIT)
+    svc.settle()
+    svc.check_consistency()
+    assert list(holders(svc)) == ["root.3"]
+
+
+def test_a_crashed_leaf_with_a_pending_row_is_still_merged_away(lost):
+    """A crashed leaf's rows do not hold recovery up: it is merged away
+    all the same, and the object the sibling admitted stays one object."""
+    svc, injector = lost
+    svc.crash_server("root.0")
+    assert MigrationExecutor(svc).busy_server_ids() == frozenset()
+    RecoveryCoordinator(svc).recover_dead_leaf("root.0", strategy="merge")
+    injector.clear()
+    svc.settle()
+    svc.check_consistency()
+    assert list(holders(svc)) == ["root"]

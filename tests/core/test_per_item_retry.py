@@ -50,7 +50,7 @@ class TestPerItemUpdateRetry:
         assert stats == {"fast": 1, "protocol": 1}
         # a's fast-path report applied; b's item is unacknowledged, its
         # agent unchanged — the envelope as a whole did NOT fail.
-        assert a.last_reported == Point(140.0, 130.0)
+        assert a.policy.estimate(svc.loop.now) == Point(140.0, 130.0)
         assert b.agent == "s4"
         assert svc.pos_query("a").pos == Point(140.0, 130.0)
         # After the leaf recovers, only b's item needs a new tick.

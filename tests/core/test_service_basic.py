@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import LocationService, build_quad_hierarchy, build_table2_hierarchy
+from repro.core import messages as m
 from repro.errors import RegistrationError
 from repro.geo import Point, Polygon, Rect
 from repro.model import AccuracyModel
@@ -84,9 +85,31 @@ class TestUpdatesAndHandover:
         assert svc.pos_query("truck-1").pos == Point(716, 100)
         assert svc.run(obj.move_to(Point(800, 100)))  # crosses into root.1
         assert obj.agent == "root.1"
-        assert obj.last_reported == Point(800, 100)
+        assert obj.policy.estimate(svc.loop.now) == Point(800, 100)
         svc.settle()
         svc.check_consistency()
+
+    @pytest.mark.parametrize("sensor_acc", [25.0, 40.0])
+    def test_a_sensor_no_better_than_the_offer_reports_every_move(self, svc, sensor_acc):
+        obj = svc.register("truck-1", Point(100, 100), des_acc=25.0, sensor_acc=sensor_acc)
+        assert obj.offered_acc == 25.0
+        for x in (101.0, 101.5, 102.0):
+            assert svc.run(obj.move_to(Point(x, 100)))
+            assert svc.pos_query("truck-1").pos == Point(x, 100)
+
+    def test_a_move_is_judged_against_the_new_offer(self, svc):
+        obj = svc.register("truck-1", Point(100, 100), des_acc=25.0, sensor_acc=10.0)
+        assert svc.run(obj.change_accuracy(60.0, 100.0)) == 60.0
+        # 45 m of drift is within 60 - 10 m, and beyond it once the
+        # service pushes a tighter offer of 35 m (notifyAvailAcc).
+        assert not svc.run(obj.move_to(Point(145, 100)))
+        svc.servers["root.0"].send(obj.address, m.NotifyAvailAcc("truck-1", 35.0))
+        svc.settle()
+        assert obj.offered_acc == 35.0
+        assert svc.run(obj.move_to(Point(145, 100)))
+        # The update answer names the agent's own record of the offer.
+        assert obj.offered_acc == 60.0
+        assert not svc.run(obj.move_to(Point(195, 100)))
 
     def test_handover_to_adjacent_leaf(self, svc):
         obj = svc.register("truck-1", Point(700, 100))

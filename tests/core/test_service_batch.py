@@ -50,7 +50,7 @@ class TestFastLane:
     def test_fast_lane_updates_client_state(self, svc):
         obj = svc.register("a", Point(100, 100))
         svc.update_many([(obj, Point(120, 130))])
-        assert obj.last_reported == Point(120, 130)
+        assert obj.policy.estimate(svc.loop.now) == Point(120, 130)
         assert obj.agent is not None
 
     def test_repeated_object_in_batch_last_wins(self, svc):

@@ -159,7 +159,7 @@ class TestConservation:
         async def bounce(obj, flips):
             for i in range(flips):
                 x = 900.0 if i % 2 == 0 else 700.0
-                await obj.report(Point(x, obj.last_reported.y))
+                await obj.report(Point(x, obj.policy.estimate(obj.ctx.now()).y))
 
         async def run_all():
             tasks = [

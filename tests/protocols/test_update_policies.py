@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import LocationService, build_table2_hierarchy
 from repro.geo import Point, Rect
 from repro.protocols import (
     DeadReckoningPolicy,
@@ -155,6 +156,23 @@ class TestSimulatePolicy:
         assert result["samples"] == 2
         assert result["mean_deviation"] == pytest.approx(6.0)
         assert result["max_deviation"] == pytest.approx(8.0)
+
+
+class TestTheAblationMeasuresTheDevice:
+    def test_distance_row_counts_what_a_service_device_sends(self):
+        """``simulate_policy`` at the device's threshold (offered minus
+        sensor accuracy) sends exactly the registration plus every
+        report a service ``TrackedObject`` sends on the same points."""
+        svc = LocationService(build_table2_hierarchy())
+        walker = RandomWaypointWalker(
+            Rect(0, 0, 1500, 1500), seed=11, min_speed=2.0, max_speed=8.0
+        )
+        trajectory = walker.trajectory(duration=600.0, dt=2.0)
+        device = svc.register("walker", trajectory[0][1], des_acc=25.0, sensor_acc=10.0)
+        reports = sum(svc.run(device.move_to(pos)) for _, pos in trajectory[1:])
+        offline = simulate_policy(DistancePolicy(25.0 - 10.0), trajectory)
+        assert 20 < reports and offline["updates"] == 1 + reports
+        assert device.policy.reports_sent == offline["updates"]
 
 
 class TestPolicyComparison:
